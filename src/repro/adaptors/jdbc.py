@@ -278,9 +278,10 @@ class ShardingConnection:
         connection checkout and storage round trip (write-I/O coalesced
         per written table — the group-commit analog); semantics stay
         serial-equivalent. Inside an open transaction the batch reuses the
-        transaction's pinned connections. Only plain SQL is accepted —
-        DistSQL, transaction control and session statements must go
-        through :meth:`execute`.
+        transaction's pinned connections; hint values set on the connection
+        apply to every statement, as in :meth:`execute`. Only plain SQL is
+        accepted — DistSQL, transaction control and session statements must
+        go through :meth:`execute`.
         """
         self._check_open()
         for sql, _params in statements:
@@ -299,10 +300,12 @@ class ShardingConnection:
                 with self.session.pin():
                     engine_results = self.runtime.engine.execute_pipeline(
                         list(statements),
-                        held_connections=_PinnedConnections(self._transaction))
+                        held_connections=_PinnedConnections(self._transaction),
+                        hint_values=self.hint_values or None)
             else:
                 engine_results = self.runtime.engine.execute_pipeline(
-                    list(statements), held_connections=None)
+                    list(statements), held_connections=None,
+                    hint_values=self.hint_values or None)
         return [self._wrap(engine_result) for engine_result in engine_results]
 
     def _wrap(self, engine_result: EngineResult) -> ShardingResult:

@@ -13,8 +13,7 @@ Balances data-source connections, memory and concurrency:
   lock. Per the paper we skip the lock when only one connection is needed
   and in connection-strictly mode (connections are released as soon as
   results are memory-loaded, so circular waits are impossible).
-- Execution units run in parallel on a shared worker pool; per-unit event
-  hooks feed transactions and monitoring.
+- Execution units run in parallel on a shared worker pool.
 
 Resilience (opt-in via :class:`ResiliencePolicy`):
 
@@ -168,11 +167,6 @@ class ExecutionMetrics:
         return families
 
 
-#: event hook signature: (event, payload) — events: "execute", "mode",
-#: "retry", "giveup", "timeout", "degraded", "reroute".
-EventListener = Callable[[str, dict[str, Any]], None]
-
-
 class ExecutionEngine:
     """Executes rewritten units against the fleet of data sources."""
 
@@ -189,7 +183,6 @@ class ExecutionEngine:
         self.data_sources = data_sources if isinstance(data_sources, dict) else dict(data_sources)
         self.max_connections_per_query = max_connections_per_query
         self.metrics = ExecutionMetrics()
-        self.listeners: list[EventListener] = []
         self._pool = ThreadPoolExecutor(max_workers=worker_threads, thread_name_prefix="ss-exec")
         self._closed = False
         self._close_lock = threading.Lock()
@@ -247,13 +240,6 @@ class ExecutionEngine:
                 return fn(*args, **kwargs)
 
         return self._pool.submit(run)
-
-    def add_listener(self, listener: EventListener) -> None:
-        self.listeners.append(listener)
-
-    def _emit(self, event: str, **payload: Any) -> None:
-        for listener in self.listeners:
-            listener(event, payload)
 
     # ------------------------------------------------------------------
     # Entry points
@@ -328,33 +314,11 @@ class ExecutionEngine:
             span = spans[id(unit)] if spans is not None else None
             pinned = (held_connections or {}).get(unit.data_source)
             if pinned is not None:
+                result.modes[unit.data_source] = ConnectionMode.CONNECTION_STRICTLY
                 if span is not None:
                     span.attributes["mode"] = ConnectionMode.CONNECTION_STRICTLY.value
-                t0 = time.perf_counter() if heat is not None else 0.0
-                cursor = self._run_attempts(
-                    unit.data_source,
-                    lambda: self._traced(pinned, unit, span),
-                    is_query=is_query,
-                    pinned=pinned,
-                    deadline=deadline,
-                    span=span,
-                )
-                result.modes[unit.data_source] = ConnectionMode.CONNECTION_STRICTLY
-                if is_query:
-                    rows = cursor.fetchall()
-                    if span is not None:
-                        span.attributes["rows"] = len(rows)
-                    if heat is not None:
-                        heat.unit_done(unit, time.perf_counter() - t0, cursor, len(rows))
-                    result.results.append(MaterializedResult(cursor.columns, rows))
-                else:
-                    result.update_count += max(cursor.rowcount, 0)
-                    if span is not None:
-                        span.attributes["rows"] = max(cursor.rowcount, 0)
-                    if heat is not None:
-                        heat.unit_done(
-                            unit, time.perf_counter() - t0, cursor, max(cursor.rowcount, 0)
-                        )
+                result.results, result.update_count = self._run_pinned(
+                    pinned, units, is_query, deadline, spans, heat)
                 self.metrics.statements += 1
                 return result
             source = self._source(unit.data_source, sources_map)
@@ -378,38 +342,23 @@ class ExecutionEngine:
                     unit.data_source, attempt_single,
                     is_query=is_query, pinned=None, deadline=deadline, span=span,
                 )
+                out = self._unit_done(unit, cursor, is_query, span, heat, t0, stream=True)
             except BaseException:
                 if holder[0] is not None:
                     source.pool.release(holder[0])
                 raise
             connection = holder[0]
             assert connection is not None
-            if is_query:
-                if span is not None:
-                    # traced statements trade streaming for a row count on
-                    # the storage span (tracing is opt-in)
-                    rows = cursor.fetchall()
-                    span.attributes["rows"] = len(rows)
-                    if heat is not None:
-                        heat.unit_done(unit, time.perf_counter() - t0, cursor, len(rows))
-                    result.results.append(MaterializedResult(cursor.columns, rows))
-                    source.pool.release(connection)
-                else:
-                    # streaming: the row count is unknown until the caller
-                    # drains the merged iterator (rows=-1 → sink fills it in)
-                    if heat is not None:
-                        heat.unit_done(unit, time.perf_counter() - t0, cursor, -1)
-                    result.results.append(cursor)
-                    result.finalizers.append(lambda: source.pool.release(connection))
+            if out is cursor:
+                # streaming: the connection stays out until the caller has
+                # drained the merged iterator
+                result.finalizers.append(lambda: source.pool.release(connection))
             else:
-                result.update_count += max(cursor.rowcount, 0)
-                if span is not None:
-                    span.attributes["rows"] = max(cursor.rowcount, 0)
-                if heat is not None:
-                    heat.unit_done(
-                        unit, time.perf_counter() - t0, cursor, max(cursor.rowcount, 0)
-                    )
                 source.pool.release(connection)
+            if is_query:
+                result.results.append(out)
+            else:
+                result.update_count = out
             self.metrics.statements += 1
             return result
 
@@ -448,7 +397,6 @@ class ExecutionEngine:
             mode = self._decide_mode(len(group))
             result.modes[ds_name] = mode
             self._annotate_mode(spans, group, mode)
-            self._emit("mode", data_source=ds_name, mode=mode.value, sqls=len(group))
             if mode is ConnectionMode.CONNECTION_STRICTLY:
                 self.metrics.connection_strictly += 1
                 shared: deque[ExecutionUnit] = deque(group)
@@ -525,7 +473,7 @@ class ExecutionEngine:
             raise (errors or [exc for _, exc in soft_failures])[0]
         if soft_failures:
             result.partial_results = True
-            for ds_name, exc in soft_failures:
+            for ds_name, _ in soft_failures:
                 if ds_name not in result.skipped_sources:
                     result.skipped_sources.append(ds_name)
                 # diagnostics invariant: modes only lists sources that
@@ -533,7 +481,6 @@ class ExecutionEngine:
                 result.modes.pop(ds_name, None)
                 self.metrics.skipped_units += 1
                 self.metrics.bump(ds_name, "skipped")
-                self._emit("degraded", data_source=ds_name, error=exc, route_type=route_type)
             self.metrics.degraded_statements += 1
         self.metrics.statements += len(units)
         return result
@@ -552,7 +499,6 @@ class ExecutionEngine:
         if deadline is not None and time.monotonic() >= deadline:
             self.metrics.timeouts += 1
             self.metrics.bump(source_name, "timeouts")
-            self._emit("timeout", data_source=source_name)
             assert self.resilience is not None
             raise DeadlineExceededError(
                 f"statement deadline of {self.resilience.statement_timeout * 1000:.0f}ms "
@@ -600,7 +546,6 @@ class ExecutionEngine:
                     f"all data sources are DOWN (unicast target {sorted(down)})"
                 )
             unit = units[0]
-            self._emit("redirect", from_source=unit.data_source, to_source=healthy)
             self.metrics.bump(unit.data_source, "redirects")
             unit.data_source = healthy
             unit.unit.data_source = healthy
@@ -618,7 +563,6 @@ class ExecutionEngine:
         self.metrics.skipped_units += len(units) - len(healthy)
         for name in down:
             self.metrics.bump(name, "skipped")
-        self._emit("degraded", skipped=sorted(down))
         return healthy
 
     def _breaker_admit(self, source_name: str) -> None:
@@ -715,13 +659,10 @@ class ExecutionEngine:
                         if retryable:
                             self.metrics.giveups += 1
                             self.metrics.bump(source_name, "giveups")
-                            self._emit("giveup", data_source=source_name, error=exc,
-                                       attempts=attempt_no + 1)
                         raise
                     attempt_no += 1
                     self.metrics.retries += 1
                     self.metrics.bump(source_name, "retries")
-                    self._emit("retry", data_source=source_name, attempt=attempt_no, error=exc)
                     if span is not None:
                         span.add_event(
                             "retry", attempt=attempt_no, error=type(exc).__name__
@@ -782,23 +723,47 @@ class ExecutionEngine:
                 lambda unit=unit, span=span: self._traced(connection, unit, span),
                 is_query=is_query, pinned=connection, deadline=deadline, span=span,
             )
-            self._emit("execute", data_source=unit.data_source, unit=unit)
+            out = self._unit_done(unit, cursor, is_query, span, heat, t0)
             if is_query:
-                rows = cursor.fetchall()
-                if span is not None:
-                    span.attributes["rows"] = len(rows)
-                if heat is not None:
-                    heat.unit_done(unit, time.perf_counter() - t0, cursor, len(rows))
-                results.append(MaterializedResult(cursor.columns, rows))
+                results.append(out)
             else:
-                update_count += max(cursor.rowcount, 0)
-                if span is not None:
-                    span.attributes["rows"] = max(cursor.rowcount, 0)
-                if heat is not None:
-                    heat.unit_done(
-                        unit, time.perf_counter() - t0, cursor, max(cursor.rowcount, 0)
-                    )
+                update_count += out
         return results, update_count
+
+    @staticmethod
+    def _unit_done(
+        unit: ExecutionUnit,
+        cursor: Any,
+        is_query: bool,
+        span: "Span | None",
+        heat: Any,
+        t0: float,
+        stream: bool = False,
+    ) -> Any:
+        """What every execution path does once a unit's cursor is back.
+
+        Returns the unit's outcome — the update count for a write, a
+        :class:`ShardResult` for a query — after noting the row count on
+        the unit's storage span and reporting wall time, cursor and rows
+        to the workload ``heat`` sample. With ``stream`` an untraced
+        query hands back the live cursor (stream merger): its row count
+        is unknown (-1) until the caller drains the merged iterator, and
+        the row sink fills it in. Everything else is memory-loaded here;
+        traced statements trade streaming for a row count on the span
+        (tracing is opt-in).
+        """
+        if not is_query:
+            out = rows = max(cursor.rowcount, 0)
+        elif stream and span is None:
+            out, rows = cursor, -1
+        else:
+            fetched = cursor.fetchall()
+            out, rows = MaterializedResult(cursor.columns, fetched), len(fetched)
+        if span is not None:
+            span.attributes["rows"] = rows
+        if heat is not None:
+            heat.unit_done(unit, time.perf_counter() - t0, cursor, rows)
+        return out
 
     _CLOSED_IN_FLIGHT = "execution engine closed while statement was in flight"
 
@@ -889,25 +854,9 @@ class ExecutionEngine:
                         is_query=is_query, pinned=None, deadline=deadline,
                         span=span,
                     )
-                    self._emit("execute", data_source=ds_name, unit=unit)
-                    if is_query:
-                        rows = cursor.fetchall()
-                        if span is not None:
-                            span.attributes["rows"] = len(rows)
-                        if heat is not None:
-                            heat.unit_done(
-                                unit, time.perf_counter() - t0, cursor, len(rows))
-                        with state_lock:
-                            slots[id(unit)] = MaterializedResult(cursor.columns, rows)
-                    else:
-                        count = max(cursor.rowcount, 0)
-                        if span is not None:
-                            span.attributes["rows"] = count
-                        if heat is not None:
-                            heat.unit_done(
-                                unit, time.perf_counter() - t0, cursor, count)
-                        with state_lock:
-                            slots[id(unit)] = count
+                    out = self._unit_done(unit, cursor, is_query, span, heat, t0)
+                    with state_lock:
+                        slots[id(unit)] = out
             except BaseException as exc:
                 fail_source(ds_name, exc)
             finally:
@@ -939,54 +888,26 @@ class ExecutionEngine:
                 fail_source(ds_name, ExecutionError(self._CLOSED_IN_FLIGHT))
                 return
             span = spans.get(id(unit)) if spans is not None else None
+
+            def attempt() -> Any:
+                if connections[index].closed:
+                    source.pool.release(connections[index])
+                    connections[index] = self._pool_acquire(source, deadline)
+                return self._traced(connections[index], unit, span)
+
+            t0 = time.perf_counter() if heat is not None else 0.0
             try:
-                cursor = self._execute_streaming(
-                    source, connections, index, unit, is_query, deadline,
-                    span, heat)
+                cursor = self._run_attempts(
+                    unit.data_source, attempt, is_query=is_query, pinned=None,
+                    deadline=deadline, span=span,
+                )
+                out = self._unit_done(unit, cursor, is_query, span, heat, t0, stream=True)
                 with state_lock:
-                    slots[id(unit)] = (
-                        cursor if is_query else max(cursor.rowcount, 0))
+                    slots[id(unit)] = out
             except BaseException as exc:
                 fail_source(ds_name, exc)
 
         return task
-
-    def _execute_streaming(
-        self,
-        source: DataSource,
-        connections: list[Connection],
-        index: int,
-        unit: ExecutionUnit,
-        is_query: bool = True,
-        deadline: float | None = None,
-        span: "Span | None" = None,
-        heat: Any = None,
-    ):
-        def attempt() -> Any:
-            if connections[index].closed:
-                source.pool.release(connections[index])
-                connections[index] = self._pool_acquire(source, deadline)
-            return self._traced(connections[index], unit, span)
-
-        t0 = time.perf_counter() if heat is not None else 0.0
-        cursor = self._run_attempts(
-            unit.data_source, attempt, is_query=is_query, pinned=None,
-            deadline=deadline, span=span,
-        )
-        self._emit("execute", data_source=unit.data_source, unit=unit)
-        if span is not None and is_query:
-            # traced statements trade streaming for a row count on the span
-            rows = cursor.fetchall()
-            span.attributes["rows"] = len(rows)
-            if heat is not None:
-                heat.unit_done(unit, time.perf_counter() - t0, cursor, len(rows))
-            return MaterializedResult(cursor.columns, rows)
-        if heat is not None:
-            heat.unit_done(
-                unit, time.perf_counter() - t0, cursor,
-                -1 if is_query else max(cursor.rowcount, 0),
-            )
-        return cursor
 
     def _pool_acquire(
         self,
@@ -1117,7 +1038,6 @@ class ExecutionEngine:
         self.metrics.statements += len(statements)
         self.metrics.pipeline_batches += 1
         self.metrics.pipelined_statements += len(statements)
-        self._emit("pipeline", data_source=ds_name, statements=len(statements))
         return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..cache import LruCache
-from ..exceptions import RouteError, ShardingSphereError
+from ..exceptions import RouteError
 from ..metadata import ContextManager, MetadataContext
 from ..sharding import ShardingRule
 from ..sql import ast, parse
@@ -25,11 +25,11 @@ from ..session import current_session
 from ..storage.replication import primary_pinned, session_token
 from .context import StatementContext, build_context
 from .executor import ConnectionMode, ExecutionEngine, ExecutionResult
-from .merger import MergedResult, MergeSpec, merge
-from .plan import CompiledPlan, PlanCache, compile_plan
+from .merger import MaterializedResult, MergedResult, MergeSpec, merge
+from .plan import PlanCache, compile_plan
 from .resilience import REROUTABLE_ERRORS, ResiliencePolicy
 from .result_cache import ResultCache
-from .rewriter import ExecutionUnit, RewriteResult, rewrite
+from .rewriter import ExecutionUnit, rewrite
 from .router import RouteResult, route
 
 if TYPE_CHECKING:
@@ -106,6 +106,70 @@ class EngineResult:
     @property
     def columns(self) -> list[str]:
         return self.merged.columns if self.merged else []
+
+
+@dataclass(slots=True)
+class _Statement:
+    """One statement's trip through the engine (see DESIGN.md "Statement
+    lifecycle"): what the caller supplied, what :meth:`SQLEngine._prepare`
+    derived, and what must be handed back on either exit. Private to this
+    module; a pipeline batch is a list of these.
+
+    Fields declared ``field(init=False)`` stay unset until prepare (or
+    :meth:`begin`) assigns them: reading one earlier is a bug and raises
+    instead of yielding a default.
+    """
+
+    # -- supplied by the caller ---------------------------------------------
+    sql: str | ast.Statement
+    params: Sequence[Any]
+    #: connections pinned by an open transaction (None = autocommit)
+    held: Mapping[str, Connection] | None
+    hints: Sequence[Any] | None
+    #: the metadata snapshot pinned for this attempt
+    snap: MetadataContext | None = None
+    trace: "Trace | None" = None
+    reroutes: int = 0
+    #: result-cache key, set by the bracket (never for pipelines)
+    cache_key: tuple | None = None
+    # -- both exits need these whether or not prepare got that far -------------
+    context: StatementContext | None = None
+    #: how many features' ``on_context`` returned: exactly these are owed
+    #: one ``on_result`` or one ``on_error``
+    admitted: int = 0
+    #: held between the executor and finish; released by fail
+    execution: ExecutionResult | None = None
+    #: the open stage's span (traced statements only)
+    span: Any = None
+    # -- set by prepare: observation --------------------------------------------
+    #: sampling weight, 0 = untimed
+    weight: int = field(init=False)
+    stages: dict[str, float] = field(init=False)
+    heat: Any = field(init=False)
+    stage: str = field(init=False)
+    t0: float = field(init=False)
+    # -- set by prepare: the plan for this execution -------------------------------
+    is_query: bool = field(init=False)
+    route_type: str = field(init=False)
+    units: Sequence[ExecutionUnit] = field(init=False)
+    merge_spec: MergeSpec | None = field(init=False)
+    #: result-cache guards, captured before any storage read
+    cache_guards: tuple[list[tuple], list[tuple]] | None = field(init=False)
+
+    def begin(self, stage: str) -> None:
+        """Open a stage (sampled or traced statements only)."""
+        self.stage = stage
+        if self.trace is not None:
+            self.span = self.trace.start_span(stage, metadata_version=self.snap.version)
+        self.t0 = time.perf_counter()
+
+    def end(self, **attributes: Any) -> None:
+        """Close the open stage, noting ``attributes`` on its span."""
+        self.stages[self.stage] = time.perf_counter() - self.t0
+        span, self.span = self.span, None
+        if span is not None:
+            span.attributes.update(attributes)
+            span.finish()
 
 
 class SQLEngine:
@@ -209,23 +273,6 @@ class SQLEngine:
     def remove_feature(self, name: str) -> None:
         self.metadata.remove_feature(name)
 
-    def _federated(self, context: StatementContext, snap: MetadataContext) -> EngineResult:
-        """Cross-source join fallback (see :mod:`repro.engine.federation`)."""
-        from .federation import federate_select
-
-        query_result = federate_select(self, context, snap)
-        result = EngineResult(
-            route_type="federation",
-            unit_count=0,
-            merger_kind="federation",
-        )
-        result.merged = MergedResult(
-            columns=list(query_result.columns),
-            rows=iter(query_result.rows),
-            merger_kind="federation",
-        )
-        return result
-
     _PARSE_CACHE_LIMIT = 2048
 
     def _parse_cached(self, sql: str) -> ast.Statement:
@@ -241,7 +288,7 @@ class SQLEngine:
         return ast.clone_statement(cached)
 
     # ------------------------------------------------------------------
-    # Execution
+    # Entry points
     # ------------------------------------------------------------------
 
     def execute(
@@ -265,148 +312,166 @@ class SQLEngine:
         :class:`~repro.observability.trace.Trace` rides on
         ``result.trace``.
         """
+        st = _Statement(sql, params, held_connections, hint_values)
         observability = self.observability
-        trace: "Trace | None" = None
         if observability is not None and (force_trace or observability.tracer.enabled):
-            if isinstance(sql, str):
-                text = sql
-            else:
-                # pre-parsed statement: render it back so the trace still
-                # shows SQL, not an AST class name (traced statements only)
-                try:
-                    from ..sql.formatter import format_statement
-
-                    text = format_statement(sql)
-                except Exception:
-                    text = type(sql).__name__
-            trace = observability.tracer.start_trace(text)
-        reroutes = 0
+            st.trace = observability.tracer.start_trace(_sql_text(sql))
+        session = current_session()
+        previous = session.snapshot
         try:
             while True:
+                # Pin ONE metadata snapshot per attempt: every stage reads
+                # rule/sources/features/dialects from ``st.snap``, so a
+                # concurrent DistSQL mutation (which swaps in the *next*
+                # snapshot) can never be half-observed. It is also recorded
+                # on the session so any worker continuing this statement
+                # (steal/fan-out) can reach it, and SHOW SESSIONS can
+                # attribute in-flight statements to a metadata version.
+                session.snapshot = st.snap = self.metadata.current()
                 try:
-                    result = self._execute_once(sql, params, held_connections, hint_values, trace)
-                except REROUTABLE_ERRORS as exc:
-                    if not self._can_reroute(sql, held_connections, reroutes):
+                    result = self._serve(st)
+                    break
+                except Exception as exc:
+                    if not self._fail(st, exc, reroute=True):
                         raise
-                    reroutes += 1
-                    self.executor.metrics.reroutes += 1
-                    self.executor._emit("reroute", attempt=reroutes, error=exc)
-                    if trace is not None:
-                        trace.root.add_event(
-                            "reroute", attempt=reroutes, error=type(exc).__name__
-                        )
-                    continue
-                if trace is not None:
-                    root = trace.root
-                    root.attributes["route_type"] = result.route_type
-                    root.attributes["units"] = result.unit_count
-                    root.attributes["merger_kind"] = result.merger_kind
-                    if result.partial_results:
-                        root.attributes["partial"] = True
-                        root.attributes["skipped_sources"] = ",".join(result.skipped_sources)
-                    if reroutes:
-                        root.attributes["reroutes"] = reroutes
-                    trace.finish()
-                    observability.record_trace(trace)
-                    result.trace = trace
-                return result
-        except Exception as exc:
-            if observability is not None:
-                observability.on_statement({}, "", 0, error=True)
-                if observability.workload.enabled and isinstance(sql, str):
-                    observability.workload.record_error(sql)
-                if trace is not None:
-                    trace.finish(error=exc)
-                    observability.record_trace(trace)
-            raise
+        finally:
+            session.snapshot = previous
+        trace = st.trace
+        if trace is not None:
+            root = trace.root
+            root.attributes["route_type"] = result.route_type
+            root.attributes["units"] = result.unit_count
+            root.attributes["merger_kind"] = result.merger_kind
+            if result.partial_results:
+                root.attributes["partial"] = True
+                root.attributes["skipped_sources"] = ",".join(result.skipped_sources)
+            if st.reroutes:
+                root.attributes["reroutes"] = st.reroutes
+            trace.finish()
+            observability.record_trace(trace)
+            result.trace = trace
+        return result
 
-    def _can_reroute(
+    def execute_pipeline(
         self,
-        sql: str | ast.Statement,
-        held_connections: Mapping[str, Connection] | None,
-        reroutes: int,
-    ) -> bool:
-        policy = self.executor.resilience
-        if policy is None or reroutes >= policy.max_reroutes:
-            return False
-        if held_connections is not None:
-            return False  # pinned to a transaction's connections
-        # Only re-parsed statements re-enter cleanly (rewrite mutates ASTs
-        # in place, so a caller-supplied AST cannot be safely re-routed).
-        if not isinstance(sql, str):
-            return False
-        statement = self._parse_cached(sql)
-        return isinstance(statement, ast.SelectStatement) and not statement.for_update
-
-    def _execute_once(
-        self,
-        sql: str | ast.Statement,
-        params: Sequence[Any] = (),
+        statements: Sequence[tuple[str | ast.Statement, Sequence[Any]]],
         held_connections: Mapping[str, Connection] | None = None,
         hint_values: Sequence[Any] | None = None,
-        trace: "Trace | None" = None,
-    ) -> EngineResult:
-        # Pin ONE metadata snapshot for this statement's whole lifetime:
-        # every stage below reads rule/sources/features/dialects from
-        # ``snap``, so a concurrent DistSQL mutation (which swaps in the
-        # *next* snapshot) can never be half-observed. The snapshot is
-        # also recorded on the session so any worker that continues this
-        # statement (steal/fan-out) can reach it, and SHOW SESSIONS can
-        # attribute in-flight statements to a metadata version.
+    ) -> list[EngineResult]:
+        """Fused transaction pipelining across the five-stage engine.
+
+        Every statement takes the same prepare → finish lifecycle as
+        :meth:`execute` (hooks, hints, counters and the pinned snapshot
+        included); runs of *consecutive* statements that each route to a
+        single unit on the same data source are shipped through one
+        connection checkout and one storage round trip
+        (:meth:`ExecutionEngine.execute_pipeline`), which coalesces their
+        write-I/O per written table — the transaction-pipelining analog
+        of group commit. Statements that fan out to several shards (or
+        need the federation fallback) flush the pending run and execute
+        on their own, preserving statement order.
+
+        Returns one :class:`EngineResult` per statement, in order.
+        Semantics are serial-equivalent; on a mid-batch error the
+        exception propagates with earlier statements' effects in place
+        (an enclosing distributed transaction's undo still covers them).
+        Pipelined statements skip the result cache, per-statement tracing
+        and shard-heat sampling — the batch is the unit of observability —
+        and their ``execute`` stage is recorded as the batch time
+        amortized over the batch.
+        """
         snap = self.metadata.current()
         session = current_session()
-        prev_snapshot = session.snapshot
+        previous = session.snapshot
         session.snapshot = snap
+        records: list[_Statement] = []
+        results: list[EngineResult] = []
+        #: prepared single-unit statements bound for one data source
+        pending: list[_Statement] = []
         try:
-            return self._execute_pinned(
-                sql, params, held_connections, hint_values, trace, snap)
+            for sql, params in statements:
+                st = _Statement(sql, params, held_connections, hint_values, snap)
+                records.append(st)
+                try:
+                    self._prepare(st)
+                except Exception:
+                    # serial-equivalent: what came before lands first
+                    self._flush(pending, results)
+                    raise
+                if len(st.units) == 1:
+                    if pending and pending[0].units[0].data_source != st.units[0].data_source:
+                        self._flush(pending, results)
+                    pending.append(st)
+                else:
+                    self._flush(pending, results)
+                    self._dispatch(st)
+                    results.append(self._finish(st))
+            self._flush(pending, results)
+            return results
+        except Exception as exc:
+            # statements finish strictly in order, so everything prepared
+            # past the last result is still owed its error exit
+            for st in records[len(results):]:
+                self._fail(st, exc)
+            raise
         finally:
-            session.snapshot = prev_snapshot
+            session.snapshot = previous
 
-    def _execute_pinned(
-        self,
-        sql: str | ast.Statement,
-        params: Sequence[Any],
-        held_connections: Mapping[str, Connection] | None,
-        hint_values: Sequence[Any] | None,
-        trace: "Trace | None",
-        snap: MetadataContext,
-    ) -> EngineResult:
-        cache_key = self._result_cache_key(sql, params, held_connections,
-                                           hint_values, snap)
-        if cache_key is None:
-            return self._execute_uncached(
-                sql, params, held_connections, hint_values, trace, snap, None)
+    def _flush(self, pending: list[_Statement], results: list[EngineResult]) -> None:
+        """Ship the buffered same-source run as one storage round trip."""
+        if not pending:
+            return
+        ds_name = pending[0].units[0].data_source
+        t0 = time.perf_counter()
+        outs = self.executor.execute_pipeline(
+            ds_name,
+            [(st.units[0].statement, st.units[0].params, st.is_query) for st in pending],
+            pending[0].held,
+            sources=pending[0].snap.data_sources,
+        )
+        per_statement = (time.perf_counter() - t0) / len(pending)
+        for st, out in zip(pending, outs):
+            st.execution = execution = ExecutionResult(
+                modes={ds_name: ConnectionMode.CONNECTION_STRICTLY})
+            if st.is_query:
+                execution.results.append(out)
+            else:
+                execution.update_count = out
+            if st.weight:
+                st.stages["execute"] = per_statement
+            results.append(self._finish(st))
+        pending.clear()
+
+    # ------------------------------------------------------------------
+    # Statement lifecycle: prepare -> (executor) -> finish, or fail
+    # ------------------------------------------------------------------
+
+    def _serve(self, st: _Statement) -> EngineResult:
+        """Result-cache bracket around prepare → execute → finish."""
         result_cache = self.result_cache
-        entry = result_cache.lookup(cache_key, session_token)
-        if entry is not None:
-            return self._cached_result(entry, trace)
-        leader, event = result_cache.lease(cache_key)
-        if leader:
-            try:
-                return self._execute_uncached(
-                    sql, params, held_connections, hint_values, trace, snap,
-                    cache_key)
-            finally:
-                result_cache.release(cache_key)
-        # Single-flight follower: give the in-flight leader a bounded
-        # chance to populate the entry, then fall through and execute
-        # independently (still eligible to store) if it did not.
-        event.wait(result_cache.single_flight_timeout)
-        entry = result_cache.lookup(cache_key, session_token)
-        if entry is not None:
-            return self._cached_result(entry, trace)
-        return self._execute_uncached(
-            sql, params, held_connections, hint_values, trace, snap, cache_key)
+        key = st.cache_key = self._result_cache_key(st) if result_cache.enabled else None
+        leader = False
+        if key is not None:
+            entry = result_cache.lookup(key, session_token)
+            if entry is None:
+                leader, event = result_cache.lease(key)
+                if not leader:
+                    # Single-flight follower: give the in-flight leader a
+                    # bounded chance to populate the entry, then execute
+                    # independently (still eligible to store).
+                    event.wait(result_cache.single_flight_timeout)
+                    entry = result_cache.lookup(key, session_token)
+            if entry is not None:
+                return self._cached_result(entry, st.trace)
+        try:
+            self._prepare(st)
+            self._dispatch(st)
+            return self._finish(st)
+        finally:
+            if leader:
+                result_cache.release(key)
 
-    def _result_cache_key(
-        self,
-        sql: str | ast.Statement,
-        params: Sequence[Any],
-        held_connections: Mapping[str, Connection] | None,
-        hint_values: Sequence[Any] | None,
-        snap: MetadataContext,
-    ) -> tuple | None:
+    def _result_cache_key(self, st: _Statement) -> tuple | None:
         """Cache key for this call, or None when it must not use the cache.
 
         Eligible statements are plain-text SELECTs outside transactions
@@ -414,19 +479,19 @@ class SQLEngine:
         ``plan_cache_safe`` contract the plan cache relies on), from a
         session not pinned to primaries.
         """
+        sql = st.sql
         if (
-            not self.result_cache.enabled
-            or held_connections is not None
-            or hint_values is not None
+            st.held is not None
+            or st.hints is not None
             or not isinstance(sql, str)
-            or not snap.plan_cache_safe
+            or not st.snap.plan_cache_safe
             or primary_pinned()
         ):
             return None
         if not sql.lstrip()[:6].upper().startswith("SELECT"):
             return None
         try:
-            key = (sql, tuple(params), snap.plan_epoch)
+            key = (sql, tuple(st.params), st.snap.plan_epoch)
             hash(key)
         except TypeError:
             return None
@@ -446,531 +511,266 @@ class SQLEngine:
                 {}, "result_cache", 0, error=False, weight=0)
         return result
 
-    def _execute_uncached(
-        self,
-        sql: str | ast.Statement,
-        params: Sequence[Any],
-        held_connections: Mapping[str, Connection] | None,
-        hint_values: Sequence[Any] | None,
-        trace: "Trace | None",
-        snap: MetadataContext,
-        cache_key: tuple | None,
-    ) -> EngineResult:
+    def _prepare(self, st: _Statement) -> None:
+        """Front half of the lifecycle: plan lookup → parse → context →
+        route → rewrite, with the three pre-execute hook loops.
+
+        The only code that consults, fills and counts the plan cache. A
+        plan hit binds parameters into the compiled plan (condition
+        binding + shard-key → data-node mapping + a rewrite-template
+        lookup) instead of parsing, building context, routing and
+        rewriting; hooks run either way — on a hit against the immutable
+        cached AST, which ``plan_cache_safe`` features never mutate — so
+        admission guards and unit redirection keep working. The third
+        outcome is the federation fallback: a SELECT the router cannot
+        co-locate leaves with ``route_type="federation"`` and no units.
+        """
+        snap, sql, params = st.snap, st.sql, st.params
         observability = self.observability
         # Histogram sampling: unsampled statements (weight 0) skip the
-        # perf_counter calls and stage dict entirely; counters stay exact.
-        # A forced TRACE of an unsampled statement records unweighted.
+        # perf_counter calls and stage entries entirely; counters stay
+        # exact. A forced TRACE of an unsampled statement records unweighted.
         weight = observability.stage_weight() if observability is not None else 0
-        if weight == 0 and trace is not None:
-            weight = 1
-        timed = weight > 0
-        stages: dict[str, float] = {}
-        if trace is not None:
-            trace.root.attributes["metadata_version"] = snap.version
+        if st.trace is not None:
+            weight = weight or 1
+            st.trace.root.attributes["metadata_version"] = snap.version
+        st.weight, st.stages, st.heat = weight, {}, None
 
         plan_cache = self.plan_cache
+        is_text = isinstance(sql, str)
+        # hints bypass the plan cache: they route outside the SQL text
         use_plans = (
-            plan_cache.enabled
-            and snap.plan_cache_safe
-            and hint_values is None
-            and isinstance(sql, str)
+            plan_cache.enabled and snap.plan_cache_safe and st.hints is None and is_text
         )
-        compile_after_parse = False
+        hit = compiling = False
         if use_plans:
             plan = plan_cache.get(sql, snap.plan_epoch)  # type: ignore[arg-type]
             if plan is None:
                 plan_cache.misses += 1
-                compile_after_parse = True
+                compiling = True
             elif not plan.cacheable or len(params) < plan.param_count:
                 plan_cache.bypasses += 1
             else:
                 plan_cache.hits += 1
                 plan.hits += 1
-                try:
-                    return self._execute_plan(
-                        plan, params, held_connections, trace, stages, timed,
-                        weight, snap, cache_key,
-                    )
-                except _PlanRouteError as exc:
-                    # The route template proved unusable at bind time (e.g.
-                    # the statement needs the federation fallback). Demote
-                    # to a negative entry and take the slow path.
-                    plan_cache.mark_uncacheable(
-                        sql, f"route: {exc.error}", snap.plan_epoch  # type: ignore[arg-type]
-                    )
-                    if trace is not None:
-                        trace.root.add_event(
-                            "plan_cache_fallback", error=type(exc.error).__name__
-                        )
-                    stages = {}
-
-        t0 = time.perf_counter() if timed else 0.0
-        span = (
-            trace.start_span("parse", metadata_version=snap.version)
-            if trace is not None else None
-        )
-        if isinstance(sql, str):
-            statement = self._parse_cached(sql)
-            sql_text = sql
+                hit = True
+        if weight:
+            st.begin("plan_cache_hit" if hit else "parse")
+        if hit:
+            params = tuple(params)
+            conditions = plan.bind_conditions(params)
+            context = plan.make_context(params, conditions)
         else:
-            statement = sql
-            # Render pre-parsed statements back to SQL once so diagnostics
-            # (slow-query log, PREVIEW, traces) never show empty text.
-            try:
-                sql_text = format_statement(statement)
-            except Exception:
-                sql_text = type(statement).__name__
-
-        if statement.category == "DDL":
-            plan_cache.invalidate("DDL")
-        if compile_after_parse:
-            plan_cache.store(  # type: ignore[arg-type]
-                compile_plan(sql, statement, snap.rule), snap.plan_epoch
-            )
-
-        context = build_context(statement, sql_text, params, snap.rule, hint_values)
+            statement = self._parse_cached(sql) if is_text else sql
+            if statement.category == "DDL":
+                plan_cache.invalidate("DDL")
+            if compiling:
+                plan_cache.store(  # type: ignore[arg-type]
+                    compile_plan(sql, statement, snap.rule), snap.plan_epoch
+                )
+            context = build_context(
+                statement, sql if is_text else _sql_text(sql), params, snap.rule, st.hints)
+        st.context = context
+        st.is_query = isinstance(context.statement, ast.SelectStatement)
         for feature in snap.features:
             feature.on_context(context)
-        if span is not None:
-            span.finish()
-        if timed:
-            now = time.perf_counter()
-            stages["parse"] = now - t0
-            t0 = now
+            st.admitted += 1
+        if weight and not hit:
+            st.end()
+            st.begin("route")
 
-        span = (
-            trace.start_span("route", metadata_version=snap.version)
-            if trace is not None else None
-        )
         try:
-            route_result = route(context, snap.rule)
+            if hit:
+                route_result = plan.route_bound(conditions, snap.rule, lambda: context)
+            else:
+                route_result = route(context, snap.rule)
         except RouteError as exc:
-            if (
-                self.enable_federation
-                and isinstance(statement, ast.SelectStatement)
-                and "co-located" in str(exc)
-            ):
-                if span is not None:
-                    span.attributes["fallback"] = "federation"
-                    span.finish()
-                if timed:
-                    now = time.perf_counter()
-                    stages["route"] = now - t0
-                    t0 = now
-                if use_plans:
-                    # A federated statement can never run from a plan.
-                    plan_cache.mark_uncacheable(
-                        sql, "federation fallback", snap.plan_epoch  # type: ignore[arg-type]
-                    )
-                span = trace.start_span("federation") if trace is not None else None
-                result = self._federated(context, snap)
-                if span is not None:
-                    span.finish()
-                if timed:
-                    stages["federation"] = time.perf_counter() - t0
-                if observability is not None:
-                    observability.on_statement(
-                        stages, "federation", 0, error=False, weight=weight
-                    )
-                    workload = observability.workload
-                    if weight and workload.enabled:
-                        row_sink = workload.record_statement(
-                            context=context, route_type="federation", units=(),
-                            stages=stages, weight=weight, update_count=0,
-                            is_query=True,
-                        )
-                        if row_sink is not None and result.merged is not None:
-                            result.merged.rows = _counting(result.merged.rows, row_sink)
-                return result
-            if span is not None:
-                span.finish(error=exc)
-            raise
-        for feature in snap.features:
-            feature.on_route(route_result, context)
-        if span is not None:
-            span.attributes["route_type"] = route_result.route_type
-            span.attributes["units"] = len(route_result.units)
-            span.finish()
-        if timed:
-            now = time.perf_counter()
-            stages["route"] = now - t0
-            t0 = now
-
-        span = (
-            trace.start_span("rewrite", metadata_version=snap.version)
-            if trace is not None else None
-        )
-        rewrite_result = rewrite(context, route_result, snap.dialect_of)
-        units = rewrite_result.execution_units
-        for feature in snap.features:
-            feature.on_units(units, context)
-        if span is not None:
-            span.attributes["units"] = len(units)
-            span.finish()
-        if timed:
-            now = time.perf_counter()
-            stages["rewrite"] = now - t0
-            t0 = now
-
-        return self._run_units(
-            context, route_result.route_type, units, rewrite_result.merge_spec,
-            held_connections, trace, stages, timed, weight, snap,
-            cache_key=cache_key,
-        )
-
-    # ------------------------------------------------------------------
-    # Statement pipelining
-    # ------------------------------------------------------------------
-
-    def execute_pipeline(
-        self,
-        statements: Sequence[tuple[str | ast.Statement, Sequence[Any]]],
-        held_connections: Mapping[str, Connection] | None = None,
-    ) -> list[EngineResult]:
-        """Fused transaction pipelining across the five-stage engine.
-
-        Every statement is prepared up front (plan-cache hot path when
-        possible); runs of *consecutive* statements that each route to a
-        single unit on the same data source are shipped through one
-        connection checkout and one storage round trip
-        (:meth:`ExecutionEngine.execute_pipeline`), which coalesces their
-        write-I/O per written table — the transaction-pipelining analog
-        of group commit. Statements that fan out to several shards (or
-        need the federation fallback) flush the pending group and run
-        through the normal execute path, preserving statement order.
-
-        Returns one :class:`EngineResult` per statement, in order.
-        Semantics are serial-equivalent; on a mid-batch error the
-        exception propagates with earlier statements' effects in place
-        (an enclosing distributed transaction's undo still covers them).
-        Pipelined statements skip per-statement tracing and workload heat
-        sampling — the batch is the unit of observability — and their
-        ``execute`` stage is recorded as the batch time amortized over
-        the batch.
-        """
-        observability = self.observability
-        snap = self.metadata.current()
-        results: list[EngineResult | None] = [None] * len(statements)
-        #: buffered (index, context, route_type, unit, merge_spec, is_query)
-        pending: list[tuple[int, StatementContext, str, ExecutionUnit,
-                            MergeSpec | None, bool]] = []
-
-        def flush() -> None:
-            if not pending:
-                return
-            ds_name = pending[0][3].data_source
-            t0 = time.perf_counter()
-            try:
-                outs = self.executor.execute_pipeline(
-                    ds_name,
-                    [(p[3].statement, p[3].params, p[5]) for p in pending],
-                    held_connections,
-                    sources=snap.data_sources,
-                )
-            except Exception as exc:
-                for p in pending:
-                    for feature in snap.features:
-                        feature.on_error(exc, p[1])
-                pending.clear()
+            if not (self.enable_federation and st.is_query and "co-located" in str(exc)):
                 raise
-            per_statement = (time.perf_counter() - t0) / len(pending)
-            for (index, context, route_type, unit, merge_spec, is_query), out \
-                    in zip(pending, outs):
-                result = EngineResult(
-                    generated_keys=context.generated_keys,
-                    route_type=route_type,
-                    unit_count=1,
-                    modes={ds_name: ConnectionMode.CONNECTION_STRICTLY},
-                    units=[unit],
+            if use_plans:
+                # A federated statement can never run from a plan.
+                plan_cache.mark_uncacheable(
+                    sql, "federation fallback", snap.plan_epoch  # type: ignore[arg-type]
                 )
-                if is_query:
-                    spec = merge_spec or MergeSpec(is_query=True, single_node=True)
-                    merged = merge(spec, [out])
-                    result.merged = MergedResult(
-                        columns=merged.columns,
-                        rows=merged.rows,
-                        merger_kind=merged.merger_kind,
-                    )
-                    result.merger_kind = merged.merger_kind
-                else:
-                    result.update_count = out
-                    result.merger_kind = "update"
-                if observability is not None:
-                    weight = observability.stage_weight()
-                    observability.on_statement(
-                        {"execute": per_statement} if weight else {},
-                        route_type, 1, error=False, weight=weight,
-                    )
-                for feature in snap.features:
-                    feature.on_result(result, context)
-                results[index] = result
-            pending.clear()
+            if weight:
+                st.end(fallback="federation")
+            st.route_type, st.units, st.merge_spec, st.cache_guards = "federation", [], None, None
+            return
+        for feature in snap.features:
+            feature.on_route(route_result, context)
+        if weight and not hit:
+            st.end(route_type=route_result.route_type, units=len(route_result.units))
+            st.begin("rewrite")
 
-        for index, (sql, params) in enumerate(statements):
-            try:
-                context, route_type, units, merge_spec = self._prepare_units(
-                    sql, params, snap)
-            except RouteError:
-                # e.g. a cross-shard join needing federation: run the
-                # statement through the full path (which owns the fallback)
-                flush()
-                results[index] = self.execute(sql, params, held_connections)
-                continue
-            is_query = isinstance(context.statement, ast.SelectStatement)
-            if len(units) != 1:
-                flush()
-                results[index] = self._run_units(
-                    context, route_type, units, merge_spec,
-                    held_connections, None, {}, False, 0, snap,
-                )
-                continue
-            unit = units[0]
-            if pending and pending[0][3].data_source != unit.data_source:
-                flush()
-            pending.append((index, context, route_type, unit, merge_spec, is_query))
-        flush()
-        return results  # type: ignore[return-value]
-
-    def _prepare_units(
-        self,
-        sql: str | ast.Statement,
-        params: Sequence[Any],
-        snap: MetadataContext,
-    ) -> tuple[StatementContext, str, list[ExecutionUnit], MergeSpec | None]:
-        """Front half of the pipeline (parse→route→rewrite) without
-        executing: shared by statement pipelining, which needs to see all
-        routed units *before* deciding how to batch them.
-
-        Takes the plan-cache hot path when possible (counters included);
-        raises :class:`RouteError` for statements the router cannot place
-        (the caller owns the federation fallback).
-        """
-        plan_cache = self.plan_cache
-        use_plans = (
-            plan_cache.enabled and snap.plan_cache_safe and isinstance(sql, str)
-        )
-        compile_after_parse = False
-        if use_plans:
-            plan = plan_cache.get(sql, snap.plan_epoch)  # type: ignore[arg-type]
-            if plan is None:
-                plan_cache.misses += 1
-                compile_after_parse = True
-            elif not plan.cacheable or len(params) < plan.param_count:
-                plan_cache.bypasses += 1
-            else:
-                plan_cache.hits += 1
-                plan.hits += 1
-                bound = tuple(params)
-                conditions = plan.bind_conditions(bound)
-                context = plan.make_context(bound, conditions)
-                for feature in snap.features:
-                    feature.on_context(context)
-                route_result = plan.route_bound(
-                    conditions, snap.rule, lambda: context)
-                for feature in snap.features:
-                    feature.on_route(route_result, context)
-                units, merge_spec = plan.build_units(
-                    route_result, bound, snap.dialect_of)
-                for feature in snap.features:
-                    feature.on_units(units, context)
-                return context, route_result.route_type, units, merge_spec
-
-        if isinstance(sql, str):
-            statement = self._parse_cached(sql)
-            sql_text = sql
+        if hit:
+            units, st.merge_spec = plan.build_units(route_result, params, snap.dialect_of)
         else:
-            statement = sql
-            try:
-                sql_text = format_statement(statement)
-            except Exception:
-                sql_text = type(statement).__name__
-        if statement.category == "DDL":
-            plan_cache.invalidate("DDL")
-        if compile_after_parse:
-            plan_cache.store(  # type: ignore[arg-type]
-                compile_plan(sql, statement, snap.rule), snap.plan_epoch
-            )
-        context = build_context(statement, sql_text, params, snap.rule, None)
-        for feature in snap.features:
-            feature.on_context(context)
-        route_result = route(context, snap.rule)
-        for feature in snap.features:
-            feature.on_route(route_result, context)
-        rewrite_result = rewrite(context, route_result, snap.dialect_of)
-        units = rewrite_result.execution_units
+            rewritten = rewrite(context, route_result, snap.dialect_of)
+            units, st.merge_spec = rewritten.execution_units, rewritten.merge_spec
         for feature in snap.features:
             feature.on_units(units, context)
-        return context, route_result.route_type, units, rewrite_result.merge_spec
-
-    def _execute_plan(
-        self,
-        plan: CompiledPlan,
-        params: Sequence[Any],
-        held_connections: Mapping[str, Connection] | None,
-        trace: "Trace | None",
-        stages: dict[str, float],
-        timed: bool,
-        weight: int,
-        snap: MetadataContext,
-        cache_key: tuple | None = None,
-    ) -> EngineResult:
-        """Hot path: bind parameters into a compiled plan.
-
-        Replaces parse, context build, route and rewrite (and the per-hit
-        AST clone) with condition binding + shard-key -> data-node mapping
-        + a rewrite-template lookup. Feature hooks still run — against the
-        immutable cached AST, which ``plan_cache_safe`` features never
-        mutate — so admission guards (circuit breaker, throttle) and unit
-        redirection (read-write splitting, shadow) keep working.
-        """
-        params = tuple(params)
-        t0 = time.perf_counter() if timed else 0.0
-        span = (
-            trace.start_span("plan_cache_hit", metadata_version=snap.version)
-            if trace is not None else None
-        )
-        conditions = plan.bind_conditions(params)
-        context = plan.make_context(params, conditions)
-        for feature in snap.features:
-            feature.on_context(context)
-        try:
-            route_result = plan.route_bound(conditions, snap.rule, lambda: context)
-        except RouteError as exc:
-            if span is not None:
-                span.finish(error=exc)
-            raise _PlanRouteError(exc) from exc
-        for feature in snap.features:
-            feature.on_route(route_result, context)
-        units, merge_spec = plan.build_units(route_result, params, snap.dialect_of)
-        for feature in snap.features:
-            feature.on_units(units, context)
-        if span is not None:
-            span.attributes["route_type"] = route_result.route_type
-            span.attributes["units"] = len(units)
-            span.finish()
-        if timed:
-            stages["plan_cache_hit"] = time.perf_counter() - t0
-        return self._run_units(
-            context, route_result.route_type, units, merge_spec,
-            held_connections, trace, stages, timed, weight, snap,
-            cache_key=cache_key,
-        )
-
-    def _run_units(
-        self,
-        context: StatementContext,
-        route_type: str,
-        units: list[ExecutionUnit],
-        merge_spec: MergeSpec | None,
-        held_connections: Mapping[str, Connection] | None,
-        trace: "Trace | None",
-        stages: dict[str, float],
-        timed: bool,
-        weight: int,
-        snap: MetadataContext,
-        cache_key: tuple | None = None,
-    ) -> EngineResult:
-        """Shared execute+merge tail of both the slow and plan-hit paths."""
-        observability = self.observability
-        is_query = isinstance(context.statement, ast.SelectStatement)
+        st.route_type, st.units = route_result.route_type, units
+        if weight:
+            st.end(route_type=route_result.route_type, units=len(units))
         # Result-cache guards must be captured BEFORE the storage read so
         # a write racing the read bumps a captured version and the store
-        # below is rejected (validated cache-aside).
-        cache_capture = None
-        if (
-            cache_key is not None
-            and is_query
-            and not getattr(context.statement, "for_update", False)
-        ):
-            cache_capture = self._capture_cache_guards(context, units, snap)
-        # Workload analytics piggyback on the same sampling decision as the
-        # stage histograms: unsampled statements (weight 0) pay one branch.
-        workload = observability.workload if observability is not None else None
-        heat = None
-        if workload is not None and weight and workload.enabled:
-            heat = workload.begin_statement(weight)
-        t0 = time.perf_counter() if timed else 0.0
-        span = (
-            trace.start_span("execute", metadata_version=snap.version)
-            if trace is not None else None
+        # in finish is rejected (validated cache-aside).
+        st.cache_guards = (
+            self._capture_cache_guards(context, units, snap)
+            if st.cache_key is not None and st.is_query and not context.statement.for_update
+            else None
         )
-        try:
-            execution = self.executor.execute(
-                units, is_query, held_connections,
-                route_type=route_type,
-                trace=trace, parent_span=span,
-                sources=snap.data_sources,
-                heat=heat,
-            )
-        except Exception as exc:
-            if span is not None:
-                span.finish(error=exc)
-            for feature in snap.features:
-                feature.on_error(exc, context)
-            raise
-        if span is not None:
-            if execution.partial_results:
-                span.attributes["partial"] = True
-            span.finish()
-        if timed:
-            stages["execute"] = time.perf_counter() - t0
 
+    def _dispatch(self, st: _Statement) -> None:
+        """Execute stage: the prepared units go to the executor; a
+        federated statement (no units) is materialized and joined in the
+        middleware (see :mod:`repro.engine.federation`)."""
+        federated = st.route_type == "federation"
+        if st.weight:
+            st.begin("federation" if federated else "execute")
+            # Workload analytics piggyback on the same sampling decision as
+            # the stage histograms: unsampled statements pay one branch.
+            workload = self.observability.workload
+            if workload.enabled and not federated:
+                st.heat = workload.begin_statement(st.weight)
+        if federated:
+            from .federation import federate_select
+
+            found = federate_select(self, st.context, st.snap)
+            st.execution = ExecutionResult(
+                results=[MaterializedResult(list(found.columns), found.rows)])
+        else:
+            st.execution = self.executor.execute(
+                st.units, st.is_query, st.held,
+                route_type=st.route_type,
+                trace=st.trace, parent_span=st.span,
+                sources=st.snap.data_sources,
+                heat=st.heat,
+            )
+        if st.weight:
+            if st.execution.partial_results:
+                st.end(partial=True)
+            else:
+                st.end()
+
+    def _finish(self, st: _Statement) -> EngineResult:
+        """Back half of the lifecycle: merge, build the
+        :class:`EngineResult`, record the statement (counters, stage
+        histograms, workload digests), run ``on_result``, then store to
+        the result cache. Anything raised here reaches :meth:`_fail`
+        with ``st.execution`` still attached, so no connection outlives
+        a statement that failed after its storage work."""
+        execution, context, units, weight = st.execution, st.context, st.units, st.weight
         result = EngineResult(
             update_count=execution.update_count,
             generated_keys=context.generated_keys,
-            route_type=route_type,
+            route_type=st.route_type,
             unit_count=len(units),
             modes=dict(execution.modes),
             units=list(units),
             partial_results=execution.partial_results,
             skipped_sources=list(execution.skipped_sources),
         )
-        if is_query:
-            t0 = time.perf_counter() if timed else 0.0
-            span = (
-                trace.start_span("merge", metadata_version=snap.version)
-                if trace is not None else None
+        if st.is_query:
+            if weight:
+                st.begin("merge")
+            merged = merge(
+                st.merge_spec or MergeSpec(is_query=True, single_node=True),
+                execution.results,
             )
-            spec = merge_spec or MergeSpec(is_query=True, single_node=True)
-            merged = merge(spec, execution.results)
+            # no units: a federated result, already joined in the middleware
+            result.merger_kind = merged.merger_kind if units else "federation"
             result.merged = MergedResult(
                 columns=merged.columns,
                 rows=_releasing(merged.rows, execution),
-                merger_kind=merged.merger_kind,
+                merger_kind=result.merger_kind,
             )
-            result.merger_kind = merged.merger_kind
-            if span is not None:
-                span.attributes["merger_kind"] = merged.merger_kind
-                span.finish()
-            if timed:
-                stages["merge"] = time.perf_counter() - t0
+            if weight:
+                st.end(merger_kind=result.merger_kind)
         else:
             result.merger_kind = "update"
             execution.release()
 
+        observability = self.observability
         if observability is not None:
             observability.on_statement(
-                stages, route_type, len(units), error=False,
-                weight=weight,
-            )
-        if heat is not None:
-            row_sink = workload.record_statement(
-                context=context, route_type=route_type, units=units,
-                stages=stages, weight=weight,
-                update_count=execution.update_count,
-                is_query=is_query, heat_sample=heat,
-            )
-            if row_sink is not None and result.merged is not None:
-                result.merged.rows = _counting(result.merged.rows, row_sink)
-        for feature in snap.features:
+                st.stages, st.route_type, len(units), error=False, weight=weight)
+            workload = observability.workload
+            if weight and workload.enabled:
+                row_sink = workload.record_statement(
+                    context=context, route_type=st.route_type, units=units,
+                    stages=st.stages, weight=weight,
+                    update_count=execution.update_count,
+                    is_query=st.is_query, heat_sample=st.heat,
+                )
+                if row_sink is not None and result.merged is not None:
+                    result.merged.rows = _counting(result.merged.rows, row_sink)
+        for feature in st.snap.features:
             feature.on_result(result, context)
         if (
-            cache_capture is not None
+            st.cache_guards is not None
             and result.merged is not None
             and not result.partial_results
         ):
-            self._store_cached_result(cache_key, result, cache_capture)
+            self._store_cached_result(st.cache_key, result, st.cache_guards)
+        st.execution = None  # the merged iterator owns the connections now
         return result
+
+    def _fail(self, st: _Statement, exc: Exception, reroute: bool = False) -> bool:
+        """The only error exit of the lifecycle.
+
+        Releases whatever the statement still holds, closes its open
+        stage span and delivers ``on_error`` to exactly the features
+        whose ``on_context`` returned for this attempt. Returns True when
+        the statement may re-enter from routing (``reroute`` offered, an
+        idempotent read, a re-routable error, budget left); otherwise
+        records the error (exact counters, digest, trace) and returns
+        False so the caller re-raises.
+        """
+        execution, st.execution = st.execution, None
+        if execution is not None:
+            execution.release()
+        if st.span is not None:
+            st.span.finish(error=exc)
+            st.span = None
+        admitted, st.admitted = st.admitted, 0
+        for feature in st.snap.features[:admitted]:
+            feature.on_error(exc, st.context)
+        trace = st.trace
+        if reroute and isinstance(exc, REROUTABLE_ERRORS) and self._can_reroute(st):
+            st.reroutes += 1
+            self.executor.metrics.reroutes += 1
+            if trace is not None:
+                trace.root.add_event(
+                    "reroute", attempt=st.reroutes, error=type(exc).__name__)
+            return True
+        observability = self.observability
+        if observability is not None:
+            observability.on_statement({}, "", 0, error=True)
+            if observability.workload.enabled and isinstance(st.sql, str):
+                observability.workload.record_error(st.sql)
+            if trace is not None:
+                trace.finish(error=exc)
+                observability.record_trace(trace)
+        return False
+
+    def _can_reroute(self, st: _Statement) -> bool:
+        policy = self.executor.resilience
+        return (
+            policy is not None
+            and st.reroutes < policy.max_reroutes
+            and st.held is None  # else pinned to a transaction's connections
+            # Only re-parsed statements re-enter cleanly (rewrite mutates
+            # ASTs in place, so a caller-supplied AST cannot be re-routed).
+            and isinstance(st.sql, str)
+            and st.context is not None
+            and st.is_query
+            and not st.context.statement.for_update
+        )
+
+    # ------------------------------------------------------------------
+    # Result-cache attachment points
+    # ------------------------------------------------------------------
 
     def _capture_cache_guards(
         self,
@@ -1029,12 +829,16 @@ class SQLEngine:
         merged.rows = itertools.chain(buffered, rows_iter)
 
 
-class _PlanRouteError(Exception):
-    """Internal: a compiled plan's route template failed at bind time."""
-
-    def __init__(self, error: RouteError):
-        super().__init__(str(error))
-        self.error = error
+def _sql_text(sql: str | ast.Statement) -> str:
+    """SQL text for diagnostics: a pre-parsed statement is rendered back
+    so traces, the slow-query log and PREVIEW never show an AST class
+    name where the SQL should be."""
+    if isinstance(sql, str):
+        return sql
+    try:
+        return format_statement(sql)
+    except Exception:
+        return type(sql).__name__
 
 
 def _releasing(rows, execution: ExecutionResult):

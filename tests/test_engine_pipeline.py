@@ -3,6 +3,41 @@
 import pytest
 
 from repro.engine import Feature, SQLEngine
+from repro.exceptions import CircuitBreakerOpenError, RewriteError, TableNotFoundError
+from repro.features import CircuitBreakerFeature, CircuitState
+from repro.session import current_session
+
+ENTRY_POINTS = ("execute", "execute_pipeline")
+
+
+def run(engine, entry, sql, params=()):
+    """One statement through either engine entry point."""
+    if entry == "execute":
+        return engine.execute(sql, params)
+    (result,) = engine.execute_pipeline([(sql, params)])
+    return result
+
+
+class Spy(Feature):
+    """Records which hooks ran (and the session's pinned snapshot)."""
+
+    name = "spy"
+    plan_cache_safe = True
+
+    def __init__(self):
+        self.events = []
+        self.snapshots = []
+
+    def on_context(self, context):
+        self.events.append("context")
+        self.snapshots.append(current_session().snapshot)
+
+    def on_result(self, result, context):
+        self.events.append("result")
+        self.snapshots.append(current_session().snapshot)
+
+    def on_error(self, error, context):
+        self.events.append(f"error:{type(error).__name__}")
 
 
 class TestQueries:
@@ -116,6 +151,116 @@ class TestFeatureHooks:
         assert all(f.name != "marker" for f in seeded_engine.features)
 
 
+class TestStatementLifecycle:
+    """execute and execute_pipeline share one prepare / finish / fail
+    lifecycle (DESIGN.md "Statement lifecycle"): every statement whose
+    ``on_context`` loop started ends in exactly one ``on_result`` or one
+    ``on_error``, and nothing it held outlives it."""
+
+    def test_failed_half_open_probe_reopens_the_breaker(self, seeded_engine):
+        breaker = CircuitBreakerFeature(failure_threshold=5, reset_timeout=0.0)
+        seeded_engine.add_feature(breaker)
+        breaker.trip()
+        # the cooldown (0 s) is over: this statement is admitted as the
+        # HALF_OPEN probe and dies in rewrite, before the execute stage
+        with pytest.raises(RewriteError):
+            seeded_engine.execute("SELECT uid FROM t_user ORDER BY uid LIMIT ?")
+        assert breaker.state is CircuitState.OPEN
+        # ...so the next healthy statement becomes the probe and closes it
+        result = seeded_engine.execute("SELECT name FROM t_user WHERE uid = 3")
+        assert result.fetchall() == [("carol",)]
+        assert breaker.state is CircuitState.CLOSED
+
+    def test_rejecting_feature_is_not_told_of_its_own_rejection(self, seeded_engine):
+        spy = Spy()
+        breaker = CircuitBreakerFeature(failure_threshold=5, reset_timeout=60.0)
+        seeded_engine.add_feature(spy)
+        seeded_engine.add_feature(breaker)
+        breaker.trip()
+        with pytest.raises(CircuitBreakerOpenError):
+            seeded_engine.execute("SELECT name FROM t_user WHERE uid = 3")
+        # the spy admitted the statement and is owed its error exit; the
+        # breaker rejected it and must not count that as a failure
+        assert spy.events == ["context", "error:CircuitBreakerOpenError"]
+        assert breaker.breaker.failures == 0
+
+    def test_no_connection_outlives_a_failed_statement(self, seeded_engine, fleet):
+        class Boom(Feature):
+            name = "boom"
+            plan_cache_safe = True
+
+            def on_result(self, result, context):
+                raise RuntimeError("boom")
+
+        seeded_engine.add_feature(Boom())
+        point = ("SELECT name FROM t_user WHERE uid = ?", (3,))
+        fanout = ("SELECT uid FROM t_user ORDER BY uid", ())
+        for attempt in (
+            lambda: seeded_engine.execute(*point),
+            lambda: seeded_engine.execute(*fanout),
+            lambda: seeded_engine.execute_pipeline([fanout, point, point]),
+            lambda: seeded_engine.execute_pipeline([point, point, fanout]),
+        ):
+            with pytest.raises(RuntimeError, match="boom"):
+                attempt()
+            assert [source.pool.in_use for source in fleet.values()] == [0, 0]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_both_entry_points_are_observed_alike(self, seeded_engine, entry):
+        from repro.observability import Observability
+
+        obs = Observability()
+        seeded_engine.attach_observability(obs)
+        spy = Spy()
+        seeded_engine.add_feature(spy)
+        pinned = seeded_engine.metadata.current()
+        session = current_session()
+        session.snapshot = outer = object()
+        try:
+            rows = run(seeded_engine, entry, "SELECT name FROM t_user WHERE uid = 3").fetchall()
+            assert rows == [("carol",)]
+            assert spy.events == ["context", "result"]
+            assert all(snapshot is pinned for snapshot in spy.snapshots)
+            with pytest.raises(TableNotFoundError):
+                run(seeded_engine, entry, "SELECT * FROM no_such_table_anywhere")
+            assert session.snapshot is outer
+        finally:
+            session.snapshot = None
+        assert spy.events[2:] == ["context", "error:TableNotFoundError"]
+        assert obs.registry.get("engine_statement_errors_total").value() == 1
+        digests = obs.workload.digest_report()
+        assert sum(digest["errors"] for digest in digests) == 1
+
+    def test_plan_hit_needing_federation_at_bind_time(self, fleet, nonbinding_rule):
+        """Whether two non-binding tables are co-located depends on the
+        bound keys: the hit that is not falls back to federation inside
+        the same prepare, so hooks still see the statement once."""
+        engine = SQLEngine(fleet, nonbinding_rule, max_connections_per_query=2)
+        engine.execute(
+            "INSERT INTO t_user (uid, name, age) VALUES (1, 'alice', 30), (3, 'carol', 35)"
+        )
+        engine.execute(
+            "INSERT INTO t_order (oid, uid, amount) VALUES (10, 1, 5.0), (11, 2, 7.5), (13, 1, 2.0)"
+        )
+        spy = Spy()
+        engine.add_feature(spy)
+        sql = (
+            "SELECT u.name, o.oid FROM t_user u JOIN t_order o ON o.amount < u.age "
+            "WHERE u.uid = ? AND o.uid = ? ORDER BY o.oid"
+        )
+        colocated = engine.execute(sql, (1, 1))
+        assert (colocated.route_type, colocated.fetchall()) == (
+            "cartesian", [("alice", 10), ("alice", 13)])
+        hits = engine.plan_cache.hits
+        spy.events.clear()
+        apart = engine.execute(sql, (3, 2))
+        assert engine.plan_cache.hits == hits + 1
+        assert (apart.route_type, apart.fetchall()) == ("federation", [("carol", 11)])
+        assert spy.events == ["context", "result"]
+        assert not engine.plan_cache.peek(sql).cacheable
+        engine.close()
+
+
 class TestDialects:
     def test_rewritten_sql_respects_target_dialect(self, fleet, paper_rule):
         from repro.sql.dialects import MYSQL
@@ -182,6 +327,22 @@ class TestFederation:
             "WHERE o.oid IS NULL"
         )
         assert result.fetchall() == [("che", None)]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_federated_statement_reports_to_hooks_once(self, split_fleet, entry):
+        spy = Spy()
+        breaker = CircuitBreakerFeature(failure_threshold=5, reset_timeout=0.0)
+        split_fleet.add_feature(spy)
+        split_fleet.add_feature(breaker)
+        breaker.trip()  # cooldown 0 s: the federated statement is the probe
+        result = run(
+            split_fleet, entry,
+            "SELECT u.name, o.oid FROM t_user u JOIN t_order o ON u.uid = o.uid ORDER BY o.oid",
+        )
+        assert result.route_type == "federation"
+        assert result.fetchall() == [("ann", 10), ("bo", 11), ("ann", 12)]
+        assert spy.events == ["context", "result"]
+        assert breaker.state is CircuitState.CLOSED
 
     def test_federation_can_be_disabled(self):
         from repro.exceptions import RouteError

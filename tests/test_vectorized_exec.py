@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine import ExecutionEngine, SQLEngine
+from repro.engine import ExecutionEngine
 from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import (
     DeadlineExceededError,
@@ -280,6 +280,36 @@ class TestEnginePipeline:
         for sql in ("BEGIN", "COMMIT", "SET sql_show = true", "SHOW TABLES"):
             with pytest.raises(UnsupportedSQLError):
                 jdbc_connection.execute_pipeline([(sql, ())])
+
+    def test_hints_apply_to_pipelined_statements(self, fleet):
+        """Under ``conn.hint(1)`` a hint-sharded table reads one shard
+        through either entry point (the pipeline used to read both)."""
+        from repro.adaptors import ShardingDataSource, ShardingRuntime
+        from repro.sharding import (
+            DataNode, HintShardingStrategy, ShardingRule, TableRule, create_algorithm)
+
+        rule = ShardingRule([TableRule(
+            "t_user",
+            [DataNode("ds0", "t_user_h0"), DataNode("ds1", "t_user_h1")],
+            database_strategy=HintShardingStrategy(
+                create_algorithm("MOD", {"sharding-count": 2})),
+        )])
+        fleet["ds0"].execute("INSERT INTO t_user_h0 (uid, name, age) VALUES (2, 'bob', 25)")
+        fleet["ds1"].execute("INSERT INTO t_user_h1 (uid, name, age) VALUES (1, 'alice', 30)")
+        runtime = ShardingRuntime(fleet, rule)
+        conn = ShardingDataSource(runtime).get_connection()
+        sql = "SELECT name FROM t_user ORDER BY name"
+        with conn.hint(1):
+            single = conn.execute(sql)
+            (piped,) = conn.execute_pipeline([(sql, ())])
+        for result in (single, piped):
+            assert result.fetchall() == [("alice",)]
+            assert result.diagnostics.unit_count == 1
+            assert result.diagnostics.route_type == "standard"
+        (unhinted,) = conn.execute_pipeline([(sql, ())])
+        assert unhinted.fetchall() == [("alice",), ("bob",)]
+        conn.close()
+        runtime.close()
 
     def test_pipeline_metrics_counted(self, jdbc_connection):
         engine = jdbc_connection.runtime.engine
