@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..cache import LruCache
-from ..exceptions import RouteError
+from ..exceptions import RouteError, SQLParseError
 from ..metadata import ContextManager, MetadataContext
 from ..sharding import ShardingRule
-from ..sql import ast, parse
+from ..sql import ast, normalize, parse
 from ..sql.formatter import format_statement
 from ..storage import Connection, DataSource
 from ..session import current_session
@@ -26,7 +26,7 @@ from ..storage.replication import primary_pinned, session_token
 from .context import StatementContext, build_context
 from .executor import ConnectionMode, ExecutionEngine, ExecutionResult
 from .merger import MaterializedResult, MergedResult, MergeSpec, merge
-from .plan import PlanCache, compile_plan
+from .plan import CompiledPlan, PlanCache, compile_plan
 from .resilience import REROUTABLE_ERRORS, ResiliencePolicy
 from .result_cache import ResultCache
 from .rewriter import ExecutionUnit, rewrite
@@ -35,6 +35,10 @@ from .router import RouteResult, route
 if TYPE_CHECKING:
     from ..observability import Observability
     from ..observability.trace import Trace
+
+
+#: what a literal statement finds when its shape's entry refuses literals
+_AS_SENT = CompiledPlan("", None, False, "shape cannot stand for its literals")
 
 
 class Feature:
@@ -546,6 +550,19 @@ class SQLEngine:
         if use_plans:
             plan = plan_cache.get(sql, snap.plan_epoch)  # type: ignore[arg-type]
             if plan is None:
+                # Statement identity: a literal text runs as its literal-free
+                # shape with the literals as parameters — from here on it
+                # *is* a prepared statement — unless that shape's entry says
+                # it cannot stand for its literals. A text that is already
+                # a plan key (every prepared statement) never gets here.
+                shape, values = normalize(sql, params)  # type: ignore[arg-type]
+                if shape is not sql:
+                    plan = plan_cache.get(shape, snap.plan_epoch)
+                    if plan is None or plan.takes_literals(len(values)):
+                        sql, params = shape, values
+                    else:
+                        plan = _AS_SENT
+            if plan is None:
                 plan_cache.misses += 1
                 compiling = True
             elif not plan.cacheable or len(params) < plan.param_count:
@@ -561,13 +578,24 @@ class SQLEngine:
             conditions = plan.bind_conditions(params)
             context = plan.make_context(params, conditions)
         else:
-            statement = self._parse_cached(sql) if is_text else sql
+            try:
+                statement = self._parse_cached(sql) if is_text else sql
+            except SQLParseError:
+                if sql is st.sql:
+                    raise
+                # report the client's text, positions and tokens, not the shape's
+                sql, params = st.sql, st.params
+                statement = self._parse_cached(sql)
             if statement.category == "DDL":
                 plan_cache.invalidate("DDL")
             if compiling:
-                plan_cache.store(  # type: ignore[arg-type]
-                    compile_plan(sql, statement, snap.rule), snap.plan_epoch
-                )
+                plan = compile_plan(sql, statement, snap.rule)  # type: ignore[arg-type]
+                plan_cache.store(plan, snap.plan_epoch)
+                if sql is not st.sql and not plan.takes_literals(len(params)):
+                    # first sight of a shape that cannot stand for its
+                    # literals: the entry just stored says so; run as sent
+                    sql, params = st.sql, st.params
+                    statement = self._parse_cached(sql)
             context = build_context(
                 statement, sql if is_text else _sql_text(sql), params, snap.rule, st.hints)
         st.context = context

@@ -31,6 +31,11 @@ Cacheability rules (see DESIGN.md "Plan cache"):
   ``plan_cache_safe`` flag is False (e.g. encrypt, which rewrites the AST
   in ``on_context``) disables the cache engine-wide until removed.
 
+Literal SQL shares all of this: the engine looks a text up as sent, then
+by its literal-free shape (:func:`repro.sql.normalize`), and every entry
+records whether literal statements may run as it (``literal_safe``, see
+DESIGN.md "Statement identity").
+
 Invalidation: DDL through the pipeline, DistSQL rule changes
 (``ALTER SHARDING ...``, ``REGISTER RESOURCE``, ...), feature add/remove
 and ``CLEAR PLAN CACHE`` clear the whole cache (compiles are cheap and
@@ -46,8 +51,9 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..cache import LruCache
 from ..sharding import ShardingRule, ShardingValue
-from ..sql import ast
+from ..sql import ast, normalize
 from ..sql.formatter import format_statement
+from ..sql.normalize import COMPARISONS
 from .context import StatementContext, build_context
 from .merger import MergeSpec
 from .rewriter import (
@@ -92,7 +98,7 @@ class CompiledPlan:
     __slots__ = (
         "sql", "statement", "cacheable", "reason", "fingerprint",
         "logic_tables", "alias_map", "condition_template", "param_count",
-        "single_table", "is_select", "hits", "created_at",
+        "single_table", "is_select", "hits", "created_at", "literal_safe",
         "_templates", "_lock", "_shared_multi",
         "_merge_spec_single", "_merge_spec_multi",
         "_route_memo", "_memo_table_rule",
@@ -109,6 +115,9 @@ class CompiledPlan:
         self.alias_map: dict[str, str] = {}
         self.condition_template: dict[str, dict[str, ShardingValue]] = {}
         self.param_count = 0
+        #: every placeholder is a predicate operand, so a literal statement
+        #: may run as this text (DESIGN.md "Statement identity")
+        self.literal_safe = True
         #: lowered logic table for the single-sharded-table fast route
         self.single_table: str | None = None
         self.is_select = isinstance(statement, ast.SelectStatement)
@@ -124,6 +133,12 @@ class CompiledPlan:
         #: anyway via cache invalidation)
         self._route_memo: dict[tuple[str, Any], list[Any]] = {}
         self._memo_table_rule: Any = None
+
+    def takes_literals(self, count: int) -> bool:
+        """May a literal statement whose shape this is, and whose literals
+        and parameters number ``count``, run as this text? (Also asked of
+        negative entries: they say which text the slow path parses.)"""
+        return self.literal_safe and self.param_count == count
 
     # -- bind ------------------------------------------------------------
 
@@ -316,15 +331,23 @@ def compile_plan(sql: str, statement: ast.Statement, rule: ShardingRule) -> Comp
         return CompiledPlan(sql, None, False, f"category {category}")
     if isinstance(statement, ast.InsertStatement):
         return CompiledPlan(sql, None, False, "INSERT (key generation / batch split)")
-    limit = getattr(statement, "limit", None)
-    if limit is not None and _has_placeholder(limit.count, limit.offset):
-        return CompiledPlan(sql, None, False, "LIMIT/OFFSET placeholder")
 
     param_count = 0
     for expr in _iter_expressions(statement):
         for node in expr.walk():
             if isinstance(node, ast.Placeholder):
                 param_count = max(param_count, node.index + 1)
+    plan = _compile(sql, statement, rule, param_count)
+    plan.param_count = param_count
+    plan.literal_safe = _operand_placeholders(statement) == param_count
+    return plan
+
+
+def _compile(sql: str, statement: ast.Statement, rule: ShardingRule,
+             param_count: int) -> CompiledPlan:
+    limit = getattr(statement, "limit", None)
+    if limit is not None and _has_placeholder(limit.count, limit.offset):
+        return CompiledPlan(sql, None, False, "LIMIT/OFFSET placeholder")
 
     # Template context: placeholders become ParamRef slots so the
     # extracted sharding conditions record *where* each value comes from.
@@ -344,11 +367,46 @@ def compile_plan(sql: str, statement: ast.Statement, rule: ShardingRule) -> Comp
     plan.logic_tables = template_context.logic_tables
     plan.alias_map = template_context.alias_map
     plan.condition_template = template_context.conditions
-    plan.param_count = param_count
     sharded = {t.lower(): None for t in plan.logic_tables if rule.is_sharded(t)}
     if len(sharded) == 1:
         plan.single_table = next(iter(sharded))
     return plan
+
+
+_OPERAND_OPS = COMPARISONS | {"LIKE"}
+
+
+def _operand_placeholders(statement: ast.Statement) -> int:
+    """How many placeholders sit where :func:`repro.sql.normalize` extracts
+    literals *and* a value is all the statement needs there: a comparison /
+    LIKE / BETWEEN / IN operand (behind unary minuses at most) in WHERE,
+    HAVING or a join condition, or an UPDATE SET right-hand side. A
+    placeholder anywhere else (select list, GROUP BY, ORDER BY, inside
+    arithmetic or a function call) makes the text unfit to stand for
+    literal statements: ORDER BY / GROUP BY items are matched to select
+    items by their text, which two different literals would share."""
+    operands: list[ast.Expression] = []
+    if isinstance(statement, ast.UpdateStatement):
+        operands += [value for _, value in statement.assignments]
+    roots = [getattr(statement, "where", None), getattr(statement, "having", None)]
+    roots += [join.condition for join in getattr(statement, "joins", ())]
+    for root in roots:
+        if root is None:
+            continue
+        for node in root.walk():
+            if isinstance(node, ast.BinaryOp):
+                if node.op in _OPERAND_OPS:
+                    operands += (node.left, node.right)
+            elif isinstance(node, ast.BetweenExpr):
+                operands += (node.low, node.high)
+            elif isinstance(node, ast.InExpr):
+                operands += node.items
+    found = 0
+    for operand in operands:
+        while isinstance(operand, ast.UnaryOp) and operand.op == "-":
+            operand = operand.operand
+        found += isinstance(operand, ast.Placeholder)
+    return found
 
 
 def _has_placeholder(*exprs: ast.Expression | None) -> bool:
@@ -412,8 +470,9 @@ class PlanCache:
         return self._cache.get(sql)
 
     def peek(self, sql: str) -> CompiledPlan | None:
-        """Diagnostic lookup: no counter or LRU-recency side effects."""
-        return self._cache.peek(sql)
+        """Diagnostic lookup: no counter or LRU-recency side effects. A
+        literal text finds the entry of its shape, as the engine does."""
+        return self._cache.peek(sql) or self._cache.peek(normalize(sql)[0])
 
     def store(self, plan: CompiledPlan, epoch: int | None = None) -> None:
         if epoch is not None and epoch != self.epoch:
@@ -431,7 +490,11 @@ class PlanCache:
         federation fallback proved the route template unusable)."""
         if epoch is not None and epoch < self.epoch:
             return
-        self._cache.put(sql, CompiledPlan(sql, None, False, reason))
+        marker = CompiledPlan(sql, None, False, reason)
+        demoted = self._cache.peek(sql)
+        if demoted is not None:  # still the same text: same answers
+            marker.param_count, marker.literal_safe = demoted.param_count, demoted.literal_safe
+        self._cache.put(sql, marker)
 
     def invalidate(self, reason: str) -> None:
         """Clear every plan (DDL / rule change / feature change)."""

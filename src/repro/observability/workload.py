@@ -36,6 +36,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..cache import LruCache
+from ..sql import normalize
 from .metrics import DEFAULT_LATENCY_BUCKETS, SampleFamily, bisect_left
 
 if TYPE_CHECKING:
@@ -59,10 +60,6 @@ __all__ = [
 # Digest normalization
 # ---------------------------------------------------------------------------
 
-#: SQL string literal (with '' escapes)
-_STRING_RE = re.compile(r"'(?:[^']|'')*'")
-#: numeric literal not embedded in an identifier (sbtest_h0 stays intact)
-_NUMBER_RE = re.compile(r"(?<![A-Za-z0-9_])\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _WS_RE = re.compile(r"\s+")
 #: (?, ?, ?) -> (?): IN lists and VALUES rows of any arity share a digest
 _PLACEHOLDER_LIST_RE = re.compile(r"\(\s*\?\s*(?:,\s*\?\s*)+\)")
@@ -72,9 +69,7 @@ _ROW_RUN_RE = re.compile(r"\(\?\)(?:\s*,\s*\(\?\))+")
 
 def normalize_sql(sql: str) -> str:
     """Collapse one SQL text to its digest form (literals -> ``?``)."""
-    text = sql.strip().rstrip(";").strip()
-    text = _STRING_RE.sub("?", text)
-    text = _NUMBER_RE.sub("?", text)
+    text = normalize(sql.strip().rstrip(";").strip(), every=True)[0]
     text = _WS_RE.sub(" ", text)
     text = _PLACEHOLDER_LIST_RE.sub("(?)", text)
     text = _ROW_RUN_RE.sub("(?)", text)
@@ -483,11 +478,13 @@ class WorkloadIntelligence:
     # -- recording (engine pipeline/executor) ---------------------------
 
     def digest_of(self, sql: str) -> tuple[str, str]:
-        """Cached (digest id, normalized text) for one raw SQL text."""
+        """Cached (digest id, normalized text), memoised by the engine's
+        statement identity: ``context.sql`` is found as it is, the literal
+        text of an error or trace record under its shape."""
         cached = self._digest_cache.get(sql)
         if cached is None:
-            cached = digest_of(sql)
-            self._digest_cache.put(sql, cached)
+            shape = normalize(sql)[0]
+            cached = self._digest_cache.get_or_create(shape, lambda: digest_of(shape))
         return cached
 
     def begin_statement(self, weight: float) -> _HeatSample:

@@ -24,6 +24,7 @@ from .dialects import (
 )
 from .formatter import format_expression, format_literal, format_statement
 from .lexer import tokenize
+from .normalize import normalize
 from .parser import parse, parse_expression
 from .tokens import Token, TokenType
 
@@ -32,6 +33,7 @@ __all__ = [
     "parse",
     "parse_expression",
     "tokenize",
+    "normalize",
     "format_statement",
     "format_expression",
     "format_literal",

@@ -81,3 +81,24 @@ def seeded_engine(engine):
         "(10, 1, 5.0), (11, 2, 7.5), (12, 3, 3.0), (13, 1, 2.0)"
     )
     return engine
+
+
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """``pipeline_calls(name)`` starts recording the first argument of every
+    call of ``repro.engine.pipeline.<name>`` — the module global, which is
+    where the benchmark harness binds its spans too — and returns the list."""
+    from repro.engine import pipeline
+
+    def record(name):
+        calls = []
+        real = getattr(pipeline, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+        return calls
+
+    return record
