@@ -79,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the workload-intelligence layer (digests, "
                              "heat maps, hot keys, SLO tracking) for overhead "
                              "comparisons")
-    parser.add_argument("--batch-rows", type=int, default=256,
-                        help="rows per chunk in vectorized storage plans "
-                             "(1 = row-at-a-time path, for ablations)")
     parser.add_argument("--no-pipeline", action="store_true",
                         help="disable fused statement pipelining in the TPC-C "
                              "transactions (serial statement-at-a-time path)")
@@ -106,19 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--proxy-output", default="BENCH_proxy.json",
                         help="where --proxy writes its JSON report")
     return parser
-
-
-def apply_batch_rows(system, args: argparse.Namespace) -> None:
-    """Set the vectorized-plan chunk size on every runtime database."""
-    if args.batch_rows < 1:
-        raise SystemExit("--batch-rows must be >= 1")
-    runtime = getattr(system, "runtime", None)
-    sources = (
-        runtime.data_sources.values() if runtime is not None
-        else [system.source] if hasattr(system, "source") else []
-    )
-    for source in sources:
-        source.database.batch_rows = args.batch_rows
 
 
 def enable_chaos(system, args: argparse.Namespace):
@@ -441,7 +425,6 @@ def main(argv: list[str] | None = None) -> int:
             zipf_exponent=args.zipf_exponent,
         ))
         system = build_system(args, [("sbtest", "id")])
-        apply_batch_rows(system, args)
         print(f"preparing {args.system} with {args.table_size} rows ...", file=sys.stderr)
         workload.prepare(system)
         if hasattr(system, "sync_replicas"):
@@ -477,7 +460,6 @@ def main(argv: list[str] | None = None) -> int:
     system = build_system(
         args, TPCC_SHARDED_TABLES, broadcast=TPCC_BROADCAST_TABLES
     ) if args.system not in ("ms", "aurora") else build_system(args, [])
-    apply_batch_rows(system, args)
     print(f"preparing TPC-C with {args.warehouses} warehouses ...", file=sys.stderr)
     workload.prepare(system)
     if hasattr(system, "sync_replicas"):

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 from ..exceptions import UnsupportedSQLError
 from ..sql import ast
 from ..storage.database import Database
-from ..storage.executor import QueryResult, execute_statement
+from ..storage.executor import QueryResult
+from ..storage.plans import execute_statement
 from .context import StatementContext
 
 if TYPE_CHECKING:

@@ -5,9 +5,10 @@ the SQL engine: a root ``statement`` span with children for ``parse``,
 ``route``, ``rewrite``, one ``storage`` span per execution unit, and
 ``merge``. Storage spans carry the data source, connection mode, rewritten
 SQL and retry history, and they separate *wall* time (what the client
-waited) from *simulated* time (the latency model's priced sleeps) and
-*lock wait* (time blocked on pool/table/database locks) — so a benchmark
-can attribute cost to middleware CPU vs. storage I/O per query.
+waited) from *simulated* time (the latency model's priced sleeps), *lock
+wait* (time blocked acquiring table/database/I-O locks) and *pay
+overshoot* (how much longer than priced those sleeps really took) — so a
+benchmark can attribute cost to middleware CPU vs. storage I/O per query.
 
 Determinism: trace and span ids come from monotonic per-tracer counters
 (no global randomness), and per-unit spans are allocated in routing order
@@ -26,10 +27,11 @@ from typing import Any, Callable, Iterable
 class Span:
     """One timed operation inside a trace.
 
-    Wall time is measured with ``time.perf_counter``; simulated time and
-    lock waits are *reported* by the storage layer via
-    :meth:`record_simulated` / :meth:`record_lock_wait` (the connection
-    carries the span while it executes, see ``Connection.trace_span``).
+    Wall time is measured with ``time.perf_counter``; simulated time,
+    lock waits and sleep overshoot are *reported* by the storage layer via
+    :meth:`record_simulated` / :meth:`record_lock_wait` /
+    :meth:`record_pay_overshoot` (the connection carries the span while it
+    executes, see ``Connection.trace_span``).
     A span is owned by one thread at a time, so its mutators need no lock.
     """
 
@@ -44,6 +46,7 @@ class Span:
         "events",
         "simulated",
         "lock_wait",
+        "pay_overshoot",
         "error",
     )
 
@@ -65,6 +68,7 @@ class Span:
         self.events: list[tuple[str, dict[str, Any]]] = []
         self.simulated = 0.0
         self.lock_wait = 0.0
+        self.pay_overshoot = 0.0
         self.error: str | None = None
 
     # -- lifecycle -------------------------------------------------------
@@ -96,6 +100,12 @@ class Span:
         """Attribute time spent blocked on a storage lock to this span."""
         if seconds > 0:
             self.lock_wait += seconds
+
+    def record_pay_overshoot(self, seconds: float) -> None:
+        """Attribute the part of a latency-model sleep that ran past its
+        priced duration (timer granularity, scheduling) to this span."""
+        if seconds > 0:
+            self.pay_overshoot += seconds
 
     def add_event(self, name: str, **fields: Any) -> None:
         """Append a point-in-time annotation (retry, reroute, redirect...)."""
@@ -192,6 +202,8 @@ class Trace:
             parts.append(f"!{name}({inner})")
         if span.lock_wait > 0:
             parts.append(f"lock_wait={span.lock_wait * 1000:.3f}ms")
+        if span.pay_overshoot > 0:
+            parts.append(f"pay_overshoot={span.pay_overshoot * 1000:.3f}ms")
         if span.error:
             parts.append(f"error={span.error}")
         return " ".join(parts)

@@ -1,9 +1,9 @@
 """Typed abstract syntax tree for the SQL subset the engine supports.
 
 All nodes are frozen-ish dataclasses (mutable where the rewriter needs to
-patch them). Expression nodes evaluate against a row mapping via
-:mod:`repro.storage.expression`; statement nodes are consumed by the storage
-executor and by the sharding pipeline (context extraction, routing,
+patch them). Expression nodes are compiled to closures by
+:mod:`repro.storage.compiler`; statement nodes are consumed by the storage
+plan compiler and by the sharding pipeline (context extraction, routing,
 rewriting, merging).
 """
 

@@ -9,10 +9,10 @@ a tunable latency model (see DESIGN.md, substitution #1).
 from .connection import Connection, Cursor
 from .database import Database
 from .engine import DataSource
-from .executor import QueryResult, execute_statement
+from .executor import QueryResult
 from .faults import FaultInjector, FaultKind, FaultProfile
 from .latency import LatencyModel
-from .plans import StoragePlan, StoragePlanCache, execute_planned
+from .plans import StoragePlan, StoragePlanCache, execute_planned, execute_statement
 from .pool import ConnectionPool
 from .replication import (
     PromotionEvent,

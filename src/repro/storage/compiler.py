@@ -1,20 +1,18 @@
 """Expression-to-closure compiler over tuple rows.
 
-The interpreted executor evaluates each WHERE / projection / ORDER BY
-expression by recursing over the AST for every row, against a dict that
-:func:`repro.storage.executor._namespaced` rebuilds per row. This module
-compiles an expression once into a closure ``(row, params) -> value``
+Compiles an expression once into a closure ``(row, params) -> value``
 where ``row`` is the raw value tuple of a table row (or the concatenated
 tuples of a join) and every column reference has been resolved to a fixed
 offset at compile time.
 
-The compiled closures reproduce :func:`repro.storage.expression.evaluate`
-semantics exactly — three-valued logic with the UNKNOWN sentinel, NULL
-propagation rules per operator, MySQL-style cross-type comparison — so a
-compiled plan and the interpreter return identical results. Any shape the
-compiler does not support raises :class:`CannotCompile`; the caller falls
-back to the interpreter, which also preserves the interpreter's error
-behaviour for statements that would fail at runtime.
+The closures implement SQL's three-valued logic with the UNKNOWN
+sentinel, NULL propagation rules per operator and MySQL-style cross-type
+comparison; the reference interpreter under ``tests/oracle`` evaluates the
+same expressions row by row and the differential tests hold the two
+equal. Compiling is also where an expression is *validated*, from the
+statement and the schema alone: an unknown column raises
+:class:`ColumnNotFoundError`, an unknown function or operator
+:class:`ExecutionError` — whether or not any row would ever reach it.
 
 Tuple rows rely on an invariant of :meth:`TableSchema.normalize_row`:
 row dicts are built by iterating ``schema.columns``, so
@@ -27,6 +25,7 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable, Sequence
 
+from ..exceptions import ColumnNotFoundError, ExecutionError
 from ..sql import ast
 from ..sql.formatter import format_expression
 from .expression import (
@@ -42,10 +41,6 @@ from .expression import (
 Getter = Callable[[Any, Sequence[Any]], Any]
 
 
-class CannotCompile(Exception):
-    """Raised when an expression/statement shape has no compiled form."""
-
-
 def _tvl(fn: "Getter") -> "Getter":
     """Mark a getter as returning strictly True/False/UNKNOWN (never None
     or a truthy non-bool), letting AND/OR/predicate wrappers skip
@@ -58,11 +53,9 @@ class RowLayout:
     """Column-offset map for tuple rows of one FROM/JOIN chain.
 
     Each exposed table occupies a contiguous slot of offsets in the
-    concatenated row tuple, in FROM-then-JOIN order. Resolution mirrors
-    :func:`repro.storage.expression.resolve_column` over the namespaced
-    dict the interpreter builds: qualified exact match first, then a bare
-    exact-name match with the leftmost table winning (the ``setdefault``
-    order of ``_merge_ns``), then the case-insensitive fallback.
+    concatenated row tuple, in FROM-then-JOIN order. Resolution order:
+    qualified exact match first, then a bare exact-name match with the
+    leftmost table winning, then the case-insensitive fallback.
     """
 
     __slots__ = ("slots", "width")
@@ -76,12 +69,6 @@ class RowLayout:
         self.slots.append((exposed, list(column_names), base))
         self.width += len(column_names)
         return base
-
-    def slot_of(self, exposed: str) -> tuple[int, list[str]]:
-        for name, cols, base in self.slots:
-            if name == exposed:
-                return base, cols
-        raise CannotCompile(f"no slot for table {exposed!r}")
 
     def resolve(self, ref: ast.ColumnRef) -> int:
         name = ref.name
@@ -102,7 +89,7 @@ class RowLayout:
                 if col.lower() == lower:
                     if prefix is None or f"{exposed}.{col}".lower().startswith(prefix):
                         return base + i
-        raise CannotCompile(f"column {ref.qualified!r} not found")
+        raise ColumnNotFoundError(f"column {ref.qualified!r} not found in row")
 
 
 class CompileContext:
@@ -113,14 +100,13 @@ class CompileContext:
     - ``"scan"``: rows are plain value tuples laid out by ``layout``;
     - ``"group"``: rows are ``(sample_tuple_or_None, agg_values)`` pairs
       produced by the aggregation stage — column refs read the sample
-      (raising like the interpreter when aggregation had no input row),
-      aggregate calls read their computed slot;
-    - ``"const"``: no row at all (LIMIT bounds, INSERT values) — any
-      column reference is uncompilable.
+      (raising when aggregation had no input row), aggregate calls read
+      their computed slot;
+    - ``"const"``: no row at all (LIMIT bounds, INSERT values, SELECT
+      without FROM) — any column reference is unknown.
 
     ``param_count`` records the highest placeholder index seen + 1 so the
-    plan can refuse binds with too few parameters (the interpreter decides
-    per evaluation; falling back to it is always equivalent).
+    plan can refuse binds with too few parameters before it runs.
     """
 
     __slots__ = ("mode", "layout", "agg_slots", "param_count")
@@ -143,7 +129,6 @@ class CompileContext:
         if self.mode == "group":
             offset = self.layout.resolve(ref)
             qualified = ref.qualified
-            from ..exceptions import ColumnNotFoundError
 
             def getter(row: Any, params: Sequence[Any], _i=offset) -> Any:
                 sample = row[0]
@@ -154,20 +139,18 @@ class CompileContext:
                 return sample[_i]
 
             return getter
-        raise CannotCompile(f"column {ref.qualified!r} in constant context")
+        raise ColumnNotFoundError(f"column {ref.qualified!r} not found in row")
 
     def aggregate_getter(self, call: ast.FunctionCall) -> Getter:
-        if self.mode != "group":
-            raise CannotCompile("aggregate outside aggregation context")
         key = format_expression(call)
-        slot = self.agg_slots.get(key)
+        slot = self.agg_slots.get(key)  # empty outside "group" mode
         if slot is None:
-            raise CannotCompile(f"aggregate {key} has no computed slot")
+            raise ExecutionError(f"aggregate {key} not available in this context")
         return lambda row, params, _i=slot: row[1][_i]
 
 
 # ---------------------------------------------------------------------------
-# Scalar compilation (mirrors expression.evaluate case by case)
+# Scalar compilation
 # ---------------------------------------------------------------------------
 
 
@@ -198,7 +181,9 @@ def compile_scalar(expr: ast.Expression, ctx: CompileContext) -> Getter:
         return _compile_function(expr, ctx)
     if isinstance(expr, ast.CaseExpr):
         return _compile_case(expr, ctx)
-    raise CannotCompile(f"expression type {type(expr).__name__}")
+    if isinstance(expr, ast.Star):
+        raise ExecutionError("'*' is not a scalar expression")
+    raise ExecutionError(f"cannot evaluate expression of type {type(expr).__name__}")
 
 
 def compile_predicate(expr: ast.Expression, ctx: CompileContext) -> Getter:
@@ -366,7 +351,7 @@ def _compile_binary(expr: ast.BinaryOp, ctx: CompileContext) -> Getter:
             return lhs % rhs if modulo else lhs / rhs
 
         return g_div
-    raise CannotCompile(f"binary operator {op!r}")
+    raise ExecutionError(f"unsupported binary operator {op!r}")
 
 
 def _compile_unary(expr: ast.UnaryOp, ctx: CompileContext) -> Getter:
@@ -387,7 +372,7 @@ def _compile_unary(expr: ast.UnaryOp, ctx: CompileContext) -> Getter:
             return -value
 
         return g_neg
-    raise CannotCompile(f"unary operator {expr.op!r}")
+    raise ExecutionError(f"unsupported unary operator {expr.op!r}")
 
 
 def _compile_in(expr: ast.InExpr, ctx: CompileContext) -> Getter:
@@ -443,7 +428,7 @@ def _compile_function(expr: ast.FunctionCall, ctx: CompileContext) -> Getter:
         return lambda row, params: _cast(value(row, params), target)
     handler = _SCALAR_FUNCTIONS.get(name)
     if handler is None:
-        raise CannotCompile(f"function {name!r}")
+        raise ExecutionError(f"unsupported function {name!r}")
     arg_getters = tuple(compile_scalar(arg, ctx) for arg in expr.args)
     return lambda row, params: handler([g(row, params) for g in arg_getters])
 
@@ -494,8 +479,8 @@ def compile_batch_predicate(expr: ast.Expression, ctx: CompileContext) -> BatchF
 
     Top-level AND conjuncts are compiled separately and fused into a
     single comprehension with native short-circuit ``and`` — identical to
-    3VL conjunction under WHERE (True iff every conjunct is True), with
-    the same left-to-right evaluation order as the interpreter.
+    3VL conjunction under WHERE (True iff every conjunct is True),
+    evaluated left to right.
     """
     preds = [compile_predicate(c, ctx) for c in _flatten_and(expr)]
     if len(preds) == 1:

@@ -13,6 +13,7 @@ that is sufficient for every behaviour the paper measures.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
@@ -202,7 +203,7 @@ class Connection:
                         # autocommit fsync happens inside this statement
                         span.record_simulated(self.database.latency.commit_cost())
             if not defer_pay:
-                self._pay(result, span)
+                self._pay(result.cost, result.written_table, span)
             return result
 
         result, plan_status = execute_planned(self.database, stmt, params, self._transaction)
@@ -210,7 +211,7 @@ class Connection:
         if span is not None:
             span.attributes["storage_plan"] = plan_status
         if not defer_pay:
-            self._pay(result, span)
+            self._pay(result.cost, result.written_table, span)
         return result
 
     def _admit(self, stmt: ast.Statement) -> None:
@@ -236,24 +237,35 @@ class Connection:
                 )
         self.database.statements_executed += 1
 
-    def _pay(self, result: QueryResult, span: Any) -> None:
-        """Pay one statement's simulated I/O cost (sleep)."""
-        if result.cost <= 0:
+    def _pay(self, amount: float, table: Any, span: Any) -> None:
+        """Pay simulated I/O cost (sleep); write I/O names its ``table``.
+
+        With a ``span`` the wall time is split three ways on it: the priced
+        amount, the wait to acquire the I/O locks, and how far the sleep
+        overshot its price.
+        """
+        if amount <= 0:
             return
-        pay_t0 = time.perf_counter() if span is not None else 0.0
-        if result.written_table is not None:
+        if span is not None:
+            wait_t0 = time.perf_counter()
+            with table.io_lock if table is not None else contextlib.nullcontext():
+                with self.data_source.io_semaphore:
+                    pay_t0 = time.perf_counter()
+                    pay(amount)
+                    slept = time.perf_counter() - pay_t0
+            span.record_simulated(amount)
+            span.record_lock_wait(pay_t0 - wait_t0)
+            span.record_pay_overshoot(slept - amount)
+        elif table is not None:
             # Write I/O serializes per table (page/WAL contention):
             # the hot-table bottleneck the paper's sharding removes.
             # Lock order: table io_lock, then a server I/O channel.
-            with result.written_table.io_lock:
+            with table.io_lock:
                 with self.data_source.io_semaphore:
-                    pay(result.cost)
+                    pay(amount)
         else:
             with self.data_source.io_semaphore:
-                pay(result.cost)
-        if span is not None:
-            span.record_simulated(result.cost)
-            span.record_lock_wait(time.perf_counter() - pay_t0 - result.cost)
+                pay(amount)
 
     # -- statement pipelining ---------------------------------------------------
 
@@ -317,23 +329,9 @@ class Connection:
             else:
                 entry[1] += result.cost - result.write_cost
                 entry[2] = max(entry[2], result.write_cost)
-        total = 0.0
-        pay_t0 = time.perf_counter() if span is not None else 0.0
         for table, non_io, io in per_table.values():
-            amount = non_io + io
-            if amount <= 0:
-                continue
-            with table.io_lock:
-                with self.data_source.io_semaphore:
-                    pay(amount)
-            total += amount
-        if read_cost > 0:
-            with self.data_source.io_semaphore:
-                pay(read_cost)
-            total += read_cost
-        if span is not None and total > 0:
-            span.record_simulated(total)
-            span.record_lock_wait(time.perf_counter() - pay_t0 - total)
+            self._pay(non_io + io, table, span)
+        self._pay(read_cost, None, span)
 
     def _run_many(self, stmt: ast.Statement,
                   seq_of_params: Sequence[Sequence[Any]]) -> QueryResult:
@@ -398,7 +396,7 @@ class Connection:
                 self._transaction = None
                 if span is not None:
                     span.record_simulated(self.database.latency.commit_cost())
-        self._pay(result, span)
+        self._pay(result.cost, result.written_table, span)
         return result
 
 

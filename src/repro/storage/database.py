@@ -44,9 +44,6 @@ class Database:
         self._data_versions: dict[str, int] = {}
         #: compiled statement plans for this database (see .plans).
         self.plan_cache = StoragePlanCache()
-        #: rows per chunk for vectorized plan pipelines; 1 degenerates to
-        #: the row-at-a-time path (useful for differential testing).
-        self.batch_rows = 256
         #: optional probabilistic chaos source (see :mod:`repro.storage.faults`);
         #: set via ``DataSource.set_fault_injector`` and shared fleet-wide.
         self.fault_injector: Any | None = None

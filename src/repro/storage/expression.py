@@ -1,9 +1,11 @@
-"""Expression evaluation against rows.
+"""SQL value primitives shared by compiled plans, the merger and the test oracle.
 
-Implements SQL three-valued logic for NULL in comparisons and boolean
-connectives, LIKE pattern matching, arithmetic and scalar functions. A row
-is a mapping from column name to value; qualified references try
-``table.column`` first, then the bare column name.
+Three-valued logic (the ``UNKNOWN`` sentinel and its normalisation),
+MySQL-style cross-type comparison, LIKE matching, CAST, the scalar
+function table and NULLs-first sort keys. The compiler
+(:mod:`repro.storage.compiler`) builds closures over these; the reference
+interpreter under ``tests/oracle`` imports the same objects, so the two
+sides cannot drift on 3VL or coercion.
 """
 
 from __future__ import annotations
@@ -11,183 +13,10 @@ from __future__ import annotations
 import datetime
 import re
 from functools import lru_cache
-from typing import Any, Mapping, Sequence
-
-from ..exceptions import ColumnNotFoundError, ExecutionError
-from ..sql import ast
+from typing import Any
 
 UNKNOWN = object()
 """Sentinel for SQL's three-valued UNKNOWN truth value."""
-
-
-def evaluate(expr: ast.Expression, row: Mapping[str, Any], params: Sequence[Any] = ()) -> Any:
-    """Evaluate an expression against a row; placeholders read ``params``."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Placeholder):
-        try:
-            return params[expr.index]
-        except IndexError:
-            raise ExecutionError(f"missing parameter for placeholder #{expr.index}") from None
-    if isinstance(expr, ast.ColumnRef):
-        return resolve_column(expr, row)
-    if isinstance(expr, ast.BinaryOp):
-        return _eval_binary(expr, row, params)
-    if isinstance(expr, ast.UnaryOp):
-        return _eval_unary(expr, row, params)
-    if isinstance(expr, ast.InExpr):
-        return _eval_in(expr, row, params)
-    if isinstance(expr, ast.BetweenExpr):
-        return _eval_between(expr, row, params)
-    if isinstance(expr, ast.IsNullExpr):
-        value = evaluate(expr.operand, row, params)
-        result = value is None
-        return not result if expr.negated else result
-    if isinstance(expr, ast.FunctionCall):
-        return _eval_function(expr, row, params)
-    if isinstance(expr, ast.CaseExpr):
-        for cond, value in expr.whens:
-            if is_truthy(evaluate(cond, row, params)):
-                return evaluate(value, row, params)
-        if expr.default is not None:
-            return evaluate(expr.default, row, params)
-        return None
-    if isinstance(expr, ast.Star):
-        raise ExecutionError("'*' is not a scalar expression")
-    raise ExecutionError(f"cannot evaluate expression of type {type(expr).__name__}")
-
-
-def is_truthy(value: Any) -> bool:
-    """Collapse three-valued logic to WHERE semantics (UNKNOWN -> False)."""
-    if value is UNKNOWN or value is None:
-        return False
-    return bool(value)
-
-
-def resolve_column(ref: ast.ColumnRef, row: Mapping[str, Any]) -> Any:
-    """Resolve a (possibly qualified) column reference in a row mapping."""
-    if ref.table:
-        qualified = f"{ref.table}.{ref.name}"
-        if qualified in row:
-            return row[qualified]
-    if ref.name in row:
-        return row[ref.name]
-    # Case-insensitive fallback, then unqualified match of a qualified key.
-    lower = ref.name.lower()
-    for key, value in row.items():
-        bare = key.rsplit(".", 1)[-1]
-        if bare.lower() == lower:
-            if ref.table is None or key.lower().startswith(ref.table.lower() + "."):
-                return value
-    raise ColumnNotFoundError(f"column {ref.qualified!r} not found in row")
-
-
-def _eval_binary(expr: ast.BinaryOp, row: Mapping[str, Any], params: Sequence[Any]) -> Any:
-    op = expr.op
-    if op == "AND":
-        left = _as_tvl(evaluate(expr.left, row, params))
-        if left is False:
-            return False
-        right = _as_tvl(evaluate(expr.right, row, params))
-        if right is False:
-            return False
-        if left is UNKNOWN or right is UNKNOWN:
-            return UNKNOWN
-        return True
-    if op == "OR":
-        left = _as_tvl(evaluate(expr.left, row, params))
-        if left is True:
-            return True
-        right = _as_tvl(evaluate(expr.right, row, params))
-        if right is True:
-            return True
-        if left is UNKNOWN or right is UNKNOWN:
-            return UNKNOWN
-        return False
-
-    left = evaluate(expr.left, row, params)
-    right = evaluate(expr.right, row, params)
-    if op == "<=>":
-        # NULL-safe equality: NULL <=> NULL is TRUE, never UNKNOWN.
-        if left is None or right is None:
-            return left is None and right is None
-        return _compare_values(left, right) == 0
-    if left is None or right is None:
-        if op in ("=", "<>", "!=", "<", ">", "<=", ">=", "LIKE"):
-            return UNKNOWN
-        return None
-    if op == "=":
-        return _compare_values(left, right) == 0
-    if op in ("<>", "!="):
-        return _compare_values(left, right) != 0
-    if op == "<":
-        return _compare_values(left, right) < 0
-    if op == ">":
-        return _compare_values(left, right) > 0
-    if op == "<=":
-        return _compare_values(left, right) <= 0
-    if op == ">=":
-        return _compare_values(left, right) >= 0
-    if op == "LIKE":
-        return _like_match(str(left), str(right))
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            return None  # SQL: division by zero yields NULL (MySQL default)
-        return left / right
-    if op == "%":
-        if right == 0:
-            return None
-        return left % right
-    if op == "||":
-        return f"{left}{right}"
-    raise ExecutionError(f"unsupported binary operator {op!r}")
-
-
-def _eval_unary(expr: ast.UnaryOp, row: Mapping[str, Any], params: Sequence[Any]) -> Any:
-    value = evaluate(expr.operand, row, params)
-    if expr.op == "NOT":
-        tvl = _as_tvl(value)
-        if tvl is UNKNOWN:
-            return UNKNOWN
-        return not tvl
-    if expr.op == "-":
-        if value is None:
-            return None
-        return -value
-    raise ExecutionError(f"unsupported unary operator {expr.op!r}")
-
-
-def _eval_in(expr: ast.InExpr, row: Mapping[str, Any], params: Sequence[Any]) -> Any:
-    value = evaluate(expr.operand, row, params)
-    if value is None:
-        return UNKNOWN
-    saw_null = False
-    for item in expr.items:
-        candidate = evaluate(item, row, params)
-        if candidate is None:
-            saw_null = True
-            continue
-        if _compare_values(value, candidate) == 0:
-            return not expr.negated
-    if saw_null:
-        return UNKNOWN
-    return expr.negated
-
-
-def _eval_between(expr: ast.BetweenExpr, row: Mapping[str, Any], params: Sequence[Any]) -> Any:
-    value = evaluate(expr.operand, row, params)
-    low = evaluate(expr.low, row, params)
-    high = evaluate(expr.high, row, params)
-    if value is None or low is None or high is None:
-        return UNKNOWN
-    result = _compare_values(low, value) <= 0 <= _compare_values(high, value)
-    return not result if expr.negated else result
 
 
 _SCALAR_FUNCTIONS = {
@@ -215,28 +44,6 @@ def _substring(args: list[Any]) -> Any:
     if len(args) > 2:
         return text[start : start + int(args[2])]
     return text[start:]
-
-
-def _eval_function(expr: ast.FunctionCall, row: Mapping[str, Any], params: Sequence[Any]) -> Any:
-    name = expr.name.upper()
-    if expr.is_aggregate:
-        # Aggregates in a post-aggregation context: the executor stores the
-        # computed value in the row keyed by the rendered call.
-        from ..sql.formatter import format_expression
-
-        key = format_expression(expr)
-        if key in row:
-            return row[key]
-        raise ExecutionError(f"aggregate {key} not available in this context")
-    if name == "CAST":
-        value = evaluate(expr.args[0], row, params)
-        target = expr.args[1].value if isinstance(expr.args[1], ast.Literal) else "CHAR"
-        return _cast(value, str(target))
-    handler = _SCALAR_FUNCTIONS.get(name)
-    if handler is None:
-        raise ExecutionError(f"unsupported function {name!r}")
-    args = [evaluate(a, row, params) for a in expr.args]
-    return handler(args)
 
 
 def _cast(value: Any, target: str) -> Any:
@@ -311,8 +118,8 @@ class OrderToken:
     """Sort token honoring per-key direction (desc inverts comparisons).
 
     Lets a single composite-key sort handle mixed ASC/DESC ORDER BY
-    instead of one stable sort pass per key. Shared by the storage
-    executor, compiled plans and the engine's merge layer.
+    instead of one stable sort pass per key. Shared by compiled storage
+    plans and the engine's merge layer.
     """
 
     __slots__ = ("key", "desc")

@@ -1,42 +1,40 @@
-"""Compiled storage plans: statement -> closure pipeline, cached per database.
+"""Compiled storage plans: the one executor of SELECT / INSERT / UPDATE / DELETE.
 
-The middleware's plan cache (PR 3) made parse/route/rewrite nearly free,
-which left the embedded storage engine as the bottleneck: ``executor.py``
-re-derives the access path, rebuilds per-row namespace dicts and recurses
-over the WHERE AST for every execution. This module applies the same
-compile-once idea one layer down.
+A :class:`StoragePlan` is compiled from a statement and a database's
+current schema and fuses:
 
-A :class:`StoragePlan` is compiled once per statement against a
-database's current schema and fuses:
-
-- **access-path selection** — the ``_select_row_ids`` / ``_try_index``
-  decision tree runs at compile time and leaves behind a point / range /
-  IN / composite-key / scan closure bound directly to the index objects;
+- **access-path selection** — the index decision tree runs at compile
+  time and leaves behind a point / range / IN / composite-key / scan
+  closure bound directly to the index objects;
 - **tuple-row pipelines** — WHERE / HAVING predicates, join conditions,
   projection, ORDER BY keys and aggregate accumulators are compiled to
-  closures over raw value tuples with precomputed column offsets (no
-  ``_namespaced`` dict churn per row);
+  closures over raw value tuples with precomputed column offsets, and run
+  over chunks of :data:`BATCH_ROWS` rows;
 - **an order-preserving path** — when a sorted index already yields rows
   in ORDER BY order the sort stage is dropped entirely.
 
-Plans pin the schema versions of every referenced table
-(:meth:`Database.schema_version`); DDL, DROP/CREATE, CREATE INDEX and
-TRUNCATE bump versions, so a stale plan is recompiled on its next use
-instead of serving wrong offsets. Statements carry an optional
-``storage_plan_key`` attribute (the rendered SQL text) set by the
-middleware's rewrite templates and by ``Cursor``; statements without one
-are cached by object identity and only compiled on their second sighting
-so one-shot ASTs don't churn the cache.
+**Validity is decided here, from the statement and the schema only.** An
+unknown table, column or function, a RIGHT JOIN, an INSERT whose value
+count does not match its column list: compiling raises the error, on an
+empty table as on a full one, and before any row is read or written. So
+does running a plan with fewer parameters than it has placeholders. What
+is left to run time is what depends on the data (a type mismatch in a
+comparison, a duplicate key, NOT NULL).
 
-Compiled and interpreted execution return identical rows/rowcounts; any
-shape the compiler cannot prove equivalent falls back to the interpreter
-(and is negatively cached so the attempt isn't repeated).
+**One lookup rule** (:func:`execute_planned`). DDL and TRUNCATE have no
+plan and go to :func:`repro.storage.executor.execute_ddl` (status
+``bypass``). Anything else is found or compiled: a statement carrying a
+``storage_plan_key`` (the rendered SQL text, set by the middleware's
+rewrite templates and by ``Cursor``) is looked up in the database's
+:class:`StoragePlanCache`, checked against the schema versions it pinned
+(:meth:`Database.schema_version`; DDL, DROP/CREATE, CREATE INDEX and
+TRUNCATE bump them), compiled on a miss and stored. A statement without a
+key is compiled, run and not stored; neither is an INSERT without
+placeholders (bulk-load text is never seen twice). A failed compile is
+not cached. Both count as a ``miss``.
 
-Known, deliberate cost-model nuance: the interpreter decides constness of
-``-?`` (unary minus over a placeholder) per execution based on the bound
-value's type; compiled access paths treat it as non-constant. Row results
-are unaffected (the full WHERE is always re-checked), only the
-used-index latency accounting can differ for that rare shape.
+The differential tests hold every plan equal to the reference interpreter
+in ``tests/oracle``.
 """
 
 from __future__ import annotations
@@ -45,12 +43,11 @@ from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..cache import LruCache
-from ..exceptions import StorageError
+from ..exceptions import ColumnNotFoundError, ExecutionError, UnsupportedSQLError
 from ..sql import ast
 from ..sql.formatter import format_expression
 from .compiler import (
     BatchFilter,
-    CannotCompile,
     CompileContext,
     Getter,
     RowLayout,
@@ -65,7 +62,7 @@ from .executor import (
     _equi_join_columns,
     _freeze,
     _local_column,
-    execute_statement,
+    execute_ddl,
 )
 from .expression import UNKNOWN, OrderToken, sort_key
 from .table import Table
@@ -74,72 +71,36 @@ if TYPE_CHECKING:
     from .database import Database
     from .transaction import Transaction
 
-_PLAN_KINDS = (ast.SelectStatement, ast.UpdateStatement, ast.DeleteStatement,
-               ast.InsertStatement)
+#: rows per chunk of a plan's pipeline
+BATCH_ROWS = 256
+
+Runner = Callable[[Sequence[Any], "Transaction | None"], QueryResult]
+RunnerMany = Callable[[Sequence[Sequence[Any]], "Transaction | None"], QueryResult]
 
 
 class StoragePlan:
     """One compiled statement: schema-version-pinned closure pipeline."""
 
-    __slots__ = ("kind", "statement", "versions", "param_count", "runner",
-                 "runner_many")
+    __slots__ = ("kind", "versions", "param_count", "runner", "runner_many")
 
-    def __init__(self, kind: str, statement: ast.Statement,
-                 versions: tuple[tuple[str, int], ...], param_count: int,
-                 runner: Callable[[Sequence[Any], "Transaction | None"], QueryResult],
-                 runner_many: Callable[[Sequence[Sequence[Any]], "Transaction | None"],
-                                       QueryResult] | None = None):
+    def __init__(self, kind: str, versions: tuple[tuple[str, int], ...],
+                 param_count: int, runner: Runner,
+                 runner_many: RunnerMany | None = None):
         self.kind = kind
-        self.statement = statement
         self.versions = versions
         self.param_count = param_count
         self.runner = runner
-        #: batched executemany entry (compiled INSERTs): all bindings in
-        #: one plan invocation, one write-I/O charge for the whole batch
+        #: batched executemany entry (INSERT only): all bindings in one
+        #: plan invocation, one write-I/O charge for the whole batch
         self.runner_many = runner_many
-
-    def execute(self, params: Sequence[Any],
-                transaction: "Transaction | None" = None) -> QueryResult:
-        return self.runner(params, transaction)
-
-    def execute_many(self, seq_of_params: Sequence[Sequence[Any]],
-                     transaction: "Transaction | None" = None) -> QueryResult:
-        return self.runner_many(seq_of_params, transaction)
-
-
-class _Negative:
-    """Cached decision that a statement stays on the interpreter."""
-
-    __slots__ = ("statement", "versions", "reason")
-
-    def __init__(self, statement: ast.Statement,
-                 versions: tuple[tuple[str, int], ...], reason: str):
-        self.statement = statement
-        self.versions = versions
-        self.reason = reason
-
-
-class _Seen:
-    """First sighting of an identity-keyed AST; compile on the second."""
-
-    __slots__ = ("statement",)
-
-    def __init__(self, statement: ast.Statement):
-        self.statement = statement
 
 
 class StoragePlanCache:
-    """Bounded LRU of compiled storage plans for one database.
-
-    Keyed by the statement's ``storage_plan_key`` (rendered SQL text) when
-    present, else by AST object identity (with the statement strongly
-    referenced in the entry, so a recycled ``id()`` can never serve
-    another statement's plan).
-    """
+    """Bounded LRU of compiled storage plans for one database, keyed by
+    the statement's ``storage_plan_key`` (rendered SQL text)."""
 
     def __init__(self, capacity: int = 512):
-        self._cache: LruCache[Any, Any] = LruCache(capacity)
-        self.enabled = True
+        self._cache: LruCache[Any, StoragePlan] = LruCache(capacity)
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
@@ -188,7 +149,7 @@ class StoragePlanCache:
 
 
 # ---------------------------------------------------------------------------
-# Cache-mediated execution (the Connection entry point)
+# Execution entry points
 # ---------------------------------------------------------------------------
 
 
@@ -198,70 +159,28 @@ def execute_planned(
     params: Sequence[Any] = (),
     transaction: "Transaction | None" = None,
 ) -> tuple[QueryResult, str]:
-    """Execute via a compiled plan when possible.
+    """Execute one statement; DML requires a transaction for undo logging.
 
-    Returns ``(result, status)`` where status is one of ``hit`` / ``miss``
-    (compiled now) / ``bypass`` (interpreted) / ``off``.
+    Returns ``(result, status)`` where status is ``hit`` (cached plan),
+    ``miss`` (compiled now) or ``bypass`` (DDL / TRUNCATE: no plan).
     """
-    cache = database.plan_cache
-    if not cache.enabled:
-        return execute_statement(database, stmt, params, transaction), "off"
-    if not isinstance(stmt, _PLAN_KINDS):
-        # DDL / TCL: no compiled form; skip all cache traffic so
-        # write-heavy workloads don't churn markers through the LRU.
-        cache.bypasses += 1
-        return execute_statement(database, stmt, params, transaction), "bypass"
-    if isinstance(stmt, ast.InsertStatement) and not params:
-        # Literal-only INSERTs (bulk loads) have unique SQL texts: caching
-        # them would churn one-shot plans through the LRU. Only the
-        # parameterized form is worth compiling.
-        cache.bypasses += 1
-        return execute_statement(database, stmt, params, transaction), "bypass"
-    key = getattr(stmt, "storage_plan_key", None)
-    identity = key is None
-    if identity:
-        key = ("id", id(stmt))
-    entry = cache._cache.get(key)
-    if identity and entry is not None and entry.statement is not stmt:
-        entry = None  # id() recycled by the allocator: dead statement's slot
-    if entry is None:
-        if identity:
-            # One-shot ASTs (cold middleware path, ad-hoc queries) are not
-            # worth a compile; promote only statements seen twice.
-            cache._cache.put(key, _Seen(stmt))
-            cache.bypasses += 1
-            return execute_statement(database, stmt, params, transaction), "bypass"
-        return _compile_into(cache, key, database, stmt, params, transaction)
-    if isinstance(entry, _Seen):
-        return _compile_into(cache, key, database, stmt, params, transaction)
-    if not _versions_current(database, entry.versions):
-        cache.invalidations += 1
-        return _compile_into(cache, key, database, stmt, params, transaction)
-    if isinstance(entry, _Negative):
-        cache.bypasses += 1
-        return execute_statement(database, stmt, params, transaction), "bypass"
-    if len(params) < entry.param_count:
-        # The interpreter resolves short binds per evaluation (with
-        # short-circuiting); defer to it rather than model that here.
-        cache.bypasses += 1
-        return execute_statement(database, stmt, params, transaction), "bypass"
-    cache.hits += 1
-    return entry.execute(params, transaction), "hit"
+    if type(stmt) not in _COMPILERS:
+        database.plan_cache.bypasses += 1
+        return execute_ddl(database, stmt), "bypass"
+    plan, status = _find_or_compile(database, stmt)
+    if len(params) < plan.param_count:
+        raise _missing_parameter(params)
+    return plan.runner(params, transaction), status
 
 
-def _compile_into(cache: StoragePlanCache, key: Any, database: "Database",
-                  stmt: ast.Statement, params: Sequence[Any],
-                  transaction: "Transaction | None") -> tuple[QueryResult, str]:
-    entry = _compile_entry(database, stmt)
-    cache._cache.put(key, entry)
-    if isinstance(entry, _Negative):
-        cache.bypasses += 1
-        return execute_statement(database, stmt, params, transaction), "bypass"
-    if len(params) < entry.param_count:
-        cache.bypasses += 1
-        return execute_statement(database, stmt, params, transaction), "bypass"
-    cache.misses += 1
-    return entry.execute(params, transaction), "miss"
+def execute_statement(
+    database: "Database",
+    stmt: ast.Statement,
+    params: Sequence[Any] = (),
+    transaction: "Transaction | None" = None,
+) -> QueryResult:
+    """:func:`execute_planned` without the cache status."""
+    return execute_planned(database, stmt, params, transaction)[0]
 
 
 def execute_planned_many(
@@ -270,115 +189,79 @@ def execute_planned_many(
     seq_of_params: Sequence[Sequence[Any]],
     transaction: "Transaction | None" = None,
 ) -> tuple[QueryResult, str]:
-    """Batched executemany entry: one plan invocation for all bindings.
+    """Batched executemany entry for DML: one plan lookup for all bindings.
 
-    Compiled INSERTs run every binding through ``runner_many`` — a single
-    plan call charging one write-I/O for the whole batch (the multi-row
-    INSERT cost model). Statements without a batched runner fall back to
-    per-binding planned execution, accumulating the rowcount; the combined
-    result then reports the summed cost with one coalesced write-I/O slice
-    so the connection can pay it once.
+    An INSERT runs every binding through ``runner_many`` — a single plan
+    call charging one write-I/O for the whole batch (the multi-row INSERT
+    cost model). UPDATE / DELETE run once per binding; the combined result
+    reports the summed cost with one coalesced write-I/O slice so the
+    connection can pay it once. A binding with too few parameters raises
+    before the first one runs.
     """
-    cache = database.plan_cache
+    plan, status = _find_or_compile(database, stmt)
     seq = [tuple(params) for params in seq_of_params]
-    if (cache.enabled and isinstance(stmt, ast.InsertStatement) and seq
-            and all(seq)):
-        key = getattr(stmt, "storage_plan_key", None)
-        if key is not None:
-            entry = cache._cache.get(key)
-            status = "hit"
-            if entry is None or isinstance(entry, _Seen):
-                entry = _compile_entry(database, stmt)
-                cache._cache.put(key, entry)
-                status = "miss"
-            elif not _versions_current(database, entry.versions):
-                cache.invalidations += 1
-                entry = _compile_entry(database, stmt)
-                cache._cache.put(key, entry)
-                status = "miss"
-            if (isinstance(entry, StoragePlan) and entry.runner_many is not None
-                    and all(len(params) >= entry.param_count for params in seq)):
-                if status == "hit":
-                    cache.hits += 1
-                else:
-                    cache.misses += 1
-                return entry.runner_many(seq, transaction), status
-    # Per-binding fallback: still one call site, costs coalesced by caller.
+    for params in seq:
+        if len(params) < plan.param_count:
+            raise _missing_parameter(params)
+    if plan.runner_many is not None:
+        return plan.runner_many(seq, transaction), status
     total = 0
-    counted = False
     cost = 0.0
     write_io = 0.0
     written = None
-    last: QueryResult | None = None
-    status = "bypass"
     for params in seq:
-        last, status = execute_planned(database, stmt, params, transaction)
-        if last.rowcount >= 0:
-            counted = True
-            total += last.rowcount
-        cost += last.cost - last.write_cost
-        if last.written_table is not None:
-            written = last.written_table
-            write_io = max(write_io, last.write_cost)
-    if last is None:
-        return QueryResult(rowcount=0), "bypass"
-    return QueryResult(
-        columns=last.columns, rows=last.rows,
-        rowcount=total if counted else -1,
-        cost=cost + write_io, written_table=written, write_cost=write_io,
-    ), status
+        result = plan.runner(params, transaction)
+        total += result.rowcount
+        cost += result.cost - result.write_cost
+        written = result.written_table
+        write_io = max(write_io, result.write_cost)
+    return QueryResult(rowcount=total, cost=cost + write_io,
+                       written_table=written, write_cost=write_io), status
 
 
-def _versions_current(database: "Database",
-                      versions: tuple[tuple[str, int], ...]) -> bool:
-    current = database.schema_version
-    for name, version in versions:
-        if current(name) != version:
-            return False
-    return True
+def _missing_parameter(params: Sequence[Any]) -> ExecutionError:
+    return ExecutionError(f"missing parameter for placeholder #{len(params)}")
 
 
-def _compile_entry(database: "Database", stmt: ast.Statement):
-    """Compile to a StoragePlan, or a version-pinned _Negative on failure."""
-    if isinstance(stmt, ast.SelectStatement):
-        names = [ref.name for ref in stmt.tables()]
-    else:
-        names = [stmt.table.name]
+def _find_or_compile(database: "Database",
+                     stmt: ast.Statement) -> tuple[StoragePlan, str]:
+    """The cached plan of a keyed statement if its schema versions still
+    hold; otherwise a fresh one (stored unless the statement has no key or
+    is an INSERT of literals only)."""
+    cache = database.plan_cache
+    key = getattr(stmt, "storage_plan_key", None)
+    if key is not None:
+        plan = cache._cache.get(key)
+        if plan is not None:
+            current = database.schema_version
+            for name, version in plan.versions:
+                if current(name) != version:
+                    cache.invalidations += 1
+                    break
+            else:
+                cache.hits += 1
+                return plan, "hit"
+    plan = compile_storage_plan(database, stmt)
+    cache.misses += 1
+    if key is not None and not (plan.kind == "insert" and plan.param_count == 0):
+        cache._cache.put(key, plan)
+    return plan, "miss"
+
+
+def compile_storage_plan(database: "Database", stmt: ast.Statement) -> StoragePlan:
+    """Compile (and thereby validate) one SELECT / INSERT / UPDATE / DELETE."""
+    kind, compiler = _COMPILERS[type(stmt)]
+    # Pin versions before compiling: DDL racing the compile leaves a plan
+    # that is stale on its first lookup, never one that looks current.
     pinned: dict[str, int] = {}
-    for name in names:
-        pinned.setdefault(name.lower(), database.schema_version(name))
-    versions = tuple(pinned.items())
-    try:
-        return compile_storage_plan(database, stmt, versions)
-    except CannotCompile as exc:
-        return _Negative(stmt, versions, str(exc))
-    except Exception as exc:  # missing table/column, unsupported shapes:
-        # the interpreter raises the canonical error on the fallback run.
-        return _Negative(stmt, versions, f"{type(exc).__name__}: {exc}")
-
-
-def compile_storage_plan(database: "Database", stmt: ast.Statement,
-                         versions: tuple[tuple[str, int], ...]) -> StoragePlan:
-    runner_many = None
-    if isinstance(stmt, ast.SelectStatement):
-        runner, param_count = _compile_select(database, stmt)
-        kind = "select"
-    elif isinstance(stmt, ast.UpdateStatement):
-        runner, param_count = _compile_update(database, stmt)
-        kind = "update"
-    elif isinstance(stmt, ast.DeleteStatement):
-        runner, param_count = _compile_delete(database, stmt)
-        kind = "delete"
-    elif isinstance(stmt, ast.InsertStatement):
-        runner, runner_many, param_count = _compile_insert(database, stmt)
-        kind = "insert"
-    else:
-        raise CannotCompile(f"statement type {type(stmt).__name__}")
-    return StoragePlan(kind, stmt, versions, param_count, runner, runner_many)
+    for ref in stmt.tables():
+        pinned.setdefault(ref.name.lower(), database.schema_version(ref.name))
+    runner, runner_many, param_count = compiler(database, stmt)
+    return StoragePlan(kind, tuple(pinned.items()), param_count, runner, runner_many)
 
 
 # ---------------------------------------------------------------------------
-# Access paths (compile-time mirror of executor._select_row_ids)
+# Access paths
 # ---------------------------------------------------------------------------
 
 
@@ -393,8 +276,8 @@ class _AccessPath:
 
 
 def _const_getter(expr: ast.Expression) -> Callable[[Sequence[Any]], Any] | None:
-    """Compile-time mirror of executor._const (see module docstring for
-    the unary-minus-over-placeholder nuance)."""
+    """A params -> value getter when ``expr`` is constant for one
+    execution (literal, placeholder, negated numeric literal)."""
     if isinstance(expr, ast.Literal):
         value = expr.value
         return lambda params: value
@@ -553,7 +436,15 @@ def _reversed_path(path: _AccessPath) -> _AccessPath:
 
 def _compile_select(database: "Database", stmt: ast.SelectStatement):
     if stmt.from_table is None:
-        raise CannotCompile("SELECT without FROM")
+        # SELECT of pure expressions, e.g. SELECT 1: one row, nothing read.
+        const_ctx = CompileContext("const")
+        columns, project = _compile_projection(stmt, RowLayout(), const_ctx, False)
+
+        def run_constant(params: Sequence[Any],
+                         transaction: "Transaction | None" = None) -> QueryResult:
+            return QueryResult(columns=columns, rows=iter([project(None, params)]))
+
+        return run_constant, None, const_ctx.param_count
     base_ref = stmt.from_table
     base_table = database.table(base_ref.name)
     layout = RowLayout()
@@ -570,9 +461,8 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
     where_batch = (compile_batch_predicate(stmt.where, scan_ctx)
                    if stmt.where is not None else None)
 
-    # Aggregate mode is decided by select-list aggregates (mirrors
-    # _execute_select); the accumulator slots also cover HAVING/ORDER BY
-    # aggregates (mirrors _collect_aggregates).
+    # Aggregate mode is decided by select-list aggregates; the accumulator
+    # slots also cover HAVING / ORDER BY aggregates (_collect_aggregates).
     has_agg = bool(stmt.group_by or stmt.aggregates())
     aggregates = _collect_aggregates(stmt) if has_agg else []
     contexts = [scan_ctx]
@@ -593,8 +483,8 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
         plain_having = (compile_batch_predicate(stmt.having, scan_ctx)
                         if stmt.having is not None else None)
 
-    # ORDER BY: resolve select-list aliases like executor._order_value,
-    # then compile each key in the output context.
+    # ORDER BY: resolve select-list aliases, then compile each key in the
+    # output context.
     order_specs: list[tuple[Getter, bool, ast.Expression]] = []
     for item in stmt.order_by:
         expr = item.expression
@@ -641,21 +531,20 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
     else:
         limit_stage = None
 
-    columns, project = _compile_projection(stmt, database, layout, out_ctx, has_agg)
+    columns, project = _compile_projection(stmt, layout, out_ctx, has_agg)
 
     latency = database.latency
     use_where_inline = not stmt.joins  # join plans filter after all joins
 
-    def base_batches(row_ids: list[int], params: Sequence[Any],
-                     n: int) -> Iterator[list]:
+    def base_batches(row_ids: list[int], params: Sequence[Any]) -> Iterator[list]:
         """Read rows chunk-at-a-time; the WHERE filter runs per chunk
         (one fused-predicate comprehension instead of per-row calls)."""
         get = base_table.get
         inline = where_batch if use_where_inline else None
-        for start in range(0, len(row_ids), n):
+        for start in range(0, len(row_ids), BATCH_ROWS):
             batch = []
             append = batch.append
-            for row_id in row_ids[start:start + n]:
+            for row_id in row_ids[start:start + BATCH_ROWS]:
                 try:
                     raw = get(row_id)
                 except KeyError:
@@ -675,8 +564,7 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
             examined += join_table.row_count
         cost = latency.statement_cost(base_rows, examined, used_index)
 
-        n = database.batch_rows
-        batches: Iterator[list] = base_batches(row_ids, params, n if n > 0 else 1)
+        batches: Iterator[list] = base_batches(row_ids, params)
         for step in join_steps:
             batches = step(batches, params)
         if join_steps and where_batch is not None:
@@ -699,8 +587,7 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
         return QueryResult(columns=columns,
                            rows=chain.from_iterable(projected), cost=cost)
 
-    param_count = max(ctx.param_count for ctx in contexts)
-    return run, param_count
+    return run, None, max(ctx.param_count for ctx in contexts)
 
 
 def _order_norm(value: Any) -> Any:
@@ -748,7 +635,10 @@ def _make_sort_stage(order_specs):
 def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
                   ctx: CompileContext):
     if join.kind == "RIGHT":
-        raise CannotCompile("RIGHT JOIN")
+        raise UnsupportedSQLError(
+            "RIGHT JOIN is not supported; rewrite as a LEFT JOIN with the "
+            "operands swapped"
+        )
     right_table = database.table(join.table.name)
     right_name = join.table.exposed_name
     right_cols = right_table.schema.column_names
@@ -761,17 +651,17 @@ def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
     if eq is not None:
         left_expr, right_col = eq
         try:
-            # The interpreter's bucket build reads raw.get(b.name): exact
-            # key match. A miss buckets every row under None, which the
-            # left-key `is not None` guard then never matches.
+            # Exact-name match only; a miss buckets every row under None,
+            # which the left-key `is not None` guard then never matches.
             key_pos = right_cols.index(right_col)
         except ValueError:
             key_pos = None
         try:
             left_key = compile_scalar(left_expr, ctx)
-        except CannotCompile:
-            # The interpreter maps per-row resolution errors to key=None;
-            # statically unresolvable means that happens for every row.
+        except ColumnNotFoundError:
+            # Resolves (if at all) only against the right table, which the
+            # left row does not hold yet: the key is NULL for every row.
+            # The full condition, compiled below, decides validity.
             left_key = None
 
     layout.add(right_name, right_cols)
@@ -793,13 +683,7 @@ def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
                 out: list[tuple] = []
                 append = out.append
                 for left in batch:
-                    if left_key is None:
-                        key = None
-                    else:
-                        try:
-                            key = _freeze(left_key(left, params))
-                        except StorageError:
-                            key = None
+                    key = _freeze(left_key(left, params)) if left_key is not None else None
                     matched = buckets.get(key, ()) if key is not None else ()
                     emitted = False
                     for right_row in matched:
@@ -835,7 +719,7 @@ def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
 
 
 class _CompiledAgg:
-    """Compiled accumulator mirroring executor._AggState.
+    """Compiled accumulator of one aggregate call.
 
     State is a 5-slot list: [count, total, minimum, maximum, distinct_set].
     """
@@ -843,9 +727,7 @@ class _CompiledAgg:
     __slots__ = ("name", "count_star", "distinct", "arg")
 
     def __init__(self, call: ast.FunctionCall, ctx: CompileContext):
-        self.name = call.name.upper()
-        if self.name not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
-            raise CannotCompile(f"aggregate {self.name!r}")
+        self.name = call.name.upper()  # one of ast.FunctionCall.AGGREGATES
         self.count_star = (self.name == "COUNT" and bool(call.args)
                            and isinstance(call.args[0], ast.Star))
         self.distinct = call.distinct
@@ -909,7 +791,7 @@ def _make_aggregate_stage(agg_specs, group_getters, having_pred):
                     spec.accumulate(agg_state, row, params)
         if not groups and not group_getters:
             # Aggregates over empty input still yield one row (COUNT -> 0);
-            # sample=None makes column refs raise like the interpreter.
+            # sample=None makes column refs raise: there is no row to read.
             groups[()] = (None, [spec.new_state() for spec in agg_specs])
             order.append(())
         out: list = []
@@ -997,26 +879,24 @@ def _make_limit_stage(limit: ast.Limit, ctx: CompileContext):
     return apply_limit
 
 
-def _compile_projection(stmt: ast.SelectStatement, database: "Database",
-                        layout: RowLayout, ctx: CompileContext, has_agg: bool):
+def _compile_projection(stmt: ast.SelectStatement, layout: RowLayout,
+                        ctx: CompileContext, has_agg: bool):
     columns: list[str] = []
     getters: list[Getter] = []
     for item in stmt.select_items:
         expr = item.expression
         if isinstance(expr, ast.Star):
-            for ref in stmt.tables():
-                if expr.table and ref.exposed_name.lower() != expr.table.lower():
+            if ctx.mode == "const":
+                raise ExecutionError("'*' is not a scalar expression")
+            for exposed, slot_cols, base in layout.slots:
+                if expr.table and exposed.lower() != expr.table.lower():
                     continue
-                schema = database.table(ref.name).schema
-                base, slot_cols = layout.slot_of(ref.exposed_name)
-                if slot_cols != schema.column_names:
-                    raise CannotCompile("star layout mismatch")
-                for i, col_name in enumerate(schema.column_names):
+                for i, col_name in enumerate(slot_cols):
                     columns.append(col_name)
                     offset = base + i
                     if has_agg:
-                        # Mirrors _make_star_getter's row.get(): missing
-                        # sample yields None, never raises.
+                        # A missing sample (aggregate over no rows)
+                        # yields None, never raises.
                         getters.append(
                             lambda row, params, _i=offset:
                             row[0][_i] if row[0] is not None else None
@@ -1045,7 +925,7 @@ def _compile_projection(stmt: ast.SelectStatement, database: "Database",
 # ---------------------------------------------------------------------------
 
 
-def _candidate_batches(table: Table, row_ids: list[int], n: int,
+def _candidate_batches(table: Table, row_ids: list[int],
                        where_batch: BatchFilter | None,
                        params: Sequence[Any]) -> Iterator[list]:
     """Chunked (row + row_id) candidates for DML, batch-filtered.
@@ -1058,10 +938,10 @@ def _candidate_batches(table: Table, row_ids: list[int], n: int,
     chunked read-then-write is equivalent to the row-at-a-time loop.
     """
     get = table.get
-    for start in range(0, len(row_ids), n):
+    for start in range(0, len(row_ids), BATCH_ROWS):
         batch = []
         append = batch.append
-        for row_id in row_ids[start:start + n]:
+        for row_id in row_ids[start:start + BATCH_ROWS]:
             try:
                 raw = get(row_id)
             except KeyError:
@@ -1082,7 +962,8 @@ def _compile_update(database: "Database", stmt: ast.UpdateStatement):
     where_batch = (compile_batch_predicate(stmt.where, ctx)
                    if stmt.where is not None else None)
     assignments = tuple(
-        (column, compile_scalar(expr, ctx)) for column, expr in stmt.assignments
+        (table.schema.column(column).name, compile_scalar(expr, ctx))
+        for column, expr in stmt.assignments
     )
     access = _compile_access(table, exposed, stmt.where)
     latency = database.latency
@@ -1092,9 +973,7 @@ def _compile_update(database: "Database", stmt: ast.UpdateStatement):
         txn = _require_txn(transaction)
         row_ids, used_index = access.run(params)
         updated = 0
-        n = database.batch_rows
-        for batch in _candidate_batches(table, row_ids, n if n > 0 else 1,
-                                        where_batch, params):
+        for batch in _candidate_batches(table, row_ids, where_batch, params):
             for row in batch:
                 changes = {column: g(row, params) for column, g in assignments}
                 old_row = table.update(row[-1], changes)
@@ -1106,7 +985,7 @@ def _compile_update(database: "Database", stmt: ast.UpdateStatement):
         return QueryResult(rowcount=updated, cost=cost + io,
                            written_table=table, write_cost=io)
 
-    return run, ctx.param_count
+    return run, None, ctx.param_count
 
 
 def _compile_delete(database: "Database", stmt: ast.DeleteStatement):
@@ -1125,9 +1004,7 @@ def _compile_delete(database: "Database", stmt: ast.DeleteStatement):
         txn = _require_txn(transaction)
         row_ids, used_index = access.run(params)
         deleted = 0
-        n = database.batch_rows
-        for batch in _candidate_batches(table, row_ids, n if n > 0 else 1,
-                                        where_batch, params):
+        for batch in _candidate_batches(table, row_ids, where_batch, params):
             for row in batch:
                 old_row = table.delete(row[-1])
                 txn.record_delete(table, row[-1], old_row)
@@ -1138,7 +1015,7 @@ def _compile_delete(database: "Database", stmt: ast.DeleteStatement):
         return QueryResult(rowcount=deleted, cost=cost + io,
                            written_table=table, write_cost=io)
 
-    return run, ctx.param_count
+    return run, None, ctx.param_count
 
 
 # ---------------------------------------------------------------------------
@@ -1147,21 +1024,22 @@ def _compile_delete(database: "Database", stmt: ast.DeleteStatement):
 
 
 def _compile_insert(database: "Database", stmt: ast.InsertStatement):
-    """Compiled parameterized INSERT: per-row value getters bound in a
-    constant context (column references cannot compile, matching the
-    interpreter's empty row namespace), plus a batched ``runner_many``
-    that executes every executemany binding in one plan invocation and
-    charges write I/O once for the whole batch — the same amortization
-    the interpreter already applies to one multi-row INSERT statement.
+    """Compiled INSERT: per-row value getters bound in a constant context
+    (a column reference is an unknown column), plus a batched
+    ``runner_many`` that executes every executemany binding in one plan
+    invocation and charges write I/O once for the whole batch — the same
+    amortization one multi-row INSERT statement gets.
     """
     table = database.table(stmt.table.name)
-    columns = tuple(stmt.columns or table.schema.column_names)
+    columns = tuple(table.schema.column(name).name
+                    for name in stmt.columns or table.schema.column_names)
     ctx = CompileContext("const")
     row_specs = []
     for row_exprs in stmt.values_rows:
         if len(row_exprs) != len(columns):
-            # Interpreter raises ExecutionError per execution; fall back.
-            raise CannotCompile("INSERT column/value count mismatch")
+            raise ExecutionError(
+                f"INSERT column/value count mismatch: {len(columns)} vs {len(row_exprs)}"
+            )
         row_specs.append(tuple(compile_scalar(expr, ctx) for expr in row_exprs))
     specs = tuple(row_specs)
     latency = database.latency
@@ -1202,7 +1080,13 @@ def _compile_insert(database: "Database", stmt: ast.InsertStatement):
 
 def _require_txn(transaction: "Transaction | None") -> "Transaction":
     if transaction is None:
-        from ..exceptions import ExecutionError
-
         raise ExecutionError("DML requires an active transaction context")
     return transaction
+
+
+_COMPILERS = {
+    ast.SelectStatement: ("select", _compile_select),
+    ast.UpdateStatement: ("update", _compile_update),
+    ast.DeleteStatement: ("delete", _compile_delete),
+    ast.InsertStatement: ("insert", _compile_insert),
+}

@@ -6,9 +6,10 @@ exactly on any machine. 300 literal statements, no two alike, in
 ``adhoc_fanout``'s three shapes plus ``proxy_mixed``'s shard-local range
 shape run on a 4 x 4 grid with latency off, half through ``execute`` and
 half through ``execute_pipeline``. A warm-up of two statements per shape
-comes first (the first is parsed, planned and interpreted; the second
-builds each node's template and compiles its storage plan): after it
-nothing is parsed, planned, routed, rewritten or interpreted again.
+comes first (the first is parsed, planned and run from plans compiled for
+the occasion; the second builds each node's template and stores its
+storage plan): after it nothing is parsed, planned, routed, rewritten or
+compiled again.
 """
 
 import random
@@ -116,7 +117,7 @@ def test_never_repeated_literal_sql_hits_every_cache(pipeline_calls):
         assert len(plans) <= shapes and len(engine._parse_cache) <= shapes
         assert {row[3] for row in plans.snapshot_rows()} == {"cached"}
         after = storage_stats(engine)
-        assert after["bypasses"] == warm["bypasses"]  # the interpreter never ran again
+        assert after["bypasses"] == warm["bypasses"]  # only DDL bypasses the plans: none here
         executed = sum(after.values()) - sum(warm.values())
         assert executed >= STATEMENTS * 3 // 4 * 16
         assert (after["hits"] - warm["hits"]) / executed >= 0.98

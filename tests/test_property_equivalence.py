@@ -122,7 +122,7 @@ class TestQueryEquivalence:
         hits = check(rows, [
             f"SELECT id FROM t WHERE val >= {floor} ORDER BY val, id LIMIT {limit} OFFSET {offset}"
             for limit, offset, floor in pages])
-        assert hits == (pages[0][:2] == pages[1][:2])
+        assert hits == (pages[0][:2] == pages[1][:2] and same_signs(pages[0][2:], pages[1][2:]))
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(rows=rows_strategy)

@@ -1,16 +1,59 @@
-"""Unit + property tests for expression evaluation (three-valued logic)."""
+"""Unit + property tests for expression evaluation (three-valued logic).
+
+Every case runs twice: through the reference interpreter's ``evaluate``
+(``tests/oracle``) and through the closure ``compile_scalar`` builds for
+the same expression over a tuple row; ``ev`` returns the value only after
+the two agree.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ColumnNotFoundError
+from repro.exceptions import ColumnNotFoundError, StorageError
 from repro.sql import parse_expression
-from repro.storage.expression import UNKNOWN, evaluate, is_truthy, sort_key
+from repro.storage.compiler import CompileContext, RowLayout, compile_scalar
+from repro.storage.expression import UNKNOWN, sort_key
+
+from .oracle.storage_interpreter import evaluate, is_truthy
+
+
+def _tuple_row(row):
+    """The dict row of a case as (layout, value tuple) of one table: bare
+    keys are its columns, a ``t.col`` key names the table (and adds the
+    column when no bare twin exists)."""
+    exposed, columns = "t", {}
+    for key, value in row.items():
+        table, _, column = key.rpartition(".")
+        if table:
+            exposed = table
+        columns.setdefault(column, value)
+    layout = RowLayout()
+    layout.add(exposed, list(columns))
+    return layout, tuple(columns.values())
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except StorageError as exc:
+        return type(exc)
 
 
 def ev(text, row=None, params=()):
-    return evaluate(parse_expression(text), row or {}, params)
+    expr = parse_expression(text)
+    row = row or {}
+    layout, values = _tuple_row(row)
+    interpreted = _outcome(lambda: evaluate(expr, row, params))
+    compiled = _outcome(
+        lambda: compile_scalar(expr, CompileContext("scan", layout))(values, params))
+    if isinstance(interpreted, bool) or interpreted is None or interpreted is UNKNOWN:
+        assert compiled is interpreted, text
+    else:
+        assert compiled == interpreted, text
+    if isinstance(interpreted, type):
+        raise interpreted(text)
+    return interpreted
 
 
 class TestArithmetic:

@@ -67,3 +67,49 @@ class TestBufferPoolKnee:
     def test_commit_cost_scaled(self):
         model = LatencyModel(commit_io=2e-3).scaled(2)
         assert model.commit_cost() == pytest.approx(4e-3)
+
+
+class TestPaymentAttribution:
+    """A traced payment's wall time is split three ways on its span: the
+    priced sleep, the wait for the I/O locks, and the sleep's overshoot —
+    which is not lock wait."""
+
+    HOLD = OVERSHOOT = 0.1
+
+    def test_overshoot_is_not_booked_as_lock_wait(self, monkeypatch):
+        import threading
+        import time
+
+        import repro.storage.connection as connection
+        from repro.observability.trace import Span
+        from repro.storage import DataSource
+
+        ds = DataSource("paid", latency=LatencyModel(write_io=5e-3))
+        ds.execute("CREATE TABLE acc (id INT PRIMARY KEY, bal INT)")
+        ds.execute("INSERT INTO acc (id, bal) VALUES (1, 100)")
+        table = ds.database.table("acc")
+        # a sleep that always runs OVERSHOOT past what was priced
+        monkeypatch.setattr(connection, "pay",
+                            lambda seconds: time.sleep(seconds + self.OVERSHOOT))
+
+        held = threading.Event()
+
+        def writer_ahead_of_us():
+            with table.io_lock:
+                held.set()
+                time.sleep(self.HOLD)
+
+        conn = ds.connect()
+        span = conn.trace_span = Span(1, 1, "storage")
+        blocker = threading.Thread(target=writer_ahead_of_us)
+        blocker.start()
+        assert held.wait(5)
+        priced = conn.execute("UPDATE acc SET bal = bal - 1 WHERE id = 1")._result.cost
+        blocker.join(5)
+        assert not blocker.is_alive()
+
+        slack = 0.06  # scheduling noise on a shared host; under either term
+        assert priced > 0
+        assert span.simulated == pytest.approx(priced + ds.latency.commit_cost())
+        assert self.HOLD - slack < span.lock_wait < self.HOLD + slack
+        assert self.OVERSHOOT <= span.pay_overshoot < self.OVERSHOOT + slack

@@ -1,13 +1,15 @@
 """Compiled storage plans: differential, invalidation and hot-path tests.
 
 The differential suite runs every statement against *twin* data sources —
-one with the storage plan cache enabled (compiled closure pipelines), one
-with it disabled (the tree-walking interpreter) — and asserts identical
-results. Each statement is executed twice on both twins so the compiled
-side exercises both the compile (miss) and the cached (hit) path.
+one through ``Connection.execute`` (compiled closure pipelines, the only
+executor in ``src/``), one through the reference interpreter in
+``tests/oracle`` — and asserts identical results. Each statement is
+executed twice on both twins so the compiled side exercises both the
+compile (miss) and the cached (hit) path.
 """
 
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,6 +21,8 @@ from repro.exceptions import UnsupportedSQLError
 from repro.sharding import make_vertical_sharding
 from repro.sql import ast, parse
 from repro.storage import DataSource
+
+from .oracle import OracleConnection
 
 SCHEMA_T = (
     "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val FLOAT, name VARCHAR(32), flag INT)"
@@ -34,23 +38,21 @@ DIFF_SETTINGS = settings(
 
 
 def make_twins(rows):
-    """Two identical data sources; the second never compiles plans."""
+    """Two identical data sources: the first runs compiled plans, the
+    second is read and written through the oracle only."""
     twins = []
-    for tag in ("compiled", "interpreted"):
+    for tag in ("compiled", "oracle"):
         ds = DataSource(f"twin_{tag}")
-        if tag == "interpreted":
-            ds.database.plan_cache.enabled = False
         ds.execute(SCHEMA_T)
         ds.execute("CREATE INDEX idx_grp ON t (grp)")
         ds.execute("CREATE INDEX idx_val ON t (val)")
         ds.execute(SCHEMA_U)
-        conn = ds.connect()
-        if rows:
-            conn.cursor().executemany(
-                "INSERT INTO t (id, grp, val, name, flag) VALUES (?, ?, ?, ?, ?)", rows
-            )
-        conn.cursor().executemany("INSERT INTO u (uid, grp, tag) VALUES (?, ?, ?)", U_ROWS)
-        twins.append((ds, conn))
+        conn = ds.connect().cursor() if tag == "compiled" else OracleConnection(ds)
+        conn.executemany(
+            "INSERT INTO t (id, grp, val, name, flag) VALUES (?, ?, ?, ?, ?)", rows
+        )
+        conn.executemany("INSERT INTO u (uid, grp, tag) VALUES (?, ?, ?)", U_ROWS)
+        twins.append((ds, ds.connect() if tag == "compiled" else conn))
     return twins
 
 
@@ -63,13 +65,38 @@ def run_pair(twins, sql, params=()):
     return outs
 
 
+def assert_same_result(sql, compiled, reference):
+    """Same rowcount; the same rows in the same order under a (total)
+    ORDER BY, else the same multiset — without one the row order is the
+    access path's choice (index order vs the oracle's heap scan)."""
+    assert compiled[1] == reference[1], sql
+    if "ORDER BY" in sql:
+        assert compiled[0] == reference[0], sql
+    else:
+        assert Counter(compiled[0]) == Counter(reference[0]), sql
+
+
 def assert_twins_agree(twins, sql, params=()):
     """Run twice on both twins (compile, then hit) and compare everything."""
     first = run_pair(twins, sql, params)
     second = run_pair(twins, sql, params)
-    assert first[0] == first[1], sql
-    assert second[0] == second[1], sql
+    assert_same_result(sql, *first)
+    assert_same_result(sql, *second)
     assert first[0] == second[0], sql  # SELECTs must be repeatable
+
+
+def assert_unordered_limit_agrees(twins, sql, limit, params=()):
+    """``LIMIT`` without ``ORDER BY`` keeps whichever rows the access path
+    yields first: the compiled side must return the right *number* of rows,
+    all drawn from what the oracle returns for the unlimited statement."""
+    (compiled_ds, compiled), (_ds, reference) = twins
+    everything = Counter(reference.execute(sql, params).fetchall())
+    words = limit.split()  # LIMIT n [OFFSET m]
+    count, offset = int(words[1]), int(words[3]) if len(words) > 2 else 0
+    for _ in range(2):  # compile, then hit
+        got = compiled.execute(f"{sql} {limit}", params).fetchall()
+        assert len(got) == max(0, min(count, sum(everything.values()) - offset)), sql
+        assert Counter(got) <= everything, sql
 
 
 def table_contents(twins):
@@ -133,7 +160,7 @@ select_items_s = st.sampled_from(
 )
 
 # Every ORDER BY ends in the unique ``id`` so row order is total and the
-# compiled and interpreted outputs can be compared exactly.
+# compiled and oracle outputs can be compared exactly.
 order_s = st.sampled_from(
     [
         "",
@@ -160,8 +187,12 @@ class TestDifferentialSelect:
     def test_select_matches_interpreter(self, rows, items, where, order, limit):
         twins = make_twins(rows)
         cond, params = where
-        sql = f"SELECT {items} FROM t {cond} {order} {limit}".strip()
-        assert_twins_agree(twins, sql, params)
+        if limit and not order:
+            assert_unordered_limit_agrees(
+                twins, f"SELECT {items} FROM t {cond}".strip(), limit, params)
+        else:
+            sql = f"SELECT {items} FROM t {cond} {order} {limit}".strip()
+            assert_twins_agree(twins, sql, params)
 
     @DIFF_SETTINGS
     @given(rows=rows_s, where=where_s)
@@ -341,36 +372,38 @@ class TestPlanCacheLifecycle:
         assert conn.execute(sql).fetchall() == [(0,)]
         assert cache.invalidations == before + 1
 
-    def test_uncompilable_statement_bypasses(self):
+    def test_select_without_from_is_a_miss_then_a_hit(self):
         ds, conn = fresh_source()
         cache = ds.database.plan_cache
-        # No FROM clause: not compilable, negative-cached, interpreter runs.
         assert conn.execute("SELECT 1 + 1").fetchall() == [(2,)]
-        before = cache.bypasses
+        assert (cache.misses, cache.hits, cache.bypasses) == (1, 0, 0)
         assert conn.execute("SELECT 1 + 1").fetchall() == [(2,)]
-        assert cache.bypasses == before + 1
-        assert cache.hits == 0
+        assert (cache.misses, cache.hits, cache.bypasses) == (1, 1, 0)
 
-    def test_ast_statement_promoted_on_reuse(self):
+    def test_unkeyed_ast_is_compiled_each_time_and_never_stored(self):
         ds, conn = fresh_source()
         cache = ds.database.plan_cache
-        stmt = parse("SELECT b FROM t WHERE a = 3")
-        # First sight of an anonymous AST: marked, not compiled.
-        assert conn.execute(stmt).fetchall() == [("three",)]
-        assert cache.misses == 0
-        # Second sight proves reuse; the plan compiles and then hits.
-        assert conn.execute(stmt).fetchall() == [("three",)]
-        assert cache.misses == 1
-        assert conn.execute(stmt).fetchall() == [("three",)]
-        assert cache.hits == 1
+        size = cache.stats()["size"]
+        stmt = parse("SELECT b FROM t WHERE a = 3")  # no storage_plan_key
+        for run in (1, 2):
+            assert conn.execute(stmt).fetchall() == [("three",)]
+            assert (cache.misses, cache.hits, cache.bypasses) == (run, 0, 0)
+        assert cache.stats()["size"] == size
 
-    def test_disabled_cache_reports_off(self):
+    def test_literal_only_insert_texts_do_not_grow_the_cache(self):
         ds, conn = fresh_source()
-        ds.database.plan_cache.enabled = False
-        sql = "SELECT b FROM t WHERE a = 1"
-        assert conn.execute(sql).fetchall() == [("one",)]
-        stats = ds.database.plan_cache.stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
+        cache = ds.database.plan_cache
+        size = cache.stats()["size"]
+        for a in (10, 11, 12):  # bulk-load text: never the same twice
+            conn.execute(f"INSERT INTO t (a, b) VALUES ({a}, 'x'), ({a + 100}, 'y')")
+        assert cache.stats()["size"] == size
+        assert (cache.misses, cache.hits, cache.bypasses) == (3, 0, 0)
+        # the parameterized form is stored and hit
+        conn.execute("INSERT INTO t (a, b) VALUES (?, ?)", (20, "z"))
+        conn.execute("INSERT INTO t (a, b) VALUES (?, ?)", (21, "z"))
+        assert cache.stats()["size"] == size  # compiled by fresh_source's load
+        assert cache.hits == 2
+        assert conn.execute("SELECT COUNT(*) FROM t").fetchall() == [(11,)]
 
 
 class TestExecutemany:
@@ -406,9 +439,10 @@ class TestExecutemany:
         cur = conn.cursor()
         cur.executemany("UPDATE t SET b = ? WHERE a = ?", [(i * 10, i) for i in range(6)])
         assert cur.rowcount == 6
-        # one miss for the load INSERT plan + one for the UPDATE plan
+        # one miss for the load INSERT plan + one for the UPDATE plan: the
+        # batch looks its plan up once, not once per binding
         assert cache.misses == 2
-        assert cache.hits == 5
+        assert cache.hits == 0
         assert conn.execute("SELECT b FROM t ORDER BY a").fetchall() == [
             (0,), (10,), (20,), (30,), (40,), (50,)
         ]
@@ -434,7 +468,6 @@ class TestHotPathZeroAST:
         for _ in range(3):
             assert seeded_engine.execute(sql, (3,)).fetchall() == [("carol",)]
 
-        import repro.storage.executor as storage_executor
         import repro.storage.plans as storage_plans
 
         walks = {"n": 0}
@@ -445,11 +478,10 @@ class TestHotPathZeroAST:
             return real_walk(self)
 
         def boom(*args, **kwargs):  # pragma: no cover - only fires on regression
-            raise AssertionError("hot path fell back to the AST interpreter")
+            raise AssertionError("hot path compiled a storage plan")
 
         monkeypatch.setattr(ast.Expression, "walk", counting_walk)
-        monkeypatch.setattr(storage_plans, "execute_statement", boom)
-        monkeypatch.setattr(storage_executor, "evaluate", boom)
+        monkeypatch.setattr(storage_plans, "compile_storage_plan", boom)
 
         engine_hits = seeded_engine.plan_cache.hits
         storage_hits = sum(

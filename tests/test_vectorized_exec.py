@@ -2,9 +2,10 @@
 
 Three suites attacking the execute stage from different angles:
 
-- differential: every statement runs against *triplet* data sources —
-  batched chunks (``batch_rows=256``), the row-at-a-time compiled path
-  (``batch_rows=1``) and the tree-walking interpreter — and must agree.
+- differential: every statement runs on twin data sources — compiled
+  plans over 256-row chunks, and the reference interpreter in
+  ``tests/oracle`` — and must agree; one fixed 800-row dataset carries the
+  statement table across the chunk seams at 256 and 512.
 - pipelining: ``execute_pipeline`` at the storage, engine and adaptor
   layers keeps serial-equivalent semantics (mid-batch errors, rollback)
   while coalescing write-I/O per written table.
@@ -29,88 +30,52 @@ from repro.exceptions import (
 from repro.sharding import ShardingRule, build_auto_table_rule
 from repro.sql import parse
 from repro.storage import DataSource, LatencyModel
+from repro.storage.plans import BATCH_ROWS
 
 from .test_storage_plans import (
     DIFF_SETTINGS,
-    SCHEMA_T,
-    SCHEMA_U,
-    U_ROWS,
+    assert_twins_agree,
+    assert_unordered_limit_agrees,
     limit_s,
+    make_twins,
     order_s,
     rows_s,
+    run_pair,
     select_items_s,
     where_s,
 )
 
 # ---------------------------------------------------------------------------
-# Differential: batched chunks == row-at-a-time == interpreter
+# Differential: batched chunks == oracle
 # ---------------------------------------------------------------------------
-
-
-def make_triplets(rows):
-    """Three identical data sources: batched plans, row-path plans
-    (``batch_rows=1``), and the interpreter (no plan cache)."""
-    triplets = []
-    for tag, batch_rows, compiled in (
-        ("batched", 256, True),
-        ("rowpath", 1, True),
-        ("interp", 256, False),
-    ):
-        ds = DataSource(f"tri_{tag}")
-        ds.database.batch_rows = batch_rows
-        if not compiled:
-            ds.database.plan_cache.enabled = False
-        ds.execute(SCHEMA_T)
-        ds.execute("CREATE INDEX idx_grp ON t (grp)")
-        ds.execute("CREATE INDEX idx_val ON t (val)")
-        ds.execute(SCHEMA_U)
-        conn = ds.connect()
-        if rows:
-            conn.cursor().executemany(
-                "INSERT INTO t (id, grp, val, name, flag) VALUES (?, ?, ?, ?, ?)", rows
-            )
-        conn.cursor().executemany("INSERT INTO u (uid, grp, tag) VALUES (?, ?, ?)", U_ROWS)
-        triplets.append((ds, conn))
-    return triplets
-
-
-def run_triplet(triplets, sql, params=()):
-    outs = []
-    for _ds, conn in triplets:
-        cur = conn.execute(sql, params)
-        outs.append((cur.fetchall(), cur.rowcount))
-    return outs
-
-
-def assert_triplets_agree(triplets, sql, params=()):
-    """Run twice on all three (compile, then hit) and compare everything."""
-    for outs in (run_triplet(triplets, sql, params), run_triplet(triplets, sql, params)):
-        assert outs[0] == outs[1], sql
-        assert outs[1] == outs[2], sql
 
 
 class TestDifferentialBatchRows:
     @DIFF_SETTINGS
     @given(rows=rows_s, items=select_items_s, where=where_s, order=order_s, limit=limit_s)
     def test_select_matches_row_path_and_interpreter(self, rows, items, where, order, limit):
-        triplets = make_triplets(rows)
+        twins = make_twins(rows)
         cond, params = where
-        sql = f"SELECT {items} FROM t {cond} {order} {limit}".strip()
-        assert_triplets_agree(triplets, sql, params)
+        if limit and not order:
+            assert_unordered_limit_agrees(
+                twins, f"SELECT {items} FROM t {cond}".strip(), limit, params)
+        else:
+            sql = f"SELECT {items} FROM t {cond} {order} {limit}".strip()
+            assert_twins_agree(twins, sql, params)
 
     @DIFF_SETTINGS
     @given(rows=rows_s, where=where_s)
     def test_aggregates_and_joins_match(self, rows, where):
-        triplets = make_triplets(rows)
+        twins = make_twins(rows)
         cond, params = where
-        assert_triplets_agree(
-            triplets,
+        assert_twins_agree(
+            twins,
             "SELECT grp, COUNT(*) AS c, SUM(val) AS s, AVG(val) AS av "
             f"FROM t {cond} GROUP BY grp ORDER BY grp",
             params,
         )
-        assert_triplets_agree(
-            triplets,
+        assert_twins_agree(
+            twins,
             "SELECT t.id, u.uid, u.tag FROM t JOIN u ON t.grp = u.grp "
             "ORDER BY t.id, u.uid",
         )
@@ -128,29 +93,78 @@ class TestDifferentialBatchRows:
         ),
     )
     def test_update_delete_match(self, rows, where, setter):
-        triplets = make_triplets(rows)
+        twins = make_twins(rows)
         assignment, set_params = setter
         cond, where_params = where
-        outs = run_triplet(triplets, f"UPDATE t {assignment} {cond}".strip(),
-                           tuple(set_params) + tuple(where_params))
-        assert outs[0][1] == outs[1][1] == outs[2][1]
-        outs = run_triplet(triplets, f"DELETE FROM t {cond}".strip(), where_params)
-        assert outs[0][1] == outs[1][1] == outs[2][1]
-        state = run_triplet(triplets, "SELECT * FROM t ORDER BY id")
-        assert state[0] == state[1] == state[2]
+        outs = run_pair(twins, f"UPDATE t {assignment} {cond}".strip(),
+                        tuple(set_params) + tuple(where_params))
+        assert outs[0][1] == outs[1][1]
+        outs = run_pair(twins, f"DELETE FROM t {cond}".strip(), where_params)
+        assert outs[0][1] == outs[1][1]
+        state = run_pair(twins, "SELECT * FROM t ORDER BY id")
+        assert state[0] == state[1]
 
     @DIFF_SETTINGS
     @given(rows=rows_s)
     def test_executemany_insert_matches(self, rows):
         """Multi-row INSERT through one batched compiled-plan invocation."""
-        triplets = make_triplets([])
-        for _ds, conn in triplets:
-            conn.cursor().executemany(
-                "INSERT INTO t (id, grp, val, name, flag) VALUES (?, ?, ?, ?, ?)", rows
-            )
-        state = run_triplet(triplets, "SELECT * FROM t ORDER BY id")
-        assert state[0] == state[1] == state[2]
+        twins = make_twins(rows)  # loads ``rows`` with one executemany
+        state = run_pair(twins, "SELECT * FROM t ORDER BY id")
+        assert state[0] == state[1]
         assert state[0][0] == sorted(rows)
+
+
+# A fixed dataset wide enough that every pipeline stage sees three chunks:
+# ids 0..799 with NULLs in every nullable column and repeated group keys.
+SEAM_ROWS = [
+    (i, None if i % 11 == 0 else i % 7, None if i % 13 == 0 else (i * 37 % 101) - 50.0,
+     None if i % 17 == 0 else ("ann", "bo", "che", "dee")[i % 4], i % 2)
+    for i in range(800)
+]
+
+SEAM_SELECTS = [
+    "SELECT id, val FROM t ORDER BY val DESC, id LIMIT 10 OFFSET 250",
+    "SELECT id FROM t WHERE flag = 1 ORDER BY name, id LIMIT 300 OFFSET 200",
+    "SELECT * FROM t WHERE id BETWEEN 100 AND 650 ORDER BY id DESC LIMIT 520",
+    "SELECT id, name FROM t ORDER BY id LIMIT 5 OFFSET 510",  # index order, no sort stage
+    "SELECT DISTINCT grp, flag FROM t ORDER BY grp, flag",
+    "SELECT DISTINCT name FROM t WHERE id > 255 ORDER BY name",
+    "SELECT grp, COUNT(*) AS c, SUM(val) AS s, MIN(val) AS mn, MAX(name) AS mx "
+    "FROM t GROUP BY grp HAVING COUNT(*) > 90 ORDER BY grp",
+    "SELECT flag, AVG(val) AS av FROM t WHERE id >= 256 GROUP BY flag "
+    "HAVING AVG(val) IS NOT NULL ORDER BY flag",
+    "SELECT t.id, u.uid, u.tag FROM t JOIN u ON t.grp = u.grp ORDER BY t.id, u.uid",
+    "SELECT t.id, u.uid FROM t LEFT JOIN u ON t.grp = u.grp AND u.uid > 1 "
+    "ORDER BY t.id, u.uid",
+    "SELECT u.grp, COUNT(*) AS c FROM t JOIN u ON t.grp < u.grp "
+    "GROUP BY u.grp ORDER BY u.grp",
+]
+
+SEAM_WRITES = [
+    ("UPDATE t SET val = val + 1, flag = 1 - flag WHERE id BETWEEN 200 AND 600", ()),
+    ("UPDATE t SET name = ? WHERE id >= ? AND grp IS NOT NULL", ("seam", 255)),
+    ("DELETE FROM t WHERE val < ?", (0,)),
+    ("DELETE FROM t WHERE id > 50 AND id < 790", ()),
+]
+
+
+class TestChunkSeams:
+    @pytest.fixture(scope="class")
+    def seam_twins(self):
+        assert len(SEAM_ROWS) > 2 * BATCH_ROWS
+        return make_twins(SEAM_ROWS)
+
+    @pytest.mark.parametrize("sql", SEAM_SELECTS)
+    def test_select_across_seams(self, seam_twins, sql):
+        assert_twins_agree(seam_twins, sql)
+
+    def test_writes_by_range_across_seams(self):
+        twins = make_twins(SEAM_ROWS)
+        for sql, params in SEAM_WRITES:
+            outs = run_pair(twins, sql, params)
+            assert outs[0][1] == outs[1][1] > BATCH_ROWS, sql
+            state = run_pair(twins, "SELECT * FROM t ORDER BY id")
+            assert state[0] == state[1], sql
 
 
 # ---------------------------------------------------------------------------
