@@ -124,13 +124,17 @@ class ShardingConnection:
 
     def commit(self) -> None:
         self._check_open()
-        if self._transaction is not None:
+        transaction = self._transaction
+        if transaction is not None:
             try:
                 with activate(self.session):
-                    self._transaction.commit()
+                    transaction.commit()
             finally:
                 self._transaction = None
                 self.session.in_transaction = False
+                if transaction.failures:
+                    self.runtime.observability.on_commit_failures(
+                        transaction.type.value, len(transaction.failures))
 
     def rollback(self) -> None:
         self._check_open()

@@ -241,6 +241,29 @@ class ExecutionEngine:
 
         return self._pool.submit(run)
 
+    def submit_helpers(self, work: Callable[[], None], wanted: int) -> None:
+        """Offer ``work`` to up to ``wanted`` pool threads; never wait for them.
+
+        The caller-participating half of a fan-out that is not a
+        statement (a transaction's commit round): the caller runs ``work``
+        itself as well and must be able to finish alone, so helpers are
+        accelerators — a saturated pool runs them late (they find nothing
+        left to do) and a closed one takes none. With the caller they
+        stay within ``fanout_workers``. Each helper resumes the caller's
+        session, as in :meth:`submit`.
+        """
+        session = current_session()
+
+        def run() -> None:
+            with activate(session):
+                work()
+
+        for _ in range(min(wanted, self.fanout_workers - 1)):
+            try:
+                self._pool.submit(run)
+            except RuntimeError:  # pool shut down: the caller works alone
+                return
+
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------

@@ -82,6 +82,10 @@ class Observability:
         self._source_errors = reg.counter(
             "storage_errors_total", "failed per-unit attempts per data source", ("source",)
         )
+        self._commit_failures = reg.counter(
+            "transaction_failed_participants_total",
+            "participants whose part of a distributed commit failed", ("type",)
+        )
         self._pool_wait = reg.histogram(
             "pool_checkout_wait_seconds", "connection pool checkout wait", ("source",)
         )
@@ -161,6 +165,11 @@ class Observability:
         self._source_queries.inc_sharded((source,))
         if not ok:
             self._source_errors.inc_sharded((source,))
+
+    def on_commit_failures(self, transaction_type: str, count: int) -> None:
+        """Participants a commit lost: ignored by LOCAL, left pending for
+        recovery by XA, compensated by BASE — counted either way."""
+        self._commit_failures.inc(count, type=transaction_type)
 
     # -- trace lifecycle ----------------------------------------------------
 

@@ -123,16 +123,22 @@ class Connection:
 
     # -- XA verbs ---------------------------------------------------------------
 
-    def xa_prepare(self, xid: str) -> None:
-        """2PC phase 1: park the open transaction as prepared under xid."""
+    def xa_prepare(self, xid: str) -> bool:
+        """2PC phase 1: park the open transaction as prepared under xid.
+
+        Returns False for a branch that wrote nothing (the XA read-only
+        vote): there is nothing to log or to park, the branch ends here
+        and must be left out of phase 2.
+        """
         self._check_open()
         with self._lock:
-            if self._transaction is None:
-                # Read-only branch: nothing to prepare, vacuously OK.
-                return
-            self._transaction.prepare(xid)
+            transaction = self._transaction
+            wrote = transaction is not None and transaction.mutation_count > 0
+            if wrote:
+                transaction.prepare(xid)  # a "NO" raises and leaves the branch open
             self._transaction = None
             self.autocommit = True
+            return wrote
 
     def xa_commit(self, xid: str) -> None:
         commit_prepared(self.database, xid)

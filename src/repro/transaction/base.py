@@ -4,7 +4,9 @@ A :class:`DistributedTransaction` pins one connection per participating
 data source for the lifetime of the transaction (statements of a
 transaction must all flow through the same session on each shard). The
 three concrete protocols — LOCAL (1PC), XA (2PC) and BASE (Seata-AT) —
-differ only in how ``commit``/``rollback`` drive those pinned connections.
+differ only in how ``commit``/``rollback`` drive those pinned connections;
+each round of either goes through :meth:`DistributedTransaction._on_each`,
+which reaches every participant at once (DESIGN.md "Transaction end").
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import enum
 import itertools
 import threading
 import uuid
-from typing import Mapping
+from collections import deque
+from typing import Callable, Mapping, Sequence
 
 from ..exceptions import TransactionError
 from ..storage import Connection, DataSource
@@ -37,6 +40,26 @@ class TransactionType(enum.Enum):
             ) from None
 
 
+#: ``submit(work, wanted)``: offer ``work`` to up to ``wanted`` other threads
+#: without waiting for any of them (``ExecutionEngine.submit_helpers``)
+SubmitHelpers = Callable[[Callable[[], None], int], None]
+
+#: what one participant answered: its data source and the exception it
+#: raised, or None
+Outcome = tuple[str, "Exception | None"]
+
+
+def caller_only(work: Callable[[], None], wanted: int) -> None:
+    """The ``submit`` of a transaction without an engine: no helper runs,
+    so the caller reaches the participants one after another, in order —
+    what a saturated or closed worker pool degrades to as well."""
+
+
+def failed(outcomes: list[Outcome]) -> list[tuple[str, Exception]]:
+    """The participants that raised, in participant order."""
+    return [(ds_name, exc) for ds_name, exc in outcomes if exc is not None]
+
+
 _xid_counter = itertools.count(1)
 
 
@@ -50,10 +73,15 @@ class DistributedTransaction(abc.ABC):
 
     type: TransactionType
 
-    def __init__(self, data_sources: Mapping[str, DataSource]):
+    def __init__(self, data_sources: Mapping[str, DataSource],
+                 submit: SubmitHelpers = caller_only):
         self.data_sources = dict(data_sources)
         self.xid = new_xid()
         self.connections: dict[str, Connection] = {}
+        #: ``(ds_name, exception)`` of the participants the last commit
+        #: lost, in participant order (the adaptor counts them)
+        self.failures: list[tuple[str, Exception]] = []
+        self._submit = submit
         self._finished = False
         self._pin_lock = threading.Lock()
 
@@ -103,6 +131,60 @@ class DistributedTransaction(abc.ABC):
     @abc.abstractmethod
     def rollback(self) -> None:
         """Run the protocol's rollback; must release all pinned connections."""
+
+    def _on_each(self, op: Callable[[str, Connection], None],
+                 names: Sequence[str] | None = None) -> list[Outcome]:
+        """Run ``op(ds_name, connection)`` on every participant at once.
+
+        Returns ``(ds_name, exception | None)`` in participant order, once
+        every participant has answered; ``names`` narrows the round to
+        some of them (XA's phase 2 skips the branches that only read).
+
+        The calling thread takes the first participant itself and then
+        whatever is still unclaimed; ``submit`` offers the rest to at most
+        one helper each. Helpers only ever shorten the wait: one that
+        starts late finds nothing left to claim and one that never starts
+        is not missed, so a full or closed pool costs the serial order
+        and cannot deadlock. ``op`` runs on a helper inside the caller's
+        session (``submit`` sees to that).
+        """
+        if names is None:
+            names = sorted(self.connections)
+        if not names:
+            return []
+        connections = self.connections
+        outcomes: list[Exception | None] = [None] * len(names)
+        unclaimed = deque(range(1, len(names)))
+        lock = threading.Lock()
+        all_answered = threading.Lock()  # held until the last answer is in
+        all_answered.acquire()
+        waiting = len(names)
+
+        def work(index: int | None = None) -> None:
+            nonlocal waiting
+            while True:
+                if index is None:
+                    try:
+                        index = unclaimed.popleft()
+                    except IndexError:
+                        return
+                name = names[index]
+                try:
+                    op(name, connections[name])
+                except Exception as exc:
+                    outcomes[index] = exc
+                finally:
+                    with lock:
+                        waiting -= 1
+                        if not waiting:
+                            all_answered.release()
+                index = None
+
+        if unclaimed:
+            self._submit(work, len(unclaimed))
+        work(0)
+        all_answered.acquire()
+        return list(zip(names, outcomes))
 
     def _release_all(self) -> None:
         self._finished = True

@@ -1,13 +1,15 @@
 """LOCAL transactions: 1-phase commit (Fig. 5(d) of the paper).
 
-The commit/rollback command is forwarded to every participant directly,
-with no prepare phase. Per the paper: "Even if some data source commits
-fail, ShardingSphere will ignore it" — best-effort, fastest, weakest.
+The commit/rollback command goes to every participant at once, with no
+prepare phase. Per the paper: "Even if some data source commits fail,
+ShardingSphere will ignore it" — best-effort, fastest, weakest. What was
+lost stays visible: ``failures`` names the participants whose commit
+raised, and the adaptor counts them.
 """
 
 from __future__ import annotations
 
-from .base import DistributedTransaction, TransactionType
+from .base import DistributedTransaction, TransactionType, failed
 
 
 class LocalTransaction(DistributedTransaction):
@@ -17,20 +19,16 @@ class LocalTransaction(DistributedTransaction):
 
     def commit(self) -> None:
         self._check_active()
-        failures = []
-        for connection in self.connections.values():
-            try:
-                connection.commit()
-            except Exception as exc:  # best effort: ignore per the paper
-                failures.append(exc)
-        self.failures = failures
-        self._release_all()
+        try:
+            # best effort: a failed participant is recorded, not raised
+            self.failures = failed(
+                self._on_each(lambda ds_name, connection: connection.commit()))
+        finally:
+            self._release_all()
 
     def rollback(self) -> None:
         self._check_active()
-        for connection in self.connections.values():
-            try:
-                connection.rollback()
-            except Exception:
-                pass
-        self._release_all()
+        try:
+            self._on_each(lambda ds_name, connection: connection.rollback())
+        finally:
+            self._release_all()

@@ -8,10 +8,11 @@ Roles (all in-process, with simulated RPC latency for the TC hops):
   transaction id, registers branches, saves undo logs before local
   commits, and reports branch status.
 
-Phase 1: each branch saves its undo log, commits locally, and reports to
-the TC. Phase 2: on the application's commit, the status is checked with
-the TC — all-OK deletes the undo logs; any failure restores the data by
-replaying undo logs (eventual consistency via compensation).
+Phase 1: every branch, at once, saves its undo log, commits locally, and
+reports to the TC. Phase 2: on the application's commit, the status is
+checked with the TC — all-OK deletes the undo logs; any failure restores
+the data by replaying the undo logs, again on every branch at once
+(eventual consistency via compensation).
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ from typing import Any, Mapping
 from ..exceptions import BaseTransactionError
 from ..storage import Connection, DataSource
 from ..storage.transaction import replay_undo
-from .base import DistributedTransaction, TransactionType, new_xid
+from .base import (
+    DistributedTransaction,
+    SubmitHelpers,
+    TransactionType,
+    caller_only,
+    failed,
+    new_xid,
+)
 
 
 class GlobalStatus(enum.Enum):
@@ -93,6 +101,8 @@ class TransactionCoordinator:
             self._globals[xid].status = status
 
     def finish(self, xid: str) -> None:
+        """Forget the global transaction, its branches and their undo logs
+        (deleting a branch's undo log is its phase-2 commit)."""
         with self._lock:
             self._globals.pop(xid, None)
 
@@ -125,8 +135,9 @@ class SeataTransaction(DistributedTransaction):
 
     type = TransactionType.BASE
 
-    def __init__(self, data_sources: Mapping[str, DataSource], coordinator: TransactionCoordinator):
-        super().__init__(data_sources)
+    def __init__(self, data_sources: Mapping[str, DataSource], coordinator: TransactionCoordinator,
+                 submit: SubmitHelpers = caller_only):
+        super().__init__(data_sources, submit)
         self.coordinator = coordinator
         # Phase 0: require a global transaction id from the TC.
         self.xid = coordinator.begin_global()
@@ -137,44 +148,40 @@ class SeataTransaction(DistributedTransaction):
 
     # -- Phase 1 -----------------------------------------------------------
 
-    def _phase1(self) -> bool:
-        """Per branch: save undo log, commit locally, report status."""
-        all_ok = True
-        for ds_name in self.participants:
-            connection = self.connections[ds_name]
-            transaction = connection.current_transaction()
-            undo = transaction.take_undo() if transaction is not None else []
-            self.coordinator.save_undo(self.xid, ds_name, undo)
-            ok = True
-            try:
-                connection.commit()
-            except Exception:
-                ok = False
-                all_ok = False
-            self.coordinator.report_branch(self.xid, ds_name, ok)
-        return all_ok
+    def _phase1(self, ds_name: str, connection: Connection) -> None:
+        """One branch: save undo log, commit locally, report status."""
+        transaction = connection.current_transaction()
+        undo = transaction.take_undo() if transaction is not None else []
+        self.coordinator.save_undo(self.xid, ds_name, undo)
+        try:
+            connection.commit()
+        except Exception:
+            self.coordinator.report_branch(self.xid, ds_name, False)
+            raise
+        self.coordinator.report_branch(self.xid, ds_name, True)
 
     # -- Phase 2 ------------------------------------------------------------
 
     def commit(self) -> None:
         self._check_active()
-        all_ok = self._phase1()
-        statuses = self.coordinator.branch_statuses(self.xid)
-        if all_ok and all(s == "phase1_ok" for s in statuses.values()):
-            self.coordinator.mark_global(self.xid, GlobalStatus.COMMITTING)
-            for ds_name in self.participants:
-                # Deleting the undo log is the branch's phase-2 commit.
-                self.coordinator.take_undo(self.xid, ds_name)
-            self.coordinator.mark_global(self.xid, GlobalStatus.COMMITTED)
+        try:
+            self.failures = failed(self._on_each(self._phase1))
+            statuses = self.coordinator.branch_statuses(self.xid)
+            if not self.failures and all(s == "phase1_ok" for s in statuses.values()):
+                self.coordinator.mark_global(self.xid, GlobalStatus.COMMITTING)
+                self.coordinator.mark_global(self.xid, GlobalStatus.COMMITTED)
+                self.coordinator.finish(self.xid)  # drops the undo logs
+                return
+            # Some branch failed phase 1: compensate everything.
+            self.coordinator.mark_global(self.xid, GlobalStatus.ROLLING_BACK)
+            self._on_each(self._compensate)
+            self.coordinator.mark_global(self.xid, GlobalStatus.ROLLED_BACK)
             self.coordinator.finish(self.xid)
+            raise BaseTransactionError(
+                f"BASE transaction {self.xid} failed phase 1; compensated"
+            )
+        finally:
             self._release_all()
-            return
-        # Some branch failed phase 1: compensate everything.
-        self._compensate()
-        self._release_all()
-        raise BaseTransactionError(
-            f"BASE transaction {self.xid} failed phase 1; compensated"
-        )
 
     def commit_async(self, pool: "ThreadPoolExecutor | None" = None) -> "Future":
         """The paper's stated future work: asynchronous result return.
@@ -209,29 +216,20 @@ class SeataTransaction(DistributedTransaction):
 
     def rollback(self) -> None:
         self._check_active()
-        # Branches not yet locally committed roll back locally; committed
-        # ones (none before commit() in our flow) would be compensated.
-        self.coordinator.mark_global(self.xid, GlobalStatus.ROLLING_BACK)
-        for connection in self.connections.values():
-            try:
-                connection.rollback()
-            except Exception:
-                pass
-        self.coordinator.mark_global(self.xid, GlobalStatus.ROLLED_BACK)
-        self.coordinator.finish(self.xid)
-        self._release_all()
+        try:
+            # Branches not yet locally committed roll back locally; committed
+            # ones (none before commit() in our flow) would be compensated.
+            self.coordinator.mark_global(self.xid, GlobalStatus.ROLLING_BACK)
+            self._on_each(lambda ds_name, connection: connection.rollback())
+            self.coordinator.mark_global(self.xid, GlobalStatus.ROLLED_BACK)
+            self.coordinator.finish(self.xid)
+        finally:
+            self._release_all()
 
-    def _compensate(self) -> None:
-        self.coordinator.mark_global(self.xid, GlobalStatus.ROLLING_BACK)
-        for ds_name in self.participants:
-            undo = self.coordinator.take_undo(self.xid, ds_name)
-            if undo:
-                replay_undo(self.data_sources[ds_name].database, undo)
-            connection = self.connections[ds_name]
-            if connection.in_transaction:
-                try:
-                    connection.rollback()
-                except Exception:
-                    pass
-        self.coordinator.mark_global(self.xid, GlobalStatus.ROLLED_BACK)
-        self.coordinator.finish(self.xid)
+    def _compensate(self, ds_name: str, connection: Connection) -> None:
+        """One branch: replay its undo log, roll back what is still open."""
+        undo = self.coordinator.take_undo(self.xid, ds_name)
+        if undo:
+            replay_undo(self.data_sources[ds_name].database, undo)
+        if connection.in_transaction:
+            connection.rollback()

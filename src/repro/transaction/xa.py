@@ -1,11 +1,16 @@
 """XA transactions: 2-phase commit with logging and recovery (Fig. 5(c)).
 
-Phase 1 sends *prepare* to every resource manager (data source); any "NO"
-rolls back everything. Phase 2 commits the prepared branches. The
-coordinator writes a :class:`XATransactionLog` record before each phase —
-if some branch commits fail after a successful phase 1 (server down,
-network jitter), the decision survives and :func:`recover` re-commits the
-in-doubt branches later, exactly as the paper describes.
+Phase 1 sends *prepare* to every resource manager (data source) at once
+and waits for every answer; any "NO" rolls back everything (the branches
+that did prepare with ``xa_rollback``, the rest with ``rollback``). A
+branch that only read votes read-only: it ends at its prepare and takes
+no part in phase 2. Phase 2 commits the prepared branches, again at once.
+The coordinator writes a :class:`XATransactionLog` record before each
+phase — PREPARING before the first prepare goes out, PREPARED and
+COMMITTING only after the last answer is in — so if some branch commits
+fail after a successful phase 1 (server down, network jitter), the
+decision survives and :func:`recover` re-commits the in-doubt branches
+later, exactly as the paper describes.
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Collection, Mapping
 
 from ..exceptions import XATransactionError
-from ..storage import DataSource
-from .base import DistributedTransaction, TransactionType
+from ..storage import Connection, DataSource
+from .base import DistributedTransaction, SubmitHelpers, TransactionType, caller_only, failed
 
 
 class XAState(enum.Enum):
@@ -85,8 +90,9 @@ class XATransaction(DistributedTransaction):
 
     type = TransactionType.XA
 
-    def __init__(self, data_sources: Mapping[str, DataSource], log: XATransactionLog | None = None):
-        super().__init__(data_sources)
+    def __init__(self, data_sources: Mapping[str, DataSource], log: XATransactionLog | None = None,
+                 submit: SubmitHelpers = caller_only):
+        super().__init__(data_sources, submit)
         self.log = log if log is not None else XATransactionLog()
         self.log.put(XALogRecord(xid=self.xid))
 
@@ -95,72 +101,68 @@ class XATransaction(DistributedTransaction):
 
     def commit(self) -> None:
         self._check_active()
-        participants = self.participants
-        self.log.put(XALogRecord(self.xid, participants, XAState.PREPARING, []))
+        try:
+            participants = self.participants
+            self.log.put(XALogRecord(self.xid, participants, XAState.PREPARING, []))
 
-        # ---- Phase 1: prepare ------------------------------------------------
-        prepared: list[str] = []
-        for ds_name in participants:
-            connection = self.connections[ds_name]
-            try:
-                connection.xa_prepare(self._branch_xid(ds_name))
-                prepared.append(ds_name)
-            except Exception as exc:
+            # ---- Phase 1: prepare, every branch at once ----------------------
+            parked: set[str] = set()  # branches that wrote: prepared and parked
+
+            def prepare(ds_name: str, connection: Connection) -> None:
+                if connection.xa_prepare(self._branch_xid(ds_name)):
+                    parked.add(ds_name)
+
+            refused = failed(self._on_each(prepare))
+            prepared = sorted(parked)  # participant order
+            if refused:
                 # Some RM answered "NO": roll everything back.
-                self._rollback_after_failed_prepare(prepared, ds_name)
+                self.failures = refused
+                self._rollback_branches(parked)
+                ds_name, exc = refused[0]
                 raise XATransactionError(
                     f"prepare failed on {ds_name!r}: {exc}"
                 ) from exc
-        self.log.update(self.xid, XAState.PREPARED, pending=participants)
+            # Every branch answered; a branch that only read ended at its
+            # prepare and has no phase 2.
+            self.log.update(self.xid, XAState.PREPARED, pending=prepared)
 
-        # ---- Phase 2: commit -------------------------------------------------
-        self.log.update(self.xid, XAState.COMMITTING, pending=participants)
-        still_pending: list[str] = []
-        errors: list[Exception] = []
-        for ds_name in participants:
-            connection = self.connections[ds_name]
-            try:
-                connection.xa_commit(self._branch_xid(ds_name))
-            except Exception as exc:
-                # Decision stands: keep the branch pending for recovery.
-                still_pending.append(ds_name)
-                errors.append(exc)
-        if still_pending:
-            self.log.update(self.xid, XAState.COMMITTING, pending=still_pending)
+            # ---- Phase 2: commit the prepared branches, at once -------------
+            self.log.update(self.xid, XAState.COMMITTING, pending=prepared)
+            self.failures = failed(self._on_each(
+                lambda ds_name, connection: connection.xa_commit(self._branch_xid(ds_name)),
+                prepared,
+            ))
+            if self.failures:
+                # Decision stands: keep the branches pending for recovery.
+                still_pending = [ds_name for ds_name, _ in self.failures]
+                self.log.update(self.xid, XAState.COMMITTING, pending=still_pending)
+                raise XATransactionError(
+                    f"commit incomplete on {still_pending}; will be recovered"
+                ) from self.failures[0][1]
+            self.log.update(self.xid, XAState.COMMITTED, pending=[])
+            self.log.remove(self.xid)
+        finally:
             self._release_all()
-            raise XATransactionError(
-                f"commit incomplete on {still_pending}; will be recovered"
-            ) from errors[0]
-        self.log.update(self.xid, XAState.COMMITTED, pending=[])
-        self.log.remove(self.xid)
-        self._release_all()
 
-    def _rollback_after_failed_prepare(self, prepared: list[str], failed: str) -> None:
-        for ds_name in prepared:
-            try:
-                self.connections[ds_name].xa_rollback(self._branch_xid(ds_name))
-            except Exception:
-                pass
-        for ds_name, connection in self.connections.items():
-            if ds_name not in prepared:
-                try:
-                    connection.rollback()
-                except Exception:
-                    pass
+    def _rollback_branches(self, parked: Collection[str] = ()) -> None:
+        """Abort: ``xa_rollback`` the parked branches, ``rollback`` the rest."""
+
+        def rollback(ds_name: str, connection: Connection) -> None:
+            if ds_name in parked:
+                connection.xa_rollback(self._branch_xid(ds_name))
+            else:
+                connection.rollback()
+
+        self._on_each(rollback)
         self.log.update(self.xid, XAState.ABORTED, pending=[])
         self.log.remove(self.xid)
-        self._release_all()
 
     def rollback(self) -> None:
         self._check_active()
-        for connection in self.connections.values():
-            try:
-                connection.rollback()
-            except Exception:
-                pass
-        self.log.update(self.xid, XAState.ABORTED, pending=[])
-        self.log.remove(self.xid)
-        self._release_all()
+        try:
+            self._rollback_branches()
+        finally:
+            self._release_all()
 
 
 def recover(log: XATransactionLog, data_sources: Mapping[str, DataSource]) -> int:

@@ -75,3 +75,62 @@ def test_harness_sees_every_stage_of_a_statement(fleet, paper_rule):
         else:
             assert not layers & {"sql.parse", "engine.plan", "engine.router"}
     assert recorder.merge_rows_in == len(fanout_rows) + len(hot_rows)
+
+
+def test_commit_spans_on_helper_threads_resolve_to_the_issuing_op(fleet, paper_rule):
+    """A transaction's end fans out (DESIGN.md "Transaction end"): the
+    ``Connection.commit`` a helper thread runs has no open span of its own
+    above it, so it must land under the op that issued the commit — with
+    its ``pay`` below it — and ``TransactionManager.begin`` /
+    ``LocalTransaction.commit`` must still be the names the harness wraps."""
+    import threading
+
+    from repro.storage.connection import Connection
+
+    tracing = load_tracing()
+    runtime = ShardingRuntime(fleet, paper_rule)
+    conn = ShardingDataSource(runtime).get_connection()
+    recorder = tracing.Recorder()
+    recorder.install()
+    pinned = {}
+    try:
+        recorder.begin_op()
+        conn.begin()
+        conn.execute("INSERT INTO t_user (uid, name, age) VALUES (1, 'a', 1), (2, 'b', 2)")
+        pinned.update(conn._transaction.connections)
+        assert sorted(pinned) == ["ds0", "ds1"]
+        # ds0 is the caller's; hold it until ds1's commit is under way, which
+        # only a helper can then be running. Connection.commit is looked up
+        # at call time: it is the harness's boundary by now.
+        helper_started = threading.Event()
+        pinned["ds0"].commit = lambda: (
+            helper_started.wait(10), Connection.commit(pinned["ds0"]))
+        pinned["ds1"].commit = lambda: (
+            helper_started.set(), Connection.commit(pinned["ds1"]))
+        conn.commit()
+        recorder.end_op()
+    finally:
+        recorder.uninstall()
+        for connection in pinned.values():
+            del connection.commit
+        conn.close()
+        runtime.close()
+
+    assert tracing.check_tree(recorder.spans) == []
+    (op,) = {span[tracing.OP] for span in recorder.spans}
+    by_name = {}
+    for span in recorder.spans:
+        by_name.setdefault(span[tracing.NAME], []).append(span)
+    assert len(by_name["TransactionManager.begin"]) == 1
+    (txn_commit,) = by_name["LocalTransaction.commit"]
+    commits = by_name["Connection.commit"]
+    assert len(commits) == 2
+    # one on the caller, under the transaction's commit; one on a helper,
+    # under the innermost open anchor: the op itself
+    assert sorted(span[tracing.PARENT] for span in commits) == sorted(
+        [txn_commit[tracing.ID], op])
+    commit_ids = {span[tracing.ID] for span in commits}
+    pays = [span for span in by_name["latency.pay"] if span[tracing.PARENT] in commit_ids]
+    assert len(pays) == 2
+    assert all(txn_commit[tracing.START] <= span[tracing.START]
+               and span[tracing.END] <= txn_commit[tracing.END] for span in commits)

@@ -215,7 +215,7 @@ class TestExecutorPropagation:
     def test_pinned_transaction_survives_fanout(self):
         """A multi-shard statement inside a transaction pins per-source
         connections from several workers at once; the commit then stamps
-        the session's tokens on the committing thread."""
+        the session's tokens, whichever thread committed each branch."""
         runtime, groups = make_replicated_sharded_runtime()
         try:
             conn = ShardingDataSource(runtime).get_connection()
@@ -238,6 +238,48 @@ class TestExecutorPropagation:
             # read-your-writes post-commit despite 30s replica lag
             assert conn.execute(
                 "SELECT v FROM t_user WHERE uid = 5").fetchall() == [(7,)]
+        finally:
+            runtime.close()
+
+    def test_commit_on_helper_threads_stamps_the_callers_tokens(self):
+        """The transaction's end fans out: one group's commit runs on an
+        engine worker, yet its LSN lands in the committing session, so the
+        next read on that session sees both writes through 30s of lag."""
+        runtime, groups = make_replicated_sharded_runtime(shards=2)
+        try:
+            conn = ShardingDataSource(runtime).get_connection()
+            for uid in range(4):
+                conn.execute(f"INSERT INTO t_user (uid, v) VALUES ({uid}, 0)")
+            conn.begin()
+            conn.execute("UPDATE t_user SET v = 9 WHERE uid IN (0,1,2,3)")
+            pinned = conn._transaction.connections
+            assert sorted(pinned) == ["ds0", "ds1"]
+            # hold the caller's participant until the other one's commit is
+            # under way: only a helper thread can be running that
+            helper_started = threading.Event()
+            threads = {}
+
+            def committing(name, gate, original):
+                def commit():
+                    gate()
+                    threads[name] = threading.get_ident()
+                    original()
+                return commit
+
+            pinned["ds0"].commit = committing(
+                "ds0", lambda: helper_started.wait(10), pinned["ds0"].commit)
+            pinned["ds1"].commit = committing(
+                "ds1", helper_started.set, pinned["ds1"].commit)
+            conn.commit()
+            assert threads["ds0"] == threading.get_ident() != threads["ds1"]
+            for name, group in groups.items():
+                assert conn.session.token(name) == group.last_lsn() > 0
+            assert conn.execute(
+                "SELECT v FROM t_user WHERE uid IN (0,1,2,3) ORDER BY uid"
+            ).fetchall() == [(9,)] * 4
+            fresh = ShardingDataSource(runtime).get_connection()
+            assert fresh.execute(
+                "SELECT v FROM t_user WHERE uid IN (0,1,2,3)").fetchall() == []
         finally:
             runtime.close()
 
