@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
+from . import clock
 from .adaptors import ShardingDataSource
 from .bench.report import format_table
 from .exceptions import ShardingSphereError
@@ -100,13 +100,13 @@ def main(argv: list[str] | None = None) -> int:
         text = statement.strip().rstrip(";").strip()
         if not text:
             return
-        start = time.perf_counter()
+        start = clock.now()
         try:
             result = session.execute(text)
         except ShardingSphereError as exc:
             print(f"ERROR: {exc}")
             return
-        _print_result(result, time.perf_counter() - start)
+        _print_result(result, clock.now() - start)
 
     try:
         if args.execute is not None:

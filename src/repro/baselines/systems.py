@@ -23,10 +23,10 @@ actual pipeline of this library.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import Any, Sequence
 
+from .. import clock
 from ..adaptors import ShardingDataSource, ShardingProxyServer, ShardingRuntime
 from ..protocol import ProxyClient
 from ..storage import DataSource, LatencyModel, ReplicaGroup
@@ -58,7 +58,7 @@ class _RawSession:
 
     def execute(self, sql: str, params: Sequence[Any] = ()):
         if self.overhead:
-            time.sleep(self.overhead)
+            clock.sleep(self.overhead)
         cursor = self.connection.execute(sql, params)
         if cursor.description is not None:
             return cursor.fetchall()
@@ -68,7 +68,7 @@ class _RawSession:
         """Batch of statements in one storage round trip (write-I/O
         coalesced per written table); per-statement rows/rowcount out."""
         if self.overhead:
-            time.sleep(self.overhead)
+            clock.sleep(self.overhead)
         results = self.connection.execute_pipeline(statements)
         return [
             list(r.rows) if r.columns else r.rowcount
@@ -97,7 +97,7 @@ class _JdbcSession:
 
     def execute(self, sql: str, params: Sequence[Any] = ()):
         if self.overhead:
-            time.sleep(self.overhead)
+            clock.sleep(self.overhead)
         result = self.connection.execute(sql, params)
         if result.description is not None:
             return result.fetchall()
@@ -107,7 +107,7 @@ class _JdbcSession:
         """Batch of statements through the engine's fused pipeline;
         per-statement rows/rowcount out (see SQLEngine.execute_pipeline)."""
         if self.overhead:
-            time.sleep(self.overhead)
+            clock.sleep(self.overhead)
         results = self.connection.execute_pipeline(statements)
         return [
             r.fetchall() if r.description is not None else r.rowcount

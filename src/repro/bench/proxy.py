@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import sys
 import threading
-import time
 from typing import Any
 
+from .. import clock
 from ..adaptors import ShardingProxyServer, ShardingRuntime
 from ..distsql import execute_distsql
 from ..exceptions import ServerBusyError, ShardingSphereError
@@ -92,12 +92,12 @@ class _Driver:
 
     def _run(self) -> None:
         round_no = 0
-        while time.monotonic() < self.deadline:
+        while clock.now() < self.deadline:
             round_no += 1
             for uid, client in self.clients:
-                if time.monotonic() >= self.deadline:
+                if clock.now() >= self.deadline:
                     break
-                started = time.perf_counter()
+                started = clock.now()
                 try:
                     client.execute(
                         f"UPDATE {BENCH_TABLE} SET v = {round_no} "
@@ -111,7 +111,7 @@ class _Driver:
                 except ShardingSphereError:
                     self.errors += 1
                     continue
-                self.latencies.append(time.perf_counter() - started)
+                self.latencies.append(clock.now() - started)
                 self.ops += 1
                 if rows != [(round_no,)]:
                     self.violations += 1
@@ -128,15 +128,15 @@ def run_proxy_bench(args: Any) -> int:
     server = ShardingProxyServer(runtime).start()
     clients: list[ProxyClient] = []
     try:
-        connect_started = time.perf_counter()
+        connect_started = clock.now()
         for _ in range(connections):
             clients.append(ProxyClient("127.0.0.1", server.port))
-        connect_s = time.perf_counter() - connect_started
+        connect_s = clock.now() - connect_started
         server_threads = sum(
             1 for t in threading.enumerate()
             if t.is_alive() and t.name.startswith("ss-proxy"))
 
-        deadline = time.monotonic() + args.duration
+        deadline = clock.now() + args.duration
         numbered = list(enumerate(clients))
         drivers = [
             _Driver(numbered[i::args.threads], deadline)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .. import clock
 from ..baselines.base import Session, SystemUnderTest
 
 TransactionFn = Callable[[Session, random.Random], None]
@@ -88,8 +88,8 @@ def run_benchmark(
         local_count = 0
         local_errors = 0
         try:
-            warmup_deadline = time.perf_counter() + warmup
-            while time.perf_counter() < warmup_deadline:
+            warmup_deadline = clock.now() + warmup
+            while clock.now() < warmup_deadline:
                 try:
                     transaction(session, rng)
                 except Exception:
@@ -98,7 +98,7 @@ def run_benchmark(
                         raise
             barrier.wait()
             while not stop.is_set():
-                start = time.perf_counter()
+                start = clock.now()
                 try:
                     transaction(session, rng)
                 except Exception:
@@ -106,7 +106,7 @@ def run_benchmark(
                     if local_errors > max_errors:
                         raise
                     continue
-                local_latencies.append((time.perf_counter() - start) * 1000)
+                local_latencies.append((clock.now() - start) * 1000)
                 local_count += 1
         except BaseException as exc:
             with lock:
@@ -130,12 +130,12 @@ def run_benchmark(
         barrier.wait(timeout=max(30.0, warmup * 10 + 30))
     except threading.BrokenBarrierError:
         pass
-    started = time.perf_counter()
-    time.sleep(duration)
+    started = clock.now()
+    clock.sleep(duration)
     stop.set()
     for thread in workers:
         thread.join(timeout=60)
-    measurement.elapsed = time.perf_counter() - started
+    measurement.elapsed = clock.now() - started
     if first_error:
         raise first_error[0]
     return measurement

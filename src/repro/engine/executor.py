@@ -37,12 +37,12 @@ import enum
 import math
 import random
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
+from .. import clock
 from ..exceptions import (
     CircuitBreakerOpenError,
     DataSourceUnavailableError,
@@ -183,7 +183,11 @@ class ExecutionEngine:
         self.data_sources = data_sources if isinstance(data_sources, dict) else dict(data_sources)
         self.max_connections_per_query = max_connections_per_query
         self.metrics = ExecutionMetrics()
-        self._pool = ThreadPoolExecutor(max_workers=worker_threads, thread_name_prefix="ss-exec")
+        # Pool threads are fan-out workers for life: a statement needs them
+        # back only when its slowest unit is done, so their sleeps keep the
+        # kernel's wake-up coalescing (DESIGN.md "Clock").
+        self._pool = ThreadPoolExecutor(max_workers=worker_threads, thread_name_prefix="ss-exec",
+                                        initializer=clock.coalesce_timers)
         self._closed = False
         self._close_lock = threading.Lock()
         #: cap on workers participating in one statement's work-stealing
@@ -359,7 +363,7 @@ class ExecutionEngine:
                     holder[0] = conn = self._pool_acquire(source, deadline)
                 return self._traced(conn, unit, span)
 
-            t0 = time.perf_counter() if heat is not None else 0.0
+            t0 = clock.now() if heat is not None else 0.0
             try:
                 cursor = self._run_attempts(
                     unit.data_source, attempt_single,
@@ -515,11 +519,11 @@ class ExecutionEngine:
     def _statement_deadline(self) -> float | None:
         policy = self.resilience
         if policy is not None and policy.statement_timeout is not None:
-            return time.monotonic() + policy.statement_timeout
+            return clock.now() + policy.statement_timeout
         return None
 
     def _check_deadline(self, deadline: float | None, source_name: str) -> None:
-        if deadline is not None and time.monotonic() >= deadline:
+        if deadline is not None and clock.now() >= deadline:
             self.metrics.timeouts += 1
             self.metrics.bump(source_name, "timeouts")
             assert self.resilience is not None
@@ -694,9 +698,9 @@ class ExecutionEngine:
                     with self._rng_lock:
                         delay = policy.backoff(attempt_no, self._retry_rng)
                     if deadline is not None:
-                        delay = min(delay, max(0.0, deadline - time.monotonic()))
+                        delay = min(delay, max(0.0, deadline - clock.now()))
                     if delay > 0:
-                        time.sleep(delay)
+                        clock.sleep(delay)
                     continue
                 self._record_outcome(source_name, ok=True)
                 if span is not None:
@@ -740,7 +744,7 @@ class ExecutionEngine:
         update_count = 0
         for unit in group:
             span = spans.get(id(unit)) if spans is not None else None
-            t0 = time.perf_counter() if heat is not None else 0.0
+            t0 = clock.now() if heat is not None else 0.0
             cursor = self._run_attempts(
                 unit.data_source,
                 lambda unit=unit, span=span: self._traced(connection, unit, span),
@@ -785,7 +789,7 @@ class ExecutionEngine:
         if span is not None:
             span.attributes["rows"] = rows
         if heat is not None:
-            heat.unit_done(unit, time.perf_counter() - t0, cursor, rows)
+            heat.unit_done(unit, clock.now() - t0, cursor, rows)
         return out
 
     _CLOSED_IN_FLIGHT = "execution engine closed while statement was in flight"
@@ -871,7 +875,7 @@ class ExecutionEngine:
                             holder[0] = self._pool_acquire(source, deadline)
                         return self._traced(holder[0], unit, span)
 
-                    t0 = time.perf_counter() if heat is not None else 0.0
+                    t0 = clock.now() if heat is not None else 0.0
                     cursor = self._run_attempts(
                         ds_name, attempt,
                         is_query=is_query, pinned=None, deadline=deadline,
@@ -918,7 +922,7 @@ class ExecutionEngine:
                     connections[index] = self._pool_acquire(source, deadline)
                 return self._traced(connections[index], unit, span)
 
-            t0 = time.perf_counter() if heat is not None else 0.0
+            t0 = clock.now() if heat is not None else 0.0
             try:
                 cursor = self._run_attempts(
                     unit.data_source, attempt, is_query=is_query, pinned=None,
@@ -942,7 +946,7 @@ class ExecutionEngine:
         remaining deadline budget; out-of-time waits report
         :class:`DeadlineExceededError` instead of pool exhaustion."""
         if deadline is not None:
-            timeout = min(timeout, max(0.0, deadline - time.monotonic()))
+            timeout = min(timeout, max(0.0, deadline - clock.now()))
         try:
             return source.pool.acquire(timeout=timeout)
         except Exception:
@@ -966,25 +970,25 @@ class ExecutionEngine:
         promptly rather than sitting on an exhausted pool for 10 s.
         """
         if deadline is not None:
-            timeout = min(timeout, max(0.0, deadline - time.monotonic()))
+            timeout = min(timeout, max(0.0, deadline - clock.now()))
         if count == 1:
             try:
                 return [source.pool.acquire(timeout=timeout)]
             except Exception:
                 self._check_deadline(deadline, source.name)
                 raise
-        acquire_by = time.monotonic() + timeout
+        acquire_by = clock.now() + timeout
         while True:
             with source.acquisition_lock:
                 batch = source.pool.try_acquire_many(count)
             if batch is not None:
                 return batch
-            if time.monotonic() >= acquire_by:
+            if clock.now() >= acquire_by:
                 self._check_deadline(deadline, source.name)
                 raise ExecutionError(
                     f"could not atomically acquire {count} connections from {source.name!r}"
                 )
-            time.sleep(0.001)
+            clock.sleep(0.001)
 
     # ------------------------------------------------------------------
     # Statement pipelining
@@ -1113,7 +1117,16 @@ class _StealScheduler:
             except RuntimeError:
                 # pool already shut down: worker 0 drains everything alone
                 break
-        self._work(0)
+        if len(self.deques) == 1:
+            self._work(0)  # nobody to overlap with: a session running alone
+        else:
+            # worker 0 sleeps like the helpers it works beside, so a fan-out
+            # keeps one kind of timer whoever runs a unit (DESIGN.md "Clock")
+            clock.coalesce_timers()
+            try:
+                self._work(0)
+            finally:
+                clock.precise_timers()
         self.done.wait()
 
     def _helper_work(self, me: int) -> None:

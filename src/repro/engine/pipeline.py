@@ -10,10 +10,10 @@ or mutate it, may redirect routed units, and may post-process results.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+from .. import clock
 from ..cache import LruCache
 from ..exceptions import RouteError, SQLParseError
 from ..metadata import ContextManager, MetadataContext
@@ -165,11 +165,11 @@ class _Statement:
         self.stage = stage
         if self.trace is not None:
             self.span = self.trace.start_span(stage, metadata_version=self.snap.version)
-        self.t0 = time.perf_counter()
+        self.t0 = clock.now()
 
     def end(self, **attributes: Any) -> None:
         """Close the open stage, noting ``attributes`` on its span."""
-        self.stages[self.stage] = time.perf_counter() - self.t0
+        self.stages[self.stage] = clock.now() - self.t0
         span, self.span = self.span, None
         if span is not None:
             span.attributes.update(attributes)
@@ -426,14 +426,14 @@ class SQLEngine:
         if not pending:
             return
         ds_name = pending[0].units[0].data_source
-        t0 = time.perf_counter()
+        t0 = clock.now()
         outs = self.executor.execute_pipeline(
             ds_name,
             [(st.units[0].statement, st.units[0].params, st.is_query) for st in pending],
             pending[0].held,
             sources=pending[0].snap.data_sources,
         )
-        per_statement = (time.perf_counter() - t0) / len(pending)
+        per_statement = (clock.now() - t0) / len(pending)
         for st, out in zip(pending, outs):
             st.execution = execution = ExecutionResult(
                 modes={ds_name: ConnectionMode.CONNECTION_STRICTLY})

@@ -45,7 +45,6 @@ invalidation events are rare; clearing avoids generation-staleness bugs).
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -98,7 +97,7 @@ class CompiledPlan:
     __slots__ = (
         "sql", "statement", "cacheable", "reason", "fingerprint",
         "logic_tables", "alias_map", "condition_template", "param_count",
-        "single_table", "is_select", "hits", "created_at", "literal_safe",
+        "single_table", "is_select", "hits", "literal_safe",
         "_templates", "_lock", "_shared_multi",
         "_merge_spec_single", "_merge_spec_multi",
         "_route_memo", "_memo_table_rule",
@@ -122,7 +121,6 @@ class CompiledPlan:
         self.single_table: str | None = None
         self.is_select = isinstance(statement, ast.SelectStatement)
         self.hits = 0
-        self.created_at = time.monotonic()
         self._templates: dict[Any, UnitTemplate] = {}
         self._lock = threading.Lock()
         self._shared_multi: ast.SelectStatement | None = None

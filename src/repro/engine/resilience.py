@@ -25,9 +25,9 @@ from __future__ import annotations
 import enum
 import random
 import threading
-import time
 from dataclasses import dataclass
 
+from .. import clock
 from ..exceptions import (
     CircuitBreakerOpenError,
     DataSourceUnavailableError,
@@ -116,7 +116,7 @@ class CircuitBreaker:
     def trip(self) -> None:
         with self._lock:
             self.state = CircuitState.OPEN
-            self._opened_at = time.monotonic()
+            self._opened_at = clock.now()
             self._probe_in_flight = False
 
     def reset(self) -> None:
@@ -134,7 +134,7 @@ class CircuitBreaker:
                 return True
             if self.state is CircuitState.OPEN:
                 if (
-                    time.monotonic() - self._opened_at >= self.reset_timeout
+                    clock.now() - self._opened_at >= self.reset_timeout
                     and not self._probe_in_flight
                 ):
                     self.state = CircuitState.HALF_OPEN
@@ -160,7 +160,7 @@ class CircuitBreaker:
             if self.state is CircuitState.HALF_OPEN:
                 return not self._probe_in_flight
             return (
-                time.monotonic() - self._opened_at >= self.reset_timeout
+                clock.now() - self._opened_at >= self.reset_timeout
                 and not self._probe_in_flight
             )
 
@@ -179,7 +179,7 @@ class CircuitBreaker:
             self._failures += 1
             if self.state is CircuitState.HALF_OPEN or self._failures >= self.failure_threshold:
                 self.state = CircuitState.OPEN
-                self._opened_at = time.monotonic()
+                self._opened_at = clock.now()
 
     # -- observability -----------------------------------------------------
 
@@ -194,7 +194,7 @@ class CircuitBreaker:
         with self._lock:
             if self.state is CircuitState.CLOSED:
                 return 0.0
-            return time.monotonic() - self._opened_at
+            return clock.now() - self._opened_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CircuitBreaker({self.name!r}, state={self.state.value})"

@@ -28,9 +28,10 @@ which embed the epoch).
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import Any, Hashable, Sequence
+
+from .. import clock
 
 
 class _Entry:
@@ -80,7 +81,7 @@ class ResultCache:
             if entry is None:
                 self.misses += 1
                 return None
-            if entry.expires_at < time.monotonic():
+            if entry.expires_at < clock.now():
                 del self._entries[key]
                 self.invalidations += 1
                 self.misses += 1
@@ -131,7 +132,7 @@ class ResultCache:
         """Insert iff every guard still holds (validated store)."""
         if len(rows) > self.max_rows:
             return False
-        expires_at = time.monotonic() + self.ttl
+        expires_at = clock.now() + self.ttl
         with self._lock:
             for database, table, version in guards:
                 if database.data_version(table) != version:

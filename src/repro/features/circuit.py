@@ -17,8 +17,8 @@ This module re-exports them and provides:
 from __future__ import annotations
 
 import threading
-import time
 
+from .. import clock
 from ..engine.context import StatementContext
 from ..engine.pipeline import EngineResult, Feature
 from ..engine.resilience import BreakerRegistry, CircuitBreaker, CircuitState
@@ -100,13 +100,13 @@ class ThrottleFeature(Feature):
         self.rate = rate
         self.capacity = float(burst if burst is not None else max(1, int(rate)))
         self._tokens = self.capacity
-        self._updated = time.monotonic()
+        self._updated = clock.now()
         self._lock = threading.Lock()
         self.rejected = 0
 
     def on_context(self, context: StatementContext) -> None:
         with self._lock:
-            now = time.monotonic()
+            now = clock.now()
             self._tokens = min(self.capacity, self._tokens + (now - self._updated) * self.rate)
             self._updated = now
             if self._tokens < 1.0:

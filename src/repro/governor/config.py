@@ -10,9 +10,9 @@ every member reconfigures without restarts.
 from __future__ import annotations
 
 import json
-import time
 from typing import Any, Callable
 
+from .. import clock
 from ..exceptions import GovernanceError, NodeNotFoundError
 from .registry import Registry, Session
 
@@ -142,7 +142,7 @@ class ConfigCenter:
         session = self.registry.session()
         self.registry.create(
             f"{INSTANCES_PATH}/{instance_id}",
-            json.dumps({"registered_at": time.time(), **(metadata or {})}),
+            json.dumps({"registered_at": clock.wall(), **(metadata or {})}),
             session=session,
         )
         return session

@@ -14,10 +14,10 @@ goes down, rewriting the group config so the system keeps working.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from .. import clock
 from ..storage import DataSource
 from .config import ConfigCenter
 
@@ -112,7 +112,7 @@ class HealthDetector:
                 else:
                     self._down.add(name)
                     if not was_down:
-                        self._down_since[name] = time.monotonic()
+                        self._down_since[name] = clock.now()
             if not healthy and not was_down:
                 self._handle_failure(name)
         return statuses
@@ -150,14 +150,14 @@ class HealthDetector:
                 {"primary": group.primary, "replicas": group.replicas},
             )
             with self._lock:
-                detected_at = self._down_since.get(name, time.monotonic())
+                detected_at = self._down_since.get(name, clock.now())
             self.failover_events.append(
                 FailoverEvent(
                     group=group.name,
                     old_primary=old_primary,
                     new_primary=new_primary,
                     detected_at=detected_at,
-                    promoted_at=time.monotonic(),
+                    promoted_at=clock.now(),
                 )
             )
             for listener in self.failover_listeners:

@@ -19,15 +19,16 @@ always yields the same ids — chaos runs and tests can assert on them.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any, Callable, Iterable
+
+from .. import clock
 
 
 class Span:
     """One timed operation inside a trace.
 
-    Wall time is measured with ``time.perf_counter``; simulated time,
+    Wall time is measured with ``clock.now``; simulated time,
     lock waits and sleep overshoot are *reported* by the storage layer via
     :meth:`record_simulated` / :meth:`record_lock_wait` /
     :meth:`record_pay_overshoot` (the connection carries the span while it
@@ -62,7 +63,7 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
-        self.start = time.perf_counter()
+        self.start = clock.now()
         self.end: float | None = None
         self.attributes: dict[str, Any] = attributes if attributes is not None else {}
         self.events: list[tuple[str, dict[str, Any]]] = []
@@ -75,7 +76,7 @@ class Span:
 
     def finish(self, error: BaseException | None = None) -> "Span":
         if self.end is None:
-            self.end = time.perf_counter()
+            self.end = clock.now()
         if error is not None and self.error is None:
             self.error = f"{type(error).__name__}: {error}"
         return self

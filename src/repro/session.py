@@ -40,9 +40,10 @@ import contextlib
 import contextvars
 import itertools
 import threading
-import time
 import weakref
 from typing import Any, Iterator
+
+from . import clock
 
 _session_ids = itertools.count(1)
 
@@ -65,7 +66,9 @@ class SessionContext:
         self.kind = kind
         #: remote peer ("host:port") for proxy sessions
         self.client = client
-        self.created_at = time.time()
+        #: birth on the monotonic clock: only ever subtracted from a later
+        #: reading (``age_s``), so a stepped wall clock cannot move it
+        self.created_at = clock.now()
         #: causal replication tokens: group name -> highest written LSN
         self.tokens: dict[str, int] = {}
         #: depth of PRIMARY-hint pinning (reads bypass replicas while > 0)
@@ -156,7 +159,7 @@ class SessionContext:
             "id": self.session_id,
             "kind": self.kind,
             "client": self.client or "",
-            "age_s": round(time.time() - self.created_at, 3),
+            "age_s": round(clock.now() - self.created_at, 3),
             "statements": self.statements,
             "in_transaction": self.in_transaction,
             "pinned_primary": self.pinned,

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import abc
 import threading
-import time
 import uuid
 from typing import Any
 
+from .. import clock
 from ..exceptions import ShardingConfigError, UnknownAlgorithmError
 
 #: Snowflake epoch used by ShardingSphere (2016-11-01 00:00:00 UTC).
@@ -57,7 +57,7 @@ class SnowflakeKeyGenerator(KeyGenerator):
 
     @staticmethod
     def _now_ms() -> int:
-        return int(time.time() * 1000)
+        return int(clock.wall() * 1000)
 
     def next_key(self) -> int:
         with self._lock:
@@ -65,7 +65,7 @@ class SnowflakeKeyGenerator(KeyGenerator):
             if now < self._last_ms:
                 # Clock went backwards: spin until it catches up.
                 while now < self._last_ms:
-                    time.sleep(0.0005)
+                    clock.sleep(0.0005)
                     now = self._now_ms()
             if now == self._last_ms:
                 self._sequence = (self._sequence + 1) & _SEQUENCE_MASK

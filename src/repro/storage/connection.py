@@ -16,9 +16,9 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
-import time
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
+from .. import clock
 from ..exceptions import (
     ConnectionClosedError,
     ConnectionDropError,
@@ -188,10 +188,10 @@ class Connection:
                     implicit = True
                 txn = self._transaction
                 try:
-                    lock_t0 = time.perf_counter() if span is not None else 0.0
+                    lock_t0 = clock.now() if span is not None else 0.0
                     with self.database.write_lock():
                         if span is not None:
-                            span.record_lock_wait(time.perf_counter() - lock_t0)
+                            span.record_lock_wait(clock.now() - lock_t0)
                         result, plan_status = execute_planned(self.database, stmt, params, txn)
                         # workload analytics read this off cursor._result
                         result.plan = plan_status
@@ -253,12 +253,12 @@ class Connection:
         if amount <= 0:
             return
         if span is not None:
-            wait_t0 = time.perf_counter()
+            wait_t0 = clock.now()
             with table.io_lock if table is not None else contextlib.nullcontext():
                 with self.data_source.io_semaphore:
-                    pay_t0 = time.perf_counter()
+                    pay_t0 = clock.now()
                     pay(amount)
-                    slept = time.perf_counter() - pay_t0
+                    slept = clock.now() - pay_t0
             span.record_simulated(amount)
             span.record_lock_wait(pay_t0 - wait_t0)
             span.record_pay_overshoot(slept - amount)
@@ -383,10 +383,10 @@ class Connection:
                 implicit = True
             txn = self._transaction
             try:
-                lock_t0 = time.perf_counter() if span is not None else 0.0
+                lock_t0 = clock.now() if span is not None else 0.0
                 with self.database.write_lock():
                     if span is not None:
-                        span.record_lock_wait(time.perf_counter() - lock_t0)
+                        span.record_lock_wait(clock.now() - lock_t0)
                     result, plan_status = execute_planned_many(
                         self.database, stmt, seq, txn)
                     result.plan = plan_status

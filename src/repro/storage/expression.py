@@ -15,6 +15,8 @@ import re
 from functools import lru_cache
 from typing import Any
 
+from .. import clock
+
 UNKNOWN = object()
 """Sentinel for SQL's three-valued UNKNOWN truth value."""
 
@@ -32,7 +34,7 @@ _SCALAR_FUNCTIONS = {
     "MOD": lambda args: None if args[0] is None or not args[1] else args[0] % args[1],
     "CONCAT": lambda args: None if any(a is None for a in args) else "".join(str(a) for a in args),
     "SUBSTRING": lambda args: _substring(args),
-    "NOW": lambda args: datetime.datetime.now(),
+    "NOW": lambda args: datetime.datetime.fromtimestamp(clock.wall()),
 }
 
 

@@ -9,9 +9,9 @@ data-source lock held by the execution engine.
 from __future__ import annotations
 
 import threading
-import time
 from typing import TYPE_CHECKING, Callable
 
+from .. import clock
 from ..exceptions import ConnectionPoolExhaustedError
 
 if TYPE_CHECKING:
@@ -51,16 +51,16 @@ class ConnectionPool:
 
     def acquire(self, timeout: float = 10.0) -> "Connection":
         """Acquire one connection, waiting up to ``timeout`` seconds."""
-        start = time.monotonic()
+        start = clock.now()
         deadline = start + timeout
         with self._available:
             while True:
                 conn = self._try_take_locked()
                 if conn is not None:
                     break
-                remaining = deadline - time.monotonic()
+                remaining = deadline - clock.now()
                 if remaining <= 0:
-                    waited = time.monotonic() - start
+                    waited = clock.now() - start
                     raise ConnectionPoolExhaustedError(
                         f"connection pool {self.data_source.name!r} exhausted: "
                         f"{self._in_use}/{self.max_size} connections in use, "
@@ -73,7 +73,7 @@ class ConnectionPool:
                 self._available.wait(remaining)
         # observer runs outside the pool lock (it may take a registry lock)
         if self.wait_observer is not None:
-            self.wait_observer(time.monotonic() - start)
+            self.wait_observer(clock.now() - start)
         return conn
 
     def try_acquire_many(self, count: int) -> list["Connection"] | None:

@@ -38,10 +38,10 @@ from __future__ import annotations
 import contextlib
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from .. import clock
 from ..exceptions import DataSourceUnavailableError, DuplicateKeyError, StorageError
 from ..session import current_session
 
@@ -127,7 +127,7 @@ class ReplicationLog:
         """Append one commit's ops; stamps the caller's causal token."""
         with self._lock:
             lsn = len(self._records) + 1
-            self._records.append(_LogRecord(lsn, time.monotonic(), tuple(ops)))
+            self._records.append(_LogRecord(lsn, clock.now(), tuple(ops)))
         note_write(self.group, lsn)
         return lsn
 
@@ -183,7 +183,7 @@ class ReplicaState:
         if record is None:
             return 0.0
         if now is None:
-            now = time.monotonic()
+            now = clock.now()
         return max(0.0, now - record.commit_time)
 
     def covers(self, lsn: int, now: float | None = None) -> bool:
@@ -196,7 +196,7 @@ class ReplicaState:
         if record is None:
             return False
         if now is None:
-            now = time.monotonic()
+            now = clock.now()
         return record.commit_time + self._lag <= now
 
     def apply_due(self, now: float | None = None) -> int:
@@ -205,7 +205,7 @@ class ReplicaState:
         if self._applied >= log.last_lsn:
             return 0
         if now is None:
-            now = time.monotonic()
+            now = clock.now()
         head = log.record_at(self._applied)
         if head is None or head.commit_time + self._lag > now:
             return 0
@@ -395,7 +395,7 @@ class ReplicaGroup:
         self.primary = source
         event = PromotionEvent(
             group=self.name, old_primary=old.name, new_primary=source.name,
-            lsn=self.log.last_lsn, at=time.time(),
+            lsn=self.log.last_lsn, at=clock.wall(),
         )
         self.promotions.append(event)
         return event

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import enum
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from .. import clock
 from ..exceptions import BaseTransactionError
 from ..storage import Connection, DataSource
 from ..storage.transaction import replay_undo
@@ -74,7 +74,7 @@ class TransactionCoordinator:
 
     def _rpc(self) -> None:
         if self.rpc_delay > 0:
-            time.sleep(self.rpc_delay)
+            clock.sleep(self.rpc_delay)
 
     # -- TM-facing --------------------------------------------------------
 

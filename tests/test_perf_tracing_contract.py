@@ -9,12 +9,24 @@ of those globals, or reshapes those signatures, would not fail anything —
 it would silently zero per-layer metrics in a ten-minute benchmark run.
 This test fails in a second instead. It reads ``benchmarks/perf`` and
 changes nothing there.
+
+The same goes for simulated cost: the harness replaces ``pay`` as bound in
+three modules of ``repro.storage`` and calls what passes through them
+"everything that was waited for" (``storage.latency.priced_ms_per_op``).
+A wait that reached ``repro.clock`` around ``pay`` would be paid and
+never priced.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
+import repro.storage.connection
+import repro.storage.engine
+import repro.storage.latency
+from repro import clock
 from repro.adaptors import ShardingDataSource, ShardingRuntime
+from repro.storage import DataSource, LatencyModel
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "tracing.py"
 
@@ -134,3 +146,61 @@ def test_commit_spans_on_helper_threads_resolve_to_the_issuing_op(fleet, paper_r
     assert len(pays) == 2
     assert all(txn_commit[tracing.START] <= span[tracing.START]
                and span[tracing.END] <= txn_commit[tracing.END] for span in commits)
+
+
+def test_the_three_pay_names_the_harness_replaces_are_module_globals():
+    tracing = load_tracing()
+    replaced = [owner for owner, attr, layer, *_ in tracing.BOUNDARIES
+                if layer == "storage.latency"]
+    assert replaced == [repro.storage.connection, repro.storage.engine, repro.storage.latency]
+    for module in replaced:
+        assert vars(module)["pay"] is repro.storage.latency.pay
+
+
+def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, monkeypatch):
+    """With the Recorder installed, a prepared point select, an autocommit
+    UPDATE and a two-source LOCAL commit produce exactly as many
+    ``storage.latency`` spans as ``clock.sleep`` calls made from under
+    ``repro.storage`` — through each of the three bindings — and nothing
+    sleeps: the counter stands in for the clock."""
+    callers = []
+    monkeypatch.setattr(
+        clock, "sleep", lambda seconds: callers.append(sys._getframe(1).f_globals["__name__"]))
+    tracing = load_tracing()
+    latency = LatencyModel(write_io=2e-4)
+    # ds0 is across a network hop, so its statements also pay through
+    # ``repro.storage.engine.pay``
+    sources = {"ds0": DataSource("ds0", latency=latency, network_hop=1e-4),
+               "ds1": DataSource("ds1", latency=latency)}
+    for i, source in enumerate(sources.values()):
+        source.execute(f"CREATE TABLE t_user_h{i} (uid INT PRIMARY KEY, name VARCHAR(64), age INT)")
+    runtime = ShardingRuntime(sources, paper_rule)
+    conn = ShardingDataSource(runtime).get_connection()
+    conn.execute("INSERT INTO t_user (uid, name, age) VALUES (2, 'bob', 25), (3, 'carol', 35)")
+    point = conn.prepare("SELECT name FROM t_user WHERE uid = ?")
+    assert point.execute((2,)).fetchall() == [("bob",)]
+
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        callers.clear()
+        recorder.begin_op()
+        assert point.execute((2,)).fetchall() == [("bob",)]
+        assert point.execute((3,)).fetchall() == [("carol",)]
+        assert conn.execute("UPDATE t_user SET age = 36 WHERE uid = 3").rowcount == 1
+        conn.begin()
+        conn.execute("INSERT INTO t_user (uid, name, age) VALUES (4, 'dave', 28), (5, 'eve', 41)")
+        conn.commit()
+        recorder.end_op()
+        waited = list(callers)
+    finally:
+        recorder.uninstall()
+        conn.close()
+        runtime.close()
+
+    pays = [span for span in recorder.spans if span[tracing.LAYER] == "storage.latency"]
+    assert {span[tracing.NAME] for span in pays} == {"connection.pay", "engine.pay", "latency.pay"}
+    assert all(span[tracing.VALUE] > 0 for span in pays)  # each one priced, so each one slept
+    under_storage = [name for name in waited if name.startswith("repro.storage")]
+    assert under_storage == ["repro.storage.latency"] * len(pays)
+    assert waited == under_storage  # and nothing else in the program waited at all

@@ -355,14 +355,18 @@ def wedged_server():
     state["start"] = start
     yield state
     stop.set()
+    if state["thread"] is not None:
+        # closing a listening socket from another thread does not wake a
+        # blocked accept() on Linux; one last connection does
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+        state["thread"].join(timeout=5)
+        assert not state["thread"].is_alive(), "wedged_server's accept loop never woke"
     listener.close()
     for sock in held:
         try:
             sock.close()
         except OSError:
             pass
-    if state["thread"] is not None:
-        state["thread"].join(timeout=5)
 
 
 class TestClientHardening:

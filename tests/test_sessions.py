@@ -9,10 +9,12 @@ executor's steal path, ``ExecutionEngine.submit`` (federation fan-out),
 must, including differentially against single-threaded execution.
 """
 
+import itertools
 import threading
 
 import pytest
 
+from repro import clock
 from repro.adaptors import ShardingDataSource, ShardingRuntime
 from repro.distsql import execute_distsql
 from repro.session import SessionContext, activate, current_session, try_current
@@ -345,3 +347,16 @@ class TestSessionRegistry:
             assert len(runtime.sessions) == 0
         finally:
             runtime.close()
+
+    def test_age_does_not_follow_a_stepped_wall_clock(self, monkeypatch):
+        """``age_s`` is a difference, so both readings come from the
+        monotonic clock: an NTP step between them must not show."""
+        wall = itertools.count(10**9, -3600)  # every look at the wall clock: an hour earlier
+        monkeypatch.setattr(clock, "wall", lambda: float(next(wall)))
+        monotonic = [100.0]
+        monkeypatch.setattr(clock, "now", lambda: monotonic[0])
+        session = SessionContext("jdbc")
+        monotonic[0] = 100.25
+        assert session.describe()["age_s"] == 0.25
+        monotonic[0] = 101.5
+        assert session.describe()["age_s"] == 1.5
