@@ -27,13 +27,17 @@ thread has when it sleeps, not by an option:
 - a **fan-out worker** keeps the process's default slack: its wake-up is
   needed only by the time the slowest unit of the statement is done, and
   sixteen precise wake-ups per statement each interrupt the thread that
-  holds the GIL (measured on this code against its parent: ``adhoc_fanout``
-  756 → 654 ops/s, 9 of 10 pairs lost, with every thread tight; DESIGN.md
-  "Clock"). The execution engine's pool threads are workers for life and
-  call :func:`coalesce_timers` when they start; the session thread that
-  takes its share of a fan-out as worker 0 calls it before that share and
-  :func:`precise_timers` after it, so a fan-out sleeps on the timers it
-  always had, whichever thread runs a unit.
+  holds the GIL (measured when reads still fanned out over threads:
+  ``adhoc_fanout`` 756 → 654 ops/s, 9 of 10 pairs lost, with every thread
+  tight; DESIGN.md "Clock"). The execution engine's pool threads are
+  workers for life and call :func:`coalesce_timers` when they start; the
+  session thread that takes its share of a fan-out as worker 0 calls it
+  before that share and :func:`precise_timers` after it, so a fan-out
+  sleeps on the timers it always had, whichever thread runs a unit. Only
+  units that block while they wait fan out this way (writes, pinned and
+  connection-strictly groups, a transaction's end); a read fan-out is
+  issued and awaited by the session thread itself, which sleeps once, as
+  a session thread (DESIGN.md "Issue and await").
 
 A thread's slack is written only when its role meets the wrong slack: a
 session that only fans out, or never does, writes at most once. Where the

@@ -13,7 +13,13 @@ Balances data-source connections, memory and concurrency:
   lock. Per the paper we skip the lock when only one connection is needed
   and in connection-strictly mode (connections are released as soon as
   results are memory-loaded, so circular waits are impossible).
-- Execution units run in parallel on a shared worker pool.
+- The units of a memory-strictly *query* group are issued by the calling
+  thread, one ``Connection.execute(..., wait=False)`` after the other, and
+  awaited together: their simulated I/O overlaps on the servers'
+  timelines and the statement sleeps once, for the slowest unit. Units
+  that hold something while they wait (a pinned transaction's connection,
+  a connection-strictly bucket, the write lock and commit of any DML) run
+  in parallel on a shared worker pool.
 
 Resilience (opt-in via :class:`ResiliencePolicy`):
 
@@ -393,18 +399,22 @@ class ExecutionEngine:
         for unit in units:
             groups.setdefault(unit.data_source, []).append(unit)
 
-        # -- work-stealing fan-out -----------------------------------------
-        # Units become fine-grained tasks seeded by data-source group
-        # (group g -> worker g mod W): each worker starts out owning one
-        # source's units (connection affinity), and an idle worker steals
-        # the back half of the deepest deque. A skewed route — one shard
-        # holding most of the units — no longer pins the whole statement
-        # on one submission chain while other workers idle.
+        # -- fan-out ---------------------------------------------------------
+        # Memory-strictly reads are issued right here and awaited together.
+        # Every other unit becomes a fine-grained task seeded by data-source
+        # group (group g -> worker g mod W): each worker starts out owning
+        # one source's units (connection affinity), and an idle worker
+        # steals the back half of the deepest deque. A skewed route — one
+        # shard holding most of the units — no longer pins the whole
+        # statement on one submission chain while other workers idle.
         state_lock = threading.Lock()
         slots: dict[int, Any] = {}  # id(unit) -> ShardResult | update count
         pinned_out: dict[str, tuple[list[ShardResult], int]] = {}
         source_errors: dict[str, BaseException] = {}
         mem_groups: list[tuple[str, Callable[[], None]]] = []
+        #: (unit, cursor, span, t0, done_at) of every issued unit; the two
+        #: instants are for ``heat`` and 0.0 without it
+        issued: list[tuple[ExecutionUnit, Any, "Span | None", float, float]] = []
 
         def fail_source(ds_name: str, exc: BaseException) -> None:
             with state_lock:
@@ -451,16 +461,52 @@ class ExecutionEngine:
                         source.pool.release_many(connections)
 
                 mem_groups.append((ds_name, release_all))
+                if not is_query:
+                    for index, unit in enumerate(group):
+                        tasks.append((group_index, self._make_write_task(
+                            ds_name, source, connections, index, unit,
+                            deadline, spans, heat, slots, fail_source, state_lock)))
+                    continue
+                # A read holds nothing while its I/O is outstanding, so it is
+                # issued here and now — run, priced, its I/O window reserved
+                # — and waited for below with every other one: no task, no
+                # helper thread, one sleep (DESIGN.md "Issue and await").
                 for index, unit in enumerate(group):
-                    tasks.append((group_index, self._make_streaming_task(
-                        ds_name, source, connections, index, unit, is_query,
-                        deadline, spans, heat, slots, fail_source, state_lock)))
+                    span = spans.get(id(unit)) if spans is not None else None
+                    t0 = clock.now() if heat is not None else 0.0
+                    try:
+                        cursor = self._run_on_batch(
+                            source, connections, index, unit, True, deadline, span,
+                            wait=False)
+                    except BaseException as exc:
+                        fail_source(ds_name, exc)
+                    else:
+                        # heat gets issue-to-ready: what the unit cost, not
+                        # how long the statement took to come back for it
+                        issued.append((unit, cursor, span, t0,
+                                       max(cursor.ready_at, clock.now())
+                                       if heat is not None else 0.0))
 
-        scheduler = _StealScheduler(self, tasks)
-        scheduler.run()
-        if parent_span is not None and scheduler.steals:
-            parent_span.attributes["steals"] = scheduler.steals
-            parent_span.attributes["stolen_tasks"] = scheduler.stolen_tasks
+        try:
+            if tasks:
+                scheduler = _StealScheduler(self, tasks)
+                scheduler.run()
+                if parent_span is not None and scheduler.steals:
+                    parent_span.attributes["steals"] = scheduler.steals
+                    parent_span.attributes["stolen_tasks"] = scheduler.stolen_tasks
+        finally:
+            # nothing is merged, released or raised before every issued
+            # unit's priced time has passed
+            for _unit, cursor, span, _t0, _done_at in issued:
+                cursor.wait()
+                if span is not None:
+                    span.finish()
+        for unit, cursor, span, t0, done_at in issued:
+            try:
+                slots[id(unit)] = self._unit_done(
+                    unit, cursor, True, span, heat, t0, stream=True, done_at=done_at)
+            except BaseException as exc:
+                fail_source(unit.data_source, exc)
 
         # resolve memory-strictly connection lifetimes now that every task
         # has finished: streams outlive the statement, errors release now
@@ -614,18 +660,20 @@ class ExecutionEngine:
             obs.on_source_attempt(source_name, ok)
 
     @staticmethod
-    def _traced(connection: Connection, unit: ExecutionUnit, span: "Span | None") -> Any:
+    def _traced(connection: Connection, unit: ExecutionUnit, span: "Span | None",
+                wait: bool = True) -> Any:
         """Execute one unit, lending the span to the connection meanwhile.
 
         The connection attributes latency-model sleeps and lock waits to
-        ``trace_span`` while it is set; clearing it restores the class
-        default (None), keeping untraced connections attribute-free.
+        ``trace_span`` while it is set (an issued cursor takes the span
+        along for its own wait); clearing it restores the class default
+        (None), keeping untraced connections attribute-free.
         """
         if span is None:
-            return connection.execute(unit.statement, unit.params)
+            return connection.execute(unit.statement, unit.params, wait)
         connection.trace_span = span
         try:
-            return connection.execute(unit.statement, unit.params)
+            return connection.execute(unit.statement, unit.params, wait)
         finally:
             del connection.trace_span
 
@@ -651,6 +699,7 @@ class ExecutionEngine:
         pinned: Connection | None,
         deadline: float | None,
         span: "Span | None" = None,
+        finish_span: bool = True,
     ) -> Any:
         """Run one execution unit under the resilience policy.
 
@@ -660,7 +709,9 @@ class ExecutionEngine:
         on a pinned (in-transaction) connection. The unit's storage span,
         when present, is finished here — retries become span events and a
         final ``retries`` attribute; a terminal failure closes it with the
-        error attached.
+        error attached. Without ``finish_span`` a success leaves it open:
+        the unit was only issued and its span ends when it has been waited
+        for.
         """
         policy = self.resilience
         attempt_no = 0
@@ -706,7 +757,8 @@ class ExecutionEngine:
                 if span is not None:
                     if attempt_no:
                         span.attributes["retries"] = attempt_no
-                    span.finish()
+                    if finish_span:
+                        span.finish()
                 return value
         except BaseException as terminal:
             if span is not None:
@@ -766,13 +818,16 @@ class ExecutionEngine:
         heat: Any,
         t0: float,
         stream: bool = False,
+        done_at: float = 0.0,
     ) -> Any:
         """What every execution path does once a unit's cursor is back.
 
         Returns the unit's outcome — the update count for a write, a
         :class:`ShardResult` for a query — after noting the row count on
-        the unit's storage span and reporting wall time, cursor and rows
-        to the workload ``heat`` sample. With ``stream`` an untraced
+        the unit's storage span and reporting wall time (``t0`` to now, or
+        to ``done_at`` for a unit that was done before anybody came back
+        for it), cursor and rows to the workload ``heat`` sample. With
+        ``stream`` an untraced
         query hands back the live cursor (stream merger): its row count
         is unknown (-1) until the caller drains the merged iterator, and
         the row sink fills it in. Everything else is memory-loaded here;
@@ -789,7 +844,7 @@ class ExecutionEngine:
         if span is not None:
             span.attributes["rows"] = rows
         if heat is not None:
-            heat.unit_done(unit, clock.now() - t0, cursor, rows)
+            heat.unit_done(unit, (done_at or clock.now()) - t0, cursor, rows)
         return out
 
     _CLOSED_IN_FLIGHT = "execution engine closed while statement was in flight"
@@ -892,14 +947,40 @@ class ExecutionEngine:
 
         return task
 
-    def _make_streaming_task(
+    def _run_on_batch(
+        self,
+        source: DataSource,
+        connections: list[Connection],
+        index: int,
+        unit: ExecutionUnit,
+        is_query: bool,
+        deadline: float | None,
+        span: "Span | None",
+        wait: bool = True,
+    ) -> Any:
+        """θ = 1 (memory-strictly): run one unit on its pre-acquired
+        connection, ``connections[index]`` — replaced in the batch when a
+        fault closed it — under the retry loop. With ``wait=False`` the
+        cursor comes back issued, not waited for, and the span still open."""
+
+        def attempt() -> Any:
+            if connections[index].closed:
+                source.pool.release(connections[index])
+                connections[index] = self._pool_acquire(source, deadline)
+            return self._traced(connections[index], unit, span, wait)
+
+        return self._run_attempts(
+            unit.data_source, attempt, is_query=is_query, pinned=None,
+            deadline=deadline, span=span, finish_span=wait,
+        )
+
+    def _make_write_task(
         self,
         ds_name: str,
         source: DataSource,
         connections: list[Connection],
         index: int,
         unit: ExecutionUnit,
-        is_query: bool,
         deadline: float | None,
         spans: "dict[int, Span] | None",
         heat: Any,
@@ -907,28 +988,20 @@ class ExecutionEngine:
         fail_source: Callable[[str, BaseException], None],
         state_lock: threading.Lock,
     ) -> Callable[..., None]:
-        """θ = 1 (memory-strictly): one pre-acquired connection per SQL,
-        streaming cursor (stream merger); one task per unit."""
+        """θ = 1 (memory-strictly) DML: one pre-acquired connection per SQL,
+        one task per unit — a write waits holding its connection's lock
+        (the implicit commit), so it takes a worker where a read is issued."""
 
         def task(cancelled: bool = False) -> None:
             if cancelled:
                 fail_source(ds_name, ExecutionError(self._CLOSED_IN_FLIGHT))
                 return
             span = spans.get(id(unit)) if spans is not None else None
-
-            def attempt() -> Any:
-                if connections[index].closed:
-                    source.pool.release(connections[index])
-                    connections[index] = self._pool_acquire(source, deadline)
-                return self._traced(connections[index], unit, span)
-
             t0 = clock.now() if heat is not None else 0.0
             try:
-                cursor = self._run_attempts(
-                    unit.data_source, attempt, is_query=is_query, pinned=None,
-                    deadline=deadline, span=span,
-                )
-                out = self._unit_done(unit, cursor, is_query, span, heat, t0, stream=True)
+                cursor = self._run_on_batch(
+                    source, connections, index, unit, False, deadline, span)
+                out = self._unit_done(unit, cursor, False, span, heat, t0)
                 with state_lock:
                     slots[id(unit)] = out
             except BaseException as exc:
@@ -1069,7 +1142,9 @@ class ExecutionEngine:
 
 
 class _StealScheduler:
-    """Work-stealing batch scheduler for one multi-unit statement.
+    """Work-stealing batch scheduler for the units of one multi-unit
+    statement that block while they wait (everything but memory-strictly
+    reads, which ``ExecutionEngine.execute`` issues itself).
 
     Tasks are seeded by data-source group (group *g* lands on worker
     *g mod W*), so each worker starts out owning one source's units —

@@ -9,11 +9,17 @@ Isolation note: like the paper's setup, transactional isolation is provided
 by the underlying data source. Our engine implements statement-atomic
 writes with undo-based rollback (roughly READ COMMITTED without MVCC);
 that is sufficient for every behaviour the paper measures.
+
+A statement is *issued* (admitted, run, priced, its I/O window reserved on
+the server's timeline) and then *waited for*. ``execute`` does both;
+``execute(..., wait=False)`` returns after the first, which is what an
+asynchronous driver gives — send, collect later — and what lets the
+execution engine issue every unit of a read fan-out from one thread and
+sleep once (DESIGN.md "Issue and await").
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
@@ -37,6 +43,21 @@ if TYPE_CHECKING:
     from .engine import DataSource
 
 _connection_ids = itertools.count(1)
+
+
+def _pay_traced(amount: float, ready_at: float, asked: float, span: Any) -> None:
+    """``pay(amount, ready_at)`` for a traced statement: the same wait, and
+    the wall time split three ways on ``span`` — the priced amount, the
+    queueing behind earlier reservations (the window, reserved at
+    ``asked``, started later than that), and how far the sleep ran past
+    the window's end: nothing, for a window that was over before anybody
+    slept for it."""
+    before = clock.now()
+    pay(amount, ready_at)
+    span.record_simulated(amount)
+    span.record_lock_wait(ready_at - amount - asked)
+    if before < ready_at:
+        span.record_pay_overshoot(clock.now() - ready_at)
 
 
 class Connection:
@@ -152,14 +173,20 @@ class Connection:
         self._check_open()
         return Cursor(self)
 
-    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = ()) -> "Cursor":
-        """Convenience: open a cursor and execute on it."""
+    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = (),
+                wait: bool = True) -> "Cursor":
+        """Convenience: open a cursor and execute on it (``wait=False``:
+        issue only, see :meth:`Cursor.execute`)."""
         cursor = self.cursor()
-        cursor.execute(sql, params)
+        cursor.execute(sql, params, wait)
         return cursor
 
     def _run(self, stmt: ast.Statement, params: Sequence[Any],
-             defer_pay: bool = False) -> QueryResult:
+             wait: bool = True) -> QueryResult:
+        """Admit, run and price one statement; with ``wait`` also reserve
+        and wait out its I/O. Without, nothing in here waits: the caller
+        settles ``result.cost`` and ``result.delay`` (a pipeline coalesces
+        them, an issued cursor reserves now and waits later)."""
         self._check_open()
         if isinstance(stmt, ast.BeginStatement):
             self.begin()
@@ -173,12 +200,14 @@ class Connection:
 
         self._admit(stmt)
         try:
-            self.database.maybe_fail("statement")
+            delay = self.database.maybe_fail("statement")
         except ConnectionDropError:
             # The "server" dropped us: this session is dead. close() rolls
             # back any open transaction; the pool discards closed conns.
             self.close()
             raise
+        if delay and wait:  # an injected latency spike, before the statement runs
+            pay(delay)
         span = self.trace_span
         if stmt.category in ("DML", "DDL"):
             with self._lock:
@@ -208,16 +237,16 @@ class Connection:
                     if span is not None:
                         # autocommit fsync happens inside this statement
                         span.record_simulated(self.database.latency.commit_cost())
-            if not defer_pay:
-                self._pay(result.cost, result.written_table, span)
-            return result
-
-        result, plan_status = execute_planned(self.database, stmt, params, self._transaction)
-        result.plan = plan_status
-        if span is not None:
-            span.attributes["storage_plan"] = plan_status
-        if not defer_pay:
+        else:
+            result, plan_status = execute_planned(
+                self.database, stmt, params, self._transaction)
+            result.plan = plan_status
+            if span is not None:
+                span.attributes["storage_plan"] = plan_status
+        if wait:
             self._pay(result.cost, result.written_table, span)
+        else:
+            result.delay = delay
         return result
 
     def _admit(self, stmt: ast.Statement) -> None:
@@ -244,34 +273,18 @@ class Connection:
         self.database.statements_executed += 1
 
     def _pay(self, amount: float, table: Any, span: Any) -> None:
-        """Pay simulated I/O cost (sleep); write I/O names its ``table``.
-
-        With a ``span`` the wall time is split three ways on it: the priced
-        amount, the wait to acquire the I/O locks, and how far the sleep
-        overshot its price.
-        """
+        """Pay simulated I/O cost: reserve its window on the server's I/O
+        timeline (write I/O names its ``table`` and follows that table's
+        earlier writes — the hot-table bottleneck the paper's sharding
+        removes), then sleep to the window's end."""
         if amount <= 0:
             return
-        if span is not None:
-            wait_t0 = clock.now()
-            with table.io_lock if table is not None else contextlib.nullcontext():
-                with self.data_source.io_semaphore:
-                    pay_t0 = clock.now()
-                    pay(amount)
-                    slept = clock.now() - pay_t0
-            span.record_simulated(amount)
-            span.record_lock_wait(pay_t0 - wait_t0)
-            span.record_pay_overshoot(slept - amount)
-        elif table is not None:
-            # Write I/O serializes per table (page/WAL contention):
-            # the hot-table bottleneck the paper's sharding removes.
-            # Lock order: table io_lock, then a server I/O channel.
-            with table.io_lock:
-                with self.data_source.io_semaphore:
-                    pay(amount)
+        if span is None:
+            pay(amount, self.data_source.io_timeline.reserve(amount, table))
         else:
-            with self.data_source.io_semaphore:
-                pay(amount)
+            asked = clock.now()
+            _pay_traced(amount, self.data_source.io_timeline.reserve(amount, table),
+                        asked, span)
 
     # -- statement pipelining ---------------------------------------------------
 
@@ -285,8 +298,8 @@ class Connection:
         changes is the simulated-I/O payment: the write-I/O slice of each
         statement's cost is coalesced to **one charge per distinct written
         table** in the batch (the group-commit / write-combining analog of
-        a real engine flushing one dirty page per table), paid under that
-        table's ``io_lock`` so hot-table serialization is preserved.
+        a real engine flushing one dirty page per table), reserved behind
+        that table's earlier writes so hot-table serialization is preserved.
 
         Pending write I/O is flushed before any COMMIT/ROLLBACK in the
         batch so the write-before-fsync ordering holds. On a mid-batch
@@ -308,7 +321,7 @@ class Connection:
                 if isinstance(stmt, _TCL_STATEMENTS) and pending:
                     self._flush_pipeline_costs(pending)
                     pending = []
-                result = self._run(stmt, params, defer_pay=True)
+                result = self._run(stmt, params, False)
                 results.append(result)
                 pending.append(result)
         finally:
@@ -316,11 +329,14 @@ class Connection:
         return results
 
     def _flush_pipeline_costs(self, pending: list[QueryResult]) -> None:
-        """Pay deferred costs: reads summed, writes coalesced per table."""
+        """Pay deferred costs: delays (network hops, injected spikes) and
+        reads summed, writes coalesced per table."""
         span = self.trace_span
         read_cost = 0.0
         per_table: dict[int, list] = {}
         for result in pending:
+            if result.delay:
+                pay(result.delay)
             if result.cost <= 0:
                 continue
             if result.written_table is None:
@@ -371,10 +387,12 @@ class Connection:
             )
         self._admit(stmt)
         try:
-            self.database.maybe_fail("statement")
+            delay = self.database.maybe_fail("statement")
         except ConnectionDropError:
             self.close()
             raise
+        if delay:
+            pay(delay)
         span = self.trace_span
         with self._lock:
             implicit = False
@@ -411,6 +429,14 @@ class Cursor:
 
     arraysize = 100
 
+    #: ``clock.now()`` instant at which an issued statement's I/O window
+    #: ends (0.0: it was done when ``execute`` returned)
+    ready_at = 0.0
+    #: what an issued statement still has to wait for, to ``ready_at``:
+    #: ``(seconds priced, when the window was reserved, trace span)``; None
+    #: once waited for, and always after a blocking ``execute``
+    _pending: tuple[float, float, Any] | None = None
+
     def __init__(self, connection: Connection):
         self.connection = connection
         self._result: QueryResult | None = None
@@ -435,7 +461,14 @@ class Cursor:
 
     # -- execution ----------------------------------------------------------------
 
-    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = ()) -> "Cursor":
+    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = (),
+                wait: bool = True) -> "Cursor":
+        """Run one statement. With ``wait=False`` it is only *issued*: run
+        and priced, its I/O window reserved on the server's timeline, and
+        the call returns without sleeping; :meth:`wait` (or the first
+        fetch) then sleeps to the end of that window, so no caller reads
+        a result before its priced time. A write's implicit commit is
+        still waited for in place."""
         if self._closed:
             raise ConnectionClosedError("cursor is closed")
         if isinstance(sql, str):
@@ -445,9 +478,27 @@ class Cursor:
             stmt.storage_plan_key = sql
         else:
             stmt = sql
-        self._result = self.connection._run(stmt, params)
-        self._rows = iter(self._result.rows)
+        connection = self.connection
+        self._result = result = connection._run(stmt, params, wait)
+        self._rows = iter(result.rows)
+        if not wait and (owed := result.cost + result.delay) > 0:
+            asked = clock.now()
+            self.ready_at = connection.data_source.io_timeline.reserve(
+                result.cost, result.written_table, result.delay)
+            self._pending = (owed, asked, connection.trace_span)
+        elif self.ready_at:  # a cursor used again after an issued statement
+            self._pending, self.ready_at = None, 0.0
         return self
+
+    def wait(self) -> None:
+        """Sleep until an issued statement's I/O is done (at most once; a
+        no-op after a blocking ``execute``)."""
+        if self._pending is not None:
+            (owed, asked, span), self._pending = self._pending, None
+            if span is None:
+                pay(owed, self.ready_at)
+            else:
+                _pay_traced(owed, self.ready_at, asked, span)
 
     def executemany(self, sql: str | ast.Statement, seq_of_params: Sequence[Sequence[Any]]) -> "Cursor":
         """Execute once per parameter row, parsing/planning only once.
@@ -471,16 +522,24 @@ class Cursor:
     # -- fetching ---------------------------------------------------------------------
 
     def fetchone(self) -> tuple[Any, ...] | None:
+        if self._pending is not None:
+            self.wait()
         return next(self._rows, None)
 
     def fetchmany(self, size: int | None = None) -> list[tuple[Any, ...]]:
+        if self._pending is not None:
+            self.wait()
         limit = size if size is not None else self.arraysize
         return list(itertools.islice(self._rows, limit))
 
     def fetchall(self) -> list[tuple[Any, ...]]:
+        if self._pending is not None:
+            self.wait()
         return list(self._rows)
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
+        if self._pending is not None:
+            self.wait()
         return self._rows
 
     def close(self) -> None:

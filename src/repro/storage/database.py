@@ -92,13 +92,16 @@ class Database:
         with self._lock:
             self._fail_on[operation] = self._fail_on.get(operation, 0) + times
 
-    def maybe_fail(self, operation: str) -> None:
+    def maybe_fail(self, operation: str) -> float:
+        """Raise the failure armed for ``operation``, if any; otherwise the
+        seconds of an injected latency spike the caller must add to what
+        the operation waits for (0.0 almost always)."""
         # Fast path: no pending failures and no injector. Read without the
         # lock — both are set before the workload that should observe them
         # runs, so the race-free guarantee of the lock is not needed just
         # to see "nothing armed", and this check runs on every statement.
         if not self._fail_on and self.fault_injector is None:
-            return
+            return 0.0
         with self._lock:
             remaining = self._fail_on.get(operation, 0)
             if remaining > 0:
@@ -106,8 +109,8 @@ class Database:
                 raise ExecutionError(f"injected failure on {operation} in database {self.name!r}")
         injector = self.fault_injector
         if injector is not None:
-            # Outside the database lock: latency faults sleep.
-            injector.on_operation(self.name, operation)
+            return injector.on_operation(self.name, operation)
+        return 0.0
 
     # -- locking -------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from ..sql import ast
 from ..sql.dialects import MYSQL, Dialect
 from .connection import Connection
 from .database import Database
-from .latency import LatencyModel, pay
+from .latency import IOTimeline, LatencyModel, pay
 from .pool import ConnectionPool
 
 if TYPE_CHECKING:
@@ -45,7 +45,7 @@ class DataSource:
         # makes "more data servers -> more aggregate throughput" (Fig. 12)
         # physically true in the simulation.
         self.io_channels = io_channels
-        self.io_semaphore = threading.BoundedSemaphore(io_channels)
+        self.io_timeline = IOTimeline(io_channels)
         # Lock used by the automatic execution engine for atomic multi-
         # connection acquisition (deadlock avoidance, Section VI-D).
         self.acquisition_lock = threading.Lock()
@@ -111,7 +111,12 @@ class DataSource:
 class _NetworkedConnection(Connection):
     """Connection that pays a network round-trip per statement."""
 
-    def _run(self, stmt: ast.Statement, params: Sequence[Any],
-             defer_pay: bool = False):
-        pay(self.data_source.network_hop)
-        return super()._run(stmt, params, defer_pay)
+    def _run(self, stmt: ast.Statement, params: Sequence[Any], wait: bool = True):
+        hop = self.data_source.network_hop
+        if wait:
+            pay(hop)
+            return super()._run(stmt, params)
+        # not waited for here: the statement's I/O starts that much later
+        result = super()._run(stmt, params, False)
+        result.delay += hop
+        return result

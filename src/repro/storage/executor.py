@@ -39,6 +39,10 @@ class QueryResult:
     #: the write-I/O slice of ``cost`` — the portion a statement pipeline may
     #: coalesce into one payment per written table (group-commit analog)
     write_cost: float = 0.0
+    #: seconds before this statement's I/O can start that nobody has waited
+    #: for yet (a network hop, an injected latency spike); only a statement
+    #: run without waiting (``Connection._run(..., wait=False)``) has any
+    delay: float = 0.0
 
     def fetch_all(self) -> list[tuple[Any, ...]]:
         return list(self.rows)

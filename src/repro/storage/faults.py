@@ -14,8 +14,9 @@ Fault kinds per data source:
   brief network jitter. Retryable by the execution engine.
 - **drop** — raise :class:`ConnectionDropError`; the connection marks
   itself closed, so a retry must re-acquire from the pool.
-- **latency** — sleep ``latency_spike`` seconds (a slow disk / GC pause);
-  not an error, but it burns statement deadline budget.
+- **latency** — ``latency_spike`` more seconds for the operation to wait
+  (a slow disk / GC pause); not an error, but it burns statement
+  deadline budget.
 - **crash** — the source goes down *and stays down* until ``revive()``;
   every operation raises :class:`DataSourceUnavailableError`. Health
   detection sees probes fail and marks the source DOWN.
@@ -36,7 +37,6 @@ from ..exceptions import (
     DataSourceUnavailableError,
     TransientError,
 )
-from .latency import pay
 
 
 class FaultKind:
@@ -131,13 +131,15 @@ class FaultInjector:
 
     # -- the hook ----------------------------------------------------------
 
-    def on_operation(self, source: str, operation: str) -> None:
+    def on_operation(self, source: str, operation: str) -> float:
         """Called by ``Database.maybe_fail`` before every operation.
 
-        Raises the injected error (or sleeps, for latency spikes). At most
-        one fault fires per operation; crash state dominates.
+        Raises the injected error, or returns the seconds of an injected
+        latency spike (0.0 without one): the caller adds them to what the
+        operation waits for — in place, or on an issued statement as a
+        later start of its I/O window. Nothing sleeps here. At most one
+        fault fires per operation; crash state dominates.
         """
-        spike = 0.0
         with self._lock:
             self._ops[source] = self._ops.get(source, 0) + 1
             if source in self._crashed:
@@ -147,7 +149,7 @@ class FaultInjector:
                 )
             kind = self._draw_locked(source, operation)
             if kind is None:
-                return
+                return 0.0
             self._count_locked(source, kind)
             if kind == FaultKind.CRASH:
                 self._crashed.add(source)
@@ -156,19 +158,14 @@ class FaultInjector:
                 )
             if kind == FaultKind.LATENCY:
                 profile = self._profiles.get(source)
-                spike = profile.latency_spike if profile is not None else 0.002
-        # Sleep outside the lock so concurrent sources don't serialize.
-        if spike > 0.0:
-            pay(spike)
-            return
+                return profile.latency_spike if profile is not None else 0.002
         if kind == FaultKind.TRANSIENT:
             raise TransientError(
                 f"injected transient error on {operation} in {source!r}"
             )
-        if kind == FaultKind.DROP:
-            raise ConnectionDropError(
-                f"injected connection drop on {operation} in {source!r}"
-            )
+        raise ConnectionDropError(
+            f"injected connection drop on {operation} in {source!r}"
+        )
 
     def _draw_locked(self, source: str, operation: str) -> str | None:
         queued = self._one_shots.get((source, operation))

@@ -8,7 +8,7 @@ Both map an indexed key to the set of row ids holding it.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable
 
 from ..exceptions import DuplicateKeyError
 from .expression import sort_key
@@ -101,8 +101,13 @@ class SortedIndex:
             index += 1
 
     def range(self, low: Any = None, high: Any = None,
-              include_low: bool = True, include_high: bool = True) -> Iterator[int]:
-        """Yield row ids with key in [low, high] (open/closed per flags)."""
+              include_low: bool = True, include_high: bool = True) -> list[int]:
+        """Row ids with key in [low, high] (open/closed per flags).
+
+        Readers take no lock, so this is one slice — one atomic copy — and
+        not a generator walking ``_row_ids`` while a writer inserts into
+        and deletes from it: that could skip or repeat an id, or run off
+        the end of a list that shrank."""
         if low is None:
             start = 0
         else:
@@ -113,8 +118,7 @@ class SortedIndex:
         else:
             key = self._key(high)
             stop = bisect.bisect_right(self._keys, key) if include_high else bisect.bisect_left(self._keys, key)
-        for i in range(start, stop):
-            yield self._row_ids[i]
+        return self._row_ids[start:stop]
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -361,7 +361,7 @@ def _compile_try_index(table: Table, exposed: str,
             if sorted_index is not None:
                 def run_eq_range(params: Sequence[Any]) -> tuple[list[int], bool]:
                     value = getter(params)
-                    return list(sorted_index.range(value, value)), True
+                    return sorted_index.range(value, value), True
 
                 return _AccessPath(run_eq_range, None, False)
             return None
@@ -371,7 +371,7 @@ def _compile_try_index(table: Table, exposed: str,
         bounds = _RANGE_BOUNDS[op]
 
         def run_range(params: Sequence[Any]) -> tuple[list[int], bool]:
-            return list(sorted_index.range(*bounds(getter(params)))), True
+            return sorted_index.range(*bounds(getter(params))), True
 
         return _AccessPath(run_range, column.lower(), False)
     if isinstance(predicate, ast.InExpr) and not predicate.negated:
@@ -411,7 +411,7 @@ def _compile_try_index(table: Table, exposed: str,
             return None
 
         def run_between(params: Sequence[Any]) -> tuple[list[int], bool]:
-            return list(sorted_index.range(low_getter(params), high_getter(params))), True
+            return sorted_index.range(low_getter(params), high_getter(params)), True
 
         return _AccessPath(run_between, column.lower(), False)
     return None
@@ -514,7 +514,7 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
                     if sorted_index is not None:
                         def run_ordered_scan(params: Sequence[Any],
                                              _index=sorted_index) -> tuple[list[int], bool]:
-                            return list(_index.range(None, None)), False
+                            return _index.range(None, None), False
 
                         ordered = _AccessPath(run_ordered_scan, lower, True)
                 if ordered is not None:

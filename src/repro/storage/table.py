@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Iterator
 
 from ..exceptions import DuplicateKeyError, StorageError
@@ -21,11 +20,13 @@ class Table:
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        #: serializes the simulated write I/O of this table: concurrent
-        #: writers to one hot table queue up here, which is the physical
-        #: reason sharding a big table into many small ones raises write
-        #: throughput (Table IV of the paper). Readers never take it.
-        self.io_lock = threading.Lock()
+        #: when (``clock.now()``) the last reserved write I/O of this table
+        #: ends; the server's ``IOTimeline`` starts the next one no earlier
+        #: and moves it, under its own lock. Concurrent writers to one hot
+        #: table queue up here, which is the physical reason sharding a big
+        #: table into many small ones raises write throughput (Table IV of
+        #: the paper). Reads never look at it.
+        self.io_free_at = 0.0
         self._rows: dict[int, dict[str, Any]] = {}
         self._next_row_id = 0
         self._auto_value = 0
@@ -125,7 +126,7 @@ class Table:
                     return sorted(index.lookup(value))
         sorted_index = self._sorted_indexes.get(lower)
         if sorted_index is not None:
-            return list(sorted_index.range(value, value))
+            return sorted_index.range(value, value)
         return None
 
     def find_by_equalities(self, equalities: dict[str, Any]) -> list[int] | None:
@@ -147,7 +148,7 @@ class Table:
         sorted_index = self._sorted_indexes.get(column.lower())
         if sorted_index is None:
             return None
-        return list(sorted_index.range(low, high, include_low, include_high))
+        return sorted_index.range(low, high, include_low, include_high)
 
     # ------------------------------------------------------------------
     # Mutation

@@ -97,8 +97,7 @@ class Transaction:
 
     def commit(self) -> None:
         self._check(TxnStatus.ACTIVE, TxnStatus.PREPARED)
-        self.database.maybe_fail("commit")
-        self.database.latency.charge_commit()
+        self.database.latency.charge_commit(self.database.maybe_fail("commit"))
         self._undo.clear()
         self.status = TxnStatus.COMMITTED
         if self._touched:
@@ -125,8 +124,8 @@ class Transaction:
     def prepare(self, xid: str) -> None:
         """Phase 1: promise this transaction can commit; park it under xid."""
         self._check(TxnStatus.ACTIVE)
-        self.database.maybe_fail("prepare")
-        self.database.latency.charge_commit()  # prepare writes a log record
+        # prepare writes a log record
+        self.database.latency.charge_commit(self.database.maybe_fail("prepare"))
         self.xid = xid
         self.status = TxnStatus.PREPARED
         self.database.park_prepared(xid, self)

@@ -76,6 +76,69 @@ def test_the_lint_names_file_and_line_of_every_form(tmp_path):
     ]
 
 
+def waits_under_a_lock(path: Path, root: Path) -> list[str]:
+    """``file:line: what`` for every ``pay(...)`` / ``clock.sleep(...)`` written
+    inside a ``with`` on a lock, semaphore or condition (``self._lock``,
+    ``table.page_lock``, ``source.channel_semaphore``, ``database.write_lock()``):
+    whoever else wants that lock would wait out the sleep too."""
+
+    def held(item: ast.withitem) -> str | None:
+        target = item.context_expr
+        if isinstance(target, ast.Call):
+            target = target.func
+        name = getattr(target, "attr", None) or getattr(target, "id", "")
+        return name if name.endswith(("lock", "semaphore", "mutex", "_available")) else None
+
+    found = []
+    for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(outer, ast.With):
+            continue
+        locks = [name for name in map(held, outer.items) if name]
+        if not locks:
+            continue
+        for node in ast.walk(outer):
+            if not isinstance(node, ast.Call):
+                continue
+            what = ast.unparse(node.func)
+            if what == "clock.sleep" or what.rpartition(".")[2] == "pay":
+                found.append(f"{path.relative_to(root)}:{node.lineno}: "
+                             f"{what}() while holding {locks[0]}")
+    return sorted(set(found))
+
+
+def test_storage_never_waits_for_simulated_time_while_holding_a_lock():
+    """What an I/O timeline is for (DESIGN.md "Issue and await"): a window
+    is reserved under a lock and waited for outside it."""
+    offenders = [site for path in sorted((PACKAGE / "storage").rglob("*.py"))
+                 for site in waits_under_a_lock(path, PACKAGE.parent)]
+    assert offenders == [], "reserve under the lock, wait outside it:\n" + "\n".join(offenders)
+
+
+def test_the_lock_lint_names_file_and_line(tmp_path):
+    source = tmp_path / "offender.py"
+    source.write_text(
+        "def _pay(self, amount, table):\n"
+        "    with table.page_lock:\n"
+        "        with self.data_source.channel_semaphore:\n"
+        "            pay(amount)\n"
+        "    with self._lock, open(path) as f:\n"
+        "        clock.sleep(1)\n"
+        "    with self.database.write_lock():\n"
+        "        latency.pay(amount)\n"
+        "    with open(path) as f:\n"
+        "        pay(amount)\n"
+        "    with self._lock:\n"
+        "        ready_at = timeline.reserve(amount)\n"
+        "    pay(amount, ready_at)\n"
+    )
+    assert waits_under_a_lock(source, tmp_path) == [
+        "offender.py:4: pay() while holding channel_semaphore",
+        "offender.py:4: pay() while holding page_lock",
+        "offender.py:6: clock.sleep() while holding _lock",
+        "offender.py:8: latency.pay() while holding write_lock",
+    ]
+
+
 # -- (b) mechanism: a session thread waits tightly, a fan-out worker does not ----
 
 

@@ -164,8 +164,16 @@ def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, mo
     ``repro.storage`` — through each of the three bindings — and nothing
     sleeps: the counter stands in for the clock."""
     callers = []
-    monkeypatch.setattr(
-        clock, "sleep", lambda seconds: callers.append(sys._getframe(1).f_globals["__name__"]))
+    now = [100.0]
+
+    def counted_sleep(seconds):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        now[0] += seconds
+
+    # time passes only in a sleep, so no reserved I/O window is over before
+    # its statement comes to wait for it, however slow the host
+    monkeypatch.setattr(clock, "now", lambda: now[0])
+    monkeypatch.setattr(clock, "sleep", counted_sleep)
     tracing = load_tracing()
     latency = LatencyModel(write_io=2e-4)
     # ds0 is across a network hop, so its statements also pay through
@@ -204,3 +212,80 @@ def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, mo
     under_storage = [name for name in waited if name.startswith("repro.storage")]
     assert under_storage == ["repro.storage.latency"] * len(pays)
     assert waited == under_storage  # and nothing else in the program waited at all
+
+
+def test_an_issued_fan_out_is_still_seen_unit_by_unit(monkeypatch):
+    """A 16-unit literal SELECT on the non-sharding column is issued and
+    awaited by the calling thread (DESIGN.md "Issue and await"). The
+    harness must still see it whole: ``Connection.execute`` is the door
+    every unit goes through, every unit's price passes through a ``pay``,
+    and both kinds of span sit under the ``engine.executor`` span."""
+    from repro.sharding import ShardingRule, build_auto_table_rule
+    from repro.storage.connection import Connection
+
+    tracing = load_tracing()
+    names = [f"ds{i}" for i in range(4)]
+    sources = {name: DataSource(name, latency=LatencyModel()) for name in names}
+    table_rule = build_auto_table_rule(
+        "t_big", names, sharding_column="id", algorithm_type="MOD",
+        properties={"sharding-count": 16})
+    for index, node in enumerate(table_rule.data_nodes):
+        sources[node.data_source].execute(
+            f"CREATE TABLE {node.table} (id INT PRIMARY KEY, v INT)")
+        sources[node.data_source].execute(
+            f"INSERT INTO {node.table} (id, v) VALUES ({index}, {index * 10})")
+    runtime = ShardingRuntime(
+        sources, ShardingRule([table_rule], default_data_source="ds0"),
+        max_connections_per_query=4)
+    conn = ShardingDataSource(runtime).get_connection()
+
+    cursors = []
+    storage_execute = Connection.execute
+
+    def remembering(self, *args, **kwargs):
+        cursors.append(storage_execute(self, *args, **kwargs))
+        return cursors[-1]
+
+    monkeypatch.setattr(Connection, "execute", remembering)
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        recorder.begin_op()
+        rows = conn.execute("SELECT id FROM t_big WHERE v >= 0 ORDER BY id").fetchall()
+        recorder.end_op()
+    finally:
+        recorder.uninstall()
+        conn.close()
+        pool_threads = list(runtime.engine.executor._pool._threads)
+        runtime.close()
+
+    assert rows == [(i,) for i in range(16)] and len(cursors) == 16
+    assert tracing.check_tree(recorder.spans) == []
+    (executor,) = [s for s in recorder.spans if s[tracing.LAYER] == "engine.executor"]
+    doors = [s for s in recorder.spans if s[tracing.LAYER] == "storage.connection"]
+    pays = [s for s in recorder.spans if s[tracing.LAYER] == "storage.latency"]
+    assert [s[tracing.NAME] for s in doors] == ["Connection.execute"] * 16
+    assert [s[tracing.NAME] for s in pays] == ["connection.pay"] * 16
+    assert sorted(s[tracing.VALUE] for s in pays) == sorted(c._result.cost for c in cursors)
+    assert min(s[tracing.VALUE] for s in pays) > 0
+    # ...under the executor's span, and on the thread that opened it: there is no other
+    assert {s[tracing.PARENT] for s in doors + pays} == {executor[tracing.ID]}
+    assert pool_threads == []
+    # issued first, awaited after: every door is shut before the first pay opens
+    assert max(s[tracing.END] for s in doors) <= min(s[tracing.START] for s in pays)
+
+
+def test_pay_sleeps_at_most_once_and_never_for_a_window_that_is_over(monkeypatch):
+    slept = []
+    monkeypatch.setattr(clock, "now", lambda: 100.0)
+    monkeypatch.setattr(clock, "sleep", slept.append)
+    pay = repro.storage.latency.pay
+    pay(0.5)
+    assert slept == [0.5]
+    pay(0.5, 100.2)  # behind nobody: what is left of the window
+    pay(0.5, until=103.0)  # behind a queue: longer than the price
+    assert slept == [0.5, 100.2 - 100.0, 3.0]
+    pay(0.5, until=100.0)
+    pay(0.5, until=99.0)  # over before anybody came to wait for it: asked, for nothing
+    pay(0.0)
+    assert slept[3:] == [0.0, -1.0]  # what `clock.sleep` returns from at once

@@ -71,16 +71,16 @@ class TestBufferPoolKnee:
 
 class TestPaymentAttribution:
     """A traced payment's wall time is split three ways on its span: the
-    priced sleep, the wait for the I/O locks, and the sleep's overshoot —
-    which is not lock wait."""
+    priced sleep, the queueing behind the I/O reserved ahead of it, and the
+    sleep's overshoot — which is not queueing."""
 
     HOLD = OVERSHOOT = 0.1
 
     def test_overshoot_is_not_booked_as_lock_wait(self, monkeypatch):
-        import threading
         import time
 
         import repro.storage.connection as connection
+        from repro import clock
         from repro.observability.trace import Span
         from repro.storage import DataSource
 
@@ -88,25 +88,18 @@ class TestPaymentAttribution:
         ds.execute("CREATE TABLE acc (id INT PRIMARY KEY, bal INT)")
         ds.execute("INSERT INTO acc (id, bal) VALUES (1, 100)")
         table = ds.database.table("acc")
-        # a sleep that always runs OVERSHOOT past what was priced
-        monkeypatch.setattr(connection, "pay",
-                            lambda seconds: time.sleep(seconds + self.OVERSHOOT))
 
-        held = threading.Event()
+        # a sleep that always runs OVERSHOOT past the end of its window
+        def late(seconds, until=None):
+            time.sleep(max(until - clock.now(), 0.0) + self.OVERSHOOT)
 
-        def writer_ahead_of_us():
-            with table.io_lock:
-                held.set()
-                time.sleep(self.HOLD)
+        monkeypatch.setattr(connection, "pay", late)
 
         conn = ds.connect()
         span = conn.trace_span = Span(1, 1, "storage")
-        blocker = threading.Thread(target=writer_ahead_of_us)
-        blocker.start()
-        assert held.wait(5)
+        # a writer ahead of us: the table's write I/O is booked for HOLD
+        ds.io_timeline.reserve(self.HOLD, table)
         priced = conn.execute("UPDATE acc SET bal = bal - 1 WHERE id = 1")._result.cost
-        blocker.join(5)
-        assert not blocker.is_alive()
 
         slack = 0.06  # scheduling noise on a shared host; under either term
         assert priced > 0

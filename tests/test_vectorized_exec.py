@@ -369,7 +369,28 @@ def broadcast_units(rule, sql):
 
 class TestWorkStealing:
     def test_skewed_route_steals_and_completes(self, skewed_fleet):
+        """Stealing serves the units that block while they wait — here the
+        24 single-shard UPDATEs of a broadcast write, each holding its
+        connection through a priced write and commit."""
         sources, rule = skewed_fleet
+        sources["ds0"].database.latency = LatencyModel(write_io=2e-4, commit_io=2e-4)
+        engine = ExecutionEngine(sources, max_connections_per_query=SHARDS)
+        units = broadcast_units(rule, "UPDATE t_big SET v = v + 1")
+        assert len(units) == SHARDS
+        result = engine.execute(units, is_query=False)
+        assert result.update_count == SHARDS
+        snap = engine.metrics.snapshot()
+        assert snap["queued_tasks"] == SHARDS
+        assert snap["steals"] > 0
+        assert snap["stolen_tasks"] > 0
+        assert sources["ds0"].pool.in_use == 0
+        engine.close()
+
+    def test_read_fanout_queues_nothing_and_starts_no_thread(self, skewed_fleet):
+        """The mirror: the same 24 shards *read* are issued by the caller and
+        awaited together — no task, no steal, no pool thread."""
+        sources, rule = skewed_fleet
+        sources["ds0"].database.latency = LatencyModel()
         engine = ExecutionEngine(sources, max_connections_per_query=SHARDS)
         units = broadcast_units(rule, "SELECT * FROM t_big")
         assert len(units) == SHARDS
@@ -377,10 +398,11 @@ class TestWorkStealing:
         rows = sorted(row for shard in result.results for row in shard)
         assert rows == [(i, i * 10) for i in range(SHARDS)]
         snap = engine.metrics.snapshot()
-        assert snap["queued_tasks"] == SHARDS
-        assert snap["steals"] > 0
-        assert snap["stolen_tasks"] > 0
+        assert (snap["queued_tasks"], snap["steals"], snap["stolen_tasks"]) == (0, 0, 0)
+        assert not engine._pool._threads
+        assert snap["memory_strictly"] == 1 and snap["statements"] == SHARDS
         result.release()
+        assert sources["ds0"].pool.in_use == 0
         engine.close()
 
     def test_row_results_preserve_unit_order(self, skewed_fleet):
