@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from ..exceptions import MergeError
-from ..storage.expression import OrderToken, sort_key
+from ..storage.expression import order_key, sort_key
 
 
 class ShardResult(Protocol):
@@ -148,19 +149,18 @@ def _resolve_key(key: int | str, columns: list[str]) -> int:
     raise MergeError(f"cannot resolve merge key {key!r} in columns {columns}")
 
 
-# Direction-aware sort token shared with the storage layer.
-_OrderToken = OrderToken
-
-
-def _row_token(row: tuple[Any, ...], order_indexes: list[tuple[int, bool]]) -> tuple:
-    return tuple(_OrderToken(row[i], desc) for i, desc in order_indexes)
+def _order_key(order_indexes: list[tuple[int, bool]]) -> tuple[Any, bool]:
+    """``(key, reverse)`` by the storage layer's one ORDER BY rule."""
+    read = operator.itemgetter(*[i for i, _ in order_indexes])
+    return order_key(read, [desc for _, desc in order_indexes])
 
 
 def _heap_merge(
     results: Sequence[ShardResult], order_indexes: list[tuple[int, bool]]
 ) -> Iterator[tuple[Any, ...]]:
     """Multi-way merge of per-shard sorted streams (priority queue)."""
-    return heapq.merge(*results, key=lambda row: _row_token(row, order_indexes))
+    key, reverse = _order_key(order_indexes)
+    return heapq.merge(*results, key=key, reverse=reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,8 @@ def _memory_group(
                 bucket.append(row)
     combined = [_combine_group(spec, groups[key]) for key in order]
     if order_indexes:
-        combined.sort(key=lambda row: _row_token(row, order_indexes))
+        key, reverse = _order_key(order_indexes)
+        combined.sort(key=key, reverse=reverse)
     return iter(combined)
 
 

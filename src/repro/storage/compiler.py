@@ -28,6 +28,7 @@ from typing import Any, Callable, Sequence
 from ..exceptions import ColumnNotFoundError, ExecutionError
 from ..sql import ast
 from ..sql.formatter import format_expression
+from .executor import _conjuncts
 from .expression import (
     UNKNOWN,
     _as_tvl,
@@ -49,6 +50,12 @@ def _tvl(fn: "Getter") -> "Getter":
     return fn
 
 
+#: declared column types whose stored values are exactly ``int`` or ``None``
+#: (``_coerce_int`` in :mod:`repro.storage.types` turns bools, integral
+#: floats and numeric strings into ``int`` on every write)
+INT_TYPES = frozenset(("INT", "INTEGER", "BIGINT", "SMALLINT"))
+
+
 class RowLayout:
     """Column-offset map for tuple rows of one FROM/JOIN chain.
 
@@ -56,18 +63,23 @@ class RowLayout:
     concatenated row tuple, in FROM-then-JOIN order. Resolution order:
     qualified exact match first, then a bare exact-name match with the
     leftmost table winning, then the case-insensitive fallback.
+    ``int_offsets`` are the offsets of integer-family columns (``INT_TYPES``).
     """
 
-    __slots__ = ("slots", "width")
+    __slots__ = ("slots", "width", "int_offsets")
 
     def __init__(self) -> None:
         self.slots: list[tuple[str, list[str], int]] = []
         self.width = 0
+        self.int_offsets: set[int] = set()
 
-    def add(self, exposed: str, column_names: Sequence[str]) -> int:
+    def add(self, exposed: str, column_names: Sequence[str],
+            type_names: Sequence[str] = ()) -> int:
         base = self.width
         self.slots.append((exposed, list(column_names), base))
         self.width += len(column_names)
+        self.int_offsets.update(base + i for i, name in enumerate(type_names)
+                                if name in INT_TYPES)
         return base
 
     def resolve(self, ref: ast.ColumnRef) -> int:
@@ -147,6 +159,37 @@ class CompileContext:
         if slot is None:
             raise ExecutionError(f"aggregate {key} not available in this context")
         return lambda row, params, _i=slot: row[1][_i]
+
+
+def column_offset(expr: ast.Expression, ctx: CompileContext) -> int | None:
+    """The offset a bare column reference reads in a ``"scan"`` row, else
+    None (any other expression, or a grouped / constant context)."""
+    if ctx.mode != "scan" or not isinstance(expr, ast.ColumnRef):
+        return None
+    return ctx.layout.resolve(expr)
+
+
+def int_column_offset(expr: ast.Expression, ctx: CompileContext) -> int | None:
+    """:func:`column_offset` of an integer-family column, else None."""
+    offset = column_offset(expr, ctx)
+    return offset if offset in ctx.layout.int_offsets else None
+
+
+def const_getter(expr: ast.Expression) -> Callable[[Sequence[Any]], Any] | None:
+    """A params -> value getter when ``expr`` is constant for one
+    execution (literal, placeholder, negated numeric literal)."""
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        return lambda params: value
+    if isinstance(expr, ast.Placeholder):
+        index = expr.index
+        return lambda params: params[index]
+    if (isinstance(expr, ast.UnaryOp) and expr.op == "-"
+            and isinstance(expr.operand, ast.Literal)
+            and isinstance(expr.operand.value, (int, float))):
+        negated = -expr.operand.value
+        return lambda params: negated
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -459,30 +502,100 @@ def _compile_case(expr: ast.CaseExpr, ctx: CompileContext) -> Getter:
 BatchFilter = Callable[[Sequence[Any], Sequence[Any]], list]
 
 
-def _flatten_and(expr: ast.Expression) -> list[ast.Expression]:
-    """Top-level AND conjuncts in left-to-right evaluation order."""
-    out: list[ast.Expression] = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.BinaryOp) and node.op == "AND":
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(node)
-    return out
-
-
 def compile_batch_predicate(expr: ast.Expression, ctx: CompileContext) -> BatchFilter:
     """Compile WHERE semantics over a whole chunk: rows where the
     predicate is True survive, UNKNOWN/NULL filter out.
 
-    Top-level AND conjuncts are compiled separately and fused into a
-    single comprehension with native short-circuit ``and`` — identical to
-    3VL conjunction under WHERE (True iff every conjunct is True),
-    evaluated left to right.
+    Top-level AND conjuncts are compiled separately and run as stages in
+    their written order, each on the rows the previous ones kept — 3VL
+    conjunction under WHERE is True iff every conjunct is True, and a row
+    meets a conjunct only if every earlier one held for it, as with a
+    short-circuit ``and``. An integer range conjunct is its own stage
+    (:func:`_int_range_kernel`); each run of other conjuncts is fused into
+    one comprehension with native short-circuit ``and``.
     """
-    preds = [compile_predicate(c, ctx) for c in _flatten_and(expr)]
+    stages: list[BatchFilter] = []
+    run: list[Getter] = []
+    for conjunct in _conjuncts(expr):
+        predicate = compile_predicate(conjunct, ctx)
+        kernel = _int_range_kernel(conjunct, predicate, ctx)
+        if kernel is None:
+            run.append(predicate)
+            continue
+        if run:
+            stages.append(_fused_filter(run))
+            run = []
+        stages.append(kernel)
+    if run:
+        stages.append(_fused_filter(run))
+    if len(stages) == 1:
+        return stages[0]
+    chained = tuple(stages)
+
+    def staged_filter(rows: Sequence[Any], params: Sequence[Any]) -> list:
+        for stage in chained:
+            rows = stage(rows, params)
+            if not rows:
+                break
+        return rows
+
+    return staged_filter
+
+
+#: the operator with its operands swapped (``5 < k`` is ``k > 5``)
+_MIRRORED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+
+def _int_range_kernel(conjunct: ast.Expression, predicate: Getter,
+                      ctx: CompileContext) -> BatchFilter | None:
+    """A batch kernel for ``intcol <op> const`` (either side) or ``intcol
+    [NOT] BETWEEN const AND const``, where ``intcol`` is an integer-family
+    column and ``const`` a literal or placeholder; None for anything else.
+
+    Stored values there are ``int`` or ``None``, so when the bound(s) are
+    exactly ``int`` at run time (not bool, float, str or NULL) native
+    comparison is :func:`_compare_values`' answer and the chunk is filtered
+    by one comprehension. Any other bound runs ``predicate``, the
+    conjunct's closure, per row.
+    """
+    if isinstance(conjunct, ast.BetweenExpr):
+        i = int_column_offset(conjunct.operand, ctx)
+        low, high = const_getter(conjunct.low), const_getter(conjunct.high)
+        if i is None or low is None or high is None:
+            return None
+        negated = conjunct.negated
+
+        def between_kernel(rows: Sequence[Any], params: Sequence[Any]) -> list:
+            lo, hi = low(params), high(params)
+            if lo.__class__ is not int or hi.__class__ is not int:
+                return [r for r in rows if predicate(r, params)]
+            if negated:
+                return [r for r in rows if (v := r[i]) is not None and not lo <= v <= hi]
+            return [r for r in rows if (v := r[i]) is not None and lo <= v <= hi]
+
+        return between_kernel
+    if not isinstance(conjunct, ast.BinaryOp) or conjunct.op not in _NATIVE_COMPARISONS:
+        return None
+    op = conjunct.op
+    i, bound = int_column_offset(conjunct.left, ctx), const_getter(conjunct.right)
+    if i is None or bound is None:
+        i, bound = int_column_offset(conjunct.right, ctx), const_getter(conjunct.left)
+        op = _MIRRORED.get(op, op)
+    if i is None or bound is None:
+        return None
+    compare = _NATIVE_COMPARISONS[op]
+
+    def compare_kernel(rows: Sequence[Any], params: Sequence[Any]) -> list:
+        c = bound(params)
+        if c.__class__ is not int:
+            return [r for r in rows if predicate(r, params)]
+        return [r for r in rows if (v := r[i]) is not None and compare(v, c)]
+
+    return compare_kernel
+
+
+def _fused_filter(preds: list[Getter]) -> BatchFilter:
+    """One comprehension over a chunk, the predicates joined by ``and``."""
     if len(preds) == 1:
         p0 = preds[0]
         return lambda rows, params: [r for r in rows if p0(r, params)]

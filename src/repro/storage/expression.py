@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime
 import re
 from functools import lru_cache
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from .. import clock
 
@@ -137,3 +137,23 @@ class OrderToken:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OrderToken) and self.key == other.key
+
+
+def order_key(read: Callable[[Any], Any],
+              descs: Sequence[bool]) -> tuple[Callable[[Any], Any], bool]:
+    """The one ORDER BY rule: ``(key, reverse)`` for ``list.sort`` and
+    ``heapq.merge`` over rows whose ORDER BY values ``read(row)`` returns —
+    a tuple, or the bare value when there is one key (as
+    ``operator.itemgetter`` does).
+
+    Every key in one direction: native :func:`sort_key` tuples, and
+    ``reverse`` for descending. Mixed directions: :class:`OrderToken`
+    tuples, ascending. Either way rows with equal keys keep their input
+    order (both sorts are stable and ``heapq.merge`` takes the earlier
+    input first), so the two forms order rows identically.
+    """
+    if len(descs) == 1:
+        return (lambda row: sort_key(read(row))), descs[0]
+    if all(descs) or not any(descs):
+        return (lambda row: tuple(map(sort_key, read(row)))), descs[0]
+    return (lambda row: tuple(map(OrderToken, read(row), descs))), False

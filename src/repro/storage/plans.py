@@ -9,7 +9,9 @@ current schema and fuses:
 - **tuple-row pipelines** — WHERE / HAVING predicates, join conditions,
   projection, ORDER BY keys and aggregate accumulators are compiled to
   closures over raw value tuples with precomputed column offsets, and run
-  over chunks of :data:`BATCH_ROWS` rows;
+  over chunks of :data:`BATCH_ROWS` rows; integer range conjuncts,
+  aggregates and stored-column projections are batch kernels, one
+  comprehension per chunk instead of a closure call per row;
 - **an order-preserving path** — when a sorted index already yields rows
   in ORDER BY order the sort stage is dropped entirely.
 
@@ -39,6 +41,8 @@ in ``tests/oracle``.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -51,9 +55,12 @@ from .compiler import (
     CompileContext,
     Getter,
     RowLayout,
+    column_offset,
     compile_batch_predicate,
     compile_predicate,
     compile_scalar,
+    const_getter,
+    int_column_offset,
 )
 from .executor import (
     QueryResult,
@@ -64,7 +71,7 @@ from .executor import (
     _local_column,
     execute_ddl,
 )
-from .expression import UNKNOWN, OrderToken, sort_key
+from .expression import UNKNOWN, order_key, sort_key
 from .table import Table
 
 if TYPE_CHECKING:
@@ -275,22 +282,10 @@ class _AccessPath:
         self.is_scan = is_scan
 
 
-def _const_getter(expr: ast.Expression) -> Callable[[Sequence[Any]], Any] | None:
-    """A params -> value getter when ``expr`` is constant for one
-    execution (literal, placeholder, negated numeric literal)."""
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda params: value
-    if isinstance(expr, ast.Placeholder):
-        index = expr.index
-        return lambda params: params[index]
-    if (isinstance(expr, ast.UnaryOp) and expr.op == "-"
-            and isinstance(expr.operand, ast.Literal)
-            and isinstance(expr.operand.value, (int, float))):
-        negated = -expr.operand.value
-        return lambda params: negated
-    return None
-
+# An index access path whose bound is NULL returns ``([], True)``: a
+# comparison with NULL is never true, so no row can match, and none is read
+# or priced. Passed on, ``None`` would mean an open end to
+# ``SortedIndex.range`` and the NULL rows to ``HashIndex.lookup``.
 
 _RANGE_BOUNDS = {
     "<": lambda v: (None, v, True, False),
@@ -314,7 +309,7 @@ def _compile_access(table: Table, exposed: str,
                     column = _local_column(col_expr, table, exposed)
                     if column is None:
                         continue
-                    getter = _const_getter(val_expr)
+                    getter = const_getter(val_expr)
                     if getter is not None:
                         equalities[column.lower()] = getter
                     break
@@ -325,6 +320,8 @@ def _compile_access(table: Table, exposed: str,
 
                 def run_composite(params: Sequence[Any]) -> tuple[list[int], bool]:
                     values = {col: g(params) for col, g in pairs}
+                    if None in values.values():
+                        return [], True
                     return sorted(index.lookup_values(values)), True
 
                 return _AccessPath(run_composite, None, False)
@@ -347,20 +344,25 @@ def _compile_try_index(table: Table, exposed: str,
             op = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}.get(op, op)
         if column is None:
             return None
-        getter = _const_getter(value_expr)
+        getter = const_getter(value_expr)
         if getter is None:
             return None
         if op == "=":
             hash_index = table.equality_index(column)
             if hash_index is not None:
                 def run_point(params: Sequence[Any]) -> tuple[list[int], bool]:
-                    return sorted(hash_index.lookup(getter(params))), True
+                    value = getter(params)
+                    if value is None:
+                        return [], True
+                    return sorted(hash_index.lookup(value)), True
 
                 return _AccessPath(run_point, None, False)
             sorted_index = table.sorted_index(column)
             if sorted_index is not None:
                 def run_eq_range(params: Sequence[Any]) -> tuple[list[int], bool]:
                     value = getter(params)
+                    if value is None:
+                        return [], True
                     return sorted_index.range(value, value), True
 
                 return _AccessPath(run_eq_range, None, False)
@@ -371,7 +373,10 @@ def _compile_try_index(table: Table, exposed: str,
         bounds = _RANGE_BOUNDS[op]
 
         def run_range(params: Sequence[Any]) -> tuple[list[int], bool]:
-            return sorted_index.range(*bounds(getter(params))), True
+            value = getter(params)
+            if value is None:
+                return [], True
+            return sorted_index.range(*bounds(value)), True
 
         return _AccessPath(run_range, column.lower(), False)
     if isinstance(predicate, ast.InExpr) and not predicate.negated:
@@ -380,7 +385,7 @@ def _compile_try_index(table: Table, exposed: str,
             return None
         getters = []
         for item in predicate.items:
-            getter = _const_getter(item)
+            getter = const_getter(item)
             if getter is None:
                 return None
             getters.append(getter)
@@ -392,7 +397,10 @@ def _compile_try_index(table: Table, exposed: str,
         def run_in(params: Sequence[Any]) -> tuple[list[int], bool]:
             ids: list[int] = []
             for g in in_getters:
-                found = hash_index.lookup(g(params))
+                value = g(params)
+                if value is None:
+                    continue  # a NULL item matches no row
+                found = hash_index.lookup(value)
                 if found:
                     ids.extend(found)
             return sorted(set(ids)), True
@@ -402,8 +410,8 @@ def _compile_try_index(table: Table, exposed: str,
         column = _local_column(predicate.operand, table, exposed)
         if column is None:
             return None
-        low_getter = _const_getter(predicate.low)
-        high_getter = _const_getter(predicate.high)
+        low_getter = const_getter(predicate.low)
+        high_getter = const_getter(predicate.high)
         if low_getter is None or high_getter is None:
             return None
         sorted_index = table.sorted_index(column)
@@ -411,7 +419,10 @@ def _compile_try_index(table: Table, exposed: str,
             return None
 
         def run_between(params: Sequence[Any]) -> tuple[list[int], bool]:
-            return sorted_index.range(low_getter(params), high_getter(params)), True
+            low, high = low_getter(params), high_getter(params)
+            if low is None or high is None:
+                return [], True
+            return sorted_index.range(low, high), True
 
         return _AccessPath(run_between, column.lower(), False)
     return None
@@ -429,6 +440,12 @@ def _reversed_path(path: _AccessPath) -> _AccessPath:
     return _AccessPath(run, path.ordered_by, path.is_scan)
 
 
+def _add_table(layout: RowLayout, exposed: str, table: Table) -> None:
+    """Lay ``table``'s columns out next, with their declared types."""
+    columns = table.schema.columns
+    layout.add(exposed, [c.name for c in columns], [c.type.name for c in columns])
+
+
 # ---------------------------------------------------------------------------
 # SELECT
 # ---------------------------------------------------------------------------
@@ -442,13 +459,13 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
 
         def run_constant(params: Sequence[Any],
                          transaction: "Transaction | None" = None) -> QueryResult:
-            return QueryResult(columns=columns, rows=iter([project(None, params)]))
+            return QueryResult(columns=columns, rows=iter(project([None], params)))
 
         return run_constant, None, const_ctx.param_count
     base_ref = stmt.from_table
     base_table = database.table(base_ref.name)
     layout = RowLayout()
-    layout.add(base_ref.exposed_name, base_table.schema.column_names)
+    _add_table(layout, base_ref.exposed_name, base_table)
 
     access = _compile_access(base_table, base_ref.exposed_name, stmt.where)
 
@@ -498,7 +515,7 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
     # Order-preserving access: when a sorted index already yields the
     # single ORDER BY key's order, drop the sort stage (and for a plain
     # scan, walk the index instead of the heap — same rows, no sort).
-    sort_stage = _make_sort_stage(order_specs)
+    sort_stage = _make_sort_stage(order_specs, out_ctx)
     if order_specs and len(order_specs) == 1 and not has_agg and not stmt.joins:
         key_expr = order_specs[0][2]
         desc = order_specs[0][1]
@@ -538,18 +555,13 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
 
     def base_batches(row_ids: list[int], params: Sequence[Any]) -> Iterator[list]:
         """Read rows chunk-at-a-time; the WHERE filter runs per chunk
-        (one fused-predicate comprehension instead of per-row calls)."""
-        get = base_table.get
+        (batch kernels instead of per-row calls). Rows are read here, when
+        the result is drained — after the index slice was taken and with
+        no lock held — so the filter re-checks every row it is given."""
+        value_tuples = base_table.value_tuples
         inline = where_batch if use_where_inline else None
         for start in range(0, len(row_ids), BATCH_ROWS):
-            batch = []
-            append = batch.append
-            for row_id in row_ids[start:start + BATCH_ROWS]:
-                try:
-                    raw = get(row_id)
-                except KeyError:
-                    continue
-                append(tuple(raw.values()))
+            batch = value_tuples(row_ids[start:start + BATCH_ROWS])
             if inline is not None:
                 batch = inline(batch, params)
             if batch:
@@ -583,7 +595,7 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
             batches = distinct_stage(batches, params)
         if limit_stage is not None:
             batches = limit_stage(batches, params)
-        projected = ([project(r, params) for r in batch] for batch in batches)
+        projected = (project(batch, params) for batch in batches)
         return QueryResult(columns=columns,
                            rows=chain.from_iterable(projected), cost=cost)
 
@@ -594,38 +606,30 @@ def _order_norm(value: Any) -> Any:
     return None if value is UNKNOWN else value
 
 
-def _make_sort_stage(order_specs):
-    """Batch stage: flatten all chunks, sort once, emit one chunk."""
+def _make_sort_stage(order_specs, ctx: CompileContext):
+    """Batch stage: flatten all chunks, sort once, emit one chunk.
+
+    When every key is a stored column (never UNKNOWN) the row's values are
+    read by one ``itemgetter`` and the key is built at compile time;
+    otherwise per execution, from the keys' closures."""
     if not order_specs:
         return None
-    if len(order_specs) == 1:
-        getter, desc, _ = order_specs[0]
+    descs = [desc for _, desc, _ in order_specs]
+    offsets = [column_offset(expr, ctx) for _, _, expr in order_specs]
+    stored_key = (order_key(operator.itemgetter(*offsets), descs)
+                  if None not in offsets else None)
+    getters = tuple(g for g, _, _ in order_specs)
 
-        def sort_in_place(materialized: list, params: Sequence[Any]) -> None:
-            materialized.sort(
-                key=lambda r: sort_key(_order_norm(getter(r, params))),
-                reverse=desc,
-            )
-    elif not any(desc for _, desc, _ in order_specs):
-        getters = tuple(g for g, _, _ in order_specs)
-
-        def sort_in_place(materialized: list, params: Sequence[Any]) -> None:
-            materialized.sort(
-                key=lambda r: tuple(sort_key(_order_norm(g(r, params)))
-                                    for g in getters)
-            )
-    else:
-        specs = tuple((g, desc) for g, desc, _ in order_specs)
-
-        def sort_in_place(materialized: list, params: Sequence[Any]) -> None:
-            materialized.sort(
-                key=lambda r: tuple(OrderToken(_order_norm(g(r, params)), d)
-                                    for g, d in specs)
-            )
+    def read_keys(params: Sequence[Any]) -> Callable[[Any], Any]:
+        if len(getters) == 1:
+            (g,) = getters
+            return lambda r: _order_norm(g(r, params))
+        return lambda r: tuple([_order_norm(g(r, params)) for g in getters])
 
     def sort_stage(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
         materialized = list(chain.from_iterable(batches))
-        sort_in_place(materialized, params)
+        key, reverse = stored_key or order_key(read_keys(params), descs)
+        materialized.sort(key=key, reverse=reverse)
         if materialized:
             yield materialized
 
@@ -664,7 +668,7 @@ def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
             # The full condition, compiled below, decides validity.
             left_key = None
 
-    layout.add(right_name, right_cols)
+    _add_table(layout, right_name, right_table)
     condition = (compile_predicate(join.condition, ctx)
                  if join.condition is not None else None)
     null_row = (None,) * right_width
@@ -724,7 +728,7 @@ class _CompiledAgg:
     State is a 5-slot list: [count, total, minimum, maximum, distinct_set].
     """
 
-    __slots__ = ("name", "count_star", "distinct", "arg")
+    __slots__ = ("name", "count_star", "distinct", "arg", "int_offset")
 
     def __init__(self, call: ast.FunctionCall, ctx: CompileContext):
         self.name = call.name.upper()  # one of ast.FunctionCall.AGGREGATES
@@ -733,30 +737,58 @@ class _CompiledAgg:
         self.distinct = call.distinct
         self.arg = (compile_scalar(call.args[0], ctx)
                     if call.args and not self.count_star else None)
+        #: the offset of a plain integer-column argument, read directly
+        self.int_offset = (int_column_offset(call.args[0], ctx)
+                           if self.arg is not None else None)
 
     def new_state(self) -> list:
         return [0, None, None, None, set() if self.distinct else None]
 
-    def accumulate(self, state: list, row: Any, params: Sequence[Any]) -> None:
+    def accumulate_many(self, state: list, rows: list, params: Sequence[Any]) -> None:
+        """Fold one chunk of rows into ``state``, as the oracle folds a
+        group: NULL / UNKNOWN arguments are skipped, DISTINCT keeps each
+        value's first sighting, SUM / AVG add left to right (``sum()`` only
+        over integers: on floats it may compensate, 3.12's does) and MIN /
+        MAX keep the first of equal extremes."""
         if self.count_star:
-            state[0] += 1
+            state[0] += len(rows)
             return
-        value = self.arg(row, params) if self.arg is not None else None
-        if value is None or value is UNKNOWN:
+        i = self.int_offset
+        if i is not None:
+            values = [v for r in rows if (v := r[i]) is not None]
+        elif self.arg is not None:
+            arg = self.arg
+            values = [v for r in rows
+                      if (v := arg(r, params)) is not None and v is not UNKNOWN]
+        else:
             return
-        if state[4] is not None:
-            frozen = _freeze(value)
-            if frozen in state[4]:
-                return
-            state[4].add(frozen)
-        state[0] += 1
+        seen = state[4]
+        if seen is not None:
+            fresh = []
+            for value in values:
+                frozen = _freeze(value)
+                if frozen not in seen:
+                    seen.add(frozen)
+                    fresh.append(value)
+            values = fresh
+        if not values:
+            return
+        state[0] += len(values)
         name = self.name
         if name in ("SUM", "AVG"):
-            state[1] = value if state[1] is None else state[1] + value
-        elif name == "MIN":
-            state[2] = value if state[2] is None else min(state[2], value, key=sort_key)
-        elif name == "MAX":
-            state[3] = value if state[3] is None else max(state[3], value, key=sort_key)
+            if i is not None:
+                total = sum(values)
+                state[1] = total if state[1] is None else state[1] + total
+            elif state[1] is None:
+                state[1] = reduce(operator.add, values)
+            else:
+                state[1] = reduce(operator.add, values, state[1])
+        elif name in ("MIN", "MAX"):
+            slot = 2 if name == "MIN" else 3
+            if state[slot] is not None:
+                values.insert(0, state[slot])  # the earlier sighting wins a tie
+            pick = min if name == "MIN" else max
+            state[slot] = pick(values) if i is not None else pick(values, key=sort_key)
 
     def result(self, state: list) -> Any:
         name = self.name
@@ -773,30 +805,29 @@ class _CompiledAgg:
 
 def _make_aggregate_stage(agg_specs, group_getters, having_pred):
     def aggregate(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
+        # group key -> (its first row, one state per aggregate), in the
+        # order the groups were first seen
         groups: dict[tuple, tuple] = {}
-        order: list[tuple] = []
         for batch in batches:
-            for row in batch:
-                if group_getters:
+            if group_getters:
+                buckets: dict[tuple, list] = {}
+                for row in batch:
                     key = tuple(_freeze(g(row, params)) for g in group_getters)
-                else:
-                    key = ()
-                state = groups.get(key)
-                if state is None:
-                    state = (row, [spec.new_state() for spec in agg_specs])
-                    groups[key] = state
-                    order.append(key)
-                states = state[1]
-                for spec, agg_state in zip(agg_specs, states):
-                    spec.accumulate(agg_state, row, params)
+                    buckets.setdefault(key, []).append(row)
+            else:
+                buckets = {(): batch}
+            for key, rows in buckets.items():
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = (rows[0], [spec.new_state() for spec in agg_specs])
+                for spec, agg_state in zip(agg_specs, group[1]):
+                    spec.accumulate_many(agg_state, rows, params)
         if not groups and not group_getters:
             # Aggregates over empty input still yield one row (COUNT -> 0);
             # sample=None makes column refs raise: there is no row to read.
             groups[()] = (None, [spec.new_state() for spec in agg_specs])
-            order.append(())
         out: list = []
-        for key in order:
-            sample, states = groups[key]
+        for sample, states in groups.values():
             row = (sample, tuple(spec.result(agg_state)
                                  for spec, agg_state in zip(agg_specs, states)))
             if having_pred is None or having_pred(row, params):
@@ -881,8 +912,13 @@ def _make_limit_stage(limit: ast.Limit, ctx: CompileContext):
 
 def _compile_projection(stmt: ast.SelectStatement, layout: RowLayout,
                         ctx: CompileContext, has_agg: bool):
+    """Output column names and a chunk projector ``(rows, params) -> list``.
+
+    A select list of stored columns only (never UNKNOWN) is one
+    ``itemgetter`` per row; anything else calls each item's closure."""
     columns: list[str] = []
     getters: list[Getter] = []
+    offsets: list[int | None] = []  # of stored columns, None for the rest
     for item in stmt.select_items:
         expr = item.expression
         if isinstance(expr, ast.Star):
@@ -901,21 +937,30 @@ def _compile_projection(stmt: ast.SelectStatement, layout: RowLayout,
                             lambda row, params, _i=offset:
                             row[0][_i] if row[0] is not None else None
                         )
+                        offsets.append(None)
                     else:
                         getters.append(lambda row, params, _i=offset: row[_i])
+                        offsets.append(offset)
             continue
         columns.append(item.output_name)
         getter = compile_scalar(expr, ctx)
+        offsets.append(column_offset(expr, ctx))
 
         def normalized(row: Any, params: Sequence[Any], _g=getter) -> Any:
             value = _g(row, params)
             return None if value is UNKNOWN else value
 
         getters.append(normalized)
+    if None not in offsets:
+        if len(offsets) == 1:
+            (i,) = offsets
+            return columns, lambda rows, params: [(r[i],) for r in rows]
+        read = operator.itemgetter(*offsets)
+        return columns, lambda rows, params: list(map(read, rows))
     project_getters = tuple(getters)
 
-    def project(row: Any, params: Sequence[Any]) -> tuple:
-        return tuple(g(row, params) for g in project_getters)
+    def project(rows: list, params: Sequence[Any]) -> list:
+        return [tuple(g(r, params) for g in project_getters) for r in rows]
 
     return columns, project
 
@@ -957,7 +1002,7 @@ def _compile_update(database: "Database", stmt: ast.UpdateStatement):
     table = database.table(stmt.table.name)
     exposed = stmt.table.exposed_name
     layout = RowLayout()
-    layout.add(exposed, table.schema.column_names)
+    _add_table(layout, exposed, table)
     ctx = CompileContext("scan", layout)
     where_batch = (compile_batch_predicate(stmt.where, ctx)
                    if stmt.where is not None else None)
@@ -992,7 +1037,7 @@ def _compile_delete(database: "Database", stmt: ast.DeleteStatement):
     table = database.table(stmt.table.name)
     exposed = stmt.table.exposed_name
     layout = RowLayout()
-    layout.add(exposed, table.schema.column_names)
+    _add_table(layout, exposed, table)
     ctx = CompileContext("scan", layout)
     where_batch = (compile_batch_predicate(stmt.where, ctx)
                    if stmt.where is not None else None)

@@ -63,6 +63,13 @@ class Table:
     def get(self, row_id: int) -> dict[str, Any]:
         return self._rows[row_id]
 
+    def value_tuples(self, row_ids: list[int]) -> list[tuple[Any, ...]]:
+        """The rows of ``row_ids`` as value tuples in schema column order,
+        in the order given; an id deleted since it was looked up is
+        skipped."""
+        return [tuple(row.values()) for row in map(self._rows.get, row_ids)
+                if row is not None]
+
     def indexed_columns(self) -> set[str]:
         """Columns with an equality index available (lower-cased)."""
         cols: set[str] = set()
@@ -71,9 +78,6 @@ class Table:
                 cols.add(index.columns[0].lower())
         return cols
 
-    def range_indexed_columns(self) -> set[str]:
-        return set(self._sorted_indexes)
-
     def row_ids(self) -> list[int]:
         """Snapshot of all live row ids (full-scan access path)."""
         return list(self._rows)
@@ -81,17 +85,17 @@ class Table:
     # ------------------------------------------------------------------
     # Index handles (used by compiled storage plans)
     #
-    # These expose the same index objects the lookup helpers above use,
-    # so a plan can bind a lookup closure once instead of re-running
-    # index selection per statement. TRUNCATE clears index contents in
-    # place, so captured handles stay valid across it; CREATE INDEX and
-    # DROP/CREATE TABLE change the candidate set, which the schema
-    # version bump (see Database.bump_schema_version) turns into a plan
-    # recompile.
+    # A plan binds a lookup closure to these index objects once instead of
+    # re-running index selection per statement. TRUNCATE clears index
+    # contents in place, so captured handles stay valid across it; CREATE
+    # INDEX and DROP/CREATE TABLE change the candidate set, which the
+    # schema version bump (see Database.bump_schema_version) turns into a
+    # plan recompile.
     # ------------------------------------------------------------------
 
     def equality_index(self, column: str) -> HashIndex | None:
-        """First single-column hash index on `column` (find_equal's pick)."""
+        """First single-column hash index on `column` (the primary key's
+        before any unique or secondary one)."""
         lower = column.lower()
         for index in self._hash_indexes.values():
             if len(index.columns) == 1 and index.columns[0].lower() == lower:
@@ -103,8 +107,8 @@ class Table:
 
     def covering_index(self, equality_columns: set[str]) -> HashIndex | None:
         """Most specific hash index fully covered by the given lower-cased
-        equality columns — the compile-time twin of find_by_equalities
-        (same strict-> comparison, same first-wins tie break)."""
+        equality columns, e.g. a composite primary key (w_id, d_id, o_id);
+        of equally specific ones the first created wins."""
         best: tuple[int, HashIndex] | None = None
         for index in self._hash_indexes.values():
             columns = [c.lower() for c in index.columns]
@@ -112,43 +116,6 @@ class Table:
                 if best is None or len(columns) > best[0]:
                     best = (len(columns), index)
         return best[1] if best else None
-
-    # ------------------------------------------------------------------
-    # Index lookups (used by the query executor)
-    # ------------------------------------------------------------------
-
-    def find_equal(self, column: str, value: Any) -> list[int] | None:
-        """Row ids where column == value via an index, or None if no index."""
-        lower = column.lower()
-        for index in self._hash_indexes.values():
-            if len(index.columns) == 1 and index.columns[0].lower() == lower:
-                if len(index.columns) == 1:
-                    return sorted(index.lookup(value))
-        sorted_index = self._sorted_indexes.get(lower)
-        if sorted_index is not None:
-            return sorted_index.range(value, value)
-        return None
-
-    def find_by_equalities(self, equalities: dict[str, Any]) -> list[int] | None:
-        """Row ids via the most specific hash index fully covered by the
-        given equality predicates (lower-cased column -> value), e.g. a
-        composite primary key (w_id, d_id, o_id). None if no index fits.
-        """
-        best: tuple[int, list[int]] | None = None
-        for index in self._hash_indexes.values():
-            columns = [c.lower() for c in index.columns]
-            if all(c in equalities for c in columns):
-                ids = sorted(index.lookup_values(equalities))
-                if best is None or len(columns) > best[0]:
-                    best = (len(columns), ids)
-        return best[1] if best else None
-
-    def find_range(self, column: str, low: Any, high: Any,
-                   include_low: bool = True, include_high: bool = True) -> list[int] | None:
-        sorted_index = self._sorted_indexes.get(column.lower())
-        if sorted_index is None:
-            return None
-        return sorted_index.range(low, high, include_low, include_high)
 
     # ------------------------------------------------------------------
     # Mutation

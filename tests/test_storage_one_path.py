@@ -206,7 +206,8 @@ class TestOnlyDdlBypassesThePlanCompiler:
     def test_src_holds_one_executor_and_no_switch(self):
         gone = re.compile(
             r"CannotCompile|plan_cache\.enabled|batch_rows|_Negative\b|_Seen\b"
-            r"|def evaluate\b|def _execute_select\b")
+            r"|def evaluate\b|def _execute_select\b"
+            r"|\bfind_equal\b|\bfind_by_equalities\b|\bfind_range\b|\brange_indexed_columns\b")
         imports_tests = re.compile(r"^\s*(from|import)\s+(tests|oracle)\b|storage_interpreter")
         for path in SRC.rglob("*.py"):
             for number, line in enumerate(path.read_text().splitlines(), 1):

@@ -116,6 +116,16 @@ rows_s = st.lists(st.tuples(grp_s, val_s, name_s, flag_s), max_size=25).map(
     lambda raw: [(i, g, v, n, f) for i, (g, v, n, f) in enumerate(raw)]
 )
 
+#: bounds of an integer range conjunct: exactly int runs the batch kernel,
+#: anything else the conjunct's closure
+int_bound_s = st.one_of(
+    st.integers(-2, 7),
+    st.floats(-2, 7, allow_nan=False, width=32),
+    st.booleans(),
+    st.none(),
+)
+comparison_s = st.sampled_from(["=", "<>", "<", ">", "<=", ">="])
+
 where_s = st.one_of(
     st.just(("", ())),
     st.builds(lambda k: (f"WHERE id = {k}", ()), st.integers(0, 30)),
@@ -147,6 +157,17 @@ where_s = st.one_of(
     ),
     st.just(("WHERE NOT (flag = 1)", ())),
     st.builds(lambda v: (f"WHERE val * 2 > {v}", ()), st.integers(-40, 40)),
+    st.builds(lambda a, b: ("WHERE grp BETWEEN ? AND ?", (a, b)), int_bound_s, int_bound_s),
+    st.builds(lambda a, b: ("WHERE grp NOT BETWEEN ? AND ? AND flag = 1", (a, b)),
+              int_bound_s, int_bound_s),
+    st.builds(lambda op, b: (f"WHERE ? {op} grp", (b,)), comparison_s, int_bound_s),
+    st.builds(lambda op, b: (f"WHERE name IS NOT NULL AND grp {op} ?", (b,)),
+              comparison_s, int_bound_s),
+    st.builds(lambda g: (f"WHERE grp > {g} AND val IS NOT NULL", ()), st.integers(-3, 5)),
+    # a str bound on ``flag``, which has no index (against an index a str
+    # bound picks the wrong range before any re-check runs)
+    st.builds(lambda op, b: (f"WHERE flag {op} ?", (b,)), comparison_s,
+              st.sampled_from(["1", "0.5", "x"])),
 )
 
 select_items_s = st.sampled_from(
@@ -209,6 +230,11 @@ class TestDifferentialSelect:
             "HAVING COUNT(*) > 1 ORDER BY grp"
         )
         assert_twins_agree(twins, having, params)
+        integers = (
+            "SELECT flag, COUNT(grp) AS c, SUM(grp) AS s, AVG(grp) AS av, MIN(grp) AS mn, "
+            f"MAX(grp) AS mx, COUNT(DISTINCT grp) AS d FROM t {cond} GROUP BY flag ORDER BY flag"
+        )
+        assert_twins_agree(twins, integers, params)
 
     @DIFF_SETTINGS
     @given(rows=rows_s, where=where_s)
@@ -216,6 +242,9 @@ class TestDifferentialSelect:
         twins = make_twins(rows)
         cond, params = where
         sql = f"SELECT COUNT(*), COUNT(val), AVG(val), MAX(name) FROM t {cond}"
+        assert_twins_agree(twins, sql, params)
+        sql = (f"SELECT SUM(grp), AVG(grp), MIN(grp), MAX(grp), SUM(DISTINCT grp), "
+               f"COUNT(DISTINCT val), MIN(val) FROM t {cond}")
         assert_twins_agree(twins, sql, params)
 
     @DIFF_SETTINGS
