@@ -339,6 +339,13 @@ class ExecutionEngine:
                 for unit in units
             }
 
+        # With no policy and no trace an attempt is the only one, and what
+        # the retry loop would add is the outcome count: a unit then enters
+        # storage straight through ``Connection.execute`` (DESIGN.md "Issue
+        # and await").
+        direct = spans is None and self.resilience is None
+        obs = self.observability
+
         # Fast path: one unit on one source runs on the calling thread —
         # the dominant OLTP case (point selects / PK writes), where worker
         # dispatch would double the per-statement cost.
@@ -371,10 +378,20 @@ class ExecutionEngine:
 
             t0 = clock.now() if heat is not None else 0.0
             try:
-                cursor = self._run_attempts(
-                    unit.data_source, attempt_single,
-                    is_query=is_query, pinned=None, deadline=deadline, span=span,
-                )
+                if direct:
+                    try:
+                        holder[0] = conn = self._pool_acquire(source, deadline)
+                        cursor = conn.execute(unit.statement, unit.params)
+                    except Exception:
+                        self._record_outcome(unit.data_source, ok=False)
+                        raise
+                    if obs is not None:
+                        obs.on_source_attempt(unit.data_source, True)
+                else:
+                    cursor = self._run_attempts(
+                        unit.data_source, attempt_single,
+                        is_query=is_query, pinned=None, deadline=deadline, span=span,
+                    )
                 out = self._unit_done(unit, cursor, is_query, span, heat, t0, stream=True)
             except BaseException:
                 if holder[0] is not None:
@@ -471,14 +488,21 @@ class ExecutionEngine:
                 # issued here and now — run, priced, its I/O window reserved
                 # — and waited for below with every other one: no task, no
                 # helper thread, one sleep (DESIGN.md "Issue and await").
+                issued_before = len(issued)
                 for index, unit in enumerate(group):
                     span = spans.get(id(unit)) if spans is not None else None
                     t0 = clock.now() if heat is not None else 0.0
                     try:
-                        cursor = self._run_on_batch(
-                            source, connections, index, unit, True, deadline, span,
-                            wait=False)
+                        if direct:
+                            cursor = connections[index].execute(
+                                unit.statement, unit.params, False)
+                        else:
+                            cursor = self._run_on_batch(
+                                source, connections, index, unit, True, deadline, span,
+                                wait=False)
                     except BaseException as exc:
+                        if direct and isinstance(exc, Exception):
+                            self._record_outcome(ds_name, ok=False)
                         fail_source(ds_name, exc)
                     else:
                         # heat gets issue-to-ready: what the unit cost, not
@@ -486,6 +510,8 @@ class ExecutionEngine:
                         issued.append((unit, cursor, span, t0,
                                        max(cursor.ready_at, clock.now())
                                        if heat is not None else 0.0))
+                if direct and obs is not None and len(issued) > issued_before:
+                    obs.on_source_attempt(ds_name, True, len(issued) - issued_before)
 
         try:
             if tasks:

@@ -626,6 +626,8 @@ class SQLEngine:
             return
         for feature in snap.features:
             feature.on_route(route_result, context)
+        if snap.route_hooks:
+            route_result.memo_key = None  # the units may not be the node set's
         if weight and not hit:
             st.end(route_type=route_result.route_type, units=len(route_result.units))
             st.begin("rewrite")

@@ -44,6 +44,7 @@ invalidation events are rare; clearing avoids generation-staleness bugs).
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
@@ -81,7 +82,7 @@ class ParamRef:
 class UnitTemplate:
     """One data node's precompiled rewrite: immutable AST + param mapping."""
 
-    __slots__ = ("statement", "dialect", "param_order", "sql")
+    __slots__ = ("statement", "dialect", "param_order", "sql", "bind_params")
 
     def __init__(self, statement: ast.Statement, dialect: "Dialect",
                  param_order: tuple[int, ...], sql: str):
@@ -89,6 +90,18 @@ class UnitTemplate:
         self.dialect = dialect
         self.param_order = param_order
         self.sql = sql
+        #: ``params -> the unit's params``, a C-level getter: a slice when
+        #: the order is one contiguous run (also for zero or one index)
+        self.bind_params: Callable[[tuple[Any, ...]], tuple[Any, ...]]
+        first, last = (param_order[0], param_order[-1]) if param_order else (0, -1)
+        if param_order == tuple(range(first, last + 1)):
+            self.bind_params = operator.itemgetter(slice(first, last + 1))
+        else:
+            self.bind_params = operator.itemgetter(*param_order)
+
+
+#: unit-memo key of a route to every data node of the table
+_ALL_NODES = object()
 
 
 class CompiledPlan:
@@ -100,7 +113,7 @@ class CompiledPlan:
         "single_table", "is_select", "hits", "literal_safe",
         "_templates", "_lock", "_shared_multi",
         "_merge_spec_single", "_merge_spec_multi",
-        "_route_memo", "_memo_table_rule",
+        "_route_memo", "_memo_table_rule", "_all_nodes", "_unit_memo",
     )
 
     def __init__(self, sql: str, statement: ast.Statement | None,
@@ -131,6 +144,13 @@ class CompiledPlan:
         #: anyway via cache invalidation)
         self._route_memo: dict[tuple[str, Any], list[Any]] = {}
         self._memo_table_rule: Any = None
+        #: the table's every node, routed once per TableRule (a statement
+        #: with no sharding condition)
+        self._all_nodes: list[Any] | None = None
+        #: routed node set -> the units' templates, in route order; keyed
+        #: by one DataNode or ``_ALL_NODES``, so bounded by the shards,
+        #: not the keys (DESIGN.md "Plan cache")
+        self._unit_memo: dict[Any, list[UnitTemplate]] = {}
 
     def takes_literals(self, count: int) -> bool:
         """May a literal statement whose shape this is, and whose literals
@@ -182,21 +202,31 @@ class CompiledPlan:
     def route_bound(self, conditions: dict[str, dict[str, ShardingValue]],
                     rule: ShardingRule,
                     context_factory: Callable[[], StatementContext]) -> RouteResult:
-        """Shard-key -> data-node mapping, the only routing work on a hit."""
+        """Shard-key -> data-node mapping, the only routing work on a hit.
+
+        Route units are built fresh for every statement (features redirect
+        them in place); what is shared is the node set's ``memo_key``, which
+        lets :meth:`build_units` find the units' templates in one probe."""
         logic = self.single_table
         if logic is not None and rule.is_sharded(logic):
             table_rule = rule.table_rule(logic)
+            if self._memo_table_rule is not table_rule:
+                self._memo_table_rule = table_rule
+                self._route_memo, self._unit_memo, self._all_nodes = {}, {}, None
             table_conditions = conditions.get(logic, {})
             nodes = None
-            if len(table_conditions) == 1:
+            memo_key: Any = None
+            if not table_conditions:
+                nodes = self._all_nodes
+                if nodes is None:
+                    nodes = self._all_nodes = table_rule.route(table_conditions)
+                memo_key = _ALL_NODES
+            elif len(table_conditions) == 1:
                 # Point lookups dominate OLTP; memoize value -> data nodes
                 # so repeated keys skip the strategy walk entirely.
                 column, value = next(iter(table_conditions.items()))
                 values = value.values
                 if values is not None and len(values) == 1:
-                    if self._memo_table_rule is not table_rule:
-                        self._memo_table_rule = table_rule
-                        self._route_memo = {}
                     memo = self._route_memo
                     try:
                         nodes = memo.get((column, values[0]))
@@ -213,11 +243,13 @@ class CompiledPlan:
                         nodes = None
             if nodes is None:
                 nodes = table_rule.route(table_conditions)
+            if memo_key is None and len(nodes) == 1:
+                memo_key = nodes[0]
             units = [RouteUnit(n.data_source, {logic: n.table}) for n in nodes]
             route_type = "standard"
             if not table_conditions and len(nodes) == len(table_rule.data_nodes):
                 route_type = "broadcast"
-            return RouteResult(units, route_type)
+            return RouteResult(units, route_type, memo_key)
         # Everything else (binding joins, cartesian, broadcast, unicast)
         # goes through the real router against the skeleton context.
         return route(context_factory(), rule)
@@ -227,20 +259,31 @@ class CompiledPlan:
     def build_units(self, route_result: RouteResult, params: tuple[Any, ...],
                     dialect_of: Callable[[str], "Dialect"],
                     ) -> tuple[list[ExecutionUnit], MergeSpec]:
-        """Materialize execution units from per-node rewrite templates."""
-        multi = len(route_result.units) > 1
-        units: list[ExecutionUnit] = []
-        for unit in route_result.units:
-            key = (unit.data_source, tuple(sorted(unit.table_map.items())), multi)
-            template = self._templates.get(key)
-            if template is None:
-                template = self._build_template(key, unit, multi, dialect_of)
-            exec_params = tuple(params[i] for i in template.param_order)
-            units.append(ExecutionUnit(
-                unit.data_source, exec_params, template.statement, unit,
-                template.dialect, sql=template.sql,
-            ))
+        """Materialize execution units from per-node rewrite templates:
+        one memo probe for a node set seen before, then one
+        :class:`ExecutionUnit` per route unit."""
+        route_units = route_result.units
+        multi = len(route_units) > 1
+        key = route_result.memo_key
+        templates = self._unit_memo.get(key) if key is not None else None
+        if templates is None:
+            templates = [self._template(unit, multi, dialect_of) for unit in route_units]
+            if key is not None:
+                self._unit_memo[key] = templates
+        units = [
+            ExecutionUnit(unit.data_source, template.bind_params(params),
+                          template.statement, unit, template.dialect, template.sql)
+            for unit, template in zip(route_units, templates)
+        ]
         return units, self._merge_spec(multi)
+
+    def _template(self, unit: RouteUnit, multi: bool,
+                  dialect_of: Callable[[str], "Dialect"]) -> UnitTemplate:
+        key = (unit.data_source, tuple(sorted(unit.table_map.items())), multi)
+        template = self._templates.get(key)
+        if template is None:
+            template = self._build_template(key, unit, multi, dialect_of)
+        return template
 
     def _build_template(self, key: Any, unit: RouteUnit, multi: bool,
                         dialect_of: Callable[[str], "Dialect"]) -> UnitTemplate:

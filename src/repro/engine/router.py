@@ -52,6 +52,9 @@ class RouteResult:
 
     units: list[RouteUnit]
     route_type: str  # "standard" | "broadcast" | "cartesian" | "unicast"
+    #: the routed node set, as a compiled plan's unit memo keys it (set by
+    #: ``CompiledPlan.route_bound`` only; ``None`` means no memo)
+    memo_key: object = None
 
     @property
     def is_single(self) -> bool:

@@ -56,6 +56,13 @@ KNOWN_VARIABLES = frozenset(
 )
 
 
+def _hooks_route(feature: Any) -> bool:
+    """Does ``feature`` override :meth:`Feature.on_route`?"""
+    from .engine.pipeline import Feature  # the engine imports this module
+
+    return getattr(type(feature), "on_route", None) is not Feature.on_route
+
+
 class MetadataContext:
     """One immutable configuration snapshot.
 
@@ -73,6 +80,7 @@ class MetadataContext:
         "features",
         "variables",
         "plan_cache_safe",
+        "route_hooks",
         "reason",
     )
 
@@ -98,6 +106,10 @@ class MetadataContext:
         self.plan_cache_safe = all(
             getattr(f, "plan_cache_safe", False) for f in features
         )
+        #: True when some feature overrides ``on_route``, which may redirect
+        #: or drop route units: a plan hit then looks each unit's template
+        #: up by its own route unit, not in the route → units memo
+        self.route_hooks = any(_hooks_route(f) for f in features)
         #: what mutation produced this snapshot (diagnostics, SHOW METADATA)
         self.reason = reason
 

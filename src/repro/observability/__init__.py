@@ -160,11 +160,12 @@ class Observability:
                     if fanout > fanout_child.max:
                         fanout_child.max = fanout
 
-    def on_source_attempt(self, source: str, ok: bool) -> None:
-        """Per-unit attempt outcome (QPS and error rate per data source)."""
-        self._source_queries.inc_sharded((source,))
+    def on_source_attempt(self, source: str, ok: bool, count: int = 1) -> None:
+        """Per-unit attempt outcome (QPS and error rate per data source);
+        ``count`` attempts with the same outcome at once."""
+        self._source_queries.inc_sharded((source,), count)
         if not ok:
-            self._source_errors.inc_sharded((source,))
+            self._source_errors.inc_sharded((source,), count)
 
     def on_commit_failures(self, transaction_type: str, count: int) -> None:
         """Participants a commit lost: ignored by LOCAL, left pending for

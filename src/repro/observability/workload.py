@@ -260,32 +260,41 @@ class SpaceSaving:
     stream weight is guaranteed to be monitored.
     """
 
-    __slots__ = ("capacity", "counters", "total")
+    __slots__ = ("capacity", "counts", "errors", "total")
 
     def __init__(self, capacity: int = 64):
         if capacity < 1:
             raise ValueError("sketch capacity must be >= 1")
         self.capacity = capacity
-        self.counters: dict[Any, list[float]] = {}  # key -> [count, error]
+        #: key -> estimated count, and key -> the error it inherited; two
+        #: parallel dicts so that eviction is one C-level ``min`` over
+        #: ``counts`` (the victim is the first minimum in insertion order)
+        self.counts: dict[Any, float] = {}
+        self.errors: dict[Any, float] = {}
         self.total = 0.0
 
     def offer(self, key: Any, weight: float = 1.0) -> None:
         self.total += weight
-        entry = self.counters.get(key)
-        if entry is not None:
-            entry[0] += weight
+        counts = self.counts
+        count = counts.get(key)
+        if count is not None:
+            counts[key] = count + weight
             return
-        if len(self.counters) < self.capacity:
-            self.counters[key] = [weight, 0.0]
+        if len(counts) < self.capacity:
+            counts[key] = weight
+            self.errors[key] = 0.0
             return
-        victim_key = min(self.counters, key=lambda k: self.counters[k][0])
-        floor = self.counters.pop(victim_key)[0]
-        self.counters[key] = [floor + weight, floor]
+        victim = min(counts, key=counts.__getitem__)
+        floor = counts.pop(victim)
+        del self.errors[victim]
+        counts[key] = floor + weight
+        self.errors[key] = floor
 
     def top(self, limit: int | None = None) -> list[tuple[Any, float, float]]:
         """(key, estimated count, max error) ordered hottest-first."""
+        errors = self.errors
         ranked = sorted(
-            ((key, entry[0], entry[1]) for key, entry in self.counters.items()),
+            ((key, count, errors[key]) for key, count in self.counts.items()),
             key=lambda item: item[1], reverse=True,
         )
         return ranked[:limit] if limit is not None else ranked

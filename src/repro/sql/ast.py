@@ -236,6 +236,12 @@ class Statement:
 
     #: SQL statement category: DQL, DML, DDL, TCL, DAL.
     category = "DAL"
+    #: the storage engine's plan-cache key (rendered SQL text); set by the
+    #: middleware's rewrite templates and by ``Cursor``, never cloned
+    storage_plan_key = None
+    #: ``(database, schema epoch, storage plan)`` this statement last ran
+    #: with (:func:`repro.storage.plans.execute_planned`), never cloned
+    bound_plan = None
 
     def tables(self) -> list[TableRef]:
         """All table references in the statement."""

@@ -79,23 +79,19 @@ class Connection:
         self.id = next(_connection_ids)
         self.autocommit = True
         self._transaction: Transaction | None = None
-        self._closed = False
+        self.closed = False
         self._lock = threading.RLock()
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         with self._lock:
-            if self._closed:
+            if self.closed:
                 return
             if self._transaction is not None and self._transaction.status.value == "active":
                 self._transaction.rollback()
             self._transaction = None
-            self._closed = True
+            self.closed = True
         self.data_source.on_connection_closed(self)
 
     def __enter__(self) -> "Connection":
@@ -105,7 +101,7 @@ class Connection:
         self.close()
 
     def _check_open(self) -> None:
-        if self._closed:
+        if self.closed:
             raise ConnectionClosedError("connection is closed")
 
     # -- transaction control ---------------------------------------------------
@@ -177,9 +173,7 @@ class Connection:
                 wait: bool = True) -> "Cursor":
         """Convenience: open a cursor and execute on it (``wait=False``:
         issue only, see :meth:`Cursor.execute`)."""
-        cursor = self.cursor()
-        cursor.execute(sql, params, wait)
-        return cursor
+        return Cursor(self).execute(sql, params, wait)
 
     def _run(self, stmt: ast.Statement, params: Sequence[Any],
              wait: bool = True) -> QueryResult:
@@ -187,7 +181,8 @@ class Connection:
         and wait out its I/O. Without, nothing in here waits: the caller
         settles ``result.cost`` and ``result.delay`` (a pipeline coalesces
         them, an issued cursor reserves now and waits later)."""
-        self._check_open()
+        if self.closed:
+            raise ConnectionClosedError("connection is closed")
         if isinstance(stmt, ast.BeginStatement):
             self.begin()
             return QueryResult(rowcount=0)

@@ -39,6 +39,9 @@ class Database:
         #: the versions they were built against. Entries are never removed
         #: (DROP leaves the counter behind) so DROP + CREATE invalidates.
         self._schema_versions: dict[str, int] = {}
+        #: bumped with every table's schema version: a statement's bound
+        #: storage plan (``Statement.bound_plan``) holds while this holds
+        self.schema_epoch = 0
         #: per-table monotonic data versions (see data_version below);
         #: keys are lower-cased table names.
         self._data_versions: dict[str, int] = {}
@@ -65,6 +68,7 @@ class Database:
         with self._lock:
             key = name.lower()
             self._schema_versions[key] = self._schema_versions.get(key, 0) + 1
+            self.schema_epoch += 1
             self._data_versions[key] = self._data_versions.get(key, 0) + 1
 
     # -- data versions (result-cache invalidation) --------------------------

@@ -41,6 +41,7 @@ in ``tests/oracle``.
 
 from __future__ import annotations
 
+import datetime
 import operator
 from functools import reduce
 from itertools import chain
@@ -232,11 +233,18 @@ def _missing_parameter(params: Sequence[Any]) -> ExecutionError:
 
 def _find_or_compile(database: "Database",
                      stmt: ast.Statement) -> tuple[StoragePlan, str]:
-    """The cached plan of a keyed statement if its schema versions still
-    hold; otherwise a fresh one (stored unless the statement has no key or
-    is an INSERT of literals only)."""
+    """The plan the statement is bound to, if it was bound on this database
+    at its current schema epoch; else the cached plan of a keyed statement
+    if its schema versions still hold; otherwise a fresh one (stored unless
+    the statement has no key or is an INSERT of literals only). A keyed
+    statement leaves bound to what it ran."""
     cache = database.plan_cache
-    key = getattr(stmt, "storage_plan_key", None)
+    epoch = database.schema_epoch
+    bound = stmt.bound_plan
+    if bound is not None and bound[0] is database and bound[1] == epoch:
+        cache.hits += 1
+        return bound[2], "hit"
+    key = stmt.storage_plan_key
     if key is not None:
         plan = cache._cache.get(key)
         if plan is not None:
@@ -247,11 +255,13 @@ def _find_or_compile(database: "Database",
                     break
             else:
                 cache.hits += 1
+                stmt.bound_plan = (database, epoch, plan)
                 return plan, "hit"
     plan = compile_storage_plan(database, stmt)
     cache.misses += 1
     if key is not None and not (plan.kind == "insert" and plan.param_count == 0):
         cache._cache.put(key, plan)
+        stmt.bound_plan = (database, epoch, plan)
     return plan, "miss"
 
 
@@ -286,6 +296,27 @@ class _AccessPath:
 # comparison with NULL is never true, so no row can match, and none is read
 # or priced. Passed on, ``None`` would mean an open end to
 # ``SortedIndex.range`` and the NULL rows to ``HashIndex.lookup``.
+#
+# A bound of another type family than its column's (``k > '3'`` on an INT
+# column) reads every row, in index order where the path promised one, and
+# leaves the answer to the WHERE re-check: an index finds and orders keys by
+# ``sort_key`` (every number before every string) and hashes them as they
+# are, while a comparison cross-coerces (``_compare_values``).
+
+_NUMBER = (int, float, bool)
+_TEXT = (str,)
+_FAMILY_OF_TYPE = {
+    **dict.fromkeys(("INT", "INTEGER", "BIGINT", "SMALLINT", "FLOAT", "DOUBLE",
+                     "REAL", "DECIMAL", "NUMERIC", "BOOLEAN", "BOOL"), _NUMBER),
+    **dict.fromkeys(("VARCHAR", "CHAR", "TEXT", "BLOB"), _TEXT),
+    **dict.fromkeys(("DATE", "TIME", "TIMESTAMP", "DATETIME"),
+                    (datetime.datetime, datetime.date)),
+}
+
+
+def _bound_types(table: Table, column: str) -> tuple[type, ...]:
+    """The bound types an index on ``column`` answers for exactly."""
+    return _FAMILY_OF_TYPE[table.schema.column(column).type.name]
 
 _RANGE_BOUNDS = {
     "<": lambda v: (None, v, True, False),
@@ -317,11 +348,15 @@ def _compile_access(table: Table, exposed: str,
             index = table.covering_index(set(equalities))
             if index is not None:
                 pairs = tuple(equalities.items())
+                fits = tuple((col, _bound_types(table, col)) for col, _ in pairs)
 
                 def run_composite(params: Sequence[Any]) -> tuple[list[int], bool]:
                     values = {col: g(params) for col, g in pairs}
                     if None in values.values():
                         return [], True
+                    for col, types in fits:
+                        if type(values[col]) not in types:
+                            return table.row_ids(), False
                     return sorted(index.lookup_values(values)), True
 
                 return _AccessPath(run_composite, None, False)
@@ -347,6 +382,7 @@ def _compile_try_index(table: Table, exposed: str,
         getter = const_getter(value_expr)
         if getter is None:
             return None
+        fits = _bound_types(table, column)
         if op == "=":
             hash_index = table.equality_index(column)
             if hash_index is not None:
@@ -354,6 +390,8 @@ def _compile_try_index(table: Table, exposed: str,
                     value = getter(params)
                     if value is None:
                         return [], True
+                    if type(value) not in fits:
+                        return table.row_ids(), False
                     return sorted(hash_index.lookup(value)), True
 
                 return _AccessPath(run_point, None, False)
@@ -363,6 +401,8 @@ def _compile_try_index(table: Table, exposed: str,
                     value = getter(params)
                     if value is None:
                         return [], True
+                    if type(value) not in fits:
+                        return table.row_ids(), False
                     return sorted_index.range(value, value), True
 
                 return _AccessPath(run_eq_range, None, False)
@@ -376,6 +416,8 @@ def _compile_try_index(table: Table, exposed: str,
             value = getter(params)
             if value is None:
                 return [], True
+            if type(value) not in fits:
+                return sorted_index.range(), False
             return sorted_index.range(*bounds(value)), True
 
         return _AccessPath(run_range, column.lower(), False)
@@ -393,6 +435,7 @@ def _compile_try_index(table: Table, exposed: str,
         if hash_index is None:
             return None
         in_getters = tuple(getters)
+        fits = _bound_types(table, column)
 
         def run_in(params: Sequence[Any]) -> tuple[list[int], bool]:
             ids: list[int] = []
@@ -400,6 +443,8 @@ def _compile_try_index(table: Table, exposed: str,
                 value = g(params)
                 if value is None:
                     continue  # a NULL item matches no row
+                if type(value) not in fits:
+                    return table.row_ids(), False
                 found = hash_index.lookup(value)
                 if found:
                     ids.extend(found)
@@ -417,11 +462,14 @@ def _compile_try_index(table: Table, exposed: str,
         sorted_index = table.sorted_index(column)
         if sorted_index is None:
             return None
+        fits = _bound_types(table, column)
 
         def run_between(params: Sequence[Any]) -> tuple[list[int], bool]:
             low, high = low_getter(params), high_getter(params)
             if low is None or high is None:
                 return [], True
+            if type(low) not in fits or type(high) not in fits:
+                return sorted_index.range(), False
             return sorted_index.range(low, high), True
 
         return _AccessPath(run_between, column.lower(), False)

@@ -100,8 +100,16 @@ class ConnectionPool:
             self._available.notify()
 
     def release_many(self, connections: list["Connection"]) -> None:
+        """:meth:`release` for a batch, under one hold of the pool lock."""
         for connection in connections:
-            self.release(connection)
+            if connection.in_transaction:
+                connection.rollback()
+        with self._available:
+            self._in_use -= len(connections)
+            for connection in connections:
+                if not connection.closed:
+                    self._idle.append(connection)
+            self._available.notify(len(connections))
 
     def close(self) -> None:
         with self._mutex:

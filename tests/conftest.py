@@ -5,8 +5,11 @@ Two data sources; ``t_user`` and ``t_order`` horizontally sharded by
 relationship between user and order.
 """
 
+import threading
+
 import pytest
 
+from repro import clock
 from repro.engine import SQLEngine
 from repro.sharding import (
     DataNode,
@@ -16,6 +19,47 @@ from repro.sharding import (
     create_algorithm,
 )
 from repro.storage import DataSource
+
+
+#: where a :class:`FakeClock` starts
+T0 = 1000.0
+
+
+class FakeClock:
+    """Time that passes only inside ``sleep``; every sleep is on record, and
+    so is how long each thread slept in all."""
+
+    def __init__(self):
+        self.t = T0
+        self.sleeps = []
+        #: thread ident -> seconds it slept
+        self.by_thread = {}
+        self._lock = threading.Lock()
+
+    def now(self):
+        return self.t
+
+    def sleep(self, seconds):
+        if seconds > 0:  # like the real one: zero or less returns at once
+            with self._lock:
+                self.sleeps.append(seconds)
+                me = threading.get_ident()
+                self.by_thread[me] = self.by_thread.get(me, 0.0) + seconds
+                self.t += seconds
+
+    @property
+    def slept(self):
+        return sum(self.sleeps)
+
+
+@pytest.fixture
+def fake(monkeypatch):
+    """``clock.now`` / ``clock.sleep`` on a :class:`FakeClock`: nothing
+    waits on a real clock, and what was slept for is on record."""
+    fake = FakeClock()
+    monkeypatch.setattr(clock, "now", fake.now)
+    monkeypatch.setattr(clock, "sleep", fake.sleep)
+    return fake
 
 
 def mod2():

@@ -1,7 +1,6 @@
 """Tests for the automatic execution engine (connection modes, θ rule)."""
 
 import threading
-import time
 
 import pytest
 
@@ -128,8 +127,10 @@ class TestConnectionHandling:
 
 
 class TestParallelism:
-    def test_memory_strictly_overlaps_latency(self):
-        """10 routed SQLs at 2ms each: parallel must beat serial clearly."""
+    def test_memory_strictly_overlaps_latency(self, fake):
+        """10 routed SQLs at 2ms each: issued together, the statement waits
+        until the last of 10 windows on four I/O channels ends (3 rounds);
+        one connection runs them one after the other (10 waits)."""
         from repro.sharding import ShardingRule, build_auto_table_rule
         from repro.storage import LatencyModel
 
@@ -145,18 +146,16 @@ class TestParallelism:
         units = units_for("SELECT * FROM t_big", rule)
 
         parallel_engine = ExecutionEngine({"ds0": ds}, max_connections_per_query=10)
-        start = time.perf_counter()
+        fake.sleeps.clear()
         parallel_engine.execute(units, is_query=True).release()
-        parallel_time = time.perf_counter() - start
+        assert fake.slept == pytest.approx(3 * 2e-3)
         parallel_engine.close()
 
         serial_engine = ExecutionEngine({"ds0": ds}, max_connections_per_query=1)
-        start = time.perf_counter()
+        fake.sleeps.clear()
         serial_engine.execute(units, is_query=True).release()
-        serial_time = time.perf_counter() - start
+        assert fake.sleeps == [pytest.approx(2e-3)] * 10
         serial_engine.close()
-
-        assert parallel_time < serial_time / 2
 
     def test_atomic_acquisition_avoids_deadlock(self):
         """Two concurrent queries each needing 2 of 2 pool connections must

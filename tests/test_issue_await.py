@@ -2,13 +2,13 @@
 window reserved on the server's timeline) and then waited for.
 
 No test here waits on a real clock: ``clock.now`` and ``clock.sleep`` are
-replaced by a counter that moves only when somebody sleeps, so what is
+replaced by a counter that moves only when somebody sleeps (the ``fake``
+fixture of ``conftest.py``), so what is
 checked is *when* each window was booked and *what* was slept for.
 """
 
 import pytest
 
-from repro import clock
 from repro.engine import ExecutionEngine, build_context, rewrite, route
 from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import ExecutionError
@@ -19,35 +19,7 @@ from repro.storage import DataSource, FaultInjector, LatencyModel
 from repro.storage.faults import FaultKind
 from repro.storage.latency import IOTimeline
 
-T0 = 1000.0
-
-
-class FakeClock:
-    """Time that passes only inside ``sleep``."""
-
-    def __init__(self):
-        self.t = T0
-        self.sleeps = []
-
-    def now(self):
-        return self.t
-
-    def sleep(self, seconds):
-        if seconds > 0:  # like the real one: zero or less returns at once
-            self.sleeps.append(seconds)
-            self.t += seconds
-
-    @property
-    def slept(self):
-        return sum(self.sleeps)
-
-
-@pytest.fixture
-def fake(monkeypatch):
-    fake = FakeClock()
-    monkeypatch.setattr(clock, "now", fake.now)
-    monkeypatch.setattr(clock, "sleep", fake.sleep)
-    return fake
+from .conftest import T0
 
 
 def approx(value):

@@ -125,6 +125,8 @@ int_bound_s = st.one_of(
     st.none(),
 )
 comparison_s = st.sampled_from(["=", "<>", "<", ">", "<=", ">="])
+#: string bounds for numeric columns: numeric text, and text that is not a number
+str_bound_s = st.sampled_from(["1", "3", "0.5", "12", "-1", "x"])
 
 where_s = st.one_of(
     st.just(("", ())),
@@ -164,10 +166,20 @@ where_s = st.one_of(
     st.builds(lambda op, b: (f"WHERE name IS NOT NULL AND grp {op} ?", (b,)),
               comparison_s, int_bound_s),
     st.builds(lambda g: (f"WHERE grp > {g} AND val IS NOT NULL", ()), st.integers(-3, 5)),
-    # a str bound on ``flag``, which has no index (against an index a str
-    # bound picks the wrong range before any re-check runs)
-    st.builds(lambda op, b: (f"WHERE flag {op} ?", (b,)), comparison_s,
-              st.sampled_from(["1", "0.5", "x"])),
+    # str bounds: on ``flag`` (no index), and on the indexed ``grp``, ``val``
+    # and ``id``, where an index path must not answer for them
+    st.builds(lambda column, op, b: (f"WHERE {column} {op} ?", (b,)),
+              st.sampled_from(["flag", "grp", "val", "id"]), comparison_s, str_bound_s),
+    st.builds(lambda column, op, b: (f"WHERE {column} {op} '{b}'", ()),
+              st.sampled_from(["grp", "id"]), comparison_s, str_bound_s),
+    st.builds(lambda a, b: ("WHERE grp BETWEEN ? AND ?", (a, b)),
+              st.one_of(str_bound_s, int_bound_s), st.one_of(str_bound_s, int_bound_s)),
+    st.builds(lambda a, b: (f"WHERE id BETWEEN '{a}' AND {b}", ()), str_bound_s,
+              st.integers(0, 30)),
+    st.builds(lambda ks: ("WHERE id IN (%s)" % ", ".join(ks), ()),
+              st.lists(st.one_of(st.integers(0, 30).map(str),
+                                 st.integers(0, 30).map("'{}'".format)),
+                       min_size=1, max_size=4)),
 )
 
 select_items_s = st.sampled_from(
@@ -309,6 +321,53 @@ class TestDifferentialDML:
         assert first[0][1] == first[1][1], sql
         state = table_contents(twins)
         assert state[0] == state[1], sql
+
+
+class TestBoundOfTheOtherTypeFamily:
+    """A string bound on an indexed numeric column (or a number on an
+    indexed text column) reads as the comparison does, not as the index
+    orders keys."""
+
+    ROWS = [(i, i % 6, float(i), str(i * 3), i % 2) for i in range(10)]
+
+    @pytest.mark.parametrize("sql, params", [
+        ("SELECT id FROM t WHERE grp > '3' ORDER BY id", ()),
+        ("SELECT id FROM t WHERE grp = '3' ORDER BY id", ()),
+        ("SELECT id FROM t WHERE grp BETWEEN '3' AND 5 ORDER BY id", ()),
+        ("SELECT id FROM t WHERE grp BETWEEN ? AND ? ORDER BY grp, id", ("2", 4)),
+        ("SELECT id FROM t WHERE id = ?", ("3",)),
+        ("SELECT id FROM t WHERE id IN ('2', 4) ORDER BY id", ()),
+        ("SELECT id, val FROM t WHERE val >= '4.5' ORDER BY val DESC", ()),
+        ("SELECT id FROM t WHERE grp < '3' ORDER BY grp DESC, id", ()),
+    ])
+    def test_select(self, sql, params):
+        twins = make_twins(self.ROWS)
+        assert run_pair(twins, sql, params)[0][0] != []
+        assert_twins_agree(twins, sql, params)
+
+    def test_number_on_an_indexed_text_column(self):
+        twins = make_twins(self.ROWS)
+        for ds, _conn in twins:
+            ds.execute("CREATE INDEX idx_name ON t (name)")
+        assert_twins_agree(twins, "SELECT id FROM t WHERE name = 9")
+        assert_twins_agree(twins, "SELECT id FROM t WHERE name > 10 ORDER BY name")
+
+    def test_composite_index(self):
+        twins = make_twins(self.ROWS)
+        for ds, _conn in twins:
+            ds.execute("CREATE INDEX idx_grp_flag ON t (grp, flag)")
+        sql = "SELECT id FROM t WHERE grp = ? AND flag = ? ORDER BY id"
+        assert run_pair(twins, sql, ("3", 1))[0][0] == [(3,), (9,)]
+        assert_twins_agree(twins, sql, ("3", 1))
+        assert_twins_agree(twins, sql, (3, "1"))
+
+    def test_update_and_delete(self):
+        twins = make_twins(self.ROWS)
+        assert run_pair(twins, "UPDATE t SET flag = 7 WHERE grp >= '4'") == [
+            ([], 2), ([], 2)]
+        assert run_pair(twins, "DELETE FROM t WHERE id = '5'") == [([], 1), ([], 1)]
+        state = table_contents(twins)
+        assert state[0] == state[1]
 
 
 class TestOrderPreservingAccess:

@@ -8,6 +8,7 @@ text-exposition conformance.
 """
 
 import re
+import sys
 
 import pytest
 
@@ -153,8 +154,8 @@ class TestSpaceSaving:
         for i in range(40):
             sketch.offer("hot")
             sketch.offer(f"cold-{i}")
-        assert "hot" in sketch.counters
-        count, error = sketch.counters["hot"]
+        assert "hot" in sketch.counts
+        count, error = sketch.counts["hot"], sketch.errors["hot"]
         assert count >= 40
         assert count - error <= 40
 
@@ -168,6 +169,34 @@ class TestSpaceSaving:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             SpaceSaving(capacity=0)
+
+    def test_victim_is_the_first_minimum_in_insertion_order(self):
+        sketch = SpaceSaving(capacity=4)
+        for key, n in (("a", 2), ("b", 1), ("c", 3), ("d", 1)):
+            sketch.offer(key, weight=n)
+        sketch.offer("e")  # "b" and "d" tie at 1: "b" came first
+        assert list(sketch.counts) == ["a", "c", "d", "e"]
+        assert (sketch.counts["e"], sketch.errors["e"]) == (2.0, 1.0)
+        sketch.offer("f")  # now "d" (1) is the only minimum
+        assert list(sketch.counts) == ["a", "c", "e", "f"]
+        assert (sketch.counts["f"], sketch.errors["f"]) == (2.0, 1.0)
+
+    def test_eviction_makes_no_python_call_per_counter(self):
+        sketch = SpaceSaving(capacity=64)
+        for i in range(64):
+            sketch.offer(i)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            sketch.offer("new")
+        finally:
+            sys.setprofile(None)
+        assert calls == ["offer"]
 
 
 # ---------------------------------------------------------------------------
