@@ -92,9 +92,7 @@ class ShardingRuntime:
         self.health_detector = None
         self.engine.attach_observability(self.observability)
         self.transaction_manager = TransactionManager(
-            self.metadata.live_sources, transaction_type,
-            submit=self.engine.executor.submit_helpers,
-        )
+            self.metadata.live_sources, transaction_type)
         self._rwsplit_feature: ReadWriteSplittingFeature | None = None
         # cluster mode state (enable_cluster_mode)
         self._cluster_session = None

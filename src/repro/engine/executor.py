@@ -8,18 +8,17 @@ Balances data-source connections, memory and concurrency:
   serially, results loaded into memory — memory merger); θ = 1 allows
   MEMORY_STRICTLY (one connection per SQL, streaming cursors — stream
   merger).
-- Deadlock avoidance: when a query needs several connections at once, the
-  whole batch is acquired atomically under the data source's acquisition
-  lock. Per the paper we skip the lock when only one connection is needed
-  and in connection-strictly mode (connections are released as soon as
-  results are memory-loaded, so circular waits are impossible).
-- The units of a memory-strictly *query* group are issued by the calling
-  thread, one ``Connection.execute(..., wait=False)`` after the other, and
-  awaited together: their simulated I/O overlaps on the servers'
-  timelines and the statement sleeps once, for the slowest unit. Units
-  that hold something while they wait (a pinned transaction's connection,
-  a connection-strictly bucket, the write lock and commit of any DML) run
-  in parallel on a shared worker pool.
+- Deadlock avoidance: when a statement needs several connections of one
+  source at once, the whole batch is acquired atomically under the data
+  source's acquisition lock; a single connection skips the lock.
+- Every unit of a multi-unit statement is issued by the calling thread,
+  one ``Connection.execute(..., wait=False)`` after the other, and awaited
+  together: the simulated I/O overlaps on the servers' timelines and the
+  statement sleeps once, for the window that ends last. A unit that shares
+  its connection — a transaction's pinned connection, one of a
+  connection-strictly group's MaxCon connections — is issued on a serial
+  *lane*: the connection starts it when the unit before it on the same
+  connection is done (DESIGN.md "Issue and await").
 
 Resilience (opt-in via :class:`ResiliencePolicy`):
 
@@ -43,9 +42,10 @@ import enum
 import math
 import random
 import threading
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .. import clock
@@ -64,6 +64,10 @@ from .rewriter import ExecutionUnit
 if TYPE_CHECKING:
     from ..observability import Observability
     from ..observability.trace import Span, Trace
+
+
+#: when a connection's last issued statement is done (``Connection.free_at``)
+_free_at = attrgetter("free_at")
 
 
 class ConnectionMode(enum.Enum):
@@ -107,10 +111,6 @@ class ExecutionMetrics:
     degraded_statements: int = 0
     skipped_units: int = 0
     breaker_rejections: int = 0
-    # work-stealing fan-out counters
-    queued_tasks: int = 0
-    steals: int = 0
-    stolen_tasks: int = 0
     # statement-pipeline counters
     pipeline_batches: int = 0
     pipelined_statements: int = 0
@@ -134,9 +134,10 @@ class ExecutionMetrics:
             "degraded_statements": self.degraded_statements,
             "skipped_units": self.skipped_units,
             "breaker_rejections": self.breaker_rejections,
-            "queued_tasks": self.queued_tasks,
-            "steals": self.steals,
-            "stolen_tasks": self.stolen_tasks,
+            # no unit is queued for a worker or stolen any more; the two
+            # keys stay, at 0, because benchmarks/perf/metrics.py reads them
+            "queued_tasks": 0,
+            "steals": 0,
             "pipeline_batches": self.pipeline_batches,
             "pipelined_statements": self.pipelined_statements,
         }
@@ -189,16 +190,11 @@ class ExecutionEngine:
         self.data_sources = data_sources if isinstance(data_sources, dict) else dict(data_sources)
         self.max_connections_per_query = max_connections_per_query
         self.metrics = ExecutionMetrics()
-        # Pool threads are fan-out workers for life: a statement needs them
-        # back only when its slowest unit is done, so their sleeps keep the
-        # kernel's wake-up coalescing (DESIGN.md "Clock").
-        self._pool = ThreadPoolExecutor(max_workers=worker_threads, thread_name_prefix="ss-exec",
-                                        initializer=clock.coalesce_timers)
+        #: for work that is not a statement's units (federation's per-table
+        #: pulls, :meth:`submit`); no statement unit runs here
+        self._pool = ThreadPoolExecutor(max_workers=worker_threads, thread_name_prefix="ss-exec")
         self._closed = False
         self._close_lock = threading.Lock()
-        #: cap on workers participating in one statement's work-stealing
-        #: fan-out (worker 0 is always the calling thread)
-        self.fanout_workers = 8
         self.resilience: ResiliencePolicy | None = None
         self.breakers: BreakerRegistry | None = None
         self.health_check = health_check
@@ -222,10 +218,9 @@ class ExecutionEngine:
     def close(self) -> None:
         """Idempotent shutdown, safe while work is in flight.
 
-        Repeat calls are no-ops. Statements whose work-stealing scheduler
-        is mid-flight drain their deques: tasks not yet started fail with
-        a clear "engine is closed" error instead of hanging, and new
-        submissions are rejected at the door.
+        Repeat calls are no-ops. A statement in flight runs on its caller's
+        thread and finishes; new statements and submissions are rejected
+        at the door.
         """
         with self._close_lock:
             if self._closed:
@@ -251,29 +246,6 @@ class ExecutionEngine:
 
         return self._pool.submit(run)
 
-    def submit_helpers(self, work: Callable[[], None], wanted: int) -> None:
-        """Offer ``work`` to up to ``wanted`` pool threads; never wait for them.
-
-        The caller-participating half of a fan-out that is not a
-        statement (a transaction's commit round): the caller runs ``work``
-        itself as well and must be able to finish alone, so helpers are
-        accelerators — a saturated pool runs them late (they find nothing
-        left to do) and a closed one takes none. With the caller they
-        stay within ``fanout_workers``. Each helper resumes the caller's
-        session, as in :meth:`submit`.
-        """
-        session = current_session()
-
-        def run() -> None:
-            with activate(session):
-                work()
-
-        for _ in range(min(wanted, self.fanout_workers - 1)):
-            try:
-                self._pool.submit(run)
-            except RuntimeError:  # pool shut down: the caller works alone
-                return
-
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
@@ -297,8 +269,8 @@ class ExecutionEngine:
         ``route_type`` lets the resilience layer know when a multi-source
         read is a broadcast that may gracefully degrade. When ``trace`` is
         given, one ``storage`` span per unit (child of ``parent_span``) is
-        allocated here, in routing order on the calling thread — worker
-        scheduling never changes span ids. ``sources`` pins the statement
+        allocated here, in routing order on the calling thread.
+        ``sources`` pins the statement
         to one metadata snapshot's immutable data-source view, so a
         concurrent UNREGISTER RESOURCE cannot yank a source out from under
         an in-flight statement; None falls back to the live map.
@@ -346,9 +318,9 @@ class ExecutionEngine:
         direct = spans is None and self.resilience is None
         obs = self.observability
 
-        # Fast path: one unit on one source runs on the calling thread —
-        # the dominant OLTP case (point selects / PK writes), where worker
-        # dispatch would double the per-statement cost.
+        # Fast path: one unit on one source blocks on its own connection —
+        # the dominant OLTP case (point selects / PK writes), with nothing
+        # to overlap with.
         if len(units) == 1:
             unit = units[0]
             span = spans[id(unit)] if spans is not None else None
@@ -357,8 +329,16 @@ class ExecutionEngine:
                 result.modes[unit.data_source] = ConnectionMode.CONNECTION_STRICTLY
                 if span is not None:
                     span.attributes["mode"] = ConnectionMode.CONNECTION_STRICTLY.value
-                result.results, result.update_count = self._run_pinned(
-                    pinned, units, is_query, deadline, spans, heat)
+                t0 = clock.now() if heat is not None else 0.0
+                cursor = self._run_attempts(
+                    unit.data_source, lambda: self._traced(pinned, unit, span),
+                    is_query=is_query, pinned=pinned, deadline=deadline, span=span,
+                )
+                out = self._unit_done(unit, cursor, is_query, span, heat, t0)
+                if is_query:
+                    result.results.append(out)
+                else:
+                    result.update_count = out
                 self.metrics.statements += 1
                 return result
             source = self._source(unit.data_source, sources_map)
@@ -417,130 +397,106 @@ class ExecutionEngine:
             groups.setdefault(unit.data_source, []).append(unit)
 
         # -- fan-out ---------------------------------------------------------
-        # Memory-strictly reads are issued right here and awaited together.
-        # Every other unit becomes a fine-grained task seeded by data-source
-        # group (group g -> worker g mod W): each worker starts out owning
-        # one source's units (connection affinity), and an idle worker
-        # steals the back half of the deepest deque. A skewed route — one
-        # shard holding most of the units — no longer pins the whole
-        # statement on one submission chain while other workers idle.
-        state_lock = threading.Lock()
+        # Every unit is issued right here and awaited together below
+        # (DESIGN.md "Issue and await"). A memory-strictly group has one
+        # connection per unit. A pinned group, or a connection-strictly
+        # group's MaxCon connections, are serial lanes: each unit goes to
+        # the lane whose last window ends first, and the connection starts
+        # it when the one before it there is done.
         slots: dict[int, Any] = {}  # id(unit) -> ShardResult | update count
-        pinned_out: dict[str, tuple[list[ShardResult], int]] = {}
         source_errors: dict[str, BaseException] = {}
-        mem_groups: list[tuple[str, Callable[[], None]]] = []
-        #: (unit, cursor, span, t0, done_at) of every issued unit; the two
-        #: instants are for ``heat`` and 0.0 without it
-        issued: list[tuple[ExecutionUnit, Any, "Span | None", float, float]] = []
-
-        def fail_source(ds_name: str, exc: BaseException) -> None:
-            with state_lock:
-                source_errors.setdefault(ds_name, exc)
-
-        tasks: list[tuple[int, Callable[..., None]]] = []  # (seed worker, fn)
-        for group_index, (ds_name, group) in enumerate(groups.items()):
-            pinned = (held_connections or {}).get(ds_name)
-            if pinned is not None:
-                result.modes[ds_name] = ConnectionMode.CONNECTION_STRICTLY
-                self._annotate_mode(spans, group, ConnectionMode.CONNECTION_STRICTLY)
-                tasks.append((group_index, self._make_pinned_task(
-                    ds_name, pinned, group, is_query, deadline, spans, heat,
-                    pinned_out, fail_source, state_lock)))
-                continue
-            source = self._source(ds_name, sources_map)
-            mode = self._decide_mode(len(group))
-            result.modes[ds_name] = mode
-            self._annotate_mode(spans, group, mode)
-            if mode is ConnectionMode.CONNECTION_STRICTLY:
-                self.metrics.connection_strictly += 1
-                shared: deque[ExecutionUnit] = deque(group)
-                for _ in range(min(self.max_connections_per_query, len(group))):
-                    tasks.append((group_index, self._make_bucket_task(
-                        ds_name, source, shared, is_query, deadline, spans,
-                        heat, slots, source_errors, fail_source, state_lock)))
-            else:
-                self.metrics.memory_strictly += 1
-                # acquire the whole batch on the calling thread so the
-                # deadlock-avoidance lock ordering is untouched by stealing
-                try:
-                    connections = self._acquire_batch(
-                        source, len(group), deadline=deadline)
-                except BaseException as exc:
-                    fail_source(ds_name, exc)
-                    continue
-                released = threading.Event()
-
-                def release_all(source: DataSource = source,
-                                connections: list[Connection] = connections,
-                                released: threading.Event = released) -> None:
-                    if not released.is_set():
-                        released.set()
-                        source.pool.release_many(connections)
-
-                mem_groups.append((ds_name, release_all))
-                if not is_query:
-                    for index, unit in enumerate(group):
-                        tasks.append((group_index, self._make_write_task(
-                            ds_name, source, connections, index, unit,
-                            deadline, spans, heat, slots, fail_source, state_lock)))
-                    continue
-                # A read holds nothing while its I/O is outstanding, so it is
-                # issued here and now — run, priced, its I/O window reserved
-                # — and waited for below with every other one: no task, no
-                # helper thread, one sleep (DESIGN.md "Issue and await").
-                issued_before = len(issued)
+        #: (source name, source, connections, streamed) of every pool batch
+        batches: list[tuple[str, DataSource, list[Connection], bool]] = []
+        #: (unit, cursor, span, t0, done_at, stream) of every issued unit;
+        #: the two instants are for ``heat`` and 0.0 without it
+        issued: list[tuple[ExecutionUnit, Any, "Span | None", float, float, bool]] = []
+        latest = None  # the issued cursor whose window ends last
+        try:
+            for ds_name, group in groups.items():
+                pinned = (held_connections or {}).get(ds_name)
+                if pinned is not None:
+                    source, mode = None, ConnectionMode.CONNECTION_STRICTLY
+                else:
+                    source = self._source(ds_name, sources_map)
+                    mode = self._decide_mode(len(group))
+                result.modes[ds_name] = mode
+                self._annotate_mode(spans, group, mode)
+                lanes = mode is ConnectionMode.CONNECTION_STRICTLY
+                if source is None:
+                    connections = [pinned]
+                else:
+                    if lanes:
+                        self.metrics.connection_strictly += 1
+                    else:
+                        self.metrics.memory_strictly += 1
+                    try:
+                        connections = self._acquire_batch(
+                            source, min(self.max_connections_per_query, len(group)),
+                            deadline=deadline)
+                    except BaseException as exc:
+                        source_errors.setdefault(ds_name, exc)
+                        continue
+                    batches.append((ds_name, source, connections, not lanes))
+                answered = 0
                 for index, unit in enumerate(group):
+                    if lanes:
+                        index = connections.index(min(connections, key=_free_at))
                     span = spans.get(id(unit)) if spans is not None else None
                     t0 = clock.now() if heat is not None else 0.0
                     try:
                         if direct:
                             cursor = connections[index].execute(
                                 unit.statement, unit.params, False)
+                        elif source is None:
+                            cursor = self._run_attempts(
+                                ds_name, lambda: self._traced(pinned, unit, span, False),
+                                is_query=is_query, pinned=pinned, deadline=deadline,
+                                span=span, finish_span=False)
                         else:
                             cursor = self._run_on_batch(
-                                source, connections, index, unit, True, deadline, span,
-                                wait=False)
+                                source, connections, index, unit, is_query, deadline, span)
                     except BaseException as exc:
                         if direct and isinstance(exc, Exception):
                             self._record_outcome(ds_name, ok=False)
-                        fail_source(ds_name, exc)
-                    else:
-                        # heat gets issue-to-ready: what the unit cost, not
-                        # how long the statement took to come back for it
-                        issued.append((unit, cursor, span, t0,
-                                       max(cursor.ready_at, clock.now())
-                                       if heat is not None else 0.0))
-                if direct and obs is not None and len(issued) > issued_before:
-                    obs.on_source_attempt(ds_name, True, len(issued) - issued_before)
-
-        try:
-            if tasks:
-                scheduler = _StealScheduler(self, tasks)
-                scheduler.run()
-                if parent_span is not None and scheduler.steals:
-                    parent_span.attributes["steals"] = scheduler.steals
-                    parent_span.attributes["stolen_tasks"] = scheduler.stolen_tasks
+                        source_errors.setdefault(ds_name, exc)
+                        if lanes:
+                            break  # a lane stops at its first error
+                        continue
+                    answered += 1
+                    # heat gets issue-to-ready: what the unit cost, not how
+                    # long the statement took to come back for it
+                    issued.append((unit, cursor, span, t0,
+                                   max(cursor.ready_at, clock.now()) if heat is not None else 0.0,
+                                   not lanes))
+                    if latest is None or cursor.ready_at > latest.ready_at:
+                        latest = cursor
+                if direct and obs is not None and answered:
+                    obs.on_source_attempt(ds_name, True, answered)
         finally:
             # nothing is merged, released or raised before every issued
-            # unit's priced time has passed
-            for _unit, cursor, span, _t0, _done_at in issued:
+            # unit's priced time has passed; the latest window is waited for
+            # first, so every other wait finds its window over
+            if latest is not None:
+                latest.wait()
+            for _unit, cursor, span, *_ in issued:
                 cursor.wait()
                 if span is not None:
                     span.finish()
-        for unit, cursor, span, t0, done_at in issued:
+        for unit, cursor, span, t0, done_at, stream in issued:
             try:
                 slots[id(unit)] = self._unit_done(
-                    unit, cursor, True, span, heat, t0, stream=True, done_at=done_at)
+                    unit, cursor, is_query, span, heat, t0, stream=stream, done_at=done_at)
             except BaseException as exc:
-                fail_source(unit.data_source, exc)
+                source_errors.setdefault(unit.data_source, exc)
 
-        # resolve memory-strictly connection lifetimes now that every task
-        # has finished: streams outlive the statement, errors release now
-        for ds_name, release_all in mem_groups:
-            if ds_name in source_errors or not is_query:
-                release_all()
+        # streamed results outlive the statement; every other batch, and the
+        # batch of a source that failed, goes back now
+        for ds_name, source, connections, streamed in batches:
+            release = partial(source.pool.release_many, connections)
+            if streamed and is_query and ds_name not in source_errors:
+                result.finalizers.append(release)
             else:
-                result.finalizers.append(release_all)
+                release()
 
         errors: list[BaseException] = []
         soft_failures: list[tuple[str, BaseException]] = []
@@ -556,17 +512,12 @@ class ExecutionEngine:
                     errors.append(exc)
                 continue
             succeeded += 1
-            if ds_name in pinned_out:
-                shard_results, update_count = pinned_out[ds_name]
-                result.results.extend(shard_results)
-                result.update_count += update_count
-            else:
-                for unit in group:
-                    out = slots[id(unit)]
-                    if is_query:
-                        result.results.append(out)
-                    else:
-                        result.update_count += out
+            for unit in group:
+                out = slots[id(unit)]
+                if is_query:
+                    result.results.append(out)
+                else:
+                    result.update_count += out
         if errors or (soft_failures and not succeeded):
             result.release()
             raise (errors or [exc for _, exc in soft_failures])[0]
@@ -808,33 +759,6 @@ class ExecutionEngine:
         except KeyError:
             raise ExecutionError(f"unknown data source {name!r}") from None
 
-    def _run_pinned(
-        self,
-        connection: Connection,
-        group: list[ExecutionUnit],
-        is_query: bool,
-        deadline: float | None = None,
-        spans: "dict[int, Span] | None" = None,
-        heat: Any = None,
-    ) -> tuple[list[ShardResult], int]:
-        """Transactional path: all units run serially on the pinned connection."""
-        results: list[ShardResult] = []
-        update_count = 0
-        for unit in group:
-            span = spans.get(id(unit)) if spans is not None else None
-            t0 = clock.now() if heat is not None else 0.0
-            cursor = self._run_attempts(
-                unit.data_source,
-                lambda unit=unit, span=span: self._traced(connection, unit, span),
-                is_query=is_query, pinned=connection, deadline=deadline, span=span,
-            )
-            out = self._unit_done(unit, cursor, is_query, span, heat, t0)
-            if is_query:
-                results.append(out)
-            else:
-                update_count += out
-        return results, update_count
-
     @staticmethod
     def _unit_done(
         unit: ExecutionUnit,
@@ -873,106 +797,6 @@ class ExecutionEngine:
             heat.unit_done(unit, (done_at or clock.now()) - t0, cursor, rows)
         return out
 
-    _CLOSED_IN_FLIGHT = "execution engine closed while statement was in flight"
-
-    def _make_pinned_task(
-        self,
-        ds_name: str,
-        connection: Connection,
-        group: list[ExecutionUnit],
-        is_query: bool,
-        deadline: float | None,
-        spans: "dict[int, Span] | None",
-        heat: Any,
-        pinned_out: dict[str, tuple[list[ShardResult], int]],
-        fail_source: Callable[[str, BaseException], None],
-        state_lock: threading.Lock,
-    ) -> Callable[..., None]:
-        """One task per pinned (transactional) group: units stay serial on
-        the held connection, whichever worker picks the task up."""
-
-        def task(cancelled: bool = False) -> None:
-            if cancelled:
-                fail_source(ds_name, ExecutionError(self._CLOSED_IN_FLIGHT))
-                return
-            try:
-                out = self._run_pinned(
-                    connection, group, is_query, deadline, spans, heat)
-                with state_lock:
-                    pinned_out[ds_name] = out
-            except BaseException as exc:
-                fail_source(ds_name, exc)
-
-        return task
-
-    def _make_bucket_task(
-        self,
-        ds_name: str,
-        source: DataSource,
-        shared: "deque[ExecutionUnit]",
-        is_query: bool,
-        deadline: float | None,
-        spans: "dict[int, Span] | None",
-        heat: Any,
-        slots: dict[int, Any],
-        source_errors: dict[str, BaseException],
-        fail_source: Callable[[str, BaseException], None],
-        state_lock: threading.Lock,
-    ) -> Callable[..., None]:
-        """θ > 1 (connection-strictly): one connection, several SQLs,
-        memory-loaded results.
-
-        Each bucket task pulls units off the source's *shared* deque until
-        it runs dry, so a slow unit no longer strands its statically
-        assigned bucket-mates — siblings (or thieves) drain them. No
-        acquisition lock: connections are released as soon as results are
-        loaded, so two queries cannot deadlock on this path.
-        """
-
-        def task(cancelled: bool = False) -> None:
-            if cancelled:
-                fail_source(ds_name, ExecutionError(self._CLOSED_IN_FLIGHT))
-                return
-            holder: list[Connection] | None = None
-            try:
-                while True:
-                    with state_lock:
-                        if ds_name in source_errors:
-                            return
-                    try:
-                        unit = shared.popleft()
-                    except IndexError:
-                        return
-                    if holder is None:
-                        # lazy acquire: a bucket whose units were all taken
-                        # by faster siblings never checks out a connection
-                        holder = [self._pool_acquire(source, deadline)]
-                    span = spans.get(id(unit)) if spans is not None else None
-
-                    def attempt(unit: ExecutionUnit = unit, span=span,
-                                holder: list[Connection] = holder) -> Any:
-                        if holder[0].closed:
-                            source.pool.release(holder[0])
-                            holder[0] = self._pool_acquire(source, deadline)
-                        return self._traced(holder[0], unit, span)
-
-                    t0 = clock.now() if heat is not None else 0.0
-                    cursor = self._run_attempts(
-                        ds_name, attempt,
-                        is_query=is_query, pinned=None, deadline=deadline,
-                        span=span,
-                    )
-                    out = self._unit_done(unit, cursor, is_query, span, heat, t0)
-                    with state_lock:
-                        slots[id(unit)] = out
-            except BaseException as exc:
-                fail_source(ds_name, exc)
-            finally:
-                if holder is not None:
-                    source.pool.release(holder[0])
-
-        return task
-
     def _run_on_batch(
         self,
         source: DataSource,
@@ -982,58 +806,22 @@ class ExecutionEngine:
         is_query: bool,
         deadline: float | None,
         span: "Span | None",
-        wait: bool = True,
     ) -> Any:
-        """θ = 1 (memory-strictly): run one unit on its pre-acquired
-        connection, ``connections[index]`` — replaced in the batch when a
-        fault closed it — under the retry loop. With ``wait=False`` the
-        cursor comes back issued, not waited for, and the span still open."""
+        """Issue one unit on a pre-acquired connection of its group's batch,
+        ``connections[index]`` — replaced in the batch when a fault closed
+        it — under the retry loop. The cursor comes back issued, not waited
+        for, and the span still open."""
 
         def attempt() -> Any:
             if connections[index].closed:
                 source.pool.release(connections[index])
                 connections[index] = self._pool_acquire(source, deadline)
-            return self._traced(connections[index], unit, span, wait)
+            return self._traced(connections[index], unit, span, False)
 
         return self._run_attempts(
             unit.data_source, attempt, is_query=is_query, pinned=None,
-            deadline=deadline, span=span, finish_span=wait,
+            deadline=deadline, span=span, finish_span=False,
         )
-
-    def _make_write_task(
-        self,
-        ds_name: str,
-        source: DataSource,
-        connections: list[Connection],
-        index: int,
-        unit: ExecutionUnit,
-        deadline: float | None,
-        spans: "dict[int, Span] | None",
-        heat: Any,
-        slots: dict[int, Any],
-        fail_source: Callable[[str, BaseException], None],
-        state_lock: threading.Lock,
-    ) -> Callable[..., None]:
-        """θ = 1 (memory-strictly) DML: one pre-acquired connection per SQL,
-        one task per unit — a write waits holding its connection's lock
-        (the implicit commit), so it takes a worker where a read is issued."""
-
-        def task(cancelled: bool = False) -> None:
-            if cancelled:
-                fail_source(ds_name, ExecutionError(self._CLOSED_IN_FLIGHT))
-                return
-            span = spans.get(id(unit)) if spans is not None else None
-            t0 = clock.now() if heat is not None else 0.0
-            try:
-                cursor = self._run_on_batch(
-                    source, connections, index, unit, False, deadline, span)
-                out = self._unit_done(unit, cursor, False, span, heat, t0)
-                with state_lock:
-                    slots[id(unit)] = out
-            except BaseException as exc:
-                fail_source(ds_name, exc)
-
-        return task
 
     def _pool_acquire(
         self,
@@ -1166,125 +954,3 @@ class ExecutionEngine:
         self.metrics.pipelined_statements += len(statements)
         return out
 
-
-class _StealScheduler:
-    """Work-stealing batch scheduler for the units of one multi-unit
-    statement that block while they wait (everything but memory-strictly
-    reads, which ``ExecutionEngine.execute`` issues itself).
-
-    Tasks are seeded by data-source group (group *g* lands on worker
-    *g mod W*), so each worker starts out owning one source's units —
-    connection affinity — while an idle worker steals the back half of
-    the deepest deque. The calling thread always participates as worker
-    0: even with the shared pool saturated by concurrent statements the
-    batch makes progress on its own thread (helpers are best-effort
-    accelerators), which removes the nested-submit starvation the old
-    per-group future chain was exposed to.
-
-    ``run`` returns once every task has executed — or been drained with
-    ``cancelled=True`` because the engine closed mid-flight.
-    """
-
-    __slots__ = ("engine", "session", "deques", "lock", "remaining", "done",
-                 "steals", "stolen_tasks")
-
-    def __init__(self, engine: ExecutionEngine,
-                 tasks: list[tuple[int, Callable[..., None]]]):
-        workers = max(1, min(len(tasks), engine.fanout_workers))
-        self.engine = engine
-        #: the statement's session, captured on the calling thread; helper
-        #: workers resume it so stolen tasks keep causal tokens, primary
-        #: pinning and transaction pinning attributed to the right session
-        self.session = current_session()
-        self.deques: list[deque[Callable[..., None]]] = [
-            deque() for _ in range(workers)
-        ]
-        for seed, fn in tasks:
-            self.deques[seed % workers].append(fn)
-        self.lock = threading.Lock()
-        self.remaining = len(tasks)
-        self.done = threading.Event()
-        self.steals = 0
-        self.stolen_tasks = 0
-        engine.metrics.queued_tasks += len(tasks)
-
-    def run(self) -> None:
-        if not self.remaining:
-            self.done.set()
-            return
-        for index in range(1, len(self.deques)):
-            try:
-                self.engine._pool.submit(self._helper_work, index)
-            except RuntimeError:
-                # pool already shut down: worker 0 drains everything alone
-                break
-        if len(self.deques) == 1:
-            self._work(0)  # nobody to overlap with: a session running alone
-        else:
-            # worker 0 sleeps like the helpers it works beside, so a fan-out
-            # keeps one kind of timer whoever runs a unit (DESIGN.md "Clock")
-            clock.coalesce_timers()
-            try:
-                self._work(0)
-            finally:
-                clock.precise_timers()
-        self.done.wait()
-
-    def _helper_work(self, me: int) -> None:
-        """Pool-thread entry: resume the statement's session, then work.
-
-        Worker 0 is the calling thread and is already in the session's
-        context; every helper crosses a thread boundary and must restore
-        it explicitly before touching any unit."""
-        with activate(self.session):
-            self._work(me)
-
-    def _work(self, me: int) -> None:
-        my = self.deques[me]
-        while True:
-            if self.engine._closed:
-                self._drain_closed()
-                return
-            task: Callable[..., None] | None = None
-            with self.lock:
-                if my:
-                    task = my.popleft()
-                else:
-                    victim: deque[Callable[..., None]] | None = None
-                    depth = 0
-                    for dq in self.deques:
-                        if dq is not my and len(dq) > depth:
-                            victim, depth = dq, len(dq)
-                    if victim is not None:
-                        half = (depth + 1) // 2
-                        stolen = [victim.pop() for _ in range(half)]
-                        stolen.reverse()  # keep the stolen slice in FIFO order
-                        my.extend(stolen)
-                        self.steals += 1
-                        self.stolen_tasks += half
-                        self.engine.metrics.steals += 1
-                        self.engine.metrics.stolen_tasks += half
-                        task = my.popleft()
-            if task is None:
-                return
-            self._finish(task, cancelled=False)
-
-    def _drain_closed(self) -> None:
-        """Engine closed mid-statement: fail every queued task fast so
-        ``run`` can return with a clear error instead of hanging."""
-        with self.lock:
-            drained: list[Callable[..., None]] = []
-            for dq in self.deques:
-                drained.extend(dq)
-                dq.clear()
-        for fn in drained:
-            self._finish(fn, cancelled=True)
-
-    def _finish(self, fn: Callable[..., None], cancelled: bool) -> None:
-        try:
-            fn(cancelled=cancelled)
-        finally:
-            with self.lock:
-                self.remaining -= 1
-                if self.remaining == 0:
-                    self.done.set()

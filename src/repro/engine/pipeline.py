@@ -329,7 +329,7 @@ class SQLEngine:
                 # concurrent DistSQL mutation (which swaps in the *next*
                 # snapshot) can never be half-observed. It is also recorded
                 # on the session so any worker continuing this statement
-                # (steal/fan-out) can reach it, and SHOW SESSIONS can
+                # (a federated pull) can reach it, and SHOW SESSIONS can
                 # attribute in-flight statements to a metadata version.
                 session.snapshot = st.snap = self.metadata.current()
                 try:

@@ -5,8 +5,8 @@ its own ``threading.local`` — causal replication tokens in
 ``storage/replication.py``, the metadata mutation guard in
 ``metadata.py``, the Governor publish guard in ``adaptors/runtime.py``.
 That equates "session" with "OS thread", which breaks down the moment a
-statement crosses a thread boundary (the work-stealing executor, the
-federation fan-out) and makes a multiplexing proxy — thousands of client
+statement crosses a thread boundary (the federation fan-out, a proxy
+worker continuing a client's session) and makes a multiplexing proxy — thousands of client
 sessions over a small worker pool — impossible.
 
 This module replaces all of them with one explicit object:
@@ -23,14 +23,13 @@ This module replaces all of them with one explicit object:
   **thread-root session** of :func:`current_session`.
 * Thread boundaries propagate sessions *explicitly*: capture with
   :func:`current_session` on the submitting side, resume with
-  :func:`activate` on whichever worker picks the work up. The
-  work-stealing executor, ``ExecutionEngine.submit`` (federation) and
-  the proxy reactor all do this, so a statement started by one thread
-  can be continued by any other without losing read-your-writes or
-  transaction pinning.
+  :func:`activate` on whichever worker picks the work up.
+  ``ExecutionEngine.submit`` (federation) and the proxy reactor both do
+  this, so a statement started by one thread can be continued by any
+  other without losing read-your-writes or transaction pinning.
 
 The one ``SessionContext`` may be shared by several threads at once (a
-fanned-out statement), so token/guard updates go through a small
+statement and its federated pulls), so token/guard updates go through a small
 per-session lock; plain reads stay lock-free.
 """
 
@@ -98,8 +97,8 @@ class SessionContext:
     def note_write(self, group: str, lsn: int) -> None:
         """Advance the causal token for ``group`` to ``lsn``.
 
-        Locked: concurrent fan-out workers of one statement may commit to
-        different shards of the same group at the same time.
+        Locked: two threads sharing the session (a federated pull beside
+        its statement, a proxy worker) may advance one group at once.
         """
         with self._lock:
             if lsn > self.tokens.get(group, 0):

@@ -14,8 +14,10 @@ A statement is *issued* (admitted, run, priced, its I/O window reserved on
 the server's timeline) and then *waited for*. ``execute`` does both;
 ``execute(..., wait=False)`` returns after the first, which is what an
 asynchronous driver gives — send, collect later — and what lets the
-execution engine issue every unit of a read fan-out from one thread and
-sleep once (DESIGN.md "Issue and await").
+execution engine issue every unit of a fan-out from one thread and sleep
+once (DESIGN.md "Issue and await"). The transaction verbs (``commit``,
+``xa_prepare``, ``xa_commit``) take the same ``wait`` and return their
+window ``(priced, ready_at)``; nothing here sleeps holding a lock.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ class Connection:
     #: of one statement: latency-model sleeps and lock waits in ``_run``
     #: are attributed to this span (class default None = not traced)
     trace_span = None
+    #: ``clock.now()`` instant at which the last statement issued here
+    #: (``execute(..., wait=False)``) is done. A connection runs one
+    #: statement at a time, so one issued behind it starts no earlier.
+    free_at = 0.0
 
     def __init__(self, data_source: "DataSource"):
         self.data_source = data_source
@@ -122,13 +128,20 @@ class Connection:
             self._transaction = Transaction(self.database)
             self.autocommit = False
 
-    def commit(self) -> None:
+    def commit(self, wait: bool = True) -> tuple[float, float] | None:
+        """Commit the open transaction (if any). Returns the commit's window
+        ``(priced, ready_at)``; with ``wait`` it is paid before returning —
+        outside this connection's lock — without, the caller pays it."""
         self._check_open()
+        window = None
         with self._lock:
             if self._transaction is not None:
-                self._transaction.commit()
+                window = self._transaction.commit(wait=False)
                 self._transaction = None
             self.autocommit = True
+        if wait and window is not None:
+            pay(*window)
+        return window
 
     def rollback(self) -> None:
         self._check_open()
@@ -140,25 +153,31 @@ class Connection:
 
     # -- XA verbs ---------------------------------------------------------------
 
-    def xa_prepare(self, xid: str) -> bool:
+    def xa_prepare(self, xid: str, wait: bool = True) -> tuple[float, float] | None:
         """2PC phase 1: park the open transaction as prepared under xid.
 
-        Returns False for a branch that wrote nothing (the XA read-only
-        vote): there is nothing to log or to park, the branch ends here
+        Returns the window of the prepare's log write, paid as by
+        :meth:`commit`. None is the XA read-only vote: the branch wrote
+        nothing, so there is nothing to log or to park, the branch ends here
         and must be left out of phase 2.
         """
         self._check_open()
+        window = None
         with self._lock:
             transaction = self._transaction
-            wrote = transaction is not None and transaction.mutation_count > 0
-            if wrote:
-                transaction.prepare(xid)  # a "NO" raises and leaves the branch open
+            if transaction is not None and transaction.mutation_count > 0:
+                # a "NO" raises and leaves the branch open
+                window = transaction.prepare(xid, wait=False)
             self._transaction = None
             self.autocommit = True
-            return wrote
+        if wait and window is not None:
+            pay(*window)
+        return window
 
-    def xa_commit(self, xid: str) -> None:
-        commit_prepared(self.database, xid)
+    def xa_commit(self, xid: str, wait: bool = True) -> tuple[float, float] | None:
+        """2PC phase 2: commit the branch parked under xid; the window is
+        returned and paid as by :meth:`commit`."""
+        return commit_prepared(self.database, xid, wait)
 
     def xa_rollback(self, xid: str) -> None:
         rollback_prepared(self.database, xid)
@@ -204,6 +223,7 @@ class Connection:
         if delay and wait:  # an injected latency spike, before the statement runs
             pay(delay)
         span = self.trace_span
+        commit = None  # an autocommit write's implicit commit: its window
         if stmt.category in ("DML", "DDL"):
             with self._lock:
                 implicit = False
@@ -227,11 +247,8 @@ class Connection:
                         self._transaction = None
                     raise
                 if implicit:
-                    txn.commit()
+                    commit = txn.commit(wait=False)
                     self._transaction = None
-                    if span is not None:
-                        # autocommit fsync happens inside this statement
-                        span.record_simulated(self.database.latency.commit_cost())
         else:
             result, plan_status = execute_planned(
                 self.database, stmt, params, self._transaction)
@@ -239,10 +256,21 @@ class Connection:
             if span is not None:
                 span.attributes["storage_plan"] = plan_status
         if wait:
+            if commit is not None:
+                self._pay_commit(commit, span)
             self._pay(result.cost, result.written_table, span)
         else:
-            result.delay = delay
+            # issued: the write's window starts once its commit's has ended
+            result.delay = delay if commit is None else delay + commit[0]
         return result
+
+    @staticmethod
+    def _pay_commit(window: tuple[float, float], span: Any) -> None:
+        """Pay an autocommit write's implicit commit, outside every lock."""
+        pay(*window)
+        if span is not None:
+            # autocommit fsync happens inside this statement
+            span.record_simulated(window[0])
 
     def _admit(self, stmt: ast.Statement) -> None:
         """Replica-group role checks + the storage statement counter.
@@ -389,6 +417,7 @@ class Connection:
         if delay:
             pay(delay)
         span = self.trace_span
+        commit = None
         with self._lock:
             implicit = False
             if self._transaction is None:
@@ -411,10 +440,10 @@ class Connection:
                     self._transaction = None
                 raise
             if implicit:
-                txn.commit()
+                commit = txn.commit(wait=False)
                 self._transaction = None
-                if span is not None:
-                    span.record_simulated(self.database.latency.commit_cost())
+        if commit is not None:
+            self._pay_commit(commit, span)
         self._pay(result.cost, result.written_table, span)
         return result
 
@@ -463,7 +492,7 @@ class Cursor:
         the call returns without sleeping; :meth:`wait` (or the first
         fetch) then sleeps to the end of that window, so no caller reads
         a result before its priced time. A write's implicit commit is
-        still waited for in place."""
+        applied at issue and its cost opens the window, as a delay."""
         if self._closed:
             raise ConnectionClosedError("cursor is closed")
         if isinstance(sql, str):
@@ -478,8 +507,11 @@ class Cursor:
         self._rows = iter(result.rows)
         if not wait and (owed := result.cost + result.delay) > 0:
             asked = clock.now()
-            self.ready_at = connection.data_source.io_timeline.reserve(
-                result.cost, result.written_table, result.delay)
+            delay = result.delay
+            if connection.free_at > asked:  # behind this connection's last statement
+                delay += connection.free_at - asked
+            self.ready_at = connection.free_at = connection.data_source.io_timeline.reserve(
+                result.cost, result.written_table, delay)
             self._pending = (owed, asked, connection.trace_span)
         elif self.ready_at:  # a cursor used again after an issued statement
             self._pending, self.ready_at = None, 0.0

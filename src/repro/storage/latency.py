@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .. import clock
@@ -166,7 +167,22 @@ class LatencyModel:
         """Price the fsync-like cost of a commit or prepare (seconds)."""
         return self.commit_io * self.scale
 
-    def charge_commit(self, spike: float = 0.0) -> None:
-        """Convenience: price and immediately pay a commit, and with it an
-        injected latency ``spike`` (``Database.maybe_fail``'s return)."""
-        pay(self.commit_cost() + spike)
+    def charge_commit(self, spike: float = 0.0, wait: bool = True) -> tuple[float, float]:
+        """Price a commit or prepare, and with it an injected latency
+        ``spike`` (``Database.maybe_fail``'s return); with ``wait`` also pay
+        it here. Returns its window ``(priced, ready_at)``: a commit
+        occupies no I/O channel, so it ends that many seconds from now."""
+        priced = self.commit_cost() + spike
+        window = priced, clock.now() + priced
+        if wait:
+            pay(*window)
+        return window
+
+
+def pay_all(windows: "list[tuple[float, float]]") -> None:
+    """Wait once for a round of issued ``(priced, ready_at)`` windows: the
+    one that ends last is paid first, so every other ``pay`` finds its
+    window over and returns at once — one ``pay`` per window all the same,
+    as the harness counts them."""
+    for priced, ready_at in sorted(windows, key=itemgetter(1), reverse=True):
+        pay(priced, ready_at)

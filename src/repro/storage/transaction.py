@@ -95,14 +95,17 @@ class Transaction:
 
     # -- 1PC ----------------------------------------------------------------
 
-    def commit(self) -> None:
+    def commit(self, wait: bool = True) -> tuple[float, float]:
+        """Commit now; returns the commit's window ``(priced, ready_at)``,
+        already paid with ``wait`` and the caller's to pay without."""
         self._check(TxnStatus.ACTIVE, TxnStatus.PREPARED)
-        self.database.latency.charge_commit(self.database.maybe_fail("commit"))
+        window = self.database.latency.charge_commit(self.database.maybe_fail("commit"), wait)
         self._undo.clear()
         self.status = TxnStatus.COMMITTED
         if self._touched:
             publish_row_images(self.database, self._touched.values())
             self._touched = None
+        return window
 
     def rollback(self) -> None:
         if self.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
@@ -121,14 +124,16 @@ class Transaction:
 
     # -- 2PC (XA) -------------------------------------------------------------
 
-    def prepare(self, xid: str) -> None:
-        """Phase 1: promise this transaction can commit; park it under xid."""
+    def prepare(self, xid: str, wait: bool = True) -> tuple[float, float]:
+        """Phase 1: promise this transaction can commit; park it under xid.
+        Returns the window of its log write, as :meth:`commit` does."""
         self._check(TxnStatus.ACTIVE)
         # prepare writes a log record
-        self.database.latency.charge_commit(self.database.maybe_fail("prepare"))
+        window = self.database.latency.charge_commit(self.database.maybe_fail("prepare"), wait)
         self.xid = xid
         self.status = TxnStatus.PREPARED
         self.database.park_prepared(xid, self)
+        return window
 
     def _check(self, *allowed: TxnStatus) -> None:
         if self.status not in allowed:
@@ -179,14 +184,16 @@ def replay_undo(database: "Database", entries: list[_UndoEntry]) -> None:
         )
 
 
-def commit_prepared(database: "Database", xid: str) -> None:
-    """Phase 2 commit of a parked prepared transaction."""
+def commit_prepared(database: "Database", xid: str,
+                    wait: bool = True) -> tuple[float, float] | None:
+    """Phase 2 commit of a parked prepared transaction; returns its window
+    (see :meth:`Transaction.commit`), None for an xid already completed."""
     txn = database.take_prepared(xid)
     if txn is None:
         # Idempotent: an unknown xid means it was already completed.
-        return
+        return None
     try:
-        txn.commit()
+        return txn.commit(wait)
     except Exception as exc:  # pragma: no cover - failure injection path
         database.park_prepared(xid, txn)
         raise XATransactionError(f"commit of prepared xid {xid} failed: {exc}") from exc

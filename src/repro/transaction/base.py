@@ -6,7 +6,9 @@ transaction must all flow through the same session on each shard). The
 three concrete protocols — LOCAL (1PC), XA (2PC) and BASE (Seata-AT) —
 differ only in how ``commit``/``rollback`` drive those pinned connections;
 each round of either goes through :meth:`DistributedTransaction._on_each`,
-which reaches every participant at once (DESIGN.md "Transaction end").
+which issues the verb to every participant from the calling thread and
+then waits once, for the window that ends last (DESIGN.md "Transaction
+end").
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import enum
 import itertools
 import threading
 import uuid
-from collections import deque
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..exceptions import TransactionError
 from ..storage import Connection, DataSource
+from ..storage.latency import pay_all
 
 
 class TransactionType(enum.Enum):
@@ -40,19 +42,13 @@ class TransactionType(enum.Enum):
             ) from None
 
 
-#: ``submit(work, wanted)``: offer ``work`` to up to ``wanted`` other threads
-#: without waiting for any of them (``ExecutionEngine.submit_helpers``)
-SubmitHelpers = Callable[[Callable[[], None], int], None]
-
 #: what one participant answered: its data source and the exception it
 #: raised, or None
 Outcome = tuple[str, "Exception | None"]
 
-
-def caller_only(work: Callable[[], None], wanted: int) -> None:
-    """The ``submit`` of a transaction without an engine: no helper runs,
-    so the caller reaches the participants one after another, in order —
-    what a saturated or closed worker pool degrades to as well."""
+#: what issuing a verb on one participant leaves to wait for: ``(seconds
+#: priced, instant its answer is in)``, or None for nothing
+Window = Optional[tuple[float, float]]
 
 
 def failed(outcomes: list[Outcome]) -> list[tuple[str, Exception]]:
@@ -73,15 +69,13 @@ class DistributedTransaction(abc.ABC):
 
     type: TransactionType
 
-    def __init__(self, data_sources: Mapping[str, DataSource],
-                 submit: SubmitHelpers = caller_only):
+    def __init__(self, data_sources: Mapping[str, DataSource]):
         self.data_sources = dict(data_sources)
         self.xid = new_xid()
         self.connections: dict[str, Connection] = {}
         #: ``(ds_name, exception)`` of the participants the last commit
         #: lost, in participant order (the adaptor counts them)
         self.failures: list[tuple[str, Exception]] = []
-        self._submit = submit
         self._finished = False
         self._pin_lock = threading.Lock()
 
@@ -90,9 +84,8 @@ class DistributedTransaction(abc.ABC):
     def connection_for(self, ds_name: str) -> Connection:
         """Pin (lazily) the transaction's connection to one data source.
 
-        Locked: a fanned-out statement inside the transaction reaches
-        this from several executor workers at once, and racing pins
-        would acquire (and leak) duplicate connections for one source.
+        Locked, so that two threads driving one transaction cannot pin
+        (and leak) two connections for one source.
         """
         self._check_active()
         connection = self.connections.get(ds_name)
@@ -132,59 +125,33 @@ class DistributedTransaction(abc.ABC):
     def rollback(self) -> None:
         """Run the protocol's rollback; must release all pinned connections."""
 
-    def _on_each(self, op: Callable[[str, Connection], None],
+    def _on_each(self, op: Callable[[str, Connection], Window],
                  names: Sequence[str] | None = None) -> list[Outcome]:
-        """Run ``op(ds_name, connection)`` on every participant at once.
+        """Issue ``op(ds_name, connection)`` to every participant, then wait once.
 
-        Returns ``(ds_name, exception | None)`` in participant order, once
-        every participant has answered; ``names`` narrows the round to
-        some of them (XA's phase 2 skips the branches that only read).
-
-        The calling thread takes the first participant itself and then
-        whatever is still unclaimed; ``submit`` offers the rest to at most
-        one helper each. Helpers only ever shorten the wait: one that
-        starts late finds nothing left to claim and one that never starts
-        is not missed, so a full or closed pool costs the serial order
-        and cannot deadlock. ``op`` runs on a helper inside the caller's
-        session (``submit`` sees to that).
+        ``op`` applies its verb at once and returns what is left to wait
+        for (see :data:`Window`). The calling thread issues it to each
+        participant in order; when all have answered it waits for the
+        window that ends last, so N participants cost the slowest one, not
+        the sum. Returns ``(ds_name, exception | None)`` in participant
+        order; ``names`` narrows the round to some of them (XA's phase 2
+        skips the branches that only read).
         """
         if names is None:
             names = sorted(self.connections)
-        if not names:
-            return []
-        connections = self.connections
-        outcomes: list[Exception | None] = [None] * len(names)
-        unclaimed = deque(range(1, len(names)))
-        lock = threading.Lock()
-        all_answered = threading.Lock()  # held until the last answer is in
-        all_answered.acquire()
-        waiting = len(names)
-
-        def work(index: int | None = None) -> None:
-            nonlocal waiting
-            while True:
-                if index is None:
-                    try:
-                        index = unclaimed.popleft()
-                    except IndexError:
-                        return
-                name = names[index]
-                try:
-                    op(name, connections[name])
-                except Exception as exc:
-                    outcomes[index] = exc
-                finally:
-                    with lock:
-                        waiting -= 1
-                        if not waiting:
-                            all_answered.release()
-                index = None
-
-        if unclaimed:
-            self._submit(work, len(unclaimed))
-        work(0)
-        all_answered.acquire()
-        return list(zip(names, outcomes))
+        outcomes: list[Outcome] = []
+        windows = []
+        for name in names:
+            try:
+                window = op(name, self.connections[name])
+            except Exception as exc:
+                outcomes.append((name, exc))
+                continue
+            outcomes.append((name, None))
+            if window is not None:
+                windows.append(window)
+        pay_all(windows)
+        return outcomes
 
     def _release_all(self) -> None:
         self._finished = True

@@ -1,10 +1,11 @@
 """LOCAL transactions: 1-phase commit (Fig. 5(d) of the paper).
 
-The commit/rollback command goes to every participant at once, with no
-prepare phase. Per the paper: "Even if some data source commits fail,
-ShardingSphere will ignore it" — best-effort, fastest, weakest. What was
-lost stays visible: ``failures`` names the participants whose commit
-raised, and the adaptor counts them.
+The commit/rollback command is issued to every participant, with no
+prepare phase, and the caller waits once for the slowest commit. Per the
+paper: "Even if some data source commits fail, ShardingSphere will ignore
+it" — best-effort, fastest, weakest. What was lost stays visible:
+``failures`` names the participants whose commit raised, and the adaptor
+counts them.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ class LocalTransaction(DistributedTransaction):
         self._check_active()
         try:
             # best effort: a failed participant is recorded, not raised
-            self.failures = failed(
-                self._on_each(lambda ds_name, connection: connection.commit()))
+            self.failures = failed(self._on_each(
+                lambda ds_name, connection: connection.commit(wait=False)))
         finally:
             self._release_all()
 

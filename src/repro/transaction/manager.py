@@ -11,7 +11,7 @@ from typing import Mapping
 
 from ..exceptions import TransactionError
 from ..storage import DataSource
-from .base import DistributedTransaction, SubmitHelpers, TransactionType, caller_only
+from .base import DistributedTransaction, TransactionType
 from .local import LocalTransaction
 from .seata import SeataTransaction, TransactionCoordinator
 from .xa import XATransaction, XATransactionLog
@@ -26,16 +26,11 @@ class TransactionManager:
         default_type: TransactionType = TransactionType.LOCAL,
         xa_log: XATransactionLog | None = None,
         coordinator: TransactionCoordinator | None = None,
-        submit: SubmitHelpers = caller_only,
     ):
         self.data_sources = data_sources if isinstance(data_sources, dict) else dict(data_sources)
         self.transaction_type = default_type
         self.xa_log = xa_log if xa_log is not None else XATransactionLog()
         self.coordinator = coordinator if coordinator is not None else TransactionCoordinator()
-        #: how a transaction's end gets helpers to reach its participants at
-        #: once: the execution engine's ``submit_helpers`` in a runtime, no
-        #: helpers at all (the caller asks each in turn) without an engine
-        self.submit = submit
 
     def set_type(self, type_name: str | TransactionType) -> None:
         if isinstance(type_name, TransactionType):
@@ -45,9 +40,9 @@ class TransactionManager:
 
     def begin(self) -> DistributedTransaction:
         if self.transaction_type is TransactionType.LOCAL:
-            return LocalTransaction(self.data_sources, self.submit)
+            return LocalTransaction(self.data_sources)
         if self.transaction_type is TransactionType.XA:
-            return XATransaction(self.data_sources, self.xa_log, self.submit)
+            return XATransaction(self.data_sources, self.xa_log)
         if self.transaction_type is TransactionType.BASE:
-            return SeataTransaction(self.data_sources, self.coordinator, self.submit)
+            return SeataTransaction(self.data_sources, self.coordinator)
         raise TransactionError(f"unsupported transaction type {self.transaction_type}")

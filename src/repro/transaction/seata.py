@@ -27,14 +27,7 @@ from .. import clock
 from ..exceptions import BaseTransactionError
 from ..storage import Connection, DataSource
 from ..storage.transaction import replay_undo
-from .base import (
-    DistributedTransaction,
-    SubmitHelpers,
-    TransactionType,
-    caller_only,
-    failed,
-    new_xid,
-)
+from .base import DistributedTransaction, TransactionType, Window, failed, new_xid
 
 
 class GlobalStatus(enum.Enum):
@@ -118,7 +111,9 @@ class TransactionCoordinator:
             self._globals[xid].branches[ds_name].undo_entries = undo_entries
 
     def report_branch(self, xid: str, ds_name: str, ok: bool) -> None:
-        self._rpc()
+        """Record a branch's phase-1 outcome. Its round trip is not slept
+        here: the committing transaction waits for it as a deadline,
+        ``rpc_delay`` after the branch's commit, with its other branches'."""
         with self._lock:
             branch = self._globals[xid].branches[ds_name]
             branch.status = "phase1_ok" if ok else "phase1_failed"
@@ -135,9 +130,8 @@ class SeataTransaction(DistributedTransaction):
 
     type = TransactionType.BASE
 
-    def __init__(self, data_sources: Mapping[str, DataSource], coordinator: TransactionCoordinator,
-                 submit: SubmitHelpers = caller_only):
-        super().__init__(data_sources, submit)
+    def __init__(self, data_sources: Mapping[str, DataSource], coordinator: TransactionCoordinator):
+        super().__init__(data_sources)
         self.coordinator = coordinator
         # Phase 0: require a global transaction id from the TC.
         self.xid = coordinator.begin_global()
@@ -148,17 +142,20 @@ class SeataTransaction(DistributedTransaction):
 
     # -- Phase 1 -----------------------------------------------------------
 
-    def _phase1(self, ds_name: str, connection: Connection) -> None:
-        """One branch: save undo log, commit locally, report status."""
+    def _phase1(self, ds_name: str, connection: Connection) -> Window:
+        """One branch: save undo log, commit locally, report status. The
+        report goes out when the commit's window ends and is in
+        ``rpc_delay`` later: that is when the branch is through."""
         transaction = connection.current_transaction()
         undo = transaction.take_undo() if transaction is not None else []
         self.coordinator.save_undo(self.xid, ds_name, undo)
         try:
-            connection.commit()
+            priced, ready_at = connection.commit(wait=False) or (0.0, clock.now())
         except Exception:
             self.coordinator.report_branch(self.xid, ds_name, False)
             raise
         self.coordinator.report_branch(self.xid, ds_name, True)
+        return priced, ready_at + self.coordinator.rpc_delay
 
     # -- Phase 2 ------------------------------------------------------------
 

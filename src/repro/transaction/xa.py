@@ -22,7 +22,7 @@ from typing import Collection, Mapping
 
 from ..exceptions import XATransactionError
 from ..storage import Connection, DataSource
-from .base import DistributedTransaction, SubmitHelpers, TransactionType, caller_only, failed
+from .base import DistributedTransaction, TransactionType, Window, failed
 
 
 class XAState(enum.Enum):
@@ -90,9 +90,8 @@ class XATransaction(DistributedTransaction):
 
     type = TransactionType.XA
 
-    def __init__(self, data_sources: Mapping[str, DataSource], log: XATransactionLog | None = None,
-                 submit: SubmitHelpers = caller_only):
-        super().__init__(data_sources, submit)
+    def __init__(self, data_sources: Mapping[str, DataSource], log: XATransactionLog | None = None):
+        super().__init__(data_sources)
         self.log = log if log is not None else XATransactionLog()
         self.log.put(XALogRecord(xid=self.xid))
 
@@ -108,9 +107,11 @@ class XATransaction(DistributedTransaction):
             # ---- Phase 1: prepare, every branch at once ----------------------
             parked: set[str] = set()  # branches that wrote: prepared and parked
 
-            def prepare(ds_name: str, connection: Connection) -> None:
-                if connection.xa_prepare(self._branch_xid(ds_name)):
+            def prepare(ds_name: str, connection: Connection) -> Window:
+                window = connection.xa_prepare(self._branch_xid(ds_name), wait=False)
+                if window is not None:
                     parked.add(ds_name)
+                return window
 
             refused = failed(self._on_each(prepare))
             prepared = sorted(parked)  # participant order
@@ -122,14 +123,15 @@ class XATransaction(DistributedTransaction):
                 raise XATransactionError(
                     f"prepare failed on {ds_name!r}: {exc}"
                 ) from exc
-            # Every branch answered; a branch that only read ended at its
-            # prepare and has no phase 2.
+            # Every branch answered and every prepare's window is over; a
+            # branch that only read ended at its prepare and has no phase 2.
             self.log.update(self.xid, XAState.PREPARED, pending=prepared)
 
             # ---- Phase 2: commit the prepared branches, at once -------------
             self.log.update(self.xid, XAState.COMMITTING, pending=prepared)
             self.failures = failed(self._on_each(
-                lambda ds_name, connection: connection.xa_commit(self._branch_xid(ds_name)),
+                lambda ds_name, connection: connection.xa_commit(
+                    self._branch_xid(ds_name), wait=False),
                 prepared,
             ))
             if self.failures:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro import clock
-from repro.engine.executor import ExecutionEngine, _StealScheduler
+from repro.engine.executor import ConnectionMode, ExecutionEngine
 from repro.storage.latency import pay
 
 PACKAGE = Path(clock.__file__).resolve().parent
@@ -114,6 +114,82 @@ def test_storage_never_waits_for_simulated_time_while_holding_a_lock():
     assert offenders == [], "reserve under the lock, wait outside it:\n" + "\n".join(offenders)
 
 
+def test_no_simulated_wait_while_holding_a_storage_lock(fake, monkeypatch):
+    """The lint above reads the source; this watches it run. Every sleep
+    checks that the sleeping thread owns no ``Connection._lock`` and is not
+    inside a ``database.write_lock()`` — over an autocommit UPDATE, a
+    4-source LOCAL commit, XA prepare and phase 2, a BASE commit and a
+    connection-strictly read."""
+    from repro.engine import build_context, rewrite, route
+    from repro.sharding import ShardingRule, build_auto_table_rule
+    from repro.sql import parse
+    from repro.storage import Connection, DataSource, LatencyModel
+    from repro.transaction import TransactionCoordinator, TransactionManager, TransactionType
+
+    connections = []
+    init = Connection.__init__
+
+    def remembered(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        connections.append(self)
+
+    monkeypatch.setattr(Connection, "__init__", remembered)
+    names = [f"ds{i}" for i in range(4)]
+    sources = {name: DataSource(name, latency=LatencyModel(write_io=1e-3, commit_io=2e-3))
+               for name in names}
+    table_rule = build_auto_table_rule("t_acct", names, sharding_column="id",
+                                       algorithm_type="MOD", properties={"sharding-count": 8})
+    nodes = table_rule.data_nodes
+    for index, node in enumerate(nodes):
+        sources[node.data_source].execute(f"CREATE TABLE {node.table} (id INT PRIMARY KEY, v INT)")
+        sources[node.data_source].execute(f"INSERT INTO {node.table} (id, v) VALUES ({index}, 0)")
+
+    held, slept = [], []
+    sleep = clock.sleep  # the fake one
+
+    def checking(seconds):
+        if seconds > 0:
+            held.extend(f"{slept[-1]}: {c.data_source.name}'s Connection._lock"
+                        for c in connections if c._lock._is_owned())
+            held.extend(f"{slept[-1]}: {name}'s write_lock"
+                        for name, source in sources.items() if source.database._lock._is_owned())
+        sleep(seconds)
+
+    monkeypatch.setattr(clock, "sleep", checking)
+
+    def case(name):
+        slept.append(name)
+        return len(fake.sleeps)
+
+    before = case("autocommit UPDATE")
+    assert sources["ds0"].execute(f"UPDATE {nodes[0].table} SET v = v + 1") == 1
+    assert len(fake.sleeps) > before
+    for type_ in TransactionType:
+        before = case(f"{type_.value} commit")
+        manager = TransactionManager(sources, type_,
+                                     coordinator=TransactionCoordinator(rpc_delay=1e-3))
+        txn = manager.begin()
+        for node in nodes[:4]:
+            txn.connection_for(node.data_source).execute(f"UPDATE {node.table} SET v = v + 1")
+        txn.commit()
+        assert len(fake.sleeps) > before
+    before = case("connection-strictly read")
+    sql = "SELECT id, v FROM t_acct"
+    rule = ShardingRule([table_rule], default_data_source="ds0")
+    context = build_context(parse(sql), sql, (), rule)
+    units = rewrite(context, route(context, rule)).execution_units
+    engine = ExecutionEngine(sources, max_connections_per_query=1)
+    try:
+        result = engine.execute(units, is_query=True)
+        assert set(result.modes.values()) == {ConnectionMode.CONNECTION_STRICTLY}
+        assert len([row for shard in result.results for row in shard]) == len(nodes)
+        result.release()
+    finally:
+        engine.close()
+    assert len(fake.sleeps) > before
+    assert held == []
+
+
 def test_the_lock_lint_names_file_and_line(tmp_path):
     source = tmp_path / "offender.py"
     source.write_text(
@@ -139,7 +215,7 @@ def test_the_lock_lint_names_file_and_line(tmp_path):
     ]
 
 
-# -- (b) mechanism: a session thread waits tightly, a fan-out worker does not ----
+# -- (b) mechanism: every thread that sleeps sleeps tightly ----------------------
 
 
 def read_slack() -> str:
@@ -209,95 +285,26 @@ def test_a_session_thread_is_tight_from_its_first_sleep(default_slack, sleeps):
 
 
 @pytest.mark.concurrency
-def test_a_pool_thread_started_by_a_tight_thread_keeps_the_default(default_slack, sleeps):
-    """The inheritance trap: the pool starts a worker inside ``submit``, so
-    the worker begins with the *submitting* thread's slack — 1 ns once that
-    session has paid — and asking the kernel for "the default" gives 1 ns
-    back. The helper must end up at the process's slack regardless, and
-    stay there when it pays."""
-    def helper():
+def test_a_pool_thread_running_a_federated_pull_sleeps_tight(default_slack, sleeps):
+    """Federation's per-table pulls are the one kind of work left on the
+    engine's pool, and the statement that submitted them waits for them:
+    the pool thread is tight from its first sleep, like a session thread."""
+    def pull():
         at_start = read_slack()
-        clock.coalesce_timers()  # a statement of its own fans out from a pool thread...
-        clock.precise_timers()  # ...and leaves it the worker it is for life
         pay(2e-3)
         return threading.current_thread().name, at_start, read_slack()
 
     def session():
-        clock.sleep(72e-6)
-        assert read_slack() == "1"
         engine = ExecutionEngine({}, worker_threads=2)
         try:
-            return engine.submit(helper).result(timeout=10)
+            return engine.submit(pull).result(timeout=10)
         finally:
             engine.close()
 
     name, at_start, after_paying = in_thread(session)
     assert name.startswith("ss-exec")
-    assert (at_start, after_paying) == (default_slack, default_slack)
-    assert sleeps == [72e-6, 2e-3]
-
-
-def test_a_session_thread_taking_its_share_of_a_fan_out_sleeps_like_a_helper(default_slack, sleeps):
-    """Worker 0 of a fan-out is the session's own thread. For that share it
-    has the helpers' timers; on its own again it is tight from its next
-    sleep on, and a role that meets the right slack writes nothing."""
-    written = []
-    real_write = clock.os.write
-
-    def session():
-        seen = [read_slack()]
-        for step in (lambda: clock.sleep(72e-6), clock.coalesce_timers, lambda: pay(72e-6),
-                     clock.precise_timers, clock.coalesce_timers, clock.precise_timers,
-                     lambda: clock.sleep(72e-6), lambda: clock.sleep(72e-6)):
-            step()
-            seen.append(read_slack())
-        return seen
-
-    clock.os.write = lambda fd, data: written.append(data) or real_write(fd, data)
-    try:
-        seen = in_thread(session)
-    finally:
-        clock.os.write = real_write
-    tight, loose = "1", default_slack
-    assert seen == [loose, tight, loose, loose, loose, loose, loose, tight, tight]
-    assert written == [b"1", loose.encode(), b"1"]
-    assert sleeps == [72e-6] * 4
-
-
-@pytest.mark.concurrency
-def test_every_unit_of_a_fan_out_sleeps_on_default_timers_whoever_runs_it(default_slack, sleeps):
-    """Through the scheduler itself: the caller's share and the helpers'
-    pay on the same slack; a statement with one task is the session running
-    alone and stays tight."""
-    def session():
-        clock.sleep(72e-6)
-        engine = ExecutionEngine({}, worker_threads=4)
-        me, caller_has_one, seen = threading.current_thread().name, threading.Event(), []
-
-        def unit(cancelled=False):
-            # nothing here takes time, so a helper would drain every queue
-            # before the caller reached its own: it waits for the caller
-            name = threading.current_thread().name
-            if name == me:
-                caller_has_one.set()
-            else:
-                assert caller_has_one.wait(timeout=10)
-            pay(1e-3)
-            seen.append((name, read_slack()))
-
-        try:
-            _StealScheduler(engine, [(index, unit) for index in range(6)]).run()
-            fanned_out, seen[:] = list(seen), []
-            _StealScheduler(engine, [(0, unit)]).run()
-            clock.sleep(72e-6)
-            return me, fanned_out, seen, read_slack()
-        finally:
-            engine.close()
-
-    me, fanned_out, alone, afterwards = in_thread(session)
-    assert len(fanned_out) == 6 and me in {name for name, _ in fanned_out}
-    assert {slack for _, slack in fanned_out} == {default_slack}
-    assert alone == [(me, "1")] and afterwards == "1"
+    assert (at_start, after_paying) == (default_slack, "1")
+    assert sleeps == [2e-3]
 
 
 def test_unwritable_slack_file_is_tried_once_and_the_sleep_still_happens(monkeypatch, sleeps):
@@ -308,15 +315,12 @@ def test_unwritable_slack_file_is_tried_once_and_the_sleep_still_happens(monkeyp
         raise PermissionError(path)
 
     monkeypatch.setattr(clock, "_slack_file_works", True)  # and put back after the test
-    monkeypatch.setattr(clock, "_process_slack", None)
     monkeypatch.setattr(clock, "os", types.SimpleNamespace(open=refuse, O_RDONLY=0, O_WRONLY=1))
 
     def session():
         clock.sleep(1e-3)
         clock.sleep(2e-3)
-        clock.coalesce_timers()  # nor does a change of role ask again
         pay(3e-3)
-        clock.precise_timers()
         clock.sleep(4e-3)
         return SLACK_FILE % threading.get_native_id()
 

@@ -130,7 +130,8 @@ class TestParallelism:
     def test_memory_strictly_overlaps_latency(self, fake):
         """10 routed SQLs at 2ms each: issued together, the statement waits
         until the last of 10 windows on four I/O channels ends (3 rounds);
-        one connection runs them one after the other (10 waits)."""
+        one connection runs them one after the other — ten windows end to
+        end on one lane, still awaited with one sleep."""
         from repro.sharding import ShardingRule, build_auto_table_rule
         from repro.storage import LatencyModel
 
@@ -154,7 +155,7 @@ class TestParallelism:
         serial_engine = ExecutionEngine({"ds0": ds}, max_connections_per_query=1)
         fake.sleeps.clear()
         serial_engine.execute(units, is_query=True).release()
-        assert fake.sleeps == [pytest.approx(2e-3)] * 10
+        assert fake.sleeps == [pytest.approx(10 * 2e-3)]
         serial_engine.close()
 
     def test_atomic_acquisition_avoids_deadlock(self):

@@ -7,8 +7,15 @@ fixture of ``conftest.py``), so what is
 checked is *when* each window was booked and *what* was slept for.
 """
 
+import ast
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.engine import ExecutionEngine, build_context, rewrite, route
 from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import ExecutionError
@@ -114,7 +121,9 @@ class TestExecuteIsIssueThenWait:
 
         two = issued.connect().execute(sql, params, wait=False)
         at_issue = fake.slept - before
-        assert two.ready_at == approx(fake.t + two._result.cost)
+        # a write's implicit commit is applied at issue; its cost opens the window
+        commit = issued.latency.commit_cost() if sql.startswith("UPDATE") else 0.0
+        assert two.ready_at == approx(fake.t + commit + two._result.cost)
         two.wait()
         two.wait()  # once is all there is
         slept_issued = fake.slept - before
@@ -123,9 +132,7 @@ class TestExecuteIsIssueThenWait:
         assert one.rowcount == two.rowcount
         assert one._result.cost == two._result.cost > 0
         assert slept_blocking == approx(slept_issued)
-        # only a write's implicit commit is waited for in place
-        commit = issued.latency.commit_cost() if sql.startswith("UPDATE") else 0.0
-        assert at_issue == approx(commit)
+        assert at_issue == 0  # nothing is waited for in place
 
     def test_a_cursor_used_again_forgets_the_issued_statement(self, fake):
         _, ds = twin_sources(fake)
@@ -262,13 +269,10 @@ class TestReadFanOut:
         sources, rule, engine = fanout
         units = units_of(rule, self.SQL)
         assert len(units) == SHARDS
-        queued = engine.metrics.queued_tasks
         result = engine.execute(units, is_query=True)
         costs = [cursor._result.cost for cursor in result.results]
         assert len(costs) == SHARDS and min(costs) > 0
-        assert 1 <= len(fake.sleeps) <= 2
-        assert fake.slept == approx(max(costs))  # the max, not the sum
-        assert engine.metrics.queued_tasks == queued
+        assert fake.sleeps == [approx(max(costs))]  # once, for the max, not the sum
         assert not engine._pool._threads
         assert all(cursor._pending is None for cursor in result.results)
         # streaming: the connections are out until the merged rows are drained
@@ -301,7 +305,7 @@ class TestReadFanOut:
         rows = sorted(row for shard in result.results for row in shard)
         result.release()
         assert rows == [(i, i * 10) for i in range(SHARDS)]
-        assert engine.metrics.retries == 1 and engine.metrics.queued_tasks == 0
+        assert engine.metrics.retries == 1
         assert in_use(sources) == 0
 
     def test_heat_gets_issue_to_ready(self, fake, fanout):
@@ -332,7 +336,7 @@ class TestReadFanOut:
         traced.release()
         assert traced_rows == plain_rows
         assert fake.slept == approx(slept_plain)
-        assert engine.metrics.queued_tasks == 0 and not engine._pool._threads
+        assert not engine._pool._threads
         spans = [span for span in trace.spans if span.name == "storage"]
         assert len(spans) == SHARDS
         for span in spans:
@@ -356,22 +360,65 @@ class TestReadFanOut:
                  for span in trace.spans if span.name == "storage"}
         assert waits["ds3"] == approx(0.5) and waits["ds0"] == 0
 
-    @pytest.mark.concurrency
-    def test_units_that_block_still_go_to_the_pool(self, fake, fanout):
-        """Two pinned groups (a transaction's connections) run as tasks on
-        the real pool beside two issued groups; all four come back."""
+    def test_pinned_groups_are_issued_as_lanes(self, fake, fanout):
+        """Two pinned groups (a transaction's connections) beside two
+        memory-strictly ones: the caller issues every unit, a pinned group's
+        four run one after the other on its connection, and the statement
+        sleeps once, for the lane that ends last."""
         sources, rule, engine = fanout
         held = {name: sources[name].connect() for name in ("ds0", "ds1")}
         try:
             result = engine.execute(units_of(rule, self.SQL), is_query=True,
                                     held_connections=held)
+            streamed = [shard for shard in result.results if hasattr(shard, "_result")]
+            costs = {cursor._result.cost for cursor in streamed}
             rows = sorted(row for shard in result.results for row in shard)
             result.release()
         finally:
             for name, connection in held.items():
                 sources[name].release(connection)
         assert rows == [(i, i * 10) for i in range(SHARDS)]
-        assert engine.metrics.queued_tasks == 2
-        assert {mode.value for mode in result.modes.values()} == {
-            "memory_strictly", "connection_strictly"}
+        assert len(streamed) == SHARDS // 2 and len(costs) == 1  # every unit costs the same
+        assert fake.sleeps == [approx(4 * costs.pop())]
+        assert {name: mode.value for name, mode in result.modes.items()} == {
+            "ds0": "connection_strictly", "ds1": "connection_strictly",
+            "ds2": "memory_strictly", "ds3": "memory_strictly"}
+        assert not engine._pool._threads
         assert in_use(sources) == 0
+
+
+# -- (f) one way to wait ------------------------------------------------------------
+
+GONE = ("_StealScheduler", "submit_helpers", "fanout_workers", "SubmitHelpers",
+        "caller_only", "coalesce_timers", "precise_timers")
+
+
+def test_no_blocking_fan_out_machinery_is_left():
+    """Every statement unit and every transaction verb is issued by its
+    caller and awaited: the scheduler, the commit helpers and the timer
+    roles they needed are gone, and stay gone."""
+    package = Path(repro.__file__).resolve().parent
+    found = [f"{path.relative_to(package.parent)}:{lineno}: {name}"
+             for path in sorted(package.rglob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             for name in GONE if name in line]
+    assert found == []
+
+
+def test_the_harness_finds_every_executor_counter_it_reads(monkeypatch):
+    """``benchmarks/perf/metrics.py`` reads executor counters by key with
+    ``delta("executor", key)``; a key missing from the snapshot would be a
+    ``KeyError`` in every traced run. Loaded by path, changed in nothing."""
+    perf = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
+    monkeypatch.syspath_prepend(str(perf))
+    for name in ("counting", "tracing"):  # what metrics.py imports by bare name
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spec = importlib.util.spec_from_file_location("perf_metrics_under_test", perf / "metrics.py")
+    metrics = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(metrics)
+    read = [call.args[1].value for call in ast.walk(ast.parse(inspect.getsource(metrics)))
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "delta"
+            and isinstance(call.args[0], ast.Constant) and call.args[0].value == "executor"]
+    assert read == ["queued_tasks", "steals"]
+    snapshot = ExecutionEngine({}).metrics.snapshot()
+    assert {key: snapshot[key] for key in read} == {"queued_tasks": 0, "steals": 0}

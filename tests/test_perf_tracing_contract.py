@@ -89,42 +89,27 @@ def test_harness_sees_every_stage_of_a_statement(fleet, paper_rule):
     assert recorder.merge_rows_in == len(fanout_rows) + len(hot_rows)
 
 
-def test_commit_spans_on_helper_threads_resolve_to_the_issuing_op(fleet, paper_rule):
-    """A transaction's end fans out (DESIGN.md "Transaction end"): the
-    ``Connection.commit`` a helper thread runs has no open span of its own
-    above it, so it must land under the op that issued the commit — with
-    its ``pay`` below it — and ``TransactionManager.begin`` /
-    ``LocalTransaction.commit`` must still be the names the harness wraps."""
-    import threading
-
-    from repro.storage.connection import Connection
-
+def test_commit_spans_sit_under_the_transactions_commit(fleet, paper_rule):
+    """A transaction's end is issued by the committing thread, then awaited
+    (DESIGN.md "Transaction end"): both ``Connection.commit`` spans sit
+    under ``LocalTransaction.commit``, the commits' ``pay`` spans follow
+    them there, every ``pay`` has a parent the harness recorded, and
+    ``TransactionManager.begin`` / ``LocalTransaction.commit`` are still
+    the names the harness wraps."""
     tracing = load_tracing()
     runtime = ShardingRuntime(fleet, paper_rule)
     conn = ShardingDataSource(runtime).get_connection()
     recorder = tracing.Recorder()
     recorder.install()
-    pinned = {}
     try:
         recorder.begin_op()
         conn.begin()
         conn.execute("INSERT INTO t_user (uid, name, age) VALUES (1, 'a', 1), (2, 'b', 2)")
-        pinned.update(conn._transaction.connections)
-        assert sorted(pinned) == ["ds0", "ds1"]
-        # ds0 is the caller's; hold it until ds1's commit is under way, which
-        # only a helper can then be running. Connection.commit is looked up
-        # at call time: it is the harness's boundary by now.
-        helper_started = threading.Event()
-        pinned["ds0"].commit = lambda: (
-            helper_started.wait(10), Connection.commit(pinned["ds0"]))
-        pinned["ds1"].commit = lambda: (
-            helper_started.set(), Connection.commit(pinned["ds1"]))
+        assert sorted(conn._transaction.connections) == ["ds0", "ds1"]
         conn.commit()
         recorder.end_op()
     finally:
         recorder.uninstall()
-        for connection in pinned.values():
-            del connection.commit
         conn.close()
         runtime.close()
 
@@ -136,16 +121,15 @@ def test_commit_spans_on_helper_threads_resolve_to_the_issuing_op(fleet, paper_r
     assert len(by_name["TransactionManager.begin"]) == 1
     (txn_commit,) = by_name["LocalTransaction.commit"]
     commits = by_name["Connection.commit"]
-    assert len(commits) == 2
-    # one on the caller, under the transaction's commit; one on a helper,
-    # under the innermost open anchor: the op itself
-    assert sorted(span[tracing.PARENT] for span in commits) == sorted(
-        [txn_commit[tracing.ID], op])
-    commit_ids = {span[tracing.ID] for span in commits}
-    pays = [span for span in by_name["latency.pay"] if span[tracing.PARENT] in commit_ids]
-    assert len(pays) == 2
-    assert all(txn_commit[tracing.START] <= span[tracing.START]
-               and span[tracing.END] <= txn_commit[tracing.END] for span in commits)
+    assert [span[tracing.PARENT] for span in commits] == [txn_commit[tracing.ID]] * 2
+    recorded = {span[tracing.ID] for span in recorder.spans}
+    pays = [span for span in recorder.spans if span[tracing.LAYER] == "storage.latency"]
+    assert all(span[tracing.PARENT] in recorded for span in pays)
+    commit_pays = [span for span in pays if span[tracing.PARENT] == txn_commit[tracing.ID]]
+    assert len(commit_pays) == 2
+    # issued, then awaited: every commit is back before the first pay starts
+    assert max(span[tracing.END] for span in commits) <= min(
+        span[tracing.START] for span in commit_pays)
 
 
 def test_the_three_pay_names_the_harness_replaces_are_module_globals():

@@ -3,10 +3,10 @@
 The refactor's contract: causal replication tokens, primary pinning,
 transaction pinning and the metadata/publish guards belong to a *session*
 (one SessionContext object), not to whichever OS thread happens to run a
-statement. These tests drive every thread boundary — the work-stealing
-executor's steal path, ``ExecutionEngine.submit`` (federation fan-out),
-``execute_pipeline`` flushes — and check the session state lands where it
-must, including differentially against single-threaded execution.
+statement. These tests drive every thread boundary —
+``ExecutionEngine.submit`` (federation fan-out), ``execute_pipeline``
+flushes — and the fan-outs the calling thread issues itself, and check
+the session state lands where it must.
 """
 
 import itertools
@@ -179,18 +179,19 @@ ALL_UIDS = "(0,1,2,3,4,5,6,7)"
 
 
 class TestExecutorPropagation:
-    def _fanout_write_workload(self, fanout_workers):
-        """Seed, then run one multi-shard fan-out UPDATE; return the
-        session's causal tokens and the groups' log tips."""
+    def test_a_fan_out_write_stamps_the_callers_tokens(self):
+        """A multi-shard UPDATE is issued unit by unit by the calling thread:
+        every shard's commit stamps the session's token with its group's log
+        tip, and no pool thread is involved."""
         runtime, groups = make_replicated_sharded_runtime()
-        runtime.engine.executor.fanout_workers = fanout_workers
         try:
             conn = ShardingDataSource(runtime).get_connection()
             for uid in range(8):
                 conn.execute(f"INSERT INTO t_user (uid, v) VALUES ({uid}, 0)")
             conn.execute(f"UPDATE t_user SET v = 42 WHERE uid IN {ALL_UIDS}")
-            tokens = {name: conn.session.token(name) for name in groups}
-            tips = {name: group.last_lsn() for name, group in groups.items()}
+            assert {name: conn.session.token(name) for name in groups} == {
+                name: group.last_lsn() for name, group in groups.items()}
+            assert not runtime.engine.executor._pool._threads
             # read-your-writes: 30s-laggy replicas cannot cover the token,
             # so the read falls back to the primary and sees the update
             assert conn.execute(
@@ -200,24 +201,13 @@ class TestExecutorPropagation:
             fresh = ShardingDataSource(runtime).get_connection()
             assert fresh.execute(
                 "SELECT v FROM t_user WHERE uid = 3").fetchall() != [(42,)]
-            steals = runtime.engine.executor.metrics.steals
-            return tokens, tips, steals
         finally:
             runtime.close()
 
-    def test_causal_tokens_survive_the_steal_path(self):
-        """Differential: fan-out over 8 workers (steals happen) must
-        stamp exactly the tokens single-threaded execution stamps."""
-        tokens_multi, tips_multi, _ = self._fanout_write_workload(8)
-        tokens_single, tips_single, _ = self._fanout_write_workload(1)
-        assert tokens_multi == tips_multi  # every shard's commit landed
-        assert tokens_single == tips_single
-        assert tokens_multi == tokens_single  # thread count is invisible
-
     def test_pinned_transaction_survives_fanout(self):
-        """A multi-shard statement inside a transaction pins per-source
-        connections from several workers at once; the commit then stamps
-        the session's tokens, whichever thread committed each branch."""
+        """A multi-shard statement inside a transaction pins one connection
+        per source as it issues; the commit then stamps the session's
+        tokens for every branch."""
         runtime, groups = make_replicated_sharded_runtime()
         try:
             conn = ShardingDataSource(runtime).get_connection()
@@ -243,10 +233,10 @@ class TestExecutorPropagation:
         finally:
             runtime.close()
 
-    def test_commit_on_helper_threads_stamps_the_callers_tokens(self):
-        """The transaction's end fans out: one group's commit runs on an
-        engine worker, yet its LSN lands in the committing session, so the
-        next read on that session sees both writes through 30s of lag."""
+    def test_commit_stamps_the_callers_tokens(self):
+        """The transaction's end is issued to both groups by the committing
+        thread itself, so both LSNs land in the committing session and the
+        next read on it sees both writes through 30s of lag."""
         runtime, groups = make_replicated_sharded_runtime(shards=2)
         try:
             conn = ShardingDataSource(runtime).get_connection()
@@ -256,24 +246,18 @@ class TestExecutorPropagation:
             conn.execute("UPDATE t_user SET v = 9 WHERE uid IN (0,1,2,3)")
             pinned = conn._transaction.connections
             assert sorted(pinned) == ["ds0", "ds1"]
-            # hold the caller's participant until the other one's commit is
-            # under way: only a helper thread can be running that
-            helper_started = threading.Event()
             threads = {}
 
-            def committing(name, gate, original):
-                def commit():
-                    gate()
+            def committing(name, original):
+                def commit(*args, **kwargs):
                     threads[name] = threading.get_ident()
-                    original()
+                    return original(*args, **kwargs)
                 return commit
 
-            pinned["ds0"].commit = committing(
-                "ds0", lambda: helper_started.wait(10), pinned["ds0"].commit)
-            pinned["ds1"].commit = committing(
-                "ds1", helper_started.set, pinned["ds1"].commit)
+            for name, connection in pinned.items():
+                connection.commit = committing(name, connection.commit)
             conn.commit()
-            assert threads["ds0"] == threading.get_ident() != threads["ds1"]
+            assert threads == dict.fromkeys(["ds0", "ds1"], threading.get_ident())
             for name, group in groups.items():
                 assert conn.session.token(name) == group.last_lsn() > 0
             assert conn.execute(

@@ -89,16 +89,18 @@ class TestPaymentAttribution:
         ds.execute("INSERT INTO acc (id, bal) VALUES (1, 100)")
         table = ds.database.table("acc")
 
-        # a sleep that always runs OVERSHOOT past the end of its window
+        # a sleep that runs OVERSHOOT past the end of the window queued
+        # behind the writer ahead (the implicit commit's ends on time)
         def late(seconds, until=None):
-            time.sleep(max(until - clock.now(), 0.0) + self.OVERSHOOT)
+            overshoot = self.OVERSHOOT if until > held_until else 0.0
+            time.sleep(max(until - clock.now(), 0.0) + overshoot)
 
         monkeypatch.setattr(connection, "pay", late)
 
         conn = ds.connect()
         span = conn.trace_span = Span(1, 1, "storage")
         # a writer ahead of us: the table's write I/O is booked for HOLD
-        ds.io_timeline.reserve(self.HOLD, table)
+        held_until = ds.io_timeline.reserve(self.HOLD, table)
         priced = conn.execute("UPDATE acc SET bal = bal - 1 WHERE id = 1")._result.cost
 
         slack = 0.06  # scheduling noise on a shared host; under either term

@@ -1,21 +1,22 @@
-"""Transaction end fans out: commit / prepare / rollback reach every
-participant at once (DESIGN.md "Transaction end").
+"""Transaction end is issued, then awaited: commit / prepare / rollback go
+out to every participant from the committing thread, which then waits once,
+for the window that ends last (DESIGN.md "Transaction end").
 
-None of these tests reads a clock: overlap is shown by a barrier that a
-serial round could never pass, saturation by pool workers parked on an
-event, and the protocol guarantees by what is left in the databases, the
-pools and the coordinator's log.
+The timing tests run on the ``fake`` clock of ``conftest.py``: time passes
+only in a sleep, so what is checked is what was slept for and when each
+window was booked. The protocol guarantees are checked by what is left in
+the databases, the pools and the coordinator's log.
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro.adaptors import ShardingDataSource, ShardingRuntime
 from repro.distsql import execute_distsql
-from repro.engine.executor import ExecutionEngine
 from repro.exceptions import BaseTransactionError, XATransactionError
-from repro.storage import DataSource
+from repro.storage import DataSource, LatencyModel
 from repro.transaction import (
     TransactionCoordinator,
     TransactionManager,
@@ -25,11 +26,11 @@ from repro.transaction import (
 )
 
 NAMES = ["ds0", "ds1", "ds2", "ds3"]
+COMMIT = 2e-3  # what one commit or prepare costs on a priced fleet
 
 
-@pytest.fixture
-def sources():
-    fleet = {name: DataSource(name) for name in NAMES}
+def make_fleet(**kwargs):
+    fleet = {name: DataSource(name, **kwargs) for name in NAMES}
     for ds in fleet.values():
         ds.execute("CREATE TABLE acct (id INT PRIMARY KEY, balance INT NOT NULL)")
         ds.execute("INSERT INTO acct (id, balance) VALUES (1, 100)")
@@ -37,16 +38,42 @@ def sources():
 
 
 @pytest.fixture
-def engine(sources):
-    eng = ExecutionEngine(sources, worker_threads=4)
-    yield eng
-    eng.close()
+def sources():
+    return make_fleet()
+
+
+@pytest.fixture
+def priced(fake):
+    """Four servers whose commit and prepare cost COMMIT each; statements
+    are free, and what loading them slept is forgotten."""
+    fleet = make_fleet(latency=LatencyModel(base=0.0, index_io=0.0, row_cost=0.0,
+                                            commit_io=COMMIT))
+    fake.sleeps.clear()
+    return fleet
 
 
 @pytest.fixture(params=["caller_only", "engine"])
-def submit(request, engine):
-    """Both ways a manager is built: without an engine, and on one."""
-    return {} if request.param == "caller_only" else {"submit": engine.submit_helpers}
+def submit(request, sources):
+    """Both ways a manager is built: bare, and by a runtime beside its
+    execution engine. Either way the committing thread issues the round."""
+    if request.param == "caller_only":
+        yield {}
+        return
+    runtime = ShardingRuntime(sources)
+    yield {"runtime": runtime}
+    runtime.close()
+
+
+def make_manager(sources, submit, type_=TransactionType.LOCAL, **kwargs):
+    runtime = submit.get("runtime")
+    if runtime is None:
+        return TransactionManager(sources, type_, **kwargs)
+    manager = runtime.transaction_manager
+    assert manager.data_sources == sources
+    manager.set_type(type_)
+    for name, value in kwargs.items():  # xa_log=, coordinator=
+        setattr(manager, name, value)
+    return manager
 
 
 def balances(sources):
@@ -66,89 +93,66 @@ def pools_idle(sources):
     return all(ds.pool.in_use == 0 for ds in sources.values())
 
 
-def record_threads(txn, verb, seen, before=None):
-    """Make ``verb`` of each pinned connection note the thread it ran on."""
-    for name, connection in txn.connections.items():
-        def noting(name=name, original=getattr(connection, verb)):
-            if before is not None:
-                before()
-            seen.append((name, threading.get_ident()))
-            return original()
-        setattr(connection, verb, noting)
+def approx(value):
+    return pytest.approx(value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# The fan-out itself
+# One wait for N windows
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.concurrency
 class TestFanOut:
-    def test_commits_overlap(self, sources, engine):
-        """Every participant's commit waits for all the others to have
-        started: a serial round would sit in the first one until the
-        barrier broke."""
-        manager = TransactionManager(sources, submit=engine.submit_helpers)
-        txn = manager.begin()
+    def test_commits_overlap(self, fake, priced):
+        """Four participants, 2 ms each: the commits are issued one after
+        the other and awaited with exactly one sleep, to the latest window."""
+        txn = TransactionManager(priced).begin()
         write_all(txn)
-        barrier = threading.Barrier(len(NAMES))
-        seen = []
-        record_threads(txn, "commit", seen, before=lambda: barrier.wait(timeout=10))
+        fake.sleeps.clear()
         txn.commit()
-        assert txn.failures == []  # nobody saw a BrokenBarrierError
-        assert balances(sources) == dict.fromkeys(NAMES, 105)
-        assert pools_idle(sources)
-        # the caller took the first participant itself
-        assert dict(seen)["ds0"] == threading.get_ident()
-        assert len({thread for _, thread in seen}) == len(NAMES)
-
-    def test_width_is_capped_by_fanout_workers(self, sources, engine):
-        engine.fanout_workers = 2
-        manager = TransactionManager(sources, submit=engine.submit_helpers)
-        txn = manager.begin()
-        write_all(txn)
-        barrier = threading.Barrier(2)  # caller + the one helper allowed
-        seen = []
-        first_two = iter([True, True])
-        record_threads(
-            txn, "commit", seen,
-            before=lambda: next(first_two, False) and barrier.wait(timeout=10))
-        txn.commit()
+        assert fake.sleeps == [approx(COMMIT)]
         assert txn.failures == []
-        assert len({thread for _, thread in seen}) == 2
-        assert balances(sources) == dict.fromkeys(NAMES, 105)
+        assert balances(priced) == dict.fromkeys(NAMES, 105)
+        assert pools_idle(priced)
 
-    def test_saturated_pool_commits_on_the_caller(self, sources, engine):
-        """All four pool workers are busy: the helpers queue behind them,
-        the caller asks every participant itself, in order, and does not
-        wait for a helper that never got to run."""
-        release = threading.Event()
-        parked = threading.Barrier(5)
+    def test_xa_phase2_is_issued_after_every_prepare_is_ready(self, fake, priced):
+        txn = TransactionManager(priced, TransactionType.XA).begin()
+        write_all(txn)
+        prepared_at, committed_at = [], []
+        for connection in txn.connections.values():
+            def preparing(xid, wait=True, original=connection.xa_prepare):
+                window = original(xid, wait)
+                prepared_at.append(window[1])
+                return window
 
-        def hog():
-            parked.wait(timeout=10)
-            release.wait(timeout=30)
+            def committing(xid, wait=True, original=connection.xa_commit):
+                committed_at.append(fake.t)
+                return original(xid, wait)
 
-        hogs = [engine.submit(hog) for _ in range(4)]
-        parked.wait(timeout=10)  # every worker is inside hog() now
-        try:
-            manager = TransactionManager(sources, submit=engine.submit_helpers)
-            txn = manager.begin()
-            write_all(txn)
-            seen = []
-            record_threads(txn, "commit", seen)
-            txn.commit()
-            me = threading.get_ident()
-            assert seen == [(name, me) for name in NAMES]
-            assert balances(sources) == dict.fromkeys(NAMES, 105)
-            assert pools_idle(sources)
-        finally:
-            release.set()
-        for future in hogs:
-            future.result(timeout=10)
-        # the late helpers now run, find nothing to claim, and change nothing
-        engine.submit(lambda: None).result(timeout=10)
-        assert len(seen) == len(NAMES)
+            connection.xa_prepare = preparing
+            connection.xa_commit = committing
+        fake.sleeps.clear()
+        txn.commit()
+        assert len(prepared_at) == len(committed_at) == 4
+        assert min(committed_at) >= max(prepared_at)
+        assert fake.sleeps == [approx(COMMIT)] * 2  # one per phase
+        assert balances(priced) == dict.fromkeys(NAMES, 105)
+        assert pools_idle(priced)
+
+    def test_base_costs_one_commit_and_one_rpc(self, fake, priced):
+        """Phase 1 ends when the last branch's report is in: one commit plus
+        one TC round trip, not four of each. Then come the three TC calls
+        of phase 2 (status check, COMMITTING, COMMITTED)."""
+        rpc = 1e-3
+        manager = TransactionManager(priced, TransactionType.BASE,
+                                     coordinator=TransactionCoordinator(rpc_delay=rpc))
+        txn = manager.begin()
+        write_all(txn)
+        fake.sleeps.clear()
+        txn.commit()
+        assert fake.sleeps == [approx(COMMIT + rpc)] + [approx(rpc)] * 3
+        assert balances(priced) == dict.fromkeys(NAMES, 105)
+        assert pools_idle(priced)
 
     def test_commit_after_runtime_close(self):
         runtime = ShardingRuntime({name: DataSource(name) for name in NAMES})
@@ -164,21 +168,58 @@ class TestFanOut:
             conn.execute("INSERT INTO t_user (uid, v) VALUES (?, ?)", (uid, uid))
         assert [ds.pool.in_use for ds in runtime.data_sources.values()] == [1] * 4
         runtime.close()
-        conn.commit()  # the pool is gone: the caller reaches all four itself
+        conn.commit()  # the engine is closed: the commit needs nothing of it
         assert pools_idle(runtime.data_sources)
         tables = [(ds, ds.database.table_names()[0]) for ds in runtime.data_sources.values()]
         assert [ds.execute(f"SELECT COUNT(*) FROM {table}")[0][0]
                 for ds, table in tables] == [1, 1, 1, 1]
 
 
+@pytest.mark.concurrency
+def test_two_sessions_commit_over_overlapping_participants(sources):
+    """Two sessions on real threads move money in LOCAL transactions over
+    participants that overlap (ds1 and ds2 are in both): every total is
+    conserved and every connection comes back."""
+    manager = TransactionManager(sources)
+    errors = []
+
+    def session(names):
+        try:
+            for round_ in range(40):
+                txn = manager.begin()
+                giver, taker = names[round_ % 3], names[(round_ + 1) % 3]
+                for name, delta in ((giver, -1), (taker, 1)):
+                    txn.connection_for(name).execute(
+                        f"UPDATE acct SET balance = balance + {delta} WHERE id = 1")
+                txn.commit()
+        except BaseException as exc:  # handed to the test thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=session, args=(names,))
+               for names in (NAMES[:3], NAMES[1:])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over as often as it can be
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sum(balances(sources).values()) == 100 * len(NAMES)
+    assert pools_idle(sources)
+
+
 # ---------------------------------------------------------------------------
-# Protocol guarantees, with and without helpers
+# Protocol guarantees, on a bare manager and on a runtime's
 # ---------------------------------------------------------------------------
 
 
 class TestProtocolsUnderFailure:
     def test_local_ignores_one_failed_commit(self, sources, submit):
-        manager = TransactionManager(sources, TransactionType.LOCAL, **submit)
+        manager = make_manager(sources, submit, TransactionType.LOCAL)
         txn = manager.begin()
         write_all(txn)
         sources["ds2"].database.fail_next("commit")
@@ -190,7 +231,7 @@ class TestProtocolsUnderFailure:
         assert pools_idle(sources)
 
     def test_local_failures_are_in_participant_order(self, sources, submit):
-        manager = TransactionManager(sources, TransactionType.LOCAL, **submit)
+        manager = make_manager(sources, submit, TransactionType.LOCAL)
         txn = manager.begin()
         write_all(txn)
         for name in ("ds3", "ds1"):
@@ -201,7 +242,7 @@ class TestProtocolsUnderFailure:
 
     def test_xa_failed_prepare_applies_nothing(self, sources, submit):
         log = XATransactionLog()
-        manager = TransactionManager(sources, TransactionType.XA, xa_log=log, **submit)
+        manager = make_manager(sources, submit, TransactionType.XA, xa_log=log)
         txn = manager.begin()
         write_all(txn)
         sources["ds1"].database.fail_next("prepare")
@@ -214,7 +255,7 @@ class TestProtocolsUnderFailure:
 
     def test_xa_failed_phase2_is_exactly_what_recover_finishes(self, sources, submit):
         log = XATransactionLog()
-        manager = TransactionManager(sources, TransactionType.XA, xa_log=log, **submit)
+        manager = make_manager(sources, submit, TransactionType.XA, xa_log=log)
         txn = manager.begin()
         write_all(txn)
         sources["ds2"].database.fail_next("commit")
@@ -239,17 +280,15 @@ class TestProtocolsUnderFailure:
                 super().update(xid, state, pending)
 
         log = Log()
-        manager = TransactionManager(sources, TransactionType.XA, xa_log=log, **submit)
+        manager = make_manager(sources, submit, TransactionType.XA, xa_log=log)
         txn = manager.begin()
         write_all(txn)
         prepares_answered = [0]
-        lock = threading.Lock()
         for connection in txn.connections.values():
-            def counting(xid, original=connection.xa_prepare):
+            def counting(xid, wait=True, original=connection.xa_prepare):
                 assert log.get(txn.xid).state.value == "preparing"
-                answer = original(xid)
-                with lock:
-                    prepares_answered[0] += 1
+                answer = original(xid, wait)
+                prepares_answered[0] += 1
                 return answer
             connection.xa_prepare = counting
         txn.commit()
@@ -257,8 +296,8 @@ class TestProtocolsUnderFailure:
 
     def test_base_failed_phase1_compensates_every_branch(self, sources, submit):
         coordinator = TransactionCoordinator(rpc_delay=0.0)
-        manager = TransactionManager(
-            sources, TransactionType.BASE, coordinator=coordinator, **submit)
+        manager = make_manager(
+            sources, submit, TransactionType.BASE, coordinator=coordinator)
         txn = manager.begin()
         write_all(txn)
         sources["ds3"].database.fail_next("commit")
@@ -272,8 +311,8 @@ class TestProtocolsUnderFailure:
     @pytest.mark.parametrize("verb", ["commit", "rollback"])
     @pytest.mark.parametrize("type_", list(TransactionType))
     def test_rollback_and_commit_reach_everyone(self, sources, submit, type_, verb):
-        manager = TransactionManager(
-            sources, type_, coordinator=TransactionCoordinator(rpc_delay=0.0), **submit)
+        manager = make_manager(
+            sources, submit, type_, coordinator=TransactionCoordinator(rpc_delay=0.0))
         txn = manager.begin()
         write_all(txn)
         getattr(txn, verb)()
@@ -300,8 +339,8 @@ class TestConnectionsComeBack:
     def test_xa_log_failure_between_phases_releases_connections(self, sources, submit):
         """``update`` raises KeyError between the phases. The pools must
         not pay for it."""
-        manager = TransactionManager(
-            sources, TransactionType.XA, xa_log=VanishingLog(), **submit)
+        manager = make_manager(
+            sources, submit, TransactionType.XA, xa_log=VanishingLog())
         txn = manager.begin()
         write_all(txn)
         with pytest.raises(KeyError):
@@ -323,9 +362,9 @@ class TestConnectionsComeBack:
             def mark_global(self, xid, status):
                 raise ConnectionError("TC unreachable")
 
-        manager = TransactionManager(
-            sources, TransactionType.BASE,
-            coordinator=DownCoordinator(rpc_delay=0.0), **submit)
+        manager = make_manager(
+            sources, submit, TransactionType.BASE,
+            coordinator=DownCoordinator(rpc_delay=0.0))
         for verb in ("commit", "rollback"):
             txn = manager.begin()
             write_all(txn)
@@ -364,7 +403,7 @@ class TestConnectionsComeBack:
 
 class TestXAReadOnlyVote:
     def begin(self, sources, submit, log):
-        manager = TransactionManager(sources, TransactionType.XA, xa_log=log, **submit)
+        manager = make_manager(sources, submit, TransactionType.XA, xa_log=log)
         txn = manager.begin()
         for name in ("ds0", "ds1", "ds2"):
             assert txn.connection_for(name).execute(
@@ -379,10 +418,10 @@ class TestXAReadOnlyVote:
         connection = txn.connections["ds3"]
         original = connection.xa_commit
 
-        def spying(xid):
+        def spying(xid, wait=True):
             parked_during_phase2.extend(
                 ds.database.prepared_xids() for ds in sources.values())
-            original(xid)
+            return original(xid, wait)
 
         connection.xa_commit = spying
         txn.commit()

@@ -1,4 +1,4 @@
-"""Vectorized batch execution, fused pipelining and work-stealing fan-out.
+"""Vectorized batch execution, fused pipelining and a skewed fan-out.
 
 Three suites attacking the execute stage from different angles:
 
@@ -9,9 +9,9 @@ Three suites attacking the execute stage from different angles:
 - pipelining: ``execute_pipeline`` at the storage, engine and adaptor
   layers keeps serial-equivalent semantics (mid-batch errors, rollback)
   while coalescing write-I/O per written table.
-- fan-out: the work-stealing scheduler completes skewed routes with
-  steals observed, shuts down cleanly, and honours statement deadlines
-  while waiting on an exhausted pool.
+- fan-out: a skewed route (every shard on one source) is issued by the
+  caller and awaited once, the engine shuts down cleanly, and statement
+  deadlines hold while waiting on an exhausted pool.
 """
 
 import time
@@ -338,7 +338,7 @@ class TestEnginePipeline:
 
 
 # ---------------------------------------------------------------------------
-# Work-stealing fan-out
+# A skewed route: every shard on one source
 # ---------------------------------------------------------------------------
 
 
@@ -347,8 +347,7 @@ SHARDS = 24
 
 @pytest.fixture
 def skewed_fleet():
-    """One source holding every shard: all fan-out tasks seed onto one
-    worker deque (source affinity), so idle workers must steal."""
+    """One source holding every shard: the most skewed route there is."""
     ds = DataSource("ds0", pool_size=SHARDS + 4)
     for i in range(SHARDS):
         ds.execute(f"CREATE TABLE t_big_{i} (id INT PRIMARY KEY, v INT)")
@@ -368,10 +367,13 @@ def broadcast_units(rule, sql):
 
 
 class TestWorkStealing:
-    def test_skewed_route_steals_and_completes(self, skewed_fleet):
-        """Stealing serves the units that block while they wait — here the
-        24 single-shard UPDATEs of a broadcast write, each holding its
-        connection through a priced write and commit."""
+    """Named for the scheduler that served skewed routes until every unit of
+    a statement was issued by its caller; the routes stay under test."""
+
+    def test_skewed_broadcast_write_sleeps_once(self, fake, skewed_fleet):
+        """The 24 single-shard UPDATEs of a broadcast write — each with a
+        priced write and an implicit commit — are issued by the caller and
+        awaited with one sleep: nothing is queued, no pool thread starts."""
         sources, rule = skewed_fleet
         sources["ds0"].database.latency = LatencyModel(write_io=2e-4, commit_io=2e-4)
         engine = ExecutionEngine(sources, max_connections_per_query=SHARDS)
@@ -379,11 +381,13 @@ class TestWorkStealing:
         assert len(units) == SHARDS
         result = engine.execute(units, is_query=False)
         assert result.update_count == SHARDS
+        assert len(fake.sleeps) == 1
         snap = engine.metrics.snapshot()
-        assert snap["queued_tasks"] == SHARDS
-        assert snap["steals"] > 0
-        assert snap["stolen_tasks"] > 0
+        assert (snap["queued_tasks"], snap["steals"]) == (0, 0)
+        assert not engine._pool._threads
         assert sources["ds0"].pool.in_use == 0
+        assert [sources["ds0"].execute(f"SELECT v FROM t_big_{i}") for i in range(SHARDS)] == [
+            [(i * 10 + 1,)] for i in range(SHARDS)]
         engine.close()
 
     def test_read_fanout_queues_nothing_and_starts_no_thread(self, skewed_fleet):
@@ -398,7 +402,7 @@ class TestWorkStealing:
         rows = sorted(row for shard in result.results for row in shard)
         assert rows == [(i, i * 10) for i in range(SHARDS)]
         snap = engine.metrics.snapshot()
-        assert (snap["queued_tasks"], snap["steals"], snap["stolen_tasks"]) == (0, 0, 0)
+        assert (snap["queued_tasks"], snap["steals"]) == (0, 0)
         assert not engine._pool._threads
         assert snap["memory_strictly"] == 1 and snap["statements"] == SHARDS
         result.release()
@@ -406,7 +410,7 @@ class TestWorkStealing:
         engine.close()
 
     def test_row_results_preserve_unit_order(self, skewed_fleet):
-        """Connection-strictly fan-out (θ > 1) under stealing still
+        """Connection-strictly fan-out (θ > 1) on four lanes still
         reports every shard exactly once."""
         sources, rule = skewed_fleet
         engine = ExecutionEngine(sources, max_connections_per_query=4)
