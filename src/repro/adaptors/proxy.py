@@ -106,7 +106,7 @@ class ShardingProxyServer:
         self._sock: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
         self._reactor_thread: threading.Thread | None = None
-        self._worker_threads: list[threading.Thread] = []
+        self._worker_pool: list[threading.Thread] = []
         self._stop = threading.Event()
         #: admission queue: (client, packet_type, payload bytes)
         self._tasks: "queue.Queue[tuple[_ClientSession, PacketType, bytes] | None]" = (
@@ -140,12 +140,12 @@ class ShardingProxyServer:
         self._selector = selectors.DefaultSelector()
         self._selector.register(sock, selectors.EVENT_READ, "accept")
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wakeup")
-        self._worker_threads = [
+        self._worker_pool = [
             threading.Thread(target=self._worker_loop, daemon=True,
                              name=f"ss-proxy-worker-{i}")
             for i in range(self.workers)
         ]
-        for thread in self._worker_threads:
+        for thread in self._worker_pool:
             thread.start()
         self._reactor_thread = threading.Thread(
             target=self._reactor_loop, daemon=True, name="ss-proxy-reactor")
@@ -166,7 +166,7 @@ class ShardingProxyServer:
             self._reactor_thread = None
         # unblock and retire the workers (sentinels; queue may be full of
         # stale tasks, so drain opportunistically while feeding them)
-        for _ in self._worker_threads:
+        for _ in self._worker_pool:
             while True:
                 try:
                     self._tasks.put_nowait(None)
@@ -176,9 +176,9 @@ class ShardingProxyServer:
                         self._tasks.get_nowait()
                     except queue.Empty:
                         pass
-        for thread in self._worker_threads:
+        for thread in self._worker_pool:
             thread.join(timeout=5)
-        self._worker_threads = []
+        self._worker_pool = []
         # release sessions only after workers stopped touching them
         for session in list(self._sessions):
             self._close_quietly(session.sock)

@@ -53,7 +53,7 @@ class ShardingRuntime:
         config_center: ConfigCenter | None = None,
         transaction_type: TransactionType = TransactionType.LOCAL,
         default_latency: LatencyModel | None = None,
-        worker_threads: int = 32,
+        worker_threads: int | None = None,  # ignored: no worker pool; benchmarks/perf passes it
         resilience: ResiliencePolicy | None = None,
     ):
         self.default_latency = default_latency
@@ -84,7 +84,6 @@ class ShardingRuntime:
         )
         self.engine = SQLEngine(
             max_connections_per_query=max_connections_per_query,
-            worker_threads=worker_threads,
             resilience=resilience,
             metadata=self.metadata,
         )

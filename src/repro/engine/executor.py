@@ -11,8 +11,8 @@ Balances data-source connections, memory and concurrency:
 - Deadlock avoidance: when a statement needs several connections of one
   source at once, the whole batch is acquired atomically under the data
   source's acquisition lock; a single connection skips the lock.
-- Every unit of a multi-unit statement is issued by the calling thread,
-  one ``Connection.execute(..., wait=False)`` after the other, and awaited
+- Every unit of a statement is issued by the calling thread, one
+  ``Connection.execute(..., wait=False)`` after the other, and awaited
   together: the simulated I/O overlaps on the servers' timelines and the
   statement sleeps once, for the window that ends last. A unit that shares
   its connection — a transaction's pinned connection, one of a
@@ -39,10 +39,8 @@ Resilience (opt-in via :class:`ResiliencePolicy`):
 from __future__ import annotations
 
 import enum
-import math
 import random
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -55,7 +53,6 @@ from ..exceptions import (
     DeadlineExceededError,
     ExecutionError,
 )
-from ..session import activate, current_session
 from ..storage import Connection, DataSource
 from .merger import MaterializedResult, ShardResult
 from .resilience import BreakerRegistry, ResiliencePolicy
@@ -181,7 +178,6 @@ class ExecutionEngine:
         self,
         data_sources: Mapping[str, DataSource],
         max_connections_per_query: int = 1,
-        worker_threads: int = 32,
         resilience: ResiliencePolicy | None = None,
         health_check: Callable[[str], bool] | None = None,
     ):
@@ -190,11 +186,7 @@ class ExecutionEngine:
         self.data_sources = data_sources if isinstance(data_sources, dict) else dict(data_sources)
         self.max_connections_per_query = max_connections_per_query
         self.metrics = ExecutionMetrics()
-        #: for work that is not a statement's units (federation's per-table
-        #: pulls, :meth:`submit`); no statement unit runs here
-        self._pool = ThreadPoolExecutor(max_workers=worker_threads, thread_name_prefix="ss-exec")
         self._closed = False
-        self._close_lock = threading.Lock()
         self.resilience: ResiliencePolicy | None = None
         self.breakers: BreakerRegistry | None = None
         self.health_check = health_check
@@ -216,35 +208,9 @@ class ExecutionEngine:
         self.health_check = health_check
 
     def close(self) -> None:
-        """Idempotent shutdown, safe while work is in flight.
-
-        Repeat calls are no-ops. A statement in flight runs on its caller's
-        thread and finishes; new statements and submissions are rejected
-        at the door.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._pool.shutdown(wait=False)
-
-    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> "Future[Any]":
-        """Run work on the engine's shared worker pool (e.g. federation
-        materialization fan-out).
-
-        The submitting side's session is captured here and re-activated
-        on whichever pool thread runs ``fn``, so session state (causal
-        tokens, primary pinning, guards) survives the handoff.
-        """
-        if self._closed:
-            raise ExecutionError("execution engine is closed; rejecting new work")
-        session = current_session()
-
-        def run() -> Any:
-            with activate(session):
-                return fn(*args, **kwargs)
-
-        return self._pool.submit(run)
+        """Reject new statements (idempotent). A statement in flight runs
+        on its caller's thread and finishes."""
+        self._closed = True
 
     # ------------------------------------------------------------------
     # Entry points
@@ -318,80 +284,6 @@ class ExecutionEngine:
         direct = spans is None and self.resilience is None
         obs = self.observability
 
-        # Fast path: one unit on one source blocks on its own connection —
-        # the dominant OLTP case (point selects / PK writes), with nothing
-        # to overlap with.
-        if len(units) == 1:
-            unit = units[0]
-            span = spans[id(unit)] if spans is not None else None
-            pinned = (held_connections or {}).get(unit.data_source)
-            if pinned is not None:
-                result.modes[unit.data_source] = ConnectionMode.CONNECTION_STRICTLY
-                if span is not None:
-                    span.attributes["mode"] = ConnectionMode.CONNECTION_STRICTLY.value
-                t0 = clock.now() if heat is not None else 0.0
-                cursor = self._run_attempts(
-                    unit.data_source, lambda: self._traced(pinned, unit, span),
-                    is_query=is_query, pinned=pinned, deadline=deadline, span=span,
-                )
-                out = self._unit_done(unit, cursor, is_query, span, heat, t0)
-                if is_query:
-                    result.results.append(out)
-                else:
-                    result.update_count = out
-                self.metrics.statements += 1
-                return result
-            source = self._source(unit.data_source, sources_map)
-            result.modes[unit.data_source] = ConnectionMode.MEMORY_STRICTLY
-            self.metrics.memory_strictly += 1
-            if span is not None:
-                span.attributes["mode"] = ConnectionMode.MEMORY_STRICTLY.value
-            holder: list[Connection | None] = [None]
-
-            def attempt_single() -> Any:
-                conn = holder[0]
-                if conn is None or conn.closed:
-                    if conn is not None:
-                        source.pool.release(conn)
-                    holder[0] = conn = self._pool_acquire(source, deadline)
-                return self._traced(conn, unit, span)
-
-            t0 = clock.now() if heat is not None else 0.0
-            try:
-                if direct:
-                    try:
-                        holder[0] = conn = self._pool_acquire(source, deadline)
-                        cursor = conn.execute(unit.statement, unit.params)
-                    except Exception:
-                        self._record_outcome(unit.data_source, ok=False)
-                        raise
-                    if obs is not None:
-                        obs.on_source_attempt(unit.data_source, True)
-                else:
-                    cursor = self._run_attempts(
-                        unit.data_source, attempt_single,
-                        is_query=is_query, pinned=None, deadline=deadline, span=span,
-                    )
-                out = self._unit_done(unit, cursor, is_query, span, heat, t0, stream=True)
-            except BaseException:
-                if holder[0] is not None:
-                    source.pool.release(holder[0])
-                raise
-            connection = holder[0]
-            assert connection is not None
-            if out is cursor:
-                # streaming: the connection stays out until the caller has
-                # drained the merged iterator
-                result.finalizers.append(lambda: source.pool.release(connection))
-            else:
-                source.pool.release(connection)
-            if is_query:
-                result.results.append(out)
-            else:
-                result.update_count = out
-            self.metrics.statements += 1
-            return result
-
         groups: dict[str, list[ExecutionUnit]] = {}
         for unit in units:
             groups.setdefault(unit.data_source, []).append(unit)
@@ -415,13 +307,17 @@ class ExecutionEngine:
             for ds_name, group in groups.items():
                 pinned = (held_connections or {}).get(ds_name)
                 if pinned is not None:
-                    source, mode = None, ConnectionMode.CONNECTION_STRICTLY
+                    source, lanes = None, True
                 else:
                     source = self._source(ds_name, sources_map)
-                    mode = self._decide_mode(len(group))
+                    # θ = ⌈NumOfSQL / MaxCon⌉ > 1
+                    lanes = len(group) > self.max_connections_per_query
+                mode = (ConnectionMode.CONNECTION_STRICTLY if lanes
+                        else ConnectionMode.MEMORY_STRICTLY)
                 result.modes[ds_name] = mode
-                self._annotate_mode(spans, group, mode)
-                lanes = mode is ConnectionMode.CONNECTION_STRICTLY
+                if spans is not None:
+                    for unit in group:
+                        spans[id(unit)].attributes["mode"] = mode.value
                 if source is None:
                     connections = [pinned]
                 else:
@@ -441,7 +337,7 @@ class ExecutionEngine:
                 for index, unit in enumerate(group):
                     if lanes:
                         index = connections.index(min(connections, key=_free_at))
-                    span = spans.get(id(unit)) if spans is not None else None
+                    span = spans[id(unit)] if spans is not None else None
                     t0 = clock.now() if heat is not None else 0.0
                     try:
                         if direct:
@@ -449,9 +345,9 @@ class ExecutionEngine:
                                 unit.statement, unit.params, False)
                         elif source is None:
                             cursor = self._run_attempts(
-                                ds_name, lambda: self._traced(pinned, unit, span, False),
+                                ds_name, lambda: self._traced(pinned, unit, span),
                                 is_query=is_query, pinned=pinned, deadline=deadline,
-                                span=span, finish_span=False)
+                                span=span)
                         else:
                             cursor = self._run_on_batch(
                                 source, connections, index, unit, is_query, deadline, span)
@@ -479,7 +375,8 @@ class ExecutionEngine:
             if latest is not None:
                 latest.wait()
             for _unit, cursor, span, *_ in issued:
-                cursor.wait()
+                if cursor is not latest:
+                    cursor.wait()
                 if span is not None:
                     span.finish()
         for unit, cursor, span, t0, done_at, stream in issued:
@@ -637,9 +534,8 @@ class ExecutionEngine:
             obs.on_source_attempt(source_name, ok)
 
     @staticmethod
-    def _traced(connection: Connection, unit: ExecutionUnit, span: "Span | None",
-                wait: bool = True) -> Any:
-        """Execute one unit, lending the span to the connection meanwhile.
+    def _traced(connection: Connection, unit: ExecutionUnit, span: "Span | None") -> Any:
+        """Issue one unit, lending the span to the connection meanwhile.
 
         The connection attributes latency-model sleeps and lock waits to
         ``trace_span`` while it is set (an issued cursor takes the span
@@ -647,25 +543,12 @@ class ExecutionEngine:
         (None), keeping untraced connections attribute-free.
         """
         if span is None:
-            return connection.execute(unit.statement, unit.params, wait)
+            return connection.execute(unit.statement, unit.params, False)
         connection.trace_span = span
         try:
-            return connection.execute(unit.statement, unit.params, wait)
+            return connection.execute(unit.statement, unit.params, False)
         finally:
             del connection.trace_span
-
-    @staticmethod
-    def _annotate_mode(
-        spans: "dict[int, Span] | None",
-        group: list[ExecutionUnit],
-        mode: ConnectionMode,
-    ) -> None:
-        if spans is None:
-            return
-        for unit in group:
-            span = spans.get(id(unit))
-            if span is not None:
-                span.attributes["mode"] = mode.value
 
     def _run_attempts(
         self,
@@ -676,19 +559,17 @@ class ExecutionEngine:
         pinned: Connection | None,
         deadline: float | None,
         span: "Span | None" = None,
-        finish_span: bool = True,
     ) -> Any:
         """Run one execution unit under the resilience policy.
 
         ``attempt`` performs a full attempt (including any connection
-        (re-)acquisition) and returns the cursor. Retries apply only to
-        transient errors, within the deadline budget, and never to writes
-        on a pinned (in-transaction) connection. The unit's storage span,
-        when present, is finished here — retries become span events and a
-        final ``retries`` attribute; a terminal failure closes it with the
-        error attached. Without ``finish_span`` a success leaves it open:
-        the unit was only issued and its span ends when it has been waited
-        for.
+        (re-)acquisition) and returns the issued cursor. Retries apply only
+        to transient errors, within the deadline budget, and never to writes
+        on a pinned (in-transaction) connection. Retries become events on
+        the unit's storage span, when present, and a final ``retries``
+        attribute; a terminal failure closes the span with the error
+        attached. A success leaves it open: the unit was only issued and
+        its span ends when it has been waited for.
         """
         policy = self.resilience
         attempt_no = 0
@@ -731,11 +612,8 @@ class ExecutionEngine:
                         clock.sleep(delay)
                     continue
                 self._record_outcome(source_name, ok=True)
-                if span is not None:
-                    if attempt_no:
-                        span.attributes["retries"] = attempt_no
-                    if finish_span:
-                        span.finish()
+                if span is not None and attempt_no:
+                    span.attributes["retries"] = attempt_no
                 return value
         except BaseException as terminal:
             if span is not None:
@@ -745,12 +623,8 @@ class ExecutionEngine:
             raise
 
     # ------------------------------------------------------------------
-    # Modes
+    # Connections
     # ------------------------------------------------------------------
-
-    def _decide_mode(self, num_sqls: int) -> ConnectionMode:
-        theta = math.ceil(num_sqls / self.max_connections_per_query)
-        return ConnectionMode.CONNECTION_STRICTLY if theta > 1 else ConnectionMode.MEMORY_STRICTLY
 
     def _source(self, name: str, sources: Mapping[str, DataSource] | None = None) -> DataSource:
         lookup = sources if sources is not None else self.data_sources
@@ -816,11 +690,11 @@ class ExecutionEngine:
             if connections[index].closed:
                 source.pool.release(connections[index])
                 connections[index] = self._pool_acquire(source, deadline)
-            return self._traced(connections[index], unit, span, False)
+            return self._traced(connections[index], unit, span)
 
         return self._run_attempts(
             unit.data_source, attempt, is_query=is_query, pinned=None,
-            deadline=deadline, span=span, finish_span=False,
+            deadline=deadline, span=span,
         )
 
     def _pool_acquire(
@@ -856,14 +730,10 @@ class ExecutionEngine:
         a statement out of time reports :class:`DeadlineExceededError`
         promptly rather than sitting on an exhausted pool for 10 s.
         """
+        if count == 1:
+            return [self._pool_acquire(source, deadline, timeout)]
         if deadline is not None:
             timeout = min(timeout, max(0.0, deadline - clock.now()))
-        if count == 1:
-            try:
-                return [source.pool.acquire(timeout=timeout)]
-            except Exception:
-                self._check_deadline(deadline, source.name)
-                raise
         acquire_by = clock.now() + timeout
         while True:
             with source.acquisition_lock:

@@ -14,8 +14,7 @@ conjuncts are pushed down so each shard ships only matching rows.
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from ..exceptions import UnsupportedSQLError
 from ..sql import ast
@@ -23,58 +22,45 @@ from ..storage.database import Database
 from ..storage.executor import QueryResult
 from ..storage.plans import execute_statement
 from .context import StatementContext
+from .rewriter import ExecutionUnit
+from .router import RouteUnit
 
 if TYPE_CHECKING:
     from ..metadata import MetadataContext
-    from .pipeline import SQLEngine
+    from ..observability.trace import Span, Trace
+    from ..storage import Connection
+    from ..storage.table import Table
+    from .executor import ExecutionEngine
 
 #: refuse to materialize more rows than this into the federation scratch DB
 MAX_FEDERATION_ROWS = 500_000
 
 
-class _RowBudget:
-    """Exact shared row-count guard for concurrent materialization.
-
-    Every pulled row is charged under a lock, so the limit cannot be
-    overshot by racing per-table tasks losing each other's counts; the
-    first task to cross it raises and the others are surfaced via their
-    futures.
-    """
-
-    __slots__ = ("limit", "_count", "_lock")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def charge(self, rows: int = 1) -> None:
-        with self._lock:
-            self._count += rows
-            if self._count > self.limit:
-                raise UnsupportedSQLError(
-                    f"federated query would materialize more than "
-                    f"{self.limit} rows; add narrowing predicates"
-                )
-
-
 def federate_select(
-    engine: "SQLEngine",
+    executor: "ExecutionEngine",
     context: StatementContext,
-    snap: "MetadataContext | None" = None,
+    snap: "MetadataContext",
+    held_connections: Mapping[str, "Connection"] | None = None,
+    trace: "Trace | None" = None,
+    parent_span: "Span | None" = None,
 ) -> QueryResult:
     """Execute a SELECT by materializing each referenced table locally.
 
-    Per-table pulls are independent, so they fan out over the engine's
-    worker pool; a single-table statement stays on the calling thread.
+    Every data node of every referenced table is one pull, ``SELECT * FROM
+    <actual> [alias] WHERE <pushdown>``, and all of them are the units of
+    one :meth:`ExecutionEngine.execute` call: issued by the calling thread
+    and awaited once, on the open transaction's connections
+    (``held_connections``), under the same breakers, health check,
+    deadline and trace (``parent_span``) as any other statement's units.
     ``snap`` pins the statement to one metadata snapshot (rule + data
-    sources); None falls back to the engine's live view.
+    sources).
     """
     statement = context.statement
     if not isinstance(statement, ast.SelectStatement):
         raise UnsupportedSQLError("only SELECT statements can be federated")
 
     scratch = Database("federation")
+    sources = snap.data_sources
     # Predicates on the nullable side of an outer join filter *after* the
     # join produces NULLs; pushing them below the join would change results.
     no_pushdown = {
@@ -82,89 +68,62 @@ def federate_select(
         for join in statement.joins
         if join.kind in ("LEFT", "RIGHT", "FULL")
     }
-    refs: list[ast.TableRef] = []
+    params = tuple(context.params)
+    #: (pull, the scratch table its rows go to)
+    pulls: list[tuple[ExecutionUnit, "Table"]] = []
     seen: set[str] = set()
     for ref in statement.tables():
-        if ref.name.lower() in seen:
+        logic = ref.name
+        if logic.lower() in seen:
             continue
-        seen.add(ref.name.lower())
-        refs.append(ref)
-    budget = _RowBudget(MAX_FEDERATION_ROWS)
-    if len(refs) <= 1:
-        for ref in refs:
-            pushdown_ok = ref.exposed_name.lower() not in no_pushdown
-            _materialize(engine, context, ref, scratch, budget, pushdown_ok, snap)
-    else:
-        futures = [
-            engine.executor.submit(
-                _materialize, engine, context, ref, scratch, budget,
-                ref.exposed_name.lower() not in no_pushdown, snap,
+        seen.add(logic.lower())
+        pushdown = (_pushdown_predicate(context, ref)
+                    if ref.exposed_name.lower() not in no_pushdown else None)
+        nodes = _nodes_of(snap, logic)
+        first_ds, first_actual = nodes[0]
+        scratch.create_table(
+            sources[first_ds].database.table(first_actual).schema.clone_renamed(logic))
+        target = scratch.table(logic)
+        for ds_name, actual in nodes:
+            per_shard = ast.SelectStatement(
+                select_items=[ast.SelectItem(ast.Star())],
+                from_table=ast.TableRef(actual, alias=ref.alias),
+                where=ast.clone_expression(pushdown) if pushdown is not None else None,
             )
-            for ref in refs
-        ]
-        first_error: Exception | None = None
-        for future in futures:
-            try:
-                future.result()
-            except Exception as exc:  # collect all; every task must finish
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
+            unit = ExecutionUnit(ds_name, params, per_shard,
+                                 RouteUnit(ds_name, {logic.lower(): actual}),
+                                 snap.dialect_of(ds_name))
+            pulls.append((unit, target))
+    # the engine answers group by group, in order of first appearance: sorted
+    # by data source, its results line up with the pulls one for one
+    pulls.sort(key=lambda pull: pull[0].data_source)
+    execution = executor.execute(
+        [unit for unit, _ in pulls], True, held_connections, route_type="federation",
+        trace=trace, parent_span=parent_span, sources=sources)
+    try:
+        budget = MAX_FEDERATION_ROWS
+        for (_unit, target), shard in zip(pulls, execution.results):
+            columns = shard.columns
+            for row in shard:
+                budget -= 1
+                if budget < 0:
+                    raise UnsupportedSQLError(
+                        f"federated query would materialize more than "
+                        f"{MAX_FEDERATION_ROWS} rows; add narrowing predicates"
+                    )
+                target.insert(dict(zip(columns, row)))
+    finally:
+        execution.release()
     return execute_statement(scratch, statement, context.params)
 
 
-def _materialize(
-    engine: "SQLEngine",
-    context: StatementContext,
-    ref: ast.TableRef,
-    scratch: Database,
-    budget: _RowBudget,
-    pushdown_ok: bool = True,
-    snap: "MetadataContext | None" = None,
-) -> int:
-    """Copy one logic table's (filtered) rows into the scratch database."""
-    logic = ref.name
-    sources = snap.data_sources if snap is not None else engine.data_sources
-    nodes = _nodes_of(engine, logic, snap)
-    schema = None
-    fetched = 0
-    pushdown = _pushdown_predicate(context, ref) if pushdown_ok else None
-    for ds_name, actual in nodes:
-        source = sources[ds_name]
-        table = source.database.table(actual)
-        if schema is None:
-            schema = table.schema.clone_renamed(logic)
-            scratch.create_table(schema)
-        target = scratch.table(logic)
-        per_shard = ast.SelectStatement(
-            select_items=[ast.SelectItem(ast.Star())],
-            from_table=ast.TableRef(actual, alias=ref.alias),
-            where=ast.clone_expression(pushdown) if pushdown is not None else None,
-        )
-        connection = source.pool.acquire()
-        try:
-            cursor = connection.execute(per_shard, context.params)
-            columns = cursor.columns
-            for row in cursor:
-                budget.charge()
-                target.insert(dict(zip(columns, row)))
-                fetched += 1
-        finally:
-            source.pool.release(connection)
-    return fetched
-
-
-def _nodes_of(
-    engine: "SQLEngine", logic: str, snap: "MetadataContext | None" = None
-) -> list[tuple[str, str]]:
-    rule = snap.rule if snap is not None else engine.rule
-    sources = snap.data_sources if snap is not None else engine.data_sources
+def _nodes_of(snap: "MetadataContext", logic: str) -> list[tuple[str, str]]:
+    rule = snap.rule
     if rule.is_sharded(logic):
         return [(n.data_source, n.table) for n in rule.table_rule(logic).data_nodes]
     # broadcast tables are replicated everywhere (one copy suffices) and
     # unsharded tables live on the default source
-    default = rule.default_data_source or next(iter(sources))
+    default = rule.default_data_source or next(iter(snap.data_sources))
     return [(default, logic)]
 
 

@@ -193,7 +193,6 @@ class SQLEngine:
         rule: ShardingRule | None = None,
         max_connections_per_query: int = 1,
         features: Sequence[Feature] = (),
-        worker_threads: int = 32,
         enable_federation: bool = True,
         resilience: ResiliencePolicy | None = None,
         metadata: ContextManager | None = None,
@@ -213,7 +212,6 @@ class SQLEngine:
         self.executor = ExecutionEngine(
             metadata.live_sources,
             max_connections_per_query=max_connections_per_query,
-            worker_threads=worker_threads,
             resilience=resilience,
         )
         #: attached via attach_observability; None = no metrics/trace cost
@@ -328,9 +326,8 @@ class SQLEngine:
                 # rule/sources/features/dialects from ``st.snap``, so a
                 # concurrent DistSQL mutation (which swaps in the *next*
                 # snapshot) can never be half-observed. It is also recorded
-                # on the session so any worker continuing this statement
-                # (a federated pull) can reach it, and SHOW SESSIONS can
-                # attribute in-flight statements to a metadata version.
+                # on the session so SHOW SESSIONS can attribute in-flight
+                # statements to a metadata version.
                 session.snapshot = st.snap = self.metadata.current()
                 try:
                     result = self._serve(st)
@@ -666,7 +663,8 @@ class SQLEngine:
         if federated:
             from .federation import federate_select
 
-            found = federate_select(self, st.context, st.snap)
+            found = federate_select(
+                self.executor, st.context, st.snap, st.held, st.trace, st.span)
             st.execution = ExecutionResult(
                 results=[MaterializedResult(list(found.columns), found.rows)])
         else:

@@ -5,9 +5,10 @@ its own ``threading.local`` — causal replication tokens in
 ``storage/replication.py``, the metadata mutation guard in
 ``metadata.py``, the Governor publish guard in ``adaptors/runtime.py``.
 That equates "session" with "OS thread", which breaks down the moment a
-statement crosses a thread boundary (the federation fan-out, a proxy
-worker continuing a client's session) and makes a multiplexing proxy — thousands of client
-sessions over a small worker pool — impossible.
+session crosses a thread boundary (a proxy worker continuing a client's
+session, a JDBC connection handed to another thread) and makes a
+multiplexing proxy — thousands of client sessions over a small worker
+pool — impossible.
 
 This module replaces all of them with one explicit object:
 
@@ -23,14 +24,16 @@ This module replaces all of them with one explicit object:
   **thread-root session** of :func:`current_session`.
 * Thread boundaries propagate sessions *explicitly*: capture with
   :func:`current_session` on the submitting side, resume with
-  :func:`activate` on whichever worker picks the work up.
-  ``ExecutionEngine.submit`` (federation) and the proxy reactor both do
-  this, so a statement started by one thread can be continued by any
-  other without losing read-your-writes or transaction pinning.
+  :func:`activate` on whichever worker picks the work up. The proxy
+  reactor and every JDBC connection entry point do this, so a session
+  started by one thread can be continued by any other without losing
+  read-your-writes or transaction pinning.
 
-The one ``SessionContext`` may be shared by several threads at once (a
-statement and its federated pulls), so token/guard updates go through a small
-per-session lock; plain reads stay lock-free.
+A statement's storage work runs on the thread that executes it, but the
+one ``SessionContext`` may still be shared by several threads at once: a
+JDBC connection may be driven from several threads. Token/guard updates
+therefore go through a small per-session lock; plain reads stay
+lock-free.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ class SessionContext:
     def note_write(self, group: str, lsn: int) -> None:
         """Advance the causal token for ``group`` to ``lsn``.
 
-        Locked: two threads sharing the session (a federated pull beside
-        its statement, a proxy worker) may advance one group at once.
+        Locked: two threads driving one session (one JDBC connection used
+        from several threads) may advance one group at once.
         """
         with self._lock:
             if lsn > self.tokens.get(group, 0):

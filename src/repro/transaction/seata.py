@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -179,37 +178,6 @@ class SeataTransaction(DistributedTransaction):
             )
         finally:
             self._release_all()
-
-    def commit_async(self, pool: "ThreadPoolExecutor | None" = None) -> "Future":
-        """The paper's stated future work: asynchronous result return.
-
-        "In our future work, we plan to support asynchronous return of
-        results, in which Apps only submit SQL statements to
-        ShardingSphere, and ShardingSphere will guarantee BASE
-        transactions automatically. This can improve the performance
-        tremendously."
-
-        The application returns immediately; phases 1+2 (undo-log saves,
-        local commits, TC round trips) run on a worker thread. The
-        returned future resolves to True on global commit, or raises
-        :class:`~repro.exceptions.BaseTransactionError` after
-        compensation — the eventual-consistency contract of BASE.
-        """
-        self._check_active()
-        owned = pool is None
-        executor = pool if pool is not None else ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="seata-async"
-        )
-
-        def run() -> bool:
-            try:
-                self.commit()
-                return True
-            finally:
-                if owned:
-                    executor.shutdown(wait=False)
-
-        return executor.submit(run)
 
     def rollback(self) -> None:
         self._check_active()

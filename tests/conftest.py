@@ -5,6 +5,7 @@ Two data sources; ``t_user`` and ``t_order`` horizontally sharded by
 relationship between user and order.
 """
 
+import contextlib
 import threading
 
 import pytest
@@ -50,6 +51,15 @@ class FakeClock:
     @property
     def slept(self):
         return sum(self.sleeps)
+
+
+@contextlib.contextmanager
+def starts_no_thread():
+    """Fail unless every thread alive after the block was alive before it:
+    the statements inside ran on the calling thread alone."""
+    before = set(threading.enumerate())
+    yield
+    assert set(threading.enumerate()) <= before
 
 
 @pytest.fixture

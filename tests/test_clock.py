@@ -284,29 +284,6 @@ def test_a_session_thread_is_tight_from_its_first_sleep(default_slack, sleeps):
     assert read_slack() == default_slack  # only the thread that slept
 
 
-@pytest.mark.concurrency
-def test_a_pool_thread_running_a_federated_pull_sleeps_tight(default_slack, sleeps):
-    """Federation's per-table pulls are the one kind of work left on the
-    engine's pool, and the statement that submitted them waits for them:
-    the pool thread is tight from its first sleep, like a session thread."""
-    def pull():
-        at_start = read_slack()
-        pay(2e-3)
-        return threading.current_thread().name, at_start, read_slack()
-
-    def session():
-        engine = ExecutionEngine({}, worker_threads=2)
-        try:
-            return engine.submit(pull).result(timeout=10)
-        finally:
-            engine.close()
-
-    name, at_start, after_paying = in_thread(session)
-    assert name.startswith("ss-exec")
-    assert (at_start, after_paying) == (default_slack, "1")
-    assert sleeps == [2e-3]
-
-
 def test_unwritable_slack_file_is_tried_once_and_the_sleep_still_happens(monkeypatch, sleeps):
     opened = []
 

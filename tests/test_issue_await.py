@@ -26,7 +26,7 @@ from repro.storage import DataSource, FaultInjector, LatencyModel
 from repro.storage.faults import FaultKind
 from repro.storage.latency import IOTimeline
 
-from .conftest import T0
+from .conftest import T0, starts_no_thread
 
 
 def approx(value):
@@ -269,11 +269,11 @@ class TestReadFanOut:
         sources, rule, engine = fanout
         units = units_of(rule, self.SQL)
         assert len(units) == SHARDS
-        result = engine.execute(units, is_query=True)
+        with starts_no_thread():
+            result = engine.execute(units, is_query=True)
         costs = [cursor._result.cost for cursor in result.results]
         assert len(costs) == SHARDS and min(costs) > 0
         assert fake.sleeps == [approx(max(costs))]  # once, for the max, not the sum
-        assert not engine._pool._threads
         assert all(cursor._pending is None for cursor in result.results)
         # streaming: the connections are out until the merged rows are drained
         assert in_use(sources) == SHARDS
@@ -286,13 +286,13 @@ class TestReadFanOut:
         sources, rule, engine = fanout
         units = units_of(rule, self.SQL)
         sources["ds1"].database.fail_next("statement")
-        with pytest.raises(ExecutionError, match="injected failure on statement"):
+        with starts_no_thread(), pytest.raises(
+                ExecutionError, match="injected failure on statement"):
             engine.execute(units, is_query=True)
         # the other fifteen were issued, and awaited before the error came out
         assert sum(s.database.statements_executed for s in sources.values()) >= SHARDS - 1
         assert len(fake.sleeps) == 1
         assert in_use(sources) == 0
-        assert not engine._pool._threads
 
     def test_a_transient_fault_at_issue_is_retried(self, fake, fanout):
         sources, rule, engine = fanout
@@ -331,12 +331,12 @@ class TestReadFanOut:
 
         trace = Tracer(enabled=True).start_trace(self.SQL)
         root = trace.start_span("execute")
-        traced = engine.execute(units, is_query=True, trace=trace, parent_span=root)
+        with starts_no_thread():
+            traced = engine.execute(units, is_query=True, trace=trace, parent_span=root)
         traced_rows = sorted(row for shard in traced.results for row in shard)
         traced.release()
         assert traced_rows == plain_rows
         assert fake.slept == approx(slept_plain)
-        assert not engine._pool._threads
         spans = [span for span in trace.spans if span.name == "storage"]
         assert len(spans) == SHARDS
         for span in spans:
@@ -368,8 +368,9 @@ class TestReadFanOut:
         sources, rule, engine = fanout
         held = {name: sources[name].connect() for name in ("ds0", "ds1")}
         try:
-            result = engine.execute(units_of(rule, self.SQL), is_query=True,
-                                    held_connections=held)
+            with starts_no_thread():
+                result = engine.execute(units_of(rule, self.SQL), is_query=True,
+                                        held_connections=held)
             streamed = [shard for shard in result.results if hasattr(shard, "_result")]
             costs = {cursor._result.cost for cursor in streamed}
             rows = sorted(row for shard in result.results for row in shard)
@@ -383,20 +384,21 @@ class TestReadFanOut:
         assert {name: mode.value for name, mode in result.modes.items()} == {
             "ds0": "connection_strictly", "ds1": "connection_strictly",
             "ds2": "memory_strictly", "ds3": "memory_strictly"}
-        assert not engine._pool._threads
         assert in_use(sources) == 0
 
 
 # -- (f) one way to wait ------------------------------------------------------------
 
 GONE = ("_StealScheduler", "submit_helpers", "fanout_workers", "SubmitHelpers",
-        "caller_only", "coalesce_timers", "precise_timers")
+        "caller_only", "coalesce_timers", "precise_timers", "ThreadPoolExecutor",
+        "def submit(", "commit_async", "_RowBudget", "ss-exec")
 
 
 def test_no_blocking_fan_out_machinery_is_left():
-    """Every statement unit and every transaction verb is issued by its
-    caller and awaited: the scheduler, the commit helpers and the timer
-    roles they needed are gone, and stay gone."""
+    """Every statement unit, every federated pull and every transaction
+    verb is issued by its caller and awaited: the scheduler, the commit
+    helpers, the timer roles they needed, the engine's worker pool and
+    BASE's asynchronous commit are gone, and stay gone."""
     package = Path(repro.__file__).resolve().parent
     found = [f"{path.relative_to(package.parent)}:{lineno}: {name}"
              for path in sorted(package.rglob("*.py"))

@@ -28,6 +28,8 @@ from repro import clock
 from repro.adaptors import ShardingDataSource, ShardingRuntime
 from repro.storage import DataSource, LatencyModel
 
+from .conftest import starts_no_thread
+
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "tracing.py"
 
 STAGE_LAYERS = {
@@ -143,7 +145,8 @@ def test_the_three_pay_names_the_harness_replaces_are_module_globals():
 
 def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, monkeypatch):
     """With the Recorder installed, a prepared point select, an autocommit
-    UPDATE and a two-source LOCAL commit produce exactly as many
+    UPDATE, a two-source LOCAL commit and a blocking statement straight on
+    a networked source produce exactly as many
     ``storage.latency`` spans as ``clock.sleep`` calls made from under
     ``repro.storage`` — through each of the three bindings — and nothing
     sleeps: the counter stands in for the clock."""
@@ -160,8 +163,9 @@ def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, mo
     monkeypatch.setattr(clock, "sleep", counted_sleep)
     tracing = load_tracing()
     latency = LatencyModel(write_io=2e-4)
-    # ds0 is across a network hop, so its statements also pay through
-    # ``repro.storage.engine.pay``
+    # ds0 is across a network hop. The engine issues its statements and
+    # books the hop as the cursor's delay; a blocking statement on the
+    # source itself pays the hop through ``repro.storage.engine.pay``
     sources = {"ds0": DataSource("ds0", latency=latency, network_hop=1e-4),
                "ds1": DataSource("ds1", latency=latency)}
     for i, source in enumerate(sources.values()):
@@ -183,6 +187,7 @@ def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, mo
         conn.begin()
         conn.execute("INSERT INTO t_user (uid, name, age) VALUES (4, 'dave', 28), (5, 'eve', 41)")
         conn.commit()
+        assert sources["ds0"].execute("SELECT name FROM t_user_h0 WHERE uid = 2") == [("bob",)]
         recorder.end_op()
         waited = list(callers)
     finally:
@@ -235,12 +240,12 @@ def test_an_issued_fan_out_is_still_seen_unit_by_unit(monkeypatch):
     recorder.install()
     try:
         recorder.begin_op()
-        rows = conn.execute("SELECT id FROM t_big WHERE v >= 0 ORDER BY id").fetchall()
+        with starts_no_thread():
+            rows = conn.execute("SELECT id FROM t_big WHERE v >= 0 ORDER BY id").fetchall()
         recorder.end_op()
     finally:
         recorder.uninstall()
         conn.close()
-        pool_threads = list(runtime.engine.executor._pool._threads)
         runtime.close()
 
     assert rows == [(i,) for i in range(16)] and len(cursors) == 16
@@ -254,7 +259,6 @@ def test_an_issued_fan_out_is_still_seen_unit_by_unit(monkeypatch):
     assert min(s[tracing.VALUE] for s in pays) > 0
     # ...under the executor's span, and on the thread that opened it: there is no other
     assert {s[tracing.PARENT] for s in doors + pays} == {executor[tracing.ID]}
-    assert pool_threads == []
     # issued first, awaited after: every door is shut before the first pay opens
     assert max(s[tracing.END] for s in doors) <= min(s[tracing.START] for s in pays)
 

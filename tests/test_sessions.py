@@ -3,10 +3,10 @@
 The refactor's contract: causal replication tokens, primary pinning,
 transaction pinning and the metadata/publish guards belong to a *session*
 (one SessionContext object), not to whichever OS thread happens to run a
-statement. These tests drive every thread boundary —
-``ExecutionEngine.submit`` (federation fan-out), ``execute_pipeline``
-flushes — and the fan-outs the calling thread issues itself, and check
-the session state lands where it must.
+statement. These tests drive every thread boundary — a session resumed
+on another thread, ``execute_pipeline`` flushes — and the fan-outs the
+calling thread issues itself, and check the session state lands where it
+must.
 """
 
 import itertools
@@ -20,11 +20,12 @@ from repro.distsql import execute_distsql
 from repro.session import SessionContext, activate, current_session, try_current
 from repro.storage import DataSource, ReplicaGroup
 from repro.storage.replication import (
-    pin_primary,
     primary_pinned,
     reset_session,
     session_token,
 )
+
+from .conftest import starts_no_thread
 
 
 @pytest.fixture(autouse=True)
@@ -99,18 +100,6 @@ class TestSessionContext:
         assert session.token("g") == 5
         assert seen["pinned_inside"] is True
         assert seen["after"] is True
-
-    def test_engine_submit_propagates_the_callers_session(self):
-        runtime = ShardingRuntime({"ds0": DataSource("ds0")})
-        try:
-            mine = current_session()
-            future = runtime.engine.executor.submit(current_session)
-            assert future.result(timeout=5) is mine
-            with pin_primary():
-                assert runtime.engine.executor.submit(primary_pinned).result(timeout=5)
-            assert not runtime.engine.executor.submit(primary_pinned).result(timeout=5)
-        finally:
-            runtime.close()
 
     def test_metadata_guard_follows_the_session_not_the_thread(self):
         runtime = ShardingRuntime({"ds0": DataSource("ds0")})
@@ -188,10 +177,10 @@ class TestExecutorPropagation:
             conn = ShardingDataSource(runtime).get_connection()
             for uid in range(8):
                 conn.execute(f"INSERT INTO t_user (uid, v) VALUES ({uid}, 0)")
-            conn.execute(f"UPDATE t_user SET v = 42 WHERE uid IN {ALL_UIDS}")
+            with starts_no_thread():
+                conn.execute(f"UPDATE t_user SET v = 42 WHERE uid IN {ALL_UIDS}")
             assert {name: conn.session.token(name) for name in groups} == {
                 name: group.last_lsn() for name, group in groups.items()}
-            assert not runtime.engine.executor._pool._threads
             # read-your-writes: 30s-laggy replicas cannot cover the token,
             # so the read falls back to the primary and sees the update
             assert conn.execute(

@@ -15,12 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.adaptors import ShardingDataSource, ShardingRuntime
 from repro.engine import SQLEngine
-from repro.engine.federation import _RowBudget
-from repro.exceptions import UnsupportedSQLError
+from repro.engine.resilience import ResiliencePolicy
+from repro.exceptions import CircuitBreakerOpenError, UnsupportedSQLError
 from repro.sharding import make_vertical_sharding
 from repro.sql import ast, parse
-from repro.storage import DataSource
+from repro.storage import DataSource, LatencyModel
+from repro.storage.connection import Connection
 
 from .oracle import OracleConnection
 
@@ -586,46 +588,33 @@ class TestHotPathZeroAST:
 
 
 # ---------------------------------------------------------------------------
-# Federation: parallel materialization under an exact row budget
+# Federation: pulls are the engine's units, under an exact row budget
 # ---------------------------------------------------------------------------
 
 
+SPLIT_JOIN = "SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid"
+
+
+def split_sources(**kwargs):
+    """``t_user`` on ds_a and ``t_order`` on ds_b: every join of the two is
+    federated, one pull per table."""
+    sources = {"ds_a": DataSource("ds_a", **kwargs), "ds_b": DataSource("ds_b", **kwargs)}
+    sources["ds_a"].execute("CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
+    sources["ds_b"].execute("CREATE TABLE t_order (oid INT PRIMARY KEY, uid INT, amount FLOAT)")
+    sources["ds_a"].execute(
+        "INSERT INTO t_user (uid, name) VALUES (1, 'ann'), (2, 'bo'), (3, 'che')"
+    )
+    sources["ds_b"].execute(
+        "INSERT INTO t_order (oid, uid, amount) VALUES "
+        "(10, 1, 4.0), (11, 2, 6.0), (12, 1, 1.5)"
+    )
+    return sources, make_vertical_sharding({"t_user": "ds_a", "t_order": "ds_b"})
+
+
 class TestFederationBudget:
-    def test_row_budget_is_exact_under_threads(self):
-        budget = _RowBudget(1000)
-        successes = []
-
-        def worker():
-            ok = 0
-            for _ in range(200):
-                try:
-                    budget.charge()
-                except UnsupportedSQLError:
-                    break
-                ok += 1
-            successes.append(ok)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(successes) == 1000
-
     @pytest.fixture
     def split_fleet(self):
-        sources = {"ds_a": DataSource("ds_a"), "ds_b": DataSource("ds_b")}
-        sources["ds_a"].execute("CREATE TABLE t_user (uid INT PRIMARY KEY, name VARCHAR(32))")
-        sources["ds_b"].execute("CREATE TABLE t_order (oid INT PRIMARY KEY, uid INT, amount FLOAT)")
-        sources["ds_a"].execute(
-            "INSERT INTO t_user (uid, name) VALUES (1, 'ann'), (2, 'bo'), (3, 'che')"
-        )
-        sources["ds_b"].execute(
-            "INSERT INTO t_order (oid, uid, amount) VALUES "
-            "(10, 1, 4.0), (11, 2, 6.0), (12, 1, 1.5)"
-        )
-        rule = make_vertical_sharding({"t_user": "ds_a", "t_order": "ds_b"})
-        engine = SQLEngine(sources, rule)
+        engine = SQLEngine(*split_sources())
         yield engine
         engine.close()
 
@@ -653,3 +642,82 @@ class TestFederationBudget:
             "ORDER BY o.amount"
         )
         assert result.fetchall() == [("ann", 1.5), ("ann", 4.0), ("bo", 6.0)]
+
+
+class TestFederatedPulls:
+    """A federated statement's pulls are units of one
+    ``ExecutionEngine.execute`` call, on the calling thread."""
+
+    def test_inside_a_transaction_the_pulls_use_its_connections(self):
+        """One connection per source, and the open transaction holds both: a
+        pull that went to the pool would wait out its timeout instead."""
+        runtime = ShardingRuntime(*split_sources(pool_size=1))
+        conn = ShardingDataSource(runtime).get_connection()
+        try:
+            conn.execute("BEGIN")
+            conn.execute("INSERT INTO t_order (oid, uid, amount) VALUES (13, 3, 2.5)")
+            rows = conn.execute(SPLIT_JOIN + " ORDER BY o.amount").fetchall()
+            conn.execute("ROLLBACK")
+            in_use = [source.pool.in_use for source in runtime.data_sources.values()]
+        finally:
+            conn.close()
+            runtime.close()
+        # the transaction's own row is in the join
+        assert rows == [("ann", 1.5), ("che", 2.5), ("ann", 4.0), ("bo", 6.0)]
+        assert in_use == [0, 0]
+
+    def test_an_open_breaker_on_a_pulled_source_rejects_the_statement(self):
+        engine = SQLEngine(*split_sources(), resilience=ResiliencePolicy(
+            breaker_failure_threshold=1, max_reroutes=0))
+        try:
+            engine.executor.breakers.record_failure("ds_b")
+            with pytest.raises(CircuitBreakerOpenError, match="ds_b"):
+                engine.execute(SPLIT_JOIN)
+        finally:
+            engine.close()
+        assert all(source.pool.in_use == 0 for source in engine.data_sources.values())
+
+    def test_a_traced_join_has_one_storage_span_per_pull(self):
+        runtime = ShardingRuntime(*split_sources())
+        try:
+            result = runtime.engine.execute(SPLIT_JOIN, force_trace=True)
+            assert sorted(result.fetchall()) == [("ann", 1.5), ("ann", 4.0), ("bo", 6.0)]
+        finally:
+            runtime.close()
+        trace = result.trace
+        (stage,) = trace.find_spans("federation")
+        assert stage.parent_id == trace.root.span_id
+        pulls = trace.find_spans("storage")
+        assert sorted(span.attributes["data_source"] for span in pulls) == ["ds_a", "ds_b"]
+        assert {span.parent_id for span in pulls} == {stage.span_id}
+        assert all(span.finished and span.error is None for span in pulls)
+        assert sorted(span.attributes["rows"] for span in pulls) == [3, 3]
+
+    def test_a_two_source_join_sleeps_once_on_the_calling_thread(self, fake, monkeypatch):
+        """Both pulls are issued before either is waited for: the statement
+        sleeps once, for the window that ends later, and nobody else sleeps."""
+        sources, rule = split_sources(latency=LatencyModel())
+        for _ in range(sources["ds_b"].io_channels):  # ds_b is busy: its window ends later
+            sources["ds_b"].io_timeline.reserve(0.003)
+        engine = SQLEngine(sources, rule)
+        cursors = []
+        storage_execute = Connection.execute
+
+        def remembering(self, *args, **kwargs):
+            cursors.append(storage_execute(self, *args, **kwargs))
+            return cursors[-1]
+
+        monkeypatch.setattr(Connection, "execute", remembering)
+        fake.sleeps.clear()
+        fake.by_thread.clear()
+        t0 = fake.t
+        try:
+            result = engine.execute(SPLIT_JOIN)
+            assert sorted(result.fetchall()) == [("ann", 1.5), ("ann", 4.0), ("bo", 6.0)]
+        finally:
+            engine.close()
+        assert len(cursors) == 2
+        ends = sorted(cursor.ready_at - t0 for cursor in cursors)
+        assert 0 < ends[0] < ends[1]
+        assert fake.sleeps == [pytest.approx(ends[1], abs=1e-9)]
+        assert list(fake.by_thread) == [threading.get_ident()]

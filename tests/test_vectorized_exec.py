@@ -32,6 +32,7 @@ from repro.sql import parse
 from repro.storage import DataSource, LatencyModel
 from repro.storage.plans import BATCH_ROWS
 
+from .conftest import starts_no_thread
 from .test_storage_plans import (
     DIFF_SETTINGS,
     assert_twins_agree,
@@ -379,12 +380,12 @@ class TestWorkStealing:
         engine = ExecutionEngine(sources, max_connections_per_query=SHARDS)
         units = broadcast_units(rule, "UPDATE t_big SET v = v + 1")
         assert len(units) == SHARDS
-        result = engine.execute(units, is_query=False)
+        with starts_no_thread():
+            result = engine.execute(units, is_query=False)
         assert result.update_count == SHARDS
         assert len(fake.sleeps) == 1
         snap = engine.metrics.snapshot()
         assert (snap["queued_tasks"], snap["steals"]) == (0, 0)
-        assert not engine._pool._threads
         assert sources["ds0"].pool.in_use == 0
         assert [sources["ds0"].execute(f"SELECT v FROM t_big_{i}") for i in range(SHARDS)] == [
             [(i * 10 + 1,)] for i in range(SHARDS)]
@@ -398,12 +399,12 @@ class TestWorkStealing:
         engine = ExecutionEngine(sources, max_connections_per_query=SHARDS)
         units = broadcast_units(rule, "SELECT * FROM t_big")
         assert len(units) == SHARDS
-        result = engine.execute(units, is_query=True)
+        with starts_no_thread():
+            result = engine.execute(units, is_query=True)
         rows = sorted(row for shard in result.results for row in shard)
         assert rows == [(i, i * 10) for i in range(SHARDS)]
         snap = engine.metrics.snapshot()
         assert (snap["queued_tasks"], snap["steals"]) == (0, 0)
-        assert not engine._pool._threads
         assert snap["memory_strictly"] == 1 and snap["statements"] == SHARDS
         result.release()
         assert sources["ds0"].pool.in_use == 0
