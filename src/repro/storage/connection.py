@@ -10,21 +10,23 @@ by the underlying data source. Our engine implements statement-atomic
 writes with undo-based rollback (roughly READ COMMITTED without MVCC);
 that is sufficient for every behaviour the paper measures.
 
-A statement is *issued* (admitted, run, priced, its I/O window reserved on
-the server's timeline) and then *waited for*. ``execute`` does both;
-``execute(..., wait=False)`` returns after the first, which is what an
-asynchronous driver gives — send, collect later — and what lets the
-execution engine issue every unit of a fan-out from one thread and sleep
-once (DESIGN.md "Issue and await"). The transaction verbs (``commit``,
-``xa_prepare``, ``xa_commit``) take the same ``wait`` and return their
-window ``(priced, ready_at)``; nothing here sleeps holding a lock.
+A statement is *issued* — run, priced, its I/O window booked on the
+server's timeline behind this connection's last one — then *waited for*.
+Below the public verbs nothing waits: ``_run`` returns the price as
+``QueryResult.cost`` and what must pass before the I/O starts (a latency
+spike, a commit, a network hop) as ``QueryResult.delay``;
+:meth:`Cursor.execute` books both and waits unless ``wait=False``, which is
+what lets the execution engine issue a fan-out from one thread and sleep
+once (DESIGN.md "Issue and await"). ``commit``, ``xa_prepare`` and
+``xa_commit`` return their window ``(priced, ready_at)`` and pay it unless
+``wait=False``. Nothing here sleeps holding a lock.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .. import clock
 from ..exceptions import (
@@ -74,9 +76,9 @@ class Connection:
     #: of one statement: latency-model sleeps and lock waits in ``_run``
     #: are attributed to this span (class default None = not traced)
     trace_span = None
-    #: ``clock.now()`` instant at which the last statement issued here
-    #: (``execute(..., wait=False)``) is done. A connection runs one
-    #: statement at a time, so one issued behind it starts no earlier.
+    #: ``clock.now()`` instant at which the last window booked here ends. A
+    #: connection runs one statement at a time, so the next one booked
+    #: starts no earlier, blocking or not.
     free_at = 0.0
 
     def __init__(self, data_source: "DataSource"):
@@ -136,7 +138,7 @@ class Connection:
         window = None
         with self._lock:
             if self._transaction is not None:
-                window = self._transaction.commit(wait=False)
+                window = self._transaction.commit()
                 self._transaction = None
             self.autocommit = True
         if wait and window is not None:
@@ -167,7 +169,7 @@ class Connection:
             transaction = self._transaction
             if transaction is not None and transaction.mutation_count > 0:
                 # a "NO" raises and leaves the branch open
-                window = transaction.prepare(xid, wait=False)
+                window = transaction.prepare(xid)
             self._transaction = None
             self.autocommit = True
         if wait and window is not None:
@@ -177,7 +179,10 @@ class Connection:
     def xa_commit(self, xid: str, wait: bool = True) -> tuple[float, float] | None:
         """2PC phase 2: commit the branch parked under xid; the window is
         returned and paid as by :meth:`commit`."""
-        return commit_prepared(self.database, xid, wait)
+        window = commit_prepared(self.database, xid)
+        if wait and window is not None:
+            pay(*window)
+        return window
 
     def xa_rollback(self, xid: str) -> None:
         rollback_prepared(self.database, xid)
@@ -194,120 +199,81 @@ class Connection:
         issue only, see :meth:`Cursor.execute`)."""
         return Cursor(self).execute(sql, params, wait)
 
-    def _run(self, stmt: ast.Statement, params: Sequence[Any],
-             wait: bool = True) -> QueryResult:
-        """Admit, run and price one statement; with ``wait`` also reserve
-        and wait out its I/O. Without, nothing in here waits: the caller
-        settles ``result.cost`` and ``result.delay`` (a pipeline coalesces
-        them, an issued cursor reserves now and waits later)."""
+    def _run(self, stmt: ast.Statement, params: Sequence[Any]) -> QueryResult:
+        """Issue one statement: admit, run and price it. Nothing in here
+        waits: the caller books ``result.cost`` behind ``result.delay``."""
         if self.closed:
             raise ConnectionClosedError("connection is closed")
         if isinstance(stmt, ast.BeginStatement):
             self.begin()
             return QueryResult(rowcount=0)
         if isinstance(stmt, ast.CommitStatement):
-            self.commit()
-            return QueryResult(rowcount=0)
+            window = self.commit(False)
+            return QueryResult(rowcount=0, delay=window[0] if window else 0.0)
         if isinstance(stmt, ast.RollbackStatement):
             self.rollback()
             return QueryResult(rowcount=0)
+        return self._issue(stmt, execute_planned, params)
 
-        self._admit(stmt)
+    def _issue(self, stmt: ast.Statement,
+               execute: Callable[..., tuple[QueryResult, str]], params: Any) -> QueryResult:
+        """Admit ``stmt`` and run it with ``execute`` (:func:`execute_planned`,
+        or :func:`execute_planned_many` on a batch of bindings).
+
+        A replica first applies the log records whose lag has elapsed;
+        writes are rejected on replicas and fenced primaries. A write runs
+        under the write lock in the open transaction or in an implicit one,
+        undone if it raises and committed if not: that commit's price joins
+        ``result.delay``, so the write's window starts after the commit's.
+        """
+        source = self.data_source
+        replica = source.replica
+        if replica is not None:
+            replica.apply_due()
+        write = stmt.category in ("DML", "DDL")
+        if write:
+            if source.fenced:
+                raise DataSourceUnavailableError(
+                    f"data source {source.name!r} is fenced (failed-over primary)")
+            if replica is not None:
+                raise DataSourceUnavailableError(f"data source {source.name!r} is a read replica")
+        database = self.database
+        database.statements_executed += 1
         try:
-            delay = self.database.maybe_fail("statement")
+            delay = database.maybe_fail("statement")  # an injected latency spike
         except ConnectionDropError:
             # The "server" dropped us: this session is dead. close() rolls
             # back any open transaction; the pool discards closed conns.
             self.close()
             raise
-        if delay and wait:  # an injected latency spike, before the statement runs
-            pay(delay)
         span = self.trace_span
-        commit = None  # an autocommit write's implicit commit: its window
-        if stmt.category in ("DML", "DDL"):
+        if write:
             with self._lock:
-                implicit = False
-                if self._transaction is None:
-                    self._transaction = Transaction(self.database)
-                    implicit = True
                 txn = self._transaction
+                implicit = txn is None
+                if implicit:
+                    txn = self._transaction = Transaction(database)
                 try:
                     lock_t0 = clock.now() if span is not None else 0.0
-                    with self.database.write_lock():
+                    with database.write_lock():
                         if span is not None:
                             span.record_lock_wait(clock.now() - lock_t0)
-                        result, plan_status = execute_planned(self.database, stmt, params, txn)
-                        # workload analytics read this off cursor._result
-                        result.plan = plan_status
-                        if span is not None:
-                            span.attributes["storage_plan"] = plan_status
+                        result, plan_status = execute(database, stmt, params, txn)
                 except Exception:
                     if implicit:
                         txn.rollback()
                         self._transaction = None
                     raise
                 if implicit:
-                    commit = txn.commit(wait=False)
+                    delay += txn.commit()[0]
                     self._transaction = None
         else:
-            result, plan_status = execute_planned(
-                self.database, stmt, params, self._transaction)
-            result.plan = plan_status
-            if span is not None:
-                span.attributes["storage_plan"] = plan_status
-        if wait:
-            if commit is not None:
-                self._pay_commit(commit, span)
-            self._pay(result.cost, result.written_table, span)
-        else:
-            # issued: the write's window starts once its commit's has ended
-            result.delay = delay if commit is None else delay + commit[0]
-        return result
-
-    @staticmethod
-    def _pay_commit(window: tuple[float, float], span: Any) -> None:
-        """Pay an autocommit write's implicit commit, outside every lock."""
-        pay(*window)
+            result, plan_status = execute(database, stmt, params, self._transaction)
+        result.plan = plan_status  # workload analytics read this off cursor._result
         if span is not None:
-            # autocommit fsync happens inside this statement
-            span.record_simulated(window[0])
-
-    def _admit(self, stmt: ast.Statement) -> None:
-        """Replica-group role checks + the storage statement counter.
-
-        On a read replica, first lazily apply every replication-log record
-        whose lag has elapsed, so this statement sees exactly the
-        snapshot its staleness bound allows. Writes are rejected on
-        replicas and on fenced (failed-over) primaries.
-        """
-        source = self.data_source
-        replica = source.replica
-        if replica is not None:
-            replica.apply_due()
-        if stmt.category in ("DML", "DDL"):
-            if source.fenced:
-                raise DataSourceUnavailableError(
-                    f"data source {source.name!r} is fenced (failed-over primary)"
-                )
-            if replica is not None:
-                raise DataSourceUnavailableError(
-                    f"data source {source.name!r} is a read replica"
-                )
-        self.database.statements_executed += 1
-
-    def _pay(self, amount: float, table: Any, span: Any) -> None:
-        """Pay simulated I/O cost: reserve its window on the server's I/O
-        timeline (write I/O names its ``table`` and follows that table's
-        earlier writes — the hot-table bottleneck the paper's sharding
-        removes), then sleep to the window's end."""
-        if amount <= 0:
-            return
-        if span is None:
-            pay(amount, self.data_source.io_timeline.reserve(amount, table))
-        else:
-            asked = clock.now()
-            _pay_traced(amount, self.data_source.io_timeline.reserve(amount, table),
-                        asked, span)
+            span.attributes["storage_plan"] = plan_status
+        result.delay = delay
+        return result
 
     # -- statement pipelining ---------------------------------------------------
 
@@ -316,24 +282,16 @@ class Connection:
     ) -> list[QueryResult]:
         """Execute a batch of statements in order, one storage round trip.
 
-        Per-statement semantics (3VL, errors, rowcounts, transaction
-        undo) are identical to running the same statements serially; what
-        changes is the simulated-I/O payment: the write-I/O slice of each
-        statement's cost is coalesced to **one charge per distinct written
-        table** in the batch (the group-commit / write-combining analog of
-        a real engine flushing one dirty page per table), reserved behind
-        that table's earlier writes so hot-table serialization is preserved.
-
-        Pending write I/O is flushed before any COMMIT/ROLLBACK in the
-        batch so the write-before-fsync ordering holds. On a mid-batch
-        error, costs accrued so far are paid and the original exception
-        propagates — earlier statements' effects stand, exactly as in
-        serial execution (an enclosing transaction's undo still covers
-        them).
+        Per-statement semantics (3VL, errors, rowcounts, transaction undo)
+        are those of running them serially; what changes is the payment
+        (:meth:`_settle`): write I/O is coalesced per written table, cut at
+        every COMMIT/ROLLBACK so write-before-fsync ordering holds, and the
+        batch waits once. On a mid-batch error, what ran so far is paid and
+        the exception propagates; earlier statements' effects stand.
         """
         self._check_open()
         results: list[QueryResult] = []
-        pending: list[QueryResult] = []
+        batches: list[list[QueryResult]] = [[]]
         try:
             for sql, params in statements:
                 if isinstance(sql, str):
@@ -341,47 +299,55 @@ class Connection:
                     stmt.storage_plan_key = sql
                 else:
                     stmt = sql
-                if isinstance(stmt, _TCL_STATEMENTS) and pending:
-                    self._flush_pipeline_costs(pending)
-                    pending = []
-                result = self._run(stmt, params, False)
+                if isinstance(stmt, _TCL_STATEMENTS) and batches[-1]:
+                    batches.append([])
+                result = self._run(stmt, params)
                 results.append(result)
-                pending.append(result)
+                batches[-1].append(result)
         finally:
-            self._flush_pipeline_costs(pending)
+            self._settle(batches)
         return results
 
-    def _flush_pipeline_costs(self, pending: list[QueryResult]) -> None:
-        """Pay deferred costs: delays (network hops, injected spikes) and
-        reads summed, writes coalesced per table."""
-        span = self.trace_span
-        read_cost = 0.0
-        per_table: dict[int, list] = {}
-        for result in pending:
-            if result.delay:
-                pay(result.delay)
-            if result.cost <= 0:
-                continue
-            if result.written_table is None:
-                read_cost += result.cost
-                continue
-            entry = per_table.get(id(result.written_table))
-            if entry is None:
-                per_table[id(result.written_table)] = [
-                    result.written_table, result.cost - result.write_cost,
-                    result.write_cost,
-                ]
+    def _settle(self, batches: list[list[QueryResult]]) -> None:
+        """Book what run statements owe, one window after another behind
+        this connection's last, and wait once, for the last window. Per
+        batch, write I/O is coalesced to **one charge per written table**
+        (group commit: one dirty-page flush per table), booked behind that
+        table's earlier writes; the reads are summed into one charge, booked
+        first and behind the statements' delays.
+        """
+        asked = clock.now()
+        timeline = self.data_source.io_timeline
+        owed = 0.0
+        for batch in batches:
+            # written table -> [non-I/O cost, write I/O]; the reads (None)
+            # come first, and open the batch's window with its delays
+            charges: dict[Any, list[float]] = {None: [0.0, 0.0]}
+            for result in batch:
+                if result.cost > 0:
+                    charge = charges.setdefault(result.written_table, [0.0, 0.0])
+                    charge[0] += result.cost - result.write_cost
+                    charge[1] = max(charge[1], result.write_cost)
+            delay = sum(result.delay for result in batch)
+            for table, (non_io, io) in charges.items():
+                owed += non_io + io + delay
+                now = clock.now()
+                if self.free_at > now:  # behind this connection's last window
+                    delay += self.free_at - now
+                self.free_at = timeline.reserve(non_io + io, table, delay)
+                delay = 0.0
+        if owed > 0:
+            span = self.trace_span
+            if span is None:
+                pay(owed, self.free_at)
             else:
-                entry[1] += result.cost - result.write_cost
-                entry[2] = max(entry[2], result.write_cost)
-        for table, non_io, io in per_table.values():
-            self._pay(non_io + io, table, span)
-        self._pay(read_cost, None, span)
+                _pay_traced(owed, self.free_at, asked, span)
 
     def _run_many(self, stmt: ast.Statement,
                   seq_of_params: Sequence[Sequence[Any]]) -> QueryResult:
-        """Batched executemany: one lock acquisition, one (implicit)
-        transaction and one coalesced write-I/O charge for all bindings.
+        """Issue an executemany. DML bindings run as one batch: one lock
+        acquisition, one (implicit) transaction and one coalesced write-I/O
+        charge for all of them (:func:`execute_planned_many`).
 
         In autocommit mode the batch commits once at the end, making it
         atomic — a mid-batch error rolls back every binding. Inside an
@@ -392,60 +358,18 @@ class Connection:
         seq = list(seq_of_params)
         if not seq:
             return QueryResult(rowcount=0)
-        if stmt.category != "DML":
-            # DDL/TCL/queries: keep per-binding execution (and its
-            # per-binding payment); executemany on these is a rarity.
-            total = 0
-            counted = False
-            result: QueryResult | None = None
-            for params in seq:
-                result = self._run(stmt, params)
-                if result.rowcount >= 0:
-                    counted = True
-                    total += result.rowcount
-            return QueryResult(
-                columns=result.columns, rows=result.rows,
-                rowcount=total if counted else -1, cost=result.cost,
-                written_table=result.written_table,
-            )
-        self._admit(stmt)
-        try:
-            delay = self.database.maybe_fail("statement")
-        except ConnectionDropError:
-            self.close()
-            raise
-        if delay:
-            pay(delay)
-        span = self.trace_span
-        commit = None
-        with self._lock:
-            implicit = False
-            if self._transaction is None:
-                self._transaction = Transaction(self.database)
-                implicit = True
-            txn = self._transaction
-            try:
-                lock_t0 = clock.now() if span is not None else 0.0
-                with self.database.write_lock():
-                    if span is not None:
-                        span.record_lock_wait(clock.now() - lock_t0)
-                    result, plan_status = execute_planned_many(
-                        self.database, stmt, seq, txn)
-                    result.plan = plan_status
-                    if span is not None:
-                        span.attributes["storage_plan"] = plan_status
-            except Exception:
-                if implicit:
-                    txn.rollback()
-                    self._transaction = None
-                raise
-            if implicit:
-                commit = txn.commit(wait=False)
-                self._transaction = None
-        if commit is not None:
-            self._pay_commit(commit, span)
-        self._pay(result.cost, result.written_table, span)
-        return result
+        if stmt.category == "DML":
+            return self._issue(stmt, execute_planned_many, seq)
+        # DDL/TCL/queries: one run per binding, their prices and delays
+        # added up; executemany on these is a rarity.
+        results = [self._run(stmt, params) for params in seq]
+        counts = [result.rowcount for result in results if result.rowcount >= 0]
+        last = results[-1]
+        return QueryResult(
+            columns=last.columns, rows=last.rows, rowcount=sum(counts) if counts else -1,
+            cost=sum(result.cost for result in results), written_table=last.written_table,
+            delay=sum(result.delay for result in results),
+        )
 
 
 class Cursor:
@@ -453,12 +377,12 @@ class Cursor:
 
     arraysize = 100
 
-    #: ``clock.now()`` instant at which an issued statement's I/O window
-    #: ends (0.0: it was done when ``execute`` returned)
+    #: ``clock.now()`` instant at which the last statement's I/O window
+    #: ends (0.0: it cost nothing)
     ready_at = 0.0
     #: what an issued statement still has to wait for, to ``ready_at``:
     #: ``(seconds priced, when the window was reserved, trace span)``; None
-    #: once waited for, and always after a blocking ``execute``
+    #: once waited for, and so always after a blocking ``execute``
     _pending: tuple[float, float, Any] | None = None
 
     def __init__(self, connection: Connection):
@@ -487,12 +411,11 @@ class Cursor:
 
     def execute(self, sql: str | ast.Statement, params: Sequence[Any] = (),
                 wait: bool = True) -> "Cursor":
-        """Run one statement. With ``wait=False`` it is only *issued*: run
-        and priced, its I/O window reserved on the server's timeline, and
-        the call returns without sleeping; :meth:`wait` (or the first
-        fetch) then sleeps to the end of that window, so no caller reads
-        a result before its priced time. A write's implicit commit is
-        applied at issue and its cost opens the window, as a delay."""
+        """Run one statement: issue it — run, price, book its I/O window
+        behind this connection's last — then :meth:`wait` for the window.
+        With ``wait=False`` it returns at once, and :meth:`wait` (or the
+        first fetch) sleeps to the window's end later, so no caller reads a
+        result before its priced time."""
         if self._closed:
             raise ConnectionClosedError("cursor is closed")
         if isinstance(sql, str):
@@ -503,16 +426,18 @@ class Cursor:
         else:
             stmt = sql
         connection = self.connection
-        self._result = result = connection._run(stmt, params, wait)
+        self._result = result = connection._run(stmt, params)
         self._rows = iter(result.rows)
-        if not wait and (owed := result.cost + result.delay) > 0:
+        if (owed := result.cost + result.delay) > 0:
             asked = clock.now()
             delay = result.delay
-            if connection.free_at > asked:  # behind this connection's last statement
+            if connection.free_at > asked:  # behind this connection's last window
                 delay += connection.free_at - asked
             self.ready_at = connection.free_at = connection.data_source.io_timeline.reserve(
                 result.cost, result.written_table, delay)
             self._pending = (owed, asked, connection.trace_span)
+            if wait:
+                self.wait()
         elif self.ready_at:  # a cursor used again after an issued statement
             self._pending, self.ready_at = None, 0.0
         return self
@@ -532,8 +457,9 @@ class Cursor:
 
         DML bindings run as one batched plan invocation: a single lock
         acquisition, one (implicit) transaction and one coalesced
-        write-I/O charge (see :meth:`Connection._run_many`). Reports the
-        cumulative rowcount across all bindings (DB-API semantics).
+        write-I/O charge (see :meth:`Connection._run_many`), booked and
+        waited for as one window. Reports the cumulative rowcount across
+        all bindings (DB-API semantics).
         """
         if self._closed:
             raise ConnectionClosedError("cursor is closed")
@@ -542,8 +468,11 @@ class Cursor:
             stmt.storage_plan_key = sql
         else:
             stmt = sql
-        self._result = self.connection._run_many(stmt, seq_of_params)
-        self._rows = iter(self._result.rows)
+        connection = self.connection
+        self._result = result = connection._run_many(stmt, seq_of_params)
+        self._rows = iter(result.rows)
+        self._pending = None
+        connection._settle([[result]])
         return self
 
     # -- fetching ---------------------------------------------------------------------

@@ -16,7 +16,10 @@ from ..sql import ast
 from ..sql.dialects import MYSQL, Dialect
 from .connection import Connection
 from .database import Database
-from .latency import IOTimeline, LatencyModel, pay
+# Nothing here calls ``pay`` (a networked statement's hop is part of its
+# window); the name stays bound because benchmarks/perf/tracing.py wraps
+# ``pay`` by name in this module too.
+from .latency import IOTimeline, LatencyModel, pay  # noqa: F401
 from .pool import ConnectionPool
 
 if TYPE_CHECKING:
@@ -109,14 +112,10 @@ class DataSource:
 
 
 class _NetworkedConnection(Connection):
-    """Connection that pays a network round-trip per statement."""
+    """Connection whose every statement crosses a network round trip: the
+    statement's I/O starts that much later."""
 
-    def _run(self, stmt: ast.Statement, params: Sequence[Any], wait: bool = True):
-        hop = self.data_source.network_hop
-        if wait:
-            pay(hop)
-            return super()._run(stmt, params)
-        # not waited for here: the statement's I/O starts that much later
-        result = super()._run(stmt, params, False)
-        result.delay += hop
+    def _run(self, stmt: ast.Statement, params: Sequence[Any]):
+        result = super()._run(stmt, params)
+        result.delay += self.data_source.network_hop
         return result

@@ -26,8 +26,8 @@ if TYPE_CHECKING:
 class QueryResult:
     """Execution outcome: column metadata + streaming rows or a rowcount.
 
-    ``cost`` is the priced simulated-I/O latency in seconds; the connection
-    pays it (sleeps) after releasing the database lock.
+    ``cost`` is the priced simulated-I/O latency in seconds; the cursor
+    books and pays it (sleeps) after the database lock is released.
     """
 
     columns: list[str] = field(default_factory=list)
@@ -39,9 +39,10 @@ class QueryResult:
     #: the write-I/O slice of ``cost`` — the portion a statement pipeline may
     #: coalesce into one payment per written table (group-commit analog)
     write_cost: float = 0.0
-    #: seconds before this statement's I/O can start that nobody has waited
-    #: for yet (a network hop, an injected latency spike); only a statement
-    #: run without waiting (``Connection._run(..., wait=False)``) has any
+    #: seconds that must pass before this statement's I/O can start (an
+    #: injected latency spike, an autocommit write's implicit commit, a
+    #: COMMIT statement's commit, a network hop); set by ``Connection._run``,
+    #: booked and waited for by the caller with ``cost``
     delay: float = 0.0
 
     def fetch_all(self) -> list[tuple[Any, ...]]:

@@ -167,16 +167,13 @@ class LatencyModel:
         """Price the fsync-like cost of a commit or prepare (seconds)."""
         return self.commit_io * self.scale
 
-    def charge_commit(self, spike: float = 0.0, wait: bool = True) -> tuple[float, float]:
+    def charge_commit(self, spike: float = 0.0) -> tuple[float, float]:
         """Price a commit or prepare, and with it an injected latency
-        ``spike`` (``Database.maybe_fail``'s return); with ``wait`` also pay
-        it here. Returns its window ``(priced, ready_at)``: a commit
+        ``spike`` (``Database.maybe_fail``'s return). Returns its window
+        ``(priced, ready_at)``, for the caller to wait for: a commit
         occupies no I/O channel, so it ends that many seconds from now."""
         priced = self.commit_cost() + spike
-        window = priced, clock.now() + priced
-        if wait:
-            pay(*window)
-        return window
+        return priced, clock.now() + priced
 
 
 def pay_all(windows: "list[tuple[float, float]]") -> None:

@@ -95,11 +95,11 @@ class Transaction:
 
     # -- 1PC ----------------------------------------------------------------
 
-    def commit(self, wait: bool = True) -> tuple[float, float]:
-        """Commit now; returns the commit's window ``(priced, ready_at)``,
-        already paid with ``wait`` and the caller's to pay without."""
+    def commit(self) -> tuple[float, float]:
+        """Commit now; returns the commit's window ``(priced, ready_at)``
+        for the caller to wait for."""
         self._check(TxnStatus.ACTIVE, TxnStatus.PREPARED)
-        window = self.database.latency.charge_commit(self.database.maybe_fail("commit"), wait)
+        window = self.database.latency.charge_commit(self.database.maybe_fail("commit"))
         self._undo.clear()
         self.status = TxnStatus.COMMITTED
         if self._touched:
@@ -124,12 +124,12 @@ class Transaction:
 
     # -- 2PC (XA) -------------------------------------------------------------
 
-    def prepare(self, xid: str, wait: bool = True) -> tuple[float, float]:
+    def prepare(self, xid: str) -> tuple[float, float]:
         """Phase 1: promise this transaction can commit; park it under xid.
         Returns the window of its log write, as :meth:`commit` does."""
         self._check(TxnStatus.ACTIVE)
         # prepare writes a log record
-        window = self.database.latency.charge_commit(self.database.maybe_fail("prepare"), wait)
+        window = self.database.latency.charge_commit(self.database.maybe_fail("prepare"))
         self.xid = xid
         self.status = TxnStatus.PREPARED
         self.database.park_prepared(xid, self)
@@ -184,8 +184,7 @@ def replay_undo(database: "Database", entries: list[_UndoEntry]) -> None:
         )
 
 
-def commit_prepared(database: "Database", xid: str,
-                    wait: bool = True) -> tuple[float, float] | None:
+def commit_prepared(database: "Database", xid: str) -> tuple[float, float] | None:
     """Phase 2 commit of a parked prepared transaction; returns its window
     (see :meth:`Transaction.commit`), None for an xid already completed."""
     txn = database.take_prepared(xid)
@@ -193,7 +192,7 @@ def commit_prepared(database: "Database", xid: str,
         # Idempotent: an unknown xid means it was already completed.
         return None
     try:
-        return txn.commit(wait)
+        return txn.commit()
     except Exception as exc:  # pragma: no cover - failure injection path
         database.park_prepared(xid, txn)
         raise XATransactionError(f"commit of prepared xid {xid} failed: {exc}") from exc

@@ -24,7 +24,7 @@ from typing import Any, Mapping
 
 from .. import clock
 from ..exceptions import BaseTransactionError
-from ..storage import Connection, DataSource
+from ..storage import Connection, DataSource, latency
 from ..storage.transaction import replay_undo
 from .base import DistributedTransaction, TransactionType, Window, failed, new_xid
 
@@ -65,8 +65,9 @@ class TransactionCoordinator:
         self._globals: dict[str, GlobalRecord] = {}
 
     def _rpc(self) -> None:
-        if self.rpc_delay > 0:
-            clock.sleep(self.rpc_delay)
+        # paid as every simulated wait is, through ``pay`` as bound in
+        # repro.storage.latency (what the benchmark harness wraps)
+        latency.pay(self.rpc_delay)
 
     # -- TM-facing --------------------------------------------------------
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping
 
 from ..exceptions import XATransactionError
-from ..storage import Connection, DataSource
+from ..storage import Connection, DataSource, commit_prepared
+from ..storage.latency import pay_all
 from .base import DistributedTransaction, TransactionType, Window, failed
 
 
@@ -172,19 +173,22 @@ def recover(log: XATransactionLog, data_sources: Mapping[str, DataSource]) -> in
 
     PREPARED / COMMITTING records mean phase 1 fully succeeded, so the
     decision is COMMIT: re-commit every pending branch (idempotent — a
-    branch whose prepared transaction is gone was already committed).
-    Returns the number of transactions completed.
+    branch whose prepared transaction is gone was already committed). The
+    commits are issued one after the other and awaited once, for the
+    window that ends last; only then are the records closed. Returns the
+    number of transactions completed.
     """
-    recovered = 0
-    for record in log.in_doubt():
-        for ds_name in (record.pending or record.participants):
-            source = data_sources.get(ds_name)
-            if source is None:
-                continue
-            from ..storage import commit_prepared
-
-            commit_prepared(source.database, f"{record.xid}:{ds_name}")
+    in_doubt = log.in_doubt()
+    windows = []
+    try:
+        for record in in_doubt:
+            for ds_name in (record.pending or record.participants):
+                source = data_sources.get(ds_name)
+                if source is not None:
+                    windows.append(commit_prepared(source.database, f"{record.xid}:{ds_name}"))
+    finally:
+        pay_all([window for window in windows if window is not None])
+    for record in in_doubt:
         log.update(record.xid, XAState.COMMITTED, pending=[])
         log.remove(record.xid)
-        recovered += 1
-    return recovered
+    return len(in_doubt)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import clock
 from repro.engine import ExecutionEngine, build_context, rewrite, route
 from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import ExecutionError
@@ -25,6 +26,13 @@ from repro.sql import parse
 from repro.storage import DataSource, FaultInjector, LatencyModel
 from repro.storage.faults import FaultKind
 from repro.storage.latency import IOTimeline
+from repro.transaction import (
+    TransactionCoordinator,
+    TransactionManager,
+    TransactionType,
+    XATransactionLog,
+    recover,
+)
 
 from .conftest import T0, starts_no_thread
 
@@ -138,11 +146,26 @@ class TestExecuteIsIssueThenWait:
         _, ds = twin_sources(fake)
         cursor = ds.connect().cursor()
         cursor.execute("SELECT id FROM acc WHERE id = 1", wait=False)
-        assert cursor._pending is not None and cursor.ready_at > 0
+        first = cursor.ready_at
+        assert cursor._pending is not None and first > 0
         cursor.execute("SELECT id FROM acc WHERE id = 2")  # blocking: slept in place
-        assert cursor._pending is None and cursor.ready_at == 0.0
+        # nothing is left pending, and the second window queued behind the first
+        assert cursor._pending is None and cursor.ready_at == fake.t
+        assert fake.t == approx(first + cursor._result.cost)
         slept = fake.slept
         assert cursor.fetchall() == [(2,)] and fake.slept == slept
+
+    def test_a_blocking_statement_queues_behind_one_issued_on_its_connection(self, fake):
+        """A connection runs one statement at a time, blocking or not: the
+        second window starts when the first ends, and moves ``free_at``."""
+        _, ds = twin_sources(fake)
+        conn = ds.connect()
+        first = conn.execute("SELECT id FROM acc WHERE id = 1", wait=False)
+        second = conn.execute("SELECT id FROM acc WHERE id = 2")
+        assert fake.t == approx(first.ready_at + second._result.cost)
+        assert conn.free_at == second.ready_at == fake.t
+        assert first.fetchall() == [(1,)] and second.fetchall() == [(2,)]
+        assert len(fake.sleeps) == 1  # the first's window was over by then
 
     def test_a_free_statement_is_never_pending(self, fake):
         ds = DataSource("free")  # latency model off
@@ -150,6 +173,29 @@ class TestExecuteIsIssueThenWait:
         cursor = ds.connect().execute("SELECT * FROM t", wait=False)
         assert cursor._pending is None and cursor.ready_at == 0.0
         assert cursor.fetchall() == [] and fake.sleeps == []
+
+    def test_a_pipeline_books_behind_the_connection_and_sleeps_once(self, fake):
+        """A pipeline's coalesced charges — one write-I/O slice for the
+        table, then the COMMIT's window — queue behind what the connection
+        already issued, one after the other, and are slept for once."""
+        _, ds = twin_sources(fake)
+        conn = ds.connect()
+        issued = conn.execute("SELECT id FROM acc WHERE id = 1", wait=False)
+        results = conn.execute_pipeline([
+            ("BEGIN", ()),
+            ("UPDATE acc SET bal = bal + 1 WHERE id = 1", ()),
+            ("UPDATE acc SET bal = bal + 1 WHERE id = 2", ()),
+            ("COMMIT", ()),
+        ])
+        writes = results[1:3]
+        coalesced = (sum(r.cost - r.write_cost for r in writes)
+                     + max(r.write_cost for r in writes))
+        assert coalesced < sum(r.cost for r in writes)
+        assert len(fake.sleeps) == 1
+        assert fake.t == approx(issued.ready_at + coalesced + ds.latency.commit_cost())
+        assert conn.free_at == fake.t
+        issued.wait()  # long over
+        assert len(fake.sleeps) == 1
 
 
 # -- (e) nobody reads a result before its priced time ------------------------------
@@ -207,10 +253,10 @@ class TestHopAndSpikeAreDeadlines:
         assert fake.sleeps == []
         assert spiked.ready_at - t0 == approx(self.SPIKE + spiked._result.cost)
         assert plain.ready_at - t0 == approx(plain._result.cost)
-        # blocking, the spike is slept for before the statement runs
+        # blocking, the spike is part of the one window slept for, as issued
         injector.fail_once(ds.name, "statement", FaultKind.LATENCY)
         ds.connect().execute("SELECT id FROM acc WHERE id = 1")
-        assert fake.sleeps[0] == approx(self.SPIKE)
+        assert fake.sleeps == [approx(self.SPIKE + spiked._result.cost)]
         assert injector.injected(ds.name, FaultKind.LATENCY) == 2
 
     def test_a_spike_on_commit_is_paid_with_the_commit(self, fake):
@@ -424,3 +470,110 @@ def test_the_harness_finds_every_executor_counter_it_reads(monkeypatch):
     assert read == ["queued_tasks", "steals"]
     snapshot = ExecutionEngine({}).metrics.snapshot()
     assert {key: snapshot[key] for key in read} == {"queued_tasks": 0, "steals": 0}
+
+
+# -- (g) one way to settle: storage verbs issue, the public boundary waits ----------
+
+#: what only issues, and so takes no ``wait``: (file under repro/, qualified name)
+ISSUE_ONLY = [
+    ("storage/connection.py", "Connection._run"),
+    ("storage/engine.py", "_NetworkedConnection._run"),
+    ("storage/transaction.py", "Transaction.commit"),
+    ("storage/transaction.py", "Transaction.prepare"),
+    ("storage/transaction.py", "commit_prepared"),
+    ("storage/latency.py", "LatencyModel.charge_commit"),
+]
+
+
+def definitions(path):
+    """Qualified name -> function node, for module functions and methods."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    found[f"{node.name}.{item.name}"] = item
+    return found
+
+
+def test_storage_verbs_below_the_public_boundary_only_issue():
+    """None of the verbs under ``Connection.execute`` / ``commit`` / the XA
+    verbs takes ``wait``: blocking is issue, then ``Cursor.wait`` or a
+    ``pay`` of the returned window, at the public boundary only. The
+    connection's own payers stay gone, and the implicit-transaction /
+    write-lock / undo block of a write exists once."""
+    package = Path(repro.__file__).resolve().parent
+    for relative, name in ISSUE_ONLY:
+        function = definitions(package / relative)[name]
+        arguments = function.args.args + function.args.kwonlyargs
+        assert "wait" not in [argument.arg for argument in arguments], f"{relative}: {name}"
+    connection = package / "storage" / "connection.py"
+    methods = definitions(connection)
+    assert "Connection._pay" not in methods and "Connection._pay_commit" not in methods
+    assert connection.read_text().count("write_lock()") == 1
+
+
+def priced_fleet(names, commit):
+    """Servers whose commit and prepare cost ``commit`` each and whose
+    statements are free, loaded with one account each."""
+    fleet = {name: DataSource(name, latency=LatencyModel(
+        base=0.0, index_io=0.0, row_cost=0.0, commit_io=commit)) for name in names}
+    for source in fleet.values():
+        source.execute("CREATE TABLE acct (id INT PRIMARY KEY, balance INT NOT NULL)")
+        source.execute("INSERT INTO acct (id, balance) VALUES (1, 100)")
+    return fleet
+
+
+def test_xa_recover_commits_every_in_doubt_branch_and_sleeps_once(fake):
+    """Two in-doubt transactions, four pending branches: recovery issues
+    the four phase-2 commits and sleeps once, for the window that ends
+    last — not once per branch."""
+    commit = 2e-3
+    sources = priced_fleet(["ds0", "ds1", "ds2", "ds3"], commit)
+    log = XATransactionLog()
+    manager = TransactionManager(sources, TransactionType.XA, xa_log=log)
+    for names in (("ds0", "ds1"), ("ds2", "ds3")):
+        txn = manager.begin()
+        for name in names:
+            txn.connection_for(name).execute("UPDATE acct SET balance = balance + 5 WHERE id = 1")
+            sources[name].database.fail_next("commit")  # phase 2 is lost on every branch
+        with pytest.raises(repro.exceptions.XATransactionError, match="will be recovered"):
+            txn.commit()
+    assert sorted(name for record in log.in_doubt() for name in record.pending) == [
+        "ds0", "ds1", "ds2", "ds3"]
+    fake.sleeps.clear()
+    assert recover(log, sources) == 2
+    assert fake.sleeps == [approx(commit)]
+    assert log.in_doubt() == []
+    assert {name: source.execute("SELECT balance FROM acct WHERE id = 1")
+            for name, source in sources.items()} == dict.fromkeys(sources, [(105,)])
+
+
+def test_every_wait_of_a_base_transaction_is_a_pay(fake, monkeypatch):
+    """BASE's coordinator round trips are simulated cost like any other:
+    every ``clock.sleep`` made from under ``repro.storage`` or
+    ``repro.transaction`` across begin, a write on every branch and the
+    commit is reached through ``pay``, where the harness prices it."""
+    sleep = clock.sleep  # the fake one
+    callers = []
+
+    def recording(seconds):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        sleep(seconds)
+
+    sources = priced_fleet(["ds0", "ds1"], 2e-3)
+    monkeypatch.setattr(clock, "sleep", recording)
+    manager = TransactionManager(sources, TransactionType.BASE,
+                                 coordinator=TransactionCoordinator(rpc_delay=1e-3))
+    txn = manager.begin()
+    for name in sources:
+        txn.connection_for(name).execute("UPDATE acct SET balance = balance + 5 WHERE id = 1")
+    txn.commit()
+    ours = [caller for caller in callers
+            if caller[0].startswith(("repro.storage", "repro.transaction"))]
+    assert len(ours) >= 6  # begin, two registrations, phase 1, three phase-2 calls
+    assert ours == [("repro.storage.latency", "pay")] * len(ours)
+    assert callers == ours

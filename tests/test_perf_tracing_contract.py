@@ -148,8 +148,8 @@ def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, mo
     UPDATE, a two-source LOCAL commit and a blocking statement straight on
     a networked source produce exactly as many
     ``storage.latency`` spans as ``clock.sleep`` calls made from under
-    ``repro.storage`` — through each of the three bindings — and nothing
-    sleeps: the counter stands in for the clock."""
+    ``repro.storage`` — through the bindings in ``connection`` and
+    ``latency`` — and nothing sleeps: the counter stands in for the clock."""
     callers = []
     now = [100.0]
 
@@ -163,9 +163,10 @@ def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, mo
     monkeypatch.setattr(clock, "sleep", counted_sleep)
     tracing = load_tracing()
     latency = LatencyModel(write_io=2e-4)
-    # ds0 is across a network hop. The engine issues its statements and
-    # books the hop as the cursor's delay; a blocking statement on the
-    # source itself pays the hop through ``repro.storage.engine.pay``
+    # ds0 is across a network hop. Every statement on it, issued by the
+    # engine or blocking on the source itself, books the hop as its delay
+    # and waits through ``repro.storage.connection.pay``; nothing calls
+    # ``repro.storage.engine.pay`` (bound there for the harness alone)
     sources = {"ds0": DataSource("ds0", latency=latency, network_hop=1e-4),
                "ds1": DataSource("ds1", latency=latency)}
     for i, source in enumerate(sources.values()):
@@ -196,7 +197,7 @@ def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, mo
         runtime.close()
 
     pays = [span for span in recorder.spans if span[tracing.LAYER] == "storage.latency"]
-    assert {span[tracing.NAME] for span in pays} == {"connection.pay", "engine.pay", "latency.pay"}
+    assert {span[tracing.NAME] for span in pays} == {"connection.pay", "latency.pay"}
     assert all(span[tracing.VALUE] > 0 for span in pays)  # each one priced, so each one slept
     under_storage = [name for name in waited if name.startswith("repro.storage")]
     assert under_storage == ["repro.storage.latency"] * len(pays)
