@@ -92,7 +92,7 @@ class ShardingRuntime:
         self.engine.attach_observability(self.observability)
         self.transaction_manager = TransactionManager(
             self.metadata.live_sources, transaction_type)
-        self._rwsplit_feature: ReadWriteSplittingFeature | None = None
+        self.rwsplit_feature: ReadWriteSplittingFeature | None = None  # apply_rwsplit_rule
         # cluster mode state (enable_cluster_mode)
         self._cluster_session = None
         self._cluster_unwatch: list[Callable[[], None]] = []
@@ -154,7 +154,7 @@ class ShardingRuntime:
         against the fenced primary's now-frozen data versions and would
         otherwise keep validating forever.
         """
-        feature = self._rwsplit_feature
+        feature = self.rwsplit_feature
         if feature is None:
             return
         group = feature.groups.get(group_name) or next(
@@ -379,13 +379,13 @@ class ShardingRuntime:
             replication=getattr(
                 self.data_sources.get(primary), "replica_group", None),
         )
-        feature = self._rwsplit_feature
+        feature = self.rwsplit_feature
         if feature is None:
-            self._rwsplit_feature = ReadWriteSplittingFeature(
+            self.rwsplit_feature = ReadWriteSplittingFeature(
                 [group], is_up=self._source_is_up,
                 breakers=self.engine.executor.breakers,
             )
-            self.engine.add_feature(self._rwsplit_feature)
+            self.engine.add_feature(self.rwsplit_feature)
             return True
         existing = feature.groups.get(group.name)
         if existing is not None and (existing.primary, list(existing.replicas)) == (

@@ -1,8 +1,13 @@
 """DistSQL executor: applies RDL/RQL/RAL statements to a runtime.
 
-The runtime (usually :class:`repro.adaptors.ShardingRuntime`) provides the
-data sources, the live sharding rule, the variables and the config center;
-the executor mutates them and persists changes through the Governor.
+The :class:`~repro.adaptors.ShardingRuntime` provides the data sources, the
+live sharding rule, the variables and the config center; the executor
+mutates them and persists changes through the Governor. Rule and resource
+mutations go through runtime methods (never ``runtime.rule.add_...``
+directly): each one produces the next immutable metadata snapshot, which is
+what invalidates the engine's plan caches — there is no explicit
+cache-clearing in this module.
+
 AutoTable lives here: a ``CREATE SHARDING TABLE RULE`` computes the data
 distribution up front, so a later logical ``CREATE TABLE`` materializes the
 physical shards automatically via DDL broadcast routing.
@@ -11,48 +16,15 @@ physical shards automatically via DDL broadcast routing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any
 
 from ..exceptions import DistSQLError, ShardingConfigError
-from ..metadata import KNOWN_VARIABLES
-from ..observability.metrics import Histogram, MetricsRegistry, like_to_matcher
-from ..sharding import ShardingRule, TableRule, available_algorithms, build_auto_table_rule
-from ..storage import DataSource
+from ..sharding import build_auto_table_rule
 from . import parser as p
+from .show import SHOW_FORMS, known_variable
 
-
-class Runtime(Protocol):
-    """What the executor needs from the hosting adaptor.
-
-    Rule and resource mutations go through runtime methods (never
-    ``runtime.rule.add_...`` directly): each one produces the next
-    immutable metadata snapshot, which is what invalidates the engine's
-    plan caches — there is no explicit cache-clearing in this module.
-    """
-
-    data_sources: dict[str, DataSource]
-    rule: ShardingRule
-    variables: dict[str, Any]
-
-    def register_resource(self, name: str, props: dict[str, Any]) -> None: ...
-
-    def unregister_resource(self, name: str) -> None: ...
-
-    def set_variable(self, name: str, value: Any) -> None: ...
-
-    def apply_table_rule(self, table_rule: TableRule) -> None: ...
-
-    def drop_table_rule(self, logic_table: str) -> None: ...
-
-    def add_binding_group(self, tables: list[str]) -> None: ...
-
-    def add_broadcast_table(self, table: str) -> None: ...
-
-    def persist_rule(self, kind: str, name: str, config: dict[str, Any]) -> None: ...
-
-    def unpersist_rule(self, kind: str, name: str) -> None: ...
-
-    def preview(self, sql: str) -> list[tuple[str, str]]: ...
+if TYPE_CHECKING:
+    from ..adaptors.runtime import ShardingRuntime
 
 
 @dataclass
@@ -67,7 +39,7 @@ class DistSQLResult:
         return list(self.rows)
 
 
-def execute_distsql(sql: str, runtime: Runtime) -> DistSQLResult:
+def execute_distsql(sql: str, runtime: ShardingRuntime) -> DistSQLResult:
     """Parse and apply one DistSQL statement."""
     statement = p.parse_distsql(sql)
     handler = _HANDLERS.get(type(statement))
@@ -81,7 +53,7 @@ def execute_distsql(sql: str, runtime: Runtime) -> DistSQLResult:
 # ---------------------------------------------------------------------------
 
 
-def _register_resource(stmt: p.RegisterResource, runtime: Runtime) -> DistSQLResult:
+def _register_resource(stmt: p.RegisterResource, runtime: ShardingRuntime) -> DistSQLResult:
     for name, props in stmt.resources:
         if name in runtime.data_sources:
             raise DistSQLError(f"resource {name!r} already registered")
@@ -89,7 +61,7 @@ def _register_resource(stmt: p.RegisterResource, runtime: Runtime) -> DistSQLRes
     return DistSQLResult(message=f"registered {len(stmt.resources)} resource(s)")
 
 
-def _unregister_resource(stmt: p.UnregisterResource, runtime: Runtime) -> DistSQLResult:
+def _unregister_resource(stmt: p.UnregisterResource, runtime: ShardingRuntime) -> DistSQLResult:
     # Idempotent: unknown (already unregistered) names are skipped, so a
     # retried or doubled UNREGISTER RESOURCE never raises — only resources
     # still referenced by a sharding rule are refused.
@@ -112,7 +84,9 @@ def _unregister_resource(stmt: p.UnregisterResource, runtime: Runtime) -> DistSQ
     return DistSQLResult(message=message)
 
 
-def _create_sharding_rule(stmt: p.CreateShardingTableRule, runtime: Runtime) -> DistSQLResult:
+def _create_sharding_rule(
+    stmt: p.CreateShardingTableRule, runtime: ShardingRuntime
+) -> DistSQLResult:
     missing = [r for r in stmt.resources if r not in runtime.data_sources]
     if missing:
         raise DistSQLError(f"unknown resources {missing}; REGISTER RESOURCE first")
@@ -152,7 +126,7 @@ def _create_sharding_rule(stmt: p.CreateShardingTableRule, runtime: Runtime) -> 
     )
 
 
-def _drop_sharding_rule(stmt: p.DropShardingTableRule, runtime: Runtime) -> DistSQLResult:
+def _drop_sharding_rule(stmt: p.DropShardingTableRule, runtime: ShardingRuntime) -> DistSQLResult:
     try:
         runtime.drop_table_rule(stmt.table)
     except ShardingConfigError as exc:
@@ -163,7 +137,7 @@ def _drop_sharding_rule(stmt: p.DropShardingTableRule, runtime: Runtime) -> Dist
     return DistSQLResult(message=f"dropped sharding rule for {stmt.table}")
 
 
-def _create_binding(stmt: p.CreateBindingRule, runtime: Runtime) -> DistSQLResult:
+def _create_binding(stmt: p.CreateBindingRule, runtime: ShardingRuntime) -> DistSQLResult:
     try:
         runtime.add_binding_group(stmt.tables)
     except ShardingConfigError as exc:
@@ -172,13 +146,15 @@ def _create_binding(stmt: p.CreateBindingRule, runtime: Runtime) -> DistSQLResul
     return DistSQLResult(message=f"bound tables {', '.join(stmt.tables)}")
 
 
-def _create_broadcast(stmt: p.CreateBroadcastRule, runtime: Runtime) -> DistSQLResult:
+def _create_broadcast(stmt: p.CreateBroadcastRule, runtime: ShardingRuntime) -> DistSQLResult:
     runtime.add_broadcast_table(stmt.table)
     runtime.persist_rule("broadcast", stmt.table, {"table": stmt.table})
     return DistSQLResult(message=f"broadcast table {stmt.table}")
 
 
-def _create_rwsplit(stmt: p.CreateReadwriteSplittingRule, runtime: Runtime) -> DistSQLResult:
+def _create_rwsplit(
+    stmt: p.CreateReadwriteSplittingRule, runtime: ShardingRuntime
+) -> DistSQLResult:
     if not stmt.primary or not stmt.replicas:
         raise DistSQLError("READWRITE_SPLITTING RULE requires PRIMARY and REPLICAS")
     unknown = [
@@ -191,9 +167,7 @@ def _create_rwsplit(stmt: p.CreateReadwriteSplittingRule, runtime: Runtime) -> D
         stmt.name,
         {"primary": stmt.primary, "replicas": stmt.replicas},
     )
-    apply_rwsplit = getattr(runtime, "apply_rwsplit_rule", None)
-    if apply_rwsplit is not None:
-        apply_rwsplit(stmt.name, stmt.primary, stmt.replicas)
+    runtime.apply_rwsplit_rule(stmt.name, stmt.primary, stmt.replicas)
     return DistSQLResult(message=f"readwrite-splitting rule {stmt.name} created")
 
 
@@ -201,455 +175,41 @@ def _create_rwsplit(stmt: p.CreateReadwriteSplittingRule, runtime: Runtime) -> D
 # RQL
 # ---------------------------------------------------------------------------
 
-_METRIC_COLUMNS = ["metric", "labels", "kind", "value", "avg", "p50", "p95", "p99"]
 
-
-def _metric_rows(registry: MetricsRegistry, pattern: str) -> list[tuple[Any, ...]]:
-    """One row per (family, label set); histograms expand to percentiles.
-
-    Counter/gauge rows carry the value; histogram rows carry the
-    observation count as value plus avg/p50/p95/p99 (in the metric's base
-    unit, i.e. seconds for latency histograms).
-    """
-    matcher = like_to_matcher(pattern)
-    rows: list[tuple[Any, ...]] = []
-    for name, kind, _help, samples in registry.collect():
-        if not matcher(name):
-            continue
-        if kind == "histogram":
-            family = registry.get(name)
-            if isinstance(family, Histogram):
-                for labels in family.label_sets():
-                    stats = family.stats(**labels)
-                    rows.append(
-                        (
-                            name,
-                            _labels_text(labels),
-                            kind,
-                            int(stats["count"]),
-                            round(stats["avg"], 6),
-                            round(stats["p50"], 6),
-                            round(stats["p95"], 6),
-                            round(stats["p99"], 6),
-                        )
-                    )
-                continue
-        for labels, value in samples:
-            rows.append((name, _labels_text(labels), kind, value, "", "", "", ""))
-    return rows
-
-
-def _labels_text(labels: dict[str, str]) -> str:
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items())) or "-"
-
-
-def _show(stmt: p.ShowStatement, runtime: Runtime) -> DistSQLResult:
-    if stmt.subject == "resources":
-        rows = [
-            (name, source.dialect.name, source.database.name)
-            for name, source in sorted(runtime.data_sources.items())
-        ]
-        return DistSQLResult(columns=["name", "dialect", "database"], rows=rows)
-    if stmt.subject == "sharding_rules":
-        rows = []
-        for rule in runtime.rule.table_rules():
-            rows.append(
-                (
-                    rule.logic_table,
-                    ", ".join(str(n) for n in rule.data_nodes),
-                    ", ".join(sorted(rule.sharding_columns)) or "-",
-                    "auto" if rule.auto else "standard",
-                )
-            )
-        return DistSQLResult(
-            columns=["table", "actual_data_nodes", "sharding_column", "kind"], rows=rows
-        )
-    if stmt.subject == "binding_rules":
-        rows = [(", ".join(sorted(group)),) for group in runtime.rule.binding_groups]
-        return DistSQLResult(columns=["binding_tables"], rows=rows)
-    if stmt.subject == "broadcast_rules":
-        rows = [(t,) for t in sorted(runtime.rule.broadcast_tables)]
-        return DistSQLResult(columns=["broadcast_table"], rows=rows)
-    if stmt.subject == "algorithms":
-        rows = [(a,) for a in available_algorithms()]
-        return DistSQLResult(columns=["algorithm"], rows=rows)
-    if stmt.subject == "circuit_breakers":
-        engine = getattr(runtime, "engine", None)
-        breakers = engine.executor.breakers if engine is not None else None
-        rows = breakers.snapshot_rows() if breakers is not None else []
-        return DistSQLResult(
-            columns=["data_source", "state", "failures", "open_seconds"],
-            rows=rows,
-            message="no resilience policy enabled" if breakers is None else "OK",
-        )
-    if stmt.subject == "execution_metrics":
-        # Compatibility alias: same counters as SHOW METRICS LIKE
-        # 'executor_%' (one source of truth, the executor's ExecutionMetrics
-        # folded into the registry as a collector).
-        engine = getattr(runtime, "engine", None)
-        if engine is None:
-            return DistSQLResult(columns=["metric", "value"], rows=[])
-        snapshot = engine.executor.metrics.snapshot()
-        rows = [(key, snapshot[key]) for key in sorted(snapshot)]
-        return DistSQLResult(
-            columns=["metric", "value"], rows=rows,
-            message="alias of SHOW METRICS LIKE 'executor_%'",
-        )
-    if stmt.subject == "metrics":
-        observability = getattr(runtime, "observability", None)
-        if observability is None:
-            return DistSQLResult(
-                columns=_METRIC_COLUMNS, rows=[], message="no observability attached"
-            )
-        return DistSQLResult(
-            columns=_METRIC_COLUMNS,
-            rows=_metric_rows(observability.registry, stmt.pattern),
-        )
-    if stmt.subject == "traces":
-        observability = getattr(runtime, "observability", None)
-        traces = observability.tracer.recent() if observability is not None else []
-        rows = [
-            (
-                trace.trace_id,
-                trace.name,
-                round(trace.wall * 1000, 3),
-                round(trace.simulated * 1000, 3),
-                len(trace.spans),
-                trace.error or "",
-            )
-            for trace in traces
-        ]
-        message = "OK"
-        if observability is not None and not observability.tracer.enabled and not rows:
-            message = "tracing is disabled; SET VARIABLE tracing = on, or use TRACE <sql>"
-        return DistSQLResult(
-            columns=["trace_id", "sql", "wall_ms", "simulated_ms", "spans", "error"],
-            rows=rows,
-            message=message,
-        )
-    if stmt.subject == "slow_queries":
-        observability = getattr(runtime, "observability", None)
-        entries = observability.slow_log.entries() if observability is not None else []
-        rows = [
-            (
-                entry.trace_id,
-                entry.kind,
-                entry.sql,
-                round(entry.wall * 1000, 3),
-                round(entry.simulated * 1000, 3),
-                entry.route_type,
-                entry.spans,
-                entry.error or "",
-            )
-            for entry in entries
-        ]
-        message = "OK"
-        if observability is not None and not rows:
-            threshold_ms = observability.slow_log.threshold * 1000
-            message = (
-                f"no slow queries recorded (threshold {threshold_ms:g}ms; "
-                "traced statements only)"
-            )
-        return DistSQLResult(
-            columns=["trace_id", "kind", "sql", "wall_ms", "simulated_ms",
-                     "route_type", "spans", "error"],
-            rows=rows,
-            message=message,
-        )
-    if stmt.subject == "plan_cache":
-        engine = getattr(runtime, "engine", None)
-        plan_cache = getattr(engine, "plan_cache", None) if engine is not None else None
-        if plan_cache is None:
-            return DistSQLResult(
-                columns=["sql", "hits", "templates", "state"],
-                rows=[], message="no SQL engine attached",
-            )
-        stats = plan_cache.stats()
-        message = (
-            f"{stats['size']}/{stats['capacity']} plans, "
-            f"hit rate {stats['hit_rate']:.1%} "
-            f"(hits={stats['hits']}, misses={stats['misses']}, "
-            f"bypasses={stats['bypasses']}, evictions={stats['evictions']}, "
-            f"invalidations={stats['invalidations']})"
-        )
-        if not plan_cache.enabled:
-            message += "; plan cache is DISABLED (SET VARIABLE plan_cache = on)"
-        return DistSQLResult(
-            columns=["sql", "hits", "templates", "state"],
-            rows=plan_cache.snapshot_rows(),
-            message=message,
-        )
-    if stmt.subject == "metadata":
-        metadata = getattr(runtime, "metadata", None)
-        if metadata is None:
-            return DistSQLResult(
-                columns=["field", "value"], rows=[],
-                message="runtime has no versioned metadata contexts",
-            )
-        snap = metadata.current()
-        rows = [
-            ("version", snap.version),
-            ("plan_epoch", snap.plan_epoch),
-            ("reason", snap.reason),
-            ("data_sources", ", ".join(sorted(snap.data_sources)) or "-"),
-            ("sharded_tables", ", ".join(snap.rule.logic_tables()) or "-"),
-            ("broadcast_tables", ", ".join(sorted(snap.rule.broadcast_tables)) or "-"),
-            ("features", ", ".join(f.name for f in snap.features) or "-"),
-            ("plan_cache_safe", snap.plan_cache_safe),
-            ("rule_frozen", snap.rule.frozen),
-        ]
-        return DistSQLResult(
-            columns=["field", "value"], rows=rows,
-            message=f"metadata context v{snap.version} ({snap.reason})",
-        )
-    if stmt.subject in (
-        "statement_digests", "shard_heat", "hot_keys", "slo", "slo_alerts",
-        "slow_queries_by_digest",
-    ):
-        return _show_workload(stmt, runtime)
-    if stmt.subject == "read_resources":
-        feature = getattr(runtime, "_rwsplit_feature", None)
-        rows = []
-        if feature is not None:
-            for name, group in sorted(feature.groups.items()):
-                rows.append((
-                    name,
-                    group.primary,
-                    ", ".join(group.replicas) or "-",
-                    type(group.load_balancer).__name__,
-                    "yes" if group.replication is not None else "no",
-                ))
-        return DistSQLResult(
-            columns=["group", "primary", "replicas", "load_balancer",
-                     "replicated"],
-            rows=rows,
-            message="no read-write splitting rule configured"
-            if feature is None else "OK",
-        )
-    if stmt.subject == "replication_lag":
-        seen: dict[int, Any] = {}
-        for source in runtime.data_sources.values():
-            group = getattr(source, "replica_group", None)
-            if group is not None:
-                seen.setdefault(id(group), group)
-        rows = [
-            (
-                entry["group"], entry["replica"], entry["applied_lsn"],
-                entry["last_lsn"], entry["lag_records"],
-                entry["staleness_s"], entry["configured_lag_s"],
-            )
-            for group in seen.values()
-            for entry in group.lag_report()
-        ]
-        return DistSQLResult(
-            columns=["group", "replica", "applied_lsn", "last_lsn",
-                     "lag_records", "staleness_s", "configured_lag_s"],
-            rows=rows,
-            message="no replica groups attached" if not seen else "OK",
-        )
-    if stmt.subject == "result_cache":
-        engine = getattr(runtime, "engine", None)
-        result_cache = getattr(engine, "result_cache", None) if engine is not None else None
-        if result_cache is None:
-            return DistSQLResult(
-                columns=["stat", "value"], rows=[],
-                message="no SQL engine attached",
-            )
-        stats = result_cache.stats()
-        rows = [(key, stats[key]) for key in sorted(stats)]
-        message = (
-            f"{stats['entries']}/{stats['capacity']} entries, "
-            f"hit rate {stats['hit_rate']:.1%} "
-            f"(hits={stats['hits']}, misses={stats['misses']}, "
-            f"invalidations={stats['invalidations']})"
-        )
-        if not result_cache.enabled:
-            message += "; result cache is DISABLED (SET VARIABLE result_cache = on)"
-        return DistSQLResult(
-            columns=["stat", "value"], rows=rows, message=message,
-        )
-    if stmt.subject == "failovers":
-        detector = getattr(runtime, "health_detector", None)
-        events = detector.failover_events if detector is not None else []
-        rows = [
-            (e.group, e.old_primary, e.new_primary, round(e.latency * 1000, 3))
-            for e in events
-        ]
-        return DistSQLResult(
-            columns=["group", "old_primary", "new_primary", "failover_ms"],
-            rows=rows,
-            message="no health detector attached" if detector is None else "OK",
-        )
-    if stmt.subject == "sessions":
-        registry = getattr(runtime, "sessions", None)
-        rows = []
-        if registry is not None:
-            for info in registry.rows():
-                rows.append((
-                    info["id"],
-                    info["kind"],
-                    info["client"] or "-",
-                    info["age_s"],
-                    info["statements"],
-                    "yes" if info["in_transaction"] else "no",
-                    "yes" if info["pinned_primary"] else "no",
-                    info["causal_groups"],
-                    info["last_sql"] or "-",
-                ))
-        return DistSQLResult(
-            columns=["id", "kind", "client", "age_s", "statements",
-                     "in_transaction", "pinned_primary", "causal_groups",
-                     "last_sql"],
-            rows=rows,
-            message=f"{len(rows)} session(s)",
-        )
-    raise DistSQLError(f"unknown SHOW subject {stmt.subject!r}")
-
-
-def _workload_of(runtime: Runtime):
-    observability = getattr(runtime, "observability", None)
-    return getattr(observability, "workload", None)
-
-
-def _show_workload(stmt: p.ShowStatement, runtime: Runtime) -> DistSQLResult:
-    """Workload-intelligence views (SHOW STATEMENT DIGESTS / SHARD HEAT /
-    HOT KEYS / SLO [ALERTS] / SLOW QUERIES GROUP BY DIGEST)."""
-    workload = _workload_of(runtime)
-    if stmt.subject == "slow_queries_by_digest":
-        observability = getattr(runtime, "observability", None)
-        entries = observability.slow_log.entries() if observability is not None else []
-        by_digest: dict[str, list[Any]] = {}
-        for entry in entries:
-            by_digest.setdefault(entry.digest or "-", []).append(entry)
-        rows = []
-        for digest, group in by_digest.items():
-            walls = [e.wall for e in group]
-            route_types = sorted({e.route_type for e in group if e.route_type})
-            rows.append((
-                digest,
-                len(group),
-                sum(1 for e in group if e.kind == "slow"),
-                round(sum(walls) / len(walls) * 1000, 3),
-                round(max(walls) * 1000, 3),
-                ", ".join(route_types) or "-",
-                group[0].sql,  # entries() is newest-first
-            ))
-        rows.sort(key=lambda r: r[4], reverse=True)
-        return DistSQLResult(
-            columns=["digest", "entries", "slow", "wall_avg_ms", "wall_max_ms",
-                     "route_types", "last_sql"],
-            rows=rows,
-        )
-    if workload is None:
-        return DistSQLResult(message="no observability attached")
-    message = "OK" if workload.enabled else (
-        "workload analytics are OFF (SET VARIABLE workload_analytics = on)"
-    )
-    if stmt.subject == "statement_digests":
-        rows = [
-            (
-                d["digest"], d["calls"], d["errors"], d["rows"], d["avg_ms"],
-                d["p95_ms"], d["max_ms"], d["fanout_avg"], d["plan_hit_rate"],
-                d["storage_plan_hit_rate"], d["exemplar_ms"], d["sql"],
-            )
-            for d in workload.digest_report()
-        ]
-        return DistSQLResult(
-            columns=["digest", "calls", "errors", "rows", "avg_ms", "p95_ms",
-                     "max_ms", "fanout_avg", "plan_hit_rate",
-                     "storage_plan_hit_rate", "exemplar_ms", "sql"],
-            rows=rows, message=message,
-        )
-    if stmt.subject == "shard_heat":
-        skew = workload.table_skew()
-        rows = [
-            (
-                h["table"], h["data_source"], h["actual_table"], h["reads"],
-                h["writes"], h["rows"], h["wall_ms"], h["simulated_ms"],
-                h["share"],
-                skew.get(h["table"], {}).get("imbalance", 0.0),
-            )
-            for h in workload.heat_report()
-        ]
-        return DistSQLResult(
-            columns=["table", "data_source", "actual_table", "reads", "writes",
-                     "rows", "wall_ms", "simulated_ms", "share", "imbalance"],
-            rows=rows, message=message,
-        )
-    if stmt.subject == "hot_keys":
-        rows = [
-            (h["table"], h["column"], h["key"], h["count"], h["max_error"],
-             h["share"])
-            for h in workload.hot_key_report(table=stmt.pattern)
-        ]
-        return DistSQLResult(
-            columns=["table", "column", "key", "estimated_count", "max_error",
-                     "share"],
-            rows=rows, message=message,
-        )
-    if stmt.subject == "slo":
-        rows = [
-            (s["route_type"], s["threshold_ms"], s["target"], s["statements"],
-             s["breaches"], s["compliance"], s["budget_burn"], s["state"])
-            for s in workload.slo_report()
-        ]
-        return DistSQLResult(
-            columns=["route_type", "threshold_ms", "target", "statements",
-                     "breaches", "compliance", "budget_burn", "state"],
-            rows=rows, message=message,
-        )
-    # slo_alerts
-    rows = [
-        (a["seq"], a["route_type"], a["burn_rate"], a["statements"],
-         a["breaches"], a["threshold_ms"])
-        for a in workload.alert_report()
-    ]
-    return DistSQLResult(
-        columns=["seq", "route_type", "burn_rate", "statements", "breaches",
-                 "threshold_ms"],
-        rows=rows, message=message,
-    )
+def _show(stmt: p.ShowStatement, runtime: ShardingRuntime) -> DistSQLResult:
+    form = SHOW_FORMS[stmt.subject]
+    columns = form.columns.split()
+    rows = form.rows(runtime, stmt.argument)
+    if rows and isinstance(rows[0], dict):  # a report keyed by the column names
+        rows = [tuple(row[column] for column in columns) for row in rows]
+    message = form.message if isinstance(form.message, str) else form.message(runtime, rows)
+    return DistSQLResult(columns=columns, rows=rows, message=message)
 
 
 # ---------------------------------------------------------------------------
 # RAL
 # ---------------------------------------------------------------------------
 
-def _set_variable(stmt: p.SetVariable, runtime: Runtime) -> DistSQLResult:
-    name = stmt.name.lower()
-    if name not in KNOWN_VARIABLES:
-        raise DistSQLError(f"unknown variable {stmt.name!r}; known: {sorted(KNOWN_VARIABLES)}")
+def _set_variable(stmt: p.SetVariable, runtime: ShardingRuntime) -> DistSQLResult:
+    name = known_variable(stmt.name)
     runtime.set_variable(name, stmt.value)
     return DistSQLResult(message=f"{name} = {stmt.value}")
 
 
-def _show_variable(stmt: p.ShowVariable, runtime: Runtime) -> DistSQLResult:
-    name = stmt.name.lower()
-    value = runtime.variables.get(name)
-    return DistSQLResult(columns=["variable", "value"], rows=[(name, value)])
-
-
-def _preview(stmt: p.Preview, runtime: Runtime) -> DistSQLResult:
+def _preview(stmt: p.Preview, runtime: ShardingRuntime) -> DistSQLResult:
     rows = runtime.preview(stmt.sql)
     return DistSQLResult(columns=["data_source", "actual_sql"], rows=list(rows))
 
 
-def _trace(stmt: p.TraceStatement, runtime: Runtime) -> DistSQLResult:
+def _trace(stmt: p.TraceStatement, runtime: ShardingRuntime) -> DistSQLResult:
     """Execute the statement with a one-shot trace; rows are the span tree."""
-    engine = getattr(runtime, "engine", None)
-    if engine is None:
-        raise DistSQLError("TRACE requires a runtime with a SQL engine")
-    if getattr(engine, "observability", None) is None:
-        raise DistSQLError("TRACE requires observability attached to the engine")
-    result = engine.execute(stmt.sql, force_trace=True)
+    result = runtime.engine.execute(stmt.sql, force_trace=True)
     if result.is_query:
         consumed = len(result.fetchall())
         outcome = f"{consumed} row(s)"
     else:
         outcome = f"{result.update_count} row(s) updated"
     trace = result.trace
-    if trace is None:  # defensive: engine without tracer support
-        raise DistSQLError("engine did not produce a trace")
     rows = list(trace.tree_rows())
     return DistSQLResult(
         columns=["span", "wall_ms", "simulated_ms", "detail"],
@@ -661,34 +221,24 @@ def _trace(stmt: p.TraceStatement, runtime: Runtime) -> DistSQLResult:
     )
 
 
-def _clear_plan_cache(stmt: p.ClearPlanCache, runtime: Runtime) -> DistSQLResult:
-    engine = getattr(runtime, "engine", None)
-    plan_cache = getattr(engine, "plan_cache", None) if engine is not None else None
-    if plan_cache is None:
-        raise DistSQLError("CLEAR PLAN CACHE requires a runtime with a SQL engine")
+def _clear_plan_cache(stmt: p.ClearPlanCache, runtime: ShardingRuntime) -> DistSQLResult:
+    plan_cache = runtime.engine.plan_cache
     dropped = len(plan_cache)
     plan_cache.invalidate("CLEAR PLAN CACHE")
     return DistSQLResult(message=f"cleared {dropped} plan(s)")
 
 
-def _clear_result_cache(stmt: p.ClearResultCache, runtime: Runtime) -> DistSQLResult:
-    engine = getattr(runtime, "engine", None)
-    result_cache = getattr(engine, "result_cache", None) if engine is not None else None
-    if result_cache is None:
-        raise DistSQLError("CLEAR RESULT CACHE requires a runtime with a SQL engine")
-    dropped = result_cache.clear("CLEAR RESULT CACHE")
+def _clear_result_cache(stmt: p.ClearResultCache, runtime: ShardingRuntime) -> DistSQLResult:
+    dropped = runtime.engine.result_cache.clear("CLEAR RESULT CACHE")
     return DistSQLResult(message=f"cleared {dropped} cached result(s)")
 
 
-def _reset_workload(stmt: p.ResetWorkload, runtime: Runtime) -> DistSQLResult:
-    workload = _workload_of(runtime)
-    if workload is None:
-        raise DistSQLError("RESET WORKLOAD requires observability attached")
-    workload.reset()
+def _reset_workload(stmt: p.ResetWorkload, runtime: ShardingRuntime) -> DistSQLResult:
+    runtime.observability.workload.reset()
     return DistSQLResult(message="workload analytics reset")
 
 
-def _migrate_table(stmt: p.MigrateTable, runtime: Runtime) -> DistSQLResult:
+def _migrate_table(stmt: p.MigrateTable, runtime: ShardingRuntime) -> DistSQLResult:
     """RAL scaling: build the target AutoTable layout and run the scaling
     job (prepare -> inventory -> check -> switchover), as Section V-A's
     "added-on administrator features, such as ... scaling"."""
@@ -728,10 +278,9 @@ def _migrate_table(stmt: p.MigrateTable, runtime: Runtime) -> DistSQLResult:
             auto=True,
         )
         generation += 1
-    apply_rule = getattr(runtime, "apply_table_rule", None)
     job = ScalingJob(
         runtime.rule, target, runtime.data_sources,
-        drop_source_tables=True, apply_rule=apply_rule,
+        drop_source_tables=True, apply_rule=runtime.apply_table_rule,
     )
     report = job.run()
     runtime.persist_rule(
@@ -763,7 +312,6 @@ _HANDLERS = {
     p.CreateReadwriteSplittingRule: _create_rwsplit,
     p.ShowStatement: _show,
     p.SetVariable: _set_variable,
-    p.ShowVariable: _show_variable,
     p.Preview: _preview,
     p.TraceStatement: _trace,
     p.ClearPlanCache: _clear_plan_cache,

@@ -18,28 +18,15 @@ RDL (Resource & Rule Definition Language)::
     CREATE BROADCAST TABLE RULE t_dict
     CREATE READWRITE_SPLITTING RULE g0 (PRIMARY=ds0, REPLICAS(ds1, ds2))
 
-RQL (Resource & Rule Query Language)::
-
-    SHOW RESOURCES
-    SHOW SHARDING TABLE RULES
-    SHOW SHARDING BINDING TABLE RULES
-    SHOW BROADCAST TABLE RULES
-    SHOW SHARDING ALGORITHMS
-    SHOW CIRCUIT BREAKERS
-    SHOW EXECUTION METRICS          -- alias of SHOW METRICS LIKE 'executor_%'
-    SHOW FAILOVER EVENTS
-    SHOW METRICS [LIKE 'engine_%']
-    SHOW TRACES
-    SHOW SLOW QUERIES
-    SHOW READ RESOURCES
-    SHOW REPLICATION LAG
+RQL (Resource & Rule Query Language), and RAL's one read: every ``SHOW``
+form is one entry of :data:`repro.distsql.show.SHOW_FORMS`.
 
 RAL (Resource & Rule Administration Language)::
 
     SET VARIABLE transaction_type = XA
-    SHOW VARIABLE transaction_type
-    SHOW RESULT CACHE
+    CLEAR PLAN CACHE
     CLEAR RESULT CACHE
+    RESET WORKLOAD
     PREVIEW SELECT * FROM t_user WHERE uid = 1
     TRACE SELECT * FROM t_user WHERE uid = 1
     MIGRATE TABLE t_user (RESOURCES(ds2, ds3), SHARDING_COLUMN=uid,
@@ -54,6 +41,7 @@ from typing import Any
 from ..exceptions import DistSQLError
 from ..sql.lexer import tokenize
 from ..sql.tokens import Token, TokenType
+from .show import SHOW_FORMS
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +107,10 @@ class CreateReadwriteSplittingRule(DistSQLStatement):
 @dataclass
 class ShowStatement(DistSQLStatement):
     language = "RQL"
-    subject: str = ""  # resources | sharding_rules | binding_rules | broadcast_rules | algorithms
-    #: optional SQL LIKE filter (SHOW METRICS LIKE 'engine_%')
-    pattern: str = ""
+    subject: str = ""  # a key of SHOW_FORMS
+    #: the form's argument: a LIKE filter (SHOW METRICS LIKE 'engine_%'), a
+    #: table (SHOW HOT KEYS FOR t) or a variable name (SHOW VARIABLE v)
+    argument: str = ""
 
 
 @dataclass
@@ -129,12 +118,6 @@ class SetVariable(DistSQLStatement):
     language = "RAL"
     name: str = ""
     value: Any = None
-
-
-@dataclass
-class ShowVariable(DistSQLStatement):
-    language = "RAL"
-    name: str = ""
 
 
 @dataclass
@@ -196,26 +179,6 @@ _DIST_PREFIXES = (
     "DROP SHARDING",
     "CREATE BROADCAST",
     "CREATE READWRITE_SPLITTING",
-    "SHOW RESOURCES",
-    "SHOW SHARDING",
-    "SHOW BROADCAST",
-    "SHOW VARIABLE",
-    "SHOW CIRCUIT",
-    "SHOW EXECUTION",
-    "SHOW FAILOVER",
-    "SHOW METADATA",
-    "SHOW METRICS",
-    "SHOW TRACES",
-    "SHOW SLOW",
-    "SHOW PLAN",
-    "SHOW STATEMENT",
-    "SHOW SHARD",
-    "SHOW HOT",
-    "SHOW SLO",
-    "SHOW READ",
-    "SHOW REPLICATION",
-    "SHOW RESULT",
-    "SHOW SESSIONS",
     "CLEAR PLAN",
     "CLEAR RESULT",
     "SET VARIABLE",
@@ -223,6 +186,13 @@ _DIST_PREFIXES = (
     "TRACE ",
     "MIGRATE TABLE",
     "RESET WORKLOAD",
+    # one prefix per first word of a SHOW phrase
+    *dict.fromkeys("SHOW " + form.phrase.split()[0] for form in SHOW_FORMS.values()),
+)
+
+#: SHOW phrases as word lists, longest first (the parser takes the longest match)
+_SHOW_PHRASES = sorted(
+    ((form.phrase.split(), form) for form in SHOW_FORMS.values()), key=lambda e: -len(e[0])
 )
 
 
@@ -247,17 +217,13 @@ def is_distsql(sql: str) -> bool:
 def parse_distsql(sql: str) -> DistSQLStatement:
     """Parse one DistSQL statement."""
     head = sql.strip()
-    upper = head.upper()
-    if upper.startswith("PREVIEW"):
-        inner = head[len("PREVIEW"):].strip().rstrip(";")
+    # the first whitespace-separated word, as is_distsql reads it
+    verb = head.split(None, 1)[0].upper() if head else ""
+    if verb in ("PREVIEW", "TRACE"):
+        inner = head[len(verb):].strip().rstrip(";")
         if not inner:
-            raise DistSQLError("PREVIEW requires a SQL statement")
-        return Preview(sql=inner)
-    if upper.startswith("TRACE "):
-        inner = head[len("TRACE"):].strip().rstrip(";")
-        if not inner:
-            raise DistSQLError("TRACE requires a SQL statement")
-        return TraceStatement(sql=inner)
+            raise DistSQLError(f"{verb} requires a SQL statement")
+        return (Preview if verb == "PREVIEW" else TraceStatement)(sql=inner)
     return _Parser(sql).parse()
 
 
@@ -469,80 +435,16 @@ class _Parser:
             raise DistSQLError("SHARDING TABLE RULE requires SHARDING_COLUMN=...")
         return statement
 
-    def _show(self) -> DistSQLStatement:
-        if self._accept_word("RESOURCES"):
-            return ShowStatement(subject="resources")
-        if self._accept_word("SHARDING"):
-            if self._accept_word("TABLE"):
-                self._expect_word("RULES")
-                return ShowStatement(subject="sharding_rules")
-            if self._accept_word("HEAT"):
-                raise DistSQLError("did you mean SHOW SHARD HEAT?")
-            if self._accept_word("BINDING"):
-                self._expect_word("TABLE")
-                self._expect_word("RULES")
-                return ShowStatement(subject="binding_rules")
-            if self._accept_word("ALGORITHMS"):
-                return ShowStatement(subject="algorithms")
-            raise DistSQLError("expected TABLE RULES / BINDING TABLE RULES / ALGORITHMS")
-        if self._accept_word("BROADCAST"):
-            self._expect_word("TABLE")
-            self._expect_word("RULES")
-            return ShowStatement(subject="broadcast_rules")
-        if self._accept_word("VARIABLE"):
-            return ShowVariable(name=self._expect_name())
-        if self._accept_word("CIRCUIT"):
-            self._expect_word("BREAKERS")
-            return ShowStatement(subject="circuit_breakers")
-        if self._accept_word("EXECUTION"):
-            self._expect_word("METRICS")
-            return ShowStatement(subject="execution_metrics")
-        if self._accept_word("FAILOVER"):
-            self._accept_word("EVENTS")
-            return ShowStatement(subject="failovers")
-        if self._accept_word("METRICS"):
-            pattern = ""
-            if self._accept_word("LIKE"):
-                pattern = str(self._value())
-            return ShowStatement(subject="metrics", pattern=pattern)
-        if self._accept_word("TRACES"):
-            return ShowStatement(subject="traces")
-        if self._accept_word("SLOW"):
-            self._expect_word("QUERIES")
-            if self._accept_word("GROUP"):
-                self._expect_word("BY")
-                self._expect_word("DIGEST")
-                return ShowStatement(subject="slow_queries_by_digest")
-            return ShowStatement(subject="slow_queries")
-        if self._accept_word("PLAN"):
-            self._expect_word("CACHE")
-            return ShowStatement(subject="plan_cache")
-        if self._accept_word("METADATA"):
-            return ShowStatement(subject="metadata")
-        if self._accept_word("STATEMENT"):
-            self._expect_word("DIGESTS")
-            return ShowStatement(subject="statement_digests")
-        if self._accept_word("SHARD"):
-            self._expect_word("HEAT")
-            return ShowStatement(subject="shard_heat")
-        if self._accept_word("HOT"):
-            self._expect_word("KEYS")
-            if self._accept_word("FOR"):
-                return ShowStatement(subject="hot_keys", pattern=self._expect_name())
-            return ShowStatement(subject="hot_keys")
-        if self._accept_word("SLO"):
-            if self._accept_word("ALERTS"):
-                return ShowStatement(subject="slo_alerts")
-            return ShowStatement(subject="slo")
-        if self._accept_word("READ"):
-            self._expect_word("RESOURCES")
-            return ShowStatement(subject="read_resources")
-        if self._accept_word("REPLICATION"):
-            self._expect_word("LAG")
-            return ShowStatement(subject="replication_lag")
-        if self._accept_word("RESULT"):
-            self._expect_word("CACHE")
-            return ShowStatement(subject="result_cache")
-        if self._accept_word("SESSIONS"):
-            return ShowStatement(subject="sessions")
+    def _show(self) -> ShowStatement:
+        start = self.pos
+        for words, form in _SHOW_PHRASES:
+            if all(self._accept_word(word) for word in words):
+                if form.argument == "NAME":
+                    return ShowStatement(form.subject, self._expect_name())
+                if form.argument and self._accept_word(form.argument):
+                    return ShowStatement(form.subject, str(self._value()))
+                return ShowStatement(form.subject)
+            self.pos = start
+        if self._accept_word("SHARDING") and self._accept_word("HEAT"):
+            raise DistSQLError("did you mean SHOW SHARD HEAT?")
         raise DistSQLError(f"unsupported SHOW statement: {self.sql!r}")

@@ -93,7 +93,7 @@ class TestRulePropagation:
         a_conn.execute(
             "CREATE READWRITE_SPLITTING RULE wr (PRIMARY=ds0, REPLICAS(ds1))"
         )
-        feature = b._rwsplit_feature
+        feature = b.rwsplit_feature
         assert feature is not None
         group = feature.groups["ds0"]
         assert group.primary == "ds0"

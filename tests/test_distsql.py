@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adaptors import ShardingRuntime
+from repro.adaptors import ShardingDataSource, ShardingRuntime
 from repro.distsql import execute_distsql, is_distsql, parse_distsql
 from repro.distsql.parser import (
     CreateBindingRule,
@@ -11,6 +11,7 @@ from repro.distsql.parser import (
     RegisterResource,
     SetVariable,
 )
+from repro.distsql.show import SHOW_FORMS
 from repro.exceptions import DistSQLError
 
 
@@ -190,8 +191,8 @@ class TestRDLExecution:
         execute_distsql(
             "CREATE READWRITE_SPLITTING RULE g0 (PRIMARY=ds0, REPLICAS(replica0))", configured
         )
-        assert configured._rwsplit_feature is not None
-        assert configured._rwsplit_feature.groups["ds0"].replicas == ["replica0"]
+        assert configured.rwsplit_feature is not None
+        assert configured.rwsplit_feature.groups["ds0"].replicas == ["replica0"]
 
     def test_rules_persisted_in_governor(self, configured):
         stored = configured.config_center.load_rule("sharding", "t_user")
@@ -304,3 +305,141 @@ class TestMigrateTable:
                 "PROPERTIES('sharding-count'=2))",
                 loaded,
             )
+
+
+# Every SHOW form on a freshly configured runtime: (statement, columns,
+# message, rows). The runtime has run no SQL, so every row is deterministic.
+_EXECUTOR_COUNTERS = [
+    "breaker_rejections", "connection_strictly", "degraded_statements",
+    "failed_units", "giveups", "memory_strictly", "pipeline_batches",
+    "pipelined_statements", "queued_tasks", "reroutes", "retries",
+    "skipped_units", "statements", "steals", "timeouts",
+]
+_GOLDEN = [
+    ("SHOW RESOURCES", ["name", "dialect", "database"], "OK",
+     [("ds0", "MySQL", "ds0"), ("ds1", "MySQL", "ds1")]),
+    ("SHOW SHARDING TABLE RULES",
+     ["table", "actual_data_nodes", "sharding_column", "kind"], "OK",
+     [("t_user", "ds0.t_user_0, ds1.t_user_1", "uid", "auto")]),
+    ("SHOW SHARDING BINDING TABLE RULES", ["binding_tables"], "OK", []),
+    ("SHOW BROADCAST TABLE RULES", ["broadcast_table"], "OK", []),
+    ("SHOW SHARDING ALGORITHMS", ["algorithm"], "OK",
+     [(a,) for a in ("AUTO_INTERVAL", "BOUNDARY_RANGE", "CLASS_BASED",
+                     "COMPLEX_INLINE", "HASH_MOD", "HINT_INLINE", "INLINE",
+                     "INTERVAL", "MOD", "VOLUME_RANGE")]),
+    ("SHOW CIRCUIT BREAKERS", ["data_source", "state", "failures", "open_seconds"],
+     "no resilience policy enabled", []),
+    ("SHOW EXECUTION METRICS", ["metric", "value"],
+     "alias of SHOW METRICS LIKE 'executor_%'",
+     [(name, 0) for name in _EXECUTOR_COUNTERS]),
+    ("SHOW FAILOVER EVENTS", ["group", "old_primary", "new_primary", "failover_ms"],
+     "no health detector attached", []),
+    ("SHOW METRICS LIKE 'executor_retries%'",
+     ["metric", "labels", "kind", "value", "avg", "p50", "p95", "p99"], "OK",
+     [("executor_retries_total", "-", "counter", 0.0, "", "", "", "")]),
+    ("SHOW TRACES", ["trace_id", "sql", "wall_ms", "simulated_ms", "spans", "error"],
+     "tracing is disabled; SET VARIABLE tracing = on, or use TRACE <sql>", []),
+    ("SHOW SLOW QUERIES",
+     ["trace_id", "kind", "sql", "wall_ms", "simulated_ms", "route_type", "spans", "error"],
+     "no slow queries recorded (threshold 100ms; traced statements only)", []),
+    ("SHOW SLOW QUERIES GROUP BY DIGEST",
+     ["digest", "entries", "slow", "wall_avg_ms", "wall_max_ms", "route_types", "last_sql"],
+     "OK", []),
+    ("SHOW PLAN CACHE", ["sql", "hits", "templates", "state"],
+     "0/512 plans, hit rate 0.0% (hits=0, misses=0, bypasses=0, evictions=0, "
+     "invalidations=3)", []),
+    ("SHOW METADATA", ["field", "value"], "metadata context v3 (sharding rule t_user)",
+     [("version", 3), ("plan_epoch", 3), ("reason", "sharding rule t_user"),
+      ("data_sources", "ds0, ds1"), ("sharded_tables", "t_user"),
+      ("broadcast_tables", "-"), ("features", "-"), ("plan_cache_safe", True),
+      ("rule_frozen", True)]),
+    ("SHOW STATEMENT DIGESTS",
+     ["digest", "calls", "errors", "rows", "avg_ms", "p95_ms", "max_ms", "fanout_avg",
+      "plan_hit_rate", "storage_plan_hit_rate", "exemplar_ms", "sql"], "OK", []),
+    ("SHOW SHARD HEAT",
+     ["table", "data_source", "actual_table", "reads", "writes", "rows", "wall_ms",
+      "simulated_ms", "share", "imbalance"], "OK", []),
+    ("SHOW HOT KEYS", ["table", "column", "key", "estimated_count", "max_error", "share"],
+     "OK", []),
+    ("SHOW HOT KEYS FOR t_user",
+     ["table", "column", "key", "estimated_count", "max_error", "share"], "OK", []),
+    ("SHOW SLO",
+     ["route_type", "threshold_ms", "target", "statements", "breaches", "compliance",
+      "budget_burn", "state"], "OK", []),
+    ("SHOW SLO ALERTS",
+     ["seq", "route_type", "burn_rate", "statements", "breaches", "threshold_ms"],
+     "OK", []),
+    ("SHOW READ RESOURCES", ["group", "primary", "replicas", "load_balancer", "replicated"],
+     "no read-write splitting rule configured", []),
+    ("SHOW REPLICATION LAG",
+     ["group", "replica", "applied_lsn", "last_lsn", "lag_records", "staleness_s",
+      "configured_lag_s"], "no replica groups attached", []),
+    ("SHOW RESULT CACHE", ["stat", "value"],
+     "0/32768 entries, hit rate 0.0% (hits=0, misses=0, invalidations=0); "
+     "result cache is DISABLED (SET VARIABLE result_cache = on)",
+     [("capacity", 32768), ("causal_bypasses", 0), ("clears", 3), ("enabled", False),
+      ("entries", 0), ("evictions", 0), ("hit_rate", 0.0), ("hits", 0),
+      ("invalidations", 0), ("max_rows", 128), ("misses", 0), ("stores", 0), ("ttl_s", 30.0)]),
+    ("SHOW SESSIONS",
+     ["id", "kind", "client", "age_s", "statements", "in_transaction", "pinned_primary",
+      "causal_groups", "last_sql"], "0 session(s)", []),
+    ("SHOW VARIABLE transaction_type", ["variable", "value"], "OK",
+     [("transaction_type", "LOCAL")]),
+]
+
+
+class TestShowGolden:
+    """Exact output of every SHOW form; a change to one is a deliberate one."""
+
+    @pytest.mark.parametrize(
+        "sql,columns,message,rows", _GOLDEN, ids=[g[0] for g in _GOLDEN])
+    def test_form(self, configured, sql, columns, message, rows):
+        result = execute_distsql(sql, configured)
+        assert (result.columns, result.message, result.rows) == (columns, message, rows)
+
+    def test_did_you_mean_shard_heat(self, configured):
+        with pytest.raises(DistSQLError, match=r"^did you mean SHOW SHARD HEAT\?$"):
+            execute_distsql("SHOW SHARDING HEAT", configured)
+
+    def test_unknown_subject(self, configured):
+        with pytest.raises(DistSQLError, match=r"^unsupported SHOW statement: 'SHOW NONSENSE'$"):
+            execute_distsql("SHOW NONSENSE", configured)
+
+
+class TestShowVariableAndTraceFixes:
+    def test_show_unknown_variable_rejected_like_set(self, configured):
+        with pytest.raises(DistSQLError) as set_error:
+            execute_distsql("SET VARIABLE nonsense = 1", configured)
+        with pytest.raises(DistSQLError) as show_error:
+            execute_distsql("SHOW VARIABLE nonsense", configured)
+        assert str(show_error.value) == str(set_error.value)
+
+    @pytest.mark.parametrize("separator", ["\n", "\t"])
+    def test_trace_with_any_whitespace_after_verb(self, configured, separator):
+        conn = ShardingDataSource(configured).get_connection()
+        conn.execute("CREATE TABLE t_user (uid INT PRIMARY KEY, v INT)")
+        result = conn.execute(f"TRACE{separator}SELECT * FROM t_user WHERE uid = 1")
+        assert result.message.startswith("trace #")
+        assert "0 row(s), route=" in result.message
+
+
+class TestShowTableRoundTrip:
+    """Detection and parsing both come from SHOW_FORMS: every phrase, in any
+    case and with any whitespace between its words, is DistSQL and parses
+    to its own subject."""
+
+    @pytest.mark.parametrize("separator", ["\n", "\t"])
+    @pytest.mark.parametrize("subject", sorted(SHOW_FORMS))
+    def test_phrase_detects_and_parses_to_its_subject(self, subject, separator):
+        form = SHOW_FORMS[subject]
+        words = ["show", *form.phrase.lower().split()]
+        if form.argument == "NAME":
+            words.append("transaction_type")
+        sql = separator.join(words)
+        assert is_distsql(sql)
+        assert parse_distsql(sql).subject == subject
+
+    @pytest.mark.parametrize(
+        "sql", ["SHOW TABLES", "show\ntables", "SELECT * FROM t", "CREATE TABLE t (a INT)"])
+    def test_plain_sql_stays_plain(self, sql):
+        assert not is_distsql(sql)

@@ -623,7 +623,7 @@ class TestBenchReplicaWiring:
             assert len(system.replica_groups) == 2
             assert system.runtime.engine.result_cache.enabled
             assert "ds0_r1" in system.runtime.data_sources
-            feature = system.runtime._rwsplit_feature
+            feature = system.runtime.rwsplit_feature
             assert feature is not None
             assert feature.groups["ds0"].replication is system.replica_groups[0]
             SysbenchWorkload(SysbenchConfig(table_size=40)).prepare(system)

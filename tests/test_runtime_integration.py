@@ -204,7 +204,7 @@ class TestGovernorRestartRecovery:
         assert second.rule.are_binding(["t_user", "t_order"])
         assert second.rule.is_broadcast("t_dict")
         assert second.transaction_manager.transaction_type is TransactionType.XA
-        assert second._rwsplit_feature is not None
+        assert second.rwsplit_feature is not None
         # and it routes identically to the first runtime's AutoTable layout
         preview = second.preview("SELECT * FROM t_user WHERE uid = 4")
         assert len(preview) == 1
