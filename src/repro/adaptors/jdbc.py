@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterator, Sequence
 
-from ..distsql import execute_distsql, is_distsql
+from ..distsql import DISTSQL_VERBS, execute_distsql, is_distsql
 from ..engine.pipeline import EngineResult
 from ..exceptions import ConnectionClosedError, TransactionError, UnsupportedSQLError
 from ..session import SessionContext, activate
-from ..sql import ast, parse
+from ..sql import ast, leading_words
 from ..transaction import DistributedTransaction
 from .runtime import ShardingRuntime
 
@@ -227,16 +227,15 @@ class ShardingConnection:
             return self._execute_in_session(sql, params)
 
     def _execute_in_session(self, sql: str, params: Sequence[Any]) -> ShardingResult:
-        if is_distsql(sql):
+        # Cheap leading-verb dispatch: DistSQL and control/session
+        # statements are handled here. Everything else passes through as
+        # raw SQL text so the engine's plan cache can key by it
+        # (pre-parsing would force the slow path every time).
+        head = leading_words(sql)
+        verb = head[0]
+        if verb in DISTSQL_VERBS and is_distsql(sql, head):
             result = execute_distsql(sql, self.runtime)
             return ShardingResult(result.columns, iter(result.rows), message=result.message)
-
-        # Cheap leading-verb dispatch: only control/session statements are
-        # parsed here. Everything else passes through as raw SQL text so
-        # the engine's plan cache can key by it (pre-parsing would force
-        # the slow path every time).
-        head = sql.lstrip()[:12].upper()
-        verb = head.split(None, 1)[0] if head else ""
         if verb in self._CONTROL_VERBS:
             statement = self.runtime.engine._parse_cached(sql)
             if isinstance(statement, ast.BeginStatement):
@@ -289,9 +288,9 @@ class ShardingConnection:
         """
         self._check_open()
         for sql, _params in statements:
-            head = sql.lstrip()[:12].upper()
-            verb = head.split(None, 1)[0] if head else ""
-            if verb in self._CONTROL_VERBS or is_distsql(sql):
+            head = leading_words(sql)
+            verb = head[0]
+            if verb in self._CONTROL_VERBS or is_distsql(sql, head):
                 raise UnsupportedSQLError(
                     "execute_pipeline only accepts plain SQL statements; "
                     f"route {verb or sql!r} through execute()"

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..exceptions import DistSQLError
-from ..sql.lexer import tokenize
+from ..sql.lexer import leading_words, tokenize
 from ..sql.tokens import Token, TokenType
 from .show import SHOW_FORMS
 
@@ -171,24 +171,19 @@ class MigrateTable(DistSQLStatement):
 # Detection + parsing
 # ---------------------------------------------------------------------------
 
-_DIST_PREFIXES = (
-    "REGISTER RESOURCE",
-    "UNREGISTER RESOURCE",
-    "CREATE SHARDING",
-    "ALTER SHARDING",
-    "DROP SHARDING",
-    "CREATE BROADCAST",
-    "CREATE READWRITE_SPLITTING",
-    "CLEAR PLAN",
-    "CLEAR RESULT",
-    "SET VARIABLE",
-    "PREVIEW",
-    "TRACE ",
-    "MIGRATE TABLE",
-    "RESET WORKLOAD",
-    # one prefix per first word of a SHOW phrase
-    *dict.fromkeys("SHOW " + form.phrase.split()[0] for form in SHOW_FORMS.values()),
-)
+#: DistSQL by its leading words: a one-word entry takes any second word
+_HEADS = frozenset({
+    *(tuple(head.split()) for head in (
+        "REGISTER RESOURCE", "UNREGISTER RESOURCE", "CREATE SHARDING", "ALTER SHARDING",
+        "DROP SHARDING", "CREATE BROADCAST", "CREATE READWRITE_SPLITTING", "CLEAR PLAN",
+        "CLEAR RESULT", "SET VARIABLE", "PREVIEW", "TRACE", "MIGRATE TABLE", "RESET WORKLOAD",
+    )),
+    # one head per first word of a SHOW phrase
+    *(("SHOW", form.phrase.split()[0]) for form in SHOW_FORMS.values()),
+})
+
+#: the first words of DistSQL: any other statement is plain SQL at one look
+DISTSQL_VERBS = frozenset(head[0] for head in _HEADS)
 
 #: SHOW phrases as word lists, longest first (the parser takes the longest match)
 _SHOW_PHRASES = sorted(
@@ -196,34 +191,17 @@ _SHOW_PHRASES = sorted(
 )
 
 
-# First-word dispatch: plain SQL (SELECT/INSERT/UPDATE/DELETE/...) exits
-# on one dict miss instead of scanning every prefix. Only the leading
-# slice is normalized — this runs on every statement of the hot path.
-_PREFIXES_BY_WORD: dict[str, tuple[str, ...]] = {}
-for _prefix in _DIST_PREFIXES:
-    _word = _prefix.split(" ", 1)[0]
-    _PREFIXES_BY_WORD[_word] = _PREFIXES_BY_WORD.get(_word, ()) + (_prefix,)
+def is_distsql(sql: str, head: tuple[str, str] | None = None) -> bool:
+    """Cheap syntactic check: is this statement DistSQL (vs plain SQL)?
 
-
-def is_distsql(sql: str) -> bool:
-    """Cheap syntactic check: is this statement DistSQL (vs plain SQL)?"""
-    head = " ".join(sql.lstrip()[:96].upper().split())
-    prefixes = _PREFIXES_BY_WORD.get(head.split(" ", 1)[0] if head else "")
-    if prefixes is None:
-        return False
-    return any(head.startswith(prefix) for prefix in prefixes)
+    ``head`` is ``leading_words(sql)`` when the caller has already read it.
+    """
+    head = head or leading_words(sql)
+    return head[:1] in _HEADS or head in _HEADS
 
 
 def parse_distsql(sql: str) -> DistSQLStatement:
     """Parse one DistSQL statement."""
-    head = sql.strip()
-    # the first whitespace-separated word, as is_distsql reads it
-    verb = head.split(None, 1)[0].upper() if head else ""
-    if verb in ("PREVIEW", "TRACE"):
-        inner = head[len(verb):].strip().rstrip(";")
-        if not inner:
-            raise DistSQLError(f"{verb} requires a SQL statement")
-        return (Preview if verb == "PREVIEW" else TraceStatement)(sql=inner)
     return _Parser(sql).parse()
 
 
@@ -236,7 +214,7 @@ class _Parser:
     # -- token helpers --------------------------------------------------
 
     def _peek(self) -> Token:
-        return self.tokens[min(self.pos, len(self.tokens) - 1)]
+        return self.tokens[self.pos]  # _next never moves past EOF
 
     def _next(self) -> Token:
         token = self._peek()
@@ -311,6 +289,13 @@ class _Parser:
     # -- entry ----------------------------------------------------------------
 
     def parse(self) -> DistSQLStatement:
+        for verb, kind in (("PREVIEW", Preview), ("TRACE", TraceStatement)):
+            if self._accept_word(verb):
+                token = self.tokens[self.pos - 1]
+                inner = self.sql[token.position + len(verb):].strip().rstrip(";")
+                if not inner:
+                    raise DistSQLError(f"{verb} requires a SQL statement")
+                return kind(sql=inner)
         if self._accept_word("REGISTER"):
             return self._register_resource()
         if self._accept_word("UNREGISTER"):

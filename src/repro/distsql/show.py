@@ -2,8 +2,8 @@
 
 Each :class:`ShowForm` is one ``SHOW <phrase>`` statement: the words after
 ``SHOW``, the subject the parser records, the result columns, the row
-builder and the outcome message. :func:`repro.distsql.is_distsql` takes its
-``SHOW`` prefixes from this table, the parser matches the longest phrase in
+builder and the outcome message. :func:`repro.distsql.is_distsql` takes the
+``SHOW`` words it knows from this table, the parser matches the longest phrase in
 it, and the executor runs the matched form; a new ``SHOW`` form is one more
 entry here.
 

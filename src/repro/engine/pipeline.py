@@ -18,7 +18,7 @@ from ..cache import LruCache
 from ..exceptions import RouteError, SQLParseError
 from ..metadata import ContextManager, MetadataContext
 from ..sharding import ShardingRule
-from ..sql import ast, normalize, parse
+from ..sql import ast, leading_words, normalize, parse
 from ..sql.formatter import format_statement
 from ..storage import Connection, DataSource
 from ..session import current_session
@@ -489,7 +489,7 @@ class SQLEngine:
             or primary_pinned()
         ):
             return None
-        if not sql.lstrip()[:6].upper().startswith("SELECT"):
+        if leading_words(sql)[0] != "SELECT":
             return None
         try:
             key = (sql, tuple(st.params), st.snap.plan_epoch)

@@ -23,7 +23,7 @@ from .dialects import (
     register_dialect,
 )
 from .formatter import format_expression, format_literal, format_statement
-from .lexer import tokenize
+from .lexer import leading_words, tokenize
 from .normalize import normalize
 from .parser import parse, parse_expression
 from .tokens import Token, TokenType
@@ -33,6 +33,7 @@ __all__ = [
     "parse",
     "parse_expression",
     "tokenize",
+    "leading_words",
     "normalize",
     "format_statement",
     "format_expression",

@@ -1,140 +1,94 @@
-"""Hand-written SQL tokenizer.
+"""SQL tokenizer: one compiled regex is the token language.
 
-Supports quoted identifiers in three dialect styles (backticks for MySQL,
-double quotes for PostgreSQL/SQL-92, square brackets for SQL Server),
-single-quoted strings with doubled-quote escaping, line (``--``) and block
-(``/* */``) comments, numeric literals and ``?`` placeholders.
+:data:`_TOKEN` defines every token class: quoted identifiers in three
+dialect styles (backticks for MySQL, double quotes for PostgreSQL/SQL-92,
+square brackets for SQL Server), single-quoted strings with doubled-quote
+escaping, line (``--``) and block (``/* */``) comments, numeric literals,
+operators, punctuation and ``?`` placeholders. :func:`tokenize` turns its
+matches into tokens, :func:`repro.sql.normalize.normalize` scans with it
+directly, and :func:`leading_words` reads a statement's first words with
+the same rules for whitespace and comments.
 """
 
 from __future__ import annotations
 
-from ..exceptions import SQLParseError
-from .tokens import KEYWORDS, OPERATORS, PUNCTUATION, Token, TokenType
+import re
 
-_QUOTE_PAIRS = {"`": "`", '"': '"', "[": "]"}
+from ..exceptions import SQLParseError
+from .tokens import KEYWORDS, Token, TokenType
+
+_COMMENT = r"--[^\n]*|/\*.*?\*/"
+_WORD = r"[^\W\d]\w*"
+
+# One token per match, leading whitespace absorbed; comments are tokens to
+# skip. Comments come before the operators they start with, ``.5`` before
+# the ``.`` punctuation, and ``key`` (the words the normaliser gives meaning
+# to) before ``word``. Words, digits and whitespace are Unicode (``\w``,
+# ``\d``, ``\s``). ``unknown`` is whatever no class claims:
+# an unterminated string, quoted identifier or ``/*``, or a stray character.
+_TOKEN = re.compile(
+    rf"""\s*(?:
+    (?P<key>(?i:LIKE|IN|BETWEEN|AND|LIMIT|OFFSET)\b)
+  | (?P<word>{_WORD})
+  | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<punct>[(),.;])
+  | (?P<skip>{_COMMENT})
+  | (?P<op><=>|<>|!=|>=|<=|\|\||<<|>>|[=<>+\-*%]|/(?!\*))
+  | (?P<param>\?)
+  | (?P<string>'(?:[^']|'')*+')
+  | (?P<quoted>`[^`]*`|"[^"]*"|\[[^\]]*\])
+  | (?P<unknown>\S)
+    )""",
+    re.DOTALL | re.VERBOSE,
+)
+
+#: the first two words of a statement, whitespace and comments skipped
+_HEAD = re.compile(
+    rf"(?:\s+|{_COMMENT})*+({_WORD})(?:(?:\s+|{_COMMENT})++({_WORD}))?", re.DOTALL)
+
+_TYPES = {"number": TokenType.NUMBER, "punct": TokenType.PUNCTUATION,
+          "op": TokenType.OPERATOR, "param": TokenType.PLACEHOLDER}
+
+#: what an ``unknown`` match at an opening character means
+_UNTERMINATED = {"'": "unterminated string literal", "/": "unterminated block comment",
+                 **dict.fromkeys("`\"[", "unterminated quoted identifier")}
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize ``sql`` into a list of tokens ending with an EOF token."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+    append = tokens.append
+    for match in _TOKEN.finditer(sql):
+        kind = match.lastgroup
+        if kind == "skip":
             continue
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end == -1:
-                raise SQLParseError("unterminated block comment", position=i)
-            i = end + 2
-            continue
-        if ch == "'":
-            token, i = _read_string(sql, i)
-            tokens.append(token)
-            continue
-        if ch in _QUOTE_PAIRS:
-            token, i = _read_quoted_identifier(sql, i)
-            tokens.append(token)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            token, i = _read_number(sql, i)
-            tokens.append(token)
-            continue
-        if ch.isalpha() or ch == "_":
-            token, i = _read_word(sql, i)
-            tokens.append(token)
-            continue
-        if ch == "?":
-            tokens.append(Token(TokenType.PLACEHOLDER, "?", i))
-            i += 1
-            continue
-        op = _match_operator(sql, i)
-        if op is not None:
-            tokens.append(Token(TokenType.OPERATOR, op, i))
-            i += len(op)
-            continue
-        if ch in PUNCTUATION:
-            tokens.append(Token(TokenType.PUNCTUATION, ch, i))
-            i += 1
-            continue
-        raise SQLParseError(f"unexpected character {ch!r}", position=i)
-    tokens.append(Token(TokenType.EOF, "", n))
+        text = match.group(kind)
+        start = match.start(kind)
+        if kind == "word" or kind == "key":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                append(Token(TokenType.KEYWORD, upper, start))
+            else:
+                append(Token(TokenType.IDENTIFIER, text, start))
+        elif kind == "string":
+            append(Token(TokenType.STRING, text[1:-1].replace("''", "'"), start))
+        elif kind == "quoted":
+            append(Token(TokenType.IDENTIFIER, text[1:-1], start))
+        elif kind == "unknown":
+            message = _UNTERMINATED.get(text) or f"unexpected character {text!r}"
+            raise SQLParseError(message, position=start)
+        else:
+            append(Token(_TYPES[kind], text, start))
+    append(Token(TokenType.EOF, "", len(sql)))
     return tokens
 
 
-def _read_string(sql: str, start: int) -> tuple[Token, int]:
-    """Read a single-quoted string literal; ``''`` escapes a quote."""
-    i = start + 1
-    parts: list[str] = []
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return Token(TokenType.STRING, "".join(parts), start), i + 1
-        parts.append(ch)
-        i += 1
-    raise SQLParseError("unterminated string literal", position=start)
-
-
-def _read_quoted_identifier(sql: str, start: int) -> tuple[Token, int]:
-    closing = _QUOTE_PAIRS[sql[start]]
-    end = sql.find(closing, start + 1)
-    if end == -1:
-        raise SQLParseError("unterminated quoted identifier", position=start)
-    return Token(TokenType.IDENTIFIER, sql[start + 1 : end], start), end + 1
-
-
-def _read_number(sql: str, start: int) -> tuple[Token, int]:
-    i = start
-    n = len(sql)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = sql[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            # Exponent must be followed by digits (optionally signed).
-            j = i + 1
-            if j < n and sql[j] in "+-":
-                j += 1
-            if j < n and sql[j].isdigit():
-                seen_exp = True
-                i = j
-            else:
-                break
-        else:
-            break
-    return Token(TokenType.NUMBER, sql[start:i], start), i
-
-
-def _read_word(sql: str, start: int) -> tuple[Token, int]:
-    i = start
-    n = len(sql)
-    while i < n and (sql[i].isalnum() or sql[i] == "_"):
-        i += 1
-    word = sql[start:i]
-    upper = word.upper()
-    if upper in KEYWORDS:
-        return Token(TokenType.KEYWORD, upper, start), i
-    return Token(TokenType.IDENTIFIER, word, start), i
-
-
-def _match_operator(sql: str, i: int) -> str | None:
-    for op in OPERATORS:
-        if sql.startswith(op, i):
-            return op
-    return None
+def leading_words(sql: str) -> tuple[str, str]:
+    """The first two words of ``sql``, upper-cased, ``""`` where there is
+    none: whitespace and comments are skipped as :func:`tokenize` skips
+    them, and any other token before a word ends the head."""
+    match = _HEAD.match(sql)
+    if match is None:
+        return "", ""
+    first, second = match.groups("")
+    return first.upper(), second.upper()

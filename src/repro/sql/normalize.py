@@ -19,49 +19,24 @@ literals, arithmetic operands, ``NULL`` / ``TRUE`` / ``FALSE`` — and every
 statement that does not start with ``SELECT`` / ``UPDATE`` / ``DELETE``
 passes through byte for byte.
 
-The scanner is one compiled regex over the token classes of
-:func:`repro.sql.lexer.tokenize` (ASCII only: any character it does not
-know makes the statement pass through unchanged, so it can never disagree
-with the lexer silently; ``tests/test_sql_normalize.py`` pins the two
-together on token boundaries and literal values).
+The scanner is the lexer's own regex (:data:`repro.sql.lexer._TOKEN`), so a
+token here is a token to :func:`~repro.sql.lexer.tokenize`. Text the lexer
+would reject (an unterminated string, a stray character) passes through
+unchanged, and so does any text with a non-ASCII character: a shape is a
+cache key, and ASCII keeps its case folding and word boundaries plain.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Any, Sequence
 
+from .lexer import _TOKEN
 from .parser import _parse_number
 
 __all__ = ["normalize", "COMPARISONS"]
 
-_COMMENT = r"--[^\n]*|/\*.*?\*/"
-
-# One token per match, leading whitespace absorbed; comments are tokens to
-# skip. Ordered like the lexer's tests: comments before the operators they
-# start with, ``.5`` before the ``.`` punctuation. ``unknown`` is whatever
-# no class claims (an unterminated string, ``/*`` without its end, non-ASCII).
-_TOKEN = re.compile(
-    rf"""\s*(?:
-    (?P<key>(?i:LIKE|IN|BETWEEN|AND|LIMIT|OFFSET)\b)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-  | (?P<punct>[(),.;])
-  | (?P<skip>{_COMMENT})
-  | (?P<op><=>|<>|!=|>=|<=|\|\||<<|>>|[=<>+\-*%]|/(?!\*))
-  | (?P<param>\?)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<quoted>`[^`]*`|"[^"]*"|\[[^\]]*\])
-  | (?P<unknown>\S)
-    )""",
-    re.ASCII | re.DOTALL | re.VERBOSE,
-)
-
 #: only these statements have predicate literals worth a shared shape
-_HEAD = re.compile(
-    rf"(?:\s+|{_COMMENT})*(?:SELECT|UPDATE|DELETE)\b",
-    re.ASCII | re.DOTALL | re.IGNORECASE,
-)
+_SHAPED = frozenset({"SELECT", "UPDATE", "DELETE"})
 
 #: the operators whose right-hand literal is a predicate operand (the
 #: engine's AST check of a shape reads the same set)
@@ -90,7 +65,7 @@ def normalize(
     ``every=True`` is the digest mode: every number and string token of
     any statement becomes ``?``, whatever its position.
     """
-    if not every and _HEAD.match(sql) is None:
+    if not (every or sql.isascii()):
         return sql, params
     pieces: list[str] = []
     values: list[Any] = []
@@ -100,8 +75,13 @@ def normalize(
     parens: list[bool] = []  # per open parenthesis: is it an IN list
     betweens: list[int] = []  # paren depth of each BETWEEN awaiting its AND
     seen = 0  # caller placeholders so far
+    head = not every  # the first word, which decides, is still to come
     for match in _TOKEN.finditer(sql):
         kind = match.lastgroup
+        if head and kind != "skip":
+            if kind != "word" or match.group(kind).upper() not in _SHAPED:
+                return sql, params
+            head = False
         if kind == "word":
             previous = _NOTHING
         elif kind == "key":

@@ -57,8 +57,9 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if offset:  # look-ahead stops at EOF; _advance never moves past it
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]

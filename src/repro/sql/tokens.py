@@ -39,19 +39,13 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Multi-character operators, longest first so the lexer is greedy.
-OPERATORS = ("<=>", "<>", "!=", ">=", "<=", "||", "<<", ">>", "=", "<", ">", "+", "-", "*", "/", "%")
-
-PUNCTUATION = "(),.;"
-
 
 @dataclass(frozen=True)
 class Token:
     """A single lexical token.
 
     ``value`` is upper-cased for keywords, verbatim for everything else.
-    ``position`` is the character offset in the source string, used for
-    error messages and for the rewriter's token-level splicing.
+    ``position`` is the token's character offset in the source string.
     """
 
     type: TokenType

@@ -16,6 +16,7 @@ from repro.exceptions import (
     ExecutionError,
     ProtocolError,
     TransactionError,
+    UnsupportedSQLError,
 )
 from repro.protocol import PacketType, ProxyClient, encode
 from repro.protocol.message import read_packet, send_packet
@@ -155,6 +156,45 @@ class TestShardingDataSource:
         conn.close()
 
 
+class TestCommentedStatements:
+    """A statement's leading words are read past comments, as the lexer
+    reads them: a commented BEGIN, ROLLBACK or DistSQL statement is still
+    what it says."""
+
+    def test_commented_begin_and_rollback_drive_the_transaction(self, runtime):
+        with ShardingDataSource(runtime).get_connection() as conn:
+            conn.execute("/* c */ BEGIN")
+            assert conn.in_transaction
+            conn.execute("INSERT INTO t_user (uid, name, age) VALUES (7, 'dave', 40)")
+            assert conn.in_transaction
+            conn.execute("-- x\nROLLBACK")
+            assert not conn.in_transaction
+            assert conn.execute("SELECT COUNT(*) FROM t_user WHERE uid = 7").fetchall() == [(0,)]
+
+    def test_commented_distsql_is_distsql(self, runtime):
+        with ShardingDataSource(runtime).get_connection() as conn:
+            assert conn.execute("/* c */ SET VARIABLE tracing = on").message == "tracing = ON"
+            shown = conn.execute("-- x\nSHOW VARIABLE tracing")
+            assert (shown.columns, shown.fetchall()) == (["variable", "value"], [("tracing", "ON")])
+            traced = conn.execute("/* c */ TRACE SELECT name FROM t_user WHERE uid = 1")
+            assert traced.columns == ["span", "wall_ms", "simulated_ms", "detail"]
+            assert traced.message.startswith("trace #")
+
+    def test_pipeline_refuses_a_commented_commit(self, runtime):
+        with ShardingDataSource(runtime).get_connection() as conn:
+            conn.begin()
+            conn.execute_pipeline([("INSERT INTO t_user (uid, name, age) VALUES (7, 'dave', 40)", ())])
+            with pytest.raises(UnsupportedSQLError):
+                conn.execute_pipeline([
+                    ("INSERT INTO t_user (uid, name, age) VALUES (8, 'erin', 41)", ()),
+                    ("/* c */ COMMIT", ()),
+                ])
+            assert conn.in_transaction
+            conn.rollback()
+            rows = conn.execute("SELECT uid FROM t_user WHERE uid IN (7, 8)").fetchall()
+            assert rows == []
+
+
 @pytest.fixture
 def proxy(runtime):
     server = ShardingProxyServer(runtime).start()
@@ -198,6 +238,14 @@ class TestProxy:
             a.execute("UPDATE t_user SET age = 1 WHERE uid = 1")
             a.rollback()
             rows = b.execute("SELECT age FROM t_user WHERE uid = 1").fetchall()
+            assert rows == [(30,)]
+
+    def test_commented_tcl_over_proxy(self, proxy):
+        with ProxyClient("127.0.0.1", proxy.port) as client:
+            client.execute("/* c */ BEGIN")
+            client.execute("UPDATE t_user SET age = 1 WHERE uid = 1")
+            client.execute("-- x\nROLLBACK")
+            rows = client.execute("SELECT age FROM t_user WHERE uid = 1").fetchall()
             assert rows == [(30,)]
 
     def test_distsql_over_proxy(self, proxy):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SQLParseError
-from repro.sql import Token, TokenType, tokenize
+from repro.sql import Token, TokenType, leading_words, normalize, tokenize
 
 
 def kinds(sql):
@@ -117,3 +117,63 @@ class TestOperatorsAndComments:
         assert punct.is_punct("(")
         op = Token(TokenType.OPERATOR, "=", 0)
         assert op.is_op("=")
+
+
+class TestErrors:
+    """Each error class keeps its message and points at where it starts."""
+
+    @pytest.mark.parametrize(
+        "sql, message, position",
+        [
+            ("SELECT 'oops", "unterminated string literal", 7),
+            ("SELECT 'it''s", "unterminated string literal", 7),
+            ("SELECT `oops", "unterminated quoted identifier", 7),
+            ('SELECT "oops', "unterminated quoted identifier", 7),
+            ("SELECT [oops", "unterminated quoted identifier", 7),
+            ("SELECT 1 /* nope", "unterminated block comment", 9),
+            ("SELECT @", "unexpected character '@'", 7),
+            ("SELECT a ] b", "unexpected character ']'", 9),
+        ],
+    )
+    def test_message_and_position(self, sql, message, position):
+        with pytest.raises(SQLParseError) as info:
+            tokenize(sql)
+        assert str(info.value) == message
+        assert info.value.position == position
+
+
+class TestUnicode:
+    """Words and whitespace are Unicode; the normaliser leaves such text alone."""
+
+    def test_non_ascii_identifier(self):
+        sql = "SELECT c FROM café WHERE k = 1"
+        assert kinds(sql)[3] == (TokenType.IDENTIFIER, "café")
+        assert normalize(sql, ()) == (sql, ())
+
+    def test_no_break_space_is_whitespace(self):
+        sql = "SELECT\u00a0c FROM t WHERE k = 1"
+        assert kinds(sql)[:2] == [(TokenType.KEYWORD, "SELECT"), (TokenType.IDENTIFIER, "c")]
+        assert normalize(sql, ()) == (sql, ())
+
+
+class TestLeadingWords:
+    @pytest.mark.parametrize(
+        "sql, head",
+        [
+            ("select 1", ("SELECT", "")),
+            ("  set variable x = 1", ("SET", "VARIABLE")),
+            ("/* c */ BEGIN", ("BEGIN", "")),
+            ("-- x\nROLLBACK;", ("ROLLBACK", "")),
+            ("SHOW/* c */SHARDING TABLE RULES", ("SHOW", "SHARDING")),
+            ("TRACE\n-- x\nSELECT 1", ("TRACE", "SELECT")),
+            ("(SELECT 1)", ("", "")),
+            ("SELECT1 x", ("SELECT1", "X")),
+            ("/* unterminated BEGIN", ("", "")),
+            ("-- c\n", ("", "")),  # a comment never gives up a word
+            ("SELECT -- c\n ", ("SELECT", "")),
+            ("/* a */ b */ c", ("B", "")),
+            ("", ("", "")),
+        ],
+    )
+    def test_first_two_words(self, sql, head):
+        assert leading_words(sql) == head

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SQLParseError
 from repro.sql import ast, format_statement, normalize, parse, tokenize
-from repro.sql.normalize import _TOKEN
+from repro.sql.lexer import _TOKEN
 from repro.sql.parser import _parse_number
 from repro.sql.tokens import TokenType
 
