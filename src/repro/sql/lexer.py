@@ -20,31 +20,33 @@ from .tokens import KEYWORDS, Token, TokenType
 _COMMENT = r"--[^\n]*|/\*.*?\*/"
 _WORD = r"[^\W\d]\w*"
 
-# One token per match, leading whitespace absorbed; comments are tokens to
-# skip. Comments come before the operators they start with, ``.5`` before
-# the ``.`` punctuation, and ``key`` (the words the normaliser gives meaning
-# to) before ``word``. Words, digits and whitespace are Unicode (``\w``,
-# ``\d``, ``\s``). ``unknown`` is whatever no class claims:
-# an unterminated string, quoted identifier or ``/*``, or a stray character.
+# One token per match, leading whitespace absorbed; comments and a whitespace
+# tail are tokens to skip. Comments come before the operators they start
+# with, ``.5`` before the ``.`` punctuation, and ``key`` (the words the
+# normaliser gives meaning to) before ``word``. Words, digits and whitespace
+# are Unicode. A string's closing quote has no quote after it (``'it''s`` is
+# unterminated). ``unknown`` is whatever no class claims: an unterminated
+# string, quoted identifier or ``/*``, or a stray character.
 _TOKEN = re.compile(
     rf"""\s*(?:
     (?P<key>(?i:LIKE|IN|BETWEEN|AND|LIMIT|OFFSET)\b)
   | (?P<word>{_WORD})
   | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<punct>[(),.;])
-  | (?P<skip>{_COMMENT})
+  | (?P<skip>{_COMMENT}|\s\Z)
   | (?P<op><=>|<>|!=|>=|<=|\|\||<<|>>|[=<>+\-*%]|/(?!\*))
   | (?P<param>\?)
-  | (?P<string>'(?:[^']|'')*+')
+  | (?P<string>'[^']*(?:''[^']*)*'(?!'))
   | (?P<quoted>`[^`]*`|"[^"]*"|\[[^\]]*\])
   | (?P<unknown>\S)
     )""",
     re.DOTALL | re.VERBOSE,
 )
 
-#: the first two words of a statement, whitespace and comments skipped
-_HEAD = re.compile(
-    rf"(?:\s+|{_COMMENT})*+({_WORD})(?:(?:\s+|{_COMMENT})++({_WORD}))?", re.DOTALL)
+#: the first two words of a statement; each gap of whitespace and comments
+#: is read in a look-ahead, which never gives back a comment's inner words
+_HEAD = re.compile(rf"(?=((?:\s+|{_COMMENT})*))\1({_WORD})"
+                   rf"(?:(?=((?:\s+|{_COMMENT})+))\3({_WORD}))?", re.DOTALL)
 
 _TYPES = {"number": TokenType.NUMBER, "punct": TokenType.PUNCTUATION,
           "op": TokenType.OPERATOR, "param": TokenType.PLACEHOLDER}
@@ -90,5 +92,5 @@ def leading_words(sql: str) -> tuple[str, str]:
     match = _HEAD.match(sql)
     if match is None:
         return "", ""
-    first, second = match.groups("")
-    return first.upper(), second.upper()
+    first, second = match.group(2, 4)
+    return first.upper(), (second or "").upper()

@@ -1,9 +1,13 @@
 """Unit tests for the SQL tokenizer."""
 
+import re
+import time
+
 import pytest
 
 from repro.exceptions import SQLParseError
 from repro.sql import Token, TokenType, leading_words, normalize, tokenize
+from repro.sql.lexer import _HEAD, _TOKEN
 
 
 def kinds(sql):
@@ -127,6 +131,7 @@ class TestErrors:
         [
             ("SELECT 'oops", "unterminated string literal", 7),
             ("SELECT 'it''s", "unterminated string literal", 7),
+            ("SELECT 'a''' 'b", "unterminated string literal", 13),
             ("SELECT `oops", "unterminated quoted identifier", 7),
             ('SELECT "oops', "unterminated quoted identifier", 7),
             ("SELECT [oops", "unterminated quoted identifier", 7),
@@ -172,8 +177,28 @@ class TestLeadingWords:
             ("-- c\n", ("", "")),  # a comment never gives up a word
             ("SELECT -- c\n ", ("SELECT", "")),
             ("/* a */ b */ c", ("B", "")),
+            ("-- comment only", ("", "")),
+            ("/* a */ 5 /* b */ x", ("", "")),
+            ("SELECT /* a */ 5 /* b */ x", ("SELECT", "")),
             ("", ("", "")),
         ],
     )
     def test_first_two_words(self, sql, head):
         assert leading_words(sql) == head
+
+
+class TestScanCost:
+    def test_whitespace_tail_is_one_match(self):
+        # a failed scan from every position of the tail would take seconds
+        tail = " " * 5000
+        started = time.perf_counter()
+        tokens = tokenize("SELECT 1" + tail)
+        assert [t.value for t in tokens] == ["SELECT", "1", ""]
+        assert tokens[-1].position == 8 + len(tail)
+        assert normalize("SELECT a FROM t WHERE k = 1" + tail, ())[1] == (1,)
+        assert time.perf_counter() - started < 0.5
+
+    def test_no_syntax_newer_than_python_3_10(self):
+        # possessive quantifiers and atomic groups arrived in Python 3.11
+        for pattern in (_TOKEN.pattern, _HEAD.pattern):
+            assert not re.search(r"[*+?}]\+|\(\?>", pattern)
