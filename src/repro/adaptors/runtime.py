@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Callable, Mapping, Sequence
+import math
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..engine import Feature, ResiliencePolicy, SQLEngine
 from ..engine.context import build_context
@@ -29,7 +30,7 @@ from ..engine.router import route
 from ..exceptions import DistSQLError, GovernanceError, ShardingConfigError
 from ..features import ReadWriteGroup, ReadWriteSplittingFeature
 from ..governor import ConfigCenter
-from ..metadata import KNOWN_VARIABLES, ContextManager
+from ..metadata import ContextManager
 from ..observability import Observability
 from ..session import SessionRegistry, current_session
 from ..sharding import ShardingRule, TableRule
@@ -39,6 +40,93 @@ from ..storage import DataSource, LatencyModel
 from ..transaction import TransactionManager, TransactionType
 
 _instance_ids = itertools.count(1)
+
+
+# ---------------------------------------------------------------------------
+# Runtime variables (DistSQL RAL ``SET VARIABLE``), declared once
+# ---------------------------------------------------------------------------
+#
+# A parser turns outside input (DistSQL, plain SET, a Governor prop, a
+# Python value) into the stored canonical value, or raises ValueError with
+# what it accepts; ``set_variable`` names the variable in the DistSQLError.
+
+
+def _switch(value: Any) -> str:
+    word = str(value).strip().lower()
+    if word in ("1", "true", "on", "yes"):
+        return "ON"
+    if word in ("0", "false", "off", "no"):
+        return "OFF"
+    raise ValueError("on/off/true/false/1/0/yes/no")
+
+
+def _number(kind: type, low: int, accepts: str) -> Callable[[Any], Any]:
+    """A parser of finite ``kind`` numbers of at least ``low``."""
+    def parse(value: Any) -> Any:
+        try:
+            number = kind(str(value).strip())
+        except ValueError:
+            raise ValueError(accepts) from None
+        if not low <= number < math.inf:
+            raise ValueError(accepts)
+        return number
+    return parse
+
+
+def _transaction_type(value: Any) -> str:
+    try:
+        return TransactionType[str(value).strip().upper()].value
+    except KeyError:
+        raise ValueError("LOCAL, XA or BASE") from None
+
+
+def _apply_plan_cache(runtime: ShardingRuntime, value: str) -> None:
+    runtime.engine.plan_cache.enabled = value == "ON"
+    if value == "OFF":
+        runtime.engine.plan_cache.invalidate("SET VARIABLE plan_cache = off")
+
+
+def _apply_result_cache(runtime: ShardingRuntime, value: str) -> None:
+    runtime.engine.result_cache.enabled = value == "ON"
+    if value == "OFF":
+        runtime.engine.result_cache.clear("SET VARIABLE result_cache = off")
+
+
+class Variable(NamedTuple):
+    #: outside input -> stored canonical value (ValueError: what it accepts)
+    parse: Callable[[Any], Any]
+    #: the value of a fresh runtime, matching its live objects' defaults
+    default: Any
+    #: push a stored value into the engine, observability or transactions
+    apply: Callable[[ShardingRuntime, Any], None]
+
+
+#: every runtime variable; ``set_variable``, the initial snapshot, Governor
+#: replay and peer prop events all read this table
+VARIABLES: dict[str, Variable] = {
+    "transaction_type": Variable(
+        _transaction_type, TransactionType.LOCAL.value,
+        lambda rt, value: rt.transaction_manager.set_type(value)),
+    "max_connections_per_query": Variable(
+        _number(int, 1, "an integer >= 1"), 1,
+        lambda rt, value: setattr(rt.engine.executor, "max_connections_per_query", value)),
+    "tracing": Variable(
+        _switch, "OFF",
+        lambda rt, value: setattr(rt.observability.tracer, "enabled", value == "ON")),
+    "slow_query_threshold_ms": Variable(
+        _number(float, 0, "a number of milliseconds >= 0"), 100.0,
+        lambda rt, value: setattr(rt.observability.slow_log, "threshold", value / 1000.0)),
+    "plan_cache": Variable(_switch, "ON", _apply_plan_cache),
+    "workload_analytics": Variable(
+        _switch, "ON",
+        lambda rt, value: setattr(rt.observability.workload, "enabled", value == "ON")),
+    "result_cache": Variable(_switch, "OFF", _apply_result_cache),
+}
+
+
+def _unknown_variable(name: str) -> DistSQLError:
+    return DistSQLError(
+        f"unknown variable {name!r}; known variables: {', '.join(sorted(VARIABLES))}")
 
 
 class ShardingRuntime:
@@ -72,13 +160,9 @@ class ShardingRuntime:
             bootstrap_rule,
             features=list(features),
             variables={
+                **{name: variable.default for name, variable in VARIABLES.items()},
                 "transaction_type": transaction_type.value,
                 "max_connections_per_query": max_connections_per_query,
-                "tracing": "OFF",
-                "slow_query_threshold_ms": self.observability.slow_log.threshold * 1000.0,
-                "plan_cache": "ON",
-                "workload_analytics": "ON",
-                "result_cache": "OFF",
             },
             config_center=self.config_center,
         )
@@ -119,6 +203,15 @@ class ShardingRuntime:
     @property
     def variables(self) -> dict[str, Any]:
         return dict(self.metadata.current().variables)
+
+    def variable(self, name: str) -> Any:
+        """One variable's current value (``SHOW VARIABLE``); an unknown
+        name raises as :meth:`set_variable` does."""
+        name = name.lower()
+        variables = self.metadata.current().variables
+        if name not in variables:
+            raise _unknown_variable(name)
+        return variables[name]
 
     def close(self) -> None:
         self.disable_cluster_mode()
@@ -231,47 +324,16 @@ class ShardingRuntime:
     # ------------------------------------------------------------------
 
     def set_variable(self, name: str, value: Any, persist: bool = True) -> None:
+        """Parse, apply, record and (unless replaying) persist one variable."""
         name = name.lower()
-        if name not in KNOWN_VARIABLES:
-            raise DistSQLError(
-                f"unknown variable {name!r}; known variables: "
-                f"{', '.join(sorted(KNOWN_VARIABLES))}"
-            )
-        if name == "transaction_type":
-            self.transaction_manager.set_type(str(value))
-            stored: Any = str(value).upper()
-        elif name == "max_connections_per_query":
-            count = int(value)
-            if count < 1:
-                raise DistSQLError("max_connections_per_query must be >= 1")
-            self.engine.executor.max_connections_per_query = count
-            stored = count
-        elif name == "tracing":
-            enabled = str(value).strip().lower() in ("1", "true", "on", "yes")
-            self.observability.tracer.enabled = enabled
-            stored = "ON" if enabled else "OFF"
-        elif name == "slow_query_threshold_ms":
-            millis = float(value)
-            if millis < 0:
-                raise DistSQLError("slow_query_threshold_ms must be >= 0")
-            self.observability.slow_log.threshold = millis / 1000.0
-            stored = millis
-        elif name == "workload_analytics":
-            enabled = str(value).strip().lower() in ("1", "true", "on", "yes")
-            self.observability.workload.enabled = enabled
-            stored = "ON" if enabled else "OFF"
-        elif name == "result_cache":
-            enabled = str(value).strip().lower() in ("1", "true", "on", "yes")
-            self.engine.result_cache.enabled = enabled
-            if not enabled:
-                self.engine.result_cache.clear("SET VARIABLE result_cache = off")
-            stored = "ON" if enabled else "OFF"
-        else:  # plan_cache
-            enabled = str(value).strip().lower() in ("1", "true", "on", "yes")
-            self.engine.plan_cache.enabled = enabled
-            if not enabled:
-                self.engine.plan_cache.invalidate("SET VARIABLE plan_cache = off")
-            stored = "ON" if enabled else "OFF"
+        variable = VARIABLES.get(name)
+        if variable is None:
+            raise _unknown_variable(name)
+        try:
+            stored = variable.parse(value)
+        except ValueError as exc:
+            raise DistSQLError(f"{name} accepts {exc}, not {value!r}") from None
+        variable.apply(self, stored)
         self.metadata.set_variable(name, stored)
         if persist:
             with self._publishing():
@@ -337,10 +399,10 @@ class ShardingRuntime:
             for name in self.config_center.rule_names(kind):
                 if self._apply_governor_rule(kind, name, self.config_center.load_rule(kind, name)):
                     applied += 1
-        for variable in sorted(KNOWN_VARIABLES):
-            value = self.config_center.get_prop(variable)
+        for name in VARIABLES:
+            value = self.config_center.get_prop(name)
             if value is not None:
-                self.set_variable(variable, value, persist=False)
+                self.set_variable(name, value, persist=False)
         return applied
 
     def _apply_governor_rule(self, kind: str, name: str, config: dict[str, Any]) -> bool:
@@ -498,7 +560,7 @@ class ShardingRuntime:
         if self._is_self_event() or event == "deleted":
             return
         name = path.rsplit("/", 1)[-1]
-        if name not in KNOWN_VARIABLES:
+        if name not in VARIABLES:
             return
         try:
             self.set_variable(name, value, persist=False)

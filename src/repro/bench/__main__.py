@@ -25,6 +25,7 @@ from ..baselines import (
     ShardingProxySystem,
     SingleNodeSystem,
 )
+from ..cache import CacheStats, hit_rate
 from ..transaction import TransactionType
 from .report import format_table, sysbench_row, tpcc_row
 from .runner import run_benchmark
@@ -171,35 +172,47 @@ def apply_workload_analytics(system, args: argparse.Namespace) -> None:
     observability.workload.enabled = not args.no_workload_analytics
 
 
+def _engine(system):
+    """The system's SQL engine, or None for systems without one."""
+    return getattr(getattr(system, "runtime", None), "engine", None)
+
+
 def _plan_cache_stats(system):
     """Current plan-cache counters, or None for systems without the engine."""
-    runtime = getattr(system, "runtime", None)
-    engine = getattr(runtime, "engine", None) if runtime is not None else None
-    plan_cache = getattr(engine, "plan_cache", None) if engine is not None else None
-    return plan_cache.stats() if plan_cache is not None else None
+    engine = _engine(system)
+    return engine.plan_cache.stats() if engine is not None else None
 
 
 def _result_cache_stats(system):
     """Current result-cache counters, or None for systems without the engine."""
-    runtime = getattr(system, "runtime", None)
-    engine = getattr(runtime, "engine", None) if runtime is not None else None
-    cache = getattr(engine, "result_cache", None) if engine is not None else None
-    return cache.stats() if cache is not None else None
+    engine = _engine(system)
+    return engine.result_cache.stats() if engine is not None else None
 
 
 def _storage_plan_stats(system):
     """Storage plan-cache counters summed across data sources, or None."""
-    runtime = getattr(system, "runtime", None)
-    sources = getattr(runtime, "data_sources", None) if runtime is not None else None
+    sources = getattr(getattr(system, "runtime", None), "data_sources", None)
     if not sources:
         return None
-    total = {"size": 0, "capacity": 0, "hits": 0, "misses": 0,
-             "bypasses": 0, "evictions": 0, "invalidations": 0}
+    total = dict.fromkeys(("size", "capacity", *CacheStats.COUNTERS), 0)
     for source in sources.values():
         stats = source.database.plan_cache.stats()
         for key in total:
             total[key] += stats[key]
     return total
+
+
+def _cache_report(title: str, after: dict, before: dict | None, keys: tuple[str, ...],
+                  shown: tuple[str, ...], size_key: str = "size") -> dict:
+    """One cache's counters over the run (``after`` minus ``before``): print
+    its line and return its payload entry."""
+    before = before or {}
+    delta = {key: after[key] - before.get(key, 0) for key in keys}
+    rate = hit_rate(delta["hits"], delta["misses"], delta.get("bypasses", 0))
+    counts = "".join(f"{key}={delta[key]}, " for key in shown)
+    print(f"{title}: hit rate {rate:.1%} ({counts}{size_key}={after[size_key]})")
+    return {**delta, size_key: after[size_key], "capacity": after["capacity"],
+            "hit_rate": round(rate, 4)}
 
 
 def print_profile_report(system, observability, measurement, args,
@@ -234,70 +247,20 @@ def print_profile_report(system, observability, measurement, args,
     if plan_after is not None:
         # Delta vs the pre-run snapshot so prepare-phase compiles/bypasses
         # (bulk INSERTs) don't dilute the measured hit rate.
-        before = plan_before or {}
-        delta = {
-            key: plan_after[key] - before.get(key, 0)
-            for key in ("hits", "misses", "bypasses", "evictions", "invalidations")
-        }
-        total = delta["hits"] + delta["misses"] + delta["bypasses"]
-        hit_rate = delta["hits"] / total if total else 0.0
-        payload["plan_cache"] = {
-            **delta,
-            "size": plan_after["size"],
-            "capacity": plan_after["capacity"],
-            "hit_rate": round(hit_rate, 4),
-        }
-        print(
-            f"plan cache: hit rate {hit_rate:.1%} "
-            f"(hits={delta['hits']}, misses={delta['misses']}, "
-            f"bypasses={delta['bypasses']}, size={plan_after['size']})"
-        )
+        payload["plan_cache"] = _cache_report(
+            "plan cache", plan_after, plan_before, CacheStats.COUNTERS,
+            ("hits", "misses", "bypasses"))
     storage_after = _storage_plan_stats(system)
     if storage_after is not None:
-        before = storage_before or {}
-        delta = {
-            key: storage_after[key] - before.get(key, 0)
-            for key in ("hits", "misses", "bypasses", "evictions", "invalidations")
-        }
-        total = delta["hits"] + delta["misses"] + delta["bypasses"]
-        hit_rate = delta["hits"] / total if total else 0.0
-        payload["storage_plan_cache"] = {
-            **delta,
-            "size": storage_after["size"],
-            "capacity": storage_after["capacity"],
-            "hit_rate": round(hit_rate, 4),
-        }
-        print(
-            f"storage plan cache: hit rate {hit_rate:.1%} "
-            f"(hits={delta['hits']}, misses={delta['misses']}, "
-            f"bypasses={delta['bypasses']}, "
-            f"invalidations={delta['invalidations']}, "
-            f"size={storage_after['size']})"
-        )
+        payload["storage_plan_cache"] = _cache_report(
+            "storage plan cache", storage_after, storage_before, CacheStats.COUNTERS,
+            ("hits", "misses", "bypasses", "invalidations"))
     cache_after = _result_cache_stats(system)
     if cache_after is not None and cache_after["enabled"]:
-        before = result_cache_before or {}
-        delta = {
-            key: cache_after[key] - before.get(key, 0)
-            for key in ("hits", "misses", "stores", "evictions",
-                        "invalidations", "causal_bypasses")
-        }
-        total = delta["hits"] + delta["misses"]
-        hit_rate = delta["hits"] / total if total else 0.0
-        payload["result_cache"] = {
-            **delta,
-            "entries": cache_after["entries"],
-            "capacity": cache_after["capacity"],
-            "hit_rate": round(hit_rate, 4),
-        }
-        print(
-            f"result cache: hit rate {hit_rate:.1%} "
-            f"(hits={delta['hits']}, misses={delta['misses']}, "
-            f"stores={delta['stores']}, "
-            f"invalidations={delta['invalidations']}, "
-            f"causal_bypasses={delta['causal_bypasses']}, "
-            f"entries={cache_after['entries']})"
-        )
+        payload["result_cache"] = _cache_report(
+            "result cache", cache_after, result_cache_before,
+            ("hits", "misses", "stores", "evictions", "invalidations", "causal_bypasses"),
+            ("hits", "misses", "stores", "invalidations", "causal_bypasses"), "entries")
     groups = getattr(system, "replica_groups", None)
     if groups:
         payload["replication"] = {

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any
 from ..exceptions import DistSQLError, ShardingConfigError
 from ..sharding import build_auto_table_rule
 from . import parser as p
-from .show import SHOW_FORMS, known_variable
+from .show import SHOW_FORMS
 
 if TYPE_CHECKING:
     from ..adaptors.runtime import ShardingRuntime
@@ -191,9 +191,8 @@ def _show(stmt: p.ShowStatement, runtime: ShardingRuntime) -> DistSQLResult:
 # ---------------------------------------------------------------------------
 
 def _set_variable(stmt: p.SetVariable, runtime: ShardingRuntime) -> DistSQLResult:
-    name = known_variable(stmt.name)
-    runtime.set_variable(name, stmt.value)
-    return DistSQLResult(message=f"{name} = {stmt.value}")
+    runtime.set_variable(stmt.name, stmt.value)
+    return DistSQLResult(message=f"{stmt.name.lower()} = {stmt.value}")
 
 
 def _preview(stmt: p.Preview, runtime: ShardingRuntime) -> DistSQLResult:

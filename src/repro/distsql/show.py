@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from ..exceptions import DistSQLError
-from ..metadata import KNOWN_VARIABLES
 from ..observability.metrics import Histogram, like_to_matcher
 from ..sharding import available_algorithms
 
@@ -37,13 +35,6 @@ class ShowForm(NamedTuple):
     #: "" (none), "LIKE" / "FOR" (optional ``<word> <value>``) or "NAME"
     #: (a required name)
     argument: str = ""
-
-
-def known_variable(name: str) -> str:
-    """The variable's canonical (lower-case) name; unknown names raise."""
-    if name.lower() not in KNOWN_VARIABLES:
-        raise DistSQLError(f"unknown variable {name!r}; known: {sorted(KNOWN_VARIABLES)}")
-    return name.lower()
 
 
 def _labels_text(labels: dict[str, str]) -> str:
@@ -171,13 +162,7 @@ def _slow_queries_by_digest(runtime: ShardingRuntime, _: str) -> Rows:
 def _plan_cache_message(runtime: ShardingRuntime, _: Rows) -> str:
     plan_cache = runtime.engine.plan_cache
     stats = plan_cache.stats()
-    message = (
-        f"{stats['size']}/{stats['capacity']} plans, "
-        f"hit rate {stats['hit_rate']:.1%} "
-        f"(hits={stats['hits']}, misses={stats['misses']}, "
-        f"bypasses={stats['bypasses']}, evictions={stats['evictions']}, "
-        f"invalidations={stats['invalidations']})"
-    )
+    message = plan_cache.summary(stats["size"], stats["capacity"], "plans")
     if not plan_cache.enabled:
         message += "; plan cache is DISABLED (SET VARIABLE plan_cache = on)"
     return message
@@ -242,12 +227,8 @@ def _replica_groups(runtime: ShardingRuntime) -> list[Any]:
 
 def _result_cache_message(runtime: ShardingRuntime, rows: Rows) -> str:
     stats = dict(rows)
-    message = (
-        f"{stats['entries']}/{stats['capacity']} entries, "
-        f"hit rate {stats['hit_rate']:.1%} "
-        f"(hits={stats['hits']}, misses={stats['misses']}, "
-        f"invalidations={stats['invalidations']})"
-    )
+    message = runtime.engine.result_cache.summary(
+        stats["entries"], stats["capacity"], "entries", "hits", "misses", "invalidations")
     if not stats["enabled"]:
         message += "; result cache is DISABLED (SET VARIABLE result_cache = on)"
     return message
@@ -268,11 +249,6 @@ def _sessions(runtime: ShardingRuntime, _: str) -> Rows:
         )
         for info in runtime.sessions.rows()
     ]
-
-
-def _variable(runtime: ShardingRuntime, name: str) -> Rows:
-    name = known_variable(name)
-    return [(name, runtime.variables.get(name))]
 
 
 #: every SHOW form, by subject
@@ -392,5 +368,8 @@ SHOW_FORMS: dict[str, ShowForm] = {form.subject: form for form in (
         "last_sql",
         _sessions, lambda rt, rows: f"{len(rows)} session(s)",
     ),
-    ShowForm("VARIABLE", "variable", "variable value", _variable, argument="NAME"),
+    ShowForm(
+        "VARIABLE", "variable", "variable value",
+        lambda rt, name: [(name.lower(), rt.variable(name))], argument="NAME",
+    ),
 )}

@@ -757,8 +757,6 @@ class ExecutionEngine:
         statements: Sequence[tuple[Any, Sequence[Any], bool]],
         held_connections: Mapping[str, Connection] | None = None,
         sources: Mapping[str, DataSource] | None = None,
-        trace: "Trace | None" = None,
-        parent_span: "Span | None" = None,
     ) -> list[Any]:
         """Fused transaction pipelining: run consecutive single-source
         statements through one connection checkout and one storage round
@@ -790,13 +788,6 @@ class ExecutionEngine:
         source = self._source(ds_name, sources)
         pinned = (held_connections or {}).get(ds_name)
         connection = pinned if pinned is not None else self._pool_acquire(source, deadline)
-        span: "Span | None" = None
-        if trace is not None:
-            span = trace.start_span(
-                "storage_pipeline", parent=parent_span,
-                data_source=ds_name, statements=len(statements),
-            )
-            connection.trace_span = span
         out: list[Any] = []
         try:
             raw = connection.execute_pipeline(
@@ -806,19 +797,13 @@ class ExecutionEngine:
                     out.append(MaterializedResult(list(res.columns), list(res.rows)))
                 else:
                     out.append(max(res.rowcount, 0))
-        except BaseException as exc:
+        except BaseException:
             self._record_outcome(ds_name, ok=False)
-            if span is not None:
-                span.finish(error=exc)
             raise
         finally:
-            if span is not None:
-                del connection.trace_span
             if pinned is None:
                 source.pool.release(connection)
         self._record_outcome(ds_name, ok=True)
-        if span is not None:
-            span.finish()
         self.metrics.statements += len(statements)
         self.metrics.pipeline_batches += 1
         self.metrics.pipelined_statements += len(statements)

@@ -49,7 +49,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..cache import LruCache
+from ..cache import CacheStats, LruCache
 from ..sharding import ShardingRule, ShardingValue
 from ..sql import ast, normalize
 from ..sql.formatter import format_statement
@@ -465,7 +465,7 @@ def _has_placeholder(*exprs: ast.Expression | None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class PlanCache:
+class PlanCache(CacheStats):
     """Bounded LRU of :class:`CompiledPlan` keyed by SQL text.
 
     The cache is additionally keyed by the *metadata plan epoch* (see
@@ -479,16 +479,11 @@ class PlanCache:
     """
 
     def __init__(self, capacity: int = 512):
+        super().__init__()
         self._cache: LruCache[str, CompiledPlan] = LruCache(capacity)
         self.enabled = True
         #: metadata plan epoch the cached plans were compiled under
         self.epoch = 0
-        # Counters are plain ints mutated under the GIL (lost updates are
-        # possible but benign, matching the executor's ExecutionMetrics).
-        self.hits = 0
-        self.misses = 0
-        self.bypasses = 0
-        self.invalidations = 0
         self.last_invalidation = ""
 
     def advance_epoch(self, epoch: int, reason: str) -> None:
@@ -521,7 +516,7 @@ class PlanCache:
                 self.advance_epoch(epoch, f"metadata plan epoch {epoch}")
             else:
                 return  # compiled against a superseded snapshot: drop
-        self._cache.put(plan.sql, plan)
+        self.evictions += self._cache.put(plan.sql, plan)
 
     def discard(self, sql: str) -> None:
         self._cache.discard(sql)
@@ -535,7 +530,7 @@ class PlanCache:
         demoted = self._cache.peek(sql)
         if demoted is not None:  # still the same text: same answers
             marker.param_count, marker.literal_safe = demoted.param_count, demoted.literal_safe
-        self._cache.put(sql, marker)
+        self.evictions += self._cache.put(sql, marker)
 
     def invalidate(self, reason: str) -> None:
         """Clear every plan (DDL / rule change / feature change)."""
@@ -546,23 +541,11 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._cache)
 
-    @property
-    def evictions(self) -> int:
-        return self._cache.evictions
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses + self.bypasses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict[str, Any]:
         return {
             "size": len(self._cache),
             "capacity": self._cache.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "bypasses": self.bypasses,
-            "evictions": self._cache.evictions,
-            "invalidations": self.invalidations,
+            **self.counters(),
             "hit_rate": self.hit_rate(),
             "epoch": self.epoch,
         }
@@ -578,20 +561,8 @@ class PlanCache:
     # -- metrics-registry collector (pull, like ExecutionMetrics) ---------
 
     def families(self) -> list[tuple[str, str, str, list[tuple[dict[str, str], float]]]]:
-        events = {
-            "hit": self.hits,
-            "miss": self.misses,
-            "bypass": self.bypasses,
-            "invalidation": self.invalidations,
-            "eviction": self._cache.evictions,
-        }
         return [
-            (
-                "engine_plan_cache_events_total",
-                "counter",
-                "plan cache events by kind",
-                [({"event": kind}, float(value)) for kind, value in events.items()],
-            ),
+            self.events_family("engine_plan_cache_events_total", "plan cache events by kind"),
             (
                 "engine_plan_cache_size",
                 "gauge",

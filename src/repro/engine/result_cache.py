@@ -32,6 +32,7 @@ from collections import OrderedDict
 from typing import Any, Hashable, Sequence
 
 from .. import clock
+from ..cache import CacheStats
 
 
 class _Entry:
@@ -46,11 +47,12 @@ class _Entry:
         self.causal = causal  # ((group_name, covered_lsn), ...)
 
 
-class ResultCache:
+class ResultCache(CacheStats):
     """Bounded LRU of materialized SELECT results with guarded lookups."""
 
     def __init__(self, capacity: int = 32768, ttl: float = 30.0,
                  max_rows: int = 128, single_flight_timeout: float = 0.05):
+        super().__init__()
         self.capacity = capacity
         self.ttl = ttl
         #: result sets larger than this are never cached (they are not
@@ -62,12 +64,8 @@ class ResultCache:
         self._lock = threading.Lock()
         #: in-flight loads: key -> Event set when the leader finishes
         self._loading: dict[Hashable, threading.Event] = {}
-        # counters (read by SHOW RESULT CACHE and bench --profile)
-        self.hits = 0
-        self.misses = 0
+        # counters beyond CacheStats' (read by SHOW RESULT CACHE and bench --profile)
         self.stores = 0
-        self.evictions = 0
-        self.invalidations = 0
         self.causal_bypasses = 0
         self.clears = 0
 
@@ -164,11 +162,6 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict[str, Any]:
         return {
             "enabled": self.enabled,
@@ -176,12 +169,10 @@ class ResultCache:
             "capacity": self.capacity,
             "ttl_s": self.ttl,
             "max_rows": self.max_rows,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 6),
+            **self.counters("hits", "misses"),
+            "hit_rate": round(self.hit_rate(), 6),
             "stores": self.stores,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
+            **self.counters("evictions", "invalidations"),
             "causal_bypasses": self.causal_bypasses,
             "clears": self.clears,
         }

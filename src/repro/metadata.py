@@ -41,21 +41,6 @@ if TYPE_CHECKING:
     from .sharding import TableRule
     from .storage import DataSource
 
-#: the session variables the runtime understands (DistSQL ``SET VARIABLE``);
-#: anything else is a typo and must fail loudly.
-KNOWN_VARIABLES = frozenset(
-    {
-        "transaction_type",
-        "max_connections_per_query",
-        "tracing",
-        "slow_query_threshold_ms",
-        "plan_cache",
-        "workload_analytics",
-        "result_cache",
-    }
-)
-
-
 def _hooks_route(feature: Any) -> bool:
     """Does ``feature`` override :meth:`Feature.on_route`?"""
     from .engine.pipeline import Feature  # the engine imports this module
@@ -402,4 +387,4 @@ class ContextManager:
         yield self._current
 
 
-__all__ = ["MetadataContext", "ContextManager", "KNOWN_VARIABLES"]
+__all__ = ["MetadataContext", "ContextManager"]

@@ -47,7 +47,7 @@ from functools import reduce
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from ..cache import LruCache
+from ..cache import CacheStats, LruCache
 from ..exceptions import ColumnNotFoundError, ExecutionError, UnsupportedSQLError
 from ..sql import ast
 from ..sql.formatter import format_expression
@@ -103,28 +103,16 @@ class StoragePlan:
         self.runner_many = runner_many
 
 
-class StoragePlanCache:
+class StoragePlanCache(CacheStats):
     """Bounded LRU of compiled storage plans for one database, keyed by
     the statement's ``storage_plan_key`` (rendered SQL text)."""
 
     def __init__(self, capacity: int = 512):
+        super().__init__()
         self._cache: LruCache[Any, StoragePlan] = LruCache(capacity)
-        self.hits = 0
-        self.misses = 0
-        self.bypasses = 0
-        self.invalidations = 0
 
     def stats(self) -> dict[str, Any]:
-        base = self._cache.stats()
-        return {
-            "size": base["size"],
-            "capacity": base["capacity"],
-            "hits": self.hits,
-            "misses": self.misses,
-            "bypasses": self.bypasses,
-            "evictions": base["evictions"],
-            "invalidations": self.invalidations,
-        }
+        return {"size": len(self._cache), "capacity": self._cache.capacity, **self.counters()}
 
     def clear(self) -> None:
         self._cache.clear()
@@ -132,21 +120,9 @@ class StoragePlanCache:
     def families(self, source: str = "-"):
         """Metric families for the observability registry."""
         labels = {"source": source}
-        events = {
-            "hit": self.hits,
-            "miss": self.misses,
-            "bypass": self.bypasses,
-            "invalidation": self.invalidations,
-            "eviction": self._cache.evictions,
-        }
         return [
-            (
-                "storage_plan_cache_events_total",
-                "counter",
-                "storage plan cache events by kind",
-                [({**labels, "event": kind}, float(value))
-                 for kind, value in events.items()],
-            ),
+            self.events_family("storage_plan_cache_events_total",
+                               "storage plan cache events by kind", labels),
             (
                 "storage_plan_cache_size",
                 "gauge",
@@ -260,7 +236,7 @@ def _find_or_compile(database: "Database",
     plan = compile_storage_plan(database, stmt)
     cache.misses += 1
     if key is not None and not (plan.kind == "insert" and plan.param_count == 0):
-        cache._cache.put(key, plan)
+        cache.evictions += cache._cache.put(key, plan)
         stmt.bound_plan = (database, epoch, plan)
     return plan, "miss"
 

@@ -14,7 +14,8 @@ from repro.adaptors import ShardingDataSource, ShardingRuntime
 from repro.distsql import execute_distsql
 from repro.engine import PlanCache, SQLEngine
 from repro.exceptions import DistSQLError, ShardingConfigError
-from repro.metadata import KNOWN_VARIABLES, ContextManager
+from repro.adaptors.runtime import VARIABLES
+from repro.metadata import ContextManager
 from repro.sharding import ShardingRule
 from repro.storage import DataSource
 
@@ -326,7 +327,7 @@ class TestGovernorPropReplay:
         # replay applies locally but must not churn the shared prop nodes
         assert runtime.config_center.get_prop("tracing") == "ON"
         rejoined.close()
-        assert KNOWN_VARIABLES  # sanity: the shared vocabulary is non-empty
+        assert VARIABLES  # sanity: the shared vocabulary is non-empty
         assert version_node is not None
 
 

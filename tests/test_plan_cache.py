@@ -23,6 +23,7 @@ from repro.observability import Observability
 from repro.sharding import ShardingRule
 from repro.sql import parse
 from repro.storage import DataSource
+from repro.storage.plans import StoragePlanCache
 
 
 def _compile(sql: str, rule) -> CompiledPlan:
@@ -557,6 +558,33 @@ class TestDistSQL:
         assert events["hit"] >= 1.0 and events["miss"] >= 1.0
         ((_, size),) = families["engine_plan_cache_size"]
         assert size >= 1.0
+
+
+class TestStoragePlanCacheMetrics:
+    def test_events_and_size_families(self):
+        source = DataSource("ds9")
+        source.database.plan_cache = StoragePlanCache(capacity=1)
+        observability = Observability()
+        observability.register_storage_plan_cache("ds9", source.database.plan_cache)
+        source.execute("CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR(16))")  # bypass
+        sql = "SELECT b FROM t WHERE a = 1"
+        source.execute(sql)  # miss
+        source.execute(sql)  # hit
+        source.execute("CREATE INDEX idx_b ON t (b)")  # bypass
+        source.execute(sql)  # invalidation (stale schema version), then a miss
+        source.execute("SELECT a FROM t WHERE b = 'x'")  # miss, evicting the first plan
+        families = {
+            name: (kind, samples)
+            for name, kind, _help, samples in observability.registry.collect()
+        }
+        assert families["storage_plan_cache_events_total"] == ("counter", [
+            ({"source": "ds9", "event": "hit"}, 1.0),
+            ({"source": "ds9", "event": "miss"}, 3.0),
+            ({"source": "ds9", "event": "bypass"}, 2.0),
+            ({"source": "ds9", "event": "invalidation"}, 1.0),
+            ({"source": "ds9", "event": "eviction"}, 1.0),
+        ])
+        assert families["storage_plan_cache_size"] == ("gauge", [({"source": "ds9"}, 1.0)])
 
 
 class TestPreparedStatement:
