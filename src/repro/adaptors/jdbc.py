@@ -10,13 +10,14 @@ connection is enough to both configure and use the sharded fleet.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..distsql import DISTSQL_VERBS, execute_distsql, is_distsql
 from ..engine.pipeline import EngineResult
 from ..exceptions import ConnectionClosedError, TransactionError, UnsupportedSQLError
 from ..session import SessionContext, activate
 from ..sql import ast, leading_words
+from ..storage import latency
 from ..transaction import DistributedTransaction
 from .runtime import ShardingRuntime
 
@@ -73,6 +74,8 @@ class ShardingConnection:
     statements. Every entry point activates the session, so the same
     connection driven from a proxy worker pool behaves identically to one
     driven by a dedicated thread.
+    Each one is also one session call: everything below it books its
+    priced windows in one scope, paid once on the way out (:meth:`_call`).
     """
 
     def __init__(self, runtime: ShardingRuntime,
@@ -91,9 +94,8 @@ class ShardingConnection:
     def close(self) -> None:
         if self._closed:
             return
-        if self._transaction is not None and not self._transaction.finished:
-            with activate(self.session):
-                self._transaction.rollback()
+        if self.in_transaction:
+            self.rollback()
         self._transaction = None
         self._closed = True
         self.session.in_transaction = False
@@ -119,7 +121,7 @@ class ShardingConnection:
         self._check_open()
         if self.in_transaction:
             raise TransactionError("transaction already in progress")
-        self._transaction = self.runtime.transaction_manager.begin()
+        self._transaction = self._call(self.runtime.transaction_manager.begin)
         self.session.in_transaction = True
 
     def commit(self) -> None:
@@ -127,8 +129,7 @@ class ShardingConnection:
         transaction = self._transaction
         if transaction is not None:
             try:
-                with activate(self.session):
-                    transaction.commit()
+                self._call(transaction.commit)
             finally:
                 self._transaction = None
                 self.session.in_transaction = False
@@ -140,8 +141,7 @@ class ShardingConnection:
         self._check_open()
         if self._transaction is not None:
             try:
-                with activate(self.session):
-                    self._transaction.rollback()
+                self._call(self._transaction.rollback)
             finally:
                 self._transaction = None
                 self.session.in_transaction = False
@@ -217,14 +217,36 @@ class ShardingConnection:
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ShardingResult:
         self._check_open()
-        # Resume this connection's session for the whole statement: any
-        # thread may drive this connection (proxy workers do), and causal
-        # tokens / pinning / guards must land on the session, not the
-        # thread.
-        with activate(self.session):
-            self.session.statements += 1
-            self.session.last_sql = sql
-            return self._execute_in_session(sql, params)
+        # :meth:`_call`, inline (the hot path). Any thread may drive this
+        # connection (proxy workers do): state lands on the session.
+        booked = latency.booking.get()
+        token = None if booked is not None else latency.booking.set(booked := latency.Booked())
+        try:
+            with activate(self.session):
+                self.session.statements += 1
+                self.session.last_sql = sql
+                return self._execute_in_session(sql, params)
+        finally:
+            booked.barrier = booked.ready_at
+            if token is not None:
+                latency.booking.reset(token)
+                if booked.ready_at:
+                    latency.pay(booked.priced, booked.ready_at)
+
+    def _call(self, verb: Callable[..., Any], *args: Any) -> Any:
+        """``verb(*args)`` as one session call: the session active, and one
+        scope open that pays what was booked under it on the way out."""
+        booked = latency.booking.get()
+        token = None if booked is not None else latency.booking.set(booked := latency.Booked())
+        try:
+            with activate(self.session):
+                return verb(*args)
+        finally:
+            booked.barrier = booked.ready_at
+            if token is not None:
+                latency.booking.reset(token)
+                if booked.ready_at:
+                    latency.pay(booked.priced, booked.ready_at)
 
     def _execute_in_session(self, sql: str, params: Sequence[Any]) -> ShardingResult:
         # Cheap leading-verb dispatch: DistSQL and control/session
@@ -295,20 +317,18 @@ class ShardingConnection:
                     "execute_pipeline only accepts plain SQL statements; "
                     f"route {verb or sql!r} through execute()"
                 )
-        with activate(self.session):
-            self.session.statements += len(statements)
-            if statements:
-                self.session.last_sql = statements[-1][0]
-            if self.in_transaction:
-                with self.session.pin():
-                    engine_results = self.runtime.engine.execute_pipeline(
-                        list(statements),
-                        held_connections=_PinnedConnections(self._transaction),
-                        hint_values=self.hint_values or None)
-            else:
-                engine_results = self.runtime.engine.execute_pipeline(
-                    list(statements), held_connections=None,
-                    hint_values=self.hint_values or None)
+        self.session.statements += len(statements)
+        if statements:
+            self.session.last_sql = statements[-1][0]
+        engine = self.runtime.engine
+        if self.in_transaction:
+            with self.session.pin():
+                engine_results = self._call(
+                    engine.execute_pipeline, list(statements),
+                    _PinnedConnections(self._transaction), self.hint_values or None)
+        else:
+            engine_results = self._call(
+                engine.execute_pipeline, list(statements), None, self.hint_values or None)
         return [self._wrap(engine_result) for engine_result in engine_results]
 
     def _wrap(self, engine_result: EngineResult) -> ShardingResult:

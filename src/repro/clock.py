@@ -18,9 +18,9 @@ A simulated wait should cost what it was priced. Linux gives every thread
 a 50 µs *timer slack*: each sleep may overrun by that much so the kernel
 can batch wake-ups, and on an otherwise idle core it always does — a 72 µs
 ``pay`` took 142 µs. Every thread that sleeps here is one whose own client
-waits for it: a session thread that issued a statement's units and awaits
-them, or a pool thread running a federated pull that its statement awaits
-(DESIGN.md "Issue and await"). So every sleeper's timers are made tight
+waits for it: a session thread paying, once, for what its call booked, or
+a direct caller of storage waiting for what it just issued (DESIGN.md
+"Issue and await"). So every sleeper's timers are made tight
 (1 ns) the first time it sleeps — one write to
 ``/proc/<tid>/timerslack_ns``, none after that. Where the file cannot be
 written (not Linux, a read-only ``/proc``) every thread keeps the slack it
@@ -51,23 +51,21 @@ _thread = threading.local()
 
 def sleep(seconds: float) -> None:
     """Block the calling thread for ``seconds``; zero or less returns at once."""
+    global _slack_file_works
     if seconds <= 0:
         return
+    # Inline, not a function: a session's one ``pay`` often finds its window
+    # over, so when a thread first really sleeps depends on the host, and
+    # that must not show in a count of Python calls.
     if not getattr(_thread, "tight", False):
-        _tighten_timers()
+        _thread.tight = True
+        if _slack_file_works:
+            try:  # os-level calls, not open(): 1.8 us instead of 7.4
+                fd = os.open(_SLACK_FILE % threading.get_native_id(), os.O_WRONLY)
+                try:
+                    os.write(fd, b"1")
+                finally:
+                    os.close(fd)
+            except OSError:
+                _slack_file_works = False
     time.sleep(seconds)
-
-
-def _tighten_timers() -> None:
-    # os-level calls, not open(): 1.8 us instead of 7.4
-    global _slack_file_works
-    _thread.tight = True
-    if _slack_file_works:
-        try:
-            fd = os.open(_SLACK_FILE % threading.get_native_id(), os.O_WRONLY)
-            try:
-                os.write(fd, b"1")
-            finally:
-                os.close(fd)
-        except OSError:
-            _slack_file_works = False

@@ -9,16 +9,17 @@ Balances data-source connections, memory and concurrency:
   MEMORY_STRICTLY (one connection per SQL, streaming cursors — stream
   merger).
 - Deadlock avoidance: when a statement needs several connections of one
-  source at once, the whole batch is acquired atomically under the data
-  source's acquisition lock; a single connection skips the lock.
+  source at once, the whole batch is taken atomically from the pool
+  (``ConnectionPool.try_acquire_many``, waiting on the pool's condition).
 - Every unit of a statement is issued by the calling thread, one
-  ``Connection.execute(..., wait=False)`` after the other, and awaited
-  together: the simulated I/O overlaps on the servers' timelines and the
-  statement sleeps once, for the window that ends last. A unit that shares
-  its connection — a transaction's pinned connection, one of a
-  connection-strictly group's MaxCon connections — is issued on a serial
-  *lane*: the connection starts it when the unit before it on the same
-  connection is done (DESIGN.md "Issue and await").
+  ``Connection.execute`` after the other, and its window booked: the
+  statement is one step of the session call's scope, so the simulated I/O
+  overlaps on the servers' timelines and the session boundary sleeps once,
+  for the window that ends last. A unit that shares its connection — a
+  transaction's pinned connection, one of a connection-strictly group's
+  MaxCon connections — is issued on a serial *lane*: the connection starts
+  it when the unit before it on the same connection is done (DESIGN.md
+  "Issue and await").
 
 Resilience (opt-in via :class:`ResiliencePolicy`):
 
@@ -53,7 +54,7 @@ from ..exceptions import (
     DeadlineExceededError,
     ExecutionError,
 )
-from ..storage import Connection, DataSource
+from ..storage import Connection, DataSource, latency
 from .merger import MaterializedResult, ShardResult
 from .resilience import BreakerRegistry, ResiliencePolicy
 from .rewriter import ExecutionUnit
@@ -283,14 +284,17 @@ class ExecutionEngine:
         # and await").
         direct = spans is None and self.resilience is None
         obs = self.observability
+        # a step of the open scope, or the outermost (latency.Booked, inline)
+        booked = latency.booking.get()
+        token = None if booked is not None else latency.booking.set(booked := latency.Booked())
 
         groups: dict[str, list[ExecutionUnit]] = {}
         for unit in units:
             groups.setdefault(unit.data_source, []).append(unit)
 
         # -- fan-out ---------------------------------------------------------
-        # Every unit is issued right here and awaited together below
-        # (DESIGN.md "Issue and await"). A memory-strictly group has one
+        # Every unit is issued and booked right here, and its rows exist at
+        # once (DESIGN.md "Issue and await"). A memory-strictly group has one
         # connection per unit. A pinned group, or a connection-strictly
         # group's MaxCon connections, are serial lanes: each unit goes to
         # the lane whose last window ends first, and the connection starts
@@ -299,10 +303,6 @@ class ExecutionEngine:
         source_errors: dict[str, BaseException] = {}
         #: (source name, source, connections, streamed) of every pool batch
         batches: list[tuple[str, DataSource, list[Connection], bool]] = []
-        #: (unit, cursor, span, t0, done_at, stream) of every issued unit;
-        #: the two instants are for ``heat`` and 0.0 without it
-        issued: list[tuple[ExecutionUnit, Any, "Span | None", float, float, bool]] = []
-        latest = None  # the issued cursor whose window ends last
         try:
             for ds_name, group in groups.items():
                 pinned = (held_connections or {}).get(ds_name)
@@ -341,8 +341,7 @@ class ExecutionEngine:
                     t0 = clock.now() if heat is not None else 0.0
                     try:
                         if direct:
-                            cursor = connections[index].execute(
-                                unit.statement, unit.params, False)
+                            cursor = connections[index].execute(unit.statement, unit.params)
                         elif source is None:
                             cursor = self._run_attempts(
                                 ds_name, lambda: self._traced(pinned, unit, span),
@@ -359,32 +358,19 @@ class ExecutionEngine:
                             break  # a lane stops at its first error
                         continue
                     answered += 1
-                    # heat gets issue-to-ready: what the unit cost, not how
-                    # long the statement took to come back for it
-                    issued.append((unit, cursor, span, t0,
-                                   max(cursor.ready_at, clock.now()) if heat is not None else 0.0,
-                                   not lanes))
-                    if latest is None or cursor.ready_at > latest.ready_at:
-                        latest = cursor
+                    try:
+                        slots[id(unit)] = self._unit_done(
+                            unit, cursor, is_query, span, heat, t0, stream=not lanes)
+                    except BaseException as exc:
+                        source_errors.setdefault(ds_name, exc)
                 if direct and obs is not None and answered:
                     obs.on_source_attempt(ds_name, True, answered)
         finally:
-            # nothing is merged, released or raised before every issued
-            # unit's priced time has passed; the latest window is waited for
-            # first, so every other wait finds its window over
-            if latest is not None:
-                latest.wait()
-            for _unit, cursor, span, *_ in issued:
-                if cursor is not latest:
-                    cursor.wait()
-                if span is not None:
-                    span.finish()
-        for unit, cursor, span, t0, done_at, stream in issued:
-            try:
-                slots[id(unit)] = self._unit_done(
-                    unit, cursor, is_query, span, heat, t0, stream=stream, done_at=done_at)
-            except BaseException as exc:
-                source_errors.setdefault(unit.data_source, exc)
+            booked.barrier = booked.ready_at  # the next step starts after this one
+            if token is not None:  # nothing is merged, released or raised unpaid
+                latency.booking.reset(token)
+                if booked.ready_at:
+                    latency.pay(booked.priced, booked.ready_at)
 
         # streamed results outlive the statement; every other batch, and the
         # batch of a source that failed, goes back now
@@ -537,16 +523,16 @@ class ExecutionEngine:
     def _traced(connection: Connection, unit: ExecutionUnit, span: "Span | None") -> Any:
         """Issue one unit, lending the span to the connection meanwhile.
 
-        The connection attributes latency-model sleeps and lock waits to
-        ``trace_span`` while it is set (an issued cursor takes the span
-        along for its own wait); clearing it restores the class default
-        (None), keeping untraced connections attribute-free.
+        The connection attributes priced time and lock waits to
+        ``trace_span`` while it is set, when it books the unit's window;
+        clearing it restores the class default (None), keeping untraced
+        connections attribute-free.
         """
         if span is None:
-            return connection.execute(unit.statement, unit.params, False)
+            return connection.execute(unit.statement, unit.params)
         connection.trace_span = span
         try:
-            return connection.execute(unit.statement, unit.params, False)
+            return connection.execute(unit.statement, unit.params)
         finally:
             del connection.trace_span
 
@@ -569,7 +555,7 @@ class ExecutionEngine:
         the unit's storage span, when present, and a final ``retries``
         attribute; a terminal failure closes the span with the error
         attached. A success leaves it open: the unit was only issued and
-        its span ends when it has been waited for.
+        its span ends at its window's end.
         """
         policy = self.resilience
         attempt_no = 0
@@ -642,16 +628,15 @@ class ExecutionEngine:
         heat: Any,
         t0: float,
         stream: bool = False,
-        done_at: float = 0.0,
     ) -> Any:
         """What every execution path does once a unit's cursor is back.
 
         Returns the unit's outcome — the update count for a write, a
         :class:`ShardResult` for a query — after noting the row count on
-        the unit's storage span and reporting wall time (``t0`` to now, or
-        to ``done_at`` for a unit that was done before anybody came back
-        for it), cursor and rows to the workload ``heat`` sample. With
-        ``stream`` an untraced
+        the unit's storage span, ending the span with the unit's window,
+        and reporting wall time from ``t0`` to the window's end (what the
+        unit cost, not when the statement came back for it), cursor and
+        rows to the workload ``heat`` sample. With ``stream`` an untraced
         query hands back the live cursor (stream merger): its row count
         is unknown (-1) until the caller drains the merged iterator, and
         the row sink fills it in. Everything else is memory-loaded here;
@@ -667,8 +652,9 @@ class ExecutionEngine:
             out, rows = MaterializedResult(cursor.columns, fetched), len(fetched)
         if span is not None:
             span.attributes["rows"] = rows
+            span.finish(until=cursor.ready_at)
         if heat is not None:
-            heat.unit_done(unit, (done_at or clock.now()) - t0, cursor, rows)
+            heat.unit_done(unit, (cursor.ready_at or clock.now()) - t0, cursor, rows)
         return out
 
     def _run_on_batch(
@@ -683,8 +669,8 @@ class ExecutionEngine:
     ) -> Any:
         """Issue one unit on a pre-acquired connection of its group's batch,
         ``connections[index]`` — replaced in the batch when a fault closed
-        it — under the retry loop. The cursor comes back issued, not waited
-        for, and the span still open."""
+        it — under the retry loop. The cursor comes back issued and booked,
+        and the span still open."""
 
         def attempt() -> Any:
             if connections[index].closed:
@@ -723,29 +709,23 @@ class ExecutionEngine:
     ) -> list[Connection]:
         """Atomically acquire ``count`` connections (deadlock avoidance).
 
-        A single connection skips the lock entirely (two queries cannot
-        wait on each other over one connection each). When the resilience
-        policy set a statement ``deadline``, the wait is capped by the
-        remaining budget instead of always blocking the full default —
-        a statement out of time reports :class:`DeadlineExceededError`
-        promptly rather than sitting on an exhausted pool for 10 s.
+        A single connection is a plain acquire (two queries cannot wait on
+        each other over one connection each). When the resilience policy
+        set a statement ``deadline``, the wait is capped by the remaining
+        budget instead of always blocking the full default — a statement
+        out of time reports :class:`DeadlineExceededError` promptly rather
+        than sitting on an exhausted pool for 10 s.
         """
         if count == 1:
             return [self._pool_acquire(source, deadline, timeout)]
         if deadline is not None:
             timeout = min(timeout, max(0.0, deadline - clock.now()))
-        acquire_by = clock.now() + timeout
-        while True:
-            with source.acquisition_lock:
-                batch = source.pool.try_acquire_many(count)
-            if batch is not None:
-                return batch
-            if clock.now() >= acquire_by:
-                self._check_deadline(deadline, source.name)
-                raise ExecutionError(
-                    f"could not atomically acquire {count} connections from {source.name!r}"
-                )
-            clock.sleep(0.001)
+        batch = source.pool.try_acquire_many(count, timeout)
+        if batch is None:
+            self._check_deadline(deadline, source.name)
+            raise ExecutionError(
+                f"could not atomically acquire {count} connections from {source.name!r}")
+        return batch
 
     # ------------------------------------------------------------------
     # Statement pipelining

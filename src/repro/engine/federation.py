@@ -49,7 +49,7 @@ def federate_select(
     Every data node of every referenced table is one pull, ``SELECT * FROM
     <actual> [alias] WHERE <pushdown>``, and all of them are the units of
     one :meth:`ExecutionEngine.execute` call: issued by the calling thread
-    and awaited once, on the open transaction's connections
+    and booked as one step, on the open transaction's connections
     (``held_connections``), under the same breakers, health check,
     deadline and trace (``parent_span``) as any other statement's units.
     ``snap`` pins the statement to one metadata snapshot (rule + data

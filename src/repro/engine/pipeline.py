@@ -20,7 +20,7 @@ from ..metadata import ContextManager, MetadataContext
 from ..sharding import ShardingRule
 from ..sql import ast, leading_words, normalize, parse
 from ..sql.formatter import format_statement
-from ..storage import Connection, DataSource
+from ..storage import Connection, DataSource, latency
 from ..session import current_session
 from ..storage.replication import primary_pinned, session_token
 from .context import StatementContext, build_context
@@ -167,13 +167,13 @@ class _Statement:
             self.span = self.trace.start_span(stage, metadata_version=self.snap.version)
         self.t0 = clock.now()
 
-    def end(self, **attributes: Any) -> None:
-        """Close the open stage, noting ``attributes`` on its span."""
-        self.stages[self.stage] = clock.now() - self.t0
+    def end(self, until: float = 0.0, **attributes: Any) -> None:
+        """Close the open stage (at ``until``, what it booked, if later)."""
+        self.stages[self.stage] = max(clock.now(), until) - self.t0
         span, self.span = self.span, None
         if span is not None:
             span.attributes.update(attributes)
-            span.finish()
+            span.finish(until=until)
 
 
 class SQLEngine:
@@ -348,7 +348,7 @@ class SQLEngine:
                 root.attributes["skipped_sources"] = ",".join(result.skipped_sources)
             if st.reroutes:
                 root.attributes["reroutes"] = st.reroutes
-            trace.finish()
+            trace.finish(until=latency.now())  # ends with what it booked
             observability.record_trace(trace)
             result.trace = trace
         return result
@@ -423,14 +423,14 @@ class SQLEngine:
         if not pending:
             return
         ds_name = pending[0].units[0].data_source
-        t0 = clock.now()
+        t0 = latency.now()
         outs = self.executor.execute_pipeline(
             ds_name,
             [(st.units[0].statement, st.units[0].params, st.is_query) for st in pending],
             pending[0].held,
             sources=pending[0].snap.data_sources,
         )
-        per_statement = (clock.now() - t0) / len(pending)
+        per_statement = (latency.now() - t0) / len(pending)
         for st, out in zip(pending, outs):
             st.execution = execution = ExecutionResult(
                 modes={ds_name: ConnectionMode.CONNECTION_STRICTLY})
@@ -675,11 +675,11 @@ class SQLEngine:
                 sources=st.snap.data_sources,
                 heat=st.heat,
             )
-        if st.weight:
+        if st.weight:  # the stage ends with what it booked
             if st.execution.partial_results:
-                st.end(partial=True)
+                st.end(latency.now(), partial=True)
             else:
-                st.end()
+                st.end(latency.now())
 
     def _finish(self, st: _Statement) -> EngineResult:
         """Back half of the lifecycle: merge, build the

@@ -5,7 +5,7 @@ the SQL engine: a root ``statement`` span with children for ``parse``,
 ``route``, ``rewrite``, one ``storage`` span per execution unit, and
 ``merge``. Storage spans carry the data source, connection mode, rewritten
 SQL and retry history, and they separate *wall* time (what the client
-waited) from *simulated* time (the latency model's priced sleeps), *lock
+waited) from *simulated* time (the latency model's priced time), *lock
 wait* (time blocked acquiring table/database/I-O locks) and *pay
 overshoot* (how much longer than priced those sleeps really took) — so a
 benchmark can attribute cost to middleware CPU vs. storage I/O per query.
@@ -28,11 +28,11 @@ from .. import clock
 class Span:
     """One timed operation inside a trace.
 
-    Wall time is measured with ``clock.now``; simulated time,
-    lock waits and sleep overshoot are *reported* by the storage layer via
-    :meth:`record_simulated` / :meth:`record_lock_wait` /
-    :meth:`record_pay_overshoot` (the connection carries the span while it
-    executes, see ``Connection.trace_span``).
+    Wall time is measured with ``clock.now``, to the end of what the span
+    booked; simulated time, lock waits and sleep overshoot are *reported*
+    by the storage layer via :meth:`record_simulated` /
+    :meth:`record_lock_wait` / :meth:`record_pay_overshoot` (the connection
+    carries the span while it executes, see ``Connection.trace_span``).
     A span is owned by one thread at a time, so its mutators need no lock.
     """
 
@@ -74,9 +74,10 @@ class Span:
 
     # -- lifecycle -------------------------------------------------------
 
-    def finish(self, error: BaseException | None = None) -> "Span":
+    def finish(self, error: BaseException | None = None, until: float = 0.0) -> "Span":
+        """End the span now, or at ``until`` (what it booked) if later."""
         if self.end is None:
-            self.end = clock.now()
+            self.end = max(clock.now(), until)
         if error is not None and self.error is None:
             self.error = f"{type(error).__name__}: {error}"
         return self
@@ -146,9 +147,9 @@ class Trace:
             self.spans.append(span)
         return span
 
-    def finish(self, error: BaseException | None = None) -> "Trace":
-        """Close the root (and any straggler spans) and record the trace."""
-        self.root.finish(error=error)
+    def finish(self, error: BaseException | None = None, until: float = 0.0) -> "Trace":
+        """Close the root (see :meth:`Span.finish`) and any stragglers."""
+        self.root.finish(error, until)
         if error is not None:
             self.error = self.root.error
         with self._lock:

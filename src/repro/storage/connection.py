@@ -10,16 +10,17 @@ by the underlying data source. Our engine implements statement-atomic
 writes with undo-based rollback (roughly READ COMMITTED without MVCC);
 that is sufficient for every behaviour the paper measures.
 
-A statement is *issued* — run, priced, its I/O window booked on the
-server's timeline behind this connection's last one — then *waited for*.
-Below the public verbs nothing waits: ``_run`` returns the price as
-``QueryResult.cost`` and what must pass before the I/O starts (a latency
-spike, a commit, a network hop) as ``QueryResult.delay``;
-:meth:`Cursor.execute` books both and waits unless ``wait=False``, which is
-what lets the execution engine issue a fan-out from one thread and sleep
-once (DESIGN.md "Issue and await"). ``commit``, ``xa_prepare`` and
-``xa_commit`` return their window ``(priced, ready_at)`` and pay it unless
-``wait=False``. Nothing here sleeps holding a lock.
+A statement is *issued* — run, priced, its I/O window reserved on the
+server's timeline behind this connection's last one — and its window is
+*booked* in the open scope (:mod:`repro.storage.latency`). ``_run``
+returns the price as ``QueryResult.cost`` and what must pass before the
+I/O starts (a latency spike, a commit, a network hop) as
+``QueryResult.delay``; :meth:`Cursor.execute` reserves and books both.
+``commit``, ``xa_prepare`` and ``xa_commit`` book their window
+``(priced, ready_at)`` and return it. With no scope open a booking is paid
+at once, so a direct caller blocks as before; through a session the
+boundary pays once (DESIGN.md "Issue and await"). Nothing here sleeps
+holding a lock.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..exceptions import (
 )
 from ..sql import ast, parse
 from .executor import QueryResult
-from .latency import pay
+from .latency import book, booking, now, pay, step
 from .plans import execute_planned, execute_planned_many
 from .transaction import Transaction, commit_prepared, rollback_prepared
 
@@ -49,21 +50,6 @@ if TYPE_CHECKING:
 _connection_ids = itertools.count(1)
 
 
-def _pay_traced(amount: float, ready_at: float, asked: float, span: Any) -> None:
-    """``pay(amount, ready_at)`` for a traced statement: the same wait, and
-    the wall time split three ways on ``span`` — the priced amount, the
-    queueing behind earlier reservations (the window, reserved at
-    ``asked``, started later than that), and how far the sleep ran past
-    the window's end: nothing, for a window that was over before anybody
-    slept for it."""
-    before = clock.now()
-    pay(amount, ready_at)
-    span.record_simulated(amount)
-    span.record_lock_wait(ready_at - amount - asked)
-    if before < ready_at:
-        span.record_pay_overshoot(clock.now() - ready_at)
-
-
 class Connection:
     """A session against one data source.
 
@@ -73,12 +59,12 @@ class Connection:
     """
 
     #: trace context handed down by the execution engine for the duration
-    #: of one statement: latency-model sleeps and lock waits in ``_run``
-    #: are attributed to this span (class default None = not traced)
+    #: of one statement: priced time and lock waits are attributed to this
+    #: span when booked (class default None = not traced)
     trace_span = None
     #: ``clock.now()`` instant at which the last window booked here ends. A
     #: connection runs one statement at a time, so the next one booked
-    #: starts no earlier, blocking or not.
+    #: starts no earlier — also after the pool handed it to someone else.
     free_at = 0.0
 
     def __init__(self, data_source: "DataSource"):
@@ -130,10 +116,12 @@ class Connection:
             self._transaction = Transaction(self.database)
             self.autocommit = False
 
-    def commit(self, wait: bool = True) -> tuple[float, float] | None:
-        """Commit the open transaction (if any). Returns the commit's window
-        ``(priced, ready_at)``; with ``wait`` it is paid before returning —
-        outside this connection's lock — without, the caller pays it."""
+    def commit(self) -> tuple[float, float] | None:
+        """Commit the open transaction (if any); books and returns the
+        commit's window ``(priced, ready_at)``."""
+        return self._book(self._commit())
+
+    def _commit(self) -> tuple[float, float] | None:
         self._check_open()
         window = None
         with self._lock:
@@ -141,8 +129,13 @@ class Connection:
                 window = self._transaction.commit()
                 self._transaction = None
             self.autocommit = True
-        if wait and window is not None:
-            pay(*window)
+        return window
+
+    def _book(self, window: tuple[float, float] | None) -> tuple[float, float] | None:
+        """Book a transaction-end ``window``; the connection is busy until it ends."""
+        if window is not None:
+            self.free_at = max(self.free_at, window[1])
+            book(*window)
         return window
 
     def rollback(self) -> None:
@@ -155,10 +148,10 @@ class Connection:
 
     # -- XA verbs ---------------------------------------------------------------
 
-    def xa_prepare(self, xid: str, wait: bool = True) -> tuple[float, float] | None:
+    def xa_prepare(self, xid: str) -> tuple[float, float] | None:
         """2PC phase 1: park the open transaction as prepared under xid.
 
-        Returns the window of the prepare's log write, paid as by
+        Returns the window of the prepare's log write, booked as by
         :meth:`commit`. None is the XA read-only vote: the branch wrote
         nothing, so there is nothing to log or to park, the branch ends here
         and must be left out of phase 2.
@@ -172,17 +165,12 @@ class Connection:
                 window = transaction.prepare(xid)
             self._transaction = None
             self.autocommit = True
-        if wait and window is not None:
-            pay(*window)
-        return window
+        return self._book(window)
 
-    def xa_commit(self, xid: str, wait: bool = True) -> tuple[float, float] | None:
+    def xa_commit(self, xid: str) -> tuple[float, float] | None:
         """2PC phase 2: commit the branch parked under xid; the window is
-        returned and paid as by :meth:`commit`."""
-        window = commit_prepared(self.database, xid)
-        if wait and window is not None:
-            pay(*window)
-        return window
+        booked and returned as by :meth:`commit`."""
+        return self._book(commit_prepared(self.database, xid))
 
     def xa_rollback(self, xid: str) -> None:
         rollback_prepared(self.database, xid)
@@ -193,22 +181,20 @@ class Connection:
         self._check_open()
         return Cursor(self)
 
-    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = (),
-                wait: bool = True) -> "Cursor":
-        """Convenience: open a cursor and execute on it (``wait=False``:
-        issue only, see :meth:`Cursor.execute`)."""
-        return Cursor(self).execute(sql, params, wait)
+    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = ()) -> "Cursor":
+        """Convenience: open a cursor and execute on it."""
+        return Cursor(self).execute(sql, params)
 
     def _run(self, stmt: ast.Statement, params: Sequence[Any]) -> QueryResult:
         """Issue one statement: admit, run and price it. Nothing in here
-        waits: the caller books ``result.cost`` behind ``result.delay``."""
+        books: the caller books ``result.cost`` behind ``result.delay``."""
         if self.closed:
             raise ConnectionClosedError("connection is closed")
         if isinstance(stmt, ast.BeginStatement):
             self.begin()
             return QueryResult(rowcount=0)
         if isinstance(stmt, ast.CommitStatement):
-            window = self.commit(False)
+            window = self._commit()
             return QueryResult(rowcount=0, delay=window[0] if window else 0.0)
         if isinstance(stmt, ast.RollbackStatement):
             self.rollback()
@@ -286,8 +272,9 @@ class Connection:
         are those of running them serially; what changes is the payment
         (:meth:`_settle`): write I/O is coalesced per written table, cut at
         every COMMIT/ROLLBACK so write-before-fsync ordering holds, and the
-        batch waits once. On a mid-batch error, what ran so far is paid and
-        the exception propagates; earlier statements' effects stand.
+        batch is booked as one step. On a mid-batch error, what ran so far
+        is booked and the exception propagates; earlier statements' effects
+        stand.
         """
         self._check_open()
         results: list[QueryResult] = []
@@ -309,14 +296,15 @@ class Connection:
         return results
 
     def _settle(self, batches: list[list[QueryResult]]) -> None:
-        """Book what run statements owe, one window after another behind
-        this connection's last, and wait once, for the last window. Per
-        batch, write I/O is coalesced to **one charge per written table**
-        (group commit: one dirty-page flush per table), booked behind that
-        table's earlier writes; the reads are summed into one charge, booked
-        first and behind the statements' delays.
+        """Reserve what run statements owe, one window after another behind
+        this connection's last and the open scope's barrier, and book them
+        as one :func:`step`. Per batch, write I/O is coalesced to **one
+        charge per written table** (group commit: one dirty-page flush per
+        table), reserved behind that table's earlier writes; the reads are
+        summed into one charge, reserved first and behind the statements'
+        delays.
         """
-        asked = clock.now()
+        asked = now()
         timeline = self.data_source.io_timeline
         owed = 0.0
         for batch in batches:
@@ -331,17 +319,12 @@ class Connection:
             delay = sum(result.delay for result in batch)
             for table, (non_io, io) in charges.items():
                 owed += non_io + io + delay
-                now = clock.now()
-                if self.free_at > now:  # behind this connection's last window
-                    delay += self.free_at - now
+                after = max(self.free_at, asked)  # behind the last window
+                delay += max(after - clock.now(), 0.0)
                 self.free_at = timeline.reserve(non_io + io, table, delay)
                 delay = 0.0
         if owed > 0:
-            span = self.trace_span
-            if span is None:
-                pay(owed, self.free_at)
-            else:
-                _pay_traced(owed, self.free_at, asked, span)
+            step(owed, self.free_at)
 
     def _run_many(self, stmt: ast.Statement,
                   seq_of_params: Sequence[Sequence[Any]]) -> QueryResult:
@@ -380,10 +363,6 @@ class Cursor:
     #: ``clock.now()`` instant at which the last statement's I/O window
     #: ends (0.0: it cost nothing)
     ready_at = 0.0
-    #: what an issued statement still has to wait for, to ``ready_at``:
-    #: ``(seconds priced, when the window was reserved, trace span)``; None
-    #: once waited for, and so always after a blocking ``execute``
-    _pending: tuple[float, float, Any] | None = None
 
     def __init__(self, connection: Connection):
         self.connection = connection
@@ -409,13 +388,11 @@ class Cursor:
 
     # -- execution ----------------------------------------------------------------
 
-    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = (),
-                wait: bool = True) -> "Cursor":
-        """Run one statement: issue it — run, price, book its I/O window
-        behind this connection's last — then :meth:`wait` for the window.
-        With ``wait=False`` it returns at once, and :meth:`wait` (or the
-        first fetch) sleeps to the window's end later, so no caller reads a
-        result before its priced time."""
+    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = ()) -> "Cursor":
+        """Run one statement: issue it — run and price it, reserve its I/O
+        window behind this connection's last and the open scope's barrier
+        — and book the window (:func:`~repro.storage.latency.book`, inline:
+        this is the hot path). With no scope open it is paid here."""
         if self._closed:
             raise ConnectionClosedError("cursor is closed")
         if isinstance(sql, str):
@@ -428,37 +405,37 @@ class Cursor:
         connection = self.connection
         self._result = result = connection._run(stmt, params)
         self._rows = iter(result.rows)
-        if (owed := result.cost + result.delay) > 0:
-            asked = clock.now()
-            delay = result.delay
-            if connection.free_at > asked:  # behind this connection's last window
-                delay += connection.free_at - asked
-            self.ready_at = connection.free_at = connection.data_source.io_timeline.reserve(
-                result.cost, result.written_table, delay)
-            self._pending = (owed, asked, connection.trace_span)
-            if wait:
-                self.wait()
-        elif self.ready_at:  # a cursor used again after an issued statement
-            self._pending, self.ready_at = None, 0.0
+        if (owed := result.cost + result.delay) <= 0:
+            self.ready_at = 0.0
+            return self
+        booked = booking.get()
+        issued = clock.now()
+        # after the session call's last step, and behind this connection's last window
+        asked = issued if booked is None else max(issued, booked.barrier)
+        after = max(connection.free_at, asked)
+        self.ready_at = connection.free_at = ready_at = connection.data_source.io_timeline.reserve(
+            result.cost, result.written_table, result.delay + after - issued)
+        span = connection.trace_span
+        if span is not None:
+            # the price, and the queueing behind windows reserved earlier
+            span.record_simulated(owed)
+            span.record_lock_wait(ready_at - owed - asked)
+        if booked is not None:
+            booked.priced += owed
+            booked.ready_at = max(booked.ready_at, ready_at)
+            return self
+        pay(owed, ready_at)  # no scope open: the caller blocks here
+        if span is not None and ready_at > issued:
+            span.record_pay_overshoot(clock.now() - ready_at)
         return self
-
-    def wait(self) -> None:
-        """Sleep until an issued statement's I/O is done (at most once; a
-        no-op after a blocking ``execute``)."""
-        if self._pending is not None:
-            (owed, asked, span), self._pending = self._pending, None
-            if span is None:
-                pay(owed, self.ready_at)
-            else:
-                _pay_traced(owed, self.ready_at, asked, span)
 
     def executemany(self, sql: str | ast.Statement, seq_of_params: Sequence[Sequence[Any]]) -> "Cursor":
         """Execute once per parameter row, parsing/planning only once.
 
         DML bindings run as one batched plan invocation: a single lock
         acquisition, one (implicit) transaction and one coalesced
-        write-I/O charge (see :meth:`Connection._run_many`), booked and
-        waited for as one window. Reports the cumulative rowcount across
+        write-I/O charge (see :meth:`Connection._run_many`), booked as one
+        window. Reports the cumulative rowcount across
         all bindings (DB-API semantics).
         """
         if self._closed:
@@ -471,31 +448,22 @@ class Cursor:
         connection = self.connection
         self._result = result = connection._run_many(stmt, seq_of_params)
         self._rows = iter(result.rows)
-        self._pending = None
         connection._settle([[result]])
         return self
 
     # -- fetching ---------------------------------------------------------------------
 
     def fetchone(self) -> tuple[Any, ...] | None:
-        if self._pending is not None:
-            self.wait()
         return next(self._rows, None)
 
     def fetchmany(self, size: int | None = None) -> list[tuple[Any, ...]]:
-        if self._pending is not None:
-            self.wait()
         limit = size if size is not None else self.arraysize
         return list(itertools.islice(self._rows, limit))
 
     def fetchall(self) -> list[tuple[Any, ...]]:
-        if self._pending is not None:
-            self.wait()
         return list(self._rows)
 
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        if self._pending is not None:
-            self.wait()
         return self._rows
 
     def close(self) -> None:

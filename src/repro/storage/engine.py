@@ -9,7 +9,6 @@ stands in for the client<->server network distance; it is what makes
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..sql import ast
@@ -18,7 +17,7 @@ from .connection import Connection
 from .database import Database
 # Nothing here calls ``pay`` (a networked statement's hop is part of its
 # window); the name stays bound because benchmarks/perf/tracing.py wraps
-# ``pay`` by name in this module too.
+# ``pay`` by name in this module, in ``connection`` and in ``latency``.
 from .latency import IOTimeline, LatencyModel, pay  # noqa: F401
 from .pool import ConnectionPool
 
@@ -49,9 +48,6 @@ class DataSource:
         # physically true in the simulation.
         self.io_channels = io_channels
         self.io_timeline = IOTimeline(io_channels)
-        # Lock used by the automatic execution engine for atomic multi-
-        # connection acquisition (deadlock avoidance, Section VI-D).
-        self.acquisition_lock = threading.Lock()
         # -- replica-group role (see repro.storage.replication) --------
         #: True once a dead primary is fenced during promotion: further
         #: DML/DDL raises DataSourceUnavailableError.

@@ -42,7 +42,7 @@ class QueryResult:
     #: seconds that must pass before this statement's I/O can start (an
     #: injected latency spike, an autocommit write's implicit commit, a
     #: COMMIT statement's commit, a network hop); set by ``Connection._run``,
-    #: booked and waited for by the caller with ``cost``
+    #: reserved and booked by the caller with ``cost``
     delay: float = 0.0
 
     def fetch_all(self) -> list[tuple[Any, ...]]:

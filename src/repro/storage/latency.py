@@ -25,20 +25,20 @@ All knobs are seconds. ``scale=0`` disables simulation (pure in-memory
 speed, used by unit tests); benchmarks use the default profile so the
 *shape* of the paper's results emerges from the same mechanics.
 
-Costs are *computed* by the executor but *paid* (slept) by the connection
-after it releases the database lock, so concurrent clients overlap their
-simulated I/O the way they overlap real I/O. Between the two, the cost's
-I/O window is *reserved* on the server's :class:`IOTimeline`: what a
-statement waits for is the end of its window, and nobody holds a lock
-while waiting for it.
+Costs are *computed* by the executor, their I/O window is *reserved* on
+the server's :class:`IOTimeline` and *booked* (:func:`book`) in the open
+scope, the :class:`Booked` record of one session call, which pays once
+(DESIGN.md "Issue and await"); with no scope open a booking is paid at
+once. Nobody holds a lock while waiting, so concurrent clients overlap
+their simulated I/O the way they overlap real I/O.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .. import clock
@@ -69,6 +69,52 @@ def pay(seconds: float, until: float | None = None) -> None:
         clock.sleep(until - clock.now())
     elif seconds > 0:  # a free operation costs no call into the clock
         clock.sleep(seconds)
+
+
+class Booked:
+    """The open scope's record (DESIGN.md "Issue and await"): ``priced``
+    seconds booked, the ``ready_at`` instant the last window ends, and the
+    ``barrier`` before which no window may start. A session call opens the
+    scope; each round under it (a statement's units, one transaction-end
+    verb on every participant) is a step: its windows overlap, and its
+    close moves ``barrier`` to ``ready_at``. Sites open and close it inline
+    — no Python call on the hot path — and the outermost pays, once.
+    """
+
+    priced = 0.0
+    ready_at = 0.0
+    barrier = 0.0
+
+
+#: the open scope's record; None: no scope is open, and a booking is paid
+booking: "ContextVar[Booked | None]" = ContextVar("booking", default=None)
+
+
+def now() -> float:
+    """The session call's now: ``clock.now()``, or the open scope's barrier
+    when that is later (the earliest a window booked now may start)."""
+    booked = booking.get()
+    return clock.now() if booked is None else max(clock.now(), booked.barrier)
+
+
+def book(priced: float, ready_at: float) -> None:
+    """Book a window of ``priced`` seconds ending at ``ready_at`` in the
+    open scope; with none open, pay it at once."""
+    booked = booking.get()
+    if booked is None:
+        pay(priced, ready_at)
+    else:
+        booked.priced += priced
+        booked.ready_at = max(booked.ready_at, ready_at)
+
+
+def step(priced: float, ready_at: float) -> None:
+    """:func:`book` a window that the next one waits for: a round of one
+    (a pipeline's settle, a coordinator round trip)."""
+    booked = booking.get()
+    book(priced, ready_at)
+    if booked is not None:
+        booked.barrier = max(booked.barrier, ready_at)
 
 
 class IOTimeline:
@@ -170,16 +216,9 @@ class LatencyModel:
     def charge_commit(self, spike: float = 0.0) -> tuple[float, float]:
         """Price a commit or prepare, and with it an injected latency
         ``spike`` (``Database.maybe_fail``'s return). Returns its window
-        ``(priced, ready_at)``, for the caller to wait for: a commit
-        occupies no I/O channel, so it ends that many seconds from now."""
+        ``(priced, ready_at)``, for the caller to book: a commit occupies
+        no I/O channel, so it ends that many seconds after the session
+        call's :func:`now`."""
         priced = self.commit_cost() + spike
-        return priced, clock.now() + priced
-
-
-def pay_all(windows: "list[tuple[float, float]]") -> None:
-    """Wait once for a round of issued ``(priced, ready_at)`` windows: the
-    one that ends last is paid first, so every other ``pay`` finds its
-    window over and returns at once — one ``pay`` per window all the same,
-    as the harness counts them."""
-    for priced, ready_at in sorted(windows, key=itemgetter(1), reverse=True):
-        pay(priced, ready_at)
+        booked = booking.get()  # now(), inline: a commit is on the hot path
+        return priced, (clock.now() if booked is None else max(clock.now(), booked.barrier)) + priced

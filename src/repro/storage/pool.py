@@ -2,8 +2,8 @@
 
 The sharding executor acquires whole batches of connections atomically
 (Section VI-D of the paper: deadlock-free acquisition under MaxCon), so the
-pool exposes both single acquire/release and ``acquire_many`` used with the
-data-source lock held by the execution engine.
+pool exposes both single acquire/release and :meth:`~ConnectionPool.try_acquire_many`,
+which takes a whole batch or nothing under the pool's mutex.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class ConnectionPool:
         self._mutex = threading.Lock()
         self._available = threading.Condition(self._mutex)
         #: observability hook: called with the measured checkout wait
-        #: (seconds) after every successful acquire; None = not monitored
+        #: (seconds) after every successful acquire, single or batch; None =
+        #: not monitored
         self.wait_observer: Callable[[float], None] | None = None
 
     # -- metrics ---------------------------------------------------------
@@ -52,64 +53,48 @@ class ConnectionPool:
     def acquire(self, timeout: float = 10.0) -> "Connection":
         """Acquire one connection, waiting up to ``timeout`` seconds."""
         start = clock.now()
-        deadline = start + timeout
-        with self._available:
-            while True:
-                conn = self._try_take_locked()
-                if conn is not None:
-                    break
-                remaining = deadline - clock.now()
-                if remaining <= 0:
-                    waited = clock.now() - start
-                    raise ConnectionPoolExhaustedError(
-                        f"connection pool {self.data_source.name!r} exhausted: "
-                        f"{self._in_use}/{self.max_size} connections in use, "
-                        f"waited {waited * 1000:.0f}ms",
-                        pool_name=self.data_source.name,
-                        in_use=self._in_use,
-                        max_size=self.max_size,
-                        waited=waited,
-                    )
-                self._available.wait(remaining)
-        # observer runs outside the pool lock (it may take a registry lock)
-        if self.wait_observer is not None:
-            self.wait_observer(clock.now() - start)
-        return conn
+        taken = self._take(1, timeout)
+        if taken is None:
+            waited = clock.now() - start
+            raise ConnectionPoolExhaustedError(
+                f"connection pool {self.data_source.name!r} exhausted: "
+                f"{self._in_use}/{self.max_size} connections in use, "
+                f"waited {waited * 1000:.0f}ms",
+                pool_name=self.data_source.name,
+                in_use=self._in_use,
+                max_size=self.max_size,
+                waited=waited,
+            )
+        return taken[0]
 
-    def try_acquire_many(self, count: int) -> list["Connection"] | None:
-        """Atomically acquire ``count`` connections or none at all.
-
-        Non-blocking: returns None if fewer than ``count`` are free. The
-        execution engine uses this under its per-data-source lock to avoid
-        the two-query deadlock described in the paper.
-        """
-        with self._mutex:
-            free = self.max_size - self._in_use
-            if free < count:
-                return None
-            return [self._take_one_locked() for _ in range(count)]
+    def try_acquire_many(self, count: int, timeout: float = 0.0) -> list["Connection"] | None:
+        """Atomically acquire ``count`` connections, waiting up to ``timeout``
+        seconds for that many to be free at once (None if they never were):
+        taken whole, which avoids the two-query deadlock of the paper."""
+        return self._take(count, timeout)
 
     def release(self, connection: "Connection") -> None:
         """Return a connection to the pool (rolls back any open work)."""
-        if connection.in_transaction:
-            connection.rollback()
-        with self._available:
-            self._in_use -= 1
-            if not connection.closed:
-                self._idle.append(connection)
-            self._available.notify()
+        self.release_many([connection])
 
     def release_many(self, connections: list["Connection"]) -> None:
-        """:meth:`release` for a batch, under one hold of the pool lock."""
+        """:meth:`release` for a batch, under one hold of the pool lock. A
+        connection whose last window still runs (``free_at``) is handed
+        out after the free ones: whoever takes it queues behind it."""
         for connection in connections:
             if connection.in_transaction:
                 connection.rollback()
+        now = clock.now()
         with self._available:
             self._in_use -= len(connections)
             for connection in connections:
-                if not connection.closed:
+                if connection.closed:
+                    continue
+                if connection.free_at > now:
+                    self._idle.insert(0, connection)
+                else:
                     self._idle.append(connection)
-            self._available.notify(len(connections))
+            self._available.notify_all()  # a batch may be waiting for more than one
 
     def close(self) -> None:
         with self._mutex:
@@ -119,15 +104,22 @@ class ConnectionPool:
 
     # -- internals -----------------------------------------------------------
 
-    def _try_take_locked(self) -> "Connection | None":
-        if self._in_use >= self.max_size:
-            return None
-        return self._take_one_locked()
-
-    def _take_one_locked(self) -> "Connection":
-        self._in_use += 1
-        while self._idle:
-            conn = self._idle.pop()
-            if not conn.closed:
-                return conn
-        return self.data_source.connect_raw()
+    def _take(self, count: int, timeout: float) -> list["Connection"] | None:
+        """``count`` connections, or None after ``timeout`` seconds waiting."""
+        start = clock.now()
+        with self._available:
+            while self.max_size - self._in_use < count:
+                remaining = start + timeout - clock.now()
+                if remaining <= 0:
+                    return None
+                self._available.wait(remaining)
+            self._in_use += count
+            taken: list["Connection"] = []
+            while len(taken) < count:
+                conn = self._idle.pop() if self._idle else self.data_source.connect_raw()
+                if not conn.closed:
+                    taken.append(conn)
+        # observer runs outside the pool lock (it may take a registry lock)
+        if self.wait_observer is not None:
+            self.wait_observer(clock.now() - start)
+        return taken

@@ -6,9 +6,9 @@ transaction must all flow through the same session on each shard). The
 three concrete protocols — LOCAL (1PC), XA (2PC) and BASE (Seata-AT) —
 differ only in how ``commit``/``rollback`` drive those pinned connections;
 each round of either goes through :meth:`DistributedTransaction._on_each`,
-which issues the verb to every participant from the calling thread and
-then waits once, for the window that ends last (DESIGN.md "Transaction
-end").
+which issues the verb to every participant from the calling thread as one
+step of the open scope: the round costs the window that ends last, and the
+next round starts after it (DESIGN.md "Transaction end").
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import enum
 import itertools
 import threading
 import uuid
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..exceptions import TransactionError
-from ..storage import Connection, DataSource
-from ..storage.latency import pay_all
+from ..storage import Connection, DataSource, latency
 
 
 class TransactionType(enum.Enum):
@@ -45,10 +44,6 @@ class TransactionType(enum.Enum):
 #: what one participant answered: its data source and the exception it
 #: raised, or None
 Outcome = tuple[str, "Exception | None"]
-
-#: what issuing a verb on one participant leaves to wait for: ``(seconds
-#: priced, instant its answer is in)``, or None for nothing
-Window = Optional[tuple[float, float]]
 
 
 def failed(outcomes: list[Outcome]) -> list[tuple[str, Exception]]:
@@ -125,32 +120,37 @@ class DistributedTransaction(abc.ABC):
     def rollback(self) -> None:
         """Run the protocol's rollback; must release all pinned connections."""
 
-    def _on_each(self, op: Callable[[str, Connection], Window],
+    def _on_each(self, op: Callable[[str, Connection], Any],
                  names: Sequence[str] | None = None) -> list[Outcome]:
-        """Issue ``op(ds_name, connection)`` to every participant, then wait once.
+        """Issue ``op(ds_name, connection)`` to every participant: one round.
 
-        ``op`` applies its verb at once and returns what is left to wait
-        for (see :data:`Window`). The calling thread issues it to each
-        participant in order; when all have answered it waits for the
-        window that ends last, so N participants cost the slowest one, not
-        the sum. Returns ``(ds_name, exception | None)`` in participant
-        order; ``names`` narrows the round to some of them (XA's phase 2
-        skips the branches that only read).
+        ``op`` applies its verb at once and books what is left to wait for.
+        The calling thread issues it to each participant in order, as one
+        step of the open scope (with none open, the outermost scope, which
+        pays): N participants cost the slowest one, not the sum, and the
+        next step starts when it ends. Returns ``(ds_name, exception |
+        None)`` in participant order; ``names`` narrows the round to some
+        of them (XA's phase 2 skips the branches that only read).
         """
         if names is None:
             names = sorted(self.connections)
         outcomes: list[Outcome] = []
-        windows = []
-        for name in names:
-            try:
-                window = op(name, self.connections[name])
-            except Exception as exc:
-                outcomes.append((name, exc))
-                continue
-            outcomes.append((name, None))
-            if window is not None:
-                windows.append(window)
-        pay_all(windows)
+        booked = latency.booking.get()
+        token = None if booked is not None else latency.booking.set(booked := latency.Booked())
+        try:
+            for name in names:
+                try:
+                    op(name, self.connections[name])
+                except Exception as exc:
+                    outcomes.append((name, exc))
+                    continue
+                outcomes.append((name, None))
+        finally:
+            booked.barrier = booked.ready_at
+            if token is not None:
+                latency.booking.reset(token)
+                if booked.ready_at:
+                    latency.pay(booked.priced, booked.ready_at)
         return outcomes
 
     def _release_all(self) -> None:

@@ -1,7 +1,7 @@
 """LOCAL transactions: 1-phase commit (Fig. 5(d) of the paper).
 
 The commit/rollback command is issued to every participant, with no
-prepare phase, and the caller waits once for the slowest commit. Per the
+prepare phase, as one round that costs the slowest commit. Per the
 paper: "Even if some data source commits fail, ShardingSphere will ignore
 it" — best-effort, fastest, weakest. What was lost stays visible:
 ``failures`` names the participants whose commit raised, and the adaptor
@@ -23,7 +23,7 @@ class LocalTransaction(DistributedTransaction):
         try:
             # best effort: a failed participant is recorded, not raised
             self.failures = failed(self._on_each(
-                lambda ds_name, connection: connection.commit(wait=False)))
+                lambda ds_name, connection: connection.commit()))
         finally:
             self._release_all()
 

@@ -22,11 +22,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .. import clock
 from ..exceptions import BaseTransactionError
 from ..storage import Connection, DataSource, latency
 from ..storage.transaction import replay_undo
-from .base import DistributedTransaction, TransactionType, Window, failed, new_xid
+from .base import DistributedTransaction, TransactionType, failed, new_xid
 
 
 class GlobalStatus(enum.Enum):
@@ -65,9 +64,9 @@ class TransactionCoordinator:
         self._globals: dict[str, GlobalRecord] = {}
 
     def _rpc(self) -> None:
-        # paid as every simulated wait is, through ``pay`` as bound in
-        # repro.storage.latency (what the benchmark harness wraps)
-        latency.pay(self.rpc_delay)
+        # a round trip is a step of its own: booked like every simulated
+        # wait, and whatever comes next starts after it
+        latency.step(self.rpc_delay, latency.now() + self.rpc_delay)
 
     # -- TM-facing --------------------------------------------------------
 
@@ -77,11 +76,6 @@ class TransactionCoordinator:
         with self._lock:
             self._globals[xid] = GlobalRecord(xid)
         return xid
-
-    def global_status(self, xid: str) -> GlobalStatus:
-        self._rpc()
-        with self._lock:
-            return self._globals[xid].status
 
     def branch_statuses(self, xid: str) -> dict[str, str]:
         self._rpc()
@@ -111,9 +105,9 @@ class TransactionCoordinator:
             self._globals[xid].branches[ds_name].undo_entries = undo_entries
 
     def report_branch(self, xid: str, ds_name: str, ok: bool) -> None:
-        """Record a branch's phase-1 outcome. Its round trip is not slept
-        here: the committing transaction waits for it as a deadline,
-        ``rpc_delay`` after the branch's commit, with its other branches'."""
+        """Record a branch's phase-1 outcome. Its round trip is not a step
+        of its own: the committing transaction books it, ``rpc_delay``
+        after the branch's commit, in the round of its other branches'."""
         with self._lock:
             branch = self._globals[xid].branches[ds_name]
             branch.status = "phase1_ok" if ok else "phase1_failed"
@@ -142,7 +136,7 @@ class SeataTransaction(DistributedTransaction):
 
     # -- Phase 1 -----------------------------------------------------------
 
-    def _phase1(self, ds_name: str, connection: Connection) -> Window:
+    def _phase1(self, ds_name: str, connection: Connection) -> None:
         """One branch: save undo log, commit locally, report status. The
         report goes out when the commit's window ends and is in
         ``rpc_delay`` later: that is when the branch is through."""
@@ -150,12 +144,13 @@ class SeataTransaction(DistributedTransaction):
         undo = transaction.take_undo() if transaction is not None else []
         self.coordinator.save_undo(self.xid, ds_name, undo)
         try:
-            priced, ready_at = connection.commit(wait=False) or (0.0, clock.now())
+            window = connection.commit()
         except Exception:
             self.coordinator.report_branch(self.xid, ds_name, False)
             raise
         self.coordinator.report_branch(self.xid, ds_name, True)
-        return priced, ready_at + self.coordinator.rpc_delay
+        sent = window[1] if window is not None else latency.now()
+        latency.book(0.0, sent + self.coordinator.rpc_delay)
 
     # -- Phase 2 ------------------------------------------------------------
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping
 
 from ..exceptions import XATransactionError
-from ..storage import Connection, DataSource, commit_prepared
-from ..storage.latency import pay_all
-from .base import DistributedTransaction, TransactionType, Window, failed
+from ..storage import Connection, DataSource, commit_prepared, latency
+from .base import DistributedTransaction, TransactionType, failed
 
 
 class XAState(enum.Enum):
@@ -108,11 +107,9 @@ class XATransaction(DistributedTransaction):
             # ---- Phase 1: prepare, every branch at once ----------------------
             parked: set[str] = set()  # branches that wrote: prepared and parked
 
-            def prepare(ds_name: str, connection: Connection) -> Window:
-                window = connection.xa_prepare(self._branch_xid(ds_name), wait=False)
-                if window is not None:
+            def prepare(ds_name: str, connection: Connection) -> None:
+                if connection.xa_prepare(self._branch_xid(ds_name)) is not None:
                     parked.add(ds_name)
-                return window
 
             refused = failed(self._on_each(prepare))
             prepared = sorted(parked)  # participant order
@@ -124,15 +121,14 @@ class XATransaction(DistributedTransaction):
                 raise XATransactionError(
                     f"prepare failed on {ds_name!r}: {exc}"
                 ) from exc
-            # Every branch answered and every prepare's window is over; a
-            # branch that only read ended at its prepare and has no phase 2.
+            # Every branch answered; phase 2 starts after the last prepare.
+            # A branch that only read ended at its prepare: no phase 2.
             self.log.update(self.xid, XAState.PREPARED, pending=prepared)
 
             # ---- Phase 2: commit the prepared branches, at once -------------
             self.log.update(self.xid, XAState.COMMITTING, pending=prepared)
             self.failures = failed(self._on_each(
-                lambda ds_name, connection: connection.xa_commit(
-                    self._branch_xid(ds_name), wait=False),
+                lambda ds_name, connection: connection.xa_commit(self._branch_xid(ds_name)),
                 prepared,
             ))
             if self.failures:
@@ -174,20 +170,27 @@ def recover(log: XATransactionLog, data_sources: Mapping[str, DataSource]) -> in
     PREPARED / COMMITTING records mean phase 1 fully succeeded, so the
     decision is COMMIT: re-commit every pending branch (idempotent — a
     branch whose prepared transaction is gone was already committed). The
-    commits are issued one after the other and awaited once, for the
-    window that ends last; only then are the records closed. Returns the
-    number of transactions completed.
+    commits are issued one after the other and booked as one round, a step
+    of the open scope (with none open, the outermost scope, which pays:
+    the records are closed only after the window that ends last). Returns
+    the number of transactions completed.
     """
     in_doubt = log.in_doubt()
-    windows = []
+    booked = latency.booking.get()
+    token = None if booked is not None else latency.booking.set(booked := latency.Booked())
     try:
         for record in in_doubt:
             for ds_name in (record.pending or record.participants):
                 source = data_sources.get(ds_name)
-                if source is not None:
-                    windows.append(commit_prepared(source.database, f"{record.xid}:{ds_name}"))
+                if source is not None and (window := commit_prepared(
+                        source.database, f"{record.xid}:{ds_name}")) is not None:
+                    latency.book(*window)
     finally:
-        pay_all([window for window in windows if window is not None])
+        booked.barrier = booked.ready_at
+        if token is not None:
+            latency.booking.reset(token)
+            if booked.ready_at:
+                latency.pay(booked.priced, booked.ready_at)
     for record in in_doubt:
         log.update(record.xid, XAState.COMMITTED, pending=[])
         log.remove(record.xid)

@@ -6,6 +6,7 @@ relationship between user and order.
 """
 
 import contextlib
+import contextvars
 import threading
 
 import pytest
@@ -19,7 +20,7 @@ from repro.sharding import (
     TableRule,
     create_algorithm,
 )
-from repro.storage import DataSource
+from repro.storage import DataSource, latency
 
 
 #: where a :class:`FakeClock` starts
@@ -60,6 +61,25 @@ def starts_no_thread():
     before = set(threading.enumerate())
     yield
     assert set(threading.enumerate()) <= before
+
+
+@contextlib.contextmanager
+def session_call():
+    """One booking scope, opened and paid as the JDBC session boundary
+    does: what is booked inside is paid once, on the way out."""
+    booked = latency.Booked()
+    token = latency.booking.set(booked)
+    try:
+        yield booked
+    finally:
+        latency.booking.reset(token)
+        if booked.ready_at:
+            latency.pay(booked.priced, booked.ready_at)
+
+
+def elsewhere(call, *args):
+    """``call(*args)`` as another session would make it: with no scope open."""
+    return contextvars.Context().run(call, *args)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Issue and await: a storage statement is issued (run, priced, its I/O
-window reserved on the server's timeline) and then waited for.
+window reserved on the server's timeline) and its window booked in the open
+scope; the scope that opened first pays once, when it exits. With no scope
+open a booking is paid at once.
 
 No test here waits on a real clock: ``clock.now`` and ``clock.sleep`` are
 replaced by a counter that moves only when somebody sleeps (the ``fake``
@@ -34,7 +36,7 @@ from repro.transaction import (
     recover,
 )
 
-from .conftest import T0, starts_no_thread
+from .conftest import T0, elsewhere, session_call, starts_no_thread
 
 
 def approx(value):
@@ -101,7 +103,7 @@ class TestTimeline:
         assert timeline.reserve(self.C) - T0 == approx(7 * self.C)
 
 
-# -- (b) blocking execute is issue + wait -----------------------------------------
+# -- (b) blocking execute is issue + book, paid at once ------------------------------
 
 
 def twin_sources(fake, **kwargs):
@@ -127,13 +129,14 @@ class TestExecuteIsIssueThenWait:
         one = blocking.connect().execute(sql, params)
         slept_blocking, before = fake.slept - before, fake.slept
 
-        two = issued.connect().execute(sql, params, wait=False)
-        at_issue = fake.slept - before
-        # a write's implicit commit is applied at issue; its cost opens the window
-        commit = issued.latency.commit_cost() if sql.startswith("UPDATE") else 0.0
-        assert two.ready_at == approx(fake.t + commit + two._result.cost)
-        two.wait()
-        two.wait()  # once is all there is
+        with session_call() as booked:
+            two = issued.connect().execute(sql, params)
+            at_issue = fake.slept - before
+            # a write's implicit commit is applied at issue; its cost opens the window
+            commit = issued.latency.commit_cost() if sql.startswith("UPDATE") else 0.0
+            assert two.ready_at == approx(fake.t + commit + two._result.cost)
+            assert booked.ready_at == two.ready_at
+            assert booked.priced == approx(commit + two._result.cost)
         slept_issued = fake.slept - before
 
         assert one.fetchall() == two.fetchall()
@@ -145,23 +148,29 @@ class TestExecuteIsIssueThenWait:
     def test_a_cursor_used_again_forgets_the_issued_statement(self, fake):
         _, ds = twin_sources(fake)
         cursor = ds.connect().cursor()
-        cursor.execute("SELECT id FROM acc WHERE id = 1", wait=False)
-        first = cursor.ready_at
-        assert cursor._pending is not None and first > 0
-        cursor.execute("SELECT id FROM acc WHERE id = 2")  # blocking: slept in place
-        # nothing is left pending, and the second window queued behind the first
-        assert cursor._pending is None and cursor.ready_at == fake.t
-        assert fake.t == approx(first + cursor._result.cost)
+        with session_call():
+            cursor.execute("SELECT id FROM acc WHERE id = 1")
+            first = cursor.ready_at
+            assert first > 0 and fake.sleeps == []
+            cursor.execute("SELECT id FROM acc WHERE id = 2")
+            # the second window queued behind the first, on the same connection
+            assert cursor.ready_at == approx(first + cursor._result.cost)
+        assert fake.t == approx(cursor.ready_at) and len(fake.sleeps) == 1
         slept = fake.slept
         assert cursor.fetchall() == [(2,)] and fake.slept == slept
 
     def test_a_blocking_statement_queues_behind_one_issued_on_its_connection(self, fake):
-        """A connection runs one statement at a time, blocking or not: the
-        second window starts when the first ends, and moves ``free_at``."""
+        """A connection runs one statement at a time, blocking or not: a
+        session call hands its connection back to the pool before it pays,
+        the next caller takes it and blocks, and that second window starts
+        when the first ends, and moves ``free_at``."""
         _, ds = twin_sources(fake)
-        conn = ds.connect()
-        first = conn.execute("SELECT id FROM acc WHERE id = 1", wait=False)
-        second = conn.execute("SELECT id FROM acc WHERE id = 2")
+        with session_call():
+            conn = ds.connect()
+            first = conn.execute("SELECT id FROM acc WHERE id = 1")
+            ds.release(conn)
+            second = elsewhere(lambda: ds.connect().execute("SELECT id FROM acc WHERE id = 2"))
+            assert second.connection is conn
         assert fake.t == approx(first.ready_at + second._result.cost)
         assert conn.free_at == second.ready_at == fake.t
         assert first.fetchall() == [(1,)] and second.fetchall() == [(2,)]
@@ -170,8 +179,9 @@ class TestExecuteIsIssueThenWait:
     def test_a_free_statement_is_never_pending(self, fake):
         ds = DataSource("free")  # latency model off
         ds.execute("CREATE TABLE t (id INT PRIMARY KEY)")
-        cursor = ds.connect().execute("SELECT * FROM t", wait=False)
-        assert cursor._pending is None and cursor.ready_at == 0.0
+        with session_call() as booked:
+            cursor = ds.connect().execute("SELECT * FROM t")
+        assert cursor.ready_at == 0.0 and (booked.priced, booked.ready_at) == (0.0, 0.0)
         assert cursor.fetchall() == [] and fake.sleeps == []
 
     def test_a_pipeline_books_behind_the_connection_and_sleeps_once(self, fake):
@@ -180,13 +190,14 @@ class TestExecuteIsIssueThenWait:
         already issued, one after the other, and are slept for once."""
         _, ds = twin_sources(fake)
         conn = ds.connect()
-        issued = conn.execute("SELECT id FROM acc WHERE id = 1", wait=False)
-        results = conn.execute_pipeline([
-            ("BEGIN", ()),
-            ("UPDATE acc SET bal = bal + 1 WHERE id = 1", ()),
-            ("UPDATE acc SET bal = bal + 1 WHERE id = 2", ()),
-            ("COMMIT", ()),
-        ])
+        with session_call():
+            issued = conn.execute("SELECT id FROM acc WHERE id = 1")
+            results = conn.execute_pipeline([
+                ("BEGIN", ()),
+                ("UPDATE acc SET bal = bal + 1 WHERE id = 1", ()),
+                ("UPDATE acc SET bal = bal + 1 WHERE id = 2", ()),
+                ("COMMIT", ()),
+            ])
         writes = results[1:3]
         coalesced = (sum(r.cost - r.write_cost for r in writes)
                      + max(r.write_cost for r in writes))
@@ -194,14 +205,15 @@ class TestExecuteIsIssueThenWait:
         assert len(fake.sleeps) == 1
         assert fake.t == approx(issued.ready_at + coalesced + ds.latency.commit_cost())
         assert conn.free_at == fake.t
-        issued.wait()  # long over
-        assert len(fake.sleeps) == 1
 
 
-# -- (e) nobody reads a result before its priced time ------------------------------
+# -- (e) nothing reaches the client before its priced time -----------------------
 
 
 class TestPendingCursorWaitsFirst:
+    """Rows exist at issue, so reading them inside the scope waits for
+    nothing; the scope's caller gets them back at their priced time."""
+
     @pytest.mark.parametrize("read", [
         lambda cursor: cursor.fetchone(),
         lambda cursor: cursor.fetchmany(2),
@@ -210,10 +222,11 @@ class TestPendingCursorWaitsFirst:
     ])
     def test_every_way_of_reading(self, fake, read):
         _, ds = twin_sources(fake)
-        cursor = ds.connect().execute("SELECT id FROM acc ORDER BY id", wait=False)
-        assert fake.slept == 0 and cursor._pending is not None
-        assert read(cursor) in ((1,), [(1,), (2,)], [(1,), (2,), (3,)])
-        assert fake.t == approx(cursor.ready_at) and cursor._pending is None
+        with session_call():
+            cursor = ds.connect().execute("SELECT id FROM acc ORDER BY id")
+            assert read(cursor) in ((1,), [(1,), (2,)], [(1,), (2,), (3,)])
+            assert fake.slept == 0
+        assert fake.t == approx(cursor.ready_at)
         assert fake.sleeps == [approx(cursor._result.cost)]
 
 
@@ -227,14 +240,13 @@ class TestHopAndSpikeAreDeadlines:
     def test_a_network_hop_extends_ready_at_and_delays_nobody(self, fake):
         _, ds = twin_sources(fake, network_hop=self.HOP)
         t0 = fake.t
-        first = ds.connect().execute("SELECT id FROM acc WHERE id = 1", wait=False)
-        second = ds.connect().execute("SELECT id FROM acc WHERE id = 2", wait=False)
-        assert fake.sleeps == []  # the second was issued at the first's instant
+        with session_call():
+            first = ds.connect().execute("SELECT id FROM acc WHERE id = 1")
+            second = ds.connect().execute("SELECT id FROM acc WHERE id = 2")
+            assert fake.sleeps == []  # the second was issued at the first's instant
         cost = first._result.cost
         assert first.ready_at - t0 == approx(self.HOP + cost)
         assert second.ready_at - t0 == approx(self.HOP + cost)
-        first.wait()
-        second.wait()
         assert fake.sleeps == [approx(self.HOP + cost)]
         # blocking, the same statement sleeps for the same two things
         before = fake.slept
@@ -248,12 +260,14 @@ class TestHopAndSpikeAreDeadlines:
         ds.set_fault_injector(injector)
         injector.fail_once(ds.name, "statement", FaultKind.LATENCY)
         t0 = fake.t
-        spiked = ds.connect().execute("SELECT id FROM acc WHERE id = 1", wait=False)
-        plain = ds.connect().execute("SELECT id FROM acc WHERE id = 2", wait=False)
-        assert fake.sleeps == []
+        with session_call():
+            spiked = ds.connect().execute("SELECT id FROM acc WHERE id = 1")
+            plain = ds.connect().execute("SELECT id FROM acc WHERE id = 2")
+            assert fake.sleeps == []
         assert spiked.ready_at - t0 == approx(self.SPIKE + spiked._result.cost)
         assert plain.ready_at - t0 == approx(plain._result.cost)
-        # blocking, the spike is part of the one window slept for, as issued
+        # blocking, the spike is part of the one window slept for, as booked
+        fake.sleeps.clear()
         injector.fail_once(ds.name, "statement", FaultKind.LATENCY)
         ds.connect().execute("SELECT id FROM acc WHERE id = 1")
         assert fake.sleeps == [approx(self.SPIKE + spiked._result.cost)]
@@ -320,7 +334,7 @@ class TestReadFanOut:
         costs = [cursor._result.cost for cursor in result.results]
         assert len(costs) == SHARDS and min(costs) > 0
         assert fake.sleeps == [approx(max(costs))]  # once, for the max, not the sum
-        assert all(cursor._pending is None for cursor in result.results)
+        assert all(cursor.ready_at <= fake.t for cursor in result.results)
         # streaming: the connections are out until the merged rows are drained
         assert in_use(sources) == SHARDS
         rows = sorted(row for shard in result.results for row in shard)
@@ -437,7 +451,8 @@ class TestReadFanOut:
 
 GONE = ("_StealScheduler", "submit_helpers", "fanout_workers", "SubmitHelpers",
         "caller_only", "coalesce_timers", "precise_timers", "ThreadPoolExecutor",
-        "def submit(", "commit_async", "_RowBudget", "ss-exec")
+        "def submit(", "commit_async", "_RowBudget", "ss-exec",
+        "pay_all", "_pay_traced", "acquisition_lock", "clock.sleep(0.001)")
 
 
 def test_no_blocking_fan_out_machinery_is_left():
@@ -472,9 +487,10 @@ def test_the_harness_finds_every_executor_counter_it_reads(monkeypatch):
     assert {key: snapshot[key] for key in read} == {"queued_tasks": 0, "steals": 0}
 
 
-# -- (g) one way to settle: storage verbs issue, the public boundary waits ----------
+# -- (g) one way to settle: storage verbs book, the session boundary pays ----------
 
-#: what only issues, and so takes no ``wait``: (file under repro/, qualified name)
+#: what only issues or books, and so takes no ``wait``: (file under repro/,
+#: qualified name)
 ISSUE_ONLY = [
     ("storage/connection.py", "Connection._run"),
     ("storage/engine.py", "_NetworkedConnection._run"),
@@ -482,6 +498,11 @@ ISSUE_ONLY = [
     ("storage/transaction.py", "Transaction.prepare"),
     ("storage/transaction.py", "commit_prepared"),
     ("storage/latency.py", "LatencyModel.charge_commit"),
+    ("storage/connection.py", "Cursor.execute"),
+    ("storage/connection.py", "Connection.execute"),
+    ("storage/connection.py", "Connection.commit"),
+    ("storage/connection.py", "Connection.xa_prepare"),
+    ("storage/connection.py", "Connection.xa_commit"),
 ]
 
 
@@ -499,11 +520,11 @@ def definitions(path):
 
 
 def test_storage_verbs_below_the_public_boundary_only_issue():
-    """None of the verbs under ``Connection.execute`` / ``commit`` / the XA
-    verbs takes ``wait``: blocking is issue, then ``Cursor.wait`` or a
-    ``pay`` of the returned window, at the public boundary only. The
-    connection's own payers stay gone, and the implicit-transaction /
-    write-lock / undo block of a write exists once."""
+    """Neither the storage verbs nor what is under them take ``wait``: a
+    verb books its window in the open scope, which pays at the session
+    boundary (or at once, with none open). The cursor's and connection's
+    own payers stay gone, and the implicit-transaction / write-lock / undo
+    block of a write exists once."""
     package = Path(repro.__file__).resolve().parent
     for relative, name in ISSUE_ONLY:
         function = definitions(package / relative)[name]
@@ -511,7 +532,7 @@ def test_storage_verbs_below_the_public_boundary_only_issue():
         assert "wait" not in [argument.arg for argument in arguments], f"{relative}: {name}"
     connection = package / "storage" / "connection.py"
     methods = definitions(connection)
-    assert "Connection._pay" not in methods and "Connection._pay_commit" not in methods
+    assert not {"Connection._pay", "Connection._pay_commit", "Cursor.wait"} & methods.keys()
     assert connection.read_text().count("write_lock()") == 1
 
 

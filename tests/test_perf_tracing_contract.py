@@ -14,12 +14,15 @@ The same goes for simulated cost: the harness replaces ``pay`` as bound in
 three modules of ``repro.storage`` and calls what passes through them
 "everything that was waited for" (``storage.latency.priced_ms_per_op``).
 A wait that reached ``repro.clock`` around ``pay`` would be paid and
-never priced.
+never priced. Through a session, every window is booked and the session
+call pays once, through ``repro.storage.latency.pay``.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro.storage.connection
 import repro.storage.engine
@@ -91,13 +94,27 @@ def test_harness_sees_every_stage_of_a_statement(fleet, paper_rule):
     assert recorder.merge_rows_in == len(fanout_rows) + len(hot_rows)
 
 
-def test_commit_spans_sit_under_the_transactions_commit(fleet, paper_rule):
-    """A transaction's end is issued by the committing thread, then awaited
+def test_commit_spans_sit_under_the_transactions_commit(fleet, paper_rule, monkeypatch):
+    """A transaction's end is issued and booked by the committing thread
     (DESIGN.md "Transaction end"): both ``Connection.commit`` spans sit
-    under ``LocalTransaction.commit``, the commits' ``pay`` spans follow
-    them there, every ``pay`` has a parent the harness recorded, and
+    under ``LocalTransaction.commit``, and the JDBC commit pays once — one
+    ``pay`` span, under the ``ShardingConnection.commit`` span, after both
+    commits are back, priced at the windows they booked.
     ``TransactionManager.begin`` / ``LocalTransaction.commit`` are still
     the names the harness wraps."""
+    from repro.storage.connection import Connection
+
+    for source in fleet.values():  # only a commit costs anything
+        source.database.latency = LatencyModel(base=0.0, index_io=0.0, row_cost=0.0,
+                                               commit_io=1e-3)
+    windows = []
+    storage_commit = Connection.commit
+
+    def remembering(self):
+        windows.append(storage_commit(self))
+        return windows[-1]
+
+    monkeypatch.setattr(Connection, "commit", remembering)
     tracing = load_tracing()
     runtime = ShardingRuntime(fleet, paper_rule)
     conn = ShardingDataSource(runtime).get_connection()
@@ -124,17 +141,18 @@ def test_commit_spans_sit_under_the_transactions_commit(fleet, paper_rule):
     (txn_commit,) = by_name["LocalTransaction.commit"]
     commits = by_name["Connection.commit"]
     assert [span[tracing.PARENT] for span in commits] == [txn_commit[tracing.ID]] * 2
-    recorded = {span[tracing.ID] for span in recorder.spans}
     pays = [span for span in recorder.spans if span[tracing.LAYER] == "storage.latency"]
-    assert all(span[tracing.PARENT] in recorded for span in pays)
-    commit_pays = [span for span in pays if span[tracing.PARENT] == txn_commit[tracing.ID]]
-    assert len(commit_pays) == 2
-    # issued, then awaited: every commit is back before the first pay starts
-    assert max(span[tracing.END] for span in commits) <= min(
-        span[tracing.START] for span in commit_pays)
+    (jdbc_commit,) = by_name["ShardingConnection.commit"]
+    (pay,) = pays
+    assert pay[tracing.NAME] == "latency.pay" and pay[tracing.PARENT] == jdbc_commit[tracing.ID]
+    # issued and booked, then paid: both commits are back before the pay starts
+    assert max(span[tracing.END] for span in commits) <= pay[tracing.START]
+    assert len(windows) == 2 and pay[tracing.VALUE] == pytest.approx(
+        sum(priced for priced, _ in windows))
 
 
 def test_the_three_pay_names_the_harness_replaces_are_module_globals():
+    """``pay`` stays bound in all three modules, called or not."""
     tracing = load_tracing()
     replaced = [owner for owner, attr, layer, *_ in tracing.BOUNDARIES
                 if layer == "storage.latency"]
@@ -206,10 +224,10 @@ def test_every_simulated_wait_goes_through_a_pay_the_harness_sees(paper_rule, mo
 
 def test_an_issued_fan_out_is_still_seen_unit_by_unit(monkeypatch):
     """A 16-unit literal SELECT on the non-sharding column is issued and
-    awaited by the calling thread (DESIGN.md "Issue and await"). The
+    booked by the calling thread (DESIGN.md "Issue and await"). The
     harness must still see it whole: ``Connection.execute`` is the door
-    every unit goes through, every unit's price passes through a ``pay``,
-    and both kinds of span sit under the ``engine.executor`` span."""
+    every unit goes through, under the ``engine.executor`` span, and every
+    unit's price passes through the one ``pay`` of the session call."""
     from repro.sharding import ShardingRule, build_auto_table_rule
     from repro.storage.connection import Connection
 
@@ -252,16 +270,18 @@ def test_an_issued_fan_out_is_still_seen_unit_by_unit(monkeypatch):
     assert rows == [(i,) for i in range(16)] and len(cursors) == 16
     assert tracing.check_tree(recorder.spans) == []
     (executor,) = [s for s in recorder.spans if s[tracing.LAYER] == "engine.executor"]
+    (boundary,) = [s for s in recorder.spans if s[tracing.NAME] == "ShardingConnection.execute"]
     doors = [s for s in recorder.spans if s[tracing.LAYER] == "storage.connection"]
     pays = [s for s in recorder.spans if s[tracing.LAYER] == "storage.latency"]
     assert [s[tracing.NAME] for s in doors] == ["Connection.execute"] * 16
-    assert [s[tracing.NAME] for s in pays] == ["connection.pay"] * 16
-    assert sorted(s[tracing.VALUE] for s in pays) == sorted(c._result.cost for c in cursors)
-    assert min(s[tracing.VALUE] for s in pays) > 0
     # ...under the executor's span, and on the thread that opened it: there is no other
-    assert {s[tracing.PARENT] for s in doors + pays} == {executor[tracing.ID]}
-    # issued first, awaited after: every door is shut before the first pay opens
-    assert max(s[tracing.END] for s in doors) <= min(s[tracing.START] for s in pays)
+    assert {s[tracing.PARENT] for s in doors} == {executor[tracing.ID]}
+    (pay,) = pays
+    assert pay[tracing.NAME] == "latency.pay" and pay[tracing.PARENT] == boundary[tracing.ID]
+    assert pay[tracing.VALUE] == pytest.approx(sum(c._result.cost for c in cursors))
+    assert min(c._result.cost for c in cursors) > 0
+    # issued first, paid after: every door and the executor are done before the pay
+    assert max(s[tracing.END] for s in doors + [executor]) <= pay[tracing.START]
 
 
 def test_pay_sleeps_at_most_once_and_never_for_a_window_that_is_over(monkeypatch):

@@ -120,14 +120,14 @@ class TestFanOut:
         write_all(txn)
         prepared_at, committed_at = [], []
         for connection in txn.connections.values():
-            def preparing(xid, wait=True, original=connection.xa_prepare):
-                window = original(xid, wait)
+            def preparing(xid, original=connection.xa_prepare):
+                window = original(xid)
                 prepared_at.append(window[1])
                 return window
 
-            def committing(xid, wait=True, original=connection.xa_commit):
+            def committing(xid, original=connection.xa_commit):
                 committed_at.append(fake.t)
-                return original(xid, wait)
+                return original(xid)
 
             connection.xa_prepare = preparing
             connection.xa_commit = committing
@@ -285,9 +285,9 @@ class TestProtocolsUnderFailure:
         write_all(txn)
         prepares_answered = [0]
         for connection in txn.connections.values():
-            def counting(xid, wait=True, original=connection.xa_prepare):
+            def counting(xid, original=connection.xa_prepare):
                 assert log.get(txn.xid).state.value == "preparing"
-                answer = original(xid, wait)
+                answer = original(xid)
                 prepares_answered[0] += 1
                 return answer
             connection.xa_prepare = counting
@@ -418,10 +418,10 @@ class TestXAReadOnlyVote:
         connection = txn.connections["ds3"]
         original = connection.xa_commit
 
-        def spying(xid, wait=True):
+        def spying(xid):
             parked_during_phase2.extend(
                 ds.database.prepared_xids() for ds in sources.values())
-            return original(xid, wait)
+            return original(xid)
 
         connection.xa_commit = spying
         txn.commit()
