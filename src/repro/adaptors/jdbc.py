@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Iterator, Sequence
 
+from .. import clock
 from ..distsql import DISTSQL_VERBS, execute_distsql, is_distsql
 from ..engine.pipeline import EngineResult
 from ..exceptions import ConnectionClosedError, TransactionError, UnsupportedSQLError
@@ -227,11 +228,11 @@ class ShardingConnection:
                 self.session.last_sql = sql
                 return self._execute_in_session(sql, params)
         finally:
-            booked.barrier = booked.ready_at
+            booked.lag = max(booked.lag, booked.ready_at - clock.now())
             if token is not None:
                 latency.booking.reset(token)
                 if booked.ready_at:
-                    latency.pay(booked.priced, booked.ready_at)
+                    latency.pay(booked.priced, clock.now() + booked.lag)
 
     def _call(self, verb: Callable[..., Any], *args: Any) -> Any:
         """``verb(*args)`` as one session call: the session active, and one
@@ -242,11 +243,11 @@ class ShardingConnection:
             with activate(self.session):
                 return verb(*args)
         finally:
-            booked.barrier = booked.ready_at
+            booked.lag = max(booked.lag, booked.ready_at - clock.now())
             if token is not None:
                 latency.booking.reset(token)
                 if booked.ready_at:
-                    latency.pay(booked.priced, booked.ready_at)
+                    latency.pay(booked.priced, clock.now() + booked.lag)
 
     def _execute_in_session(self, sql: str, params: Sequence[Any]) -> ShardingResult:
         # Cheap leading-verb dispatch: DistSQL and control/session

@@ -366,11 +366,11 @@ class ExecutionEngine:
                 if direct and obs is not None and answered:
                     obs.on_source_attempt(ds_name, True, answered)
         finally:
-            booked.barrier = booked.ready_at  # the next step starts after this one
+            booked.lag = max(booked.lag, booked.ready_at - clock.now())  # the rest runs after it
             if token is not None:  # nothing is merged, released or raised unpaid
                 latency.booking.reset(token)
                 if booked.ready_at:
-                    latency.pay(booked.priced, booked.ready_at)
+                    latency.pay(booked.priced, clock.now() + booked.lag)
 
         # streamed results outlive the statement; every other batch, and the
         # batch of a source that failed, goes back now

@@ -297,8 +297,8 @@ class Connection:
 
     def _settle(self, batches: list[list[QueryResult]]) -> None:
         """Reserve what run statements owe, one window after another behind
-        this connection's last and the open scope's barrier, and book them
-        as one :func:`step`. Per batch, write I/O is coalesced to **one
+        this connection's last and the session call's :func:`now`, and book
+        them as one :func:`step`. Per batch, write I/O is coalesced to **one
         charge per written table** (group commit: one dirty-page flush per
         table), reserved behind that table's earlier writes; the reads are
         summed into one charge, reserved first and behind the statements'
@@ -390,9 +390,10 @@ class Cursor:
 
     def execute(self, sql: str | ast.Statement, params: Sequence[Any] = ()) -> "Cursor":
         """Run one statement: issue it — run and price it, reserve its I/O
-        window behind this connection's last and the open scope's barrier
-        — and book the window (:func:`~repro.storage.latency.book`, inline:
-        this is the hot path). With no scope open it is paid here."""
+        window behind this connection's last and the session call's
+        :func:`~repro.storage.latency.now` — and book the window
+        (:func:`~repro.storage.latency.book`, inline: this is the hot
+        path). With no scope open it is paid here."""
         if self._closed:
             raise ConnectionClosedError("cursor is closed")
         if isinstance(sql, str):
@@ -411,7 +412,7 @@ class Cursor:
         booked = booking.get()
         issued = clock.now()
         # after the session call's last step, and behind this connection's last window
-        asked = issued if booked is None else max(issued, booked.barrier)
+        asked = issued if booked is None else issued + booked.lag
         after = max(connection.free_at, asked)
         self.ready_at = connection.free_at = ready_at = connection.data_source.io_timeline.reserve(
             result.cost, result.written_table, result.delay + after - issued)

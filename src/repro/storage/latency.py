@@ -74,16 +74,17 @@ def pay(seconds: float, until: float | None = None) -> None:
 class Booked:
     """The open scope's record (DESIGN.md "Issue and await"): ``priced``
     seconds booked, the ``ready_at`` instant the last window ends, and the
-    ``barrier`` before which no window may start. A session call opens the
-    scope; each round under it (a statement's units, one transaction-end
-    verb on every participant) is a step: its windows overlap, and its
-    close moves ``barrier`` to ``ready_at``. Sites open and close it inline
-    — no Python call on the hot path — and the outermost pays, once.
+    ``lag`` by which the session call's time runs ahead of ``clock.now()``.
+    A session call opens the scope; each round under it (a statement's
+    units, one transaction-end verb on every participant) is a step: its
+    windows overlap, and its close raises ``lag`` so that all work after it
+    runs after ``ready_at``. Sites open and close it inline — no Python
+    call on the hot path — and the outermost pays ``lag``, once.
     """
 
     priced = 0.0
     ready_at = 0.0
-    barrier = 0.0
+    lag = 0.0
 
 
 #: the open scope's record; None: no scope is open, and a booking is paid
@@ -91,10 +92,10 @@ booking: "ContextVar[Booked | None]" = ContextVar("booking", default=None)
 
 
 def now() -> float:
-    """The session call's now: ``clock.now()``, or the open scope's barrier
-    when that is later (the earliest a window booked now may start)."""
+    """The session call's now: ``clock.now()``, plus the open scope's lag
+    (the earliest a window booked now may start)."""
     booked = booking.get()
-    return clock.now() if booked is None else max(clock.now(), booked.barrier)
+    return clock.now() if booked is None else clock.now() + booked.lag
 
 
 def book(priced: float, ready_at: float) -> None:
@@ -114,7 +115,7 @@ def step(priced: float, ready_at: float) -> None:
     booked = booking.get()
     book(priced, ready_at)
     if booked is not None:
-        booked.barrier = max(booked.barrier, ready_at)
+        booked.lag = max(booked.lag, ready_at - clock.now())
 
 
 class IOTimeline:
@@ -221,4 +222,4 @@ class LatencyModel:
         call's :func:`now`."""
         priced = self.commit_cost() + spike
         booked = booking.get()  # now(), inline: a commit is on the hot path
-        return priced, (clock.now() if booked is None else max(clock.now(), booked.barrier)) + priced
+        return priced, clock.now() + (0.0 if booked is None else booked.lag) + priced

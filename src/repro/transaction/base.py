@@ -20,6 +20,7 @@ import threading
 import uuid
 from typing import Any, Callable, Mapping, Sequence
 
+from .. import clock
 from ..exceptions import TransactionError
 from ..storage import Connection, DataSource, latency
 
@@ -146,11 +147,11 @@ class DistributedTransaction(abc.ABC):
                     continue
                 outcomes.append((name, None))
         finally:
-            booked.barrier = booked.ready_at
+            booked.lag = max(booked.lag, booked.ready_at - clock.now())
             if token is not None:
                 latency.booking.reset(token)
                 if booked.ready_at:
-                    latency.pay(booked.priced, booked.ready_at)
+                    latency.pay(booked.priced, clock.now() + booked.lag)
         return outcomes
 
     def _release_all(self) -> None:

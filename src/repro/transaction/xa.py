@@ -20,6 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Collection, Mapping
 
+from .. import clock
 from ..exceptions import XATransactionError
 from ..storage import Connection, DataSource, commit_prepared, latency
 from .base import DistributedTransaction, TransactionType, failed
@@ -186,11 +187,11 @@ def recover(log: XATransactionLog, data_sources: Mapping[str, DataSource]) -> in
                         source.database, f"{record.xid}:{ds_name}")) is not None:
                     latency.book(*window)
     finally:
-        booked.barrier = booked.ready_at
+        booked.lag = max(booked.lag, booked.ready_at - clock.now())
         if token is not None:
             latency.booking.reset(token)
             if booked.ready_at:
-                latency.pay(booked.priced, booked.ready_at)
+                latency.pay(booked.priced, clock.now() + booked.lag)
     for record in in_doubt:
         log.update(record.xid, XAState.COMMITTED, pending=[])
         log.remove(record.xid)

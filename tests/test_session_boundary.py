@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro import clock
-from repro.adaptors import ShardingDataSource, ShardingRuntime
+from repro.adaptors import ShardingConnection, ShardingDataSource, ShardingRuntime
 from repro.engine import SQLEngine
 from repro.sharding import DataNode, ShardingRule, TableRule, build_auto_table_rule
 from repro.storage import DataSource, LatencyModel
@@ -128,6 +128,36 @@ def test_one_sleep_per_session_call_and_only_at_the_boundary(fake, monkeypatch):
     assert len(stacks) == len(SESSION) - 5  # the three SETs and the LOCAL and XA begin
     assert all(frames[0] == ("repro.storage.latency", "pay")
                and frames[1][0] == "repro.adaptors.jdbc" for frames in stacks), stacks
+    conn.close()
+    runtime.close()
+
+
+def test_work_after_a_statement_runs_after_its_windows(fake, monkeypatch):
+    """What a call does after its units' windows were booked — merging,
+    wrapping the result — runs in the call's time after the last window
+    ends, as when the statement slept before merging: the call sleeps the
+    whole window, once, and returns that work's time after it. Had that
+    work overlapped the window, the one sleep would shrink with the host's
+    speed, and whether an op slept at all would depend on it too."""
+    runtime = session_runtime()
+    conn = ShardingDataSource(runtime).get_connection()
+    fan_out = "SELECT id FROM t_big WHERE v >= 0 ORDER BY id"
+    wrap = ShardingConnection._wrap
+    fake.sleeps.clear()
+    conn.execute(fan_out).fetchall()
+    (window,) = fake.sleeps
+    for cpu in (0.1 * window, 3 * window):  # shorter and longer than the window
+
+        def slow_wrap(self, result, cpu=cpu):
+            fake.t += cpu  # CPU work: the clock moves, nobody sleeps
+            return wrap(self, result)
+
+        monkeypatch.setattr(ShardingConnection, "_wrap", slow_wrap)
+        fake.sleeps.clear()
+        start = fake.t
+        assert len(conn.execute(fan_out).fetchall()) == 16
+        assert fake.sleeps == [approx(window)]
+        assert fake.t - start == approx(window + cpu)
     conn.close()
     runtime.close()
 
