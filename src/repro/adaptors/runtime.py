@@ -230,7 +230,8 @@ class ShardingRuntime:
 
         The executor then skips DOWN sources for degradable broadcast reads
         and fails writes to DOWN sources fast; read-write splitting (when
-        configured) also steers replica reads through :meth:`_source_is_up`.
+        configured) also steers replica reads through the executor's
+        :meth:`~repro.engine.executor.ExecutionEngine.source_up`.
         """
         self.health_detector = detector
         self.engine.executor.set_health_check(detector.is_up)
@@ -267,15 +268,6 @@ class ShardingRuntime:
         ))
         self.engine.result_cache.clear(f"failover of {old_primary}")
         self.metadata.touch(f"failover: {old_primary} -> {new_primary}")
-
-    def _source_is_up(self, name: str) -> bool:
-        """UP per the Governor AND admitted by the source's breaker."""
-        if self.health_detector is not None and not self.health_detector.is_up(name):
-            return False
-        breakers = self.engine.executor.breakers
-        if breakers is not None and not breakers.available(name):
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # Resource management (DistSQL RDL)
@@ -419,6 +411,8 @@ class ShardingRuntime:
                 sharding_column=config["sharding_column"],
                 algorithm_type=config.get("type", "HASH_MOD"),
                 properties=config.get("props", {}),
+                key_generate_column=config.get("key_generate_column"),
+                key_generator_type=config.get("key_generator", "SNOWFLAKE"),
             )
             self.apply_table_rule(table_rule)
             return True
@@ -444,9 +438,7 @@ class ShardingRuntime:
         feature = self.rwsplit_feature
         if feature is None:
             self.rwsplit_feature = ReadWriteSplittingFeature(
-                [group], is_up=self._source_is_up,
-                breakers=self.engine.executor.breakers,
-            )
+                [group], is_up=self.engine.executor.source_up)
             self.engine.add_feature(self.rwsplit_feature)
             return True
         existing = feature.groups.get(group.name)

@@ -118,6 +118,8 @@ def _create_sharding_rule(
             "sharding_column": stmt.sharding_column,
             "type": stmt.algorithm_type,
             "props": {k: v for k, v in props.items() if not callable(v)},
+            "key_generate_column": stmt.key_generate_column,
+            "key_generator": stmt.key_generator,
         },
     )
     verb = "altered" if stmt.alter else "created"

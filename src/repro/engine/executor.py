@@ -242,7 +242,7 @@ class ExecutionEngine:
         concurrent UNREGISTER RESOURCE cannot yank a source out from under
         an in-flight statement; None falls back to the live map.
         ``heat`` is the workload tracker's per-statement sample carrier
-        (``WorkloadIntelligence.begin_statement``): when present, each
+        (``Observability.heat_sample``): when present, each
         completed unit reports its wall time, cursor and row count to
         ``heat.unit_done`` for shard-heat accounting. None (the unsampled
         majority) costs one comparison per unit.
@@ -438,7 +438,8 @@ class ExecutionEngine:
                 f"exceeded while executing on {source_name!r}"
             )
 
-    def _source_up(self, name: str) -> bool:
+    def source_up(self, name: str) -> bool:
+        """UP per the health check AND admitted by the source's breaker."""
         if self.health_check is not None and not self.health_check(name):
             return False
         if self.breakers is not None and not self.breakers.available(name):
@@ -462,7 +463,7 @@ class ExecutionEngine:
         """
         if self.health_check is None:
             return units
-        down = {u.data_source for u in units if not self._source_up(u.data_source)}
+        down = {u.data_source for u in units if not self.source_up(u.data_source)}
         if not down:
             return units
         if not is_query:
@@ -472,7 +473,7 @@ class ExecutionEngine:
         if route_type == "unicast" and len(units) == 1:
             candidates = sources_map if sources_map is not None else self.data_sources
             healthy = next(
-                (name for name in candidates if self._source_up(name)), None
+                (name for name in candidates if self.source_up(name)), None
             )
             if healthy is None:
                 raise DataSourceUnavailableError(
@@ -761,7 +762,7 @@ class ExecutionEngine:
         deadline = self._statement_deadline()
         self._check_deadline(deadline, ds_name)
         self._breaker_admit(ds_name)
-        if self.health_check is not None and not self._source_up(ds_name):
+        if self.health_check is not None and not self.source_up(ds_name):
             raise DataSourceUnavailableError(
                 f"data source {ds_name!r} is DOWN; refusing pipelined batch (fail fast)"
             )

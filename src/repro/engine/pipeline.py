@@ -508,8 +508,7 @@ class SQLEngine:
         if trace is not None:
             trace.root.add_event("result_cache_hit")
         if self.observability is not None:
-            self.observability.on_statement(
-                {}, "result_cache", 0, error=False, weight=0)
+            self.observability.on_statement("result_cache", (), {}, 0)
         return result
 
     def _prepare(self, st: _Statement) -> None:
@@ -529,9 +528,9 @@ class SQLEngine:
         snap, sql, params = st.snap, st.sql, st.params
         observability = self.observability
         # Histogram sampling: unsampled statements (weight 0) skip the
-        # perf_counter calls and stage entries entirely; counters stay
-        # exact. A forced TRACE of an unsampled statement records unweighted.
-        weight = observability.stage_weight() if observability is not None else 0
+        # clock reads and stage entries entirely; counters stay exact. A
+        # forced TRACE of an unsampled statement records unweighted.
+        weight = next(observability.weights) if observability is not None else 0
         if st.trace is not None:
             weight = weight or 1
             st.trace.root.attributes["metadata_version"] = snap.version
@@ -655,11 +654,8 @@ class SQLEngine:
         federated = st.route_type == "federation"
         if st.weight:
             st.begin("federation" if federated else "execute")
-            # Workload analytics piggyback on the same sampling decision as
-            # the stage histograms: unsampled statements pay one branch.
-            workload = self.observability.workload
-            if workload.enabled and not federated:
-                st.heat = workload.begin_statement(st.weight)
+            if not federated:
+                st.heat = self.observability.heat_sample(st.weight)
         if federated:
             from .federation import federate_select
 
@@ -719,20 +715,12 @@ class SQLEngine:
             result.merger_kind = "update"
             execution.release()
 
-        observability = self.observability
-        if observability is not None:
-            observability.on_statement(
-                st.stages, st.route_type, len(units), error=False, weight=weight)
-            workload = observability.workload
-            if weight and workload.enabled:
-                row_sink = workload.record_statement(
-                    context=context, route_type=st.route_type, units=units,
-                    stages=st.stages, weight=weight,
-                    update_count=execution.update_count,
-                    is_query=st.is_query, heat_sample=st.heat,
-                )
-                if row_sink is not None and result.merged is not None:
-                    result.merged.rows = _counting(result.merged.rows, row_sink)
+        if self.observability is not None:
+            row_sink = self.observability.on_statement(
+                st.route_type, units, st.stages, weight, context,
+                execution.update_count, st.is_query, st.heat)
+            if row_sink is not None:
+                result.merged.rows = _counting(result.merged.rows, row_sink)
         for feature in st.snap.features:
             feature.on_result(result, context)
         if (
@@ -772,14 +760,8 @@ class SQLEngine:
                 trace.root.add_event(
                     "reroute", attempt=st.reroutes, error=type(exc).__name__)
             return True
-        observability = self.observability
-        if observability is not None:
-            observability.on_statement({}, "", 0, error=True)
-            if observability.workload.enabled and isinstance(st.sql, str):
-                observability.workload.record_error(st.sql)
-            if trace is not None:
-                trace.finish(error=exc)
-                observability.record_trace(trace)
+        if self.observability is not None:
+            self.observability.on_error(st.sql, trace, exc)
         return False
 
     def _can_reroute(self, st: _Statement) -> bool:

@@ -21,8 +21,7 @@ adds no spans until ``tracer.enabled`` (or a one-shot ``TRACE``) flips on.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .metrics import (
     DEFAULT_FANOUT_BUCKETS,
@@ -32,20 +31,36 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     like_to_matcher,
+    sample_weights,
+    sampling_setting,
 )
 from .slowlog import SlowQueryEntry, SlowQueryLog
 from .trace import Span, Trace, Tracer
-from .workload import WorkloadIntelligence
+from .workload import WorkloadIntelligence, _HeatSample
 
 if TYPE_CHECKING:
     from ..storage.pool import ConnectionPool
 
-#: pipeline stages in execution order (used by SHOW METRICS and --profile)
+#: every stage the pipeline times, in execution order (SHOW METRICS, --profile)
 STAGES = ("parse", "route", "rewrite", "plan_cache_hit", "execute", "merge", "federation")
 
 
 class Observability:
-    """Tracer + metrics registry + slow-query log for one deployment."""
+    """Tracer + metrics registry + slow-query log for one deployment.
+
+    The engine reports each statement here in one call (:meth:`on_statement`
+    or :meth:`on_error`); only this object decides which of the registry,
+    the workload tracker, the tracer and the slow log see it.
+    """
+
+    #: histogram sampling (DESIGN.md "Observability > Sampling"): counters
+    #: stay exact; after the first ``stage_sample_warmup`` statements (and
+    #: checkouts per pool), only 1 in ``stage_sample_every`` pays the stage
+    #: timing and histogram updates, weighted by the sample period so
+    #: histogram counts and sums still estimate the full population. Set
+    #: stage_sample_every = 1 for exact histograms.
+    stage_sample_warmup = sampling_setting("stage_sample_warmup")
+    stage_sample_every = sampling_setting("stage_sample_every")
 
     def __init__(
         self,
@@ -61,8 +76,6 @@ class Observability:
         self.workload = WorkloadIntelligence()
         reg = self.registry
         reg.register_collector(self.workload.families, key=self.workload)
-        # Pre-created hot-path instruments (one lock round-trip per statement
-        # via the *_locked variants in on_statement).
         self._stage_hist = reg.histogram(
             "engine_stage_seconds", "wall seconds per pipeline stage", ("stage",)
         )
@@ -91,74 +104,79 @@ class Observability:
         )
         reg.gauge("pool_in_use", "connections checked out", ("source",))
         reg.gauge("pool_idle", "idle pooled connections", ("source",))
-        # Hot-path shortcut: pre-materialized histogram children so
-        # on_statement updates them inline (one dict get per stage, no
-        # label-validation) — this runs on every statement.
-        self._stage_bounds = self._stage_hist.bounds
+        # Pre-materialized children, one per stage the pipeline times: a
+        # sampled statement finds each by one dict lookup, with no label
+        # validation.
         self._stage_children = {
             stage: self._stage_hist._child((stage,)) for stage in STAGES
         }
-        self._fanout_bounds = self._fanout.bounds
         self._fanout_child = self._fanout._child(())
-        #: histogram sampling (DESIGN.md "Observability > Sampling"):
-        #: counters stay exact; after the first ``stage_sample_warmup``
-        #: statements, only 1 in ``stage_sample_every`` pays the stage
-        #: timing and histogram updates, weighted by the sample period so
-        #: histogram counts and sums still estimate the full population.
-        #: Set stage_sample_every = 1 for exact histograms.
-        self.stage_sample_warmup = 64
+        #: watched pools: source -> (pool, its checkout-wait observer)
+        self._pools: dict[str, tuple["ConnectionPool", Callable[[float, int], None]]] = {}
+        self._stage_sample_warmup = 64
         self.stage_sample_every = 8
-        self._seq = 0
+
+    def _resample(self) -> None:
+        """Restart the statement stream and every pool's checkout stream."""
+        warmup, every = self._stage_sample_warmup, self._stage_sample_every
+        #: statement weights: ``next(weights)`` is the sampling decision
+        self.weights = sample_weights(warmup, every)
+        for pool, observe in self._pools.values():
+            pool.wait_observer = (sample_weights(warmup, every), observe)
 
     # -- statement-level recording (engine pipeline) ----------------------
 
-    def stage_weight(self) -> int:
-        """Sampling decision for one statement: 0 = skip stage timing.
+    def heat_sample(self, weight: int) -> _HeatSample | None:
+        """Shard-heat carrier the executor fills for a sampled statement."""
+        workload = self.workload
+        return _HeatSample(workload, weight) if workload.enabled else None
 
-        Returns the weight the statement's histogram observations should
-        carry (the sample period, so sampled observations stand in for the
-        skipped ones). The unlocked increment is a benign race under
-        threads: a lost update only shifts the sampling phase.
-        """
-        seq = self._seq = self._seq + 1
-        if seq <= self.stage_sample_warmup:
-            return 1
-        if seq % self.stage_sample_every == 0:
-            return self.stage_sample_every
-        return 0
+    def on_statement(
+        self,
+        route_type: str,
+        units: Sequence[Any],
+        stages: Mapping[str, float],
+        weight: int,
+        context: Any = None,
+        update_count: int = 0,
+        is_query: bool = False,
+        heat: _HeatSample | None = None,
+    ) -> Callable[[int], None] | None:
+        """Record one finished statement; lock only when it is sampled.
 
-    def on_statement(self, stages: Mapping[str, float], route_type: str,
-                     fanout: int, error: bool, weight: int = 1) -> None:
-        """Record one logical statement; lock only when histograms sample.
-
-        Counters take the sharded lock-free path (exact, per-thread
-        slots), so the 1-in-N unsampled majority of statements never
-        touches the registry mutex — contended locks convoy badly with
-        the GIL and were measurable at benchmark concurrency.
+        Every statement counts by route type; a sampled one (``weight``
+        > 0, which needs ``context``) also feeds the stage and fan-out
+        histograms and the workload tracker, whose row sink for a query is
+        returned. Counters take the sharded lock-free path (exact,
+        per-thread slots), so the 1-in-N unsampled majority of statements
+        never touches the registry mutex — contended locks convoy badly
+        with the GIL and were measurable at benchmark concurrency.
         """
         self._statements.inc_sharded((route_type or "unrouted",))
-        if error:
-            self._statement_errors.inc_sharded(())
-        if weight and stages:
-            with self.registry.lock:
-                bounds = self._stage_bounds
-                children = self._stage_children
-                for stage, seconds in stages.items():
-                    child = children.get(stage)
-                    if child is None:
-                        child = children[stage] = self._stage_hist._child((stage,))
-                    child.counts[bisect_left(bounds, seconds)] += weight
-                    child.count += weight
-                    child.sum += seconds * weight
-                    if seconds > child.max:
-                        child.max = seconds
-                if fanout:
-                    fanout_child = self._fanout_child
-                    fanout_child.counts[bisect_left(self._fanout_bounds, fanout)] += weight
-                    fanout_child.count += weight
-                    fanout_child.sum += fanout * weight
-                    if fanout > fanout_child.max:
-                        fanout_child.max = fanout
+        if not weight:
+            return None
+        with self.registry.lock:
+            children = self._stage_children
+            for stage, seconds in stages.items():
+                children[stage].observe(seconds, weight)
+            if units:
+                self._fanout_child.observe(len(units), weight)
+        workload = self.workload
+        if not workload.enabled:
+            return None
+        return workload.record_statement(
+            context, route_type, units, stages, weight, update_count, is_query, heat)
+
+    def on_error(self, sql: Any, trace: Trace | None, exc: BaseException) -> None:
+        """Record one statement that raised: exact counters, its digest
+        (a text statement's; errors bypass sampling) and its trace."""
+        self._statements.inc_sharded(("unrouted",))
+        self._statement_errors.inc_sharded(())
+        if self.workload.enabled and isinstance(sql, str):
+            self.workload.record_error(sql)
+        if trace is not None:
+            trace.finish(error=exc)
+            self.record_trace(trace)
 
     def on_source_attempt(self, source: str, ok: bool, count: int = 1) -> None:
         """Per-unit attempt outcome (QPS and error rate per data source);
@@ -176,43 +194,27 @@ class Observability:
 
     def record_trace(self, trace: Trace) -> None:
         self.tracer.record(trace)
-        digest = ""
-        workload = self.workload
-        if workload.enabled:
-            digest = workload.note_trace(trace)
+        digest = self.workload.note_trace(trace) if self.workload.enabled else ""
         self.slow_log.offer(trace, digest=digest)
 
     # -- wiring --------------------------------------------------------------
 
     def watch_pool(self, source: str, pool: "ConnectionPool") -> None:
-        """Attach pool checkout-wait + occupancy instruments to one pool."""
-        # Pre-bind the child + lock so every checkout pays one inline
-        # histogram update instead of kwargs label validation, and apply
-        # the same weighted 1-in-N sampling as the stage histograms.
-        bounds = self._pool_wait.bounds
+        """Attach pool checkout-wait + occupancy instruments to one pool.
+
+        The pool draws each checkout's weight from its own stream and
+        calls the observer only for a sampled one."""
         lock = self.registry.lock
         with lock:
             child = self._pool_wait._child((source,))
-        warmup = self.stage_sample_warmup
-        state = [0]  # per-pool observation counter (GIL race = phase shift)
 
-        def observe_wait(waited: float) -> None:
-            state[0] = seen = state[0] + 1
-            if seen <= warmup:
-                weight = 1
-            else:
-                every = self.stage_sample_every
-                if seen % every:
-                    return
-                weight = every
+        def observe_wait(waited: float, weight: int) -> None:
             with lock:
-                child.counts[bisect_left(bounds, waited)] += weight
-                child.count += weight
-                child.sum += waited * weight
-                if waited > child.max:
-                    child.max = waited
+                child.observe(waited, weight)
 
-        pool.wait_observer = observe_wait
+        self._pools[source] = (pool, observe_wait)
+        pool.wait_observer = (
+            sample_weights(self._stage_sample_warmup, self._stage_sample_every), observe_wait)
         self.registry.gauge("pool_in_use", labelnames=("source",)).set_function(
             lambda: pool.in_use, source=source
         )
@@ -231,6 +233,7 @@ class Observability:
         self.registry.gauge("pool_in_use", labelnames=("source",)).remove(source=source)
         self.registry.gauge("pool_idle", labelnames=("source",)).remove(source=source)
         self._pool_wait.remove(source=source)
+        self._pools.pop(source, None)
         if pool is not None:
             pool.wait_observer = None
 

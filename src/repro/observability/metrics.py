@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from itertools import chain, cycle, repeat
 from threading import get_ident
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 #: default latency buckets (seconds): 10µs .. 2.5s, roughly ×2.5 steps
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
@@ -41,6 +42,29 @@ LabelValues = tuple[str, ...]
 #: a collector yields (name, kind, help, [(labels_dict, value)]) families
 SampleFamily = tuple[str, str, str, list[tuple[dict[str, str], float]]]
 Collector = Callable[[], Iterable[SampleFamily]]
+
+
+def sample_weights(warmup: int, every: int) -> Iterator[int]:
+    """The one sampling rule (DESIGN.md "Observability > Sampling"), as an
+    endless stream of weights: the first ``warmup`` draws weigh 1, then
+    every ``every``-th draw weighs ``every`` and the others 0 (skip), so a
+    sampled observation stands in for the skipped ones; with ``every`` 0
+    all draws after the warm-up skip. ``next()`` on it runs no Python
+    code, and threads drawing at once only shift the phase."""
+    period = (0,) * (every - 1) + (every,) if every > 0 else (0,)
+    return chain(repeat(1, warmup), cycle(period))
+
+
+def sampling_setting(name: str) -> property:
+    """A sampling setting: assigning it restarts its owner's weight
+    streams (``owner._resample()``), warm-up included."""
+    slot = "_" + name
+
+    def assign(owner: Any, value: int) -> None:
+        setattr(owner, slot, value)
+        owner._resample()
+
+    return property(lambda owner: getattr(owner, slot), assign)
 
 
 class _Metric:
@@ -96,9 +120,6 @@ class Counter(_Metric):
         key = self._key(labels)
         with self._lock:
             self._children[key] = self._children.get(key, 0.0) + amount
-
-    def _inc_locked(self, amount: float, key: LabelValues) -> None:
-        self._children[key] = self._children.get(key, 0.0) + amount
 
     def inc_sharded(self, key: LabelValues, amount: float = 1.0) -> None:
         """Lock-free increment; ``key`` is the label-values tuple."""
@@ -157,13 +178,43 @@ class Gauge(_Metric):
 
 
 class _HistogramChild:
-    __slots__ = ("counts", "count", "sum", "max")
+    """One label set's buckets: the only weighted bucket update and the
+    only percentile interpolation in the package. Not locked: its owner
+    holds whatever lock guards it."""
 
-    def __init__(self, num_buckets: int):
-        self.counts = [0] * (num_buckets + 1)  # +1 for the +Inf bucket
+    __slots__ = ("bounds", "counts", "count", "sum", "max")
+
+    def __init__(self, bounds: Sequence[float]):
+        self.bounds = bounds
+        self.counts = [0] * (len(bounds) + 1)  # +1 for the +Inf bucket
         self.count = 0
         self.sum = 0.0
         self.max = 0.0
+
+    def observe(self, value: float, weight: float = 1) -> None:
+        """One observation standing for ``weight`` (its sample period)."""
+        self.counts[bisect_left(self.bounds, value)] += weight
+        self.count += weight
+        self.sum += value * weight
+        if value > self.max:
+            self.max = value
+
+    def percentile(self, p: float) -> float:
+        """Estimated percentile (p in [0, 100]) via in-bucket interpolation."""
+        if not self.count:
+            return 0.0
+        bounds = self.bounds
+        rank = max(0.0, min(100.0, p)) / 100.0 * self.count
+        cumulative = 0
+        for i, bucket_count in enumerate(self.counts):
+            if bucket_count == 0:
+                continue
+            if cumulative + bucket_count >= rank:
+                lower = bounds[i - 1] if i > 0 else 0.0
+                upper = max(bounds[i] if i < len(bounds) else self.max, lower)
+                return lower + (rank - cumulative) / bucket_count * (upper - lower)
+            cumulative += bucket_count
+        return self.max
 
 
 class Histogram(_Metric):
@@ -182,71 +233,42 @@ class Histogram(_Metric):
     def _child(self, key: LabelValues) -> _HistogramChild:
         child = self._children.get(key)
         if child is None:
-            child = self._children[key] = _HistogramChild(len(self.bounds))
+            child = self._children[key] = _HistogramChild(self.bounds)
         return child
 
     def observe(self, value: float, **labels: Any) -> None:
         key = self._key(labels)
         with self._lock:
-            self._observe_locked(value, key)
-
-    def _observe_locked(self, value: float, key: LabelValues) -> None:
-        child = self._child(key)
-        child.counts[bisect_left(self.bounds, value)] += 1
-        child.count += 1
-        child.sum += value
-        if value > child.max:
-            child.max = value
+            self._child(key).observe(value)
 
     # -- reads -------------------------------------------------------------
 
-    def count(self, **labels: Any) -> int:
-        key = self._key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            return child.count if child is not None else 0
+    def _read(self, labels: Mapping[str, Any]) -> _HistogramChild:
+        """The label set's child, or an empty one (caller holds the lock)."""
+        return self._children.get(self._key(labels)) or _HistogramChild(self.bounds)
 
-    def sum(self, **labels: Any) -> float:
-        key = self._key(labels)
+    def count(self, **labels: Any) -> int:
         with self._lock:
-            child = self._children.get(key)
-            return child.sum if child is not None else 0.0
+            return self._read(labels).count
 
     def percentile(self, p: float, **labels: Any) -> float:
-        """Estimated percentile (p in [0, 100]) via in-bucket interpolation."""
-        key = self._key(labels)
+        """Estimated percentile (p in [0, 100]); 0.0 before any observation."""
         with self._lock:
-            child = self._children.get(key)
-            if child is None or child.count == 0:
-                return 0.0
-            counts = list(child.counts)
-            total, observed_max = child.count, child.max
-        rank = max(0.0, min(100.0, p)) / 100.0 * total
-        cumulative = 0
-        for i, bucket_count in enumerate(counts):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= rank:
-                lower = self.bounds[i - 1] if i > 0 else 0.0
-                upper = self.bounds[i] if i < len(self.bounds) else observed_max
-                upper = max(upper, lower)
-                fraction = (rank - cumulative) / bucket_count
-                return lower + fraction * (upper - lower)
-            cumulative += bucket_count
-        return observed_max
+            return self._read(labels).percentile(p)
 
     def stats(self, **labels: Any) -> dict[str, float]:
-        """count/sum/avg plus the paper's three tail percentiles."""
-        count = self.count(**labels)
-        total = self.sum(**labels)
-        return {
-            "count": count,
-            "sum": total,
-            "avg": (total / count) if count else 0.0,
-            "p50": self.percentile(50, **labels),
-            "p95": self.percentile(95, **labels),
-            "p99": self.percentile(99, **labels),
-        }
+        """count/sum/avg plus the paper's three tail percentiles, read at once."""
+        with self._lock:
+            child = self._read(labels)
+            count, total = child.count, child.sum
+            return {
+                "count": count,
+                "sum": total,
+                "avg": (total / count) if count else 0.0,
+                "p50": child.percentile(50),
+                "p95": child.percentile(95),
+                "p99": child.percentile(99),
+            }
 
     def samples(self) -> list[tuple[dict[str, str], float]]:
         """Summary view used by SHOW METRICS (value = observation count)."""
@@ -393,23 +415,13 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (0.0.4)."""
         lines: list[str] = []
-        for name in list(self._order):
-            metric = self._families[name]
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            if isinstance(metric, Histogram):
-                lines.extend(metric._prometheus_lines())
+        for name, kind, help, samples in self.collect():
+            if help:
+                lines.append(f"# HELP {name} {help}")
+            lines.append(f"# TYPE {name} {kind}")
+            if kind == "histogram":
+                lines.extend(self._families[name]._prometheus_lines())
             else:
-                for labels, value in metric.samples():
-                    lines.append(
-                        f"{metric.name}{_render_labels(labels)} {_format_value(value)}"
-                    )
-        for _, collector in list(self._collectors):
-            for name, kind, help, samples in collector():
-                if help:
-                    lines.append(f"# HELP {name} {help}")
-                lines.append(f"# TYPE {name} {kind}")
                 for labels, value in samples:
                     lines.append(f"{name}{_render_labels(labels)} {_format_value(value)}")
         return "\n".join(lines) + "\n"

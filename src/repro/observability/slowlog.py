@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from .metrics import sample_weights, sampling_setting
+
 if TYPE_CHECKING:
     from .trace import Trace
 
@@ -38,29 +40,28 @@ class SlowQueryEntry:
 class SlowQueryLog:
     """Threshold-filtered, sampled ring buffer of completed traces."""
 
+    #: record every Nth non-slow trace as well (0 disables sampling)
+    sample_every = sampling_setting("sample_every")
+
     def __init__(self, threshold: float = 0.1, capacity: int = 128,
                  sample_every: int = 0):
         if capacity < 1:
             raise ValueError("slow query log capacity must be >= 1")
         self.threshold = threshold
         self.capacity = capacity
-        #: record every Nth non-slow trace as well (0 disables sampling)
-        self.sample_every = sample_every
         self._entries: deque[SlowQueryEntry] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._seen_fast = 0
         self.recorded = 0
+        self.sample_every = sample_every
+
+    def _resample(self) -> None:
+        self._fast_weights = sample_weights(0, self._sample_every)
 
     def offer(self, trace: "Trace", digest: str = "") -> bool:
         """Consider one finished trace; True when it was recorded."""
         slow = trace.wall >= self.threshold
-        if not slow:
-            if not self.sample_every:
-                return False
-            with self._lock:
-                self._seen_fast += 1
-                if self._seen_fast % self.sample_every != 0:
-                    return False
+        if not slow and not next(self._fast_weights):
+            return False
         entry = SlowQueryEntry(
             trace_id=trace.trace_id,
             sql=trace.name,
@@ -86,4 +87,4 @@ class SlowQueryLog:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._seen_fast = 0
+            self._resample()

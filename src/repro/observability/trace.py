@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .. import clock
 
@@ -172,11 +172,6 @@ class Trace:
         with self._lock:
             return sum(span.simulated for span in self.spans)
 
-    @property
-    def lock_wait(self) -> float:
-        with self._lock:
-            return sum(span.lock_wait for span in self.spans)
-
     def find_spans(self, name: str) -> list[Span]:
         with self._lock:
             return [span for span in self.spans if span.name == name]
@@ -259,8 +254,8 @@ class Tracer:
 
     ``enabled`` is the zero-cost switch the engine checks before creating
     any span. Finished traces land in a bounded ring buffer (``finished``)
-    for ``SHOW TRACES``; listeners (the slow-query log) see every finished
-    trace regardless of the buffer.
+    for ``SHOW TRACES``; ``Observability.record_trace`` hands each one to
+    the slow-query log as well.
     """
 
     def __init__(self, enabled: bool = False, keep: int = 128):
@@ -270,7 +265,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._trace_seq = 0
         self._span_seq = 0
-        self._listeners: list[Callable[[Trace], None]] = []
 
     # -- id allocation ----------------------------------------------------
 
@@ -294,13 +288,8 @@ class Tracer:
         return Trace(self, trace_id, name)
 
     def record(self, trace: Trace) -> None:
-        """Register a finished trace (ring buffer + listeners)."""
+        """Keep a finished trace in the ring buffer."""
         self.finished.append(trace)
-        for listener in self._listeners:
-            listener(trace)
-
-    def add_listener(self, listener: Callable[[Trace], None]) -> None:
-        self._listeners.append(listener)
 
     def recent(self) -> Iterable[Trace]:
         """Finished traces, newest first."""

@@ -20,10 +20,11 @@ the system doing"; this module answers "what is the workload doing to it":
   burn accounting and a bounded alert ring.
 
 Recording piggybacks on the engine's weighted 1-in-N statement sampling
-(`Observability.stage_weight`): a sampled statement records once with its
-sample weight, unsampled statements pay nothing, and a disabled tracker
-(``enabled = False`` / ``SET VARIABLE workload_analytics = off``) costs
-one attribute check per statement. Counts are therefore *estimates* of
+(``Observability.weights``): ``Observability.on_statement`` hands a
+sampled statement over once with its sample weight, unsampled statements
+pay nothing, and a disabled tracker (``enabled = False`` /
+``SET VARIABLE workload_analytics = off``) costs one attribute check per
+sampled statement. Counts are therefore *estimates* of
 the full population, exact while sampling is exact (warmup, ``--profile``).
 """
 
@@ -36,8 +37,9 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..cache import LruCache
+from ..engine.router import shard_key_values
 from ..sql import normalize
-from .metrics import DEFAULT_LATENCY_BUCKETS, SampleFamily, bisect_left
+from .metrics import DEFAULT_LATENCY_BUCKETS, SampleFamily, _HistogramChild
 
 if TYPE_CHECKING:
     from ..engine.context import StatementContext
@@ -92,8 +94,7 @@ class DigestStats:
     """Accumulated statistics for one statement fingerprint."""
 
     __slots__ = (
-        "digest", "text", "calls", "errors", "rows",
-        "bucket_counts", "total_seconds", "max_seconds",
+        "digest", "text", "calls", "errors", "rows", "latency",
         "fanout_sum", "fanout_max", "plan_hits",
         "storage_units", "storage_hits",
         "route_types", "exemplar", "exemplar_wall", "last_seen",
@@ -105,9 +106,8 @@ class DigestStats:
         self.calls = 0.0
         self.errors = 0.0
         self.rows = 0.0
-        self.bucket_counts = [0.0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
-        self.total_seconds = 0.0
-        self.max_seconds = 0.0
+        #: timed calls only: an error is counted in ``calls`` untimed
+        self.latency = _HistogramChild(DEFAULT_LATENCY_BUCKETS)
         self.fanout_sum = 0.0
         self.fanout_max = 0
         self.plan_hits = 0.0
@@ -122,10 +122,7 @@ class DigestStats:
                 route_type: str, plan_hit: bool,
                 storage_units: int, storage_hits: int) -> None:
         self.calls += weight
-        self.bucket_counts[bisect_left(DEFAULT_LATENCY_BUCKETS, seconds)] += weight
-        self.total_seconds += seconds * weight
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
+        self.latency.observe(seconds, weight)
         self.fanout_sum += fanout * weight
         if fanout > self.fanout_max:
             self.fanout_max = fanout
@@ -135,24 +132,6 @@ class DigestStats:
         self.storage_hits += storage_hits * weight
         if route_type:
             self.route_types[route_type] = self.route_types.get(route_type, 0.0) + weight
-
-    def percentile(self, p: float) -> float:
-        """Fixed-bucket estimate, same interpolation as Histogram."""
-        if self.calls <= 0:
-            return 0.0
-        rank = max(0.0, min(100.0, p)) / 100.0 * self.calls
-        cumulative = 0.0
-        bounds = DEFAULT_LATENCY_BUCKETS
-        for i, bucket_count in enumerate(self.bucket_counts):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= rank:
-                lower = bounds[i - 1] if i > 0 else 0.0
-                upper = bounds[i] if i < len(bounds) else self.max_seconds
-                upper = max(upper, lower)
-                return lower + (rank - cumulative) / bucket_count * (upper - lower)
-            cumulative += bucket_count
-        return self.max_seconds
 
 
 class DigestTable:
@@ -496,10 +475,6 @@ class WorkloadIntelligence:
             cached = self._digest_cache.get_or_create(shape, lambda: digest_of(shape))
         return cached
 
-    def begin_statement(self, weight: float) -> _HeatSample:
-        """Start unit-level accounting for one sampled statement."""
-        return _HeatSample(self, weight)
-
     def record_statement(
         self,
         context: "StatementContext",
@@ -520,7 +495,7 @@ class WorkloadIntelligence:
         digest, text = self.digest_of(context.sql)
         seconds = sum(stages.values())
         plan_hit = "plan_cache_hit" in stages
-        shard_keys = _shard_key_values(context)
+        shard_keys = shard_key_values(context)
         storage_units = heat_sample.storage_units if heat_sample is not None else 0
         storage_hits = heat_sample.storage_hits if heat_sample is not None else 0
         with self._lock:
@@ -590,7 +565,7 @@ class WorkloadIntelligence:
         with self._lock:
             entries = sorted(
                 self.digests.entries.values(),
-                key=lambda s: s.total_seconds, reverse=True,
+                key=lambda s: s.latency.sum, reverse=True,
             )
             if limit is not None:
                 entries = entries[:limit]
@@ -603,10 +578,10 @@ class WorkloadIntelligence:
                     "calls": round(s.calls, 1),
                     "errors": round(s.errors, 1),
                     "rows": round(s.rows, 1),
-                    "total_ms": round(s.total_seconds * 1000, 3),
-                    "avg_ms": round(s.total_seconds / s.calls * 1000, 4) if s.calls else 0.0,
-                    "p95_ms": round(s.percentile(95) * 1000, 4),
-                    "max_ms": round(s.max_seconds * 1000, 3),
+                    "total_ms": round(s.latency.sum * 1000, 3),
+                    "avg_ms": round(s.latency.sum / s.calls * 1000, 4) if s.calls else 0.0,
+                    "p95_ms": round(s.latency.percentile(95) * 1000, 4),
+                    "max_ms": round(s.latency.max * 1000, 3),
                     "fanout_avg": round(s.fanout_sum / s.calls, 2) if s.calls else 0.0,
                     "fanout_max": s.fanout_max,
                     "plan_hit_rate": round(s.plan_hits / s.calls, 4) if s.calls else 0.0,
@@ -721,12 +696,9 @@ class WorkloadIntelligence:
             ]
             slos = sorted(self.slo.routes.items())
             slo_samples = [
-                (
-                    [({"route_type": rt}, slo.statements) for rt, slo in slos],
-                    [({"route_type": rt}, slo.breaches) for rt, slo in slos],
-                    [({"route_type": rt}, slo.burn_rate) for rt, slo in slos],
-                )
-            ][0]
+                [({"route_type": rt}, getattr(slo, attr)) for rt, slo in slos]
+                for attr in ("statements", "breaches", "burn_rate")
+            ]
             digest_count = float(len(self.digests.entries))
             digest_evicted = float(self.digests.evicted)
             alerts_total = float(self.slo.alerts_total)
@@ -768,10 +740,3 @@ class WorkloadIntelligence:
              "SLO burn alerts raised", [({}, alerts_total)]),
         ]
         return families
-
-
-def _shard_key_values(context: "StatementContext") -> list[tuple[str, str, Any]]:
-    """Shard-key values this statement routed by (hot-key observations)."""
-    from ..engine.router import shard_key_values
-
-    return shard_key_values(context)

@@ -9,7 +9,7 @@ which takes a whole batch or nothing under the pool's mutex.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .. import clock
 from ..exceptions import ConnectionPoolExhaustedError
@@ -31,10 +31,11 @@ class ConnectionPool:
         self._in_use = 0
         self._mutex = threading.Lock()
         self._available = threading.Condition(self._mutex)
-        #: observability hook: called with the measured checkout wait
-        #: (seconds) after every successful acquire, single or batch; None =
-        #: not monitored
-        self.wait_observer: Callable[[float], None] | None = None
+        #: observability hook: (weight stream, observe); after every
+        #: successful acquire, single or batch, the next weight is drawn and
+        #: a sampled one calls ``observe(wait seconds, weight)``; None = not
+        #: monitored
+        self.wait_observer: tuple[Iterator[int], Callable[[float, int], None]] | None = None
 
     # -- metrics ---------------------------------------------------------
 
@@ -119,7 +120,11 @@ class ConnectionPool:
                 conn = self._idle.pop() if self._idle else self.data_source.connect_raw()
                 if not conn.closed:
                     taken.append(conn)
-        # observer runs outside the pool lock (it may take a registry lock)
+        # the observer runs outside the pool lock (it may take a registry
+        # lock), and only for a checkout its weight stream samples
         if self.wait_observer is not None:
-            self.wait_observer(clock.now() - start)
+            weights, observe = self.wait_observer
+            weight = next(weights)
+            if weight:
+                observe(clock.now() - start, weight)
         return taken

@@ -111,6 +111,41 @@ class TestRulePropagation:
         assert b.rule.is_sharded("t_wide")
 
 
+CREATE_T_ORDER_KEYGEN = (
+    "CREATE SHARDING TABLE RULE t_order (RESOURCES(ds0, ds1), "
+    "SHARDING_COLUMN=order_id, TYPE=mod, PROPERTIES('sharding-count'=2), "
+    "KEY_GENERATE_COLUMN=order_id, KEY_GENERATOR=snowflake)"
+)
+
+
+def insert_without_key(conn):
+    """Create t_order and insert one row whose sharding key is generated."""
+    conn.execute("CREATE TABLE t_order (order_id BIGINT, amount INT, PRIMARY KEY (order_id))")
+    conn.execute("INSERT INTO t_order (amount) VALUES (5)")
+    ((order_id, amount),) = conn.execute("SELECT order_id, amount FROM t_order").fetchall()
+    assert order_id is not None and amount == 5
+
+
+class TestKeyGeneratorThroughGovernor:
+    """A DistSQL rule's key generator survives the config center."""
+
+    def test_peer_generates_the_key(self, cluster):
+        _, b, a_conn, b_conn = cluster
+        a_conn.execute(CREATE_T_ORDER_KEYGEN)
+        assert b.rule.table_rule("t_order").key_generate.column == "order_id"
+        insert_without_key(b_conn)
+
+    def test_restart_generates_the_key(self, cluster):
+        a, _, a_conn, _ = cluster
+        a_conn.execute(CREATE_T_ORDER_KEYGEN)
+        restarted = ShardingRuntime(config_center=a.config_center)
+        assert restarted.load_rules_from_governor() >= 1
+        conn = ShardingDataSource(restarted).get_connection()
+        insert_without_key(conn)
+        conn.close()
+        restarted.close()
+
+
 class TestPropPropagation:
     def test_set_variable_on_a_applies_on_b(self, cluster):
         a, b, a_conn, _ = cluster

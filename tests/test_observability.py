@@ -7,8 +7,11 @@ diagnostics invariants on ``EngineResult``, and the overhead guard
 (tracer disabled → zero spans and no trace allocations).
 """
 
+import re
 import threading
 import tracemalloc
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from repro.observability import (
     Tracer,
     like_to_matcher,
 )
+from repro.observability.metrics import sample_weights
 from repro.storage import DataSource, FaultInjector, LatencyModel
 
 
@@ -585,3 +589,47 @@ class TestBenchProfile:
         assert "execute" in payload["stages"]
         assert payload["stages"]["execute"]["count"] > 0
         assert payload["per_source_queries"]
+
+
+# ---------------------------------------------------------------------------
+# One sampler, one weighted histogram
+# ---------------------------------------------------------------------------
+
+
+class TestOneSampler:
+    def test_weight_stream_is_warmup_then_one_in_n(self):
+        assert list(islice(sample_weights(2, 3), 8)) == [1, 1, 0, 0, 3, 0, 0, 3]
+        assert list(islice(sample_weights(1, 0), 3)) == [1, 0, 0]
+
+    def test_pool_checkouts_follow_the_settings(self):
+        obs = Observability()
+        pool = DataSource("p0").pool
+        obs.watch_pool("p0", pool)
+        obs.stage_sample_warmup, obs.stage_sample_every = 0, 4
+        hist = obs.registry.get("pool_checkout_wait_seconds")
+        for _ in range(9):
+            pool.release(pool.acquire())
+        assert hist.count(source="p0") == 8  # two samples of weight 4
+        obs.stage_sample_every = 1
+        pool.release(pool.acquire())
+        assert hist.count(source="p0") == 9
+        obs.unwatch_pool("p0", pool)
+        assert pool.wait_observer is None
+
+    def test_slow_log_sampling_follows_its_setting(self):
+        tracer = Tracer(enabled=True)
+        log = SlowQueryLog(threshold=60.0)
+        assert not log.offer(make_trace(tracer))
+        log.sample_every = 2
+        assert [log.offer(make_trace(tracer)) for _ in range(4)] == [False, True] * 2
+
+    def test_src_holds_one_bucket_update_interpolation_and_sampling_rule(self):
+        # A second copy of any of the three is a re-fork: make it call
+        # _HistogramChild.observe / .percentile or draw from sample_weights.
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        text = "".join(p.read_text() for p in sorted((src / "observability").glob("*.py")))
+        assert text.count("bisect_left(") == 1
+        assert text.count("rank - cumulative") == 1
+        assert len(re.findall(r"%\s*(?:self\.)?\w*every\b|\bcycle\(", text)) == 1
+        engine = "".join(p.read_text() for p in sorted((src / "engine").glob("*.py")))
+        assert not re.search(r"\.workload\b", engine)  # Observability decides

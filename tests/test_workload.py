@@ -24,6 +24,7 @@ from repro.observability.workload import (
     SLObjective,
     SLOTracker,
     SpaceSaving,
+    WorkloadIntelligence,
     digest_of,
     normalize_sql,
 )
@@ -127,6 +128,24 @@ class TestDigestTable:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             DigestTable(capacity=0)
+
+    def test_digest_percentiles_match_the_registry_histogram(self):
+        # weighted latencies, the last one past the last bucket (2.5 s)
+        latencies = [(2e-5, 8), (3e-4, 1), (4e-3, 8), (0.07, 1), (3.0, 2)]
+        hist = MetricsRegistry().histogram("t_seconds")
+        workload = WorkloadIntelligence()
+        stats = workload.digests.touch("d1", "SELECT ?")
+        for seconds, weight in latencies:
+            for _ in range(weight):
+                hist.observe(seconds)
+            stats.observe(seconds, weight, fanout=1, route_type="standard",
+                          plan_hit=True, storage_units=1, storage_hits=1)
+        for p in (50, 95, 99):
+            assert stats.latency.percentile(p) == pytest.approx(hist.percentile(p))
+        assert hist.percentile(99) > 2.5
+        (row,) = workload.digest_report()
+        assert row["p95_ms"] == round(hist.percentile(95) * 1000, 4)
+        assert row["max_ms"] == 3000.0
 
 
 # ---------------------------------------------------------------------------
