@@ -195,8 +195,15 @@ def _derive_columns(stmt: ast.SelectStatement) -> None:
 
 
 def _revise_pagination(stmt: ast.SelectStatement, params: Sequence[Any]) -> None:
-    """Each shard must return the first offset+count rows."""
+    """Each shard must return the first offset+count rows — or all of them
+    when the merge re-aggregates groups that the ORDER BY does not rank by
+    their keys: a shard then ranks its partial aggregates, and the groups
+    it drops may hold part of a merged group's value. The merger applies
+    LIMIT/OFFSET after merging the groups."""
     if stmt.limit is None:
+        return
+    if stmt.group_by and not _orders_by_group_keys(stmt):
+        stmt.limit = None
         return
     count = _resolve_int(stmt.limit.count, params)
     offset = _resolve_int(stmt.limit.offset, params)
@@ -208,6 +215,19 @@ def _revise_pagination(stmt: ast.SelectStatement, params: Sequence[Any]) -> None
     stmt.limit = ast.Limit(count=None if new_count is None else ast.Literal(new_count))
     if stmt.limit.count is None:
         stmt.limit = None
+
+
+def _orders_by_group_keys(stmt: ast.SelectStatement) -> bool:
+    """Whether the leading ORDER BY items are the GROUP BY keys, all of
+    them: groups are then ranked by key alone, so every group among the
+    merged first n is among each shard's first n that hold it."""
+    def slot(expr: ast.Expression) -> int | str:
+        index = _find_select_index(stmt, expr)
+        return format_expression(expr).lower() if index is None else index
+
+    keys = {slot(expr) for expr in stmt.group_by}
+    leading = stmt.order_by[:len(stmt.group_by)]
+    return {slot(item.expression) for item in leading} == keys
 
 
 def _resolve_int(expr: ast.Expression | None, params: Sequence[Any]) -> int | None:

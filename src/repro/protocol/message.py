@@ -49,8 +49,15 @@ def _object_hook(obj: dict) -> Any:
     return obj
 
 
+# One coder of each kind per process: ``json.dumps(default=)`` and
+# ``json.loads(object_hook=)`` build a new one per call. Both hold only
+# their settings, so threads share them as ``json`` shares its defaults.
+_ENCODER = json.JSONEncoder(default=_default)
+_DECODER = json.JSONDecoder(object_hook=_object_hook)
+
+
 def encode(packet_type: PacketType, body: Any) -> bytes:
-    payload = json.dumps(body, default=_default).encode("utf-8")
+    payload = _ENCODER.encode(body).encode("utf-8")
     if len(payload) + 1 > MAX_PACKET:
         raise ProtocolError(f"packet of {len(payload)} bytes exceeds limit")
     return struct.pack(">IB", len(payload) + 1, int(packet_type)) + payload
@@ -66,7 +73,7 @@ def read_packet(sock: socket.socket) -> tuple[PacketType, Any]:
         packet_type = PacketType(type_byte)
     except ValueError:
         raise ProtocolError(f"unknown packet type {type_byte}") from None
-    body = json.loads(payload.decode("utf-8"), object_hook=_object_hook) if payload else None
+    body = _DECODER.decode(payload.decode("utf-8")) if payload else None
     return packet_type, body
 
 
@@ -91,7 +98,7 @@ def decode_body(payload: bytes) -> Any:
     so JSON cost never serializes on the single reactor thread)."""
     if not payload:
         return None
-    return json.loads(payload.decode("utf-8"), object_hook=_object_hook)
+    return _DECODER.decode(payload.decode("utf-8"))
 
 
 class Framer:

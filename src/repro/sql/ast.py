@@ -240,7 +240,7 @@ class Statement:
     #: middleware's rewrite templates and by ``Cursor``, never cloned
     storage_plan_key = None
     #: ``(database, schema epoch, storage plan)`` this statement last ran
-    #: with (:func:`repro.storage.plans.execute_planned`), never cloned
+    #: with (``repro.storage.connection.Connection._run``), never cloned
     bound_plan = None
 
     def tables(self) -> list[TableRef]:

@@ -12,7 +12,7 @@ from .engine import DataSource
 from .executor import QueryResult
 from .faults import FaultInjector, FaultKind, FaultProfile
 from .latency import LatencyModel
-from .plans import StoragePlan, StoragePlanCache, execute_planned, execute_statement
+from .plans import StoragePlan, StoragePlanCache, execute_statement
 from .pool import ConnectionPool
 from .replication import (
     PromotionEvent,
@@ -43,7 +43,6 @@ __all__ = [
     "execute_statement",
     "StoragePlan",
     "StoragePlanCache",
-    "execute_planned",
     "Transaction",
     "TxnStatus",
     "commit_prepared",

@@ -14,10 +14,8 @@ statement and the schema alone: an unknown column raises
 :class:`ColumnNotFoundError`, an unknown function or operator
 :class:`ExecutionError` — whether or not any row would ever reach it.
 
-Tuple rows rely on an invariant of :meth:`TableSchema.normalize_row`:
-row dicts are built by iterating ``schema.columns``, so
-``tuple(raw.values())`` yields values in schema column order for every
-row of a table, and updates/undo restores preserve that key order.
+Tuple rows are the table's own row format (:class:`repro.storage.table.Table`):
+one tuple of values in schema column order, read as it is stored.
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ that is sufficient for every behaviour the paper measures.
 
 A statement is *issued* — run, priced, its I/O window reserved on the
 server's timeline behind this connection's last one — and its window is
-*booked* in the open scope (:mod:`repro.storage.latency`). ``_run``
-returns the price as ``QueryResult.cost`` and what must pass before the
-I/O starts (a latency spike, a commit, a network hop) as
-``QueryResult.delay``; :meth:`Cursor.execute` reserves and books both.
+*booked* in the open scope (:mod:`repro.storage.latency`). ``_run``, the
+one storage door every statement passes, returns the price as
+``QueryResult.cost`` and what must pass before the I/O starts (a latency
+spike, a commit, a network hop) as ``QueryResult.delay``;
+:meth:`Cursor.execute` reserves and books both. A read's rows are read
+when its result is drained, not at issue.
 ``commit``, ``xa_prepare`` and ``xa_commit`` book their window
 ``(priced, ready_at)`` and return it. With no scope open a booking is paid
 at once, so a direct caller blocks as before; through a session the
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from .. import clock
 from ..exceptions import (
@@ -37,9 +39,9 @@ from ..exceptions import (
     TransactionError,
 )
 from ..sql import ast, parse
-from .executor import QueryResult
+from .executor import QueryResult, execute_ddl
 from .latency import book, booking, now, pay, step
-from .plans import execute_planned, execute_planned_many
+from .plans import find_plan, missing_parameter, run_many
 from .transaction import Transaction, commit_prepared, rollback_prepared
 
 _TCL_STATEMENTS = (ast.BeginStatement, ast.CommitStatement, ast.RollbackStatement)
@@ -185,38 +187,32 @@ class Connection:
         """Convenience: open a cursor and execute on it."""
         return Cursor(self).execute(sql, params)
 
-    def _run(self, stmt: ast.Statement, params: Sequence[Any]) -> QueryResult:
-        """Issue one statement: admit, run and price it. Nothing in here
-        books: the caller books ``result.cost`` behind ``result.delay``."""
-        if self.closed:
-            raise ConnectionClosedError("connection is closed")
-        if isinstance(stmt, ast.BeginStatement):
-            self.begin()
-            return QueryResult(rowcount=0)
-        if isinstance(stmt, ast.CommitStatement):
-            window = self._commit()
-            return QueryResult(rowcount=0, delay=window[0] if window else 0.0)
-        if isinstance(stmt, ast.RollbackStatement):
-            self.rollback()
-            return QueryResult(rowcount=0)
-        return self._issue(stmt, execute_planned, params)
-
-    def _issue(self, stmt: ast.Statement,
-               execute: Callable[..., tuple[QueryResult, str]], params: Any) -> QueryResult:
-        """Admit ``stmt`` and run it with ``execute`` (:func:`execute_planned`,
-        or :func:`execute_planned_many` on a batch of bindings).
+    def _run(self, stmt: ast.Statement, params: Any, many: bool = False) -> QueryResult:
+        """The storage door: issue one statement — admit, run and price it —
+        or, with ``many``, a DML statement once per binding in ``params``
+        (:func:`~repro.storage.plans.run_many`). Nothing in here books: the
+        caller books ``result.cost`` behind ``result.delay``.
 
         A replica first applies the log records whose lag has elapsed;
-        writes are rejected on replicas and fenced primaries. A write runs
-        under the write lock in the open transaction or in an implicit one,
-        undone if it raises and committed if not: that commit's price joins
-        ``result.delay``, so the write's window starts after the commit's.
+        writes are rejected on replicas and fenced primaries. A read whose
+        statement is bound to a plan of this database at its current schema
+        epoch runs that plan after one check (a *hit*); any other read
+        finds or compiles its plan first (:func:`find_plan`). A write finds
+        its plan and runs under the write lock in the open transaction or in
+        an implicit one, undone if it raises and committed if not: that
+        commit's price joins ``result.delay``, so the write's window starts
+        after the commit's.
         """
+        if self.closed:
+            raise ConnectionClosedError("connection is closed")
+        category = stmt.category
+        if category == "TCL":
+            return self._control(stmt)
         source = self.data_source
         replica = source.replica
         if replica is not None:
             replica.apply_due()
-        write = stmt.category in ("DML", "DDL")
+        write = category in ("DML", "DDL")
         if write:
             if source.fenced:
                 raise DataSourceUnavailableError(
@@ -225,41 +221,82 @@ class Connection:
                 raise DataSourceUnavailableError(f"data source {source.name!r} is a read replica")
         database = self.database
         database.statements_executed += 1
-        try:
-            delay = database.maybe_fail("statement")  # an injected latency spike
-        except ConnectionDropError:
-            # The "server" dropped us: this session is dead. close() rolls
-            # back any open transaction; the pool discards closed conns.
-            self.close()
-            raise
-        span = self.trace_span
+        delay = 0.0
+        if database.armed:
+            try:
+                delay = database.maybe_fail("statement")  # an injected latency spike
+            except ConnectionDropError:
+                # The "server" dropped us: this session is dead. close() rolls
+                # back any open transaction; the pool discards closed conns.
+                self.close()
+                raise
         if write:
-            with self._lock:
-                txn = self._transaction
-                implicit = txn is None
-                if implicit:
-                    txn = self._transaction = Transaction(database)
-                try:
-                    lock_t0 = clock.now() if span is not None else 0.0
-                    with database.write_lock():
-                        if span is not None:
-                            span.record_lock_wait(clock.now() - lock_t0)
-                        result, plan_status = execute(database, stmt, params, txn)
-                except Exception:
-                    if implicit:
-                        txn.rollback()
-                        self._transaction = None
-                    raise
-                if implicit:
-                    delay += txn.commit()[0]
-                    self._transaction = None
+            result, status = self._write(stmt, params, many)
         else:
-            result, plan_status = execute(database, stmt, params, self._transaction)
-        result.plan = plan_status  # workload analytics read this off cursor._result
+            bound = stmt.bound_plan
+            if bound is not None and bound[0] is database and bound[1] == database.schema_epoch:
+                database.plan_cache.hits += 1
+                plan, status = bound[2], "hit"
+            else:
+                plan, status = find_plan(database, stmt)
+            if plan is None:  # no plan and no write: not a storage statement
+                result = execute_ddl(database, stmt)
+            else:
+                if len(params) < plan.param_count:
+                    raise missing_parameter(params)
+                result = plan.runner(params, self._transaction)
+        result.plan = status  # workload analytics read this off cursor._result
+        span = self.trace_span
         if span is not None:
-            span.attributes["storage_plan"] = plan_status
-        result.delay = delay
+            span.attributes["storage_plan"] = status
+        result.delay += delay
         return result
+
+    def _control(self, stmt: ast.Statement) -> QueryResult:
+        """BEGIN, COMMIT or ROLLBACK; a COMMIT's price is ``result.delay``."""
+        if isinstance(stmt, ast.BeginStatement):
+            self.begin()
+            return QueryResult(rowcount=0)
+        if isinstance(stmt, ast.CommitStatement):
+            window = self._commit()
+            return QueryResult(rowcount=0, delay=window[0] if window else 0.0)
+        self.rollback()
+        return QueryResult(rowcount=0)
+
+    def _write(self, stmt: ast.Statement, params: Any,
+               many: bool) -> tuple[QueryResult, str]:
+        """Find and run a write's plan (DDL has none) under the write lock,
+        in the open transaction or in an implicit one (see :meth:`_run`)."""
+        database = self.database
+        span = self.trace_span
+        with self._lock:
+            txn = self._transaction
+            implicit = txn is None
+            if implicit:
+                txn = self._transaction = Transaction(database)
+            try:
+                lock_t0 = clock.now() if span is not None else 0.0
+                with database.write_lock():
+                    if span is not None:
+                        span.record_lock_wait(clock.now() - lock_t0)
+                    plan, status = find_plan(database, stmt)
+                    if plan is None:
+                        result = execute_ddl(database, stmt)
+                    elif many:
+                        result = run_many(plan, params, txn)
+                    else:
+                        if len(params) < plan.param_count:
+                            raise missing_parameter(params)
+                        result = plan.runner(params, txn)
+            except Exception:
+                if implicit:
+                    txn.rollback()
+                    self._transaction = None
+                raise
+            if implicit:
+                result.delay += txn.commit()[0]
+                self._transaction = None
+        return result, status
 
     # -- statement pipelining ---------------------------------------------------
 
@@ -330,7 +367,7 @@ class Connection:
                   seq_of_params: Sequence[Sequence[Any]]) -> QueryResult:
         """Issue an executemany. DML bindings run as one batch: one lock
         acquisition, one (implicit) transaction and one coalesced write-I/O
-        charge for all of them (:func:`execute_planned_many`).
+        charge for all of them (:func:`~repro.storage.plans.run_many`).
 
         In autocommit mode the batch commits once at the end, making it
         atomic — a mid-batch error rolls back every binding. Inside an
@@ -342,7 +379,7 @@ class Connection:
         if not seq:
             return QueryResult(rowcount=0)
         if stmt.category == "DML":
-            return self._issue(stmt, execute_planned_many, seq)
+            return self._run(stmt, seq, many=True)
         # DDL/TCL/queries: one run per binding, their prices and delays
         # added up; executemany on these is a rarity.
         results = [self._run(stmt, params) for params in seq]

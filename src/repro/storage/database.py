@@ -48,8 +48,12 @@ class Database:
         #: compiled statement plans for this database (see .plans).
         self.plan_cache = StoragePlanCache()
         #: optional probabilistic chaos source (see :mod:`repro.storage.faults`);
-        #: set via ``DataSource.set_fault_injector`` and shared fleet-wide.
+        #: set via :meth:`set_fault_injector` and shared fleet-wide.
         self.fault_injector: Any | None = None
+        #: whether :meth:`maybe_fail` may fail or delay: a failure was armed
+        #: or an injector is installed. Until then the storage door tests
+        #: this flag instead of calling it.
+        self.armed = False
         #: the group replication log when this database is a primary in a
         #: :class:`repro.storage.replication.ReplicaGroup` (None otherwise).
         #: Committed transactions and DDL publish records to it.
@@ -95,16 +99,23 @@ class Database:
         """
         with self._lock:
             self._fail_on[operation] = self._fail_on.get(operation, 0) + times
+            self.armed = True
+
+    def set_fault_injector(self, injector: Any | None) -> None:
+        """Attach (or detach, with None) a chaos source."""
+        with self._lock:
+            self.fault_injector = injector
+            self.armed = bool(self._fail_on) or injector is not None
 
     def maybe_fail(self, operation: str) -> float:
         """Raise the failure armed for ``operation``, if any; otherwise the
         seconds of an injected latency spike the caller must add to what
         the operation waits for (0.0 almost always)."""
-        # Fast path: no pending failures and no injector. Read without the
-        # lock — both are set before the workload that should observe them
+        # Fast path: nothing armed. Read without the lock — failures and
+        # injectors are set before the workload that should observe them
         # runs, so the race-free guarantee of the lock is not needed just
-        # to see "nothing armed", and this check runs on every statement.
-        if not self._fail_on and self.fault_injector is None:
+        # to see "nothing armed".
+        if not self.armed:
             return 0.0
         with self._lock:
             remaining = self._fail_on.get(operation, 0)

@@ -61,7 +61,7 @@ class DataSource:
 
     def set_fault_injector(self, injector: "FaultInjector | None") -> None:
         """Attach (or detach, with None) a chaos source to this server."""
-        self.database.fault_injector = injector
+        self.database.set_fault_injector(injector)
 
     @property
     def fault_injector(self) -> "FaultInjector | None":
@@ -111,7 +111,7 @@ class _NetworkedConnection(Connection):
     """Connection whose every statement crosses a network round trip: the
     statement's I/O starts that much later."""
 
-    def _run(self, stmt: ast.Statement, params: Sequence[Any]):
-        result = super()._run(stmt, params)
+    def _run(self, stmt: ast.Statement, params: Any, many: bool = False):
+        result = super()._run(stmt, params, many)
         result.delay += self.data_source.network_hop
         return result

@@ -22,12 +22,12 @@ if TYPE_CHECKING:
     from .database import Database
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     """Execution outcome: column metadata + streaming rows or a rowcount.
 
     ``cost`` is the priced simulated-I/O latency in seconds; the cursor
-    books and pays it (sleeps) after the database lock is released.
+    books it after the database lock is released.
     """
 
     columns: list[str] = field(default_factory=list)
@@ -44,6 +44,9 @@ class QueryResult:
     #: COMMIT statement's commit, a network hop); set by ``Connection._run``,
     #: reserved and booked by the caller with ``cost``
     delay: float = 0.0
+    #: the storage plan cache's status for this statement (``hit``,
+    #: ``miss`` or ``bypass``); set by ``Connection._run``
+    plan: str = ""
 
     def fetch_all(self) -> list[tuple[Any, ...]]:
         return list(self.rows)

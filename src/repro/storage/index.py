@@ -2,13 +2,15 @@
 
 A :class:`HashIndex` gives O(1) point lookups (the dominant operation in
 OLTP benchmarks); a :class:`SortedIndex` supports range scans via bisect.
-Both map an indexed key to the set of row ids holding it.
+Both map an indexed key to the row ids holding it, and read a row — the
+table's value tuple (:class:`repro.storage.table.Table`) — at the column
+offsets they were built with.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable, Sequence
 
 from ..exceptions import DuplicateKeyError
 from .expression import sort_key
@@ -23,18 +25,20 @@ def _hashable(value: Any) -> Hashable:
 class HashIndex:
     """Equality index: key -> set of row ids."""
 
-    def __init__(self, name: str, columns: list[str], unique: bool = False):
+    def __init__(self, name: str, columns: list[str], offsets: Sequence[int],
+                 unique: bool = False):
         self.name = name
         self.columns = columns
+        self.offsets = tuple(offsets)
         self.unique = unique
         self._map: dict[Hashable, set[int]] = {}
 
-    def key_of(self, row: dict[str, Any]) -> Hashable:
-        if len(self.columns) == 1:
-            return _hashable(row[self.columns[0]])
-        return tuple(_hashable(row[c]) for c in self.columns)
+    def key_of(self, row: Sequence[Any]) -> Hashable:
+        if len(self.offsets) == 1:
+            return _hashable(row[self.offsets[0]])
+        return tuple(_hashable(row[i]) for i in self.offsets)
 
-    def insert(self, row_id: int, row: dict[str, Any]) -> None:
+    def insert(self, row_id: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
         bucket = self._map.setdefault(key, set())
         if self.unique and bucket:
@@ -43,7 +47,7 @@ class HashIndex:
             )
         bucket.add(row_id)
 
-    def remove(self, row_id: int, row: dict[str, Any]) -> None:
+    def remove(self, row_id: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
         bucket = self._map.get(key)
         if bucket is not None:
@@ -67,31 +71,42 @@ class HashIndex:
 
 
 class SortedIndex:
-    """Ordered index over a single column supporting range scans."""
+    """Ordered index over a single column supporting range scans.
 
-    def __init__(self, name: str, column: str, unique: bool = False):
+    A key is the column's value made comparable by ``key``: ``sort_key``
+    (NULLs first, then numbers, then the rest) by default. The table builds
+    an index on a NOT NULL column of the numeric family with ``key=None``,
+    keyed by the value itself: ``int``, ``float`` and ``bool`` — every bound
+    type such a column's index answers (``repro.storage.types.FAMILY_OF_TYPE``)
+    — order among themselves as their ``sort_key`` does, and no call is
+    made per key.
+    """
+
+    def __init__(self, name: str, offset: int, unique: bool = False,
+                 key: Callable[[Any], Any] | None = sort_key):
         self.name = name
-        self.column = column
+        self.offset = offset
         self.unique = unique
+        self._key = key
         # Parallel arrays kept sorted by key.
         self._keys: list[Any] = []
         self._row_ids: list[int] = []
 
-    def _key(self, value: Any):
-        return sort_key(value)
-
-    def insert(self, row_id: int, row: dict[str, Any]) -> None:
-        key = self._key(row[self.column])
+    def insert(self, row_id: int, row: Sequence[Any]) -> None:
+        value = row[self.offset]
+        key = value if self._key is None else self._key(value)
         index = bisect.bisect_left(self._keys, key)
         if self.unique and index < len(self._keys) and self._keys[index] == key:
             raise DuplicateKeyError(
-                f"duplicate key {row[self.column]!r} for unique index {self.name!r}"
+                f"duplicate key {value!r} for unique index {self.name!r}"
             )
         self._keys.insert(index, key)
         self._row_ids.insert(index, row_id)
 
-    def remove(self, row_id: int, row: dict[str, Any]) -> None:
-        key = self._key(row[self.column])
+    def remove(self, row_id: int, row: Sequence[Any]) -> None:
+        key = row[self.offset]
+        if self._key is not None:
+            key = self._key(key)
         index = bisect.bisect_left(self._keys, key)
         while index < len(self._keys) and self._keys[index] == key:
             if self._row_ids[index] == row_id:
@@ -108,16 +123,19 @@ class SortedIndex:
         not a generator walking ``_row_ids`` while a writer inserts into
         and deletes from it: that could skip or repeat an id, or run off
         the end of a list that shrank."""
+        keys, key = self._keys, self._key
         if low is None:
             start = 0
         else:
-            key = self._key(low)
-            start = bisect.bisect_left(self._keys, key) if include_low else bisect.bisect_right(self._keys, key)
+            if key is not None:
+                low = key(low)
+            start = (bisect.bisect_left if include_low else bisect.bisect_right)(keys, low)
         if high is None:
-            stop = len(self._keys)
+            stop = len(keys)
         else:
-            key = self._key(high)
-            stop = bisect.bisect_right(self._keys, key) if include_high else bisect.bisect_left(self._keys, key)
+            if key is not None:
+                high = key(high)
+            stop = (bisect.bisect_right if include_high else bisect.bisect_left)(keys, high)
         return self._row_ids[start:stop]
 
     def __len__(self) -> int:

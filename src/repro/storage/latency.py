@@ -197,18 +197,11 @@ class LatencyModel:
 
     def statement_cost(self, table_rows: int, rows_touched: int, uses_index: bool) -> float:
         """Price one executed statement (seconds)."""
-        if self.scale == 0.0:
-            return 0.0
-        cost = self.base
-        io = self.index_io * math.log2(max(table_rows, 2)) if uses_index \
-            else self.row_cost * table_rows  # full scan reads every row
-        io += self.row_cost * rows_touched
-        cost += io * self._spill_factor(table_rows)
-        return cost * self.scale
+        return Pricer(self).statement(table_rows, rows_touched, uses_index)
 
     def write_cost(self, table_rows: int = 0) -> float:
         """Price the per-DML dirty-page/WAL write (seconds)."""
-        return self.write_io * self._spill_factor(table_rows) * self.scale
+        return Pricer(self).write(table_rows)
 
     def commit_cost(self) -> float:
         """Price the fsync-like cost of a commit or prepare (seconds)."""
@@ -223,3 +216,46 @@ class LatencyModel:
         priced = self.commit_cost() + spike
         booked = booking.get()  # now(), inline: a commit is on the hot path
         return priced, clock.now() + (0.0 if booked is None else booked.lag) + priced
+
+
+class Pricer:
+    """The prices of one compiled plan's statements, with the cost inputs
+    that depend on the table's row count alone — the B-tree descent
+    ``index_io * log2(rows)`` and the spill factor — kept for the row count
+    last priced. A read of a table that did not change computes neither
+    again. The rest is :meth:`LatencyModel.statement_cost`'s operations in
+    its order, which is this code: the same price to the bit."""
+
+    __slots__ = ("model", "memo")
+
+    def __init__(self, model: LatencyModel):
+        self.model = model
+        #: (row count, index descent, spill factor), replaced whole so a
+        #: concurrent reader never sees inputs of two row counts
+        self.memo: tuple[int, float, float] = (-1, 0.0, 1.0)
+
+    def _inputs(self, table_rows: int) -> tuple[int, float, float]:
+        model = self.model
+        self.memo = memo = (table_rows, model.index_io * math.log2(max(table_rows, 2)),
+                            model._spill_factor(table_rows))
+        return memo
+
+    def statement(self, table_rows: int, rows_touched: int, uses_index: bool) -> float:
+        """:meth:`LatencyModel.statement_cost`."""
+        model = self.model
+        if model.scale == 0.0:
+            return 0.0
+        memo = self.memo
+        if memo[0] != table_rows:
+            memo = self._inputs(table_rows)
+        io = memo[1] if uses_index else model.row_cost * table_rows  # full scan reads every row
+        io += model.row_cost * rows_touched
+        return (model.base + io * memo[2]) * model.scale
+
+    def write(self, table_rows: int) -> float:
+        """:meth:`LatencyModel.write_cost`."""
+        memo = self.memo
+        if memo[0] != table_rows:
+            memo = self._inputs(table_rows)
+        model = self.model
+        return model.write_io * memo[2] * model.scale

@@ -23,9 +23,11 @@ does running a plan with fewer parameters than it has placeholders. What
 is left to run time is what depends on the data (a type mismatch in a
 comparison, a duplicate key, NOT NULL).
 
-**One lookup rule** (:func:`execute_planned`). DDL and TRUNCATE have no
-plan and go to :func:`repro.storage.executor.execute_ddl` (status
-``bypass``). Anything else is found or compiled: a statement carrying a
+**One lookup rule** (:func:`find_plan`). DDL and TRUNCATE have no plan and
+go to :func:`repro.storage.executor.execute_ddl` (status ``bypass``). A
+statement bound to a plan of this database at its current schema epoch
+runs it (the storage door, ``Connection._run``, makes that one check
+inline). Anything else is found or compiled: a statement carrying a
 ``storage_plan_key`` (the rendered SQL text, set by the middleware's
 rewrite templates and by ``Cursor``) is looked up in the database's
 :class:`StoragePlanCache`, checked against the schema versions it pinned
@@ -41,7 +43,6 @@ in ``tests/oracle``.
 
 from __future__ import annotations
 
-import datetime
 import operator
 from functools import reduce
 from itertools import chain
@@ -73,7 +74,9 @@ from .executor import (
     execute_ddl,
 )
 from .expression import UNKNOWN, order_key, sort_key
+from .latency import Pricer
 from .table import Table
+from .types import FAMILY_OF_TYPE
 
 if TYPE_CHECKING:
     from .database import Database
@@ -137,84 +140,21 @@ class StoragePlanCache(CacheStats):
 # ---------------------------------------------------------------------------
 
 
-def execute_planned(
-    database: "Database",
-    stmt: ast.Statement,
-    params: Sequence[Any] = (),
-    transaction: "Transaction | None" = None,
-) -> tuple[QueryResult, str]:
-    """Execute one statement; DML requires a transaction for undo logging.
+def find_plan(database: "Database",
+              stmt: ast.Statement) -> tuple[StoragePlan | None, str]:
+    """The plan to run ``stmt`` with on ``database``, and the cache status.
 
-    Returns ``(result, status)`` where status is ``hit`` (cached plan),
-    ``miss`` (compiled now) or ``bypass`` (DDL / TRUNCATE: no plan).
-    """
-    if type(stmt) not in _COMPILERS:
-        database.plan_cache.bypasses += 1
-        return execute_ddl(database, stmt), "bypass"
-    plan, status = _find_or_compile(database, stmt)
-    if len(params) < plan.param_count:
-        raise _missing_parameter(params)
-    return plan.runner(params, transaction), status
-
-
-def execute_statement(
-    database: "Database",
-    stmt: ast.Statement,
-    params: Sequence[Any] = (),
-    transaction: "Transaction | None" = None,
-) -> QueryResult:
-    """:func:`execute_planned` without the cache status."""
-    return execute_planned(database, stmt, params, transaction)[0]
-
-
-def execute_planned_many(
-    database: "Database",
-    stmt: ast.Statement,
-    seq_of_params: Sequence[Sequence[Any]],
-    transaction: "Transaction | None" = None,
-) -> tuple[QueryResult, str]:
-    """Batched executemany entry for DML: one plan lookup for all bindings.
-
-    An INSERT runs every binding through ``runner_many`` — a single plan
-    call charging one write-I/O for the whole batch (the multi-row INSERT
-    cost model). UPDATE / DELETE run once per binding; the combined result
-    reports the summed cost with one coalesced write-I/O slice so the
-    connection can pay it once. A binding with too few parameters raises
-    before the first one runs.
-    """
-    plan, status = _find_or_compile(database, stmt)
-    seq = [tuple(params) for params in seq_of_params]
-    for params in seq:
-        if len(params) < plan.param_count:
-            raise _missing_parameter(params)
-    if plan.runner_many is not None:
-        return plan.runner_many(seq, transaction), status
-    total = 0
-    cost = 0.0
-    write_io = 0.0
-    written = None
-    for params in seq:
-        result = plan.runner(params, transaction)
-        total += result.rowcount
-        cost += result.cost - result.write_cost
-        written = result.written_table
-        write_io = max(write_io, result.write_cost)
-    return QueryResult(rowcount=total, cost=cost + write_io,
-                       written_table=written, write_cost=write_io), status
-
-
-def _missing_parameter(params: Sequence[Any]) -> ExecutionError:
-    return ExecutionError(f"missing parameter for placeholder #{len(params)}")
-
-
-def _find_or_compile(database: "Database",
-                     stmt: ast.Statement) -> tuple[StoragePlan, str]:
-    """The plan the statement is bound to, if it was bound on this database
-    at its current schema epoch; else the cached plan of a keyed statement
-    if its schema versions still hold; otherwise a fresh one (stored unless
-    the statement has no key or is an INSERT of literals only). A keyed
-    statement leaves bound to what it ran."""
+    None and ``bypass`` for a statement that has no plan (DDL, TRUNCATE).
+    Otherwise the plan the statement is bound to, if it was bound on this
+    database at its current schema epoch (``hit``); else the cached plan
+    of a keyed statement if its schema versions still hold (``hit``);
+    otherwise a fresh one (``miss``), stored unless the statement has no
+    key or is an INSERT of literals only. A keyed statement leaves bound
+    to what it ran."""
     cache = database.plan_cache
+    if type(stmt) not in _COMPILERS:
+        cache.bypasses += 1
+        return None, "bypass"
     epoch = database.schema_epoch
     bound = stmt.bound_plan
     if bound is not None and bound[0] is database and bound[1] == epoch:
@@ -239,6 +179,58 @@ def _find_or_compile(database: "Database",
         cache.evictions += cache._cache.put(key, plan)
         stmt.bound_plan = (database, epoch, plan)
     return plan, "miss"
+
+
+def execute_statement(
+    database: "Database",
+    stmt: ast.Statement,
+    params: Sequence[Any] = (),
+    transaction: "Transaction | None" = None,
+) -> QueryResult:
+    """Run one statement on ``database`` with no connection around it: no
+    admission, locking or booking (a scratch database, tests). DML
+    requires a transaction for undo logging."""
+    plan, _ = find_plan(database, stmt)
+    if plan is None:
+        return execute_ddl(database, stmt)
+    if len(params) < plan.param_count:
+        raise missing_parameter(params)
+    return plan.runner(params, transaction)
+
+
+def run_many(plan: StoragePlan, seq_of_params: Sequence[Sequence[Any]],
+             transaction: "Transaction | None") -> QueryResult:
+    """Run a DML plan once for every binding of an executemany.
+
+    An INSERT runs every binding through ``runner_many`` — a single plan
+    call charging one write-I/O for the whole batch (the multi-row INSERT
+    cost model). UPDATE / DELETE run once per binding; the combined result
+    reports the summed cost with one coalesced write-I/O slice so the
+    connection can pay it once. A binding with too few parameters raises
+    before the first one runs.
+    """
+    seq = [tuple(params) for params in seq_of_params]
+    for params in seq:
+        if len(params) < plan.param_count:
+            raise missing_parameter(params)
+    if plan.runner_many is not None:
+        return plan.runner_many(seq, transaction)
+    total = 0
+    cost = 0.0
+    write_io = 0.0
+    written = None
+    for params in seq:
+        result = plan.runner(params, transaction)
+        total += result.rowcount
+        cost += result.cost - result.write_cost
+        written = result.written_table
+        write_io = max(write_io, result.write_cost)
+    return QueryResult(rowcount=total, cost=cost + write_io,
+                       written_table=written, write_cost=write_io)
+
+
+def missing_parameter(params: Sequence[Any]) -> ExecutionError:
+    return ExecutionError(f"missing parameter for placeholder #{len(params)}")
 
 
 def compile_storage_plan(database: "Database", stmt: ast.Statement) -> StoragePlan:
@@ -276,23 +268,16 @@ class _AccessPath:
 # A bound of another type family than its column's (``k > '3'`` on an INT
 # column) reads every row, in index order where the path promised one, and
 # leaves the answer to the WHERE re-check: an index finds and orders keys by
-# ``sort_key`` (every number before every string) and hashes them as they
-# are, while a comparison cross-coerces (``_compare_values``).
-
-_NUMBER = (int, float, bool)
-_TEXT = (str,)
-_FAMILY_OF_TYPE = {
-    **dict.fromkeys(("INT", "INTEGER", "BIGINT", "SMALLINT", "FLOAT", "DOUBLE",
-                     "REAL", "DECIMAL", "NUMERIC", "BOOLEAN", "BOOL"), _NUMBER),
-    **dict.fromkeys(("VARCHAR", "CHAR", "TEXT", "BLOB"), _TEXT),
-    **dict.fromkeys(("DATE", "TIME", "TIMESTAMP", "DATETIME"),
-                    (datetime.datetime, datetime.date)),
-}
+# ``sort_key`` (every number before every string) or, on a NOT NULL numeric
+# column, by the number itself, and hashes them as they are, while a
+# comparison cross-coerces (``_compare_values``). So a bound that reaches an
+# index is always of its column's family, and a native key never meets a
+# value it cannot compare with.
 
 
 def _bound_types(table: Table, column: str) -> tuple[type, ...]:
     """The bound types an index on ``column`` answers for exactly."""
-    return _FAMILY_OF_TYPE[table.schema.column(column).type.name]
+    return FAMILY_OF_TYPE[table.schema.column(column).type.name]
 
 _RANGE_BOUNDS = {
     "<": lambda v: (None, v, True, False),
@@ -574,7 +559,7 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
 
     columns, project = _compile_projection(stmt, layout, out_ctx, has_agg)
 
-    latency = database.latency
+    price = Pricer(database.latency)
     use_where_inline = not stmt.joins  # join plans filter after all joins
 
     def base_batches(row_ids: list[int], params: Sequence[Any]) -> Iterator[list]:
@@ -598,7 +583,7 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
         examined = len(row_ids) if used_index else base_rows
         for join_table in join_tables:
             examined += join_table.row_count
-        cost = latency.statement_cost(base_rows, examined, used_index)
+        cost = price.statement(base_rows, examined, used_index)
 
         batches: Iterator[list] = base_batches(row_ids, params)
         for step in join_steps:
@@ -700,7 +685,7 @@ def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
     if eq is not None:
         def hash_join(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
             # Build once per execution (first consumption), probe per chunk.
-            right_rows = [tuple(raw.values()) for _, raw in right_table.scan()]
+            right_rows = right_table.tuples()
             buckets: dict[Any, list[tuple]] = {}
             if key_pos is None:
                 buckets[None] = right_rows
@@ -727,7 +712,7 @@ def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
         return hash_join
 
     def nested_loop(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
-        right_rows = [tuple(raw.values()) for _, raw in right_table.scan()]
+        right_rows = right_table.tuples()
         for batch in batches:
             out: list[tuple] = []
             append = out.append
@@ -999,23 +984,16 @@ def _candidate_batches(table: Table, row_ids: list[int],
                        params: Sequence[Any]) -> Iterator[list]:
     """Chunked (row + row_id) candidates for DML, batch-filtered.
 
-    Each candidate tuple is the raw value tuple with its row id appended
-    one slot past the layout width — compiled getters only read layout
-    offsets, so the extra element is invisible to predicates/assignments.
-    Rows are snapshotted before any mutation in the chunk; each candidate
-    is visited exactly once and mutations only touch the visited row, so
-    chunked read-then-write is equivalent to the row-at-a-time loop.
+    Each candidate tuple is the row with its row id appended one slot past
+    the layout width (:meth:`Table.keyed_tuples`) — compiled getters only
+    read layout offsets, so the extra element is invisible to
+    predicates/assignments. Rows are snapshotted before any mutation in the
+    chunk; each candidate is visited exactly once and mutations only touch
+    the visited row, so chunked read-then-write is equivalent to the
+    row-at-a-time loop.
     """
-    get = table.get
     for start in range(0, len(row_ids), BATCH_ROWS):
-        batch = []
-        append = batch.append
-        for row_id in row_ids[start:start + BATCH_ROWS]:
-            try:
-                raw = get(row_id)
-            except KeyError:
-                continue
-            append(tuple(raw.values()) + (row_id,))
+        batch = table.keyed_tuples(row_ids[start:start + BATCH_ROWS])
         if where_batch is not None:
             batch = where_batch(batch, params)
         if batch:
@@ -1035,7 +1013,7 @@ def _compile_update(database: "Database", stmt: ast.UpdateStatement):
         for column, expr in stmt.assignments
     )
     access = _compile_access(table, exposed, stmt.where)
-    latency = database.latency
+    price = Pricer(database.latency)
 
     def run(params: Sequence[Any],
             transaction: "Transaction | None") -> QueryResult:
@@ -1048,9 +1026,10 @@ def _compile_update(database: "Database", stmt: ast.UpdateStatement):
                 old_row = table.update(row[-1], changes)
                 txn.record_update(table, row[-1], old_row)
             updated += len(batch)
-        examined = len(row_ids) if used_index else table.row_count
-        cost = latency.statement_cost(table.row_count, examined + updated, used_index)
-        io = latency.write_cost(table.row_count) if updated else 0.0
+        rows = table.row_count
+        examined = len(row_ids) if used_index else rows
+        cost = price.statement(rows, examined + updated, used_index)
+        io = price.write(rows) if updated else 0.0
         return QueryResult(rowcount=updated, cost=cost + io,
                            written_table=table, write_cost=io)
 
@@ -1066,7 +1045,7 @@ def _compile_delete(database: "Database", stmt: ast.DeleteStatement):
     where_batch = (compile_batch_predicate(stmt.where, ctx)
                    if stmt.where is not None else None)
     access = _compile_access(table, exposed, stmt.where)
-    latency = database.latency
+    price = Pricer(database.latency)
 
     def run(params: Sequence[Any],
             transaction: "Transaction | None") -> QueryResult:
@@ -1078,9 +1057,10 @@ def _compile_delete(database: "Database", stmt: ast.DeleteStatement):
                 old_row = table.delete(row[-1])
                 txn.record_delete(table, row[-1], old_row)
             deleted += len(batch)
-        examined = len(row_ids) if used_index else table.row_count
-        cost = latency.statement_cost(table.row_count, examined + deleted, used_index)
-        io = latency.write_cost(table.row_count) if deleted else 0.0
+        rows = table.row_count
+        examined = len(row_ids) if used_index else rows
+        cost = price.statement(rows, examined + deleted, used_index)
+        io = price.write(rows) if deleted else 0.0
         return QueryResult(rowcount=deleted, cost=cost + io,
                            written_table=table, write_cost=io)
 
@@ -1111,7 +1091,7 @@ def _compile_insert(database: "Database", stmt: ast.InsertStatement):
             )
         row_specs.append(tuple(compile_scalar(expr, ctx) for expr in row_exprs))
     specs = tuple(row_specs)
-    latency = database.latency
+    price = Pricer(database.latency)
 
     def insert_rows(params: Sequence[Any], txn: "Transaction") -> int:
         inserted = 0
@@ -1119,7 +1099,7 @@ def _compile_insert(database: "Database", stmt: ast.InsertStatement):
         record = txn.record_insert
         for getters in specs:
             values = {col: g(None, params) for col, g in zip(columns, getters)}
-            row_id, _ = insert(values)
+            row_id = insert(values)
             record(table, row_id)
             inserted += 1
         return inserted
@@ -1128,8 +1108,9 @@ def _compile_insert(database: "Database", stmt: ast.InsertStatement):
             transaction: "Transaction | None") -> QueryResult:
         txn = _require_txn(transaction)
         inserted = insert_rows(params, txn)
-        cost = latency.statement_cost(table.row_count, inserted, uses_index=True)
-        io = latency.write_cost(table.row_count)
+        rows = table.row_count
+        cost = price.statement(rows, inserted, True)
+        io = price.write(rows)
         return QueryResult(rowcount=inserted, cost=cost + io,
                            written_table=table, write_cost=io)
 
@@ -1139,8 +1120,9 @@ def _compile_insert(database: "Database", stmt: ast.InsertStatement):
         inserted = 0
         for params in seq_of_params:
             inserted += insert_rows(params, txn)
-        cost = latency.statement_cost(table.row_count, inserted, uses_index=True)
-        io = latency.write_cost(table.row_count) if inserted else 0.0
+        rows = table.row_count
+        cost = price.statement(rows, inserted, True)
+        io = price.write(rows) if inserted else 0.0
         return QueryResult(rowcount=inserted, cost=cost + io,
                            written_table=table, write_cost=io)
 

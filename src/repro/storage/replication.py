@@ -241,7 +241,7 @@ def _apply_op(database: "Database", op: tuple) -> None:
         _, table_name, row_id, row = op
         table = database.table(table_name)
         try:
-            table.raw_put(row_id, dict(row))
+            table.raw_put(row_id, row)
         except DuplicateKeyError:
             # A stale row still occupies the unique slot (its delete is in
             # a record whose publish order inverted); evict it eagerly —
@@ -249,7 +249,7 @@ def _apply_op(database: "Database", op: tuple) -> None:
             for stale_id in sorted(table.conflicting_row_ids(row)):
                 if stale_id != row_id:
                     table.raw_remove(stale_id)
-            table.raw_put(row_id, dict(row))
+            table.raw_put(row_id, row)
         database.bump_data_version(table_name)
     elif kind == "del":
         database.table(op[1]).raw_remove(op[2])

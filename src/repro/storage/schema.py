@@ -54,7 +54,7 @@ class TableSchema:
 
     def column_offset(self, name: str) -> int:
         """Position of a column in schema order — the index of its value
-        in ``tuple(row.values())`` for any row this schema normalized."""
+        in a row this schema normalized."""
         try:
             return self._offsets[name.lower()]
         except KeyError:
@@ -69,25 +69,20 @@ class TableSchema:
         except KeyError:
             raise ColumnNotFoundError(f"column {name!r} not in table {self.name}") from None
 
-    def normalize_row(self, values: dict[str, Any]) -> dict[str, Any]:
-        """Coerce a raw column->value mapping into a full typed row.
+    def normalize_row(self, values: dict[str, Any]) -> list[Any]:
+        """Coerce a raw column->value mapping into a full typed row: its
+        values in ``self.columns`` order, at :meth:`column_offset`
+        positions.
 
         Missing columns get their default (or None); NOT NULL without a
         value raises unless the column is auto-increment (filled by the
         table). Unknown columns raise.
-
-        Invariant: the returned dict's key order is exactly
-        ``self.columns`` order (every stored row is built here or copied
-        key-preserving from one that was), so ``tuple(row.values())``
-        yields values at :meth:`column_offset` positions. Compiled
-        storage plans (:mod:`repro.storage.plans`) rely on this to read
-        tuple rows by precomputed offset instead of by name.
         """
         for key in values:
             if key.lower() not in self._by_name:
                 raise ColumnNotFoundError(f"column {key!r} not in table {self.name}")
         lowered = {key.lower(): value for key, value in values.items()}
-        row: dict[str, Any] = {}
+        row: list[Any] = []
         for col in self.columns:
             if col.name.lower() in lowered:
                 value = col.type.coerce(lowered[col.name.lower()])
@@ -97,7 +92,7 @@ class TableSchema:
                 value = None
             if value is None and col.not_null and not col.auto_increment:
                 raise TypeCheckError(f"column {col.name!r} of table {self.name} is NOT NULL")
-            row[col.name] = value
+            row.append(value)
         return row
 
     @classmethod

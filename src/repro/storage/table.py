@@ -4,18 +4,26 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from ..exceptions import DuplicateKeyError, StorageError
+from ..exceptions import DuplicateKeyError, StorageError, TypeCheckError
+from .expression import sort_key
 from .index import HashIndex, SortedIndex
 from .schema import TableSchema
+from .types import FAMILY_OF_TYPE, NUMBER
 
 
 class Table:
     """One physical table: row heap + indexes + auto-increment counters.
 
-    Rows live in a dict keyed by an internal row id, so deletes are O(1)
-    and row ids are stable for the undo log. Indexes are maintained on
-    every mutation. All methods assume the caller holds the database's
-    table lock (see :class:`repro.storage.database.Database`).
+    The heap maps an internal row id to the row, so deletes are O(1) and
+    row ids are stable for the undo log. A row is one tuple of its values
+    in schema column order (:meth:`TableSchema.column_offset` positions);
+    this module alone decides that format. Plans, DML candidates, joins and
+    the indexes read it by column offset; a ``column -> value`` dict is
+    built only by :meth:`scan` and :meth:`image` (replication row images).
+    Rows are never mutated in place, so an undo entry holds the tuple it
+    replaced. Indexes are maintained on every mutation. All methods assume
+    the caller holds the database's table lock (see
+    :class:`repro.storage.database.Database`).
     """
 
     def __init__(self, schema: TableSchema):
@@ -27,22 +35,37 @@ class Table:
         #: table into many small ones raises write throughput (Table IV of
         #: the paper). Reads never look at it.
         self.io_free_at = 0.0
-        self._rows: dict[int, dict[str, Any]] = {}
+        self._rows: dict[int, tuple[Any, ...]] = {}
+        self._names = tuple(schema.column_names)
+        self._auto_offsets = tuple(i for i, col in enumerate(schema.columns)
+                                   if col.auto_increment)
         self._next_row_id = 0
         self._auto_value = 0
         self._hash_indexes: dict[str, HashIndex] = {}
         self._sorted_indexes: dict[str, SortedIndex] = {}
         if schema.primary_key:
-            self._hash_indexes["__pk__"] = HashIndex("__pk__", list(schema.primary_key), unique=True)
+            self._hash_indexes["__pk__"] = self._hash_index(
+                "__pk__", list(schema.primary_key), unique=True)
             if len(schema.primary_key) == 1:
-                self._sorted_indexes[schema.primary_key[0].lower()] = SortedIndex(
-                    "__pk_sorted__", schema.primary_key[0]
-                )
+                self._sorted_indexes[schema.primary_key[0].lower()] = self._sorted_index(
+                    "__pk_sorted__", schema.primary_key[0])
         for col in schema.columns:
             if col.unique and [col.name] != schema.primary_key:
-                self._hash_indexes[f"__uniq_{col.name}__"] = HashIndex(
-                    f"__uniq_{col.name}__", [col.name], unique=True
-                )
+                self._hash_indexes[f"__uniq_{col.name}__"] = self._hash_index(
+                    f"__uniq_{col.name}__", [col.name], unique=True)
+
+    def _hash_index(self, name: str, columns: list[str], unique: bool) -> HashIndex:
+        return HashIndex(name, columns, [self.schema.column_offset(c) for c in columns],
+                         unique=unique)
+
+    def _sorted_index(self, name: str, column: str) -> SortedIndex:
+        """A sorted index on ``column``, keyed by the value itself when the
+        column is declared NOT NULL in the numeric family, else by
+        ``sort_key`` (see :class:`SortedIndex`)."""
+        col = self.schema.column(column)
+        native = col.not_null and FAMILY_OF_TYPE[col.type.name] is NUMBER
+        return SortedIndex(name, self.schema.column_offset(column),
+                           key=None if native else sort_key)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -57,18 +80,31 @@ class Table:
         return len(self._rows)
 
     def scan(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """Iterate (row_id, row) pairs; snapshot to tolerate mutation."""
-        return iter(list(self._rows.items()))
+        """Iterate ``(row_id, column -> value)`` pairs of a snapshot taken
+        now, so the caller may mutate the table while it iterates."""
+        names = self._names
+        return ((row_id, dict(zip(names, row))) for row_id, row in list(self._rows.items()))
 
-    def get(self, row_id: int) -> dict[str, Any]:
-        return self._rows[row_id]
+    def image(self, row_id: int) -> dict[str, Any] | None:
+        """The ``column -> value`` image of a live row, None if it is gone."""
+        row = self._rows.get(row_id)
+        return None if row is None else dict(zip(self._names, row))
 
     def value_tuples(self, row_ids: list[int]) -> list[tuple[Any, ...]]:
-        """The rows of ``row_ids`` as value tuples in schema column order,
-        in the order given; an id deleted since it was looked up is
-        skipped."""
-        return [tuple(row.values()) for row in map(self._rows.get, row_ids)
-                if row is not None]
+        """The rows of ``row_ids``, in the order given; an id deleted since
+        it was looked up is skipped."""
+        return list(filter(None, map(self._rows.get, row_ids)))
+
+    def keyed_tuples(self, row_ids: list[int]) -> list[tuple[Any, ...]]:
+        """:meth:`value_tuples` with each row's id appended one slot past
+        its last column (a DML candidate)."""
+        get = self._rows.get
+        return [row + (row_id,) for row_id in row_ids
+                if (row := get(row_id)) is not None]
+
+    def tuples(self) -> list[tuple[Any, ...]]:
+        """Every row now, in :meth:`scan` order (a join's build side)."""
+        return list(self._rows.values())
 
     def indexed_columns(self) -> set[str]:
         """Columns with an equality index available (lower-cased)."""
@@ -121,22 +157,24 @@ class Table:
     # Mutation
     # ------------------------------------------------------------------
 
-    def insert(self, values: dict[str, Any]) -> tuple[int, dict[str, Any]]:
-        """Insert a row; returns (row_id, normalized_row)."""
+    def insert(self, values: dict[str, Any]) -> int:
+        """Insert a row given as ``column -> value``; returns its row id."""
         row = self.schema.normalize_row(values)
-        for col in self.schema.columns:
-            if col.auto_increment and row.get(col.name) is None:
+        for i in self._auto_offsets:
+            value = row[i]
+            if value is None:
                 self._auto_value += 1
-                row[col.name] = self._auto_value
-            elif col.auto_increment and isinstance(row.get(col.name), int):
-                self._auto_value = max(self._auto_value, row[col.name])
+                row[i] = self._auto_value
+            elif isinstance(value, int):
+                self._auto_value = max(self._auto_value, value)
+        stored = tuple(row)
         row_id = self._next_row_id
-        self._index_insert(row_id, row)
-        self._rows[row_id] = row
+        self._index_insert(row_id, stored)
+        self._rows[row_id] = stored
         self._next_row_id += 1
-        return row_id, row
+        return row_id
 
-    def delete(self, row_id: int) -> dict[str, Any]:
+    def delete(self, row_id: int) -> tuple[Any, ...]:
         """Delete by row id; returns the removed row (for the undo log)."""
         try:
             row = self._rows.pop(row_id)
@@ -145,13 +183,20 @@ class Table:
         self._index_remove(row_id, row)
         return row
 
-    def update(self, row_id: int, changes: dict[str, Any]) -> dict[str, Any]:
-        """Apply column changes; returns the previous row (for undo)."""
+    def update(self, row_id: int, changes: dict[str, Any]) -> tuple[Any, ...]:
+        """Apply ``column -> value`` changes; returns the previous row (for
+        undo). A NULL into a NOT NULL column raises and changes nothing."""
         old_row = self._rows[row_id]
-        new_row = dict(old_row)
+        values = list(old_row)
+        schema = self.schema
         for column, value in changes.items():
-            col = self.schema.column(column)
-            new_row[col.name] = col.type.coerce(value)
+            i = schema.column_offset(column)
+            col = schema.columns[i]
+            value = col.type.coerce(value)
+            if value is None and col.not_null:
+                raise TypeCheckError(f"column {col.name!r} of table {self.name} is NOT NULL")
+            values[i] = value
+        new_row = tuple(values)
         self._index_remove(row_id, old_row)
         try:
             self._index_insert(row_id, new_row)
@@ -174,7 +219,7 @@ class Table:
 
     # -- undo-log cooperation (raw operations bypass constraints) --------
 
-    def raw_reinsert(self, row_id: int, row: dict[str, Any]) -> None:
+    def raw_reinsert(self, row_id: int, row: tuple[Any, ...]) -> None:
         """Re-insert a previously deleted row under its old id (rollback)."""
         self._index_insert(row_id, row)
         self._rows[row_id] = row
@@ -186,21 +231,22 @@ class Table:
         if row is not None:
             self._index_remove(row_id, row)
 
-    def raw_restore(self, row_id: int, row: dict[str, Any]) -> None:
-        """Restore a row image overwritten by a rolled-back update."""
+    def raw_restore(self, row_id: int, row: tuple[Any, ...]) -> None:
+        """Restore a row overwritten by a rolled-back update."""
         current = self._rows.get(row_id)
         if current is not None:
             self._index_remove(row_id, current)
         self._index_insert(row_id, row)
         self._rows[row_id] = row
 
-    def raw_put(self, row_id: int, row: dict[str, Any]) -> None:
+    def raw_put(self, row_id: int, image: dict[str, Any]) -> None:
         """Install a replicated row image under its primary-side row id.
 
         Replace-or-insert like :meth:`raw_restore`, but also advances
         ``_next_row_id`` and the auto-increment counter so a replica
         promoted to primary continues both sequences without collisions.
         """
+        row = self._from_image(image)
         current = self._rows.get(row_id)
         if current is not None:
             self._index_remove(row_id, current)
@@ -212,23 +258,22 @@ class Table:
             raise
         self._rows[row_id] = row
         self._next_row_id = max(self._next_row_id, row_id + 1)
-        for col in self.schema.columns:
-            if col.auto_increment and isinstance(row.get(col.name), int):
-                self._auto_value = max(self._auto_value, row[col.name])
+        for i in self._auto_offsets:
+            if isinstance(row[i], int):
+                self._auto_value = max(self._auto_value, row[i])
 
-    def conflicting_row_ids(self, row: dict[str, Any]) -> set[int]:
+    def conflicting_row_ids(self, image: dict[str, Any]) -> set[int]:
         """Row ids holding any unique key the given row image claims
         (replication uses this to evict stale occupants on re-apply)."""
+        row = self._from_image(image)
         ids: set[int] = set()
         for index in self._hash_indexes.values():
-            if not index.unique:
-                continue
-            try:
-                key = index.key_of(row)
-            except KeyError:
-                continue
-            ids.update(index._map.get(key, ()))
+            if index.unique:
+                ids.update(index._map.get(index.key_of(row), ()))
         return ids
+
+    def _from_image(self, image: dict[str, Any]) -> tuple[Any, ...]:
+        return tuple(image[name] for name in self._names)
 
     # ------------------------------------------------------------------
     # Secondary index DDL
@@ -239,12 +284,12 @@ class Table:
             self.schema.column(col)  # validates existence
         if name in self._hash_indexes:
             raise StorageError(f"index {name!r} already exists on {self.name}")
-        index = HashIndex(name, columns, unique=unique)
+        index = self._hash_index(name, columns, unique)
         for row_id, row in self._rows.items():
             index.insert(row_id, row)
         self._hash_indexes[name] = index
         if len(columns) == 1 and columns[0].lower() not in self._sorted_indexes:
-            sorted_index = SortedIndex(name + "_sorted", columns[0], unique=False)
+            sorted_index = self._sorted_index(name + "_sorted", columns[0])
             for row_id, row in self._rows.items():
                 sorted_index.insert(row_id, row)
             self._sorted_indexes[columns[0].lower()] = sorted_index
@@ -253,7 +298,7 @@ class Table:
     # Internals
     # ------------------------------------------------------------------
 
-    def _index_insert(self, row_id: int, row: dict[str, Any]) -> None:
+    def _index_insert(self, row_id: int, row: tuple[Any, ...]) -> None:
         inserted: list[HashIndex] = []
         try:
             for index in self._hash_indexes.values():
@@ -266,7 +311,7 @@ class Table:
         for sorted_index in self._sorted_indexes.values():
             sorted_index.insert(row_id, row)
 
-    def _index_remove(self, row_id: int, row: dict[str, Any]) -> None:
+    def _index_remove(self, row_id: int, row: tuple[Any, ...]) -> None:
         for index in self._hash_indexes.values():
             index.remove(row_id, row)
         for sorted_index in self._sorted_indexes.values():

@@ -32,7 +32,8 @@ class TxnStatus(enum.Enum):
 class _UndoEntry:
     __slots__ = ("kind", "table", "row_id", "row")
 
-    def __init__(self, kind: str, table: Table, row_id: int, row: dict[str, Any] | None = None):
+    def __init__(self, kind: str, table: Table, row_id: int,
+                 row: tuple[Any, ...] | None = None):
         self.kind = kind
         self.table = table
         self.row_id = row_id
@@ -69,13 +70,13 @@ class Transaction:
             self._touch(table, row_id)
         self.database.bump_data_version(table.name)
 
-    def record_update(self, table: Table, row_id: int, old_row: dict[str, Any]) -> None:
+    def record_update(self, table: Table, row_id: int, old_row: tuple[Any, ...]) -> None:
         with self._lock:
             self._undo.append(_UndoEntry("update", table, row_id, old_row))
             self._touch(table, row_id)
         self.database.bump_data_version(table.name)
 
-    def record_delete(self, table: Table, row_id: int, old_row: dict[str, Any]) -> None:
+    def record_delete(self, table: Table, row_id: int, old_row: tuple[Any, ...]) -> None:
         with self._lock:
             self._undo.append(_UndoEntry("delete", table, row_id, old_row))
             self._touch(table, row_id)
@@ -159,11 +160,11 @@ def publish_row_images(database: "Database",
     puts: list[tuple] = []
     with database.write_lock():
         for table, row_id in touched:
-            row = table._rows.get(row_id)
-            if row is None:
+            image = table.image(row_id)
+            if image is None:
                 deletes.append(("del", table.name, row_id))
             else:
-                puts.append(("put", table.name, row_id, dict(row)))
+                puts.append(("put", table.name, row_id, image))
     replication.publish(deletes + puts)
 
 

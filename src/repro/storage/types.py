@@ -136,6 +136,18 @@ _COERCERS = {
 
 SUPPORTED_TYPE_NAMES = frozenset(_COERCERS)
 
+#: the Python types a stored value of the numeric family may have
+NUMBER = (int, float, bool)
+#: declared type -> the Python types of its family: the bound types an
+#: index on such a column answers for exactly (``repro.storage.plans``)
+FAMILY_OF_TYPE = {
+    **dict.fromkeys(("INT", "INTEGER", "BIGINT", "SMALLINT", "FLOAT", "DOUBLE",
+                     "REAL", "DECIMAL", "NUMERIC", "BOOLEAN", "BOOL"), NUMBER),
+    **dict.fromkeys(("VARCHAR", "CHAR", "TEXT", "BLOB"), (str,)),
+    **dict.fromkeys(("DATE", "TIME", "TIMESTAMP", "DATETIME"),
+                    (datetime.datetime, datetime.date)),
+}
+
 
 def make_type(name: str, length: int | None = None) -> ColumnType:
     """Build a ColumnType from a SQL type name, validating the name."""

@@ -431,7 +431,7 @@ def _execute_insert(database, stmt: ast.InsertStatement, params: Sequence[Any],
                 f"INSERT column/value count mismatch: {len(columns)} vs {len(row_exprs)}"
             )
         values = {col: evaluate(expr, {}, params) for col, expr in zip(columns, row_exprs)}
-        row_id, _ = table.insert(values)
+        row_id = table.insert(values)
         txn.record_insert(table, row_id)
     return QueryResult(rowcount=len(stmt.values_rows))
 

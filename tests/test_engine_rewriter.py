@@ -99,6 +99,27 @@ class TestPaginationRevision:
         assert "LIMIT" not in result.execution_units[0].sql
         assert result.merge_spec.limit_offset == 3
 
+    def test_group_top_n_by_an_aggregate_reads_every_group(self, paper_rule):
+        # a shard's first rows rank its partial sums: no row count below the merge
+        result, _ = run("SELECT age, SUM(uid) AS s FROM t_user GROUP BY age "
+                        "ORDER BY s DESC LIMIT 2 OFFSET 1", paper_rule)
+        for unit in result.execution_units:
+            assert "LIMIT" not in unit.sql
+        assert (result.merge_spec.limit_count, result.merge_spec.limit_offset) == (2, 1)
+
+    def test_group_top_n_by_the_group_keys_keeps_the_unit_limit(self, paper_rule):
+        for order in ("age", "age DESC", "a", "age, SUM(uid)"):
+            result, _ = run(f"SELECT age AS a, SUM(uid) FROM t_user GROUP BY age "
+                            f"ORDER BY {order} LIMIT 2 OFFSET 1", paper_rule)
+            for unit in result.execution_units:
+                assert unit.sql.endswith("LIMIT 3"), (order, unit.sql)
+
+    def test_group_top_n_by_a_prefix_of_the_keys_reads_every_group(self, paper_rule):
+        result, _ = run("SELECT age, name, COUNT(*) FROM t_user GROUP BY age, name "
+                        "ORDER BY age LIMIT 2", paper_rule)
+        for unit in result.execution_units:
+            assert "LIMIT" not in unit.sql
+
 
 class TestInsertSplit:
     def test_rows_distributed(self, paper_rule):

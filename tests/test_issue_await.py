@@ -253,6 +253,17 @@ class TestHopAndSpikeAreDeadlines:
         ds.connect().execute("SELECT id FROM acc WHERE id = 1")
         assert fake.slept - before == approx(self.HOP + cost)
 
+    def test_an_executemany_batch_crosses_the_network_once(self, fake):
+        plain, _ = twin_sources(fake)
+        _, hopped = twin_sources(fake, network_hop=self.HOP)
+        sql, seq = "UPDATE acc SET bal = bal + 1 WHERE id = ?", [(1,), (2,), (3,)]
+        slept = []
+        for ds in (plain, hopped):
+            before = fake.slept
+            assert ds.connect().cursor().executemany(sql, seq).rowcount == 3
+            slept.append(fake.slept - before)
+        assert slept[1] - slept[0] == approx(self.HOP)
+
     def test_a_latency_spike_extends_ready_at_and_delays_nobody(self, fake):
         _, ds = twin_sources(fake)
         injector = FaultInjector(seed=1)

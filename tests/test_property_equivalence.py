@@ -229,3 +229,31 @@ class TestPlacementInvariants:
         for i in ids[:5]:
             assert engine.execute(f"SELECT v FROM t WHERE id = {i}").fetchall() == [(1,)]
         engine.close()
+
+
+class TestGroupedTopN:
+    """``ORDER BY <aggregate> LIMIT n`` over groups spread across shards: a
+    unit that kept the LIMIT would drop groups on the partial aggregates
+    it ranks, and the merge would sum what was left. MOD sharding over four
+    sources; group g holds a distinct count of rows and a distinct sum."""
+
+    GROUPS = [0, 1, 2, 3, 4, 4, 3, 2, 1, 4, 3, 2, 4, 3, 4, 2, 1, 0, 4, 3, 4, 1, 2, 3]
+    ROWS = [(g, 1 + i % 5) for i, g in enumerate(GROUPS)]
+    LAYOUT = dict(num_sources=4, tables_per_source=1)
+
+    def test_top_n_by_sum(self):
+        check(self.ROWS, ["SELECT grp, SUM(val) AS s FROM t GROUP BY grp "
+                          "ORDER BY s DESC LIMIT 2"] * 2, **self.LAYOUT)
+
+    def test_top_one_by_count(self):
+        check(self.ROWS, ["SELECT grp, COUNT(*) AS n FROM t GROUP BY grp "
+                          "ORDER BY n DESC LIMIT 1"] * 2, **self.LAYOUT)
+
+    def test_by_sum_with_an_offset(self):
+        check(self.ROWS, ["SELECT grp, SUM(val) AS s FROM t GROUP BY grp "
+                          "ORDER BY s LIMIT 2 OFFSET 1"] * 2, **self.LAYOUT)
+
+    def test_control_by_the_group_key(self):
+        check(self.ROWS, ["SELECT grp, SUM(val) AS s FROM t GROUP BY grp "
+                          "ORDER BY grp LIMIT 2"] * 2, **self.LAYOUT)
+

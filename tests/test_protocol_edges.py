@@ -69,6 +69,19 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             encode(PacketType.ROW_BATCH, {"blob": "x" * (MAX_PACKET + 1)})
 
+    def test_bytes_are_json_dumps_and_datetimes_round_trip(self):
+        import datetime
+        import json
+
+        from repro.protocol.message import _default, decode_body
+
+        when = datetime.datetime(2022, 5, 9, 12, 30, 1)
+        body = {"rows": [[1, "é", None, True, 2.5, when]], "columns": ["a"]}
+        raw = encode(PacketType.ROW_BATCH, body)
+        assert raw[5:] == json.dumps(body, default=_default).encode("utf-8")
+        assert decode_body(raw[5:]) == body
+        assert read_packet(FakeSock(raw, chunk=4)) == (PacketType.ROW_BATCH, body)
+
     def test_truncated_mid_body(self):
         raw = encode(PacketType.QUERY, {"sql": "SELECT 1"})
         with pytest.raises(ProtocolError, match="closed mid-packet"):

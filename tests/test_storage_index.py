@@ -8,49 +8,49 @@ from repro.storage.index import HashIndex, SortedIndex
 
 class TestHashIndex:
     def test_insert_and_lookup(self):
-        index = HashIndex("i", ["k"])
-        index.insert(1, {"k": "a"})
-        index.insert(2, {"k": "a"})
-        index.insert(3, {"k": "b"})
+        index = HashIndex("i", ["k"], [0])
+        index.insert(1, ("a",))
+        index.insert(2, ("a",))
+        index.insert(3, ("b",))
         assert index.lookup("a") == {1, 2}
         assert index.lookup("b") == {3}
         assert index.lookup("missing") == set()
 
     def test_unique_rejects_duplicates(self):
-        index = HashIndex("u", ["k"], unique=True)
-        index.insert(1, {"k": 5})
+        index = HashIndex("u", ["k"], [0], unique=True)
+        index.insert(1, (5,))
         with pytest.raises(DuplicateKeyError):
-            index.insert(2, {"k": 5})
+            index.insert(2, (5,))
 
     def test_remove_cleans_buckets(self):
-        index = HashIndex("i", ["k"])
-        index.insert(1, {"k": "x"})
-        index.remove(1, {"k": "x"})
+        index = HashIndex("i", ["k"], [0])
+        index.insert(1, ("x",))
+        index.remove(1, ("x",))
         assert index.lookup("x") == set()
         assert len(index) == 0
 
     def test_remove_missing_is_noop(self):
-        index = HashIndex("i", ["k"])
-        index.remove(9, {"k": "ghost"})
+        index = HashIndex("i", ["k"], [0])
+        index.remove(9, ("ghost",))
 
     def test_composite_key(self):
-        index = HashIndex("c", ["a", "b"], unique=True)
-        index.insert(1, {"a": 1, "b": 2})
-        index.insert(2, {"a": 1, "b": 3})
+        index = HashIndex("c", ["a", "b"], [0, 1], unique=True)
+        index.insert(1, (1, 2))
+        index.insert(2, (1, 3))
         assert index.lookup((1, 2)) == {1}
         assert index.lookup_values({"a": 1, "b": 3}) == {2}
 
     def test_unhashable_values_coerced(self):
-        index = HashIndex("i", ["k"])
-        index.insert(1, {"k": [1, 2]})
+        index = HashIndex("i", ["k"], [0])
+        index.insert(1, ([1, 2],))
         assert index.lookup([1, 2]) == {1}
 
 
 class TestSortedIndex:
     def make(self):
-        index = SortedIndex("s", "k")
+        index = SortedIndex("s", 0)
         for row_id, value in enumerate([5, 1, 9, 5, 3]):
-            index.insert(row_id, {"k": value})
+            index.insert(row_id, (value,))
         return index
 
     def test_full_range(self):
@@ -73,20 +73,20 @@ class TestSortedIndex:
 
     def test_remove_specific_row_among_duplicates(self):
         index = self.make()
-        index.remove(0, {"k": 5})
+        index.remove(0, (5,))
         assert sorted(index.range(5, 5)) == [3]
         assert len(index) == 4
 
     def test_unique_sorted_index(self):
-        index = SortedIndex("u", "k", unique=True)
-        index.insert(1, {"k": 7})
+        index = SortedIndex("u", 0, unique=True)
+        index.insert(1, (7,))
         with pytest.raises(DuplicateKeyError):
-            index.insert(2, {"k": 7})
+            index.insert(2, (7,))
 
     def test_nulls_ordered_first(self):
-        index = SortedIndex("n", "k")
-        index.insert(1, {"k": None})
-        index.insert(2, {"k": 0})
+        index = SortedIndex("n", 0)
+        index.insert(1, (None,))
+        index.insert(2, (0,))
         assert list(index.range())[0] == 1
 
 
@@ -98,16 +98,16 @@ class TestRangeUnderAWriter:
     HOT = 100  # the key the writer keeps adding equal keys to and removing
 
     def make(self):
-        index = SortedIndex("s", "k")
+        index = SortedIndex("s", 0)
         for row_id in range(self.STABLE):
-            index.insert(row_id, {"k": row_id})
+            index.insert(row_id, (row_id,))
         return index
 
     def test_a_range_is_a_snapshot_of_the_moment_it_was_taken(self):
         index = self.make()
         taken = index.range(self.HOT - 2, self.HOT + 2)
-        index.insert(1000, {"k": self.HOT})
-        index.remove(self.HOT - 1, {"k": self.HOT - 1})
+        index.insert(1000, (self.HOT,))
+        index.remove(self.HOT - 1, (self.HOT - 1,))
         assert list(taken) == list(range(self.HOT - 2, self.HOT + 3))
         del index._keys[10:], index._row_ids[10:]  # the list shrinks under an open range
         assert list(taken) == list(range(self.HOT - 2, self.HOT + 3))
@@ -123,7 +123,7 @@ class TestRangeUnderAWriter:
         failures = []
 
         def writer():
-            extra = {"k": self.HOT}
+            extra = (self.HOT,)
             while not stop.is_set():
                 for row_id in (1000, 1001, 1002):
                     index.insert(row_id, extra)

@@ -97,8 +97,9 @@ class TestTableSchema:
             TableSchema(name="t", columns=[Column("a", make_type("INT"))], primary_key=["b"])
 
     def test_normalize_fills_default(self):
-        row = make_schema().normalize_row({"id": 1, "name": "x"})
-        assert row["score"] == 0.0
+        schema = make_schema()
+        row = schema.normalize_row({"id": 1, "name": "x"})
+        assert row[schema.column_offset("score")] == 0.0
 
     def test_normalize_rejects_unknown_column(self):
         with pytest.raises(ColumnNotFoundError):
@@ -109,8 +110,9 @@ class TestTableSchema:
             make_schema().normalize_row({"id": 1})
 
     def test_auto_increment_may_be_null(self):
-        row = make_schema().normalize_row({"name": "x"})
-        assert row["id"] is None  # filled by the table
+        schema = make_schema()
+        row = schema.normalize_row({"name": "x"})
+        assert row[schema.column_offset("id")] is None  # filled by the table
 
     def test_from_ast(self):
         stmt = parse("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8))")
