@@ -300,6 +300,9 @@ class ExecutionEngine:
         # the lane whose last window ends first, and the connection starts
         # it when the one before it there is done.
         slots: dict[int, Any] = {}  # id(unit) -> ShardResult | update count
+        #: units that answered, per source; counted by the statement's end
+        #: (``Observability.on_statement``), or here if the statement raises
+        answered_by: dict[str, int] = {}
         source_errors: dict[str, BaseException] = {}
         #: (source name, source, connections, streamed) of every pool batch
         batches: list[tuple[str, DataSource, list[Connection], bool]] = []
@@ -358,13 +361,17 @@ class ExecutionEngine:
                             break  # a lane stops at its first error
                         continue
                     answered += 1
+                    if span is None and heat is None and not (lanes and is_query):
+                        # untraced, unsampled: the result streams, or its count
+                        slots[id(unit)] = cursor if is_query else max(cursor.rowcount, 0)
+                        continue
                     try:
                         slots[id(unit)] = self._unit_done(
                             unit, cursor, is_query, span, heat, t0, stream=not lanes)
                     except BaseException as exc:
                         source_errors.setdefault(ds_name, exc)
-                if direct and obs is not None and answered:
-                    obs.on_source_attempt(ds_name, True, answered)
+                if answered:
+                    answered_by[ds_name] = answered
         finally:
             booked.lag = max(booked.lag, booked.ready_at - clock.now())  # the rest runs after it
             if token is not None:  # nothing is merged, released or raised unpaid
@@ -403,10 +410,15 @@ class ExecutionEngine:
                     result.update_count += out
         if errors or (soft_failures and not succeeded):
             result.release()
+            if obs is not None:
+                for ds_name, answered in answered_by.items():
+                    obs.on_source_attempt(ds_name, True, answered)
             raise (errors or [exc for _, exc in soft_failures])[0]
         if soft_failures:
             result.partial_results = True
             for ds_name, _ in soft_failures:
+                if obs is not None and ds_name in answered_by:
+                    obs.on_source_attempt(ds_name, True, answered_by[ds_name])
                 if ds_name not in result.skipped_sources:
                     result.skipped_sources.append(ds_name)
                 # diagnostics invariant: modes only lists sources that
@@ -516,9 +528,9 @@ class ExecutionEngine:
         if not ok:
             self.metrics.failed_units += 1
             self.metrics.bump(source_name, "failures")
-        obs = self.observability
-        if obs is not None:
-            obs.on_source_attempt(source_name, ok)
+            obs = self.observability
+            if obs is not None:
+                obs.on_source_attempt(source_name, False)
 
     @staticmethod
     def _traced(connection: Connection, unit: ExecutionUnit, span: "Span | None") -> Any:
@@ -775,7 +787,7 @@ class ExecutionEngine:
                 [(stmt, params) for stmt, params, _ in statements])
             for (_stmt, _params, is_query), res in zip(statements, raw):
                 if is_query:
-                    out.append(MaterializedResult(list(res.columns), list(res.rows)))
+                    out.append(MaterializedResult(list(res.columns), res.fetchall()))
                 else:
                     out.append(max(res.rowcount, 0))
         except BaseException:

@@ -14,6 +14,7 @@ conjuncts are pushed down so each shard ships only matching rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Mapping
 
 from ..exceptions import UnsupportedSQLError
@@ -100,6 +101,10 @@ def federate_select(
     execution = executor.execute(
         [unit for unit, _ in pulls], True, held_connections, route_type="federation",
         trace=trace, parent_span=parent_span, sources=sources)
+    observability = executor.observability
+    if observability is not None:  # the pulls answered, and are not the statement's units
+        for ds_name, count in Counter(unit.data_source for unit, _ in pulls).items():
+            observability.on_source_attempt(ds_name, True, count)
     try:
         budget = MAX_FEDERATION_ROWS
         for (_unit, target), shard in zip(pulls, execution.results):

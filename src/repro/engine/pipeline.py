@@ -10,6 +10,7 @@ or mutate it, may redirect routed units, and may post-process results.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -662,7 +663,7 @@ class SQLEngine:
             found = federate_select(
                 self.executor, st.context, st.snap, st.held, st.trace, st.span)
             st.execution = ExecutionResult(
-                results=[MaterializedResult(list(found.columns), found.rows)])
+                results=[MaterializedResult(list(found.columns), found.fetchall())])
         else:
             st.execution = self.executor.execute(
                 st.units, st.is_query, st.held,
@@ -679,9 +680,9 @@ class SQLEngine:
 
     def _finish(self, st: _Statement) -> EngineResult:
         """Back half of the lifecycle: merge, build the
-        :class:`EngineResult`, record the statement (counters, stage
-        histograms, workload digests), run ``on_result``, then store to
-        the result cache. Anything raised here reaches :meth:`_fail`
+        :class:`EngineResult`, run ``on_result``, store to the result
+        cache, then record the statement (counters, stage histograms,
+        workload digests). Anything raised here reaches :meth:`_fail`
         with ``st.execution`` still attached, so no connection outlives
         a statement that failed after its storage work."""
         execution, context, units, weight = st.execution, st.context, st.units, st.weight
@@ -715,12 +716,6 @@ class SQLEngine:
             result.merger_kind = "update"
             execution.release()
 
-        if self.observability is not None:
-            row_sink = self.observability.on_statement(
-                st.route_type, units, st.stages, weight, context,
-                execution.update_count, st.is_query, st.heat)
-            if row_sink is not None:
-                result.merged.rows = _counting(result.merged.rows, row_sink)
         for feature in st.snap.features:
             feature.on_result(result, context)
         if (
@@ -729,6 +724,12 @@ class SQLEngine:
             and not result.partial_results
         ):
             self._store_cached_result(st.cache_key, result, st.cache_guards)
+        if self.observability is not None:  # last: a statement raising before is an error
+            row_sink = self.observability.on_statement(
+                st.route_type, units, st.stages, weight, context,
+                execution.update_count, st.is_query, st.heat, execution.skipped_sources)
+            if row_sink is not None:
+                result.merged.rows = _counting(result.merged.rows, row_sink)
         st.execution = None  # the merged iterator owns the connections now
         return result
 
@@ -746,6 +747,12 @@ class SQLEngine:
         execution, st.execution = st.execution, None
         if execution is not None:
             execution.release()
+            if self.observability is not None:
+                # its units answered, and on_statement never ran
+                answered = Counter(unit.data_source for unit in st.units
+                                   if unit.data_source not in execution.skipped_sources)
+                for source, count in answered.items():
+                    self.observability.on_source_attempt(source, True, count)
         if st.span is not None:
             st.span.finish(error=exc)
             st.span = None

@@ -21,6 +21,7 @@ adds no spans until ``tracer.enabled`` (or a one-shot ``TRACE``) flips on.
 
 from __future__ import annotations
 
+from threading import get_ident
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .metrics import (
@@ -141,18 +142,31 @@ class Observability:
         update_count: int = 0,
         is_query: bool = False,
         heat: _HeatSample | None = None,
+        skipped: Sequence[str] = (),
     ) -> Callable[[int], None] | None:
         """Record one finished statement; lock only when it is sampled.
 
-        Every statement counts by route type; a sampled one (``weight``
-        > 0, which needs ``context``) also feeds the stage and fan-out
-        histograms and the workload tracker, whose row sink for a query is
-        returned. Counters take the sharded lock-free path (exact,
-        per-thread slots), so the 1-in-N unsampled majority of statements
-        never touches the registry mutex — contended locks convoy badly
-        with the GIL and were measurable at benchmark concurrency.
+        Every statement counts by route type, and each of its ``units``
+        but those on a ``skipped`` source counts as one answered attempt
+        of its data source (failed attempts are counted as they fail,
+        :meth:`on_source_attempt`). A sampled one (``weight`` > 0, which
+        needs ``context``) also feeds the stage and fan-out histograms and
+        the workload tracker, whose row sink for a query is returned.
+        Counters take the sharded lock-free path — ``Counter.inc_sharded``'s
+        slots, written inline, so an unsampled statement makes this one
+        call — and the 1-in-N unsampled majority never touches the registry
+        mutex: contended locks convoy badly with the GIL and were
+        measurable at benchmark concurrency.
         """
-        self._statements.inc_sharded((route_type or "unrouted",))
+        thread = get_ident()
+        shards = self._statements._shards
+        slot = ((route_type or "unrouted",), thread)
+        shards[slot] = shards.get(slot, 0.0) + 1.0
+        shards = self._source_queries._shards
+        for unit in units:
+            if unit.data_source not in skipped:
+                slot = ((unit.data_source,), thread)
+                shards[slot] = shards.get(slot, 0.0) + 1.0
         if not weight:
             return None
         with self.registry.lock:
@@ -180,7 +194,9 @@ class Observability:
 
     def on_source_attempt(self, source: str, ok: bool, count: int = 1) -> None:
         """Per-unit attempt outcome (QPS and error rate per data source);
-        ``count`` attempts with the same outcome at once."""
+        ``count`` attempts with the same outcome at once: a failed attempt,
+        or units that answered a statement :meth:`on_statement` will not
+        see (it raised, or they were a federated statement's pulls)."""
         self._source_queries.inc_sharded((source,), count)
         if not ok:
             self._source_errors.inc_sharded((source,), count)

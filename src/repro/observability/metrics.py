@@ -122,7 +122,8 @@ class Counter(_Metric):
             self._children[key] = self._children.get(key, 0.0) + amount
 
     def inc_sharded(self, key: LabelValues, amount: float = 1.0) -> None:
-        """Lock-free increment; ``key`` is the label-values tuple."""
+        """Lock-free increment; ``key`` is the label-values tuple.
+        ``Observability.on_statement`` writes these slots inline."""
         shards = self._shards
         slot = (key, get_ident())
         shards[slot] = shards.get(slot, 0.0) + amount

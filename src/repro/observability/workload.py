@@ -410,9 +410,8 @@ class _HeatSample:
 
     def unit_done(self, unit: "ExecutionUnit", wall: float,
                   cursor: Any, rows: int) -> None:
-        result = getattr(cursor, "_result", None)
-        cost = getattr(result, "cost", 0.0) or 0.0
-        plan_status = getattr(result, "plan", "")
+        cost = getattr(cursor, "cost", 0.0) or 0.0
+        plan_status = getattr(cursor, "plan", "")
         workload = self.workload
         key = _unit_key(unit)
         weight = self.weight

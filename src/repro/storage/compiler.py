@@ -61,23 +61,27 @@ class RowLayout:
     concatenated row tuple, in FROM-then-JOIN order. Resolution order:
     qualified exact match first, then a bare exact-name match with the
     leftmost table winning, then the case-insensitive fallback.
-    ``int_offsets`` are the offsets of integer-family columns (``INT_TYPES``).
+    ``int_offsets`` are the offsets of integer-family columns (``INT_TYPES``),
+    ``not_null_offsets`` those of columns that never hold NULL in a row of
+    this layout.
     """
 
-    __slots__ = ("slots", "width", "int_offsets")
+    __slots__ = ("slots", "width", "int_offsets", "not_null_offsets")
 
     def __init__(self) -> None:
         self.slots: list[tuple[str, list[str], int]] = []
         self.width = 0
         self.int_offsets: set[int] = set()
+        self.not_null_offsets: set[int] = set()
 
     def add(self, exposed: str, column_names: Sequence[str],
-            type_names: Sequence[str] = ()) -> int:
+            type_names: Sequence[str] = (), not_null: Sequence[bool] = ()) -> int:
         base = self.width
         self.slots.append((exposed, list(column_names), base))
         self.width += len(column_names)
         self.int_offsets.update(base + i for i, name in enumerate(type_names)
                                 if name in INT_TYPES)
+        self.not_null_offsets.update(base + i for i, flag in enumerate(not_null) if flag)
         return base
 
     def resolve(self, ref: ast.ColumnRef) -> int:
@@ -180,8 +184,7 @@ def const_getter(expr: ast.Expression) -> Callable[[Sequence[Any]], Any] | None:
         value = expr.value
         return lambda params: value
     if isinstance(expr, ast.Placeholder):
-        index = expr.index
-        return lambda params: params[index]
+        return operator.itemgetter(expr.index)  # no Python frame per bound value
     if (isinstance(expr, ast.UnaryOp) and expr.op == "-"
             and isinstance(expr.operand, ast.Literal)
             and isinstance(expr.operand.value, (int, float))):
@@ -493,7 +496,7 @@ def _compile_case(expr: ast.CaseExpr, ctx: CompileContext) -> Getter:
 
 
 # ---------------------------------------------------------------------------
-# Batched predicate evaluation (vectorized plan pipelines)
+# Batched predicate evaluation (a plan's list stages)
 # ---------------------------------------------------------------------------
 
 #: a compiled batch filter: (rows, params) -> surviving rows
@@ -501,7 +504,7 @@ BatchFilter = Callable[[Sequence[Any], Sequence[Any]], list]
 
 
 def compile_batch_predicate(expr: ast.Expression, ctx: CompileContext) -> BatchFilter:
-    """Compile WHERE semantics over a whole chunk: rows where the
+    """Compile WHERE semantics over a list of rows: rows where the
     predicate is True survive, UNKNOWN/NULL filter out.
 
     Top-level AND conjuncts are compiled separately and run as stages in
@@ -552,7 +555,7 @@ def _int_range_kernel(conjunct: ast.Expression, predicate: Getter,
 
     Stored values there are ``int`` or ``None``, so when the bound(s) are
     exactly ``int`` at run time (not bool, float, str or NULL) native
-    comparison is :func:`_compare_values`' answer and the chunk is filtered
+    comparison is :func:`_compare_values`' answer and the list is filtered
     by one comprehension. Any other bound runs ``predicate``, the
     conjunct's closure, per row.
     """
@@ -593,7 +596,7 @@ def _int_range_kernel(conjunct: ast.Expression, predicate: Getter,
 
 
 def _fused_filter(preds: list[Getter]) -> BatchFilter:
-    """One comprehension over a chunk, the predicates joined by ``and``."""
+    """One comprehension over the rows, the predicates joined by ``and``."""
     if len(preds) == 1:
         p0 = preds[0]
         return lambda rows, params: [r for r in rows if p0(r, params)]

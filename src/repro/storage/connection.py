@@ -1,9 +1,11 @@
 """DB-API-flavored connections and cursors for a data source.
 
 This is the JDBC stand-in: the sharding executor, the adaptors and the
-benchmarks all talk to data sources through :class:`Connection` /
-:class:`Cursor`. Cursors stream rows from the engine lazily, which is what
-lets the result merger choose stream merging over memory merging.
+benchmarks all talk to data sources through :class:`Connection`, whose
+``execute`` returns one :class:`~repro.storage.executor.QueryResult` per
+statement — also its cursor (``Cursor`` is the same type). A result reads
+its rows when it is first fetched, which is what lets the result merger
+choose stream merging over memory merging.
 
 Isolation note: like the paper's setup, transactional isolation is provided
 by the underlying data source. Our engine implements statement-atomic
@@ -16,8 +18,8 @@ server's timeline behind this connection's last one — and its window is
 one storage door every statement passes, returns the price as
 ``QueryResult.cost`` and what must pass before the I/O starts (a latency
 spike, a commit, a network hop) as ``QueryResult.delay``;
-:meth:`Cursor.execute` reserves and books both. A read's rows are read
-when its result is drained, not at issue.
+:meth:`Connection.execute` reserves and books both in the same frame. A
+read's rows are read at its result's first fetch, not at issue.
 ``commit``, ``xa_prepare`` and ``xa_commit`` book their window
 ``(priced, ready_at)`` and return it. With no scope open a booking is paid
 at once, so a direct caller blocks as before; through a session the
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .. import clock
 from ..exceptions import (
@@ -179,13 +181,64 @@ class Connection:
 
     # -- statement execution ------------------------------------------------------
 
-    def cursor(self) -> "Cursor":
+    def cursor(self) -> QueryResult:
+        """An empty result to :meth:`~QueryResult.execute` statements on."""
         self._check_open()
-        return Cursor(self)
+        result = QueryResult()
+        result.connection = self
+        return result
 
-    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = ()) -> "Cursor":
-        """Convenience: open a cursor and execute on it."""
-        return Cursor(self).execute(sql, params)
+    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = ()) -> QueryResult:
+        """Run one statement: issue it through :meth:`_run` — run and price
+        it — then reserve its I/O window behind this connection's last and
+        the session call's :func:`~repro.storage.latency.now`, and book the
+        window (:func:`~repro.storage.latency.book`, inline: this is the hot
+        path). With no scope open it is paid here. Returns the result, whose
+        rows are read at its first fetch."""
+        if isinstance(sql, str):  # _statement, inline: this is the hot path
+            stmt = parse(sql)
+            stmt.storage_plan_key = sql
+        else:
+            stmt = sql
+        result = self._run(stmt, params)
+        result.connection = self
+        if (owed := result.cost + result.delay) <= 0:
+            return result
+        booked = booking.get()
+        issued = clock.now()
+        # after the session call's last step, and behind this connection's last window
+        asked = issued if booked is None else issued + booked.lag
+        after = max(self.free_at, asked)
+        result.ready_at = self.free_at = ready_at = self.data_source.io_timeline.reserve(
+            result.cost, result.written_table, result.delay + after - issued)
+        span = self.trace_span
+        if span is not None:
+            # the price, and the queueing behind windows reserved earlier
+            span.record_simulated(owed)
+            span.record_lock_wait(ready_at - owed - asked)
+        if booked is not None:
+            booked.priced += owed
+            booked.ready_at = max(booked.ready_at, ready_at)
+            return result
+        pay(owed, ready_at)  # no scope open: the caller blocks here
+        if span is not None and ready_at > issued:
+            span.record_pay_overshoot(clock.now() - ready_at)
+        return result
+
+    def executemany(self, sql: str | ast.Statement,
+                    seq_of_params: Sequence[Sequence[Any]]) -> QueryResult:
+        """Execute once per parameter row, parsing/planning only once.
+
+        DML bindings run as one batched plan invocation: a single lock
+        acquisition, one (implicit) transaction and one coalesced
+        write-I/O charge (see :meth:`_run_many`), booked as one window.
+        Reports the cumulative rowcount across all bindings (DB-API
+        semantics).
+        """
+        result = self._run_many(_statement(sql), seq_of_params)
+        result.connection = self
+        self._settle([[result]])
+        return result
 
     def _run(self, stmt: ast.Statement, params: Any, many: bool = False) -> QueryResult:
         """The storage door: issue one statement — admit, run and price it —
@@ -245,7 +298,7 @@ class Connection:
                 if len(params) < plan.param_count:
                     raise missing_parameter(params)
                 result = plan.runner(params, self._transaction)
-        result.plan = status  # workload analytics read this off cursor._result
+        result.plan = status  # workload analytics read this off the result
         span = self.trace_span
         if span is not None:
             span.attributes["storage_plan"] = status
@@ -318,11 +371,7 @@ class Connection:
         batches: list[list[QueryResult]] = [[]]
         try:
             for sql, params in statements:
-                if isinstance(sql, str):
-                    stmt = parse(sql)
-                    stmt.storage_plan_key = sql
-                else:
-                    stmt = sql
+                stmt = _statement(sql)
                 if isinstance(stmt, _TCL_STATEMENTS) and batches[-1]:
                     batches.append([])
                 result = self._run(stmt, params)
@@ -386,130 +435,21 @@ class Connection:
         counts = [result.rowcount for result in results if result.rowcount >= 0]
         last = results[-1]
         return QueryResult(
-            columns=last.columns, rows=last.rows, rowcount=sum(counts) if counts else -1,
+            columns=last.columns, rows=last.fetchall(), rowcount=sum(counts) if counts else -1,
             cost=sum(result.cost for result in results), written_table=last.written_table,
             delay=sum(result.delay for result in results),
         )
 
 
-class Cursor:
-    """Streaming result cursor (DB-API style)."""
+def _statement(sql: str | ast.Statement) -> ast.Statement:
+    """``sql`` parsed, keyed by its text: every execution of one text
+    shares one plan in the database's compiled-plan cache."""
+    if not isinstance(sql, str):
+        return sql
+    stmt = parse(sql)
+    stmt.storage_plan_key = sql
+    return stmt
 
-    arraysize = 100
 
-    #: ``clock.now()`` instant at which the last statement's I/O window
-    #: ends (0.0: it cost nothing)
-    ready_at = 0.0
-
-    def __init__(self, connection: Connection):
-        self.connection = connection
-        self._result: QueryResult | None = None
-        self._rows: Iterator[tuple[Any, ...]] = iter(())
-        self._closed = False
-
-    # -- metadata --------------------------------------------------------------
-
-    @property
-    def description(self) -> list[tuple] | None:
-        if self._result is None or not self._result.columns:
-            return None
-        return [(name, None, None, None, None, None, None) for name in self._result.columns]
-
-    @property
-    def columns(self) -> list[str]:
-        return list(self._result.columns) if self._result else []
-
-    @property
-    def rowcount(self) -> int:
-        return self._result.rowcount if self._result else -1
-
-    # -- execution ----------------------------------------------------------------
-
-    def execute(self, sql: str | ast.Statement, params: Sequence[Any] = ()) -> "Cursor":
-        """Run one statement: issue it — run and price it, reserve its I/O
-        window behind this connection's last and the session call's
-        :func:`~repro.storage.latency.now` — and book the window
-        (:func:`~repro.storage.latency.book`, inline: this is the hot
-        path). With no scope open it is paid here."""
-        if self._closed:
-            raise ConnectionClosedError("cursor is closed")
-        if isinstance(sql, str):
-            stmt = parse(sql)
-            # Key the database's compiled-plan cache by SQL text so every
-            # cursor executing this statement shares one storage plan.
-            stmt.storage_plan_key = sql
-        else:
-            stmt = sql
-        connection = self.connection
-        self._result = result = connection._run(stmt, params)
-        self._rows = iter(result.rows)
-        if (owed := result.cost + result.delay) <= 0:
-            self.ready_at = 0.0
-            return self
-        booked = booking.get()
-        issued = clock.now()
-        # after the session call's last step, and behind this connection's last window
-        asked = issued if booked is None else issued + booked.lag
-        after = max(connection.free_at, asked)
-        self.ready_at = connection.free_at = ready_at = connection.data_source.io_timeline.reserve(
-            result.cost, result.written_table, result.delay + after - issued)
-        span = connection.trace_span
-        if span is not None:
-            # the price, and the queueing behind windows reserved earlier
-            span.record_simulated(owed)
-            span.record_lock_wait(ready_at - owed - asked)
-        if booked is not None:
-            booked.priced += owed
-            booked.ready_at = max(booked.ready_at, ready_at)
-            return self
-        pay(owed, ready_at)  # no scope open: the caller blocks here
-        if span is not None and ready_at > issued:
-            span.record_pay_overshoot(clock.now() - ready_at)
-        return self
-
-    def executemany(self, sql: str | ast.Statement, seq_of_params: Sequence[Sequence[Any]]) -> "Cursor":
-        """Execute once per parameter row, parsing/planning only once.
-
-        DML bindings run as one batched plan invocation: a single lock
-        acquisition, one (implicit) transaction and one coalesced
-        write-I/O charge (see :meth:`Connection._run_many`), booked as one
-        window. Reports the cumulative rowcount across
-        all bindings (DB-API semantics).
-        """
-        if self._closed:
-            raise ConnectionClosedError("cursor is closed")
-        if isinstance(sql, str):
-            stmt = parse(sql)
-            stmt.storage_plan_key = sql
-        else:
-            stmt = sql
-        connection = self.connection
-        self._result = result = connection._run_many(stmt, seq_of_params)
-        self._rows = iter(result.rows)
-        connection._settle([[result]])
-        return self
-
-    # -- fetching ---------------------------------------------------------------------
-
-    def fetchone(self) -> tuple[Any, ...] | None:
-        return next(self._rows, None)
-
-    def fetchmany(self, size: int | None = None) -> list[tuple[Any, ...]]:
-        limit = size if size is not None else self.arraysize
-        return list(itertools.islice(self._rows, limit))
-
-    def fetchall(self) -> list[tuple[Any, ...]]:
-        return list(self._rows)
-
-    def __iter__(self) -> Iterator[tuple[Any, ...]]:
-        return self._rows
-
-    def close(self) -> None:
-        self._rows = iter(())
-        self._closed = True
-
-    def __enter__(self) -> "Cursor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+#: the DB-API name of the result type: a result is its own cursor
+Cursor = QueryResult

@@ -2,18 +2,18 @@
 
 SELECT / INSERT / UPDATE / DELETE run as compiled plans
 (:mod:`repro.storage.plans`, the only executor of DQL/DML). This module
-holds the :class:`QueryResult` they return, the execution of the
-statements that have no plan (DDL and TRUNCATE), and the statement-shape
-helpers the plan compiler and the reference interpreter under
-``tests/oracle`` both read.
+holds the :class:`QueryResult` they return (which is also the DB-API
+cursor), the execution of the statements that have no plan (DDL and
+TRUNCATE), and the statement-shape helpers the plan compiler and the
+reference interpreter under ``tests/oracle`` both read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from ..exceptions import UnsupportedSQLError
+from ..exceptions import ConnectionClosedError, UnsupportedSQLError
 from ..sql import ast
 from ..sql.formatter import format_expression
 from .table import Table
@@ -22,34 +22,113 @@ if TYPE_CHECKING:
     from .database import Database
 
 
-@dataclass(slots=True)
 class QueryResult:
-    """Execution outcome: column metadata + streaming rows or a rowcount.
+    """One statement's outcome, and the DB-API cursor that reads it.
 
-    ``cost`` is the priced simulated-I/O latency in seconds; the cursor
-    books it after the database lock is released.
+    Column metadata plus rows or a rowcount. ``cost`` is the priced
+    simulated-I/O latency in seconds and ``delay`` what must pass before its
+    I/O can start (an injected latency spike, an autocommit write's implicit
+    commit, a COMMIT's commit, a network hop): ``Connection.execute``
+    reserves and books both and sets ``ready_at``, the instant the window
+    ends (0.0: it cost nothing). ``written_table`` is the table whose write
+    I/O a DML statement serializes on, ``write_cost`` the slice of ``cost``
+    a statement pipeline may coalesce per written table, and ``plan`` the
+    storage plan cache's status (``hit``, ``miss`` or ``bypass``).
+
+    A SELECT's rows are not read at issue: its plan leaves ``produce`` and
+    the arguments to call it with, and the first fetch or iteration calls
+    it once and keeps the list. ``Connection.cursor()`` gives an empty
+    result; :meth:`execute` refills it in place.
     """
 
-    columns: list[str] = field(default_factory=list)
-    rows: Iterator[tuple[Any, ...]] = iter(())
-    rowcount: int = -1
-    cost: float = 0.0
-    #: the table whose write I/O this statement must serialize on (DML only)
-    written_table: "Table | None" = None
-    #: the write-I/O slice of ``cost`` — the portion a statement pipeline may
-    #: coalesce into one payment per written table (group-commit analog)
-    write_cost: float = 0.0
-    #: seconds that must pass before this statement's I/O can start (an
-    #: injected latency spike, an autocommit write's implicit commit, a
-    #: COMMIT statement's commit, a network hop); set by ``Connection._run``,
-    #: reserved and booked by the caller with ``cost``
-    delay: float = 0.0
-    #: the storage plan cache's status for this statement (``hit``,
-    #: ``miss`` or ``bypass``); set by ``Connection._run``
-    plan: str = ""
+    __slots__ = ("columns", "rowcount", "cost", "written_table", "write_cost", "delay",
+                 "plan", "ready_at", "connection", "_rows", "_produce", "_args", "_closed")
 
-    def fetch_all(self) -> list[tuple[Any, ...]]:
-        return list(self.rows)
+    arraysize = 100
+
+    def __init__(self, columns: list[str] | None = None,
+                 rows: Iterable[tuple[Any, ...]] = (), rowcount: int = -1,
+                 cost: float = 0.0, written_table: "Table | None" = None,
+                 write_cost: float = 0.0, delay: float = 0.0,
+                 produce: Callable[..., list] | None = None, args: tuple = ()):
+        self.columns = [] if columns is None else columns
+        self.rowcount = rowcount
+        self.cost = cost
+        self.written_table = written_table
+        self.write_cost = write_cost
+        self.delay = delay
+        self.plan = ""
+        self.ready_at = 0.0
+        self.connection: Any = None
+        #: None until the first fetch calls ``produce(*args)``
+        self._rows: Iterator[tuple[Any, ...]] | None = None if produce else iter(rows)
+        self._produce = produce
+        self._args = args
+        self._closed = False
+
+    def __iter__(self) -> Iterator[tuple[Any, ...]]:
+        rows = self._rows
+        if rows is None:
+            self._rows = rows = iter(self._produce(*self._args))
+            self._produce = self._args = None
+        return rows
+
+    @property
+    def rows(self) -> Iterator[tuple[Any, ...]]:
+        return iter(self)
+
+    @property
+    def _result(self) -> "QueryResult":
+        """The result itself (a cursor used to hold its result apart)."""
+        return self
+
+    def fetchone(self) -> tuple[Any, ...] | None:
+        return next(iter(self), None)
+
+    def fetchmany(self, size: int | None = None) -> list[tuple[Any, ...]]:
+        return list(islice(iter(self), size if size is not None else self.arraysize))
+
+    def fetchall(self) -> list[tuple[Any, ...]]:
+        return list(iter(self))
+
+    @property
+    def description(self) -> list[tuple] | None:
+        if not self.columns:
+            return None
+        return [(name, None, None, None, None, None, None) for name in self.columns]
+
+    def execute(self, sql: Any, params: Sequence[Any] = ()) -> "QueryResult":
+        """Run one statement on this cursor's connection; refills it."""
+        return self._refill(self._open().execute(sql, params))
+
+    def executemany(self, sql: Any, seq_of_params: Sequence[Sequence[Any]]) -> "QueryResult":
+        """``Connection.executemany`` on this cursor's connection; refills it."""
+        return self._refill(self._open().executemany(sql, seq_of_params))
+
+    def _open(self) -> Any:
+        if self._closed:
+            raise ConnectionClosedError("cursor is closed")
+        return self.connection
+
+    def _refill(self, other: "QueryResult") -> "QueryResult":
+        for name in _STATE:
+            setattr(self, name, getattr(other, name))
+        return self
+
+    def close(self) -> None:
+        self._rows = iter(())
+        self._produce = self._args = None
+        self._closed = True
+
+    def __enter__(self) -> "QueryResult":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
+#: what :meth:`QueryResult.execute` copies from a fresh result
+_STATE = tuple(name for name in QueryResult.__slots__ if name != "_closed")
 
 
 def execute_ddl(database: "Database", stmt: ast.Statement) -> QueryResult:

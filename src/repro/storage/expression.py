@@ -139,21 +139,25 @@ class OrderToken:
         return isinstance(other, OrderToken) and self.key == other.key
 
 
-def order_key(read: Callable[[Any], Any],
-              descs: Sequence[bool]) -> tuple[Callable[[Any], Any], bool]:
+def order_key(read: Callable[[Any], Any], descs: Sequence[bool],
+              native: bool = False) -> tuple[Callable[[Any], Any], bool]:
     """The one ORDER BY rule: ``(key, reverse)`` for ``list.sort`` and
     ``heapq.merge`` over rows whose ORDER BY values ``read(row)`` returns —
     a tuple, or the bare value when there is one key (as
     ``operator.itemgetter`` does).
 
-    Every key in one direction: native :func:`sort_key` tuples, and
-    ``reverse`` for descending. Mixed directions: :class:`OrderToken`
-    tuples, ascending. Either way rows with equal keys keep their input
-    order (both sorts are stable and ``heapq.merge`` takes the earlier
-    input first), so the two forms order rows identically.
+    Every key in one direction: ``read`` itself when the caller knows the
+    values are ``native`` (never NULL, and of one type family that orders
+    as :func:`sort_key` does — storage's NOT NULL integer columns), else
+    :func:`sort_key` tuples; ``reverse`` for descending. Mixed directions:
+    :class:`OrderToken` tuples, ascending. Either way rows with equal keys
+    keep their input order (both sorts are stable and ``heapq.merge``
+    takes the earlier input first), so every form orders rows identically.
     """
-    if len(descs) == 1:
-        return (lambda row: sort_key(read(row))), descs[0]
     if all(descs) or not any(descs):
+        if native:
+            return read, descs[0]
+        if len(descs) == 1:
+            return (lambda row: sort_key(read(row))), descs[0]
         return (lambda row: tuple(map(sort_key, read(row)))), descs[0]
     return (lambda row: tuple(map(OrderToken, read(row), descs))), False

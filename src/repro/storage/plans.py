@@ -6,12 +6,13 @@ current schema and fuses:
 - **access-path selection** — the index decision tree runs at compile
   time and leaves behind a point / range / IN / composite-key / scan
   closure bound directly to the index objects;
-- **tuple-row pipelines** — WHERE / HAVING predicates, join conditions,
-  projection, ORDER BY keys and aggregate accumulators are compiled to
-  closures over raw value tuples with precomputed column offsets, and run
-  over chunks of :data:`BATCH_ROWS` rows; integer range conjuncts,
-  aggregates and stored-column projections are batch kernels, one
-  comprehension per chunk instead of a closure call per row;
+- **list stages over tuple rows** — WHERE / HAVING predicates, join
+  conditions, projection, ORDER BY keys and aggregates are compiled to
+  closures over raw value tuples with precomputed column offsets; a
+  SELECT's rows are read at its result's first fetch by one call, and
+  each stage is a list -> list function; integer range conjuncts,
+  aggregates, native sort keys and stored-column projections are batch
+  kernels, one comprehension or ``itemgetter`` instead of a call per row;
 - **an order-preserving path** — when a sorted index already yields rows
   in ORDER BY order the sort stage is dropped entirely.
 
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..cache import CacheStats, LruCache
@@ -82,8 +82,14 @@ if TYPE_CHECKING:
     from .database import Database
     from .transaction import Transaction
 
-#: rows per chunk of a plan's pipeline
+#: rows per read step of a DML statement's candidates and of a LIMIT that
+#: can stop reading early
 BATCH_ROWS = 256
+
+#: one stage of a SELECT: ``(rows, params) -> rows``
+Stage = Callable[[list, Sequence[Any]], list]
+
+_SECOND = operator.itemgetter(1)
 
 Runner = Callable[[Sequence[Any], "Transaction | None"], QueryResult]
 RunnerMany = Callable[[Sequence[Sequence[Any]], "Transaction | None"], QueryResult]
@@ -442,17 +448,17 @@ def _reversed_path(path: _AccessPath) -> _AccessPath:
 
     def run(params: Sequence[Any]) -> tuple[list[int], bool]:
         ids, used_index = inner(params)
-        ids = list(ids)
-        ids.reverse()
-        return ids, used_index
+        return ids[::-1], used_index
 
     return _AccessPath(run, path.ordered_by, path.is_scan)
 
 
-def _add_table(layout: RowLayout, exposed: str, table: Table) -> None:
-    """Lay ``table``'s columns out next, with their declared types."""
+def _add_table(layout: RowLayout, exposed: str, table: Table, nullable: bool = False) -> None:
+    """Lay ``table``'s columns out next, with their declared types and
+    which never hold NULL — none of a ``nullable`` side's (an outer join's)."""
     columns = table.schema.columns
-    layout.add(exposed, [c.name for c in columns], [c.type.name for c in columns])
+    layout.add(exposed, [c.name for c in columns], [c.type.name for c in columns],
+               [not nullable and c.not_null and not c.auto_increment for c in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +474,7 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
 
         def run_constant(params: Sequence[Any],
                          transaction: "Transaction | None" = None) -> QueryResult:
-            return QueryResult(columns=columns, rows=iter(project([None], params)))
+            return QueryResult(columns, rows=project([None], params))
 
         return run_constant, None, const_ctx.param_count
     base_ref = stmt.from_table
@@ -479,21 +485,21 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
     access = _compile_access(base_table, base_ref.exposed_name, stmt.where)
 
     scan_ctx = CompileContext("scan", layout)
-    join_steps = []
+    joins: list[Stage] = []
     join_tables: list[Table] = []
     for join in stmt.joins:
-        join_steps.append(_compile_join(database, join, layout, scan_ctx))
+        joins.append(_compile_join(database, join, layout, scan_ctx))
         join_tables.append(database.table(join.table.name))
-    where_batch = (compile_batch_predicate(stmt.where, scan_ctx)
-                   if stmt.where is not None else None)
+    where = (compile_batch_predicate(stmt.where, scan_ctx)
+             if stmt.where is not None else None)
 
-    # Aggregate mode is decided by select-list aggregates; the accumulator
+    # Aggregate mode is decided by select-list aggregates; the aggregate
     # slots also cover HAVING / ORDER BY aggregates (_collect_aggregates).
     has_agg = bool(stmt.group_by or stmt.aggregates())
-    aggregates = _collect_aggregates(stmt) if has_agg else []
     contexts = [scan_ctx]
 
     if has_agg:
+        aggregates = _collect_aggregates(stmt)
         agg_slots = {format_expression(call): i for i, call in enumerate(aggregates)}
         out_ctx = CompileContext("group", layout, agg_slots)
         contexts.append(out_ctx)
@@ -501,11 +507,11 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
         group_getters = tuple(compile_scalar(e, scan_ctx) for e in stmt.group_by)
         having_pred = (compile_predicate(stmt.having, out_ctx)
                        if stmt.having is not None else None)
-        aggregate_stage = _make_aggregate_stage(agg_specs, group_getters, having_pred)
+        aggregate = _make_aggregate_stage(agg_specs, group_getters, having_pred)
         plain_having = None
     else:
         out_ctx = scan_ctx
-        aggregate_stage = None
+        aggregate = None
         plain_having = (compile_batch_predicate(stmt.having, scan_ctx)
                         if stmt.having is not None else None)
 
@@ -524,7 +530,7 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
     # Order-preserving access: when a sorted index already yields the
     # single ORDER BY key's order, drop the sort stage (and for a plain
     # scan, walk the index instead of the heap — same rows, no sort).
-    sort_stage = _make_sort_stage(order_specs, out_ctx)
+    sort = _make_sort_stage(order_specs, out_ctx)
     if order_specs and len(order_specs) == 1 and not has_agg and not stmt.joins:
         key_expr = order_specs[0][2]
         desc = order_specs[0][1]
@@ -545,108 +551,118 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
                         ordered = _AccessPath(run_ordered_scan, lower, True)
                 if ordered is not None:
                     access = _reversed_path(ordered) if desc else ordered
-                    sort_stage = None
+                    sort = None
 
-    distinct_stage = (_make_distinct_stage(stmt, out_ctx, has_agg)
-                      if stmt.distinct else None)
+    distinct = _make_distinct_stage(stmt, out_ctx, has_agg) if stmt.distinct else None
 
+    fixed_bounds = bounds = None
     if stmt.limit is not None:
         const_ctx = CompileContext("const")
         contexts.append(const_ctx)
-        limit_stage = _make_limit_stage(stmt.limit, const_ctx)
-    else:
-        limit_stage = None
+        fixed_bounds, bounds = _compile_limit(stmt.limit, const_ctx)
 
     columns, project = _compile_projection(stmt, layout, out_ctx, has_agg)
 
-    price = Pricer(database.latency)
-    use_where_inline = not stmt.joins  # join plans filter after all joins
+    # The stages after the base read, list -> list functions in order: the
+    # joins (the WHERE filter runs after them when there are any, else on
+    # the read itself) and HAVING without aggregates run on each read step;
+    # aggregate, sort and DISTINCT need every row at once. A LIMIT over rows
+    # that need none of those three reads BATCH_ROWS at a time and stops
+    # once offset + count rows have passed; any other read is one step.
+    row_stages = tuple(joins) + ((where,) if joins and where is not None else ()) + (
+        (plain_having,) if plain_having is not None else ())
+    inline = where if not joins else None
+    whole_stages = tuple(stage for stage in (aggregate, sort, distinct) if stage is not None)
+    step = BATCH_ROWS if bounds is not None and not whole_stages else 0
+    value_tuples = base_table.value_tuples
 
-    def base_batches(row_ids: list[int], params: Sequence[Any]) -> Iterator[list]:
-        """Read rows chunk-at-a-time; the WHERE filter runs per chunk
-        (batch kernels instead of per-row calls). Rows are read here, when
-        the result is drained — after the index slice was taken and with
-        no lock held — so the filter re-checks every row it is given."""
-        value_tuples = base_table.value_tuples
-        inline = where_batch if use_where_inline else None
-        for start in range(0, len(row_ids), BATCH_ROWS):
-            batch = value_tuples(row_ids[start:start + BATCH_ROWS])
+    def produce(row_ids: list[int], params: Sequence[Any]) -> list:
+        """The rows: read the index slice now, with no lock held and after
+        the slice was taken — so the WHERE filter re-checks every row —
+        then run every stage over them."""
+        offset, stop = (0, None) if bounds is None else fixed_bounds or bounds(params)
+        size = step or len(row_ids) or 1
+        rows: list = []
+        for start in range(0, len(row_ids), size):
+            part = value_tuples(row_ids[start:start + size] if step else row_ids)
             if inline is not None:
-                batch = inline(batch, params)
-            if batch:
-                yield batch
+                part = inline(part, params)
+            for stage in row_stages:
+                part = stage(part, params)
+            if rows:
+                rows += part
+            else:
+                rows = part
+            if stop is not None and len(rows) >= stop:
+                break
+        for stage in whole_stages:
+            rows = stage(rows, params)
+        if bounds is not None:
+            rows = rows[offset:stop]
+        return rows if project is None else project(rows, params)
+
+    price = Pricer(database.latency)
 
     def run(params: Sequence[Any],
             transaction: "Transaction | None" = None) -> QueryResult:
+        """Take the index slice and price the statement; the rows are
+        :func:`produce`'s, at the result's first fetch. An empty slice with
+        no aggregate has none."""
         row_ids, used_index = access.run(params)
         base_rows = base_table.row_count
         examined = len(row_ids) if used_index else base_rows
         for join_table in join_tables:
             examined += join_table.row_count
         cost = price.statement(base_rows, examined, used_index)
-
-        batches: Iterator[list] = base_batches(row_ids, params)
-        for step in join_steps:
-            batches = step(batches, params)
-        if join_steps and where_batch is not None:
-            post_filter = where_batch
-            batches = (kept for b in batches
-                       if (kept := post_filter(b, params)))
-        if aggregate_stage is not None:
-            batches = aggregate_stage(batches, params)
-        elif plain_having is not None:
-            having_filter = plain_having
-            batches = (kept for b in batches
-                       if (kept := having_filter(b, params)))
-        if sort_stage is not None:
-            batches = sort_stage(batches, params)
-        if distinct_stage is not None:
-            batches = distinct_stage(batches, params)
-        if limit_stage is not None:
-            batches = limit_stage(batches, params)
-        projected = (project(batch, params) for batch in batches)
-        return QueryResult(columns=columns,
-                           rows=chain.from_iterable(projected), cost=cost)
+        if row_ids or aggregate is not None:
+            return QueryResult(columns, cost=cost, produce=produce, args=(row_ids, params))
+        return QueryResult(columns, cost=cost)
 
     return run, None, max(ctx.param_count for ctx in contexts)
 
 
-def _order_norm(value: Any) -> Any:
-    return None if value is UNKNOWN else value
-
-
-def _make_sort_stage(order_specs, ctx: CompileContext):
-    """Batch stage: flatten all chunks, sort once, emit one chunk.
+def _make_sort_stage(order_specs, ctx: CompileContext) -> Stage | None:
+    """The ORDER BY stage: sorts the rows in place.
 
     When every key is a stored column (never UNKNOWN) the row's values are
-    read by one ``itemgetter`` and the key is built at compile time;
-    otherwise per execution, from the keys' closures."""
+    read by one ``itemgetter`` and the key is built at compile time — the
+    ``itemgetter`` itself when every key column is declared NOT NULL in
+    the integer family and not auto-increment (``RowLayout``'s offsets);
+    otherwise the key is built per execution, from the keys' closures."""
     if not order_specs:
         return None
     descs = [desc for _, desc, _ in order_specs]
     offsets = [column_offset(expr, ctx) for _, _, expr in order_specs]
-    stored_key = (order_key(operator.itemgetter(*offsets), descs)
-                  if None not in offsets else None)
+    if None not in offsets:
+        layout = ctx.layout
+        native = all(i in layout.int_offsets and i in layout.not_null_offsets
+                     for i in offsets)
+        key, reverse = order_key(operator.itemgetter(*offsets), descs, native)
+
+        def sort_stored(rows: list, params: Sequence[Any]) -> list:
+            rows.sort(key=key, reverse=reverse)
+            return rows
+
+        return sort_stored
     getters = tuple(g for g, _, _ in order_specs)
 
     def read_keys(params: Sequence[Any]) -> Callable[[Any], Any]:
         if len(getters) == 1:
             (g,) = getters
-            return lambda r: _order_norm(g(r, params))
-        return lambda r: tuple([_order_norm(g(r, params)) for g in getters])
+            return lambda r: None if (v := g(r, params)) is UNKNOWN else v
+        return lambda r: tuple([None if (v := g(r, params)) is UNKNOWN else v
+                                for g in getters])
 
-    def sort_stage(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
-        materialized = list(chain.from_iterable(batches))
-        key, reverse = stored_key or order_key(read_keys(params), descs)
-        materialized.sort(key=key, reverse=reverse)
-        if materialized:
-            yield materialized
+    def sort(rows: list, params: Sequence[Any]) -> list:
+        key, reverse = order_key(read_keys(params), descs)
+        rows.sort(key=key, reverse=reverse)
+        return rows
 
-    return sort_stage
+    return sort
 
 
 def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
-                  ctx: CompileContext):
+                  ctx: CompileContext) -> Stage:
     if join.kind == "RIGHT":
         raise UnsupportedSQLError(
             "RIGHT JOIN is not supported; rewrite as a LEFT JOIN with the "
@@ -677,65 +693,47 @@ def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
             # The full condition, compiled below, decides validity.
             left_key = None
 
-    _add_table(layout, right_name, right_table)
+    # a LEFT JOIN's right side is NULL where no row matched
+    _add_table(layout, right_name, right_table, nullable=left_join)
     condition = (compile_predicate(join.condition, ctx)
                  if join.condition is not None else None)
     null_row = (None,) * right_width
 
-    if eq is not None:
-        def hash_join(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
-            # Build once per execution (first consumption), probe per chunk.
-            right_rows = right_table.tuples()
-            buckets: dict[Any, list[tuple]] = {}
-            if key_pos is None:
-                buckets[None] = right_rows
-            else:
-                for right_row in right_rows:
-                    buckets.setdefault(_freeze(right_row[key_pos]), []).append(right_row)
-            for batch in batches:
-                out: list[tuple] = []
-                append = out.append
-                for left in batch:
-                    key = _freeze(left_key(left, params)) if left_key is not None else None
-                    matched = buckets.get(key, ()) if key is not None else ()
-                    emitted = False
-                    for right_row in matched:
-                        combined = left + right_row
-                        if condition is None or condition(combined, params):
-                            emitted = True
-                            append(combined)
-                    if not emitted and left_join:
-                        append(left + null_row)
-                if out:
-                    yield out
-
-        return hash_join
-
-    def nested_loop(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
+    def join_rows(rows: list, params: Sequence[Any]) -> list:
+        """Each left row with every right row the condition holds for (the
+        candidates of an equi-join by hash), NULL-extended on a LEFT JOIN
+        when there is none."""
         right_rows = right_table.tuples()
-        for batch in batches:
-            out: list[tuple] = []
-            append = out.append
-            for left in batch:
-                emitted = False
-                for right_row in right_rows:
-                    combined = left + right_row
-                    if condition is None or condition(combined, params):
-                        emitted = True
-                        append(combined)
-                if not emitted and left_join:
-                    append(left + null_row)
-            if out:
-                yield out
+        buckets: dict[Any, list[tuple]] | None = None
+        if eq is not None and key_pos is None:
+            buckets = {None: right_rows}
+        elif eq is not None:
+            buckets = {}
+            for right_row in right_rows:
+                buckets.setdefault(_freeze(right_row[key_pos]), []).append(right_row)
+        out: list[tuple] = []
+        append = out.append
+        for left in rows:
+            if buckets is None:
+                matched = right_rows
+            else:
+                key = _freeze(left_key(left, params)) if left_key is not None else None
+                matched = buckets.get(key, ()) if key is not None else ()
+            emitted = False
+            for right_row in matched:
+                combined = left + right_row
+                if condition is None or condition(combined, params):
+                    emitted = True
+                    append(combined)
+            if not emitted and left_join:
+                append(left + null_row)
+        return out
 
-    return nested_loop
+    return join_rows
 
 
 class _CompiledAgg:
-    """Compiled accumulator of one aggregate call.
-
-    State is a 5-slot list: [count, total, minimum, maximum, distinct_set].
-    """
+    """One compiled aggregate call, folded over a whole group at once."""
 
     __slots__ = ("name", "count_star", "distinct", "arg", "int_offset")
 
@@ -750,18 +748,14 @@ class _CompiledAgg:
         self.int_offset = (int_column_offset(call.args[0], ctx)
                            if self.arg is not None else None)
 
-    def new_state(self) -> list:
-        return [0, None, None, None, set() if self.distinct else None]
-
-    def accumulate_many(self, state: list, rows: list, params: Sequence[Any]) -> None:
-        """Fold one chunk of rows into ``state``, as the oracle folds a
-        group: NULL / UNKNOWN arguments are skipped, DISTINCT keeps each
-        value's first sighting, SUM / AVG add left to right (``sum()`` only
-        over integers: on floats it may compensate, 3.12's does) and MIN /
-        MAX keep the first of equal extremes."""
+    def fold(self, rows: list, params: Sequence[Any]) -> Any:
+        """The aggregate over one group's rows, as the oracle folds it:
+        NULL / UNKNOWN arguments are skipped, DISTINCT keeps each value's
+        first sighting, SUM / AVG add left to right (``sum()`` only over
+        integers: on floats it may compensate, 3.12's does) and MIN / MAX
+        keep the first of equal extremes."""
         if self.count_star:
-            state[0] += len(rows)
-            return
+            return len(rows)
         i = self.int_offset
         if i is not None:
             values = [v for r in rows if (v := r[i]) is not None]
@@ -770,9 +764,9 @@ class _CompiledAgg:
             values = [v for r in rows
                       if (v := arg(r, params)) is not None and v is not UNKNOWN]
         else:
-            return
-        seen = state[4]
-        if seen is not None:
+            values = []
+        if self.distinct:
+            seen: set = set()
             fresh = []
             for value in values:
                 frozen = _freeze(value)
@@ -780,75 +774,45 @@ class _CompiledAgg:
                     seen.add(frozen)
                     fresh.append(value)
             values = fresh
-        if not values:
-            return
-        state[0] += len(values)
-        name = self.name
-        if name in ("SUM", "AVG"):
-            if i is not None:
-                total = sum(values)
-                state[1] = total if state[1] is None else state[1] + total
-            elif state[1] is None:
-                state[1] = reduce(operator.add, values)
-            else:
-                state[1] = reduce(operator.add, values, state[1])
-        elif name in ("MIN", "MAX"):
-            slot = 2 if name == "MIN" else 3
-            if state[slot] is not None:
-                values.insert(0, state[slot])  # the earlier sighting wins a tie
-            pick = min if name == "MIN" else max
-            state[slot] = pick(values) if i is not None else pick(values, key=sort_key)
-
-    def result(self, state: list) -> Any:
         name = self.name
         if name == "COUNT":
-            return state[0]
-        if name == "SUM":
-            return state[1]
-        if name == "AVG":
-            return None if state[0] == 0 or state[1] is None else state[1] / state[0]
-        if name == "MIN":
-            return state[2]
-        return state[3]
+            return len(values)
+        if not values:
+            return None
+        if name in ("SUM", "AVG"):
+            total = sum(values) if i is not None else reduce(operator.add, values)
+            return total if name == "SUM" else total / len(values)
+        pick = min if name == "MIN" else max
+        return pick(values) if i is not None else pick(values, key=sort_key)
 
 
-def _make_aggregate_stage(agg_specs, group_getters, having_pred):
-    def aggregate(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
-        # group key -> (its first row, one state per aggregate), in the
-        # order the groups were first seen
-        groups: dict[tuple, tuple] = {}
-        for batch in batches:
-            if group_getters:
-                buckets: dict[tuple, list] = {}
-                for row in batch:
-                    key = tuple(_freeze(g(row, params)) for g in group_getters)
-                    buckets.setdefault(key, []).append(row)
-            else:
-                buckets = {(): batch}
-            for key, rows in buckets.items():
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = (rows[0], [spec.new_state() for spec in agg_specs])
-                for spec, agg_state in zip(agg_specs, group[1]):
-                    spec.accumulate_many(agg_state, rows, params)
-        if not groups and not group_getters:
-            # Aggregates over empty input still yield one row (COUNT -> 0);
-            # sample=None makes column refs raise: there is no row to read.
-            groups[()] = (None, [spec.new_state() for spec in agg_specs])
+def _make_aggregate_stage(agg_specs, group_getters, having_pred) -> Stage:
+    def aggregate(rows: list, params: Sequence[Any]) -> list:
+        """One ``(first row, aggregate values)`` pair per group, in the
+        order the groups were first seen; without GROUP BY one group, also
+        over no rows (COUNT -> 0; its first row None makes column refs
+        raise: there is no row to read)."""
+        if group_getters:
+            groups: dict[tuple, list] = {}
+            for row in rows:
+                key = tuple([_freeze(g(row, params)) for g in group_getters])
+                groups.setdefault(key, []).append(row)
+            members_of = groups.values()
+        else:
+            members_of = (rows,)
         out: list = []
-        for sample, states in groups.values():
-            row = (sample, tuple(spec.result(agg_state)
-                                 for spec, agg_state in zip(agg_specs, states)))
+        for members in members_of:
+            row = (members[0] if members else None,
+                   tuple([spec.fold(members, params) for spec in agg_specs]))
             if having_pred is None or having_pred(row, params):
                 out.append(row)
-        if out:
-            yield out
+        return out
 
     return aggregate
 
 
 def _make_distinct_stage(stmt: ast.SelectStatement, ctx: CompileContext,
-                         has_agg: bool):
+                         has_agg: bool) -> Stage:
     key_getters: list[Getter | None] = []
     for item in stmt.select_items:
         if isinstance(item.expression, ast.Star):
@@ -866,68 +830,60 @@ def _make_distinct_stage(stmt: ast.SelectStatement, ctx: CompileContext,
         def whole_row(row: Any) -> Any:
             return tuple(_freeze(v) for v in row)
 
-    def distinct(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
+    def distinct(rows: list, params: Sequence[Any]) -> list:
         seen: set[tuple] = set()
         add = seen.add
-        for batch in batches:
-            out: list = []
-            append = out.append
-            for row in batch:
-                key = tuple(
-                    whole_row(row) if g is None else _freeze(g(row, params))
-                    for g in getters
-                )
-                if key not in seen:
-                    add(key)
-                    append(row)
-            if out:
-                yield out
+        out: list = []
+        append = out.append
+        for row in rows:
+            key = tuple(
+                whole_row(row) if g is None else _freeze(g(row, params))
+                for g in getters
+            )
+            if key not in seen:
+                add(key)
+                append(row)
+        return out
 
     return distinct
 
 
-def _make_limit_stage(limit: ast.Limit, ctx: CompileContext):
-    offset_getter = (compile_scalar(limit.offset, ctx)
-                     if limit.offset is not None else None)
-    count_getter = (compile_scalar(limit.count, ctx)
-                    if limit.count is not None else None)
+def _compile_limit(limit: ast.Limit, ctx: CompileContext):
+    """``(fixed, bounds)``: the ``(offset, stop)`` slice of a LIMIT of
+    literals as ``fixed``, else None and ``bounds(params)`` computing it
+    per execution. A negative offset or count counts as 0."""
+    getters = []
+    for expr in (limit.offset, limit.count):
+        if expr is None:
+            getters.append(None)
+            continue
+        scalar = compile_scalar(expr, ctx)  # validates, and counts the placeholder
+        getters.append(const_getter(expr)
+                       or (lambda params, _scalar=scalar: _scalar(None, params)))
+    offset_getter, count_getter = getters
 
-    def apply_limit(batches: Iterator[list], params: Sequence[Any]) -> Iterator[list]:
-        offset = int(offset_getter(None, params)) if offset_getter is not None else 0
-        count = int(count_getter(None, params)) if count_getter is not None else None
-        skipped = 0
-        emitted = 0
-        for batch in batches:
-            if skipped < offset:
-                if skipped + len(batch) <= offset:
-                    skipped += len(batch)
-                    continue
-                batch = batch[offset - skipped:]
-                skipped = offset
-            if count is not None:
-                take = count - emitted
-                if take <= 0:
-                    return
-                if len(batch) > take:
-                    batch = batch[:take]
-            emitted += len(batch)
-            if batch:
-                yield batch
-            if count is not None and emitted >= count:
-                return
+    def bounds(params: Sequence[Any]) -> tuple[int, int | None]:
+        offset = max(int(offset_getter(params)), 0) if offset_getter is not None else 0
+        if count_getter is None:
+            return offset, None
+        return offset, offset + max(int(count_getter(params)), 0)
 
-    return apply_limit
+    literal = all(expr is None or isinstance(expr, ast.Literal)
+                  for expr in (limit.offset, limit.count))
+    return (bounds(()), bounds) if literal else (None, bounds)
 
 
 def _compile_projection(stmt: ast.SelectStatement, layout: RowLayout,
                         ctx: CompileContext, has_agg: bool):
-    """Output column names and a chunk projector ``(rows, params) -> list``.
+    """Output column names and a projector ``(rows, params) -> list``, or
+    None when the rows are already the output (``SELECT *`` of one table).
 
-    A select list of stored columns only (never UNKNOWN) is one
-    ``itemgetter`` per row; anything else calls each item's closure."""
+    A select list that only reads stored columns (never UNKNOWN) — or,
+    over groups, only aggregate values — is one ``itemgetter`` over each
+    row; anything else calls each item's closure."""
     columns: list[str] = []
     getters: list[Getter] = []
-    offsets: list[int | None] = []  # of stored columns, None for the rest
+    offsets: list[int | None] = []  # of what the item reads as it is, else None
     for item in stmt.select_items:
         expr = item.expression
         if isinstance(expr, ast.Star):
@@ -953,7 +909,12 @@ def _compile_projection(stmt: ast.SelectStatement, layout: RowLayout,
             continue
         columns.append(item.output_name)
         getter = compile_scalar(expr, ctx)
-        offsets.append(column_offset(expr, ctx))
+        if has_agg:
+            slot = (ctx.agg_slots[format_expression(expr)]
+                    if isinstance(expr, ast.FunctionCall) and expr.is_aggregate else None)
+            offsets.append(slot)
+        else:
+            offsets.append(column_offset(expr, ctx))
 
         def normalized(row: Any, params: Sequence[Any], _g=getter) -> Any:
             value = _g(row, params)
@@ -961,15 +922,21 @@ def _compile_projection(stmt: ast.SelectStatement, layout: RowLayout,
 
         getters.append(normalized)
     if None not in offsets:
-        if len(offsets) == 1:
-            (i,) = offsets
-            return columns, lambda rows, params: [(r[i],) for r in rows]
+        if has_agg:  # group rows are (first row, aggregate values)
+            read = operator.itemgetter(*offsets)
+            if len(offsets) == 1:
+                return columns, lambda rows, params: list(zip(map(read, map(_SECOND, rows))))
+            return columns, lambda rows, params: list(map(read, map(_SECOND, rows)))
+        if offsets == list(range(layout.width)) and len(layout.slots) == 1:
+            return columns, None
         read = operator.itemgetter(*offsets)
+        if len(offsets) == 1:
+            return columns, lambda rows, params: list(zip(map(read, rows)))
         return columns, lambda rows, params: list(map(read, rows))
     project_getters = tuple(getters)
 
     def project(rows: list, params: Sequence[Any]) -> list:
-        return [tuple(g(r, params) for g in project_getters) for r in rows]
+        return [tuple([g(r, params) for g in project_getters]) for r in rows]
 
     return columns, project
 

@@ -83,7 +83,7 @@ class ConnectionPool:
         connection whose last window still runs (``free_at``) is handed
         out after the free ones: whoever takes it queues behind it."""
         for connection in connections:
-            if connection.in_transaction:
+            if connection._transaction is not None:  # rollback() skips an ended one
                 connection.rollback()
         now = clock.now()
         with self._available:

@@ -36,6 +36,9 @@ class Table:
         #: the paper). Reads never look at it.
         self.io_free_at = 0.0
         self._rows: dict[int, tuple[Any, ...]] = {}
+        #: how many rows the heap holds; every mutation below keeps it
+        #: (an attribute, not a property: a plan reads it per statement)
+        self.row_count = 0
         self._names = tuple(schema.column_names)
         self._auto_offsets = tuple(i for i, col in enumerate(schema.columns)
                                    if col.auto_increment)
@@ -74,10 +77,6 @@ class Table:
     @property
     def name(self) -> str:
         return self.schema.name
-
-    @property
-    def row_count(self) -> int:
-        return len(self._rows)
 
     def scan(self) -> Iterator[tuple[int, dict[str, Any]]]:
         """Iterate ``(row_id, column -> value)`` pairs of a snapshot taken
@@ -171,6 +170,7 @@ class Table:
         row_id = self._next_row_id
         self._index_insert(row_id, stored)
         self._rows[row_id] = stored
+        self.row_count = len(self._rows)
         self._next_row_id += 1
         return row_id
 
@@ -180,6 +180,7 @@ class Table:
             row = self._rows.pop(row_id)
         except KeyError:
             raise StorageError(f"row {row_id} not found in table {self.name}") from None
+        self.row_count = len(self._rows)
         self._index_remove(row_id, row)
         return row
 
@@ -210,6 +211,7 @@ class Table:
         """Remove all rows; returns how many were removed."""
         count = len(self._rows)
         self._rows.clear()
+        self.row_count = 0
         for index in self._hash_indexes.values():
             index._map.clear()
         for index in self._sorted_indexes.values():
@@ -223,12 +225,14 @@ class Table:
         """Re-insert a previously deleted row under its old id (rollback)."""
         self._index_insert(row_id, row)
         self._rows[row_id] = row
+        self.row_count = len(self._rows)
         self._next_row_id = max(self._next_row_id, row_id + 1)
 
     def raw_remove(self, row_id: int) -> None:
         """Remove a row inserted by a rolled-back transaction."""
         row = self._rows.pop(row_id, None)
         if row is not None:
+            self.row_count = len(self._rows)
             self._index_remove(row_id, row)
 
     def raw_restore(self, row_id: int, row: tuple[Any, ...]) -> None:
@@ -238,6 +242,7 @@ class Table:
             self._index_remove(row_id, current)
         self._index_insert(row_id, row)
         self._rows[row_id] = row
+        self.row_count = len(self._rows)
 
     def raw_put(self, row_id: int, image: dict[str, Any]) -> None:
         """Install a replicated row image under its primary-side row id.
@@ -257,6 +262,7 @@ class Table:
                 self._index_insert(row_id, current)  # restore
             raise
         self._rows[row_id] = row
+        self.row_count = len(self._rows)
         self._next_row_id = max(self._next_row_id, row_id + 1)
         for i in self._auto_offsets:
             if isinstance(row[i], int):

@@ -509,7 +509,7 @@ ISSUE_ONLY = [
     ("storage/transaction.py", "Transaction.prepare"),
     ("storage/transaction.py", "commit_prepared"),
     ("storage/latency.py", "LatencyModel.charge_commit"),
-    ("storage/connection.py", "Cursor.execute"),
+    ("storage/executor.py", "QueryResult.execute"),
     ("storage/connection.py", "Connection.execute"),
     ("storage/connection.py", "Connection.commit"),
     ("storage/connection.py", "Connection.xa_prepare"),

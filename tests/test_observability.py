@@ -18,6 +18,7 @@ import pytest
 from repro.adaptors import ShardingRuntime
 from repro.distsql import execute_distsql
 from repro.engine import ResiliencePolicy, SQLEngine
+from repro.exceptions import ExecutionError
 from repro.observability import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
@@ -279,6 +280,27 @@ class TestStatementMetrics:
         assert "plan_cache_hit" in profile
         assert list(profile)[:2] == ["parse", "route"]
         assert profile["execute"]["p95"] >= profile["execute"]["p50"] > 0
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_fan_out_that_fails_on_one_source_counts_both(self, seeded_engine, fleet,
+                                                          traced):
+        """A read of both sources fails on ds1: the statement raises, yet
+        ds0's unit answered and counts as a query; ds1's counts as a query
+        and an error. A read both answer then counts once on each."""
+        obs = Observability()
+        obs.tracer.enabled = traced
+        seeded_engine.attach_observability(obs)
+        fleet["ds1"].database.fail_next("statement")
+        with pytest.raises(ExecutionError, match="injected failure"):
+            seeded_engine.execute("SELECT name FROM t_user").fetchall()
+        queries = obs.registry.get("storage_queries_total")
+        errors = obs.registry.get("storage_errors_total")
+        assert [queries.value(source="ds0"), queries.value(source="ds1")] == [1, 1]
+        assert [errors.value(source="ds0"), errors.value(source="ds1")] == [0, 1]
+        assert obs.registry.get("engine_statement_errors_total").value() == 1
+        assert len(seeded_engine.execute("SELECT name FROM t_user").fetchall()) == 4
+        assert [queries.value(source="ds0"), queries.value(source="ds1")] == [2, 2]
+        assert [errors.value(source="ds0"), errors.value(source="ds1")] == [0, 1]
 
     def test_exact_mode_when_sampling_disabled(self, observed_engine):
         engine, obs = observed_engine

@@ -1,8 +1,9 @@
 """The row path as batch kernels: compiled ≡ oracle on both sides of every
-selection, the re-check of lazily read rows, and the call count per chunk.
+selection, the re-check of lazily read rows, and the call count per statement.
 
-A compiled SELECT runs its WHERE and aggregates once per chunk of
-``BATCH_ROWS`` rows. An integer range conjunct (``intcol <op> const`` or
+A compiled SELECT reads its rows as one list at the first fetch and runs
+its WHERE and aggregates over it once (a LIMIT that can stop early reads
+``BATCH_ROWS`` at a time). An integer range conjunct (``intcol <op> const`` or
 ``intcol [NOT] BETWEEN const AND const``) is one comprehension when its
 bounds are exactly ``int`` at run time and the conjunct's closure otherwise;
 an aggregate over a plain integer column reads the tuple slot directly and
@@ -13,6 +14,7 @@ chunk seams, on INT columns holding NULLs and on FLOAT and CHAR columns.
 
 import heapq
 import operator
+import os
 import sys
 import threading
 from collections import Counter
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import storage
 from repro.adaptors import ShardingDataSource, ShardingRuntime
 from repro.baselines import make_grid_sharding, make_sources
 from repro.engine.merger import MaterializedResult, MergeSpec, merge
@@ -29,6 +32,7 @@ from repro.sql import parse
 from repro.storage import DataSource, LatencyModel
 from repro.storage.expression import OrderToken
 from repro.storage.plans import BATCH_ROWS, execute_statement
+from repro.storage.table import Table
 
 from .oracle import OracleConnection
 from .test_storage_plans import DIFF_SETTINGS
@@ -443,16 +447,18 @@ def test_writer_threads_never_leak_a_row_past_the_recheck():
 
 
 # ---------------------------------------------------------------------------
-# Cost per chunk, not per row
+# Cost per statement, not per row; a LIMIT stops reading
 # ---------------------------------------------------------------------------
 
 
-def _python_calls(fn):
+def _storage_calls(fn):
+    """Python calls into ``repro.storage`` made by ``fn()``."""
+    root = os.path.dirname(storage.__file__) + os.sep
     calls = 0
 
     def hook(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and frame.f_code.co_filename.startswith(root):
             calls += 1
 
     sys.setprofile(hook)
@@ -463,13 +469,9 @@ def _python_calls(fn):
     return calls
 
 
-#: Python calls a chunk may add beyond the first: reading it, one WHERE
-#: stage, two aggregate folds and the generators between them (11 on
-#: CPython 3.11; a per-row path adds thousands)
-PER_CHUNK = 16
-
-
 def test_calls_grow_per_chunk_not_per_row():
+    """A SELECT's rows are one list through list stages: 2,000 rows cost
+    storage no more calls than 200."""
     ds = DataSource("calls")
     ds.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT)")
     ds.execute("CREATE INDEX idx_k ON t (k)")
@@ -482,10 +484,29 @@ def test_calls_grow_per_chunk_not_per_row():
         return lambda: conn.execute(sql, (0, high - 1)).fetchall()
 
     run(200)()  # compile
-    small, large = _python_calls(run(200)), _python_calls(run(2000))
-    extra_chunks = -(-2000 // BATCH_ROWS) - -(-200 // BATCH_ROWS)
-    assert large - small <= extra_chunks * PER_CHUNK, (small, large)
+    small, large = _storage_calls(run(200)), _storage_calls(run(2000))
+    assert large <= small, (small, large)
     assert conn.execute(sql, (0, 1999)).fetchall() == [(2000, sum(range(2000)))]
+
+
+def test_a_limit_reads_one_step_when_it_can_stop(monkeypatch):
+    """A LIMIT over rows that need no sort, aggregate or DISTINCT reads
+    ``BATCH_ROWS`` rows at a time and stops once offset + count rows have
+    passed the filter; without the LIMIT every row is read."""
+    read = []
+    value_tuples = Table.value_tuples
+    monkeypatch.setattr(Table, "value_tuples",
+                        lambda table, ids: read.append(len(ids)) or value_tuples(table, ids))
+    ds = DataSource("limited")
+    ds.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    ds.connect().cursor().executemany(
+        "INSERT INTO t (id, v) VALUES (?, ?)", [(i, i % 7) for i in range(2000)])
+    conn = ds.connect()
+    assert len(conn.execute("SELECT id FROM t WHERE v > 0 LIMIT 3").fetchall()) == 3
+    assert sum(read) <= BATCH_ROWS
+    read.clear()
+    assert len(conn.execute("SELECT id FROM t WHERE v > 0").fetchall()) == 2000 - 286
+    assert sum(read) == 2000
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,10 @@ def count_calls(fn):
 
 
 class TestHotFanOut:
-    def test_a_unit_costs_at_most_40_calls(self, fleet):
+    def test_a_unit_costs_at_most_22_calls(self, fleet):
         """A literal broadcast read over 16 shards, plan-hot: the whole
-        statement, merge and release included, within 40 calls a unit (52
+        statement, merge and release included, within 22 calls a unit (26
+        when a unit's result was a cursor around a chain of generators, 52
         when every unit went through the retry wrapper, a per-unit template
         key and an LRU probe by SQL text)."""
         sources, table_rule, engine = fleet
@@ -114,7 +115,7 @@ class TestHotFanOut:
         calls = count_calls(lambda: got.extend(
             engine.execute("SELECT id, v FROM t_big WHERE v > 5").fetchall()))
         assert sorted(got) == rows_of("", lambda row: row[1] > 5)
-        assert calls <= 40 * SHARDS, calls / SHARDS
+        assert calls <= 22 * SHARDS, calls / SHARDS
 
     def test_route_to_units_memo_is_bounded_by_shards_not_keys(self, fleet):
         sources, table_rule, engine = fleet

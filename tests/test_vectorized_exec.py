@@ -29,7 +29,7 @@ from repro.exceptions import (
 )
 from repro.sharding import ShardingRule, build_auto_table_rule
 from repro.sql import parse
-from repro.storage import DataSource, LatencyModel
+from repro.storage import DataSource, LatencyModel, expression
 from repro.storage.plans import BATCH_ROWS
 
 from .conftest import starts_no_thread
@@ -149,11 +149,62 @@ SEAM_WRITES = [
 ]
 
 
+#: sort keys: ``a``, ``b`` and the key are NOT NULL integers, ``c`` is a
+#: NULL-able one; 800 rows with repeated keys
+SORT_SCHEMA = "CREATE TABLE s (id INT PRIMARY KEY, a INT NOT NULL, b BIGINT NOT NULL, c INT)"
+SORT_ROWS = [(i, i % 5, (i * 7) % 11 - 5, None if i % 6 == 0 else i % 9) for i in range(800)]
+
+#: (statement, whether storage sorts by the column values themselves)
+SEAM_SORTS = [
+    # NOT NULL integer keys, one direction: the itemgetter is the key
+    ("SELECT id, a, b FROM s ORDER BY a, b, id", True),
+    ("SELECT id, a, b FROM s WHERE b > -3 ORDER BY a DESC, b DESC, id DESC LIMIT 300", True),
+    ("SELECT a, b FROM s ORDER BY b, a, id LIMIT 10 OFFSET 500", True),
+    # a NULL-able integer key keeps sort_key: NULLs first
+    ("SELECT id, c FROM s ORDER BY c, id", False),
+    ("SELECT id, c FROM s ORDER BY c DESC, id DESC", False),
+    # mixed directions, on NOT NULL keys too
+    ("SELECT id, a, b FROM s ORDER BY a DESC, b, id", False),
+    ("SELECT id, a, c FROM s ORDER BY a, c DESC, id", False),
+    # a LEFT JOIN's right side is NULL where nothing matched
+    ("SELECT t.id, s.a FROM t LEFT JOIN s ON t.grp = s.id ORDER BY s.a, t.id", False),
+]
+
+
 class TestChunkSeams:
     @pytest.fixture(scope="class")
     def seam_twins(self):
         assert len(SEAM_ROWS) > 2 * BATCH_ROWS
         return make_twins(SEAM_ROWS)
+
+    @pytest.fixture(scope="class")
+    def sort_twins(self):
+        twins = make_twins(SEAM_ROWS)
+        (compiled, _), (oracle_ds, oracle) = twins
+        for ds in (compiled, oracle_ds):
+            ds.execute(SORT_SCHEMA)
+        insert = "INSERT INTO s (id, a, b, c) VALUES (?, ?, ?, ?)"
+        compiled.connect().cursor().executemany(insert, SORT_ROWS)
+        oracle.executemany(insert, SORT_ROWS)
+        return twins
+
+    @pytest.mark.parametrize("sql, native", SEAM_SORTS)
+    def test_sort_keys_across_seams(self, sort_twins, monkeypatch, sql, native):
+        """Storage sorts NOT NULL integer keys in one direction by the
+        values themselves (no ``sort_key`` call); every other ORDER BY
+        keeps ``sort_key``. Either way the rows are the oracle's."""
+        (_, compiled), _ = sort_twins
+        compiled.execute(sql).fetchall()  # compile
+        keyed = []
+        real_sort_key = expression.sort_key
+        monkeypatch.setattr(expression, "sort_key",
+                            lambda value: keyed.append(value) or real_sort_key(value))
+        rows = compiled.execute(sql).fetchall()
+        monkeypatch.undo()
+        assert (not keyed) == native, sql
+        if "ORDER BY c," in sql:
+            assert rows[0][1] is None and rows[-1][1] is not None
+        assert_twins_agree(sort_twins, sql)
 
     @pytest.mark.parametrize("sql", SEAM_SELECTS)
     def test_select_across_seams(self, seam_twins, sql):
