@@ -80,7 +80,7 @@ class ExecutionResult:
     results: list[ShardResult] = field(default_factory=list)
     update_count: int = 0
     modes: dict[str, ConnectionMode] = field(default_factory=dict)
-    #: run these once the merged result has been fully consumed
+    #: run these once the merge has read the results (``SQLEngine._finish``)
     finalizers: list[Callable[[], None]] = field(default_factory=list)
     #: True when DOWN sources were skipped (graceful degradation)
     partial_results: bool = False
@@ -379,8 +379,9 @@ class ExecutionEngine:
                 if booked.ready_at:
                     latency.pay(booked.priced, clock.now() + booked.lag)
 
-        # streamed results outlive the statement; every other batch, and the
-        # batch of a source that failed, goes back now
+        # a streamed batch is held until the caller has merged its results
+        # (``result.release()``); every other batch, and the batch of a
+        # source that failed, goes back now
         for ds_name, source, connections, streamed in batches:
             release = partial(source.pool.release_many, connections)
             if streamed and is_query and ds_name not in source_errors:
@@ -650,11 +651,13 @@ class ExecutionEngine:
         and reporting wall time from ``t0`` to the window's end (what the
         unit cost, not when the statement came back for it), cursor and
         rows to the workload ``heat`` sample. With ``stream`` an untraced
-        query hands back the live cursor (stream merger): its row count
-        is unknown (-1) until the caller drains the merged iterator, and
-        the row sink fills it in. Everything else is memory-loaded here;
-        traced statements trade streaming for a row count on the span
-        (tracing is opt-in).
+        query hands back the live cursor, its connection still held: the
+        merge reads it (its rows are computed at that first read) and the
+        engine then releases the execution; its row count is unknown (-1)
+        here, and the statement's merged row count is reported in its place
+        (``Observability.on_statement``). Everything else is memory-loaded
+        here; traced statements trade streaming for a row count on the
+        span (tracing is opt-in).
         """
         if not is_query:
             out = rows = max(cursor.rowcount, 0)

@@ -11,8 +11,13 @@ Merger selection follows the paper:
 - *group-by memory*: otherwise a hash aggregation over all rows;
 - *aggregation*: no GROUP BY — every shard returns one row, combined per
   aggregate function (AVG from derived SUM/COUNT);
-- *distinct* and *pagination* decorate the merged stream; derived columns
-  are trimmed from the visible output last.
+- derived columns are trimmed from the visible output, then *distinct*
+  and *pagination* apply to the trimmed rows.
+
+The merged rows are one list, built by :func:`merge`: the heap merge and
+the iteration are consumed into it (through ``islice`` under a LIMIT, so
+a shard is read only as far as the page needs), and group folds append
+to it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from ..exceptions import MergeError
-from ..storage.expression import order_key, sort_key
+from ..storage.expression import distinct_rows, order_key, sort_key
 
 
 class ShardResult(Protocol):
@@ -80,7 +85,7 @@ class MergedResult:
     """The single logical result returned to the application."""
 
     columns: list[str]
-    rows: Iterator[tuple[Any, ...]]
+    rows: list[tuple[Any, ...]]
     merger_kind: str = "passthrough"
 
     def fetchall(self) -> list[tuple[Any, ...]]:
@@ -88,30 +93,33 @@ class MergedResult:
 
 
 def merge(spec: MergeSpec, results: Sequence[ShardResult]) -> MergedResult:
-    """Merge shard results according to the plan."""
+    """Merge shard results according to the plan: one list of rows.
+
+    A shard result is read only through ``columns`` and iteration."""
     if not results:
-        return MergedResult(columns=[], rows=iter(()))
+        return MergedResult(columns=[], rows=[])
     columns = list(results[0].columns)
     visible = columns if spec.output_width < 0 else columns[: spec.output_width]
+    trim = (operator.itemgetter(slice(0, spec.output_width))
+            if 0 <= spec.output_width < len(columns) else None)
 
     if spec.single_node or len(results) == 1:
-        rows: Iterator[tuple[Any, ...]] = iter(results[0])
-        if spec.output_width >= 0 and len(columns) > spec.output_width:
-            rows = (row[: spec.output_width] for row in rows)
-        return MergedResult(columns=visible, rows=rows, merger_kind="passthrough")
+        rows = results[0] if trim is None else map(trim, results[0])
+        return MergedResult(columns=visible, rows=list(rows), merger_kind="passthrough")
 
     order_indexes = [(_resolve_key(k, columns), desc) for k, desc in spec.order_keys]
 
+    merged: Iterable[tuple[Any, ...]]
     if spec.aggregates and not spec.has_group_by:
-        merged, kind = _merge_aggregation(spec, results, columns)
+        merged, kind = [_merge_aggregation(spec, results, columns)], "aggregation"
     elif spec.has_group_by:
         group_indexes = [_resolve_key(k, columns) for k in spec.group_keys]
         if spec.group_equals_order and order_indexes:
             stream = _heap_merge(results, order_indexes)
-            merged = _fold_adjacent_groups(spec, stream, group_indexes, columns)
+            merged = _fold_adjacent_groups(spec, stream, group_indexes)
             kind = "group-by-stream"
         else:
-            merged = _memory_group(spec, results, group_indexes, columns, order_indexes)
+            merged = _memory_group(spec, results, group_indexes, order_indexes)
             kind = "group-by-memory"
     elif order_indexes:
         merged = _heap_merge(results, order_indexes)
@@ -120,15 +128,15 @@ def merge(spec: MergeSpec, results: Sequence[ShardResult]) -> MergedResult:
         merged = itertools.chain.from_iterable(results)
         kind = "iteration"
 
+    if trim is not None:
+        merged = map(trim, merged)
     if spec.distinct:
-        merged = _distinct(merged, len(visible))
+        merged = distinct_rows(list(merged))
     if spec.limit_offset is not None or spec.limit_count is not None:
         offset = spec.limit_offset or 0
         stop = None if spec.limit_count is None else offset + spec.limit_count
         merged = itertools.islice(merged, offset, stop)
-    if spec.output_width >= 0 and len(columns) > spec.output_width:
-        merged = (row[: spec.output_width] for row in merged)
-    return MergedResult(columns=visible, rows=iter(merged), merger_kind=kind)
+    return MergedResult(columns=visible, rows=list(merged), merger_kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +229,7 @@ class _AggAccumulator:
 
 def _merge_aggregation(
     spec: MergeSpec, results: Sequence[ShardResult], columns: list[str]
-) -> tuple[Iterator[tuple[Any, ...]], str]:
+) -> tuple[Any, ...]:
     accumulators = [_AggAccumulator(a) for a in spec.aggregates]
     sample: tuple[Any, ...] | None = None
     for result in results:
@@ -235,7 +243,7 @@ def _merge_aggregation(
     out = list(sample)
     for acc in accumulators:
         out[acc.spec.index] = acc.result()
-    return iter([tuple(out)]), "aggregation"
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +271,10 @@ def _fold_adjacent_groups(
     spec: MergeSpec,
     stream: Iterator[tuple[Any, ...]],
     group_indexes: list[int],
-    columns: list[str],
-) -> Iterator[tuple[Any, ...]]:
+) -> list[tuple[Any, ...]]:
     """Stream group merge: the merged stream is ordered by the group keys,
     so each group is a contiguous run at the heads of the shard cursors."""
+    out: list[tuple[Any, ...]] = []
     pending: list[tuple[Any, ...]] = []
     pending_key: tuple | None = None
     for row in stream:
@@ -275,20 +283,20 @@ def _fold_adjacent_groups(
             pending.append(row)
             pending_key = key
         else:
-            yield _combine_group(spec, pending)
+            out.append(_combine_group(spec, pending))
             pending = [row]
             pending_key = key
     if pending:
-        yield _combine_group(spec, pending)
+        out.append(_combine_group(spec, pending))
+    return out
 
 
 def _memory_group(
     spec: MergeSpec,
     results: Sequence[ShardResult],
     group_indexes: list[int],
-    columns: list[str],
     order_indexes: list[tuple[int, bool]],
-) -> Iterator[tuple[Any, ...]]:
+) -> list[tuple[Any, ...]]:
     """Memory group merge: hash-aggregate every row, then re-sort."""
     groups: dict[tuple, list[tuple[Any, ...]]] = {}
     order: list[tuple] = []
@@ -305,13 +313,4 @@ def _memory_group(
     if order_indexes:
         key, reverse = _order_key(order_indexes)
         combined.sort(key=key, reverse=reverse)
-    return iter(combined)
-
-
-def _distinct(rows: Iterable[tuple[Any, ...]], width: int) -> Iterator[tuple[Any, ...]]:
-    seen: set[tuple] = set()
-    for row in rows:
-        key = tuple(sort_key(v) for v in row[:width])
-        if key not in seen:
-            seen.add(key)
-            yield row
+    return combined

@@ -9,7 +9,6 @@ or mutate it, may redirect routed units, and may post-process results.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -69,7 +68,9 @@ class Feature:
         """Inspect/mutate rewritten execution units before execution."""
 
     def on_result(self, result: "EngineResult", context: StatementContext) -> None:
-        """Post-process the merged result."""
+        """Post-process the merged result. A query's ``result.merged.rows``
+        is one list, every row of it; assign a new list to change what the
+        client reads."""
 
     def on_error(self, error: Exception, context: StatementContext) -> None:
         """Observe a failed execution (circuit breakers count these)."""
@@ -142,7 +143,7 @@ class _Statement:
     #: how many features' ``on_context`` returned: exactly these are owed
     #: one ``on_result`` or one ``on_error``
     admitted: int = 0
-    #: held between the executor and finish; released by fail
+    #: held between the executor and finish; released by finish or by fail
     execution: ExecutionResult | None = None
     #: the open stage's span (traced statements only)
     span: Any = None
@@ -504,7 +505,7 @@ class SQLEngine:
         result = EngineResult(
             route_type="result_cache", unit_count=0, merger_kind="cached")
         result.merged = MergedResult(
-            columns=list(entry.columns), rows=iter(entry.rows),
+            columns=list(entry.columns), rows=list(entry.rows),
             merger_kind="cached")
         if trace is not None:
             trace.root.add_event("result_cache_hit")
@@ -679,12 +680,14 @@ class SQLEngine:
                 st.end(latency.now())
 
     def _finish(self, st: _Statement) -> EngineResult:
-        """Back half of the lifecycle: merge, build the
-        :class:`EngineResult`, run ``on_result``, store to the result
-        cache, then record the statement (counters, stage histograms,
-        workload digests). Anything raised here reaches :meth:`_fail`
-        with ``st.execution`` still attached, so no connection outlives
-        a statement that failed after its storage work."""
+        """Back half of the lifecycle: merge into one list of rows, return
+        the execution's connections, build the :class:`EngineResult`, run
+        ``on_result``, store to the result cache, then record the statement
+        (counters, stage histograms, workload digests, the row count).
+        Anything raised here — a storage error while the merge reads the
+        units included — reaches :meth:`_fail` with ``st.execution`` still
+        attached, so no connection outlives a statement that failed after
+        its storage work."""
         execution, context, units, weight = st.execution, st.context, st.units, st.weight
         result = EngineResult(
             update_count=execution.update_count,
@@ -699,38 +702,32 @@ class SQLEngine:
         if st.is_query:
             if weight:
                 st.begin("merge")
-            merged = merge(
+            result.merged = merge(
                 st.merge_spec or MergeSpec(is_query=True, single_node=True),
                 execution.results,
             )
             # no units: a federated result, already joined in the middleware
-            result.merger_kind = merged.merger_kind if units else "federation"
-            result.merged = MergedResult(
-                columns=merged.columns,
-                rows=_releasing(merged.rows, execution),
-                merger_kind=result.merger_kind,
-            )
+            if not units:
+                result.merged.merger_kind = "federation"
+            result.merger_kind = result.merged.merger_kind
             if weight:
                 st.end(merger_kind=result.merger_kind)
         else:
             result.merger_kind = "update"
-            execution.release()
+        # every row the statement returns is in hand: its connections go back
+        execution.release()
 
         for feature in st.snap.features:
             feature.on_result(result, context)
-        if (
-            st.cache_guards is not None
-            and result.merged is not None
-            and not result.partial_results
-        ):
-            self._store_cached_result(st.cache_key, result, st.cache_guards)
+        merged = result.merged
+        if st.cache_guards is not None and merged is not None and not result.partial_results:
+            guards, causal = st.cache_guards  # a result over max_rows is not stored
+            self.result_cache.store(st.cache_key, merged.columns, merged.rows, guards, causal)
         if self.observability is not None:  # last: a statement raising before is an error
-            row_sink = self.observability.on_statement(
+            self.observability.on_statement(
                 st.route_type, units, st.stages, weight, context,
-                execution.update_count, st.is_query, st.heat, execution.skipped_sources)
-            if row_sink is not None:
-                result.merged.rows = _counting(result.merged.rows, row_sink)
-        st.execution = None  # the merged iterator owns the connections now
+                len(merged.rows) if merged is not None else execution.update_count,
+                st.is_query, st.heat, execution.skipped_sources)
         return result
 
     def _fail(self, st: _Statement, exc: Exception, reroute: bool = False) -> bool:
@@ -822,29 +819,6 @@ class SQLEngine:
                     (database, actual, database.data_version(actual)))
         return guards, causal
 
-    def _store_cached_result(
-        self,
-        cache_key: tuple | None,
-        result: EngineResult,
-        cache_capture: tuple[list[tuple], list[tuple]],
-    ) -> None:
-        """Materialize a small result and store it under its guards.
-
-        Drains up to ``max_rows + 1`` rows through the merged iterator
-        (wrappers included, so pooled connections release and row sinks
-        fire); oversized results pass through untouched via chaining.
-        """
-        result_cache = self.result_cache
-        merged = result.merged
-        assert merged is not None
-        rows_iter = iter(merged.rows)
-        buffered = list(itertools.islice(rows_iter, result_cache.max_rows + 1))
-        if len(buffered) <= result_cache.max_rows:
-            guards, causal = cache_capture
-            result_cache.store(
-                cache_key, merged.columns, buffered, guards, causal)
-        merged.rows = itertools.chain(buffered, rows_iter)
-
 
 def _sql_text(sql: str | ast.Statement) -> str:
     """SQL text for diagnostics: a pre-parsed statement is rendered back
@@ -856,25 +830,3 @@ def _sql_text(sql: str | ast.Statement) -> str:
         return format_statement(sql)
     except Exception:
         return type(sql).__name__
-
-
-def _releasing(rows, execution: ExecutionResult):
-    """Wrap the merged iterator so pooled connections are returned when the
-    stream is exhausted (or the generator is closed/garbage-collected)."""
-    try:
-        yield from rows
-    finally:
-        execution.release()
-
-
-def _counting(rows, sink):
-    """Count merged rows as the caller drains them, reporting the total to
-    the workload tracker's row sink when the stream finishes (streaming
-    merges don't know their row count up front)."""
-    produced = 0
-    try:
-        for row in rows:
-            produced += 1
-            yield row
-    finally:
-        sink(produced)

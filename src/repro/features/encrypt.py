@@ -265,17 +265,15 @@ class EncryptFeature(Feature):
                         specs.append((index, spec))
                         break
 
-        inner = result.merged.rows
+        result.merged.rows = [_decrypt_row(row, specs) for row in result.merged.rows]
 
-        def decrypting() -> Any:
-            for row in inner:
-                out = list(row)
-                for index, spec in specs:
-                    if index < len(out):
-                        out[index] = spec.encryptor.decrypt(out[index])
-                yield tuple(out)
 
-        result.merged.rows = decrypting()
+def _decrypt_row(row: tuple[Any, ...], specs: list[tuple[int, EncryptColumn]]) -> tuple[Any, ...]:
+    out = list(row)
+    for index, spec in specs:
+        if index < len(out):
+            out[index] = spec.encryptor.decrypt(out[index])
+    return tuple(out)
 
 
 def _encrypt_expr(expr: ast.Expression, spec: EncryptColumn, params: tuple[Any, ...]) -> ast.Expression:

@@ -139,11 +139,11 @@ class Observability:
         stages: Mapping[str, float],
         weight: int,
         context: Any = None,
-        update_count: int = 0,
+        rows: int = 0,
         is_query: bool = False,
         heat: _HeatSample | None = None,
         skipped: Sequence[str] = (),
-    ) -> Callable[[int], None] | None:
+    ) -> None:
         """Record one finished statement; lock only when it is sampled.
 
         Every statement counts by route type, and each of its ``units``
@@ -151,7 +151,8 @@ class Observability:
         of its data source (failed attempts are counted as they fail,
         :meth:`on_source_attempt`). A sampled one (``weight`` > 0, which
         needs ``context``) also feeds the stage and fan-out histograms and
-        the workload tracker, whose row sink for a query is returned.
+        the workload tracker, with ``rows`` (what a query returned, or what
+        a write changed).
         Counters take the sharded lock-free path — ``Counter.inc_sharded``'s
         slots, written inline, so an unsampled statement makes this one
         call — and the 1-in-N unsampled majority never touches the registry
@@ -168,7 +169,7 @@ class Observability:
                 slot = ((unit.data_source,), thread)
                 shards[slot] = shards.get(slot, 0.0) + 1.0
         if not weight:
-            return None
+            return
         with self.registry.lock:
             children = self._stage_children
             for stage, seconds in stages.items():
@@ -176,10 +177,9 @@ class Observability:
             if units:
                 self._fanout_child.observe(len(units), weight)
         workload = self.workload
-        if not workload.enabled:
-            return None
-        return workload.record_statement(
-            context, route_type, units, stages, weight, update_count, is_query, heat)
+        if workload.enabled:
+            workload.record_statement(
+                context, route_type, units, stages, weight, rows, is_query, heat)
 
     def on_error(self, sql: Any, trace: Trace | None, exc: BaseException) -> None:
         """Record one statement that raised: exact counters, its digest

@@ -34,7 +34,7 @@ import hashlib
 import re
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..cache import LruCache
 from ..engine.router import shard_key_values
@@ -404,8 +404,8 @@ class _HeatSample:
         self.weight = weight
         self.storage_units = 0
         self.storage_hits = 0
-        #: node key of a streaming unit whose row count is only known once
-        #: the merged iterator is drained (single-unit point reads)
+        #: node key of a streamed unit, whose row count is only known once
+        #: the merge has read it; it gets the statement's (single-unit reads)
         self.unknown_rows_key: tuple[str, str, str] | None = None
 
     def unit_done(self, unit: "ExecutionUnit", wall: float,
@@ -481,16 +481,12 @@ class WorkloadIntelligence:
         units: Sequence["ExecutionUnit"],
         stages: dict[str, float],
         weight: float,
-        update_count: int,
+        rows: int,
         is_query: bool,
         heat_sample: _HeatSample | None = None,
-    ) -> Callable[[int], None] | None:
-        """Record one sampled statement after execute+merge.
-
-        Returns a row sink for queries — the pipeline wraps the merged
-        iterator with it so consumed row counts flow back — or None for
-        writes (whose row counts are already exact in ``update_count``).
-        """
+    ) -> None:
+        """Record one sampled statement after execute+merge: ``rows`` is
+        what a query's merge returned, or what a write changed."""
         digest, text = self.digest_of(context.sql)
         seconds = sum(stages.values())
         plan_hit = "plan_cache_hit" in stages
@@ -504,8 +500,7 @@ class WorkloadIntelligence:
                 plan_hit=plan_hit, storage_units=storage_units,
                 storage_hits=storage_hits,
             )
-            if not is_query:
-                stats.rows += max(update_count, 0) * weight
+            stats.rows += max(rows, 0) * weight
             for unit in units:
                 node = self.heat.node(_unit_key(unit))
                 if is_query:
@@ -519,17 +514,8 @@ class WorkloadIntelligence:
                     sketch = self.hot_keys[sketch_key] = SpaceSaving(self.hot_key_capacity)
                 sketch.offer(value, weight)
             self.slo.record(route_type, seconds, weight)
-        if not is_query:
-            return None
-        unknown_key = heat_sample.unknown_rows_key if heat_sample is not None else None
-
-        def row_sink(consumed: int) -> None:
-            with self._lock:
-                stats.rows += consumed * weight
-                if unknown_key is not None:
-                    self.heat.node(unknown_key).rows += consumed * weight
-
-        return row_sink
+            if heat_sample is not None and heat_sample.unknown_rows_key is not None:
+                self.heat.node(heat_sample.unknown_rows_key).rows += rows * weight
 
     def record_error(self, sql: str) -> None:
         """Exact per-digest error accounting (errors bypass sampling)."""

@@ -155,12 +155,21 @@ class CompileContext:
             return getter
         raise ColumnNotFoundError(f"column {ref.qualified!r} not found in row")
 
-    def aggregate_getter(self, call: ast.FunctionCall) -> Getter:
+    def aggregate_slot(self, call: ast.FunctionCall) -> int:
+        """Where a group row ``(first row, aggregate values)`` holds ``call``."""
         key = format_expression(call)
         slot = self.agg_slots.get(key)  # empty outside "group" mode
         if slot is None:
             raise ExecutionError(f"aggregate {key} not available in this context")
-        return lambda row, params, _i=slot: row[1][_i]
+        return slot
+
+    def aggregate_getter(self, call: ast.FunctionCall) -> Getter:
+        return aggregate_value(self.aggregate_slot(call))
+
+
+def aggregate_value(slot: int) -> Getter:
+    """The getter of a group row's aggregate value at ``slot``."""
+    return lambda row, params: row[1][slot]
 
 
 def column_offset(expr: ast.Expression, ctx: CompileContext) -> int | None:

@@ -164,12 +164,6 @@ def execute_ddl(database: "Database", stmt: ast.Statement) -> QueryResult:
 # ---------------------------------------------------------------------------
 
 
-def _freeze(value: Any) -> Any:
-    if isinstance(value, (list, dict, set)):
-        return str(value)
-    return value
-
-
 def _conjuncts(expr: ast.Expression) -> Iterator[ast.Expression]:
     if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
         yield from _conjuncts(expr.left)

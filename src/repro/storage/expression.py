@@ -2,7 +2,8 @@
 
 Three-valued logic (the ``UNKNOWN`` sentinel and its normalisation),
 MySQL-style cross-type comparison, LIKE matching, CAST, the scalar
-function table and NULLs-first sort keys. The compiler
+function table, NULLs-first sort keys, and the one rule that makes a
+value a dict key (:func:`hashable`, and DISTINCT over rows). The compiler
 (:mod:`repro.storage.compiler`) builds closures over these; the reference
 interpreter under ``tests/oracle`` imports the same objects, so the two
 sides cannot drift on 3VL or coercion.
@@ -101,6 +102,26 @@ def _compare_values(left: Any, right: Any) -> int:
     if left > right:
         return 1
     return 0
+
+
+def hashable(value: Any) -> Any:
+    """``value`` as a dict key: a list, dict or set by its ``str``. Hash
+    index keys, join and group buckets and DISTINCT all key this way."""
+    if isinstance(value, (list, dict, set)):
+        return str(value)
+    return value
+
+
+def distinct_rows(rows: list) -> list:
+    """SQL DISTINCT over whole output rows: the first of equal rows, in
+    order. A row holding a list, dict or set compares by :func:`hashable`."""
+    try:
+        return list(dict.fromkeys(rows))
+    except TypeError:
+        first: dict[tuple, Any] = {}
+        for row in rows:
+            first.setdefault(tuple(map(hashable, row)), row)
+        return list(first.values())
 
 
 def sort_key(value: Any):

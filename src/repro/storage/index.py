@@ -13,13 +13,7 @@ import bisect
 from typing import Any, Callable, Hashable, Sequence
 
 from ..exceptions import DuplicateKeyError
-from .expression import sort_key
-
-
-def _hashable(value: Any) -> Hashable:
-    if isinstance(value, (list, dict, set)):
-        return str(value)
-    return value
+from .expression import hashable, sort_key
 
 
 class HashIndex:
@@ -35,8 +29,8 @@ class HashIndex:
 
     def key_of(self, row: Sequence[Any]) -> Hashable:
         if len(self.offsets) == 1:
-            return _hashable(row[self.offsets[0]])
-        return tuple(_hashable(row[i]) for i in self.offsets)
+            return hashable(row[self.offsets[0]])
+        return tuple(hashable(row[i]) for i in self.offsets)
 
     def insert(self, row_id: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
@@ -56,14 +50,14 @@ class HashIndex:
                 del self._map[key]
 
     def lookup(self, key: Any) -> set[int]:
-        return self._map.get(_hashable(key), set())
+        return self._map.get(hashable(key), set())
 
     def lookup_values(self, values_by_column: dict[str, Any]) -> set[int]:
         """Lookup from a lower-cased column->value mapping (composite keys)."""
         if len(self.columns) == 1:
-            key: Any = _hashable(values_by_column[self.columns[0].lower()])
+            key: Any = hashable(values_by_column[self.columns[0].lower()])
         else:
-            key = tuple(_hashable(values_by_column[c.lower()]) for c in self.columns)
+            key = tuple(hashable(values_by_column[c.lower()]) for c in self.columns)
         return self._map.get(key, set())
 
     def __len__(self) -> int:

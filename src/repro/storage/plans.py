@@ -57,6 +57,7 @@ from .compiler import (
     CompileContext,
     Getter,
     RowLayout,
+    aggregate_value,
     column_offset,
     compile_batch_predicate,
     compile_predicate,
@@ -69,11 +70,10 @@ from .executor import (
     _collect_aggregates,
     _conjuncts,
     _equi_join_columns,
-    _freeze,
     _local_column,
     execute_ddl,
 )
-from .expression import UNKNOWN, order_key, sort_key
+from .expression import UNKNOWN, distinct_rows, hashable, order_key, sort_key
 from .latency import Pricer
 from .table import Table
 from .types import FAMILY_OF_TYPE
@@ -553,8 +553,6 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
                     access = _reversed_path(ordered) if desc else ordered
                     sort = None
 
-    distinct = _make_distinct_stage(stmt, out_ctx, has_agg) if stmt.distinct else None
-
     fixed_bounds = bounds = None
     if stmt.limit is not None:
         const_ctx = CompileContext("const")
@@ -566,14 +564,16 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
     # The stages after the base read, list -> list functions in order: the
     # joins (the WHERE filter runs after them when there are any, else on
     # the read itself) and HAVING without aggregates run on each read step;
-    # aggregate, sort and DISTINCT need every row at once. A LIMIT over rows
-    # that need none of those three reads BATCH_ROWS at a time and stops
-    # once offset + count rows have passed; any other read is one step.
+    # aggregate and sort need every row at once, and so does DISTINCT, which
+    # runs over the projected rows. A LIMIT over rows that need none of
+    # those three reads BATCH_ROWS at a time and stops once offset + count
+    # rows have passed; any other read is one step.
     row_stages = tuple(joins) + ((where,) if joins and where is not None else ()) + (
         (plain_having,) if plain_having is not None else ())
     inline = where if not joins else None
-    whole_stages = tuple(stage for stage in (aggregate, sort, distinct) if stage is not None)
-    step = BATCH_ROWS if bounds is not None and not whole_stages else 0
+    whole_stages = tuple(stage for stage in (aggregate, sort) if stage is not None)
+    distinct = stmt.distinct
+    step = BATCH_ROWS if bounds is not None and not whole_stages and not distinct else 0
     value_tuples = base_table.value_tuples
 
     def produce(row_ids: list[int], params: Sequence[Any]) -> list:
@@ -597,6 +597,9 @@ def _compile_select(database: "Database", stmt: ast.SelectStatement):
                 break
         for stage in whole_stages:
             rows = stage(rows, params)
+        if distinct:
+            rows = distinct_rows(rows if project is None else project(rows, params))
+            return rows if bounds is None else rows[offset:stop]
         if bounds is not None:
             rows = rows[offset:stop]
         return rows if project is None else project(rows, params)
@@ -710,14 +713,14 @@ def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
         elif eq is not None:
             buckets = {}
             for right_row in right_rows:
-                buckets.setdefault(_freeze(right_row[key_pos]), []).append(right_row)
+                buckets.setdefault(hashable(right_row[key_pos]), []).append(right_row)
         out: list[tuple] = []
         append = out.append
         for left in rows:
             if buckets is None:
                 matched = right_rows
             else:
-                key = _freeze(left_key(left, params)) if left_key is not None else None
+                key = hashable(left_key(left, params)) if left_key is not None else None
                 matched = buckets.get(key, ()) if key is not None else ()
             emitted = False
             for right_row in matched:
@@ -769,7 +772,7 @@ class _CompiledAgg:
             seen: set = set()
             fresh = []
             for value in values:
-                frozen = _freeze(value)
+                frozen = hashable(value)
                 if frozen not in seen:
                     seen.add(frozen)
                     fresh.append(value)
@@ -795,7 +798,7 @@ def _make_aggregate_stage(agg_specs, group_getters, having_pred) -> Stage:
         if group_getters:
             groups: dict[tuple, list] = {}
             for row in rows:
-                key = tuple([_freeze(g(row, params)) for g in group_getters])
+                key = tuple([hashable(g(row, params)) for g in group_getters])
                 groups.setdefault(key, []).append(row)
             members_of = groups.values()
         else:
@@ -809,43 +812,6 @@ def _make_aggregate_stage(agg_specs, group_getters, having_pred) -> Stage:
         return out
 
     return aggregate
-
-
-def _make_distinct_stage(stmt: ast.SelectStatement, ctx: CompileContext,
-                         has_agg: bool) -> Stage:
-    key_getters: list[Getter | None] = []
-    for item in stmt.select_items:
-        if isinstance(item.expression, ast.Star):
-            key_getters.append(None)  # whole-row component
-        else:
-            key_getters.append(compile_scalar(item.expression, ctx))
-    getters = tuple(key_getters)
-
-    if has_agg:
-        def whole_row(row: Any) -> Any:
-            sample = (tuple(_freeze(v) for v in row[0])
-                      if row[0] is not None else None)
-            return (sample, tuple(_freeze(v) for v in row[1]))
-    else:
-        def whole_row(row: Any) -> Any:
-            return tuple(_freeze(v) for v in row)
-
-    def distinct(rows: list, params: Sequence[Any]) -> list:
-        seen: set[tuple] = set()
-        add = seen.add
-        out: list = []
-        append = out.append
-        for row in rows:
-            key = tuple(
-                whole_row(row) if g is None else _freeze(g(row, params))
-                for g in getters
-            )
-            if key not in seen:
-                add(key)
-                append(row)
-        return out
-
-    return distinct
 
 
 def _compile_limit(limit: ast.Limit, ctx: CompileContext):
@@ -908,13 +874,13 @@ def _compile_projection(stmt: ast.SelectStatement, layout: RowLayout,
                         offsets.append(offset)
             continue
         columns.append(item.output_name)
-        getter = compile_scalar(expr, ctx)
-        if has_agg:
-            slot = (ctx.agg_slots[format_expression(expr)]
-                    if isinstance(expr, ast.FunctionCall) and expr.is_aggregate else None)
+        if has_agg and isinstance(expr, ast.FunctionCall) and expr.is_aggregate:
+            slot = ctx.aggregate_slot(expr)
             offsets.append(slot)
+            getter = aggregate_value(slot)
         else:
-            offsets.append(column_offset(expr, ctx))
+            offsets.append(None if has_agg else column_offset(expr, ctx))
+            getter = compile_scalar(expr, ctx)
 
         def normalized(row: Any, params: Sequence[Any], _g=getter) -> Any:
             value = _g(row, params)

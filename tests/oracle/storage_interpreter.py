@@ -24,9 +24,10 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from repro.exceptions import ColumnNotFoundError, ExecutionError, StorageError, UnsupportedSQLError
 from repro.sql import ast
 from repro.sql.formatter import format_expression
-from repro.storage.executor import QueryResult, _collect_aggregates, _equi_join_columns, _freeze
+from repro.storage.executor import QueryResult, _collect_aggregates, _equi_join_columns
 from repro.storage.expression import (
-    UNKNOWN, OrderToken, _as_tvl, _cast, _compare_values, _like_match, _SCALAR_FUNCTIONS, sort_key,
+    UNKNOWN, OrderToken, _as_tvl, _cast, _compare_values, _like_match, _SCALAR_FUNCTIONS, hashable,
+    sort_key,
 )
 
 Row = dict[str, Any]
@@ -237,11 +238,12 @@ def _execute_select(database, stmt: ast.SelectStatement, params: Sequence[Any]) 
         rows = iter(sorted(rows, key=lambda r: tuple(
             OrderToken(_order_value(item.expression, r, stmt, params), item.desc)
             for item in stmt.order_by)))
+    out: Iterator[tuple] = (projector(r) for r in rows)
     if stmt.distinct:
-        rows = _distinct(stmt, rows, params)
+        out = _distinct(out)
     if stmt.limit is not None:
-        rows = _apply_limit(stmt.limit, rows, params)
-    return QueryResult(columns=columns, rows=(projector(r) for r in rows))
+        out = _apply_limit(stmt.limit, out, params)
+    return QueryResult(columns=columns, rows=out)
 
 
 def _order_value(expr: ast.Expression, row: Row, stmt: ast.SelectStatement,
@@ -254,20 +256,17 @@ def _order_value(expr: ast.Expression, row: Row, stmt: ast.SelectStatement,
     return _output_value(expr, row, params)
 
 
-def _distinct(stmt: ast.SelectStatement, rows: Iterator[Row], params: Sequence[Any]) -> Iterator[Row]:
+def _distinct(rows: Iterator[tuple]) -> Iterator[tuple]:
+    """DISTINCT over output rows: the first of equal rows, in order."""
     seen: set[tuple] = set()
     for row in rows:
-        key = tuple(
-            _freeze(tuple(sorted(row.items()))) if isinstance(item.expression, ast.Star)
-            else _freeze(evaluate(item.expression, row, params))
-            for item in stmt.select_items
-        )
+        key = tuple(hashable(value) for value in row)
         if key not in seen:
             seen.add(key)
             yield row
 
 
-def _apply_limit(limit: ast.Limit, rows: Iterator[Row], params: Sequence[Any]) -> Iterator[Row]:
+def _apply_limit(limit: ast.Limit, rows: Iterator, params: Sequence[Any]) -> Iterator:
     offset = int(evaluate(limit.offset, {}, params)) if limit.offset is not None else 0
     count = int(evaluate(limit.count, {}, params)) if limit.count is not None else None
     return islice(rows, offset, None if count is None else offset + count)
@@ -322,11 +321,11 @@ def _apply_join(database, rows: Iterator[Row], join: ast.Join, params: Sequence[
         left_expr, right_col = eq
         buckets: dict[Any, list[Row]] = {}
         for raw in right_rows:
-            buckets.setdefault(_freeze(raw.get(right_col)), []).append(raw)
+            buckets.setdefault(hashable(raw.get(right_col)), []).append(raw)
 
         def candidates(left: Row) -> list[Row]:
             try:
-                key = _freeze(evaluate(left_expr, left, params))
+                key = hashable(evaluate(left_expr, left, params))
             except StorageError:
                 key = None
             return buckets.get(key, []) if key is not None else []
@@ -355,7 +354,7 @@ def _aggregate_rows(stmt: ast.SelectStatement, source: Iterator[Row],
     aggregates = _collect_aggregates(stmt)
     groups: dict[tuple, list[Row]] = {}
     for row in source:
-        key = tuple(_freeze(evaluate(e, row, params)) for e in stmt.group_by)
+        key = tuple(hashable(evaluate(e, row, params)) for e in stmt.group_by)
         groups.setdefault(key, []).append(row)
     if not groups and not stmt.group_by:
         groups[()] = []  # aggregates over no rows still yield one (COUNT -> 0)
@@ -376,7 +375,7 @@ def _aggregate(call: ast.FunctionCall, rows: list[Row], params: Sequence[Any]) -
     if call.distinct:
         first_seen: dict[Any, Any] = {}
         for value in values:
-            first_seen.setdefault(_freeze(value), value)
+            first_seen.setdefault(hashable(value), value)
         values = list(first_seen.values())
     if name == "COUNT":
         return len(values)

@@ -74,6 +74,14 @@ class TestSelect:
         rows = ds.execute("SELECT DISTINCT age FROM t_user ORDER BY age")
         assert rows == [(25,), (30,), (35,)]
 
+    def test_distinct_is_over_the_output_row(self, ds):
+        # bob and dave are both 25: the joined rows differ, the output does not
+        ds.execute("CREATE TABLE ages (age INT PRIMARY KEY, label VARCHAR(8))")
+        ds.execute("INSERT INTO ages (age, label) VALUES (25, 'young'), (30, 'mid')")
+        rows = ds.execute(
+            "SELECT DISTINCT a.* FROM t_user u JOIN ages a ON u.age = a.age ORDER BY a.age")
+        assert rows == [(25, "young"), (30, "mid")]
+
     def test_select_star_column_order(self, ds):
         conn = ds.connect()
         cur = conn.execute("SELECT * FROM t_user WHERE uid = 1")

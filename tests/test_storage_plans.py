@@ -267,6 +267,9 @@ class TestDifferentialSelect:
         twins = make_twins(rows)
         assert_twins_agree(twins, "SELECT DISTINCT grp, flag FROM t ORDER BY grp, flag")
         assert_twins_agree(twins, "SELECT DISTINCT grp FROM t WHERE flag = 1 ORDER BY grp")
+        # over the output row: u's columns, not the joined row, decide
+        assert_twins_agree(
+            twins, "SELECT DISTINCT u.* FROM t JOIN u ON t.grp = u.grp ORDER BY u.uid")
 
     @DIFF_SETTINGS
     @given(rows=rows_s)
