@@ -20,6 +20,9 @@ Balances data-source connections, memory and concurrency:
   MaxCon connections — is issued on a serial *lane*: the connection starts
   it when the unit before it on the same connection is done (DESIGN.md
   "Issue and await").
+- Every pool connection a statement takes goes back before ``execute``
+  returns or raises: a query unit's outcome is its lazy cursor, which reads
+  no connection, and ``free_at`` queues the next borrower behind the window.
 
 Resilience (opt-in via :class:`ResiliencePolicy`):
 
@@ -80,17 +83,10 @@ class ExecutionResult:
     results: list[ShardResult] = field(default_factory=list)
     update_count: int = 0
     modes: dict[str, ConnectionMode] = field(default_factory=dict)
-    #: run these once the merge has read the results (``SQLEngine._finish``)
-    finalizers: list[Callable[[], None]] = field(default_factory=list)
     #: True when DOWN sources were skipped (graceful degradation)
     partial_results: bool = False
     #: data sources whose units were skipped or soft-failed
     skipped_sources: list[str] = field(default_factory=list)
-
-    def release(self) -> None:
-        finalizers, self.finalizers = self.finalizers, []
-        for finalizer in finalizers:
-            finalizer()
 
 
 @dataclass
@@ -235,17 +231,16 @@ class ExecutionEngine:
         must reuse them (and are therefore serial per data source).
         ``route_type`` lets the resilience layer know when a multi-source
         read is a broadcast that may gracefully degrade. When ``trace`` is
-        given, one ``storage`` span per unit (child of ``parent_span``) is
-        allocated here, in routing order on the calling thread.
-        ``sources`` pins the statement
-        to one metadata snapshot's immutable data-source view, so a
-        concurrent UNREGISTER RESOURCE cannot yank a source out from under
-        an in-flight statement; None falls back to the live map.
+        given, each unit gets one ``storage`` span (child of
+        ``parent_span``), opened just before it is issued. ``sources`` pins
+        the statement to one metadata snapshot's immutable data-source
+        view, so a concurrent UNREGISTER RESOURCE cannot yank a source out
+        from under an in-flight statement; None falls back to the live map.
         ``heat`` is the workload tracker's per-statement sample carrier
-        (``Observability.heat_sample``): when present, each
-        completed unit reports its wall time, cursor and row count to
-        ``heat.unit_done`` for shard-heat accounting. None (the unsampled
-        majority) costs one comparison per unit.
+        (``Observability.heat_sample``): when present, each completed unit
+        reports its wall time, cursor and row count to ``heat.unit_done``
+        for shard-heat accounting. None (the unsampled majority) costs one
+        comparison per unit.
         """
         if self._closed:
             raise ExecutionError("execution engine is closed; rejecting new work")
@@ -266,23 +261,11 @@ class ExecutionEngine:
             units, is_query, allow_partial, route_type, result, sources_map
         )
 
-        spans: dict[int, "Span"] | None = None
-        if trace is not None:
-            spans = {
-                id(unit): trace.start_span(
-                    "storage",
-                    parent=parent_span,
-                    data_source=unit.data_source,
-                    sql=unit.sql,
-                )
-                for unit in units
-            }
-
         # With no policy and no trace an attempt is the only one, and what
         # the retry loop would add is the outcome count: a unit then enters
         # storage straight through ``Connection.execute`` (DESIGN.md "Issue
         # and await").
-        direct = spans is None and self.resilience is None
+        direct = trace is None and self.resilience is None
         obs = self.observability
         # a step of the open scope, or the outermost (latency.Booked, inline)
         booked = latency.booking.get()
@@ -293,8 +276,9 @@ class ExecutionEngine:
             groups.setdefault(unit.data_source, []).append(unit)
 
         # -- fan-out ---------------------------------------------------------
-        # Every unit is issued and booked right here, and its rows exist at
-        # once (DESIGN.md "Issue and await"). A memory-strictly group has one
+        # Every unit is issued and booked right here; a query's rows are
+        # computed at the merge's first read (DESIGN.md "Issue and await"),
+        # and need no connection. A memory-strictly group has one
         # connection per unit. A pinned group, or a connection-strictly
         # group's MaxCon connections, are serial lanes: each unit goes to
         # the lane whose last window ends first, and the connection starts
@@ -304,13 +288,13 @@ class ExecutionEngine:
         #: (``Observability.on_statement``), or here if the statement raises
         answered_by: dict[str, int] = {}
         source_errors: dict[str, BaseException] = {}
-        #: (source name, source, connections, streamed) of every pool batch
-        batches: list[tuple[str, DataSource, list[Connection], bool]] = []
+        #: (source, connections) of every pool batch, returned in the finally
+        batches: list[tuple[DataSource, list[Connection]]] = []
         try:
             for ds_name, group in groups.items():
                 pinned = (held_connections or {}).get(ds_name)
                 if pinned is not None:
-                    source, lanes = None, True
+                    source, lanes, connections = None, True, [pinned]
                 else:
                     source = self._source(ds_name, sources_map)
                     # θ = ⌈NumOfSQL / MaxCon⌉ > 1
@@ -318,41 +302,35 @@ class ExecutionEngine:
                 mode = (ConnectionMode.CONNECTION_STRICTLY if lanes
                         else ConnectionMode.MEMORY_STRICTLY)
                 result.modes[ds_name] = mode
-                if spans is not None:
-                    for unit in group:
-                        spans[id(unit)].attributes["mode"] = mode.value
-                if source is None:
-                    connections = [pinned]
-                else:
+                if source is not None:
                     if lanes:
                         self.metrics.connection_strictly += 1
                     else:
                         self.metrics.memory_strictly += 1
                     try:
                         connections = self._acquire_batch(
-                            source, min(self.max_connections_per_query, len(group)),
-                            deadline=deadline)
+                            source, min(self.max_connections_per_query, len(group)), deadline)
                     except BaseException as exc:
                         source_errors.setdefault(ds_name, exc)
                         continue
-                    batches.append((ds_name, source, connections, not lanes))
+                    batches.append((source, connections))
                 answered = 0
                 for index, unit in enumerate(group):
                     if lanes:
                         index = connections.index(min(connections, key=_free_at))
-                    span = spans[id(unit)] if spans is not None else None
+                    span = None if trace is None else trace.start_span(
+                        "storage", parent=parent_span, data_source=ds_name, sql=unit.sql,
+                        mode=mode.value)
                     t0 = clock.now() if heat is not None else 0.0
                     try:
                         if direct:
                             cursor = connections[index].execute(unit.statement, unit.params)
-                        elif source is None:
+                        else:
                             cursor = self._run_attempts(
-                                ds_name, lambda: self._traced(pinned, unit, span),
+                                ds_name, partial(self._attempt, source, connections, index,
+                                                 unit, span, deadline),
                                 is_query=is_query, pinned=pinned, deadline=deadline,
                                 span=span)
-                        else:
-                            cursor = self._run_on_batch(
-                                source, connections, index, unit, is_query, deadline, span)
                     except BaseException as exc:
                         if direct and isinstance(exc, Exception):
                             self._record_outcome(ds_name, ok=False)
@@ -361,33 +339,26 @@ class ExecutionEngine:
                             break  # a lane stops at its first error
                         continue
                     answered += 1
-                    if span is None and heat is None and not (lanes and is_query):
-                        # untraced, unsampled: the result streams, or its count
+                    if span is None and heat is None:
+                        # untraced, unsampled: the lazy cursor, or the count
                         slots[id(unit)] = cursor if is_query else max(cursor.rowcount, 0)
                         continue
                     try:
-                        slots[id(unit)] = self._unit_done(
-                            unit, cursor, is_query, span, heat, t0, stream=not lanes)
+                        slots[id(unit)] = self._unit_done(unit, cursor, is_query, span, heat, t0)
                     except BaseException as exc:
                         source_errors.setdefault(ds_name, exc)
                 if answered:
                     answered_by[ds_name] = answered
         finally:
             booked.lag = max(booked.lag, booked.ready_at - clock.now())  # the rest runs after it
-            if token is not None:  # nothing is merged, released or raised unpaid
+            # every batch goes back now: its cursors read no connection, and
+            # ``free_at`` queues the next borrower behind their windows
+            for source, connections in batches:
+                source.pool.release_many(connections)
+            if token is not None:  # nothing is merged or raised unpaid
                 latency.booking.reset(token)
                 if booked.ready_at:
                     latency.pay(booked.priced, clock.now() + booked.lag)
-
-        # a streamed batch is held until the caller has merged its results
-        # (``result.release()``); every other batch, and the batch of a
-        # source that failed, goes back now
-        for ds_name, source, connections, streamed in batches:
-            release = partial(source.pool.release_many, connections)
-            if streamed and is_query and ds_name not in source_errors:
-                result.finalizers.append(release)
-            else:
-                release()
 
         errors: list[BaseException] = []
         soft_failures: list[tuple[str, BaseException]] = []
@@ -410,7 +381,6 @@ class ExecutionEngine:
                 else:
                     result.update_count += out
         if errors or (soft_failures and not succeeded):
-            result.release()
             if obs is not None:
                 for ds_name, answered in answered_by.items():
                     obs.on_source_attempt(ds_name, True, answered)
@@ -533,23 +503,6 @@ class ExecutionEngine:
             if obs is not None:
                 obs.on_source_attempt(source_name, False)
 
-    @staticmethod
-    def _traced(connection: Connection, unit: ExecutionUnit, span: "Span | None") -> Any:
-        """Issue one unit, lending the span to the connection meanwhile.
-
-        The connection attributes priced time and lock waits to
-        ``trace_span`` while it is set, when it books the unit's window;
-        clearing it restores the class default (None), keeping untraced
-        connections attribute-free.
-        """
-        if span is None:
-            return connection.execute(unit.statement, unit.params)
-        connection.trace_span = span
-        try:
-            return connection.execute(unit.statement, unit.params)
-        finally:
-            del connection.trace_span
-
     def _run_attempts(
         self,
         source_name: str,
@@ -641,27 +594,22 @@ class ExecutionEngine:
         span: "Span | None",
         heat: Any,
         t0: float,
-        stream: bool = False,
     ) -> Any:
-        """What every execution path does once a unit's cursor is back.
+        """What a traced or sampled unit does once its cursor is back.
 
-        Returns the unit's outcome — the update count for a write, a
-        :class:`ShardResult` for a query — after noting the row count on
-        the unit's storage span, ending the span with the unit's window,
-        and reporting wall time from ``t0`` to the window's end (what the
-        unit cost, not when the statement came back for it), cursor and
-        rows to the workload ``heat`` sample. With ``stream`` an untraced
-        query hands back the live cursor, its connection still held: the
-        merge reads it (its rows are computed at that first read) and the
-        engine then releases the execution; its row count is unknown (-1)
-        here, and the statement's merged row count is reported in its place
-        (``Observability.on_statement``). Everything else is memory-loaded
-        here; traced statements trade streaming for a row count on the
-        span (tracing is opt-in).
+        Returns the unit's outcome — the update count for a write, the
+        cursor for a query — after noting the row count on the unit's
+        storage span, ending the span with the unit's window, and reporting
+        wall time from ``t0`` to the window's end (what the unit cost),
+        cursor and rows to the workload ``heat`` sample. A traced query is
+        memory-loaded here, because its span carries ``rows``; any other
+        query's row count is unknown (-1) until the merge reads it, and the
+        statement's merged row count is reported in its place
+        (``Observability.on_statement``).
         """
         if not is_query:
             out = rows = max(cursor.rowcount, 0)
-        elif stream and span is None:
+        elif span is None:
             out, rows = cursor, -1
         else:
             fetched = cursor.fetchall()
@@ -673,70 +621,55 @@ class ExecutionEngine:
             heat.unit_done(unit, (cursor.ready_at or clock.now()) - t0, cursor, rows)
         return out
 
-    def _run_on_batch(
+    def _attempt(
         self,
-        source: DataSource,
+        source: DataSource | None,
         connections: list[Connection],
         index: int,
         unit: ExecutionUnit,
-        is_query: bool,
-        deadline: float | None,
         span: "Span | None",
-    ) -> Any:
-        """Issue one unit on a pre-acquired connection of its group's batch,
-        ``connections[index]`` — replaced in the batch when a fault closed
-        it — under the retry loop. The cursor comes back issued and booked,
-        and the span still open."""
-
-        def attempt() -> Any:
-            if connections[index].closed:
-                source.pool.release(connections[index])
-                connections[index] = self._pool_acquire(source, deadline)
-            return self._traced(connections[index], unit, span)
-
-        return self._run_attempts(
-            unit.data_source, attempt, is_query=is_query, pinned=None,
-            deadline=deadline, span=span,
-        )
-
-    def _pool_acquire(
-        self,
-        source: DataSource,
         deadline: float | None,
-        timeout: float = 10.0,
-    ) -> Connection:
-        """Acquire one connection, waiting no longer than the statement's
-        remaining deadline budget; out-of-time waits report
-        :class:`DeadlineExceededError` instead of pool exhaustion."""
-        if deadline is not None:
-            timeout = min(timeout, max(0.0, deadline - clock.now()))
+    ) -> Any:
+        """One attempt at ``unit`` on the slot ``connections[index]``; returns
+        the cursor, issued and booked. A pool slot whose connection a fault
+        closed is refilled from ``source``'s pool first; a pinned slot
+        (``source`` None, a transaction's connection) never is. The
+        connection holds ``span`` while it books the window; deleting it
+        restores the class default (None)."""
+        connection = connections[index]
+        if source is not None and connection.closed:
+            source.pool.release(connection)
+            connection = connections[index] = self._acquire_batch(source, 1, deadline)[0]
+        if span is None:
+            return connection.execute(unit.statement, unit.params)
+        connection.trace_span = span
         try:
-            return source.pool.acquire(timeout=timeout)
-        except Exception:
-            self._check_deadline(deadline, source.name)
-            raise
+            return connection.execute(unit.statement, unit.params)
+        finally:
+            del connection.trace_span
 
     def _acquire_batch(
-        self,
-        source: DataSource,
-        count: int,
-        timeout: float = 10.0,
-        deadline: float | None = None,
+        self, source: DataSource, count: int, deadline: float | None = None
     ) -> list[Connection]:
         """Atomically acquire ``count`` connections (deadlock avoidance).
 
         A single connection is a plain acquire (two queries cannot wait on
-        each other over one connection each). When the resilience policy
-        set a statement ``deadline``, the wait is capped by the remaining
-        budget instead of always blocking the full default — a statement
-        out of time reports :class:`DeadlineExceededError` promptly rather
-        than sitting on an exhausted pool for 10 s.
+        each other over one connection each), which reports pool
+        exhaustion. When the resilience policy set a statement
+        ``deadline``, the wait is capped by the remaining budget instead of
+        always blocking the full default — a statement out of time reports
+        :class:`DeadlineExceededError` promptly rather than sitting on an
+        exhausted pool for 10 s.
         """
-        if count == 1:
-            return [self._pool_acquire(source, deadline, timeout)]
+        timeout = 10.0
         if deadline is not None:
             timeout = min(timeout, max(0.0, deadline - clock.now()))
-        batch = source.pool.try_acquire_many(count, timeout)
+        try:
+            batch = (source.pool.try_acquire_many(count, timeout) if count > 1
+                     else [source.pool.acquire(timeout=timeout)])
+        except Exception:
+            self._check_deadline(deadline, source.name)
+            raise
         if batch is None:
             self._check_deadline(deadline, source.name)
             raise ExecutionError(
@@ -783,7 +716,7 @@ class ExecutionEngine:
             )
         source = self._source(ds_name, sources)
         pinned = (held_connections or {}).get(ds_name)
-        connection = pinned if pinned is not None else self._pool_acquire(source, deadline)
+        connection = pinned if pinned is not None else self._acquire_batch(source, 1, deadline)[0]
         out: list[Any] = []
         try:
             raw = connection.execute_pipeline(

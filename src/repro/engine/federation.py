@@ -105,20 +105,17 @@ def federate_select(
     if observability is not None:  # the pulls answered, and are not the statement's units
         for ds_name, count in Counter(unit.data_source for unit, _ in pulls).items():
             observability.on_source_attempt(ds_name, True, count)
-    try:
-        budget = MAX_FEDERATION_ROWS
-        for (_unit, target), shard in zip(pulls, execution.results):
-            columns = shard.columns
-            for row in shard:
-                budget -= 1
-                if budget < 0:
-                    raise UnsupportedSQLError(
-                        f"federated query would materialize more than "
-                        f"{MAX_FEDERATION_ROWS} rows; add narrowing predicates"
-                    )
-                target.insert(dict(zip(columns, row)))
-    finally:
-        execution.release()
+    budget = MAX_FEDERATION_ROWS
+    for (_unit, target), shard in zip(pulls, execution.results):
+        columns = shard.columns
+        for row in shard:
+            budget -= 1
+            if budget < 0:
+                raise UnsupportedSQLError(
+                    f"federated query would materialize more than "
+                    f"{MAX_FEDERATION_ROWS} rows; add narrowing predicates"
+                )
+            target.insert(dict(zip(columns, row)))
     return execute_statement(scratch, statement, context.params)
 
 

@@ -143,7 +143,7 @@ class _Statement:
     #: how many features' ``on_context`` returned: exactly these are owed
     #: one ``on_result`` or one ``on_error``
     admitted: int = 0
-    #: held between the executor and finish; released by finish or by fail
+    #: between the executor and finish (or fail): results, modes, skipped sources
     execution: ExecutionResult | None = None
     #: the open stage's span (traced statements only)
     span: Any = None
@@ -680,14 +680,12 @@ class SQLEngine:
                 st.end(latency.now())
 
     def _finish(self, st: _Statement) -> EngineResult:
-        """Back half of the lifecycle: merge into one list of rows, return
-        the execution's connections, build the :class:`EngineResult`, run
-        ``on_result``, store to the result cache, then record the statement
-        (counters, stage histograms, workload digests, the row count).
-        Anything raised here — a storage error while the merge reads the
-        units included — reaches :meth:`_fail` with ``st.execution`` still
-        attached, so no connection outlives a statement that failed after
-        its storage work."""
+        """Back half of the lifecycle: merge into one list of rows, build
+        the :class:`EngineResult`, run ``on_result``, store to the result
+        cache, then record the statement (counters, stage histograms,
+        workload digests, the row count). Anything raised here — a storage
+        error while the merge reads the units included — reaches
+        :meth:`_fail` with ``st.execution`` still attached."""
         execution, context, units, weight = st.execution, st.context, st.units, st.weight
         result = EngineResult(
             update_count=execution.update_count,
@@ -714,8 +712,6 @@ class SQLEngine:
                 st.end(merger_kind=result.merger_kind)
         else:
             result.merger_kind = "update"
-        # every row the statement returns is in hand: its connections go back
-        execution.release()
 
         for feature in st.snap.features:
             feature.on_result(result, context)
@@ -733,8 +729,8 @@ class SQLEngine:
     def _fail(self, st: _Statement, exc: Exception, reroute: bool = False) -> bool:
         """The only error exit of the lifecycle.
 
-        Releases whatever the statement still holds, closes its open
-        stage span and delivers ``on_error`` to exactly the features
+        Counts the sources that answered if the executor returned, closes
+        the open stage span and delivers ``on_error`` to exactly the features
         whose ``on_context`` returned for this attempt. Returns True when
         the statement may re-enter from routing (``reroute`` offered, an
         idempotent read, a re-routable error, budget left); otherwise
@@ -742,14 +738,12 @@ class SQLEngine:
         False so the caller re-raises.
         """
         execution, st.execution = st.execution, None
-        if execution is not None:
-            execution.release()
-            if self.observability is not None:
-                # its units answered, and on_statement never ran
-                answered = Counter(unit.data_source for unit in st.units
-                                   if unit.data_source not in execution.skipped_sources)
-                for source, count in answered.items():
-                    self.observability.on_source_attempt(source, True, count)
+        if execution is not None and self.observability is not None:
+            # its units answered, and on_statement never ran
+            answered = Counter(unit.data_source for unit in st.units
+                               if unit.data_source not in execution.skipped_sources)
+            for source, count in answered.items():
+                self.observability.on_source_attempt(source, True, count)
         if st.span is not None:
             st.span.finish(error=exc)
             st.span = None

@@ -45,8 +45,10 @@ class DuplicateKeyError(StorageError):
     """A uniqueness constraint (primary key / unique index) was violated."""
 
 
-class TypeCheckError(StorageError):
-    """A value does not conform to the declared column type."""
+class TypeCheckError(StorageError, ValueError):
+    """A value does not conform to the declared column type, or an SQL
+    operator or function cannot take it (``CAST('x' AS INT)``, ``'x' * 2``).
+    Also a ``ValueError``, the class Python's own conversions raise."""
 
 
 class ConnectionPoolExhaustedError(StorageError):

@@ -28,6 +28,7 @@ from ..sql import ast
 from ..sql.formatter import format_expression
 from .executor import _conjuncts
 from .expression import (
+    ARITHMETIC,
     UNKNOWN,
     _as_tvl,
     _cast,
@@ -279,14 +280,6 @@ _NATIVE_COMPARISONS = {
 }
 _FAST_CMP_TYPES = frozenset((int, float, bool))
 
-_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "||": lambda a, b: f"{a}{b}",
-}
-
-
 def _compile_binary(expr: ast.BinaryOp, ctx: CompileContext) -> Getter:
     op = expr.op
     left = compile_scalar(expr.left, ctx)
@@ -381,7 +374,7 @@ def _compile_binary(expr: ast.BinaryOp, ctx: CompileContext) -> Getter:
             return _like_match(str(lhs), str(rhs))
 
         return _tvl(g_like)
-    arith = _ARITHMETIC.get(op)
+    arith = ARITHMETIC.get(op)
     if arith is not None:
         def g_arith(row: Any, params: Sequence[Any]) -> Any:
             lhs = left(row, params)
@@ -391,19 +384,6 @@ def _compile_binary(expr: ast.BinaryOp, ctx: CompileContext) -> Getter:
             return arith(lhs, rhs)
 
         return g_arith
-    if op in ("/", "%"):
-        modulo = op == "%"
-
-        def g_div(row: Any, params: Sequence[Any]) -> Any:
-            lhs = left(row, params)
-            rhs = right(row, params)
-            if lhs is None or rhs is None:
-                return None
-            if rhs == 0:
-                return None  # SQL: division by zero yields NULL
-            return lhs % rhs if modulo else lhs / rhs
-
-        return g_div
     raise ExecutionError(f"unsupported binary operator {op!r}")
 
 

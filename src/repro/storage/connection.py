@@ -7,10 +7,14 @@ statement — also its cursor (``Cursor`` is the same type). A result reads
 its rows when it is first fetched, which is what lets the result merger
 choose stream merging over memory merging.
 
-Isolation note: like the paper's setup, transactional isolation is provided
-by the underlying data source. Our engine implements statement-atomic
-writes with undo-based rollback (roughly READ COMMITTED without MVCC);
-that is sufficient for every behaviour the paper measures.
+Isolation note: in the paper's setup transactional isolation is provided by
+the underlying data source (InnoDB's row locks). This storage gives none
+between connections. Writes are statement-atomic with undo-based rollback,
+but a statement reads the latest value written, committed or not (dirty
+read), and a write may overwrite another transaction's uncommitted write,
+which that transaction's rollback then undoes (dirty write, then a lost
+update). That is weaker than READ UNCOMMITTED, which forbids dirty writes
+(DESIGN.md "Isolation"; ``tests/test_storage_isolation.py``).
 
 A statement is *issued* — run, priced, its I/O window reserved on the
 server's timeline behind this connection's last one — and its window is

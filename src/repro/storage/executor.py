@@ -77,11 +77,6 @@ class QueryResult:
     def rows(self) -> Iterator[tuple[Any, ...]]:
         return iter(self)
 
-    @property
-    def _result(self) -> "QueryResult":
-        """The result itself (a cursor used to hold its result apart)."""
-        return self
-
     def fetchone(self) -> tuple[Any, ...] | None:
         return next(iter(self), None)
 

@@ -1,8 +1,8 @@
 """SQL value primitives shared by compiled plans, the merger and the test oracle.
 
 Three-valued logic (the ``UNKNOWN`` sentinel and its normalisation),
-MySQL-style cross-type comparison, LIKE matching, CAST, the scalar
-function table, NULLs-first sort keys, and the one rule that makes a
+MySQL-style cross-type comparison, LIKE matching, CAST, arithmetic, the
+scalar function table, NULLs-first sort keys, and the one rule that makes a
 value a dict key (:func:`hashable`, and DISTINCT over rows). The compiler
 (:mod:`repro.storage.compiler`) builds closures over these; the reference
 interpreter under ``tests/oracle`` imports the same objects, so the two
@@ -12,31 +12,84 @@ sides cannot drift on 3VL or coercion.
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 from .. import clock
+from ..exceptions import TypeCheckError
 
 UNKNOWN = object()
 """Sentinel for SQL's three-valued UNKNOWN truth value."""
 
+Binary = Callable[[Any, Any], Any]
 
-_SCALAR_FUNCTIONS = {
-    "ABS": lambda args: None if args[0] is None else abs(args[0]),
+
+def _number(value: Any, name: str) -> Any:
+    """An arithmetic operand: a number string is a float, as it is to a
+    comparison (:func:`_compare_values`); any other string is an error."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise TypeCheckError(f"{name}: {value!r} is not a number") from None
+
+
+def _arithmetic(op: str, apply: Binary, divides: bool = False) -> Binary:
+    def arithmetic(left: Any, right: Any) -> Any:
+        if isinstance(left, str) or isinstance(right, str):
+            left, right = _number(left, op), _number(right, op)
+        if divides and right == 0:
+            return None  # SQL: division by zero yields NULL (MySQL default)
+        return apply(left, right)
+
+    return arithmetic
+
+
+#: binary value operators over two non-NULL operands
+ARITHMETIC: dict[str, Binary] = {
+    "+": _arithmetic("+", operator.add),
+    "-": _arithmetic("-", operator.sub),
+    "*": _arithmetic("*", operator.mul),
+    "/": _arithmetic("/", operator.truediv, divides=True),
+    "%": _arithmetic("%", operator.mod, divides=True),
+    "||": lambda a, b: f"{a}{b}",
+}
+
+
+def _checked(name: str, handler: Callable[[list[Any]], Any]) -> Callable[[list[Any]], Any]:
+    """``handler``, raising a :class:`TypeCheckError` that names the function
+    for a value it cannot take, not Python's own exception."""
+    def function(args: list[Any]) -> Any:
+        try:
+            return handler(args)
+        except TypeCheckError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise TypeCheckError(f"{name}(): {exc}") from None
+
+    return function
+
+
+_SCALAR_FUNCTIONS = {name: _checked(name, handler) for name, handler in {
+    "ABS": lambda args: None if args[0] is None else abs(_number(args[0], "ABS")),
     "LOWER": lambda args: None if args[0] is None else str(args[0]).lower(),
     "UPPER": lambda args: None if args[0] is None else str(args[0]).upper(),
     "LENGTH": lambda args: None if args[0] is None else len(str(args[0])),
     "COALESCE": lambda args: next((a for a in args if a is not None), None),
     "IFNULL": lambda args: args[0] if args[0] is not None else args[1],
-    "ROUND": lambda args: None if args[0] is None else round(args[0], int(args[1]) if len(args) > 1 else 0),
-    "FLOOR": lambda args: None if args[0] is None else int(args[0] // 1),
-    "CEIL": lambda args: None if args[0] is None else -int(-args[0] // 1),
-    "MOD": lambda args: None if args[0] is None or not args[1] else args[0] % args[1],
+    "ROUND": lambda args: None if args[0] is None else round(
+        _number(args[0], "ROUND"), int(args[1]) if len(args) > 1 else 0),
+    "FLOOR": lambda args: None if args[0] is None else int(_number(args[0], "FLOOR") // 1),
+    "CEIL": lambda args: None if args[0] is None else -int(-_number(args[0], "CEIL") // 1),
+    "MOD": lambda args: None if args[0] is None or args[1] is None else ARITHMETIC["%"](
+        _number(args[0], "MOD"), _number(args[1], "MOD")),
     "CONCAT": lambda args: None if any(a is None for a in args) else "".join(str(a) for a in args),
     "SUBSTRING": lambda args: _substring(args),
     "NOW": lambda args: datetime.datetime.fromtimestamp(clock.wall()),
-}
+}.items()}
 
 
 def _substring(args: list[Any]) -> Any:
@@ -49,15 +102,17 @@ def _substring(args: list[Any]) -> Any:
     return text[start:]
 
 
+_CASTS = (dict.fromkeys(("INT", "INTEGER", "BIGINT", "SIGNED", "UNSIGNED"), int)
+          | dict.fromkeys(("FLOAT", "DOUBLE", "DECIMAL", "REAL"), float))
+
+
 def _cast(value: Any, target: str) -> Any:
     if value is None:
         return None
-    target = target.upper()
-    if target in ("INT", "INTEGER", "BIGINT", "SIGNED", "UNSIGNED"):
-        return int(value)
-    if target in ("FLOAT", "DOUBLE", "DECIMAL", "REAL"):
-        return float(value)
-    return str(value)
+    try:
+        return _CASTS.get(target.upper(), str)(value)
+    except (TypeError, ValueError) as exc:
+        raise TypeCheckError(f"CAST({value!r} AS {target.upper()}): {exc}") from None
 
 
 def _as_tvl(value: Any) -> Any:

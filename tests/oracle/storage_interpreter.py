@@ -26,8 +26,8 @@ from repro.sql import ast
 from repro.sql.formatter import format_expression
 from repro.storage.executor import QueryResult, _collect_aggregates, _equi_join_columns
 from repro.storage.expression import (
-    UNKNOWN, OrderToken, _as_tvl, _cast, _compare_values, _like_match, _SCALAR_FUNCTIONS, hashable,
-    sort_key,
+    ARITHMETIC, UNKNOWN, OrderToken, _as_tvl, _cast, _compare_values, _like_match,
+    _SCALAR_FUNCTIONS, hashable, sort_key,
 )
 
 Row = dict[str, Any]
@@ -138,18 +138,8 @@ def _eval_binary(expr: ast.BinaryOp, row: Mapping[str, Any], params: Sequence[An
         return _COMPARISONS[op](_compare_values(left, right))
     if op == "LIKE":
         return _like_match(str(left), str(right))
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op in ("/", "%"):
-        if right == 0:
-            return None  # SQL: division by zero yields NULL (MySQL default)
-        return left / right if op == "/" else left % right
-    if op == "||":
-        return f"{left}{right}"
+    if op in ARITHMETIC:
+        return ARITHMETIC[op](left, right)
     raise ExecutionError(f"unsupported binary operator {op!r}")
 
 

@@ -183,7 +183,6 @@ def test_no_simulated_wait_while_holding_a_storage_lock(fake, monkeypatch):
         result = engine.execute(units, is_query=True)
         assert set(result.modes.values()) == {ConnectionMode.CONNECTION_STRICTLY}
         assert len([row for shard in result.results for row in shard]) == len(nodes)
-        result.release()
     finally:
         engine.close()
     assert len(fake.sleeps) > before

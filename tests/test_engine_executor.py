@@ -54,7 +54,6 @@ class TestModeSelection:
         assert result.modes["ds0"] is ConnectionMode.MEMORY_STRICTLY
         rows = [row for shard in result.results for row in shard]
         assert len(rows) == 10
-        result.release()
         engine.close()
 
     def test_single_unit_memory_strictly(self, wide_fleet, wide_rule):
@@ -62,13 +61,12 @@ class TestModeSelection:
         units = units_for("SELECT * FROM t_big WHERE id = 3", wide_rule)
         result = engine.execute(units, is_query=True)
         assert result.modes["ds0"] is ConnectionMode.MEMORY_STRICTLY
-        result.release()
         engine.close()
 
     def test_metrics_count_modes(self, wide_fleet, wide_rule):
         engine = ExecutionEngine(wide_fleet, max_connections_per_query=1)
-        engine.execute(units_for("SELECT * FROM t_big", wide_rule), is_query=True).release()
-        engine.execute(units_for("SELECT * FROM t_big WHERE id = 1", wide_rule), is_query=True).release()
+        engine.execute(units_for("SELECT * FROM t_big", wide_rule), is_query=True)
+        engine.execute(units_for("SELECT * FROM t_big WHERE id = 1", wide_rule), is_query=True)
         snap = engine.metrics.snapshot()
         assert snap["connection_strictly"] == 1
         assert snap["memory_strictly"] == 1
@@ -78,13 +76,14 @@ class TestModeSelection:
 
 class TestConnectionHandling:
     def test_memory_strictly_releases_after_consumption(self, wide_fleet, wide_rule):
+        """The ten memory-strictly connections are back when ``execute``
+        returns; the lazy cursors are read afterwards without them."""
         ds = wide_fleet["ds0"]
         engine = ExecutionEngine(wide_fleet, max_connections_per_query=10)
         units = units_for("SELECT * FROM t_big", wide_rule)
         result = engine.execute(units, is_query=True)
-        assert ds.pool.in_use == 10  # cursors still streaming
-        result.release()
         assert ds.pool.in_use == 0
+        assert sum(1 for shard in result.results for _ in shard) == 10
         engine.close()
 
     def test_connection_strictly_releases_immediately(self, wide_fleet, wide_rule):
@@ -148,13 +147,13 @@ class TestParallelism:
 
         parallel_engine = ExecutionEngine({"ds0": ds}, max_connections_per_query=10)
         fake.sleeps.clear()
-        parallel_engine.execute(units, is_query=True).release()
+        parallel_engine.execute(units, is_query=True)
         assert fake.slept == pytest.approx(3 * 2e-3)
         parallel_engine.close()
 
         serial_engine = ExecutionEngine({"ds0": ds}, max_connections_per_query=1)
         fake.sleeps.clear()
-        serial_engine.execute(units, is_query=True).release()
+        serial_engine.execute(units, is_query=True)
         assert fake.sleeps == [pytest.approx(10 * 2e-3)]
         serial_engine.close()
 
@@ -178,7 +177,7 @@ class TestParallelism:
         def worker():
             try:
                 for _ in range(20):
-                    engine.execute(units, is_query=True).release()
+                    engine.execute(units, is_query=True)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 

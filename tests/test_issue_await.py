@@ -25,7 +25,7 @@ from repro.exceptions import ExecutionError
 from repro.observability.trace import Tracer
 from repro.sharding import ShardingRule, build_auto_table_rule
 from repro.sql import parse
-from repro.storage import DataSource, FaultInjector, LatencyModel
+from repro.storage import DataSource, FaultInjector, LatencyModel, QueryResult
 from repro.storage.faults import FaultKind
 from repro.storage.latency import IOTimeline
 from repro.transaction import (
@@ -134,14 +134,14 @@ class TestExecuteIsIssueThenWait:
             at_issue = fake.slept - before
             # a write's implicit commit is applied at issue; its cost opens the window
             commit = issued.latency.commit_cost() if sql.startswith("UPDATE") else 0.0
-            assert two.ready_at == approx(fake.t + commit + two._result.cost)
+            assert two.ready_at == approx(fake.t + commit + two.cost)
             assert booked.ready_at == two.ready_at
-            assert booked.priced == approx(commit + two._result.cost)
+            assert booked.priced == approx(commit + two.cost)
         slept_issued = fake.slept - before
 
         assert one.fetchall() == two.fetchall()
         assert one.rowcount == two.rowcount
-        assert one._result.cost == two._result.cost > 0
+        assert one.cost == two.cost > 0
         assert slept_blocking == approx(slept_issued)
         assert at_issue == 0  # nothing is waited for in place
 
@@ -154,7 +154,7 @@ class TestExecuteIsIssueThenWait:
             assert first > 0 and fake.sleeps == []
             cursor.execute("SELECT id FROM acc WHERE id = 2")
             # the second window queued behind the first, on the same connection
-            assert cursor.ready_at == approx(first + cursor._result.cost)
+            assert cursor.ready_at == approx(first + cursor.cost)
         assert fake.t == approx(cursor.ready_at) and len(fake.sleeps) == 1
         slept = fake.slept
         assert cursor.fetchall() == [(2,)] and fake.slept == slept
@@ -171,7 +171,7 @@ class TestExecuteIsIssueThenWait:
             ds.release(conn)
             second = elsewhere(lambda: ds.connect().execute("SELECT id FROM acc WHERE id = 2"))
             assert second.connection is conn
-        assert fake.t == approx(first.ready_at + second._result.cost)
+        assert fake.t == approx(first.ready_at + second.cost)
         assert conn.free_at == second.ready_at == fake.t
         assert first.fetchall() == [(1,)] and second.fetchall() == [(2,)]
         assert len(fake.sleeps) == 1  # the first's window was over by then
@@ -227,7 +227,7 @@ class TestPendingCursorWaitsFirst:
             assert read(cursor) in ((1,), [(1,), (2,)], [(1,), (2,), (3,)])
             assert fake.slept == 0
         assert fake.t == approx(cursor.ready_at)
-        assert fake.sleeps == [approx(cursor._result.cost)]
+        assert fake.sleeps == [approx(cursor.cost)]
 
 
 # -- (d) what used to wait inside a statement is part of its window -----------------
@@ -244,7 +244,7 @@ class TestHopAndSpikeAreDeadlines:
             first = ds.connect().execute("SELECT id FROM acc WHERE id = 1")
             second = ds.connect().execute("SELECT id FROM acc WHERE id = 2")
             assert fake.sleeps == []  # the second was issued at the first's instant
-        cost = first._result.cost
+        cost = first.cost
         assert first.ready_at - t0 == approx(self.HOP + cost)
         assert second.ready_at - t0 == approx(self.HOP + cost)
         assert fake.sleeps == [approx(self.HOP + cost)]
@@ -275,13 +275,13 @@ class TestHopAndSpikeAreDeadlines:
             spiked = ds.connect().execute("SELECT id FROM acc WHERE id = 1")
             plain = ds.connect().execute("SELECT id FROM acc WHERE id = 2")
             assert fake.sleeps == []
-        assert spiked.ready_at - t0 == approx(self.SPIKE + spiked._result.cost)
-        assert plain.ready_at - t0 == approx(plain._result.cost)
+        assert spiked.ready_at - t0 == approx(self.SPIKE + spiked.cost)
+        assert plain.ready_at - t0 == approx(plain.cost)
         # blocking, the spike is part of the one window slept for, as booked
         fake.sleeps.clear()
         injector.fail_once(ds.name, "statement", FaultKind.LATENCY)
         ds.connect().execute("SELECT id FROM acc WHERE id = 1")
-        assert fake.sleeps == [approx(self.SPIKE + spiked._result.cost)]
+        assert fake.sleeps == [approx(self.SPIKE + spiked.cost)]
         assert injector.injected(ds.name, FaultKind.LATENCY) == 2
 
     def test_a_spike_on_commit_is_paid_with_the_commit(self, fake):
@@ -342,16 +342,14 @@ class TestReadFanOut:
         assert len(units) == SHARDS
         with starts_no_thread():
             result = engine.execute(units, is_query=True)
-        costs = [cursor._result.cost for cursor in result.results]
+        costs = [cursor.cost for cursor in result.results]
         assert len(costs) == SHARDS and min(costs) > 0
         assert fake.sleeps == [approx(max(costs))]  # once, for the max, not the sum
         assert all(cursor.ready_at <= fake.t for cursor in result.results)
-        # streaming: the connections are out until the merged rows are drained
-        assert in_use(sources) == SHARDS
-        rows = sorted(row for shard in result.results for row in shard)
-        result.release()
-        assert rows == [(i, i * 10) for i in range(SHARDS)]
+        # every connection is back; the lazy cursors are read without one
         assert in_use(sources) == 0
+        rows = sorted(row for shard in result.results for row in shard)
+        assert rows == [(i, i * 10) for i in range(SHARDS)]
 
     def test_a_unit_that_raises_at_issue(self, fake, fanout):
         sources, rule, engine = fanout
@@ -374,7 +372,6 @@ class TestReadFanOut:
         injector.fail_once("ds2", "statement", FaultKind.TRANSIENT)
         result = engine.execute(units_of(rule, self.SQL), is_query=True)
         rows = sorted(row for shard in result.results for row in shard)
-        result.release()
         assert rows == [(i, i * 10) for i in range(SHARDS)]
         assert engine.metrics.retries == 1
         assert in_use(sources) == 0
@@ -385,9 +382,9 @@ class TestReadFanOut:
 
         class Heat:
             def unit_done(self, unit, wall, cursor, rows):
-                seen.append((wall, cursor._result.cost))
+                seen.append((wall, cursor.cost))
 
-        engine.execute(units_of(rule, self.SQL), is_query=True, heat=Heat()).release()
+        engine.execute(units_of(rule, self.SQL), is_query=True, heat=Heat())
         assert len(seen) == SHARDS
         assert all(wall == approx(cost) for wall, cost in seen)
 
@@ -396,7 +393,6 @@ class TestReadFanOut:
         units = units_of(rule, self.SQL)
         plain = engine.execute(units, is_query=True)
         plain_rows = sorted(row for shard in plain.results for row in shard)
-        plain.release()
         slept_plain = fake.slept
         fake.sleeps.clear()
 
@@ -405,7 +401,6 @@ class TestReadFanOut:
         with starts_no_thread():
             traced = engine.execute(units, is_query=True, trace=trace, parent_span=root)
         traced_rows = sorted(row for shard in traced.results for row in shard)
-        traced.release()
         assert traced_rows == plain_rows
         assert fake.slept == approx(slept_plain)
         spans = [span for span in trace.spans if span.name == "storage"]
@@ -426,7 +421,6 @@ class TestReadFanOut:
             sources["ds3"].io_timeline.reserve(0.5)  # every channel booked for half a second
         trace = Tracer(enabled=True).start_trace(self.SQL)
         result = engine.execute(units_of(rule, self.SQL), is_query=True, trace=trace)
-        result.release()
         waits = {span.attributes["data_source"]: span.lock_wait
                  for span in trace.spans if span.name == "storage"}
         assert waits["ds3"] == approx(0.5) and waits["ds0"] == 0
@@ -442,15 +436,17 @@ class TestReadFanOut:
             with starts_no_thread():
                 result = engine.execute(units_of(rule, self.SQL), is_query=True,
                                         held_connections=held)
-            streamed = [shard for shard in result.results if hasattr(shard, "_result")]
-            costs = {cursor._result.cost for cursor in streamed}
+            # the pool groups' connections are back; the pinned two are the caller's
+            assert in_use(sources) == 2
             rows = sorted(row for shard in result.results for row in shard)
-            result.release()
         finally:
             for name, connection in held.items():
                 sources[name].release(connection)
         assert rows == [(i, i * 10) for i in range(SHARDS)]
-        assert len(streamed) == SHARDS // 2 and len(costs) == 1  # every unit costs the same
+        # a lane's units are lazy cursors too, and every unit costs the same
+        assert all(isinstance(shard, QueryResult) for shard in result.results)
+        costs = {cursor.cost for cursor in result.results}
+        assert len(result.results) == SHARDS and len(costs) == 1
         assert fake.sleeps == [approx(4 * costs.pop())]
         assert {name: mode.value for name, mode in result.modes.items()} == {
             "ds0": "connection_strictly", "ds1": "connection_strictly",
@@ -463,14 +459,16 @@ class TestReadFanOut:
 GONE = ("_StealScheduler", "submit_helpers", "fanout_workers", "SubmitHelpers",
         "caller_only", "coalesce_timers", "precise_timers", "ThreadPoolExecutor",
         "def submit(", "commit_async", "_RowBudget", "ss-exec",
-        "pay_all", "_pay_traced", "acquisition_lock", "clock.sleep(0.001)")
+        "pay_all", "_pay_traced", "acquisition_lock", "clock.sleep(0.001)",
+        "_run_on_batch", "def _traced", "finalizers", "execution.release(")
 
 
 def test_no_blocking_fan_out_machinery_is_left():
     """Every statement unit, every federated pull and every transaction
     verb is issued by its caller and awaited: the scheduler, the commit
     helpers, the timer roles they needed, the engine's worker pool and
-    BASE's asynchronous commit are gone, and stay gone."""
+    BASE's asynchronous commit are gone, and stay gone. So is the release
+    protocol of held connections: the executor returns every one itself."""
     package = Path(repro.__file__).resolve().parent
     found = [f"{path.relative_to(package.parent)}:{lineno}: {name}"
              for path in sorted(package.rglob("*.py"))

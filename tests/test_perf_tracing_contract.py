@@ -278,8 +278,8 @@ def test_an_issued_fan_out_is_still_seen_unit_by_unit(monkeypatch):
     assert {s[tracing.PARENT] for s in doors} == {executor[tracing.ID]}
     (pay,) = pays
     assert pay[tracing.NAME] == "latency.pay" and pay[tracing.PARENT] == boundary[tracing.ID]
-    assert pay[tracing.VALUE] == pytest.approx(sum(c._result.cost for c in cursors))
-    assert min(c._result.cost for c in cursors) > 0
+    assert pay[tracing.VALUE] == pytest.approx(sum(c.cost for c in cursors))
+    assert min(c.cost for c in cursors) > 0
     # issued first, paid after: every door and the executor are done before the pay
     assert max(s[tracing.END] for s in doors + [executor]) <= pay[tracing.START]
 

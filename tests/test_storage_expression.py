@@ -6,11 +6,14 @@ the same expression over a tuple row; ``ev`` returns the value only after
 the two agree.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ColumnNotFoundError, StorageError
+from repro.adaptors import ShardingDataSource, ShardingRuntime
+from repro.exceptions import ColumnNotFoundError, StorageError, TypeCheckError
 from repro.sql import parse_expression
 from repro.storage.compiler import CompileContext, RowLayout, compile_scalar
 from repro.storage.expression import UNKNOWN, sort_key
@@ -74,6 +77,15 @@ class TestArithmetic:
 
     def test_string_concat_operator(self):
         assert ev("'a' || 'b'") == "ab"
+
+    def test_a_number_string_operand_converts_as_a_comparison_does(self):
+        assert ev("s * 2", {"s": "3"}) == 6.0
+        assert ev("s - 1", {"s": "3"}) == 2.0
+        assert ev("n + s", {"n": 1, "s": "3"}) == 4.0
+        assert ev("s / 2", {"s": "3"}) == 1.5
+        assert ev("s % 0", {"s": "3"}) is None
+        assert ev("s * 2 = 6", {"s": "3"}) is True
+        assert ev("MOD(s, 2)", {"s": "3"}) == 1.0 and ev("ABS(s)", {"s": "-3"}) == 3.0
 
 
 class TestComparisons:
@@ -239,3 +251,45 @@ def test_comparison_trichotomy(a, b):
     eq = ev(f"{a} = {b}")
     gt = ev(f"{a} > {b}")
     assert [lt, eq, gt].count(True) == 1
+
+
+@pytest.fixture(scope="module")
+def sharding():
+    """A client connection over one source holding ``u``, whose ``s`` is no
+    number, and ``n``, whose ``s`` are number strings."""
+    runtime = ShardingRuntime()
+    connection = ShardingDataSource(runtime).get_connection()
+    connection.execute("REGISTER RESOURCE ds0")
+    connection.execute("CREATE TABLE u (id INT PRIMARY KEY, s VARCHAR(8))")
+    connection.execute("INSERT INTO u (id, s) VALUES (1, 'x')")
+    connection.execute("CREATE TABLE n (id INT PRIMARY KEY, s VARCHAR(8))")
+    connection.execute("INSERT INTO n (id, s) VALUES (2, '3'), (3, '4')")
+    yield connection
+    connection.close()
+    runtime.close()
+
+
+@pytest.mark.parametrize("expression, name", [
+    ("CAST(s AS INT)", "CAST"),
+    ("CAST(s AS DOUBLE)", "CAST"),
+    ("ABS(s)", "ABS"),
+    ("ROUND(s)", "ROUND"),
+    ("SUBSTRING(s, s)", "SUBSTRING"),
+    ("MOD(s, 2)", "MOD"),
+    ("s * 2", "*"),
+    ("s - 1", "-"),
+    ("id + s", "+"),
+    ("s / 2", "/"),
+])
+def test_a_value_the_sql_cannot_take_is_a_type_check_error(sharding, expression, name):
+    """Not Python's own ``ValueError`` or ``TypeError``, and the error names
+    the function or operator; compiled plans and the oracle agree."""
+    with pytest.raises(TypeCheckError, match=re.escape(name)):
+        sharding.execute(f"SELECT {expression} FROM u WHERE id = 1")
+    with pytest.raises(TypeCheckError):
+        ev(expression, {"id": 1, "s": "x"})
+
+
+def test_arithmetic_on_a_number_string_finds_its_row(sharding):
+    assert sharding.execute("SELECT id FROM n WHERE s * 2 = 6").fetchall() == [(2,)]
+    assert sharding.execute("SELECT s - 1, id + s FROM n WHERE id = 2").fetchall() == [(2.0, 5.0)]

@@ -101,7 +101,7 @@ class TestPaymentAttribution:
         span = conn.trace_span = Span(1, 1, "storage")
         # a writer ahead of us: the table's write I/O is booked for HOLD
         held_until = ds.io_timeline.reserve(self.HOLD, table)
-        priced = conn.execute("UPDATE acc SET bal = bal - 1 WHERE id = 1")._result.cost
+        priced = conn.execute("UPDATE acc SET bal = bal - 1 WHERE id = 1").cost
 
         slack = 0.06  # scheduling noise on a shared host; under either term
         assert priced > 0

@@ -457,7 +457,6 @@ class TestWorkStealing:
         snap = engine.metrics.snapshot()
         assert (snap["queued_tasks"], snap["steals"]) == (0, 0)
         assert snap["memory_strictly"] == 1 and snap["statements"] == SHARDS
-        result.release()
         assert sources["ds0"].pool.in_use == 0
         engine.close()
 
