@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from ..exceptions import MergeError
-from ..storage.expression import distinct_rows, order_key, sort_key
+from ..storage.expression import aggregate, distinct_rows, hashable, order_key
 
 
 class ShardResult(Protocol):
@@ -172,78 +172,50 @@ def _heap_merge(
 
 
 # ---------------------------------------------------------------------------
-# Aggregation (no GROUP BY)
+# Aggregates: storage's rule over each group's partials
 # ---------------------------------------------------------------------------
 
+def _partials(rows: list[tuple[Any, ...]], index: int) -> list[Any]:
+    return [value for row in rows if (value := row[index]) is not None]
 
-class _AggAccumulator:
-    """Combines one aggregate column across shard partials."""
 
-    def __init__(self, spec: AggregateSpec):
-        self.spec = spec
-        self.count_total: Any = None
-        self.sum_total: Any = None
-        self.value: Any = None
-        self.seen = False
+def _combine(agg: AggregateSpec, rows: list[tuple[Any, ...]]) -> Any:
+    """One aggregate of a group from its shard partials, folded by
+    storage's rule (:func:`~repro.storage.expression.aggregate`) over the
+    non-NULL ones: COUNT and SUM partials by SUM, MIN and MAX by
+    themselves; AVG is the SUM of the derived sums over the SUM of the
+    derived counts."""
+    func = agg.func
+    if agg.distinct and func in ("COUNT", "SUM", "AVG"):
+        # Per-shard distinct sets may overlap, so their counts/sums
+        # cannot be added. Upstream routes such queries to federation;
+        # we fail loudly instead of merging a wrong answer.
+        raise MergeError(
+            f"{func}(DISTINCT ...) cannot be merged across shards; "
+            "add a sharding condition so the query routes to one shard"
+        )
+    if func == "AVG":
+        count = aggregate("SUM", _partials(rows, agg.count_index))
+        return aggregate("SUM", _partials(rows, agg.sum_index)) / count if count else None
+    value = aggregate("SUM" if func == "COUNT" else func, _partials(rows, agg.index))
+    return 0 if value is None and func == "COUNT" else value
 
-    def feed(self, row: tuple[Any, ...]) -> None:
-        func = self.spec.func
-        if self.spec.distinct and func in ("COUNT", "SUM", "AVG"):
-            # Per-shard distinct sets may overlap, so their counts/sums
-            # cannot be added. Upstream routes such queries to federation;
-            # we fail loudly instead of merging a wrong answer.
-            raise MergeError(
-                f"{func}(DISTINCT ...) cannot be merged across shards; "
-                "add a sharding condition so the query routes to one shard"
-            )
-        partial = row[self.spec.index]
-        if func == "AVG":
-            count_part = row[self.spec.count_index] if self.spec.count_index is not None else None
-            sum_part = row[self.spec.sum_index] if self.spec.sum_index is not None else None
-            if count_part:
-                self.count_total = (self.count_total or 0) + count_part
-                self.sum_total = (self.sum_total or 0) + (sum_part or 0)
-            return
-        if partial is None:
-            return
-        if func in ("SUM", "COUNT"):
-            self.value = partial if self.value is None else self.value + partial
-        elif func == "MAX":
-            self.value = partial if not self.seen else max(self.value, partial, key=sort_key)
-            self.seen = True
-        elif func == "MIN":
-            self.value = partial if not self.seen else min(self.value, partial, key=sort_key)
-            self.seen = True
-        else:
-            raise MergeError(f"cannot merge aggregate {func}")
 
-    def result(self) -> Any:
-        if self.spec.func == "AVG":
-            if not self.count_total:
-                return None
-            return self.sum_total / self.count_total
-        if self.spec.func == "COUNT" and self.value is None:
-            return 0
-        return self.value
+def _combine_group(spec: MergeSpec, rows: list[tuple[Any, ...]]) -> tuple[Any, ...]:
+    """The group's first row, its aggregate columns combined."""
+    out = list(rows[0])
+    for agg in spec.aggregates:
+        out[agg.index] = _combine(agg, rows)
+    return tuple(out)
 
 
 def _merge_aggregation(
     spec: MergeSpec, results: Sequence[ShardResult], columns: list[str]
 ) -> tuple[Any, ...]:
-    accumulators = [_AggAccumulator(a) for a in spec.aggregates]
-    sample: tuple[Any, ...] | None = None
-    for result in results:
-        for row in result:
-            if sample is None:
-                sample = row
-            for acc in accumulators:
-                acc.feed(row)
-    if sample is None:
-        sample = tuple(None for _ in columns)
-    out = list(sample)
-    for acc in accumulators:
-        out[acc.spec.index] = acc.result()
-    return tuple(out)
+    """No GROUP BY: every shard's rows are one group (a row of NULLs
+    stands in for the first row when there is none)."""
+    rows = list(itertools.chain.from_iterable(results))
+    return _combine_group(spec, rows or [(None,) * len(columns)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +224,7 @@ def _merge_aggregation(
 
 
 def _group_key(row: tuple[Any, ...], group_indexes: list[int]) -> tuple:
-    return tuple(sort_key(row[i]) for i in group_indexes)
-
-
-def _combine_group(
-    spec: MergeSpec, rows: list[tuple[Any, ...]]
-) -> tuple[Any, ...]:
-    out = list(rows[0])
-    for agg in spec.aggregates:
-        acc = _AggAccumulator(agg)
-        for row in rows:
-            acc.feed(row)
-        out[agg.index] = acc.result()
-    return tuple(out)
+    return tuple([hashable(row[i]) for i in group_indexes])
 
 
 def _fold_adjacent_groups(
@@ -299,17 +259,10 @@ def _memory_group(
 ) -> list[tuple[Any, ...]]:
     """Memory group merge: hash-aggregate every row, then re-sort."""
     groups: dict[tuple, list[tuple[Any, ...]]] = {}
-    order: list[tuple] = []
     for result in results:
         for row in result:
-            key = _group_key(row, group_indexes)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [row]
-                order.append(key)
-            else:
-                bucket.append(row)
-    combined = [_combine_group(spec, groups[key]) for key in order]
+            groups.setdefault(_group_key(row, group_indexes), []).append(row)
+    combined = [_combine_group(spec, rows) for rows in groups.values()]
     if order_indexes:
         key, reverse = _order_key(order_indexes)
         combined.sort(key=key, reverse=reverse)

@@ -56,15 +56,7 @@ from ..sql.formatter import format_statement
 from ..sql.normalize import COMPARISONS
 from .context import StatementContext, build_context
 from .merger import MergeSpec
-from .rewriter import (
-    ExecutionUnit,
-    _build_merge_spec,
-    _derive_columns,
-    _iter_expressions,
-    _optimize_stream_merge,
-    _rename_tables,
-    _revise_pagination,
-)
+from .rewriter import ExecutionUnit, _iter_expressions, shape, unit_statement
 from .router import RouteResult, RouteUnit, route
 
 if TYPE_CHECKING:
@@ -110,9 +102,8 @@ class CompiledPlan:
     __slots__ = (
         "sql", "statement", "cacheable", "reason", "fingerprint",
         "logic_tables", "alias_map", "condition_template", "param_count",
-        "single_table", "is_select", "hits", "literal_safe",
-        "_templates", "_lock", "_shared_multi",
-        "_merge_spec_single", "_merge_spec_multi",
+        "single_table", "hits", "literal_safe",
+        "_templates", "_lock", "_shapes",
         "_route_memo", "_memo_table_rule", "_all_nodes", "_unit_memo",
     )
 
@@ -132,13 +123,12 @@ class CompiledPlan:
         self.literal_safe = True
         #: lowered logic table for the single-sharded-table fast route
         self.single_table: str | None = None
-        self.is_select = isinstance(statement, ast.SelectStatement)
         self.hits = 0
         self._templates: dict[Any, UnitTemplate] = {}
         self._lock = threading.Lock()
-        self._shared_multi: ast.SelectStatement | None = None
-        self._merge_spec_single: MergeSpec | None = None
-        self._merge_spec_multi: MergeSpec | None = None
+        #: multi-node? -> the statement the units are cut from, and their
+        #: merge spec (:func:`repro.engine.rewriter.shape`)
+        self._shapes: dict[bool, tuple[ast.Statement, MergeSpec]] = {}
         #: point-lookup memo: (column, value) -> data nodes, valid for one
         #: TableRule object (identity-checked; rule changes drop the plan
         #: anyway via cache invalidation)
@@ -275,7 +265,7 @@ class CompiledPlan:
                           template.statement, unit, template.dialect, template.sql)
             for unit, template in zip(route_units, templates)
         ]
-        return units, self._merge_spec(multi)
+        return units, self._shape(multi)[1]
 
     def _template(self, unit: RouteUnit, multi: bool,
                   dialect_of: Callable[[str], "Dialect"]) -> UnitTemplate:
@@ -291,20 +281,7 @@ class CompiledPlan:
             template = self._templates.get(key)
             if template is not None:
                 return template
-            base: ast.Statement = self.statement  # type: ignore[assignment]
-            if multi and self.is_select:
-                base = self._shared_multi_statement()
-            statement = ast.clone_statement(base)
-            _rename_tables(statement, unit)
-            placeholders = [
-                node
-                for expr in _iter_expressions(statement)
-                for node in expr.walk()
-                if isinstance(node, ast.Placeholder)
-            ]
-            param_order = tuple(p.index for p in placeholders)
-            for position, placeholder in enumerate(placeholders):
-                placeholder.index = position
+            statement, param_order = unit_statement(self._shape(multi)[0], unit)
             dialect = dialect_of(unit.data_source)
             sql = format_statement(statement, dialect)
             # Stable cache key for the storage engine's compiled-plan layer:
@@ -315,37 +292,14 @@ class CompiledPlan:
             self._templates[key] = template
             return template
 
-    def _shared_multi_statement(self) -> ast.SelectStatement:
-        """The multi-node SELECT skeleton (derived columns, revised
-        pagination, stream-merge ORDER BY) — built once, under _lock."""
-        shared = self._shared_multi
-        if shared is None:
-            logical = self.statement
-            assert isinstance(logical, ast.SelectStatement)
-            shared = ast.clone_statement(logical)
-            assert isinstance(shared, ast.SelectStatement)
-            _optimize_stream_merge(shared)
-            _derive_columns(shared)
-            # No placeholders in LIMIT (cacheability rule), so params are
-            # irrelevant for pagination revision and the merge spec.
-            _revise_pagination(shared, ())
-            self._merge_spec_multi = _build_merge_spec(logical, shared, False, ())
-            self._shared_multi = shared
-        return shared
-
-    def _merge_spec(self, multi: bool) -> MergeSpec:
-        if not self.is_select:
-            return MergeSpec(is_query=False, single_node=not multi)
-        with self._lock:
-            if multi:
-                if self._merge_spec_multi is None:
-                    self._shared_multi_statement()
-                return self._merge_spec_multi  # type: ignore[return-value]
-            if self._merge_spec_single is None:
-                logical = self.statement
-                assert isinstance(logical, ast.SelectStatement)
-                self._merge_spec_single = _build_merge_spec(logical, logical, True, ())
-            return self._merge_spec_single
+    def _shape(self, multi: bool) -> tuple[ast.Statement, MergeSpec]:
+        """The plan's shape for one or several nodes, made once. A plan has
+        no placeholder in LIMIT (cacheability rule), so the shape takes no
+        parameters; two threads shaping at once make equal shapes."""
+        found = self._shapes.get(multi)
+        if found is None:
+            found = self._shapes[multi] = shape(self.statement, not multi)  # type: ignore[arg-type]
+        return found
 
     @property
     def template_count(self) -> int:
@@ -409,7 +363,11 @@ def _compile(sql: str, statement: ast.Statement, rule: ShardingRule,
     plan.alias_map = template_context.alias_map
     plan.condition_template = template_context.conditions
     sharded = {t.lower(): None for t in plan.logic_tables if rule.is_sharded(t)}
-    if len(sharded) == 1:
+    # a table in no rule lives on the default source only: the router
+    # decides whether the sharded table's units may join it
+    in_no_rule = [t for t in plan.logic_tables
+                  if not rule.is_sharded(t) and not rule.is_broadcast(t)]
+    if len(sharded) == 1 and not in_no_rule:
         plan.single_table = next(iter(sharded))
     return plan
 

@@ -14,10 +14,15 @@ Correctness rewrite:
 
 Optimization rewrite:
 
-- *single-node optimization* — a single-unit route skips derivation,
-  pagination revision and insert splitting entirely;
+- *single-node optimization* — a single-unit route skips derivation and
+  pagination revision entirely;
 - *stream-merger optimization* — ``GROUP BY`` without ``ORDER BY`` gains
   an ORDER BY on the group keys, turning memory merge into stream merge.
+
+Every unit is built in two steps, here and in a compiled plan alike:
+:func:`shape` makes the statement the units are cut from and the merge
+spec (once per statement, or once per plan), and :func:`unit_statement`
+cuts one unit's statement from it.
 """
 
 from __future__ import annotations
@@ -75,51 +80,64 @@ def rewrite(
 ) -> RewriteResult:
     """Rewrite the logical statement into per-unit executable SQL."""
     resolver = dialect_of or (lambda name: SQL92)
-    statement = context.statement
-    single_node = route_result.is_single
-
-    if isinstance(statement, ast.SelectStatement):
-        return _rewrite_select(context, route_result, resolver, single_node)
-    if isinstance(statement, ast.InsertStatement):
-        return _rewrite_insert(context, route_result, resolver, single_node)
-    return _rewrite_generic(context, route_result, resolver)
-
-
-# ---------------------------------------------------------------------------
-# SELECT
-# ---------------------------------------------------------------------------
-
-
-def _rewrite_select(
-    context: StatementContext,
-    route_result: RouteResult,
-    resolver: DialectResolver,
-    single_node: bool,
-) -> RewriteResult:
-    logical = context.statement
-    assert isinstance(logical, ast.SelectStatement)
-    if single_node:
-        # Single-node optimization: no derivation / pagination revision /
-        # stream-merge rewrite, so the logical AST can be shared read-only.
-        shared = logical
-    else:
-        shared = ast.clone_statement(logical)
-        assert isinstance(shared, ast.SelectStatement)
-        _optimize_stream_merge(shared)
-        _derive_columns(shared)
-        _revise_pagination(shared, context.params)
-
-    merge_spec = _build_merge_spec(logical, shared, single_node, context.params)
-
+    params = context.params
+    base, merge_spec = shape(context.statement, route_result.is_single, params)
     result = RewriteResult(merge_spec=merge_spec)
     for unit in route_result.units:
-        per_unit = ast.clone_statement(shared)
-        _rename_tables(per_unit, unit)
-        params = _collect_params(per_unit, context.params)
-        result.execution_units.append(
-            ExecutionUnit(unit.data_source, params, per_unit, unit, resolver(unit.data_source))
-        )
+        statement, order = unit_statement(base, unit)
+        try:
+            unit_params = tuple(map(params.__getitem__, order))
+        except IndexError:
+            missing = next(index for index in order if index >= len(params))
+            raise RewriteError(f"missing parameter for placeholder #{missing}") from None
+        result.execution_units.append(ExecutionUnit(
+            unit.data_source, unit_params, statement, unit, resolver(unit.data_source)))
     return result
+
+
+def shape(statement: ast.Statement, single_node: bool,
+          params: Sequence[Any] = ()) -> tuple[ast.Statement, MergeSpec]:
+    """The statement every unit is cut from, and how the units' results
+    merge. A SELECT over several nodes is cloned and gains the stream-merge
+    ORDER BY, the derived columns and the revised pagination; on one node
+    (single-node optimization), and for any other statement, it is the
+    logical statement itself, shared read-only."""
+    if not isinstance(statement, ast.SelectStatement):
+        return statement, MergeSpec(is_query=False, single_node=single_node)
+    shaped = statement
+    if not single_node:
+        shaped = ast.clone_statement(statement)
+        assert isinstance(shaped, ast.SelectStatement)
+        _optimize_stream_merge(shaped)
+        _derive_columns(shaped)
+        _revise_pagination(shaped, params)
+    return shaped, _build_merge_spec(statement, shaped, single_node, params)
+
+
+def unit_statement(base: ast.Statement,
+                   unit: RouteUnit) -> tuple[ast.Statement, tuple[int, ...]]:
+    """``base`` cut for one unit: a clone whose INSERT values rows are the
+    unit's, whose logic tables are the unit's actual tables and whose
+    placeholders are numbered from 0 — with the caller's parameter index
+    for each of them, in order."""
+    statement = ast.clone_statement(base)
+    rows = unit.row_indexes
+    if (rows is not None and isinstance(statement, ast.InsertStatement)
+            and len(rows) < len(statement.values_rows)):
+        statement.values_rows = [statement.values_rows[i] for i in rows]
+    _rename_tables(statement, unit)
+    order: list[int] = []
+    for expr in _iter_expressions(statement):
+        for node in expr.walk():
+            if isinstance(node, ast.Placeholder):
+                order.append(node.index)
+                node.index = len(order) - 1
+    return statement, tuple(order)
+
+
+# ---------------------------------------------------------------------------
+# SELECT shaping
+# ---------------------------------------------------------------------------
 
 
 def _optimize_stream_merge(stmt: ast.SelectStatement) -> None:
@@ -318,55 +336,7 @@ def _build_merge_spec(
 
 
 # ---------------------------------------------------------------------------
-# INSERT
-# ---------------------------------------------------------------------------
-
-
-def _rewrite_insert(
-    context: StatementContext,
-    route_result: RouteResult,
-    resolver: DialectResolver,
-    single_node: bool,
-) -> RewriteResult:
-    logical = context.statement
-    assert isinstance(logical, ast.InsertStatement)
-    result = RewriteResult(merge_spec=MergeSpec(is_query=False, single_node=single_node))
-    for unit in route_result.units:
-        per_unit = ast.clone_statement(logical)
-        assert isinstance(per_unit, ast.InsertStatement)
-        if unit.row_indexes is not None and not single_node:
-            per_unit.values_rows = [per_unit.values_rows[i] for i in unit.row_indexes]
-        _rename_tables(per_unit, unit)
-        params = _collect_params(per_unit, context.params)
-        result.execution_units.append(
-            ExecutionUnit(unit.data_source, params, per_unit, unit, resolver(unit.data_source))
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Other statements
-# ---------------------------------------------------------------------------
-
-
-def _rewrite_generic(
-    context: StatementContext, route_result: RouteResult, resolver: DialectResolver
-) -> RewriteResult:
-    result = RewriteResult(
-        merge_spec=MergeSpec(is_query=False, single_node=route_result.is_single)
-    )
-    for unit in route_result.units:
-        per_unit = ast.clone_statement(context.statement)
-        _rename_tables(per_unit, unit)
-        params = _collect_params(per_unit, context.params)
-        result.execution_units.append(
-            ExecutionUnit(unit.data_source, params, per_unit, unit, resolver(unit.data_source))
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Identifier rewrite + parameter re-binding
+# Identifier rewrite
 # ---------------------------------------------------------------------------
 
 
@@ -423,22 +393,3 @@ def _iter_expressions(stmt: ast.Statement) -> Iterator[ast.Expression]:
     elif isinstance(stmt, ast.DeleteStatement):
         if stmt.where is not None:
             yield stmt.where
-
-
-def _collect_params(stmt: ast.Statement, params: tuple[Any, ...]) -> tuple[Any, ...]:
-    """Rebind placeholders after row splitting; renumber them 0..n-1."""
-    placeholders: list[ast.Placeholder] = []
-    for expr in _iter_expressions(stmt):
-        for node in expr.walk():
-            if isinstance(node, ast.Placeholder):
-                placeholders.append(node)
-    if not placeholders:
-        return ()
-    unit_params = []
-    for new_index, node in enumerate(placeholders):
-        try:
-            unit_params.append(params[node.index])
-        except IndexError:
-            raise RewriteError(f"missing parameter for placeholder #{node.index}") from None
-        node.index = new_index
-    return tuple(unit_params)

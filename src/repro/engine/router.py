@@ -114,10 +114,19 @@ def route(context: StatementContext, rule: ShardingRule) -> RouteResult:
 
     unique_sharded = list(dict.fromkeys(t.lower() for t in sharded))
     if len(unique_sharded) == 1:
-        return _standard_route(context, rule, unique_sharded[0])
-    if rule.are_binding(unique_sharded):
-        return _binding_route(context, rule, unique_sharded)
-    return _cartesian_route(context, rule, unique_sharded)
+        result = _standard_route(context, rule, unique_sharded[0])
+    elif rule.are_binding(unique_sharded):
+        result = _binding_route(context, rule, unique_sharded)
+    else:
+        result = _cartesian_route(context, rule, unique_sharded)
+    if len(sharded) + len(broadcast) < len(context.logic_tables):
+        # A table in no rule lives on the default source only.
+        default = _default_source(rule)
+        if any(unit.data_source != default for unit in result.units):
+            raise RouteError(
+                f"no co-located shards: tables in no rule live on {default!r} "
+                f"only, {unique_sharded} is routed elsewhere")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +184,14 @@ def _cartesian_route(context: StatementContext, rule: ShardingRule, tables: list
         tables_in_ds: list[list[str]] = []
         for t in tables:
             local = [n.table for n in per_table_nodes[t] if n.data_source == ds]
+            if not local and ds not in rule.table_rule(t).data_source_names:
+                # rows routed to ds would have nothing of t to join here
+                raise RouteError(
+                    f"cartesian route found no co-located shards for tables {tables}: "
+                    f"{t!r} has no data node on {ds!r}")
             tables_in_ds.append(local)
         if any(not local for local in tables_in_ds):
-            continue  # join cannot execute here; some table has no shard in ds
+            continue  # some table's conditions route none of its shards here
         for combo in itertools.product(*tables_in_ds):
             units.append(RouteUnit(ds, dict(zip(tables, combo))))
     if not units:
@@ -245,8 +259,12 @@ def _route_all_sources(rule: ShardingRule) -> RouteResult:
 
 
 def _unicast(rule: ShardingRule) -> RouteResult:
+    return RouteResult([RouteUnit(_default_source(rule))], "unicast")
+
+
+def _default_source(rule: ShardingRule) -> str:
+    """Where a table in no rule lives."""
     sources = rule.all_data_sources()
     if not sources:
         raise RouteError("no data sources configured")
-    target = rule.default_data_source or sources[0]
-    return RouteResult([RouteUnit(target)], "unicast")
+    return rule.default_data_source or sources[0]

@@ -34,6 +34,7 @@ from .expression import (
     _cast,
     _compare_values,
     _like_match,
+    _number,
     _SCALAR_FUNCTIONS,
 )
 
@@ -402,6 +403,8 @@ def _compile_unary(expr: ast.UnaryOp, ctx: CompileContext) -> Getter:
             value = operand(row, params)
             if value is None:
                 return None
+            if isinstance(value, str):
+                value = _number(value, "-")
             return -value
 
         return g_neg

@@ -258,14 +258,17 @@ class Connection:
         its plan and runs under the write lock in the open transaction or in
         an implicit one, undone if it raises and committed if not: that
         commit's price joins ``result.delay``, so the write's window starts
-        after the commit's.
+        after the commit's. Every statement, TCL too, crosses the network
+        once: its ``delay`` starts at the source's ``network_hop``.
         """
         if self.closed:
             raise ConnectionClosedError("connection is closed")
         category = stmt.category
-        if category == "TCL":
-            return self._control(stmt)
         source = self.data_source
+        if category == "TCL":
+            result = self._control(stmt)
+            result.delay += source.network_hop
+            return result
         replica = source.replica
         if replica is not None:
             replica.apply_due()
@@ -278,10 +281,10 @@ class Connection:
                 raise DataSourceUnavailableError(f"data source {source.name!r} is a read replica")
         database = self.database
         database.statements_executed += 1
-        delay = 0.0
+        delay = source.network_hop  # the statement crosses the network once
         if database.armed:
             try:
-                delay = database.maybe_fail("statement")  # an injected latency spike
+                delay += database.maybe_fail("statement")  # an injected latency spike
             except ConnectionDropError:
                 # The "server" dropped us: this session is dead. close() rolls
                 # back any open transaction; the pool discards closed conns.

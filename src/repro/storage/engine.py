@@ -15,9 +15,10 @@ from ..sql import ast
 from ..sql.dialects import MYSQL, Dialect
 from .connection import Connection
 from .database import Database
-# Nothing here calls ``pay`` (a networked statement's hop is part of its
-# window); the name stays bound because benchmarks/perf/tracing.py wraps
-# ``pay`` by name in this module, in ``connection`` and in ``latency``.
+# Nothing here calls ``pay`` (a statement's network hop is part of its
+# window, see ``Connection._run``); the name stays bound because
+# benchmarks/perf/tracing.py wraps ``pay`` by name in this module, in
+# ``connection`` and in ``latency``.
 from .latency import IOTimeline, LatencyModel, pay  # noqa: F401
 from .pool import ConnectionPool
 
@@ -71,7 +72,7 @@ class DataSource:
 
     def connect_raw(self) -> Connection:
         """A brand-new connection, bypassing the pool."""
-        return _NetworkedConnection(self) if self.network_hop > 0 else Connection(self)
+        return Connection(self)
 
     def connect(self) -> Connection:
         """Pooled connection acquisition."""
@@ -105,13 +106,3 @@ class DataSource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataSource({self.name!r}, dialect={self.dialect.name})"
-
-
-class _NetworkedConnection(Connection):
-    """Connection whose every statement crosses a network round trip: the
-    statement's I/O starts that much later."""
-
-    def _run(self, stmt: ast.Statement, params: Any, many: bool = False):
-        result = super()._run(stmt, params, many)
-        result.delay += self.data_source.network_hop
-        return result

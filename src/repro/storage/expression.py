@@ -2,8 +2,9 @@
 
 Three-valued logic (the ``UNKNOWN`` sentinel and its normalisation),
 MySQL-style cross-type comparison, LIKE matching, CAST, arithmetic, the
-scalar function table, NULLs-first sort keys, and the one rule that makes a
-value a dict key (:func:`hashable`, and DISTINCT over rows). The compiler
+scalar function table, NULLs-first sort keys, the one rule that makes a
+value a dict key (:func:`hashable`, and DISTINCT over rows) and the one
+rule that folds an aggregate's values (:func:`aggregate`). The compiler
 (:mod:`repro.storage.compiler`) builds closures over these; the reference
 interpreter under ``tests/oracle`` imports the same objects, so the two
 sides cannot drift on 3VL or coercion.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import datetime
 import operator
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any, Callable, Sequence
 
 from .. import clock
@@ -177,6 +178,24 @@ def distinct_rows(rows: list) -> list:
         for row in rows:
             first.setdefault(tuple(map(hashable, row)), row)
         return list(first.values())
+
+
+def aggregate(name: str, values: list, native: bool = False) -> Any:
+    """Aggregate ``name`` over one group's non-NULL ``values``: COUNT is
+    their number; SUM and AVG add them left to right (``sum()`` only when
+    the caller knows they are ``native`` ints: on floats it may compensate,
+    3.12's does) and MIN and MAX keep the first of equal extremes under
+    :func:`sort_key`. Over no values, every aggregate but COUNT is NULL.
+    Compiled plans fold rows by it and the merger folds shard partials."""
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name in ("SUM", "AVG"):
+        total = sum(values) if native else reduce(operator.add, values)
+        return total if name == "SUM" else total / len(values)
+    pick = min if name == "MIN" else max
+    return pick(values) if native else pick(values, key=sort_key)
 
 
 def sort_key(value: Any):

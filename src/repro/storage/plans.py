@@ -44,8 +44,8 @@ in ``tests/oracle``.
 
 from __future__ import annotations
 
+import functools
 import operator
-from functools import reduce
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..cache import CacheStats, LruCache
@@ -73,7 +73,7 @@ from .executor import (
     _local_column,
     execute_ddl,
 )
-from .expression import UNKNOWN, distinct_rows, hashable, order_key, sort_key
+from .expression import UNKNOWN, aggregate, distinct_rows, hashable, order_key
 from .latency import Pricer
 from .table import Table
 from .types import FAMILY_OF_TYPE
@@ -90,6 +90,8 @@ BATCH_ROWS = 256
 Stage = Callable[[list, Sequence[Any]], list]
 
 _SECOND = operator.itemgetter(1)
+#: ``value is not None`` as a C callable (no Python frame per value)
+_NOT_NULL = functools.partial(operator.is_not, None)
 
 Runner = Callable[[Sequence[Any], "Transaction | None"], QueryResult]
 RunnerMany = Callable[[Sequence[Sequence[Any]], "Transaction | None"], QueryResult]
@@ -738,7 +740,7 @@ def _compile_join(database: "Database", join: ast.Join, layout: RowLayout,
 class _CompiledAgg:
     """One compiled aggregate call, folded over a whole group at once."""
 
-    __slots__ = ("name", "count_star", "distinct", "arg", "int_offset")
+    __slots__ = ("name", "count_star", "distinct", "arg", "read_int")
 
     def __init__(self, call: ast.FunctionCall, ctx: CompileContext):
         self.name = call.name.upper()  # one of ast.FunctionCall.AGGREGATES
@@ -747,21 +749,20 @@ class _CompiledAgg:
         self.distinct = call.distinct
         self.arg = (compile_scalar(call.args[0], ctx)
                     if call.args and not self.count_star else None)
-        #: the offset of a plain integer-column argument, read directly
-        self.int_offset = (int_column_offset(call.args[0], ctx)
-                           if self.arg is not None else None)
+        offset = int_column_offset(call.args[0], ctx) if self.arg is not None else None
+        #: a plain integer-column argument's slot getter: read directly
+        self.read_int = operator.itemgetter(offset) if offset is not None else None
 
     def fold(self, rows: list, params: Sequence[Any]) -> Any:
         """The aggregate over one group's rows, as the oracle folds it:
         NULL / UNKNOWN arguments are skipped, DISTINCT keeps each value's
-        first sighting, SUM / AVG add left to right (``sum()`` only over
-        integers: on floats it may compensate, 3.12's does) and MIN / MAX
-        keep the first of equal extremes."""
+        first sighting, and :func:`~repro.storage.expression.aggregate`
+        folds what is left (natively over a plain integer column)."""
         if self.count_star:
             return len(rows)
-        i = self.int_offset
-        if i is not None:
-            values = [v for r in rows if (v := r[i]) is not None]
+        read_int = self.read_int
+        if read_int is not None:
+            values = list(filter(_NOT_NULL, map(read_int, rows)))
         elif self.arg is not None:
             arg = self.arg
             values = [v for r in rows
@@ -777,20 +778,11 @@ class _CompiledAgg:
                     seen.add(frozen)
                     fresh.append(value)
             values = fresh
-        name = self.name
-        if name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if name in ("SUM", "AVG"):
-            total = sum(values) if i is not None else reduce(operator.add, values)
-            return total if name == "SUM" else total / len(values)
-        pick = min if name == "MIN" else max
-        return pick(values) if i is not None else pick(values, key=sort_key)
+        return aggregate(self.name, values, read_int is not None)
 
 
 def _make_aggregate_stage(agg_specs, group_getters, having_pred) -> Stage:
-    def aggregate(rows: list, params: Sequence[Any]) -> list:
+    def aggregate_groups(rows: list, params: Sequence[Any]) -> list:
         """One ``(first row, aggregate values)`` pair per group, in the
         order the groups were first seen; without GROUP BY one group, also
         over no rows (COUNT -> 0; its first row None makes column refs
@@ -805,13 +797,13 @@ def _make_aggregate_stage(agg_specs, group_getters, having_pred) -> Stage:
             members_of = (rows,)
         out: list = []
         for members in members_of:
-            row = (members[0] if members else None,
-                   tuple([spec.fold(members, params) for spec in agg_specs]))
+            fold = operator.methodcaller("fold", members, params)
+            row = (members[0] if members else None, tuple(map(fold, agg_specs)))
             if having_pred is None or having_pred(row, params):
                 out.append(row)
         return out
 
-    return aggregate
+    return aggregate_groups
 
 
 def _compile_limit(limit: ast.Limit, ctx: CompileContext):

@@ -112,13 +112,7 @@ class Transaction:
         if self.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
             return
         with self.database.write_lock():
-            for entry in reversed(self._undo):
-                if entry.kind == "insert":
-                    entry.table.raw_remove(entry.row_id)
-                elif entry.kind == "update":
-                    entry.table.raw_restore(entry.row_id, entry.row)  # type: ignore[arg-type]
-                elif entry.kind == "delete":
-                    entry.table.raw_reinsert(entry.row_id, entry.row)  # type: ignore[arg-type]
+            _apply_undo(self._undo)
         self._undo.clear()
         self._touched = None
         self.status = TxnStatus.ABORTED
@@ -168,16 +162,22 @@ def publish_row_images(database: "Database",
     replication.publish(deletes + puts)
 
 
+def _apply_undo(entries: list[_UndoEntry]) -> None:
+    """Reverse each entry's write, newest first (the caller holds the
+    database's write lock)."""
+    for entry in reversed(entries):
+        if entry.kind == "insert":
+            entry.table.raw_remove(entry.row_id)
+        elif entry.kind == "update":
+            entry.table.raw_restore(entry.row_id, entry.row)  # type: ignore[arg-type]
+        elif entry.kind == "delete":
+            entry.table.raw_reinsert(entry.row_id, entry.row)  # type: ignore[arg-type]
+
+
 def replay_undo(database: "Database", entries: list[_UndoEntry]) -> None:
     """Apply detached undo entries in reverse (Seata-AT compensation)."""
     with database.write_lock():
-        for entry in reversed(entries):
-            if entry.kind == "insert":
-                entry.table.raw_remove(entry.row_id)
-            elif entry.kind == "update":
-                entry.table.raw_restore(entry.row_id, entry.row)  # type: ignore[arg-type]
-            elif entry.kind == "delete":
-                entry.table.raw_reinsert(entry.row_id, entry.row)  # type: ignore[arg-type]
+        _apply_undo(entries)
     if database.replication is not None and entries:
         publish_row_images(
             database, {(id(e.table), e.row_id): (e.table, e.row_id)

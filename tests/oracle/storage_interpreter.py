@@ -27,7 +27,7 @@ from repro.sql.formatter import format_expression
 from repro.storage.executor import QueryResult, _collect_aggregates, _equi_join_columns
 from repro.storage.expression import (
     ARITHMETIC, UNKNOWN, OrderToken, _as_tvl, _cast, _compare_values, _like_match,
-    _SCALAR_FUNCTIONS, hashable, sort_key,
+    _number, _SCALAR_FUNCTIONS, hashable, sort_key,
 )
 
 Row = dict[str, Any]
@@ -149,7 +149,7 @@ def _eval_unary(expr: ast.UnaryOp, row: Mapping[str, Any], params: Sequence[Any]
         tvl = _as_tvl(value)
         return UNKNOWN if tvl is UNKNOWN else not tvl
     if expr.op == "-":
-        return None if value is None else -value
+        return None if value is None else -_number(value, "-")
     raise ExecutionError(f"unsupported unary operator {expr.op!r}")
 
 

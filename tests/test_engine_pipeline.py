@@ -344,6 +344,42 @@ class TestFederation:
         assert spy.events == ["context", "result"]
         assert breaker.state is CircuitState.CLOSED
 
+    @pytest.fixture(params=[True, False], ids=["w_in_a_rule", "w_in_no_rule"])
+    def w_on_ds0(self, request):
+        """``t`` in four MOD shards over ds0 and ds1; ``w`` on ds0 only,
+        under a one-node rule or in no rule at all."""
+        from repro.sharding import DataNode, ShardingRule, TableRule, build_auto_table_rule
+        from repro.storage import DataSource
+
+        sources = {name: DataSource(name) for name in ("ds0", "ds1")}
+        t = build_auto_table_rule("t", list(sources), sharding_column="id",
+                                  algorithm_type="MOD", properties={"sharding-count": 4})
+        for node in t.data_nodes:
+            sources[node.data_source].execute(
+                f"CREATE TABLE {node.table} (id INT PRIMARY KEY, v INT)")
+        sources["ds0"].execute("CREATE TABLE w (v INT PRIMARY KEY, name VARCHAR(8))")
+        sources["ds0"].execute("INSERT INTO w (v, name) VALUES (10, 'ten'), (20, 'twenty')")
+        rules = [t] + ([TableRule("w", [DataNode("ds0", "w")])] if request.param else [])
+        engine = SQLEngine(sources, ShardingRule(rules, default_data_source="ds0"))
+        engine.execute("INSERT INTO t (id, v) VALUES (1, 10), (2, 20)")
+        yield engine
+        engine.close()
+
+    def test_a_join_with_a_table_on_one_source_federates(self, w_on_ds0):
+        result = w_on_ds0.execute(
+            "SELECT t.id, w.name FROM t JOIN w ON t.v = w.v ORDER BY t.id")
+        assert result.route_type == "federation"
+        assert result.fetchall() == [(1, "ten"), (2, "twenty")]
+
+    def test_a_plan_hit_off_the_table_s_source_federates(self, w_on_ds0):
+        """id 2 lives on ds0 beside ``w`` and compiles the plan; id 1 lives
+        on ds1 and is a hit of that plan."""
+        sql = "SELECT t.id, w.name FROM t JOIN w ON t.v = w.v WHERE t.id = ?"
+        assert w_on_ds0.execute(sql, (2,)).fetchall() == [(2, "twenty")]
+        result = w_on_ds0.execute(sql, (1,))
+        assert result.route_type == "federation"
+        assert result.fetchall() == [(1, "ten")]
+
     def test_federation_can_be_disabled(self):
         from repro.exceptions import RouteError
         from repro.sharding import make_vertical_sharding

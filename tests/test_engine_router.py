@@ -96,6 +96,44 @@ class TestCartesianRoute:
         with pytest.raises(RouteError):
             routed("SELECT * FROM t_a JOIN t_b ON t_a.k = t_b.k", rule)
 
+    def test_a_source_with_no_node_of_a_joined_table_raises(self, paper_rule):
+        """t_user's rows on ds1 have no t_note there to join: the units on
+        ds0 alone would drop them."""
+        rule = ShardingRule(
+            [paper_rule.table_rule("t_user"), TableRule("t_note", [DataNode("ds0", "t_note")])],
+            default_data_source="ds0",
+        )
+        with pytest.raises(RouteError, match="co-located"):
+            routed("SELECT * FROM t_user u JOIN t_note n ON u.uid = n.uid", rule)
+        result = routed("SELECT * FROM t_user u JOIN t_note n ON u.uid = n.uid "
+                        "WHERE u.uid = 2", rule)
+        assert [unit.data_source for unit in result.units] == ["ds0"]
+
+    def test_a_source_the_conditions_did_not_route_is_skipped(self, nonbinding_rule):
+        result = routed(
+            "SELECT * FROM t_user u JOIN t_order o ON u.uid = o.uid WHERE u.uid = 1",
+            nonbinding_rule,
+        )
+        assert result.route_type == "cartesian"
+        assert [unit.data_source for unit in result.units] == ["ds1"]
+
+
+class TestTableInNoRule:
+    """A table in no rule lives on the default source (ds0) only."""
+
+    def test_joined_where_the_units_are_on_the_default_source(self, paper_rule):
+        result = routed(
+            "SELECT * FROM t_user u JOIN t_extra x ON u.uid = x.uid WHERE u.uid = 2",
+            paper_rule,
+        )
+        assert [unit.data_source for unit in result.units] == ["ds0"]
+
+    def test_a_unit_elsewhere_raises(self, paper_rule):
+        for sql in ("SELECT * FROM t_user u JOIN t_extra x ON u.uid = x.uid",
+                    "SELECT * FROM t_user u JOIN t_extra x ON u.uid = x.uid WHERE u.uid = 1"):
+            with pytest.raises(RouteError, match="co-located"):
+                routed(sql, paper_rule)
+
 
 class TestInsertRoute:
     def test_rows_split_by_shard(self, paper_rule):

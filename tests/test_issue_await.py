@@ -502,7 +502,6 @@ def test_the_harness_finds_every_executor_counter_it_reads(monkeypatch):
 #: qualified name)
 ISSUE_ONLY = [
     ("storage/connection.py", "Connection._run"),
-    ("storage/engine.py", "_NetworkedConnection._run"),
     ("storage/transaction.py", "Transaction.commit"),
     ("storage/transaction.py", "Transaction.prepare"),
     ("storage/transaction.py", "commit_prepared"),

@@ -45,6 +45,18 @@ class TestCompile:
         template = plan.condition_template["t_user"]["uid"]
         assert template.values == [ParamRef(0)]
 
+    def test_a_table_in_no_rule_takes_no_fast_route(self, paper_rule):
+        """It lives on the default source only, so the router must see
+        where the sharded table's units land."""
+        plan = _compile(
+            "SELECT u.name, x.v FROM t_user u JOIN t_extra x ON u.uid = x.uid "
+            "WHERE u.uid = ?", paper_rule)
+        assert plan.cacheable and plan.single_table is None
+        plan = _compile(
+            "SELECT u.name, d.v FROM t_user u JOIN t_dict d ON u.name = d.k "
+            "WHERE u.uid = ?", paper_rule)
+        assert plan.single_table == "t_user"  # a broadcast table is everywhere
+
     def test_insert_bypasses(self, paper_rule):
         plan = _compile("INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?)", paper_rule)
         assert not plan.cacheable
@@ -598,3 +610,38 @@ class TestPreparedStatement:
         assert plan is not None and plan.cacheable
         assert plan.hits == 1
         assert "t_user" in repr(stmt)
+
+
+# ---------------------------------------------------------------------------
+# A plan hit cuts the units the slow path cuts
+# ---------------------------------------------------------------------------
+
+UNIT_SHAPES = [
+    ("SELECT name FROM t_user WHERE uid = ?", (3,)),
+    ("SELECT uid, age + ? FROM t_user WHERE uid IN (?, ?) ORDER BY uid", (100, 1, 2)),
+    ("SELECT age, COUNT(*) AS n, AVG(age) FROM t_user WHERE uid > ? GROUP BY age", (0,)),
+    ("SELECT age, AVG(uid) FROM t_user WHERE uid = ? GROUP BY age", (2,)),
+    ("SELECT AVG(amount), SUM(amount) FROM t_order WHERE amount > ?", (1.0,)),
+    ("SELECT uid, name FROM t_user WHERE age > ? ORDER BY uid LIMIT 2 OFFSET 1", (20,)),
+    ("SELECT DISTINCT uid FROM t_order WHERE amount > ? ORDER BY uid", (1.0,)),
+    ("SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid "
+     "WHERE o.amount > ? ORDER BY o.oid LIMIT 3", (1.0,)),
+    ("SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid "
+     "WHERE u.uid = ? ORDER BY o.oid", (1,)),
+]
+
+
+@pytest.mark.parametrize("sql, params", UNIT_SHAPES)
+def test_a_plan_hit_cuts_the_units_the_slow_path_cuts(seeded_engine, sql, params):
+    """One shape and one unit cut on both paths: the same per-unit SQL
+    text, the same per-unit parameters and the same rows, on one node and
+    on several."""
+    seeded_engine.execute(sql, params)  # compiles the plan
+    hits = seeded_engine.plan_cache.hits
+    hit = seeded_engine.execute(sql, params)
+    assert seeded_engine.plan_cache.hits == hits + 1
+    seeded_engine.plan_cache.enabled = False
+    slow = seeded_engine.execute(sql, params)
+    assert hit.sqls == slow.sqls
+    assert [unit.params for unit in hit.units] == [unit.params for unit in slow.units]
+    assert (hit.merger_kind, hit.fetchall()) == (slow.merger_kind, slow.fetchall())

@@ -13,6 +13,7 @@ chunk seams, on INT columns holding NULLs and on FLOAT and CHAR columns.
 """
 
 import heapq
+import math
 import operator
 import os
 import sys
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from repro import storage
 from repro.adaptors import ShardingDataSource, ShardingRuntime
 from repro.baselines import make_grid_sharding, make_sources
-from repro.engine.merger import MaterializedResult, MergeSpec, merge
+from repro.engine.merger import AggregateSpec, MaterializedResult, MergeSpec, merge
 from repro.sql import parse
 from repro.storage import DataSource, LatencyModel
 from repro.storage.expression import OrderToken
@@ -269,7 +270,8 @@ def test_float_sum_is_folded_left_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# ORDER BY: one key rule, mixed directions, in storage and in the merger
+# ORDER BY: one key rule, mixed directions, in storage and in the merger;
+# the merger's float SUM and AVG fold left, as storage's do
 # ---------------------------------------------------------------------------
 
 ORDERS = [
@@ -346,6 +348,35 @@ def test_heap_merge_keeps_the_tie_order_across_shards(shards, order_keys):
     results = [MaterializedResult(["a", "b", "s", "p"], rows) for rows in tagged]
     spec = MergeSpec(is_query=True, order_keys=list(order_keys))
     assert merge(spec, results).fetchall() == _token_merge(tagged, order_keys)
+
+
+#: shard partial sums that a left fold adds to 1.0 (each 1.0 next to a 1e16
+#: is rounded away) and a compensated ``sum()`` — Python 3.12's — to 8.0
+FLOAT_PARTIALS = [1e16, 1.0, -1e16, 1.0] * 4
+
+
+@pytest.mark.parametrize("grouped", [None, "stream", "memory"])
+def test_merged_float_sum_and_avg_fold_left_bit_for_bit(grouped):
+    """The merger folds shard partials by storage's aggregate rule: SUM
+    and AVG across shards are ``reduce(operator.add, ...)`` over the
+    partial sums (over the summed partial counts for AVG), to the bit,
+    with and without GROUP BY."""
+    columns = ["g", "s", "a", "c", "t"]  # key, SUM, AVG, AVG's count and sum
+    results = [MaterializedResult(columns, [("k", total, total / 3, 3, total)])
+               for total in FLOAT_PARTIALS]
+    spec = MergeSpec(
+        is_query=True, output_width=3,
+        aggregates=[AggregateSpec("SUM", 1), AggregateSpec("AVG", 2, count_index=3, sum_index=4)],
+        has_group_by=grouped is not None, group_keys=[0] if grouped else [],
+        order_keys=[(0, False)] if grouped else [], group_equals_order=grouped == "stream")
+    total = reduce(operator.add, FLOAT_PARTIALS)
+    assert total != math.fsum(FLOAT_PARTIALS)  # a compensated sum would show
+    merged = merge(spec, results)
+    assert merged.merger_kind == {None: "aggregation", "stream": "group-by-stream",
+                                  "memory": "group-by-memory"}[grouped]
+    (_, merged_sum, merged_avg), = merged.fetchall()
+    assert merged_sum.hex() == total.hex()
+    assert merged_avg.hex() == (total / (3 * len(FLOAT_PARTIALS))).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,7 @@ def sharding():
     ("s - 1", "-"),
     ("id + s", "+"),
     ("s / 2", "/"),
+    ("-s", "-"),
 ])
 def test_a_value_the_sql_cannot_take_is_a_type_check_error(sharding, expression, name):
     """Not Python's own ``ValueError`` or ``TypeError``, and the error names
@@ -293,3 +294,5 @@ def test_a_value_the_sql_cannot_take_is_a_type_check_error(sharding, expression,
 def test_arithmetic_on_a_number_string_finds_its_row(sharding):
     assert sharding.execute("SELECT id FROM n WHERE s * 2 = 6").fetchall() == [(2,)]
     assert sharding.execute("SELECT s - 1, id + s FROM n WHERE id = 2").fetchall() == [(2.0, 5.0)]
+    assert sharding.execute("SELECT -s FROM n WHERE id = 2").fetchall() == [(-3.0,)]
+    assert ev("-s", {"s": "3"}) == -3.0
