@@ -44,6 +44,10 @@ class StatementContext:
     #: the plan cache refuses such statements (the intersection result
     #: depends on the bound parameter values).
     merged_conditions: bool = False
+    #: pairs of table references (exposed names, lower) whose sharding keys
+    #: a top-level ON or WHERE conjunct equates: the router's evidence that
+    #: their joined rows share a key (see :func:`repro.engine.router.route`)
+    key_joins: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def category(self) -> str:
@@ -85,10 +89,9 @@ def build_context(
     where = getattr(statement, "where", None)
     if where is not None:
         _extract_where_conditions(where, rule, context)
-    if isinstance(statement, ast.SelectStatement):
-        for join in statement.joins:
-            if join.condition is not None:
-                _extract_where_conditions(join.condition, rule, context, equi_only=True)
+    for join in getattr(statement, "joins", ()):
+        if join.condition is not None:
+            _extract_where_conditions(join.condition, rule, context, join.kind)
     return context
 
 
@@ -101,17 +104,21 @@ def _extract_where_conditions(
     expr: ast.Expression,
     rule: ShardingRule,
     context: StatementContext,
-    equi_only: bool = False,
+    join_kind: str = "",
 ) -> None:
-    """Collect sharding conditions from the top-level AND conjunction.
+    """Collect sharding conditions and key joins from the top-level AND
+    conjunction. Of an ON clause (``join_kind``) only equalities count,
+    and an outer join's narrow no table: that ON filters no table's rows.
 
     OR branches are ignored (conservatively routing wider), matching the
     paper's behaviour of broadcast-routing un-analyzable predicates.
     """
-    for predicate in _conjuncts(expr):
+    for predicate in ast.conjuncts(expr):
         if isinstance(predicate, ast.BinaryOp) and predicate.op == "=":
-            _note_equality(predicate, rule, context)
-        elif equi_only:
+            if join_kind in ("", "INNER"):
+                _note_equality(predicate, rule, context)
+            _note_key_join(predicate, rule, context)
+        elif join_kind:
             continue
         elif isinstance(predicate, ast.InExpr) and not predicate.negated:
             _note_in(predicate, rule, context)
@@ -119,14 +126,6 @@ def _extract_where_conditions(
             _note_between(predicate, rule, context)
         elif isinstance(predicate, ast.BinaryOp) and predicate.op in ("<", ">", "<=", ">="):
             _note_comparison(predicate, rule, context)
-
-
-def _conjuncts(expr: ast.Expression):
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
 
 
 def _sharding_column_of(
@@ -187,13 +186,20 @@ def _note_equality(predicate: ast.BinaryOp, rule: ShardingRule, context: Stateme
         if ok:
             logic, column = target
             _merge_condition(context, logic, ShardingValue(column, values=[value]))
-        elif isinstance(val_expr, ast.ColumnRef):
-            # join equality on sharding keys: propagate conditions between
-            # the two tables (the binding-route optimization relies on the
-            # same key reaching the same node in both tables).
-            other = _sharding_column_of(val_expr, rule, context)
-            if other is not None:
-                context.conditions.setdefault("__join__", {})
+
+
+def _note_key_join(predicate: ast.BinaryOp, rule: ShardingRule, context: StatementContext) -> None:
+    """Record ``a.x = b.y`` when ``x`` and ``y`` are each their table's one
+    sharding column: the two references' rows that join share the key
+    that places them. Only qualified references count."""
+    refs = (predicate.left, predicate.right)
+    if not all(isinstance(ref, ast.ColumnRef) and ref.table is not None for ref in refs):
+        return
+    a, b = (ref.table.lower() for ref in refs)  # type: ignore[union-attr]
+    if a != b and all(
+            rule.sharding_columns_of(context.alias_map.get(exposed, "")) == {ref.name.lower()}
+            for exposed, ref in ((a, refs[0]), (b, refs[1]))):
+        context.key_joins.append((a, b))
 
 
 def _note_in(predicate: ast.InExpr, rule: ShardingRule, context: StatementContext) -> None:

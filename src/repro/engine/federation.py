@@ -1,15 +1,17 @@
-"""Federation executor: cross-source joins without co-located shards.
+"""Federation executor: joins whose rows are not proved to meet on one source.
 
-The cartesian route (Section V-B) requires every joined table to have a
-shard in the same data source. When tables live in disjoint sources —
-e.g. vertically-sharded tables on different servers — upstream
-ShardingSphere 5.x falls back to its *Federation* engine: pull the
-(filtered) rows of each table into the middleware and finish the query
-there. This module is that fallback.
+Shard units find every joined pair only where the router proves
+co-location (a key join over a binding group or over strategies that
+place keys alike, or every routed node on one source; see
+:mod:`repro.engine.router`). Anything else — a join off the key, bound
+or not, tables on disjoint sources — raises
+:class:`~repro.exceptions.CoLocationError`, and the pipeline federates, as
+upstream ShardingSphere 5.x does: pull the (filtered) rows of each table
+into the middleware and finish the query there.
 
-It is deliberately a last resort: the pipeline only federates when the
-router raises the no-co-located-shards error, and per-table WHERE
-conjuncts are pushed down so each shard ships only matching rows.
+Per-table WHERE conjuncts are pushed down so each shard ships only
+matching rows, except for an outer join's nullable side and for a table
+referenced twice (one pull serves both references).
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ def federate_select(
         for join in statement.joins
         if join.kind in ("LEFT", "RIGHT", "FULL")
     }
+    # one pull serves every reference of a table: one referenced twice ships all rows
+    references = Counter(ref.name.lower() for ref in statement.tables())
     params = tuple(context.params)
     #: (pull, the scratch table its rows go to)
     pulls: list[tuple[ExecutionUnit, "Table"]] = []
@@ -79,7 +83,8 @@ def federate_select(
             continue
         seen.add(logic.lower())
         pushdown = (_pushdown_predicate(context, ref)
-                    if ref.exposed_name.lower() not in no_pushdown else None)
+                    if ref.exposed_name.lower() not in no_pushdown
+                    and references[logic.lower()] == 1 else None)
         nodes = _nodes_of(snap, logic)
         first_ds, first_actual = nodes[0]
         scratch.create_table(
@@ -146,7 +151,7 @@ def _pushdown_predicate(context: StatementContext, ref: ast.TableRef) -> ast.Exp
         t.exposed_name.lower() for t in statement.tables() if t.exposed_name.lower() != exposed
     }
     kept: list[ast.Expression] = []
-    for predicate in _conjuncts(where):
+    for predicate in ast.conjuncts(where):
         qualifiers = {
             node.table.lower()
             for node in predicate.walk()
@@ -168,11 +173,3 @@ def _pushdown_predicate(context: StatementContext, ref: ast.TableRef) -> ast.Exp
     # Rewrite the qualifier to the per-shard alias-or-name (the alias is
     # preserved on the per-shard FROM, so qualified refs still resolve).
     return out
-
-
-def _conjuncts(expr: ast.Expression):
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .. import clock
 from ..cache import LruCache
-from ..exceptions import RouteError, SQLParseError
+from ..exceptions import CoLocationError, SQLParseError
 from ..metadata import ContextManager, MetadataContext
 from ..sharding import ShardingRule
 from ..sql import ast, leading_words, normalize, parse
@@ -195,11 +195,9 @@ class SQLEngine:
         rule: ShardingRule | None = None,
         max_connections_per_query: int = 1,
         features: Sequence[Feature] = (),
-        enable_federation: bool = True,
         resilience: ResiliencePolicy | None = None,
         metadata: ContextManager | None = None,
     ):
-        self.enable_federation = enable_federation
         if metadata is None:
             # Direct-embedding path (tests, examples): wrap the caller's
             # dict/rule in a standalone manager. The caller's dict is kept
@@ -610,9 +608,7 @@ class SQLEngine:
                 route_result = plan.route_bound(conditions, snap.rule, lambda: context)
             else:
                 route_result = route(context, snap.rule)
-        except RouteError as exc:
-            if not (self.enable_federation and st.is_query and "co-located" in str(exc)):
-                raise
+        except CoLocationError:
             if use_plans:
                 # A federated statement can never run from a plan.
                 plan_cache.mark_uncacheable(

@@ -101,7 +101,7 @@ class CompiledPlan:
 
     __slots__ = (
         "sql", "statement", "cacheable", "reason", "fingerprint",
-        "logic_tables", "alias_map", "condition_template", "param_count",
+        "logic_tables", "alias_map", "condition_template", "key_joins", "param_count",
         "single_table", "hits", "literal_safe",
         "_templates", "_lock", "_shapes",
         "_route_memo", "_memo_table_rule", "_all_nodes", "_unit_memo",
@@ -117,11 +117,14 @@ class CompiledPlan:
         self.logic_tables: list[str] = []
         self.alias_map: dict[str, str] = {}
         self.condition_template: dict[str, dict[str, ShardingValue]] = {}
+        #: the context's key joins: a hit routes on the same evidence
+        self.key_joins: list[tuple[str, str]] = []
         self.param_count = 0
         #: every placeholder is a predicate operand, so a literal statement
         #: may run as this text (DESIGN.md "Statement identity")
         self.literal_safe = True
-        #: lowered logic table for the single-sharded-table fast route
+        #: the statement's one table reference (broadcast tables aside),
+        #: lowered, for the single-table fast route
         self.single_table: str | None = None
         self.hits = 0
         self._templates: dict[Any, UnitTemplate] = {}
@@ -187,6 +190,7 @@ class CompiledPlan:
             logic_tables=self.logic_tables,
             alias_map=self.alias_map,
             conditions=conditions,
+            key_joins=self.key_joins,
         )
 
     def route_bound(self, conditions: dict[str, dict[str, ShardingValue]],
@@ -240,8 +244,8 @@ class CompiledPlan:
             if not table_conditions and len(nodes) == len(table_rule.data_nodes):
                 route_type = "broadcast"
             return RouteResult(units, route_type, memo_key)
-        # Everything else (binding joins, cartesian, broadcast, unicast)
-        # goes through the real router against the skeleton context.
+        # Everything else (joins, broadcast, unicast) goes through the
+        # real router against the skeleton context.
         return route(context_factory(), rule)
 
     # -- rewrite templates ----------------------------------------------
@@ -362,13 +366,10 @@ def _compile(sql: str, statement: ast.Statement, rule: ShardingRule,
     plan.logic_tables = template_context.logic_tables
     plan.alias_map = template_context.alias_map
     plan.condition_template = template_context.conditions
-    sharded = {t.lower(): None for t in plan.logic_tables if rule.is_sharded(t)}
-    # a table in no rule lives on the default source only: the router
-    # decides whether the sharded table's units may join it
-    in_no_rule = [t for t in plan.logic_tables
-                  if not rule.is_sharded(t) and not rule.is_broadcast(t)]
-    if len(sharded) == 1 and not in_no_rule:
-        plan.single_table = next(iter(sharded))
+    plan.key_joins = template_context.key_joins
+    refs = [t.lower() for t in plan.logic_tables if not rule.is_broadcast(t)]
+    if len(refs) == 1:
+        plan.single_table = refs[0]
     return plan
 
 

@@ -1,25 +1,21 @@
 """SQL router: map a statement context onto route units (Section V-B).
 
-Implements the paper's two strategies and their sub-strategies:
+- **Broadcast route**: DDL on sharded tables, writes to broadcast tables
+  and statements with no usable sharding condition fan out.
+- **Standard route**: one table reference; its conditions narrow the nodes.
+- **Joins** (:func:`_join_route`, the one co-location decision) run as
+  units only where the units provably find every joined pair: the
+  *binding route* (partners aligned by node index) or the *cartesian
+  route* (per data source, the cross product of each table's routed
+  nodes). Anything else raises :class:`~repro.exceptions.CoLocationError`,
+  and the engine federates the SELECT.
 
-- **Broadcast route** — statements without usable sharding keys, DDL on
-  sharded tables, and writes to broadcast tables fan out to every
-  relevant node/data source.
-- **Sharding route**
-  - *standard route*: one logic table, or several tables within one
-    binding group — conditions narrow the node set; binding partners are
-    derived by node index so joins stay shard-local;
-  - *cartesian route*: joined tables without a binding relationship —
-    per data source, the cross product of both tables' actual tables.
+INSERT batches are routed per values-row, so one multi-row INSERT becomes
+one unit per shard holding only that shard's rows.
 
-INSERT batches are routed per values-row, so one logical multi-row INSERT
-becomes one unit per shard holding only that shard's rows.
-
-Concurrency contract: ``route(context, rule)`` is a pure function of its
-arguments. The pipeline always passes the rule of the statement's pinned
-:class:`~repro.metadata.MetadataContext` snapshot — frozen, so neither
-this module nor a concurrent DistSQL mutation can change it mid-route —
-which is what makes routing lock-free under live reconfiguration.
+``route(context, rule)`` is a pure function of its arguments. The pipeline
+passes the frozen rule of the statement's pinned metadata snapshot, so
+routing takes no lock under live reconfiguration.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..exceptions import RouteError
+from ..exceptions import CoLocationError, RouteError
 from ..sharding import DataNode, ShardingRule
 from ..sql import ast
 from .context import StatementContext
@@ -61,10 +57,7 @@ class RouteResult:
         return len(self.units) == 1
 
     def data_sources(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for unit in self.units:
-            seen.setdefault(unit.data_source)
-        return list(seen)
+        return list(dict.fromkeys(unit.data_source for unit in self.units))
 
 
 def shard_key_values(context: StatementContext) -> list[tuple[str, str, Any]]:
@@ -84,8 +77,6 @@ def shard_key_values(context: StatementContext) -> list[tuple[str, str, Any]]:
                     out.append((logic, column, condition.values[0]))
         return out
     for table, columns in context.conditions.items():
-        if table.startswith("__"):  # marker entries such as "__join__"
-            continue
         for column, condition in columns.items():
             values = condition.values
             if values is not None and 0 < len(values) <= 8:
@@ -104,29 +95,16 @@ def route(context: StatementContext, rule: ShardingRule) -> RouteResult:
     if statement.category in ("TCL", "DAL"):
         return _route_all_sources(rule)
 
-    sharded = [t for t in context.logic_tables if rule.is_sharded(t)]
-    broadcast = [t for t in context.logic_tables if rule.is_broadcast(t)]
-
-    if not sharded:
-        if broadcast and statement.category == "DML":
+    # one entry per table reference (a self-join counts twice); every
+    # source holds a broadcast table, so it never decides co-location
+    refs = [t.lower() for t in context.logic_tables if not rule.is_broadcast(t)]
+    if not any(rule.is_sharded(t) for t in refs):
+        if len(refs) < len(context.logic_tables) and statement.category == "DML":
             return _route_all_sources(rule)
         return _unicast(rule)
-
-    unique_sharded = list(dict.fromkeys(t.lower() for t in sharded))
-    if len(unique_sharded) == 1:
-        result = _standard_route(context, rule, unique_sharded[0])
-    elif rule.are_binding(unique_sharded):
-        result = _binding_route(context, rule, unique_sharded)
-    else:
-        result = _cartesian_route(context, rule, unique_sharded)
-    if len(sharded) + len(broadcast) < len(context.logic_tables):
-        # A table in no rule lives on the default source only.
-        default = _default_source(rule)
-        if any(unit.data_source != default for unit in result.units):
-            raise RouteError(
-                f"no co-located shards: tables in no rule live on {default!r} "
-                f"only, {unique_sharded} is routed elsewhere")
-    return result
+    if len(refs) == 1:
+        return _standard_route(context, rule, refs[0])
+    return _join_route(context, rule, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +115,74 @@ def route(context: StatementContext, rule: ShardingRule) -> RouteResult:
 def _standard_route(context: StatementContext, rule: ShardingRule, logic_table: str) -> RouteResult:
     table_rule = rule.table_rule(logic_table)
     nodes = table_rule.route(context.conditions_for(logic_table))
-    units = [
-        RouteUnit(node.data_source, {logic_table: node.table}) for node in nodes
-    ]
+    units = [RouteUnit(node.data_source, {logic_table: node.table}) for node in nodes]
     route_type = "standard"
     if len(nodes) == len(table_rule.data_nodes) and not context.conditions_for(logic_table):
         route_type = "broadcast"
     return RouteResult(units, route_type)
+
+
+def _join_route(context: StatementContext, rule: ShardingRule, refs: list[str]) -> RouteResult:
+    """The one co-location decision: may a statement over several table
+    references run as shard units, or must it federate?
+
+    Units find every joined pair when the key joins (``context.key_joins``)
+    connect every reference and (a) the tables are one table or one
+    declared binding group: node by node; or (b) every table places a key
+    on the same data source: the cartesian route. Or when (c) every routed
+    node lies on one data source: the cartesian route. Anything else
+    raises :class:`CoLocationError`.
+    """
+    tables = list(dict.fromkeys(t for t in refs if rule.is_sharded(t)))
+    keyed = _keys_connect(context.key_joins, len(refs))
+    if keyed and len(tables) == 1:  # a self-join on the key: node by node
+        return _standard_route(context, rule, tables[0])
+    if keyed and rule.are_binding(tables):
+        return _binding_route(context, rule, tables)
+    # a table referenced twice mixes both references' conditions: route it whole
+    nodes = {t: rule.table_rule(t).data_nodes if not keyed and refs.count(t) > 1
+             else rule.table_rule(t).route(context.conditions_for(t)) for t in tables}
+    sources = {node.data_source for found in nodes.values() for node in found}
+    if len(tables) < len(set(refs)):  # a table in no rule lives on the default source
+        sources.add(_default_source(rule))
+    # one node per doubly referenced table: a unit maps a table to one actual table
+    one_source = len(sources) == 1 and all(
+        len(nodes[t]) == 1 for t in tables if refs.count(t) > 1)
+    if one_source or keyed and _placed_alike(rule, tables):
+        units = []
+        for ds in dict.fromkeys(n.data_source for t in tables for n in nodes[t]):
+            local = [[n.table for n in nodes[t] if n.data_source == ds] for t in tables]
+            units += [RouteUnit(ds, dict(zip(tables, combo)))
+                      for combo in itertools.product(*local)]
+        if units:  # none when the conditions route the key-joined tables apart
+            return RouteResult(units, "cartesian")
+    raise CoLocationError(
+        f"no co-located shards for {refs}: their joined rows are not proved "
+        f"to meet on one data source")
+
+
+def _keys_connect(key_joins: list[tuple[str, str]], references: int) -> bool:
+    """Do the key joins connect ``references`` table references?"""
+    reached = set(key_joins[0]) if key_joins else set()
+    for _ in key_joins:  # a chain of n key joins is walked in at most n passes
+        reached.update(*(pair for pair in key_joins if reached.intersection(pair)))
+    return len(reached) == references
+
+
+def _placed_alike(rule: ShardingRule, tables: list[str]) -> bool:
+    """Does every table's database strategy put one key on one data
+    source: the same strategy and algorithm class, equal algorithm state,
+    and the same ordered sources? (An AutoTable places by its table
+    strategy, so it is never proved here.)"""
+    placements = []
+    for table_rule in map(rule.table_rule, tables):
+        strategy = table_rule.database_strategy
+        if not strategy.columns or table_rule.auto:
+            return False
+        algorithm = strategy.algorithm  # type: ignore[attr-defined]
+        placements.append((type(strategy), type(algorithm), vars(algorithm),
+                           table_rule.data_source_names))
+    return all(placement == placements[0] for placement in placements)
 
 
 def _binding_route(context: StatementContext, rule: ShardingRule, tables: list[str]) -> RouteResult:
@@ -151,54 +190,17 @@ def _binding_route(context: StatementContext, rule: ShardingRule, tables: list[s
     primary_name = tables[0]
     primary = rule.table_rule(primary_name)
     # Conditions may be attached to any binding member (e.g. WHERE on the
-    # order table while the user table is primary); merge them since all
-    # members share the sharding key semantics.
-    merged_conditions = dict(context.conditions_for(primary_name))
+    # order table while the user table is primary); the key joins equate
+    # the members' keys, so each member's condition holds for all.
+    merged = dict(context.conditions_for(primary_name))
     for other in tables[1:]:
         for column, condition in context.conditions_for(other).items():
-            existing = merged_conditions.get(column)
-            merged_conditions[column] = existing.intersect(condition) if existing else condition
-    nodes = primary.route(merged_conditions)
-    units = []
-    for node in nodes:
-        table_map = {primary_name: node.table}
-        for other in tables[1:]:
-            partner = rule.binding_partner_node(primary, node, rule.table_rule(other))
-            table_map[other] = partner.table
-        units.append(RouteUnit(node.data_source, table_map))
+            merged[column] = merged[column].intersect(condition) if column in merged else condition
+    members = [rule.table_rule(t) for t in tables]
+    units = [RouteUnit(node.data_source, {
+        t: rule.binding_partner_node(primary, node, member).table
+        for t, member in zip(tables, members)}) for node in primary.route(merged)]
     return RouteResult(units, "standard")
-
-
-def _cartesian_route(context: StatementContext, rule: ShardingRule, tables: list[str]) -> RouteResult:
-    """Per data source, cross-product the routed tables of each logic table."""
-    per_table_nodes: dict[str, list[DataNode]] = {
-        t: rule.table_rule(t).route(context.conditions_for(t)) for t in tables
-    }
-    data_sources: list[str] = []
-    for nodes in per_table_nodes.values():
-        for node in nodes:
-            if node.data_source not in data_sources:
-                data_sources.append(node.data_source)
-    units: list[RouteUnit] = []
-    for ds in data_sources:
-        tables_in_ds: list[list[str]] = []
-        for t in tables:
-            local = [n.table for n in per_table_nodes[t] if n.data_source == ds]
-            if not local and ds not in rule.table_rule(t).data_source_names:
-                # rows routed to ds would have nothing of t to join here
-                raise RouteError(
-                    f"cartesian route found no co-located shards for tables {tables}: "
-                    f"{t!r} has no data node on {ds!r}")
-            tables_in_ds.append(local)
-        if any(not local for local in tables_in_ds):
-            continue  # some table's conditions route none of its shards here
-        for combo in itertools.product(*tables_in_ds):
-            units.append(RouteUnit(ds, dict(zip(tables, combo))))
-    if not units:
-        raise RouteError(
-            f"cartesian route found no co-located shards for tables {tables}"
-        )
-    return RouteResult(units, "cartesian")
 
 
 def _route_insert(context: StatementContext, rule: ShardingRule) -> RouteResult:
@@ -238,15 +240,11 @@ def _route_insert(context: StatementContext, rule: ShardingRule) -> RouteResult:
 
 
 def _route_ddl(context: StatementContext, rule: ShardingRule) -> RouteResult:
-    tables = [t for t in context.logic_tables]
-    if tables and rule.is_sharded(tables[0]):
-        table_rule = rule.table_rule(tables[0])
-        units = [
-            RouteUnit(node.data_source, {tables[0].lower(): node.table})
-            for node in table_rule.data_nodes
-        ]
-        return RouteResult(units, "broadcast")
-    if tables and rule.is_broadcast(tables[0]):
+    table = context.logic_tables[0].lower() if context.logic_tables else ""
+    if rule.is_sharded(table):
+        return RouteResult([RouteUnit(node.data_source, {table: node.table})
+                            for node in rule.table_rule(table).data_nodes], "broadcast")
+    if rule.is_broadcast(table):
         return _route_all_sources(rule)
     return _unicast(rule)
 

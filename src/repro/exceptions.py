@@ -91,6 +91,11 @@ class RouteError(ShardingSphereError):
     """The router could not map a logical statement to data nodes."""
 
 
+class CoLocationError(RouteError):
+    """A join's rows are not proved to meet on one data source, so shard
+    units could miss pairs; the engine federates the SELECT instead."""
+
+
 class RewriteError(ShardingSphereError):
     """The rewriter could not produce executable SQL."""
 

@@ -238,18 +238,18 @@ class TableRule:
         """
         if self.auto:
             tables = self.table_strategy.route(self.actual_table_names, conditions)
-            return [self._node_by_table[t.lower()] for t in tables]  # type: ignore[misc]
-        routed: list[DataNode] = []
-        data_sources = self.database_strategy.route(self.data_source_names, conditions)
-        for ds in data_sources:
-            tables = self._tables_by_ds.get(ds)
-            if not tables:
-                raise RouteError(f"database strategy produced unknown data source {ds!r}")
-            for table in self.table_strategy.route(tables, conditions):
-                routed.append(self._nodes_by_key[(ds, table.lower())])
-        if not routed:
-            raise RouteError(f"no data node matched for table {self.logic_table!r}")
-        return routed
+            routed = [self._node_by_table[t.lower()] for t in tables]
+        else:
+            routed = []
+            for ds in self.database_strategy.route(self.data_source_names, conditions):
+                tables = self._tables_by_ds.get(ds)
+                if not tables:
+                    raise RouteError(f"database strategy produced unknown data source {ds!r}")
+                for table in self.table_strategy.route(tables, conditions):
+                    routed.append(self._nodes_by_key[(ds, table.lower())])
+        # No node: the conditions contradict each other (``uid = 1 AND uid = 3``),
+        # so no row matches, and one node answers that with none.
+        return routed or self.data_nodes[:1]  # type: ignore[return-value]
 
     @property
     def sharding_columns(self) -> set[str]:

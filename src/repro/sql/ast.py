@@ -408,6 +408,13 @@ class ShowStatement(Statement):
     subject: str = ""
 
 
+def conjuncts(expr: Expression) -> list[Expression]:
+    """The operands of ``expr``'s top-level AND chain, left to right."""
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
+
+
 # --------------------------------------------------------------------------
 # Fast cloning
 # --------------------------------------------------------------------------

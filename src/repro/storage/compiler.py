@@ -26,7 +26,6 @@ from typing import Any, Callable, Sequence
 from ..exceptions import ColumnNotFoundError, ExecutionError
 from ..sql import ast
 from ..sql.formatter import format_expression
-from .executor import _conjuncts
 from .expression import (
     ARITHMETIC,
     UNKNOWN,
@@ -54,6 +53,8 @@ def _tvl(fn: "Getter") -> "Getter":
 #: (``_coerce_int`` in :mod:`repro.storage.types` turns bools, integral
 #: floats and numeric strings into ``int`` on every write)
 INT_TYPES = frozenset(("INT", "INTEGER", "BIGINT", "SMALLINT"))
+#: declared types whose stored values are always ``str`` (coerced on write)
+STR_TYPES = frozenset(("CHAR", "VARCHAR", "TEXT"))
 
 
 class RowLayout:
@@ -64,16 +65,18 @@ class RowLayout:
     qualified exact match first, then a bare exact-name match with the
     leftmost table winning, then the case-insensitive fallback.
     ``int_offsets`` are the offsets of integer-family columns (``INT_TYPES``),
+    ``str_offsets`` those of string columns (``STR_TYPES``), and
     ``not_null_offsets`` those of columns that never hold NULL in a row of
     this layout.
     """
 
-    __slots__ = ("slots", "width", "int_offsets", "not_null_offsets")
+    __slots__ = ("slots", "width", "int_offsets", "str_offsets", "not_null_offsets")
 
     def __init__(self) -> None:
         self.slots: list[tuple[str, list[str], int]] = []
         self.width = 0
         self.int_offsets: set[int] = set()
+        self.str_offsets: set[int] = set()
         self.not_null_offsets: set[int] = set()
 
     def add(self, exposed: str, column_names: Sequence[str],
@@ -83,6 +86,8 @@ class RowLayout:
         self.width += len(column_names)
         self.int_offsets.update(base + i for i, name in enumerate(type_names)
                                 if name in INT_TYPES)
+        self.str_offsets.update(base + i for i, name in enumerate(type_names)
+                                if name in STR_TYPES)
         self.not_null_offsets.update(base + i for i, flag in enumerate(not_null) if flag)
         return base
 
@@ -509,7 +514,7 @@ def compile_batch_predicate(expr: ast.Expression, ctx: CompileContext) -> BatchF
     """
     stages: list[BatchFilter] = []
     run: list[Getter] = []
-    for conjunct in _conjuncts(expr):
+    for conjunct in ast.conjuncts(expr):
         predicate = compile_predicate(conjunct, ctx)
         kernel = _int_range_kernel(conjunct, predicate, ctx)
         if kernel is None:

@@ -159,14 +159,6 @@ def execute_ddl(database: "Database", stmt: ast.Statement) -> QueryResult:
 # ---------------------------------------------------------------------------
 
 
-def _conjuncts(expr: ast.Expression) -> Iterator[ast.Expression]:
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
-
-
 def _local_column(expr: ast.Expression, table: Table, exposed_name: str) -> str | None:
     if not isinstance(expr, ast.ColumnRef):
         return None

@@ -243,9 +243,9 @@ def order_key(read: Callable[[Any], Any], descs: Sequence[bool],
 
     Every key in one direction: ``read`` itself when the caller knows the
     values are ``native`` (never NULL, and of one type family that orders
-    as :func:`sort_key` does — storage's NOT NULL integer columns), else
-    :func:`sort_key` tuples; ``reverse`` for descending. Mixed directions:
-    :class:`OrderToken` tuples, ascending. Either way rows with equal keys
+    as :func:`sort_key` does — storage's NOT NULL integer and string
+    columns), else :func:`sort_key` tuples; ``reverse`` for descending.
+    Mixed directions: :class:`OrderToken` tuples, ascending. Either way rows with equal keys
     keep their input order (both sorts are stable and ``heapq.merge``
     takes the earlier input first), so every form orders rows identically.
     """

@@ -68,7 +68,6 @@ from .compiler import (
 from .executor import (
     QueryResult,
     _collect_aggregates,
-    _conjuncts,
     _equi_join_columns,
     _local_column,
     execute_ddl,
@@ -298,7 +297,7 @@ _RANGE_BOUNDS = {
 def _compile_access(table: Table, exposed: str,
                     where: ast.Expression | None) -> _AccessPath:
     if where is not None:
-        predicates = list(_conjuncts(where))
+        predicates = ast.conjuncts(where)
         equalities: dict[str, Callable[[Sequence[Any]], Any]] = {}
         for predicate in predicates:
             if isinstance(predicate, ast.BinaryOp) and predicate.op == "=":
@@ -353,29 +352,20 @@ def _compile_try_index(table: Table, exposed: str,
             return None
         fits = _bound_types(table, column)
         if op == "=":
+            # a sorted index always has a hash index on its column beside it
             hash_index = table.equality_index(column)
-            if hash_index is not None:
-                def run_point(params: Sequence[Any]) -> tuple[list[int], bool]:
-                    value = getter(params)
-                    if value is None:
-                        return [], True
-                    if type(value) not in fits:
-                        return table.row_ids(), False
-                    return sorted(hash_index.lookup(value)), True
+            if hash_index is None:
+                return None
 
-                return _AccessPath(run_point, None, False)
-            sorted_index = table.sorted_index(column)
-            if sorted_index is not None:
-                def run_eq_range(params: Sequence[Any]) -> tuple[list[int], bool]:
-                    value = getter(params)
-                    if value is None:
-                        return [], True
-                    if type(value) not in fits:
-                        return table.row_ids(), False
-                    return sorted_index.range(value, value), True
+            def run_point(params: Sequence[Any]) -> tuple[list[int], bool]:
+                value = getter(params)
+                if value is None:
+                    return [], True
+                if type(value) not in fits:
+                    return table.row_ids(), False
+                return sorted(hash_index.lookup(value)), True
 
-                return _AccessPath(run_eq_range, None, False)
-            return None
+            return _AccessPath(run_point, None, False)
         sorted_index = table.sorted_index(column)
         if sorted_index is None:
             return None
@@ -631,8 +621,9 @@ def _make_sort_stage(order_specs, ctx: CompileContext) -> Stage | None:
 
     When every key is a stored column (never UNKNOWN) the row's values are
     read by one ``itemgetter`` and the key is built at compile time — the
-    ``itemgetter`` itself when every key column is declared NOT NULL in
-    the integer family and not auto-increment (``RowLayout``'s offsets);
+    ``itemgetter`` itself when every key column is declared NOT NULL, not
+    auto-increment, and in the integer or the string family
+    (``RowLayout``'s offsets; each key position keeps one family);
     otherwise the key is built per execution, from the keys' closures."""
     if not order_specs:
         return None
@@ -640,7 +631,8 @@ def _make_sort_stage(order_specs, ctx: CompileContext) -> Stage | None:
     offsets = [column_offset(expr, ctx) for _, _, expr in order_specs]
     if None not in offsets:
         layout = ctx.layout
-        native = all(i in layout.int_offsets and i in layout.not_null_offsets
+        native = all(i in layout.not_null_offsets
+                     and (i in layout.int_offsets or i in layout.str_offsets)
                      for i in offsets)
         key, reverse = order_key(operator.itemgetter(*offsets), descs, native)
 

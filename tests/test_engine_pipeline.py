@@ -379,17 +379,3 @@ class TestFederation:
         result = w_on_ds0.execute(sql, (1,))
         assert result.route_type == "federation"
         assert result.fetchall() == [(1, "ten")]
-
-    def test_federation_can_be_disabled(self):
-        from repro.exceptions import RouteError
-        from repro.sharding import make_vertical_sharding
-        from repro.storage import DataSource
-
-        sources = {"a": DataSource("a"), "b": DataSource("b")}
-        sources["a"].execute("CREATE TABLE x (k INT PRIMARY KEY)")
-        sources["b"].execute("CREATE TABLE y (k INT PRIMARY KEY)")
-        rule = make_vertical_sharding({"x": "a", "y": "b"})
-        engine = SQLEngine(sources, rule, enable_federation=False)
-        with pytest.raises(RouteError):
-            engine.execute("SELECT * FROM x JOIN y ON x.k = y.k")
-        engine.close()
