@@ -11,7 +11,9 @@ into the middleware and finish the query there.
 
 Per-table WHERE conjuncts are pushed down so each shard ships only
 matching rows, except for an outer join's nullable side and for a table
-referenced twice (one pull serves both references).
+referenced twice (one pull serves both references). A table with pushed-down
+conjuncts is pulled only from the nodes the sharding conditions in those
+conjuncts route to; any other table is pulled from every node.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from ..sql import ast
 from ..storage.database import Database
 from ..storage.executor import QueryResult
 from ..storage.plans import execute_statement
-from .context import StatementContext
+from .context import StatementContext, build_context
 from .rewriter import ExecutionUnit
 from .router import RouteUnit
 
@@ -85,7 +87,7 @@ def federate_select(
         pushdown = (_pushdown_predicate(context, ref)
                     if ref.exposed_name.lower() not in no_pushdown
                     and references[logic.lower()] == 1 else None)
-        nodes = _nodes_of(snap, logic)
+        nodes = _nodes_of(snap, ref, pushdown, params)
         first_ds, first_actual = nodes[0]
         scratch.create_table(
             sources[first_ds].database.table(first_actual).schema.clone_renamed(logic))
@@ -112,22 +114,31 @@ def federate_select(
             observability.on_source_attempt(ds_name, True, count)
     budget = MAX_FEDERATION_ROWS
     for (_unit, target), shard in zip(pulls, execution.results):
-        columns = shard.columns
-        for row in shard:
-            budget -= 1
-            if budget < 0:
-                raise UnsupportedSQLError(
-                    f"federated query would materialize more than "
-                    f"{MAX_FEDERATION_ROWS} rows; add narrowing predicates"
-                )
-            target.insert(dict(zip(columns, row)))
+        rows = list(shard)
+        budget -= len(rows)
+        if budget < 0:
+            raise UnsupportedSQLError(
+                f"federated query would materialize more than "
+                f"{MAX_FEDERATION_ROWS} rows; add narrowing predicates"
+            )
+        target.inserter(shard.columns)(rows, [])
     return execute_statement(scratch, statement, context.params)
 
 
-def _nodes_of(snap: "MetadataContext", logic: str) -> list[tuple[str, str]]:
+def _nodes_of(snap: "MetadataContext", ref: ast.TableRef,
+              pushdown: ast.Expression | None, params: tuple) -> list[tuple[str, str]]:
+    """(data source, actual table) of every pull of ``ref``'s table: a
+    sharded table's nodes that the sharding conditions in its pushed-down
+    conjuncts route to (all of them without any)."""
     rule = snap.rule
+    logic = ref.name
     if rule.is_sharded(logic):
-        return [(n.data_source, n.table) for n in rule.table_rule(logic).data_nodes]
+        conditions = {}
+        if pushdown is not None:
+            pulled = ast.SelectStatement(
+                select_items=[ast.SelectItem(ast.Star())], from_table=ref, where=pushdown)
+            conditions = build_context(pulled, "", params, rule).conditions_for(logic)
+        return [(n.data_source, n.table) for n in rule.table_rule(logic).route(conditions)]
     # broadcast tables are replicated everywhere (one copy suffices) and
     # unsharded tables live on the default source
     default = rule.default_data_source or next(iter(snap.data_sources))

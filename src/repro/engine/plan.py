@@ -16,13 +16,19 @@ templates over and over. This module compiles one immutable
 On a cache hit the engine only **binds**: substitute actual parameters
 into the condition template, map shard keys to data nodes, and look up
 the per-node rewrite template — parser, context build, router and
-rewriter (and the per-hit AST clone) are all skipped.
+rewriter (and the per-hit AST clone) are all skipped. An INSERT binds
+each values row's sharding values from their recorded parameter indexes,
+routes each row through the table rule's strategies (no point-lookup
+memo: a bulk load would fill it), and runs one unit per node: the node's
+one-row template with its rows as :class:`~repro.storage.Bindings`.
 
 Cacheability rules (see DESIGN.md "Plan cache"):
 
 - only DQL/DML text statements without hint values;
-- INSERT bypasses the cache: distributed key generation mutates the AST
-  before routing and the batch is split per values-row;
+- an INSERT bypasses when it needs key generation (the rule's key column
+  is missing: the generated keys are new on every execution, and they
+  change the AST before routing) or when its values rows are not all bare
+  placeholders of one width;
 - SELECTs whose LIMIT/OFFSET contain placeholders bypass (pagination
   revision bakes the bound values into the per-shard SQL);
 - statements where two predicates on the same sharding column had to be
@@ -44,7 +50,6 @@ invalidation events are rare; clearing avoids generation-staleness bugs).
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
@@ -54,9 +59,11 @@ from ..sharding import ShardingRule, ShardingValue
 from ..sql import ast, normalize
 from ..sql.formatter import format_statement
 from ..sql.normalize import COMPARISONS
+from ..storage import Bindings
+from ..storage.plans import params_getter
 from .context import StatementContext, build_context
 from .merger import MergeSpec
-from .rewriter import ExecutionUnit, _iter_expressions, shape, unit_statement
+from .rewriter import ExecutionUnit, _iter_expressions, bound_rows, shape, unit_statement
 from .router import RouteResult, RouteUnit, route
 
 if TYPE_CHECKING:
@@ -82,14 +89,8 @@ class UnitTemplate:
         self.dialect = dialect
         self.param_order = param_order
         self.sql = sql
-        #: ``params -> the unit's params``, a C-level getter: a slice when
-        #: the order is one contiguous run (also for zero or one index)
-        self.bind_params: Callable[[tuple[Any, ...]], tuple[Any, ...]]
-        first, last = (param_order[0], param_order[-1]) if param_order else (0, -1)
-        if param_order == tuple(range(first, last + 1)):
-            self.bind_params = operator.itemgetter(slice(first, last + 1))
-        else:
-            self.bind_params = operator.itemgetter(*param_order)
+        #: ``params -> the unit's params``, a C-level getter
+        self.bind_params = params_getter(param_order)
 
 
 #: unit-memo key of a route to every data node of the table
@@ -102,7 +103,7 @@ class CompiledPlan:
     __slots__ = (
         "sql", "statement", "cacheable", "reason", "fingerprint",
         "logic_tables", "alias_map", "condition_template", "key_joins", "param_count",
-        "single_table", "hits", "literal_safe",
+        "single_table", "hits", "literal_safe", "insert_keys", "_insert_rows",
         "_templates", "_lock", "_shapes",
         "_route_memo", "_memo_table_rule", "_all_nodes", "_unit_memo",
     )
@@ -126,6 +127,12 @@ class CompiledPlan:
         #: the statement's one table reference (broadcast tables aside),
         #: lowered, for the single-table fast route
         self.single_table: str | None = None
+        #: an INSERT's sharding columns, each with its parameter index per
+        #: values row (empty for any other statement)
+        self.insert_keys: tuple[tuple[str, tuple[int, ...]], ...] = ()
+        #: an INSERT's values rows, each a getter of its parameters (None
+        #: for any other statement)
+        self._insert_rows: tuple[Callable[[tuple[Any, ...]], tuple[Any, ...]], ...] | None = None
         self.hits = 0
         self._templates: dict[Any, UnitTemplate] = {}
         self._lock = threading.Lock()
@@ -190,8 +197,19 @@ class CompiledPlan:
             logic_tables=self.logic_tables,
             alias_map=self.alias_map,
             conditions=conditions,
+            insert_row_conditions=[] if self._insert_rows is None else self._bind_rows(params),
             key_joins=self.key_joins,
         )
+
+    def _bind_rows(self, params: tuple[Any, ...]) -> list[dict[str, ShardingValue]]:
+        """An INSERT's per-row sharding conditions, as the slow path
+        extracts them: one ``ShardingValue`` per row and sharding column."""
+        assert self._insert_rows is not None
+        rows: list[dict[str, ShardingValue]] = [{} for _ in self._insert_rows]
+        for column, indexes in self.insert_keys:
+            for conditions, index in zip(rows, indexes):
+                conditions[column] = ShardingValue(column, values=[params[index]])
+        return rows
 
     def route_bound(self, conditions: dict[str, dict[str, ShardingValue]],
                     rule: ShardingRule,
@@ -258,6 +276,8 @@ class CompiledPlan:
         :class:`ExecutionUnit` per route unit."""
         route_units = route_result.units
         multi = len(route_units) > 1
+        if self._insert_rows is not None:
+            return self._insert_units(route_units, params, dialect_of), self._shape(multi)[1]
         key = route_result.memo_key
         templates = self._unit_memo.get(key) if key is not None else None
         if templates is None:
@@ -270,6 +290,27 @@ class CompiledPlan:
             for unit, template in zip(route_units, templates)
         ]
         return units, self._shape(multi)[1]
+
+    def _insert_units(self, route_units: list[RouteUnit], params: tuple[Any, ...],
+                      dialect_of: Callable[[str], "Dialect"]) -> list[ExecutionUnit]:
+        """One unit per routed node: its row template, and its rows as
+        :class:`~repro.storage.Bindings` (a one-row unit takes the row's
+        parameters as they are)."""
+        rows = self._insert_rows
+        assert rows is not None
+        units = []
+        for unit in route_units:
+            template = self._template(unit, False, dialect_of)
+            picked = unit.row_indexes
+            bindings = [row(params) for row in rows] if picked is None else [
+                rows[index](params) for index in picked]
+            if len(bindings) == 1:
+                units.append(ExecutionUnit(unit.data_source, bindings[0], template.statement,
+                                           unit, template.dialect, template.sql))
+            else:
+                units.append(ExecutionUnit(unit.data_source, Bindings(bindings),
+                                           template.statement, unit, template.dialect))
+        return units
 
     def _template(self, unit: RouteUnit, multi: bool,
                   dialect_of: Callable[[str], "Dialect"]) -> UnitTemplate:
@@ -285,7 +326,10 @@ class CompiledPlan:
             template = self._templates.get(key)
             if template is not None:
                 return template
-            statement, param_order = unit_statement(self._shape(multi)[0], unit)
+            # an INSERT's template is cut from one values row (any: they
+            # are all bare placeholders of one width)
+            rows = None if self._insert_rows is None else (0,)
+            statement, param_order = unit_statement(self._shape(multi)[0], unit, rows)
             dialect = dialect_of(unit.data_source)
             sql = format_statement(statement, dialect)
             # Stable cache key for the storage engine's compiled-plan layer:
@@ -329,7 +373,9 @@ def compile_plan(sql: str, statement: ast.Statement, rule: ShardingRule) -> Comp
     if category not in ("DQL", "DML"):
         return CompiledPlan(sql, None, False, f"category {category}")
     if isinstance(statement, ast.InsertStatement):
-        return CompiledPlan(sql, None, False, "INSERT (key generation / batch split)")
+        reason = _insert_bypass(statement, rule)
+        if reason:
+            return CompiledPlan(sql, None, False, reason)
 
     param_count = 0
     for expr in _iter_expressions(statement):
@@ -367,10 +413,32 @@ def _compile(sql: str, statement: ast.Statement, rule: ShardingRule,
     plan.alias_map = template_context.alias_map
     plan.condition_template = template_context.conditions
     plan.key_joins = template_context.key_joins
+    rows = bound_rows(statement)
+    if rows is not None:  # an INSERT routes row by row: no point-lookup route
+        plan._insert_rows = tuple(map(params_getter, rows))
+        conditions = template_context.insert_row_conditions
+        plan.insert_keys = tuple(
+            (column, tuple(row[column].values[0].index for row in conditions))  # type: ignore[index]
+            for column in (conditions[0] if conditions else ()))
+        return plan
     refs = [t.lower() for t in plan.logic_tables if not rule.is_broadcast(t)]
     if len(refs) == 1:
         plan.single_table = refs[0]
     return plan
+
+
+def _insert_bypass(statement: ast.InsertStatement, rule: ShardingRule) -> str:
+    """Why an INSERT cannot run from a plan, or ``""``: it needs key
+    generation (the generated keys are new on every execution), or its
+    values rows are not all bare placeholders of one width."""
+    table = statement.table.name
+    key_generate = rule.table_rule(table).key_generate if rule.is_sharded(table) else None
+    if key_generate is not None and not any(
+            column.lower() == key_generate.column.lower() for column in statement.columns):
+        return "INSERT key generation"
+    if bound_rows(statement) is None:
+        return "INSERT values rows not all placeholders of one width"
+    return ""
 
 
 _OPERAND_OPS = COMPARISONS | {"LIKE"}
@@ -380,7 +448,8 @@ def _operand_placeholders(statement: ast.Statement) -> int:
     """How many placeholders sit where :func:`repro.sql.normalize` extracts
     literals *and* a value is all the statement needs there: a comparison /
     LIKE / BETWEEN / IN operand (behind unary minuses at most) in WHERE,
-    HAVING or a join condition, or an UPDATE SET right-hand side. A
+    HAVING or a join condition, an UPDATE SET right-hand side, or an
+    INSERT values-row item. A
     placeholder anywhere else (select list, GROUP BY, ORDER BY, inside
     arithmetic or a function call) makes the text unfit to stand for
     literal statements: ORDER BY / GROUP BY items are matched to select
@@ -388,6 +457,8 @@ def _operand_placeholders(statement: ast.Statement) -> int:
     operands: list[ast.Expression] = []
     if isinstance(statement, ast.UpdateStatement):
         operands += [value for _, value in statement.assignments]
+    elif isinstance(statement, ast.InsertStatement):
+        operands += [value for row in statement.values_rows for value in row]
     roots = [getattr(statement, "where", None), getattr(statement, "having", None)]
     roots += [join.condition for join in getattr(statement, "joins", ())]
     for root in roots:

@@ -11,6 +11,11 @@ Correctness rewrite:
 - *pagination revision* — ``LIMIT n OFFSET m`` becomes ``LIMIT n+m`` per
   shard (the merger re-applies the real offset globally);
 - *batched-insert split* — each unit keeps only its routed values rows.
+  An INSERT whose values rows are all bare placeholders of one width
+  (:func:`bound_rows`) is cut as one row template per node,
+  ``INSERT INTO <actual> (cols) VALUES (?, …)``, that runs the node's rows
+  as :class:`~repro.storage.Bindings` (one unit per node, one storage plan
+  per node); any other INSERT keeps its rows in the unit's statement.
 
 Optimization rewrite:
 
@@ -34,6 +39,7 @@ from ..exceptions import RewriteError
 from ..sql import ast
 from ..sql.dialects import SQL92, Dialect
 from ..sql.formatter import format_expression, format_statement
+from ..storage import Bindings
 from .context import StatementContext
 from .merger import AggregateSpec, MergeSpec
 from .router import RouteResult, RouteUnit
@@ -45,7 +51,9 @@ class ExecutionUnit:
     """One rewritten statement ready to run on one data source.
 
     ``sql`` text is rendered lazily (diagnostics, PREVIEW, proxies); the
-    in-process data sources execute the ``statement`` AST directly.
+    in-process data sources execute the ``statement`` AST directly. A unit
+    whose ``params`` are :class:`~repro.storage.Bindings` runs its row
+    template once per binding, and its ``sql`` shows one values row each.
     """
 
     __slots__ = ("data_source", "params", "statement", "unit", "dialect", "_sql")
@@ -63,7 +71,13 @@ class ExecutionUnit:
     @property
     def sql(self) -> str:
         if self._sql is None:
-            self._sql = format_statement(self.statement, self.dialect)
+            statement = self.statement
+            if type(self.params) is Bindings:  # a row template: every row it inserts
+                assert isinstance(statement, ast.InsertStatement)
+                statement = ast.InsertStatement(
+                    table=statement.table, columns=statement.columns,
+                    values_rows=statement.values_rows * len(self.params))
+            self._sql = format_statement(statement, self.dialect)
         return self._sql
 
 
@@ -83,16 +97,45 @@ def rewrite(
     params = context.params
     base, merge_spec = shape(context.statement, route_result.is_single, params)
     result = RewriteResult(merge_spec=merge_spec)
+    rows = bound_rows(base)
     for unit in route_result.units:
-        statement, order = unit_statement(base, unit)
-        try:
-            unit_params = tuple(map(params.__getitem__, order))
-        except IndexError:
-            missing = next(index for index in order if index >= len(params))
-            raise RewriteError(f"missing parameter for placeholder #{missing}") from None
+        dialect = resolver(unit.data_source)
+        if rows is None:
+            statement, order = unit_statement(base, unit)
+            unit_params: tuple[Any, ...] = _take(params, order)
+        else:  # a row template, keyed as a plan's is; its rows are the unit's bindings
+            picked = unit.row_indexes if unit.row_indexes is not None else range(len(rows))
+            statement, _ = unit_statement(base, unit, picked[:1])
+            statement.storage_plan_key = format_statement(statement, dialect)
+            bindings = [_take(params, rows[row]) for row in picked]
+            unit_params = bindings[0] if len(bindings) == 1 else Bindings(bindings)
         result.execution_units.append(ExecutionUnit(
-            unit.data_source, unit_params, statement, unit, resolver(unit.data_source)))
+            unit.data_source, unit_params, statement, unit, dialect))
     return result
+
+
+def _take(params: Sequence[Any], order: Sequence[int]) -> tuple[Any, ...]:
+    try:
+        return tuple(map(params.__getitem__, order))
+    except IndexError:
+        missing = next(index for index in order if index >= len(params))
+        raise RewriteError(f"missing parameter for placeholder #{missing}") from None
+
+
+def bound_rows(statement: ast.Statement) -> tuple[tuple[int, ...], ...] | None:
+    """Each values row's placeholder indexes, when ``statement`` is an
+    INSERT whose values rows are all bare placeholders of one width: it
+    runs as one row template per node with its rows as bindings. None for
+    any other statement."""
+    if not isinstance(statement, ast.InsertStatement) or not statement.values_rows:
+        return None
+    width = len(statement.values_rows[0])
+    rows = []
+    for row in statement.values_rows:
+        if len(row) != width or not all(type(value) is ast.Placeholder for value in row):
+            return None
+        rows.append(tuple(value.index for value in row))  # type: ignore[attr-defined]
+    return tuple(rows)
 
 
 def shape(statement: ast.Statement, single_node: bool,
@@ -114,17 +157,19 @@ def shape(statement: ast.Statement, single_node: bool,
     return shaped, _build_merge_spec(statement, shaped, single_node, params)
 
 
-def unit_statement(base: ast.Statement,
-                   unit: RouteUnit) -> tuple[ast.Statement, tuple[int, ...]]:
-    """``base`` cut for one unit: a clone whose INSERT values rows are the
-    unit's, whose logic tables are the unit's actual tables and whose
-    placeholders are numbered from 0 — with the caller's parameter index
-    for each of them, in order."""
+def unit_statement(base: ast.Statement, unit: RouteUnit,
+                   rows: Sequence[int] | None = None,
+                   ) -> tuple[ast.Statement, tuple[int, ...]]:
+    """``base`` cut for one unit: a clone whose INSERT values rows are
+    ``rows`` (by default the unit's; picked before the clone), whose logic
+    tables are the unit's actual tables and whose placeholders are numbered
+    from 0 — with the caller's parameter index for each of them, in order."""
+    if isinstance(base, ast.InsertStatement):
+        keep = unit.row_indexes if rows is None else rows
+        if keep is not None and len(keep) < len(base.values_rows):
+            base = ast.InsertStatement(table=base.table, columns=base.columns,
+                                       values_rows=[base.values_rows[i] for i in keep])
     statement = ast.clone_statement(base)
-    rows = unit.row_indexes
-    if (rows is not None and isinstance(statement, ast.InsertStatement)
-            and len(rows) < len(statement.values_rows)):
-        statement.values_rows = [statement.values_rows[i] for i in rows]
     _rename_tables(statement, unit)
     order: list[int] = []
     for expr in _iter_expressions(statement):

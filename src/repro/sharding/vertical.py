@@ -90,12 +90,11 @@ def split_table_vertically(
 
         tables = [database.create_table(s) for s in split_schemas]
         created = [t.schema.name for t in tables]
+        inserts = [(target.schema.column_names, target.inserter(target.schema.column_names))
+                   for target in tables]
         for _, row in original.scan():
-            for target in tables:
-                values = {
-                    column.name: row[column.name] for column in target.schema.columns
-                }
-                target.insert(values)
+            for names, insert in inserts:
+                insert([[row[name] for name in names]], [])
         if drop_original:
             database.drop_table(table)
     return created

@@ -29,7 +29,7 @@ _WORD = r"[^\W\d]\w*"
 # string, quoted identifier or ``/*``, or a stray character.
 _TOKEN = re.compile(
     rf"""\s*(?:
-    (?P<key>(?i:LIKE|IN|BETWEEN|AND|LIMIT|OFFSET)\b)
+    (?P<key>(?i:LIKE|IN|BETWEEN|AND|LIMIT|OFFSET|VALUES)\b)
   | (?P<word>{_WORD})
   | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<punct>[(),.;])

@@ -11,13 +11,14 @@ digests all key on the same text (see DESIGN.md "Statement identity").
 
 A literal is extracted when the previous significant token is a comparison
 operator, ``LIKE``, ``BETWEEN``, the ``AND`` closing a ``BETWEEN``, or the
-``(`` / ``,`` of an ``IN (`` list at that list's own depth; a unary minus
-stays in the text (``k = -5`` -> ``k = -?``). Everything else keeps its
-literal because it is plan shape, not data: ``LIMIT`` / ``OFFSET`` and
-whatever follows them, ``ORDER BY 1``, select-list and function-argument
-literals, arithmetic operands, ``NULL`` / ``TRUE`` / ``FALSE`` — and every
-statement that does not start with ``SELECT`` / ``UPDATE`` / ``DELETE``
-passes through byte for byte.
+``(`` / ``,`` of an ``IN (`` list or of an INSERT's ``VALUES (`` row at
+that list's own depth; a unary minus stays in the text (``k = -5`` ->
+``k = -?``). Everything else keeps its literal because it is plan shape,
+not data: ``LIMIT`` / ``OFFSET`` and whatever follows them, ``ORDER BY 1``,
+select-list and function-argument literals, arithmetic operands, ``NULL`` /
+``TRUE`` / ``FALSE`` — and every statement that does not start with
+``SELECT`` / ``UPDATE`` / ``DELETE`` / ``INSERT`` passes through byte for
+byte.
 
 The scanner is the lexer's own regex (:data:`repro.sql.lexer._TOKEN`), so a
 token here is a token to :func:`~repro.sql.lexer.tokenize`. Text the lexer
@@ -35,17 +36,17 @@ from .parser import _parse_number
 
 __all__ = ["normalize", "COMPARISONS"]
 
-#: only these statements have predicate literals worth a shared shape
-_SHAPED = frozenset({"SELECT", "UPDATE", "DELETE"})
+#: only these statements have predicate or row literals worth a shared shape
+_SHAPED = frozenset({"SELECT", "UPDATE", "DELETE", "INSERT"})
 
 #: the operators whose right-hand literal is a predicate operand (the
 #: engine's AST check of a shape reads the same set)
 COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 
 # What the previous significant token says about the next one.
-_NOTHING, _OPERAND, _IN, _BETWEEN, _AND, _LIMIT = range(6)
+_NOTHING, _OPERAND, _IN, _BETWEEN, _AND, _LIMIT, _VALUES = range(7)
 _KEYS = {"LIKE": _OPERAND, "IN": _IN, "BETWEEN": _BETWEEN, "AND": _AND,
-         "LIMIT": _LIMIT, "OFFSET": _LIMIT}
+         "LIMIT": _LIMIT, "OFFSET": _LIMIT, "VALUES": _VALUES}
 
 
 def normalize(
@@ -74,6 +75,7 @@ def normalize(
     frozen = False  # past LIMIT / OFFSET
     parens: list[bool] = []  # per open parenthesis: is it an IN list
     betweens: list[int] = []  # paren depth of each BETWEEN awaiting its AND
+    rows_at = -1  # paren depth of the rows after VALUES (-1: none yet)
     seen = 0  # caller placeholders so far
     head = not every  # the first word, which decides, is still to come
     for match in _TOKEN.finditer(sql):
@@ -98,6 +100,9 @@ def normalize(
             elif previous == _LIMIT:
                 frozen = True
                 previous = _NOTHING
+            elif previous == _VALUES:
+                rows_at = len(parens)
+                previous = _NOTHING
         elif kind == "number" or kind == "string":
             if every or (previous == _OPERAND and not frozen):
                 text = match.group(kind)
@@ -118,8 +123,9 @@ def normalize(
         elif kind == "punct":
             char = match.group(kind)
             if char == "(":
-                parens.append(previous == _IN)
-                previous = _OPERAND if previous == _IN else _NOTHING
+                listed = previous == _IN or len(parens) == rows_at
+                parens.append(listed)
+                previous = _OPERAND if listed else _NOTHING
             elif char == ",":
                 previous = _OPERAND if parens and parens[-1] else _NOTHING
             else:

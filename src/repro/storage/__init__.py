@@ -6,7 +6,7 @@ indexes, streaming cursors, local + XA transactions, connection pools and
 a tunable latency model (see DESIGN.md, substitution #1).
 """
 
-from .connection import Connection, Cursor
+from .connection import Bindings, Connection, Cursor
 from .database import Database
 from .engine import DataSource
 from .executor import QueryResult
@@ -36,6 +36,7 @@ __all__ = [
     "Column",
     "ColumnType",
     "make_type",
+    "Bindings",
     "Connection",
     "Cursor",
     "ConnectionPool",

@@ -58,6 +58,17 @@ if TYPE_CHECKING:
 _connection_ids = itertools.count(1)
 
 
+class Bindings(tuple):
+    """A DML statement's parameters as several bindings, one tuple each:
+    passed as ``params`` to :meth:`Connection.execute`, the statement runs
+    once per binding as one batch, through :meth:`Connection._run`'s
+    ``many`` door (what ``executemany`` does). The engine cuts a batched
+    INSERT into one row template per node with the node's rows as
+    bindings."""
+
+    __slots__ = ()
+
+
 class Connection:
     """A session against one data source.
 
@@ -198,13 +209,14 @@ class Connection:
         the session call's :func:`~repro.storage.latency.now`, and book the
         window (:func:`~repro.storage.latency.book`, inline: this is the hot
         path). With no scope open it is paid here. Returns the result, whose
-        rows are read at its first fetch."""
+        rows are read at its first fetch. :class:`Bindings` as ``params``
+        run the statement once per binding, priced and booked as one."""
         if isinstance(sql, str):  # _statement, inline: this is the hot path
             stmt = parse(sql)
             stmt.storage_plan_key = sql
         else:
             stmt = sql
-        result = self._run(stmt, params)
+        result = self._run(stmt, params, type(params) is Bindings)
         result.connection = self
         if (owed := result.cost + result.delay) <= 0:
             return result
@@ -381,7 +393,7 @@ class Connection:
                 stmt = _statement(sql)
                 if isinstance(stmt, _TCL_STATEMENTS) and batches[-1]:
                     batches.append([])
-                result = self._run(stmt, params)
+                result = self._run(stmt, params, type(params) is Bindings)
                 results.append(result)
                 batches[-1].append(result)
         finally:

@@ -990,41 +990,49 @@ def _compile_delete(database: "Database", stmt: ast.DeleteStatement):
 
 
 def _compile_insert(database: "Database", stmt: ast.InsertStatement):
-    """Compiled INSERT: per-row value getters bound in a constant context
-    (a column reference is an unknown column), plus a batched
-    ``runner_many`` that executes every executemany binding in one plan
-    invocation and charges write I/O once for the whole batch — the same
-    amortization one multi-row INSERT statement gets.
+    """Compiled INSERT. Column offsets, coercers and defaults are resolved
+    here (:meth:`Table.inserter`), and each stored tuple is built by
+    position. A values row of bare placeholders is read off the parameters
+    by one C-level getter; any other row is built by value getters bound in
+    a constant context (a column reference is an unknown column). The
+    statement's inserted rows are logged once, also when a row fails (a
+    duplicate key): the rows before it stay logged, for the transaction to
+    undo. ``runner_many`` runs every executemany binding in one plan
+    invocation and charges write I/O once for the whole batch — the price
+    of one multi-row INSERT of the same rows.
     """
     table = database.table(stmt.table.name)
-    columns = tuple(table.schema.column(name).name
-                    for name in stmt.columns or table.schema.column_names)
+    columns = stmt.columns or table.schema.column_names
+    insert = table.inserter(columns)
     ctx = CompileContext("const")
-    row_specs = []
+    pickers: list[Callable[[Sequence[Any]], Sequence[Any]]] = []
     for row_exprs in stmt.values_rows:
         if len(row_exprs) != len(columns):
             raise ExecutionError(
                 f"INSERT column/value count mismatch: {len(columns)} vs {len(row_exprs)}"
             )
-        row_specs.append(tuple(compile_scalar(expr, ctx) for expr in row_exprs))
-    specs = tuple(row_specs)
+        if all(type(expr) is ast.Placeholder for expr in row_exprs):
+            indexes = [expr.index for expr in row_exprs]
+            ctx.param_count = max(ctx.param_count, max(indexes) + 1)
+            pickers.append(params_getter(indexes))
+        else:
+            getters = tuple(compile_scalar(expr, ctx) for expr in row_exprs)
+            pickers.append(lambda params, _g=getters: [g(None, params) for g in _g])
     price = Pricer(database.latency)
 
-    def insert_rows(params: Sequence[Any], txn: "Transaction") -> int:
-        inserted = 0
-        insert = table.insert
-        record = txn.record_insert
-        for getters in specs:
-            values = {col: g(None, params) for col, g in zip(columns, getters)}
-            row_id = insert(values)
-            record(table, row_id)
-            inserted += 1
-        return inserted
+    def insert_rows(value_rows: list[Sequence[Any]], txn: "Transaction") -> int:
+        row_ids: list[int] = []
+        try:
+            insert(value_rows, row_ids)
+        finally:
+            if row_ids:
+                txn.record_inserts(table, row_ids)
+        return len(row_ids)
 
     def run(params: Sequence[Any],
             transaction: "Transaction | None") -> QueryResult:
         txn = _require_txn(transaction)
-        inserted = insert_rows(params, txn)
+        inserted = insert_rows([pick(params) for pick in pickers], txn)
         rows = table.row_count
         cost = price.statement(rows, inserted, True)
         io = price.write(rows)
@@ -1034,9 +1042,11 @@ def _compile_insert(database: "Database", stmt: ast.InsertStatement):
     def run_many(seq_of_params: Sequence[Sequence[Any]],
                  transaction: "Transaction | None") -> QueryResult:
         txn = _require_txn(transaction)
-        inserted = 0
-        for params in seq_of_params:
-            inserted += insert_rows(params, txn)
+        if len(pickers) == 1:  # a row template: one values row per binding
+            value_rows = list(map(pickers[0], seq_of_params))
+        else:
+            value_rows = [pick(params) for params in seq_of_params for pick in pickers]
+        inserted = insert_rows(value_rows, txn)
         rows = table.row_count
         cost = price.statement(rows, inserted, True)
         io = price.write(rows) if inserted else 0.0
@@ -1044,6 +1054,15 @@ def _compile_insert(database: "Database", stmt: ast.InsertStatement):
                            written_table=table, write_cost=io)
 
     return run, run_many, ctx.param_count
+
+
+def params_getter(order: Sequence[int]) -> Callable[[Sequence[Any]], Sequence[Any]]:
+    """``params -> the parameters at order's indexes``, a C-level getter: a
+    slice when the indexes are one contiguous run (also for zero or one)."""
+    first, last = (order[0], order[-1]) if order else (0, -1)
+    if list(order) == list(range(first, last + 1)):
+        return operator.itemgetter(slice(first, last + 1))
+    return operator.itemgetter(*order)
 
 
 def _require_txn(transaction: "Transaction | None") -> "Transaction":

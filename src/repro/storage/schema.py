@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..exceptions import ColumnNotFoundError, TypeCheckError
+from ..exceptions import ColumnNotFoundError
 from ..sql import ast
 from .types import ColumnType, make_type
 
@@ -68,32 +68,6 @@ class TableSchema:
             return self._by_name[name.lower()]
         except KeyError:
             raise ColumnNotFoundError(f"column {name!r} not in table {self.name}") from None
-
-    def normalize_row(self, values: dict[str, Any]) -> list[Any]:
-        """Coerce a raw column->value mapping into a full typed row: its
-        values in ``self.columns`` order, at :meth:`column_offset`
-        positions.
-
-        Missing columns get their default (or None); NOT NULL without a
-        value raises unless the column is auto-increment (filled by the
-        table). Unknown columns raise.
-        """
-        for key in values:
-            if key.lower() not in self._by_name:
-                raise ColumnNotFoundError(f"column {key!r} not in table {self.name}")
-        lowered = {key.lower(): value for key, value in values.items()}
-        row: list[Any] = []
-        for col in self.columns:
-            if col.name.lower() in lowered:
-                value = col.type.coerce(lowered[col.name.lower()])
-            elif col.default is not None:
-                value = col.type.coerce(col.default)
-            else:
-                value = None
-            if value is None and col.not_null and not col.auto_increment:
-                raise TypeCheckError(f"column {col.name!r} of table {self.name} is NOT NULL")
-            row.append(value)
-        return row
 
     @classmethod
     def from_ast(cls, stmt: ast.CreateTableStatement) -> "TableSchema":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..exceptions import DuplicateKeyError, StorageError, TypeCheckError
 from .expression import sort_key
@@ -158,21 +158,78 @@ class Table:
 
     def insert(self, values: dict[str, Any]) -> int:
         """Insert a row given as ``column -> value``; returns its row id."""
-        row = self.schema.normalize_row(values)
-        for i in self._auto_offsets:
-            value = row[i]
-            if value is None:
-                self._auto_value += 1
-                row[i] = self._auto_value
-            elif isinstance(value, int):
-                self._auto_value = max(self._auto_value, value)
-        stored = tuple(row)
-        row_id = self._next_row_id
-        self._index_insert(row_id, stored)
-        self._rows[row_id] = stored
-        self.row_count = len(self._rows)
-        self._next_row_id += 1
-        return row_id
+        row_ids: list[int] = []
+        self.inserter(list(values))([list(values.values())], row_ids)
+        return row_ids[0]
+
+    def inserter(self, columns: Sequence[str]) -> Callable[[Iterable[Sequence[Any]], list[int]], None]:
+        """A function that inserts rows given as values of ``columns`` (in
+        that order; a column named twice takes its last value) and appends
+        each new row's id to the list it is passed, so after an error the
+        list holds the rows inserted before it.
+
+        Offsets, coercers and defaults are resolved here, once: a row is
+        built by position from the defaults, with no ``column -> value``
+        dict. An unknown column raises here. Each row is checked in schema
+        column order: a value is coerced to its column's type, a missing
+        one takes the column's default, and NOT NULL holds unless the
+        column is auto-increment, which the table fills.
+        """
+        schema = self.schema
+        position = {schema.column_offset(name): at for at, name in enumerate(columns)}
+        base: list[Any] = []
+        #: (offset, position in the values, coercer, NOT NULL, name), schema order
+        supplied: list[tuple[int, int, Callable[[Any], Any], bool, str]] = []
+        #: what every row raises at the first column it cannot fill, if any
+        unfillable: str | None = None
+        for offset, col in enumerate(schema.columns):
+            required = col.not_null and not col.auto_increment
+            if offset in position:
+                supplied.append((offset, position[offset], col.type.coercer(), required, col.name))
+                base.append(None)
+                continue
+            try:
+                value = col.type.coerce(col.default) if col.default is not None else None
+            except TypeCheckError as exc:
+                unfillable = str(exc)
+                break
+            if value is None and required:
+                unfillable = f"column {col.name!r} of table {self.name} is NOT NULL"
+                break
+            base.append(value)
+        specs = tuple(supplied)
+        auto_offsets = self._auto_offsets
+        rows = self._rows
+        index_insert = self._index_insert
+
+        def insert_rows(value_rows: Iterable[Sequence[Any]], row_ids: list[int]) -> None:
+            try:
+                for values in value_rows:
+                    row = base.copy()
+                    for offset, at, coerce, required, name in specs:
+                        value = row[offset] = coerce(values[at])
+                        if value is None and required:
+                            raise TypeCheckError(
+                                f"column {name!r} of table {self.name} is NOT NULL")
+                    if unfillable is not None:
+                        raise TypeCheckError(unfillable)
+                    for i in auto_offsets:
+                        value = row[i]
+                        if value is None:
+                            self._auto_value += 1
+                            row[i] = self._auto_value
+                        elif isinstance(value, int):
+                            self._auto_value = max(self._auto_value, value)
+                    stored = tuple(row)
+                    row_id = self._next_row_id
+                    index_insert(row_id, stored)
+                    rows[row_id] = stored
+                    self._next_row_id = row_id + 1
+                    row_ids.append(row_id)
+            finally:
+                self.row_count = len(rows)
+
+        return insert_rows
 
     def delete(self, row_id: int) -> tuple[Any, ...]:
         """Delete by row id; returns the removed row (for the undo log)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..exceptions import TransactionError, XATransactionError
 from .table import Table
@@ -29,15 +29,9 @@ class TxnStatus(enum.Enum):
     ABORTED = "aborted"
 
 
-class _UndoEntry:
-    __slots__ = ("kind", "table", "row_id", "row")
-
-    def __init__(self, kind: str, table: Table, row_id: int,
-                 row: tuple[Any, ...] | None = None):
-        self.kind = kind
-        self.table = table
-        self.row_id = row_id
-        self.row = row
+#: one undo entry: (kind, table, row id, the row it replaced or None); a
+#: plain tuple, so a statement's inserted rows are logged with no call per row
+UndoEntry = tuple[str, Table, int, "tuple[Any, ...] | None"]
 
 
 class Transaction:
@@ -47,7 +41,7 @@ class Transaction:
         self.database = database
         self.xid = xid
         self.status = TxnStatus.ACTIVE
-        self._undo: list[_UndoEntry] = []
+        self._undo: list[UndoEntry] = []
         self._lock = threading.Lock()
         #: rows touched by this transaction, recorded only when the
         #: database is a replication primary: at commit the *current*
@@ -64,21 +58,25 @@ class Transaction:
 
     # -- undo recording (called by the executor) -------------------------
 
-    def record_insert(self, table: Table, row_id: int) -> None:
+    def record_inserts(self, table: Table, row_ids: Sequence[int]) -> None:
+        """Log one statement's inserted rows; the table's data version is
+        bumped once for all of them."""
         with self._lock:
-            self._undo.append(_UndoEntry("insert", table, row_id))
-            self._touch(table, row_id)
+            self._undo += [("insert", table, row_id, None) for row_id in row_ids]
+            if self._touched is not None:
+                for row_id in row_ids:
+                    self._touch(table, row_id)
         self.database.bump_data_version(table.name)
 
     def record_update(self, table: Table, row_id: int, old_row: tuple[Any, ...]) -> None:
         with self._lock:
-            self._undo.append(_UndoEntry("update", table, row_id, old_row))
+            self._undo.append(("update", table, row_id, old_row))
             self._touch(table, row_id)
         self.database.bump_data_version(table.name)
 
     def record_delete(self, table: Table, row_id: int, old_row: tuple[Any, ...]) -> None:
         with self._lock:
-            self._undo.append(_UndoEntry("delete", table, row_id, old_row))
+            self._undo.append(("delete", table, row_id, old_row))
             self._touch(table, row_id)
         self.database.bump_data_version(table.name)
 
@@ -86,7 +84,7 @@ class Transaction:
     def mutation_count(self) -> int:
         return len(self._undo)
 
-    def take_undo(self) -> list[_UndoEntry]:
+    def take_undo(self) -> list[UndoEntry]:
         """Detach the undo log (Seata-AT keeps it as the branch undo log:
         the local transaction then commits, and the detached entries allow
         later compensation via :func:`replay_undo`)."""
@@ -162,26 +160,26 @@ def publish_row_images(database: "Database",
     replication.publish(deletes + puts)
 
 
-def _apply_undo(entries: list[_UndoEntry]) -> None:
+def _apply_undo(entries: list[UndoEntry]) -> None:
     """Reverse each entry's write, newest first (the caller holds the
     database's write lock)."""
-    for entry in reversed(entries):
-        if entry.kind == "insert":
-            entry.table.raw_remove(entry.row_id)
-        elif entry.kind == "update":
-            entry.table.raw_restore(entry.row_id, entry.row)  # type: ignore[arg-type]
-        elif entry.kind == "delete":
-            entry.table.raw_reinsert(entry.row_id, entry.row)  # type: ignore[arg-type]
+    for kind, table, row_id, row in reversed(entries):
+        if kind == "insert":
+            table.raw_remove(row_id)
+        elif kind == "update":
+            table.raw_restore(row_id, row)  # type: ignore[arg-type]
+        elif kind == "delete":
+            table.raw_reinsert(row_id, row)  # type: ignore[arg-type]
 
 
-def replay_undo(database: "Database", entries: list[_UndoEntry]) -> None:
+def replay_undo(database: "Database", entries: list[UndoEntry]) -> None:
     """Apply detached undo entries in reverse (Seata-AT compensation)."""
     with database.write_lock():
         _apply_undo(entries)
     if database.replication is not None and entries:
         publish_row_images(
-            database, {(id(e.table), e.row_id): (e.table, e.row_id)
-                       for e in entries}.values(),
+            database, {(id(table), row_id): (table, row_id)
+                       for _, table, row_id, _ in entries}.values(),
         )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..exceptions import TypeCheckError
 
@@ -31,6 +31,33 @@ class ColumnType:
         if handler is None:
             raise TypeCheckError(f"unknown column type {self.name!r}")
         return handler(self, value)
+
+    def coercer(self) -> Callable[[Any], Any]:
+        """:meth:`coerce` as one call per value, resolved once: a value
+        already of the column's Python type and in range (an ``int`` in an
+        integer column's range, a ``str`` within a character column's
+        length) comes back as it is, and any other goes to :meth:`coerce`."""
+        handler = _COERCERS.get(self.name)
+        coerce = self.coerce
+        if handler is _coerce_int:
+            low, high = _INT_RANGES.get(self.name, _BIGINT)
+
+            def coerce_int(value: Any) -> Any:
+                if type(value) is int and low <= value <= high:
+                    return value
+                return coerce(value)
+
+            return coerce_int
+        if handler is _coerce_str:
+            length = self.length if self.length is not None else float("inf")
+
+            def coerce_str(value: Any) -> Any:
+                if type(value) is str and len(value) <= length:
+                    return value
+                return coerce(value)
+
+            return coerce_str
+        return coerce
 
     def __str__(self) -> str:
         if self.length is not None:
@@ -54,16 +81,17 @@ def _coerce_int(col: ColumnType, value: Any) -> int:
     raise TypeCheckError(f"cannot store {type(value).__name__} in {col}")
 
 
+_BIGINT = (-(2**63), 2**63 - 1)
 _INT_RANGES = {
     "SMALLINT": (-(2**15), 2**15 - 1),
     "INT": (-(2**31), 2**31 - 1),
     "INTEGER": (-(2**31), 2**31 - 1),
-    "BIGINT": (-(2**63), 2**63 - 1),
+    "BIGINT": _BIGINT,
 }
 
 
 def _check_int_range(col: ColumnType, value: int) -> None:
-    low, high = _INT_RANGES.get(col.name, (-(2**63), 2**63 - 1))
+    low, high = _INT_RANGES.get(col.name, _BIGINT)
     if not low <= value <= high:
         raise TypeCheckError(f"value {value} out of range for {col}")
 

@@ -421,7 +421,7 @@ def _execute_insert(database, stmt: ast.InsertStatement, params: Sequence[Any],
             )
         values = {col: evaluate(expr, {}, params) for col, expr in zip(columns, row_exprs)}
         row_id = table.insert(values)
-        txn.record_insert(table, row_id)
+        txn.record_inserts(table, (row_id,))
     return QueryResult(rowcount=len(stmt.values_rows))
 
 

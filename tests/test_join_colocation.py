@@ -67,6 +67,29 @@ class TestRegressions:
         assert result.route_type == "federation"
         assert len(result.fetchall()) == 16
 
+    def test_a_federated_table_is_pulled_from_the_nodes_its_pushdown_routes_to(
+            self, fleet, nonbinding_rule):
+        """Each table's pushed-down conjuncts carry its own key: one pull
+        each, not one per node, and the answer is one node's answer."""
+        engine = seed(SQLEngine(fleet, nonbinding_rule, max_connections_per_query=2))
+        before = {name: source.database.statements_executed for name, source in fleet.items()}
+        result = engine.execute(
+            "SELECT u.name, o.oid FROM t_user u JOIN t_order o ON o.amount < u.age "
+            "WHERE u.uid = 1 AND o.uid = 2")
+        pulls = {name: source.database.statements_executed - before[name]
+                 for name, source in fleet.items()}
+        assert result.route_type == "federation"
+        assert result.fetchall() == [("alice", 11)]
+        assert pulls == {"ds0": 1, "ds1": 1}
+        # a table referenced twice is still pulled whole: one pull serves both
+        before = {name: source.database.statements_executed for name, source in fleet.items()}
+        result = engine.execute(
+            "SELECT a.name, b.name FROM t_user a JOIN t_user b ON a.age < b.age WHERE a.uid = 1")
+        assert sorted(result.fetchall()) == [("alice", "carol")]
+        assert {name: source.database.statements_executed - before[name]
+                for name, source in fleet.items()} == {"ds0": 1, "ds1": 1}
+        engine.close()
+
     def test_a_bound_left_join_off_its_key_pairs_every_user(self, seeded_engine):
         result = seeded_engine.execute(
             "SELECT u.name, o.oid FROM t_user u LEFT JOIN t_order o ON o.amount > 6")

@@ -6,6 +6,8 @@ rules, the counter accounting, every invalidation trigger and the
 feature interaction contract (``plan_cache_safe``).
 """
 
+import itertools
+
 import pytest
 
 from repro.adaptors import PreparedStatement, ShardingDataSource, ShardingRuntime
@@ -20,14 +22,27 @@ from repro.features import (
     XorStreamEncryptor,
 )
 from repro.observability import Observability
-from repro.sharding import ShardingRule
-from repro.sql import parse
+from repro.sharding import KeyGenerateConfig, KeyGenerator, ShardingRule
+from repro.sql import normalize, parse
 from repro.storage import DataSource
 from repro.storage.plans import StoragePlanCache
 
 
 def _compile(sql: str, rule) -> CompiledPlan:
     return compile_plan(sql, parse(sql), rule)
+
+
+def _counting_keys(column: str, start: int) -> KeyGenerateConfig:
+    """Key generation of ``start``, ``start + 1``, ... into ``column``."""
+    class Counting(KeyGenerator):
+        def __init__(self):
+            super().__init__()
+            self.keys = itertools.count(start)
+
+        def next_key(self):
+            return next(self.keys)
+
+    return KeyGenerateConfig(column, Counting())
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +73,26 @@ class TestCompile:
         assert plan.single_table == "t_user"  # a broadcast table is everywhere
 
     def test_insert_bypasses(self, paper_rule):
-        plan = _compile("INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?)", paper_rule)
+        """Only an INSERT that needs key generation: its keys are new on
+        every execution. One whose rule generates keys but that supplies
+        the key column compiles."""
+        paper_rule.table_rule("t_user").key_generate = _counting_keys("uid", 100)
+        plan = _compile("INSERT INTO t_user (name, age) VALUES (?, ?)", paper_rule)
         assert not plan.cacheable
-        assert "INSERT" in plan.reason
+        assert "key generation" in plan.reason
+        assert _compile("INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?)",
+                        paper_rule).cacheable
+
+    def test_insert_compiles_when_rows_are_placeholders_of_one_width(self, paper_rule):
+        plan = _compile("INSERT INTO t_user (uid, name) VALUES (?, ?), (?, ?)", paper_rule)
+        assert plan.cacheable and plan.param_count == 4 and plan.literal_safe
+        assert plan.insert_keys == (("uid", (0, 2)),)
+        assert plan.single_table is None  # routed row by row, never memoized
+        for sql in ("INSERT INTO t_user (uid, name) VALUES (?, 'x')",
+                    "INSERT INTO t_user (uid, name) VALUES (?, ?), (?, ? + 1)",
+                    "INSERT INTO t_user (uid, name) VALUES (?, ?), (?)"):
+            plan = _compile(sql, paper_rule)
+            assert not plan.cacheable and "placeholders" in plan.reason
 
     def test_ddl_bypasses(self, paper_rule):
         plan = _compile("CREATE TABLE t_new (id INT PRIMARY KEY)", paper_rule)
@@ -145,16 +177,21 @@ class TestHitPath:
         assert seeded_engine.plan_cache.bypasses >= 1
 
     def test_insert_is_negative_cached(self, seeded_engine):
+        """An INSERT that needs key generation: it runs on the slow path
+        every time and returns its generated keys."""
         seeded_engine.plan_cache = PlanCache()
-        sql = "INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?)"
-        seeded_engine.execute(sql, (5, 'eve', 22))
-        seeded_engine.execute(sql, (6, 'frank', 23))
+        seeded_engine.rule.table_rule("t_user").key_generate = _counting_keys("uid", 100)
+        sql = "INSERT INTO t_user (name, age) VALUES (?, ?)"
+        first = seeded_engine.execute(sql, ('eve', 22))
+        second = seeded_engine.execute(sql, ('frank', 23))
         plan = seeded_engine.plan_cache.peek(sql)
         assert plan is not None and not plan.cacheable
         assert seeded_engine.plan_cache.bypasses == 1  # second execution
+        (column, (eve,)), (_, (frank,)) = first.generated_keys, second.generated_keys
+        assert column == "uid" and eve != frank
         # key generation still works through the slow path
         assert seeded_engine.execute(
-            "SELECT name FROM t_user WHERE uid = ?", (6,)
+            "SELECT name FROM t_user WHERE uid = ?", (frank,)
         ).fetchall() == [("frank",)]
 
     def test_hint_values_skip_cache(self, seeded_engine):
@@ -628,6 +665,10 @@ UNIT_SHAPES = [
      "WHERE o.amount > ? ORDER BY o.oid LIMIT 3", (1.0,)),
     ("SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid "
      "WHERE u.uid = ? ORDER BY o.oid", (1,)),
+    ("INSERT INTO t_order (oid, uid, amount) VALUES (?, ?, ?)", (20, 1, 1.5)),
+    ("INSERT INTO t_order (oid, uid, amount) VALUES (?, ?, ?), (?, ?, ?), (?, ?, ?)",
+     (20, 1, 1.5, 21, 2, 2.5, 22, 3, 3.5)),
+    ("INSERT INTO t_order (oid, uid, amount) VALUES (20, 1, 1.5), (21, 2, 2.5), (22, 3, 3.5)", ()),
 ]
 
 
@@ -635,13 +676,23 @@ UNIT_SHAPES = [
 def test_a_plan_hit_cuts_the_units_the_slow_path_cuts(seeded_engine, sql, params):
     """One shape and one unit cut on both paths: the same per-unit SQL
     text, the same per-unit parameters and the same rows, on one node and
-    on several."""
+    on several. A literal text runs as its shape on a hit, so its slow path
+    is its shape's (the plan cache off turns statement identity off too);
+    an INSERT's rows are deleted after each run."""
+    def undo():
+        if sql.startswith("INSERT"):
+            seeded_engine.execute("DELETE FROM t_order WHERE oid >= ?", (20,))
+
     seeded_engine.execute(sql, params)  # compiles the plan
+    undo()
     hits = seeded_engine.plan_cache.hits
     hit = seeded_engine.execute(sql, params)
     assert seeded_engine.plan_cache.hits == hits + 1
+    undo()
     seeded_engine.plan_cache.enabled = False
-    slow = seeded_engine.execute(sql, params)
+    slow = seeded_engine.execute(*normalize(sql, params))
+    undo()
     assert hit.sqls == slow.sqls
     assert [unit.params for unit in hit.units] == [unit.params for unit in slow.units]
     assert (hit.merger_kind, hit.fetchall()) == (slow.merger_kind, slow.fetchall())
+    assert hit.update_count == slow.update_count

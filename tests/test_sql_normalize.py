@@ -64,6 +64,10 @@ EXTRACTED = [
      "SELECT `c 1`, \"d'2\", [e 3] FROM `t 4` WHERE `k = 5` = ? AND \"j'7\" = ? AND [i 9] = ?",
      (6, 8, "[")),
     ("/* hello */ SELECT c FROM t WHERE k = 1", "/* hello */ SELECT c FROM t WHERE k = ?", (1,)),
+    # an INSERT's values-row items, at the rows' own depth only
+    ("INSERT INTO t (a, b) VALUES (1, 'x')", "INSERT INTO t (a, b) VALUES (?, ?)", (1, "x")),
+    ("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y'), (f(3), -4)",
+     "INSERT INTO t (a, b) VALUES (?, ?), (?, ?), (f(3), -?)", (1, "x", 2, "y", 4)),
 ]
 
 NEVER_EXTRACTED = [
@@ -82,8 +86,8 @@ NEVER_EXTRACTED = [
     "SELECT c FROM t -- WHERE k = 1",
     "SELECT c FROM t /* WHERE k = 1 */",
     "SELECT `k = 1`, \"k = 2\", [k = 3] FROM t",
-    # not SELECT / UPDATE / DELETE: byte for byte
-    "INSERT INTO t (a, b) VALUES (1, 'x')",
+    "INSERT INTO t (a, b) VALUES (NULL, TRUE)",
+    # not SELECT / UPDATE / DELETE / INSERT: byte for byte
     "CREATE TABLE t (id INT PRIMARY KEY, k INT DEFAULT 5)",
     "SET VARIABLE plan_cache = 1",
     "SHOW SHARDING TABLE RULES",
@@ -356,7 +360,7 @@ def _assert_same_tokens(raw):
             assert text.upper() == token.value.upper()
             # the words the scanner gives meaning to are the lexer's keywords
             assert (kind == "key") == (token.value in (
-                "LIKE", "IN", "BETWEEN", "AND", "LIMIT", "OFFSET")
+                "LIKE", "IN", "BETWEEN", "AND", "LIMIT", "OFFSET", "VALUES")
                 and token.type is TokenType.KEYWORD)
         else:
             assert text == token.value

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import ColumnNotFoundError, TypeCheckError
 from repro.sql import ast, parse
-from repro.storage import Column, TableSchema, make_type
+from repro.storage import Column, Table, TableSchema, make_type
 
 
 class TestColumnTypes:
@@ -69,6 +69,24 @@ class TestColumnTypes:
         assert str(make_type("VARCHAR", 12)) == "VARCHAR(12)"
         assert str(make_type("INT")) == "INT"
 
+    @pytest.mark.parametrize("name, length", [
+        ("INT", None), ("SMALLINT", None), ("BIGINT", None), ("VARCHAR", 3),
+        ("TEXT", None), ("FLOAT", None), ("BOOLEAN", None), ("TIMESTAMP", None)])
+    def test_the_coercer_answers_as_coerce_does(self, name, length):
+        column_type = make_type(name, length)
+        coercer = column_type.coercer()
+        for value in (None, 0, 7, -40000, 2**31, 2**70, True, 2.0, 2.5, "12", "abcd", "ab",
+                      "x", b"raw"):
+            try:
+                expected = ("value", column_type.coerce(value))
+            except Exception as exc:
+                expected = (type(exc), str(exc))
+            try:
+                got = ("value", coercer(value))
+            except Exception as exc:
+                got = (type(exc), str(exc))
+            assert got == expected and type(got[1]) is type(expected[1]), (value, got)
+
 
 def make_schema():
     return TableSchema(
@@ -97,22 +115,31 @@ class TestTableSchema:
             TableSchema(name="t", columns=[Column("a", make_type("INT"))], primary_key=["b"])
 
     def test_normalize_fills_default(self):
-        schema = make_schema()
-        row = schema.normalize_row({"id": 1, "name": "x"})
-        assert row[schema.column_offset("score")] == 0.0
+        table = Table(make_schema())
+        assert table.image(table.insert({"id": 1, "name": "x"}))["score"] == 0.0
 
     def test_normalize_rejects_unknown_column(self):
         with pytest.raises(ColumnNotFoundError):
-            make_schema().normalize_row({"id": 1, "name": "x", "bogus": 1})
+            Table(make_schema()).insert({"id": 1, "name": "x", "bogus": 1})
 
     def test_normalize_enforces_not_null(self):
         with pytest.raises(TypeCheckError):
-            make_schema().normalize_row({"id": 1})
+            Table(make_schema()).insert({"id": 1})
 
     def test_auto_increment_may_be_null(self):
-        schema = make_schema()
-        row = schema.normalize_row({"name": "x"})
-        assert row[schema.column_offset("id")] is None  # filled by the table
+        table = Table(make_schema())
+        assert table.image(table.insert({"name": "x"}))["id"] == 1  # filled by the table
+
+    def test_a_row_is_checked_in_schema_order_and_a_column_named_twice_takes_its_last_value(self):
+        table = Table(make_schema())
+        insert = table.inserter(["score", "name", "NAME"])
+        with pytest.raises(TypeCheckError, match="'name'"):  # before score's bad value
+            insert([("bad", None, None)], [])
+        row_ids: list[int] = []
+        with pytest.raises(TypeCheckError, match="cannot store"):
+            insert([(1.5, "a", "b"), ("bad", "c", "d")], row_ids)
+        assert [table.image(row_id) for row_id in row_ids] == [
+            {"id": 1, "name": "b", "score": 1.5}]  # the rows before the error stay
 
     def test_from_ast(self):
         stmt = parse("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8))")
