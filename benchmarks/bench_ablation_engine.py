@@ -13,8 +13,10 @@ qualitatively, by disabling each one:
 
 import random
 
-from repro.baselines import BENCH_LATENCY, ShardingJDBCSystem
-from repro.bench import format_table, run_benchmark
+from repro.__main__ import format_table
+
+from paper.runner import run_benchmark
+from paper.systems import BENCH_LATENCY, ShardingJDBCSystem
 from common import report
 
 TABLE_SIZE = 8_000

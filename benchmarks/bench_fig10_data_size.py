@@ -9,7 +9,9 @@ single node at every size; TPS at the largest size is below TPS at the
 smallest for the single node (degradation), and SSJ degrades by less.
 """
 
-from repro.bench import format_table, run_benchmark, sysbench_row
+from repro.__main__ import format_table
+
+from paper.runner import run_benchmark, sysbench_row
 
 from common import THREADS, WARMUP, make_single, make_ssj, sysbench_workload
 from common import report

@@ -9,7 +9,9 @@ significantly from 1 thread to the mid range, then gains flatten
 (sub-linear); p99 at the highest concurrency exceeds p99 at the lowest.
 """
 
-from repro.bench import format_table, run_benchmark, sysbench_row
+from repro.__main__ import format_table
+
+from paper.runner import run_benchmark, sysbench_row
 
 from common import WARMUP, make_ssj, sysbench_workload
 from common import report

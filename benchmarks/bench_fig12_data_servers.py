@@ -11,7 +11,9 @@ SSJ grows from 1 -> 5 servers (the paper's own Fig. 12a growth is ~1.3x)
 and beats SSP at every scale; SSP gains less than SSJ from more servers.
 """
 
-from repro.bench import format_table, run_benchmark, sysbench_row
+from repro.__main__ import format_table
+
+from paper.runner import run_benchmark, sysbench_row
 
 from common import THREADS, WARMUP, make_ssj, make_ssp, sysbench_workload
 from common import report

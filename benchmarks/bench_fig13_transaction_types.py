@@ -8,8 +8,10 @@ Here: write-only sysbench transactions under each manager. Asserted
 shape: TPS(LOCAL) > TPS(XA) > TPS(BASE); 99T ordering is the reverse.
 """
 
-from repro.bench import format_table, run_benchmark, sysbench_row
+from repro.__main__ import format_table
 from repro.transaction import TransactionType
+
+from paper.runner import run_benchmark, sysbench_row
 
 from common import WARMUP, make_ssj, sysbench_workload
 from common import report

@@ -10,8 +10,10 @@ cartesian route produces 200 — the same 10x unit blow-up, asserted both on
 the routing itself and on the measured TPS gap.
 """
 
-from repro.baselines import BENCH_LATENCY, ShardingJDBCSystem
-from repro.bench import format_table, run_benchmark, sysbench_row
+from repro.__main__ import format_table
+
+from paper.runner import run_benchmark, sysbench_row
+from paper.systems import BENCH_LATENCY, ShardingJDBCSystem
 from common import report
 
 NUM_SOURCES = 2

@@ -14,8 +14,11 @@ MaxCon=1; MaxCon=10 gains little over MaxCon=5.
 
 from dataclasses import replace
 
-from repro.baselines import BENCH_LATENCY, ShardingJDBCSystem
-from repro.bench import SysbenchConfig, SysbenchWorkload, format_table, run_benchmark
+from repro.__main__ import format_table
+
+from paper.runner import run_benchmark
+from paper.sysbench import SysbenchConfig, SysbenchWorkload
+from paper.systems import BENCH_LATENCY, ShardingJDBCSystem
 from common import report
 
 TABLE_SIZE = 20_000

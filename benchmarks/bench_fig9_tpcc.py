@@ -10,16 +10,17 @@ Asserted shape: SSJ best TPS and best 90T among the sharded systems;
 the TiDB analogue has the largest 90T.
 """
 
-from repro.baselines import BENCH_LATENCY, MiddlewareSystem, NewSQLSystem, ShardingJDBCSystem, ShardingProxySystem
-from repro.bench import (
-    TPCC_BROADCAST_TABLES,
-    TPCC_SHARDED_TABLES,
-    TPCCConfig,
-    TPCCWorkload,
-    format_table,
-    run_benchmark,
-    tpcc_row,
+from repro.__main__ import format_table
+
+from paper.runner import run_benchmark, tpcc_row
+from paper.systems import (
+    BENCH_LATENCY,
+    MiddlewareSystem,
+    NewSQLSystem,
+    ShardingJDBCSystem,
+    ShardingProxySystem,
 )
+from paper.tpcc import TPCC_BROADCAST_TABLES, TPCC_SHARDED_TABLES, TPCCConfig, TPCCWorkload
 from common import report
 
 NUM_SOURCES = 2

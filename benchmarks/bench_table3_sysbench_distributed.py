@@ -10,7 +10,10 @@ asserted shape: SSJ best in every scenario; SSP beats the CRDB analogue
 everywhere; read-write is each system's slowest scenario.
 """
 
-from repro.bench import SCENARIOS, format_table, sysbench_row
+from repro.__main__ import format_table
+
+from paper.runner import sysbench_row
+from paper.sysbench import SCENARIOS
 
 from common import (
     make_crdb,

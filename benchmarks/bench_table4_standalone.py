@@ -13,7 +13,9 @@ Read Write. Key claims reproduced here:
 4. TPS and AvgT rank systems consistently.
 """
 
-from repro.bench import format_table, sysbench_row
+from repro.__main__ import format_table
+
+from paper.runner import sysbench_row
 
 from common import make_aurora, make_single, make_ssj, make_ssp, measure, sysbench_workload
 from common import report

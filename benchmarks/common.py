@@ -13,7 +13,12 @@ the paper's *shapes* (who wins, roughly by how much, where curves bend).
 
 from __future__ import annotations
 
-from repro.baselines import (
+from repro.transaction import TransactionType
+
+from paper.base import SystemUnderTest
+from paper.runner import Measurement, run_benchmark
+from paper.sysbench import SysbenchConfig, SysbenchWorkload
+from paper.systems import (
     BENCH_LATENCY,
     AuroraLikeSystem,
     MiddlewareSystem,
@@ -21,15 +26,7 @@ from repro.baselines import (
     ShardingJDBCSystem,
     ShardingProxySystem,
     SingleNodeSystem,
-    SystemUnderTest,
 )
-from repro.bench import (
-    Measurement,
-    SysbenchConfig,
-    SysbenchWorkload,
-    run_benchmark,
-)
-from repro.transaction import TransactionType
 
 #: default evaluation scale (paper: 40M rows, 12 servers; here: laptop)
 TABLE_SIZE = 20_000

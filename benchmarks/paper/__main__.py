@@ -1,13 +1,19 @@
-"""Command-line benchmark runner: ``python -m repro.bench``.
+"""Command-line benchmark runner: ``PYTHONPATH=benchmarks python -m paper``.
 
 Runs a sysbench scenario or the TPC-C mix against one of the systems
 under test and prints the paper-style row. Examples::
 
-    python -m repro.bench --system ssj --scenario read_write --threads 8
-    python -m repro.bench --system ms --scenario point_select --duration 3
-    python -m repro.bench --workload tpcc --system ssp --threads 4
-    python -m repro.bench --system ssj --transaction-type XA
-    python -m repro.bench --proxy --connections 500 --duration 5
+    python -m paper --system ssj --scenario read_write --threads 8
+    python -m paper --system ms --scenario point_select --duration 3
+    python -m paper --workload tpcc --system ssp --threads 4
+    python -m paper --proxy --connections 500 --duration 5
+
+Fixed, not flags: the sysbench grid is laid out in ranges (small BETWEEN
+ranges stay shard-local); the engine systems run LOCAL transactions with
+maxConnectionSizePerQuery 10 (``ShardingJDBCSystem``'s defaults); TPC-C
+loads ``TPCCConfig``'s 2 warehouses; ``--skew zipfian`` draws with
+``SysbenchConfig``'s exponent 1.2; ``--chaos`` uses ``CHAOS_SEED`` and
+``CHAOS_TRANSIENT_RATE``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,12 @@ import argparse
 import json
 import sys
 
-from ..baselines import (
+from repro.__main__ import format_table
+from repro.cache import CacheStats, hit_rate
+
+from .runner import run_benchmark, sysbench_row, tpcc_row
+from .sysbench import SCENARIOS, SysbenchConfig, SysbenchWorkload
+from .systems import (
     BENCH_LATENCY,
     AuroraLikeSystem,
     MiddlewareSystem,
@@ -25,19 +36,18 @@ from ..baselines import (
     ShardingProxySystem,
     SingleNodeSystem,
 )
-from ..cache import CacheStats, hit_rate
-from ..transaction import TransactionType
-from .report import format_table, sysbench_row, tpcc_row
-from .runner import run_benchmark
-from .sysbench import SCENARIOS, SysbenchConfig, SysbenchWorkload
 from .tpcc import TPCC_BROADCAST_TABLES, TPCC_SHARDED_TABLES, TPCCConfig, TPCCWorkload
 
 SYSTEMS = ("ssj", "ssp", "ms", "middleware", "newsql", "aurora")
 
+#: --chaos's fault schedule: its seed and per-statement transient fault rate
+CHAOS_SEED = 7
+CHAOS_TRANSIENT_RATE = 0.02
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
+        prog="python -m paper",
         description="Run a paper-style benchmark against one system under test.",
     )
     parser.add_argument("--workload", choices=("sysbench", "tpcc"), default="sysbench")
@@ -45,23 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", choices=SCENARIOS, default="read_write",
                         help="sysbench scenario (ignored for tpcc)")
     parser.add_argument("--table-size", type=int, default=20_000)
-    parser.add_argument("--warehouses", type=int, default=2, help="tpcc scale")
     parser.add_argument("--sources", type=int, default=4, help="number of data sources")
     parser.add_argument("--tables-per-source", type=int, default=10)
     parser.add_argument("--threads", type=int, default=8)
     parser.add_argument("--duration", type=float, default=2.0, help="seconds")
     parser.add_argument("--warmup", type=float, default=0.3, help="seconds")
-    parser.add_argument("--maxcon", type=int, default=10,
-                        help="maxConnectionsizePerQuery (Fig. 15's knob)")
-    parser.add_argument("--transaction-type", choices=("LOCAL", "XA", "BASE"),
-                        default="LOCAL")
-    parser.add_argument("--layout", choices=("range", "hash"), default="range")
     parser.add_argument("--chaos", action="store_true",
                         help="inject seeded transient faults and enable the "
                              "resilience policy (retries + per-source breakers)")
-    parser.add_argument("--chaos-seed", type=int, default=7)
-    parser.add_argument("--chaos-transient-rate", type=float, default=0.02,
-                        help="per-statement transient fault probability")
     parser.add_argument("--profile", action="store_true",
                         help="record per-stage latency histograms during the "
                              "measured run, print the breakdown and write "
@@ -74,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--skew", choices=("uniform", "zipfian"), default="uniform",
                         help="point/update key distribution (sysbench --rand-type); "
                              "zipfian skews toward low ids to create hot shards")
-    parser.add_argument("--zipf-exponent", type=float, default=1.2,
-                        help="zipfian skew exponent (higher = hotter head)")
     parser.add_argument("--no-workload-analytics", action="store_true",
                         help="disable the workload-intelligence layer (digests, "
                              "heat maps, hot keys, SLO tracking) for overhead "
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def enable_chaos(system, args: argparse.Namespace):
+def enable_chaos(system):
     """Wire a seeded FaultInjector + ResiliencePolicy into a sharding system.
 
     Returns the injector, or None when the system has no runtime to wire
@@ -117,20 +116,20 @@ def enable_chaos(system, args: argparse.Namespace):
         print(f"warning: --chaos ignored: {system.name} has no sharding runtime",
               file=sys.stderr)
         return None
-    from ..engine import ResiliencePolicy
-    from ..storage import FaultInjector
+    from repro.engine import ResiliencePolicy
+    from repro.storage import FaultInjector
 
-    injector = FaultInjector(seed=args.chaos_seed)
+    injector = FaultInjector(seed=CHAOS_SEED)
     for name, source in runtime.data_sources.items():
         injector.configure(
             name,
-            transient_rate=args.chaos_transient_rate,
+            transient_rate=CHAOS_TRANSIENT_RATE,
             latency_rate=0.005,
             latency_spike=0.002,
         )
         source.set_fault_injector(injector)
     runtime.engine.executor.enable_resilience(
-        ResiliencePolicy(max_retries=4, retry_writes=True, seed=args.chaos_seed)
+        ResiliencePolicy(max_retries=4, retry_writes=True, seed=CHAOS_SEED)
     )
     return injector
 
@@ -147,7 +146,7 @@ def enable_profile(system, args: argparse.Namespace):
         print(f"warning: --profile ignored: {system.name} has no sharding runtime",
               file=sys.stderr)
         return None
-    from ..observability import Observability
+    from repro.observability import Observability
 
     observability = Observability()
     observability.stage_sample_every = max(1, args.profile_sample_every)
@@ -338,9 +337,7 @@ def build_system(args: argparse.Namespace, tables, broadcast=()):
         latency=BENCH_LATENCY,
     )
     if args.workload == "sysbench":
-        grid.update(layout=args.layout)
-        if args.layout == "range":
-            grid.update(key_space=args.table_size + 1)
+        grid.update(layout="range", key_space=args.table_size + 1)
     engine_grid = dict(
         grid,
         replicas=args.replicas,
@@ -353,14 +350,11 @@ def build_system(args: argparse.Namespace, tables, broadcast=()):
               file=sys.stderr)
     if args.system == "ssj":
         return ShardingJDBCSystem(
-            tables, broadcast_tables=broadcast, name="SSJ",
-            transaction_type=TransactionType.of(args.transaction_type),
-            max_connections_per_query=args.maxcon, **engine_grid,
+            tables, broadcast_tables=broadcast, name="SSJ", **engine_grid,
         )
     if args.system == "ssp":
         return ShardingProxySystem(
-            tables, broadcast_tables=broadcast, name="SSP",
-            max_connections_per_query=args.maxcon, **engine_grid,
+            tables, broadcast_tables=broadcast, name="SSP", **engine_grid,
         )
     if args.system == "middleware":
         return MiddlewareSystem(tables, broadcast_tables=broadcast, name="Vitess-like", **grid)
@@ -385,14 +379,13 @@ def main(argv: list[str] | None = None) -> int:
         workload = SysbenchWorkload(SysbenchConfig(
             table_size=args.table_size,
             key_distribution=args.skew,
-            zipf_exponent=args.zipf_exponent,
         ))
         system = build_system(args, [("sbtest", "id")])
         print(f"preparing {args.system} with {args.table_size} rows ...", file=sys.stderr)
         workload.prepare(system)
         if hasattr(system, "sync_replicas"):
             system.sync_replicas()
-        injector = enable_chaos(system, args) if args.chaos else None
+        injector = enable_chaos(system) if args.chaos else None
         observability = enable_profile(system, args) if args.profile else None
         apply_workload_analytics(system, args)
         plan_before = _plan_cache_stats(system) if args.profile else None
@@ -417,17 +410,15 @@ def main(argv: list[str] | None = None) -> int:
                                  plan_before, storage_before, cache_before)
         return 0
 
-    workload = TPCCWorkload(TPCCConfig(
-        warehouses=args.warehouses, use_pipeline=not args.no_pipeline,
-    ))
+    workload = TPCCWorkload(TPCCConfig(use_pipeline=not args.no_pipeline))
     system = build_system(
         args, TPCC_SHARDED_TABLES, broadcast=TPCC_BROADCAST_TABLES
     ) if args.system not in ("ms", "aurora") else build_system(args, [])
-    print(f"preparing TPC-C with {args.warehouses} warehouses ...", file=sys.stderr)
+    print(f"preparing TPC-C with {workload.config.warehouses} warehouses ...", file=sys.stderr)
     workload.prepare(system)
     if hasattr(system, "sync_replicas"):
         system.sync_replicas()
-    injector = enable_chaos(system, args) if args.chaos else None
+    injector = enable_chaos(system) if args.chaos else None
     observability = enable_profile(system, args) if args.profile else None
     apply_workload_analytics(system, args)
     plan_before = _plan_cache_stats(system) if args.profile else None

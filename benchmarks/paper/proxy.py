@@ -1,4 +1,4 @@
-"""Proxy concurrency benchmark: ``python -m repro.bench --proxy``.
+"""Proxy concurrency benchmark: ``python -m paper --proxy``.
 
 Measures the session-multiplexing reactor front-end the way the paper's
 Fig. 14 measures ShardingSphere-Proxy — but the quantity under test here
@@ -22,12 +22,12 @@ import sys
 import threading
 from typing import Any
 
-from .. import clock
-from ..adaptors import ShardingProxyServer, ShardingRuntime
-from ..distsql import execute_distsql
-from ..exceptions import ServerBusyError, ShardingSphereError
-from ..protocol import ProxyClient
-from ..storage import DataSource, LatencyModel, ReplicaGroup
+from repro import clock
+from repro.adaptors import ShardingProxyServer, ShardingRuntime
+from repro.distsql import execute_distsql
+from repro.exceptions import ServerBusyError, ShardingSphereError
+from repro.protocol import ProxyClient
+from repro.storage import DataSource, LatencyModel, ReplicaGroup
 
 BENCH_TABLE = "t_bench"
 

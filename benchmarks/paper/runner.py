@@ -4,7 +4,8 @@ Drives concurrent sessions against a system under test and reports the
 paper's metrics: TPS, average response time, and tail latencies (p99 for
 Sysbench, p90 for TPC-C — the tools' default percentiles, as the paper
 notes). Each worker thread owns one session, mirroring how sysbench and
-BenchmarkSQL drive one connection per thread.
+BenchmarkSQL drive one connection per thread. ``sysbench_row`` and
+``tpcc_row`` render a measurement as one row of the paper's tables.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
-from .. import clock
-from ..baselines.base import Session, SystemUnderTest
+from repro import clock
+
+from .base import Session, SystemUnderTest
 
 TransactionFn = Callable[[Session, random.Random], None]
 
@@ -58,6 +60,25 @@ class Measurement:
     @property
     def p99_ms(self) -> float:
         return self.percentile(99)
+
+
+def sysbench_row(measurement: Measurement) -> list[Any]:
+    """One Table III/IV row: System, TPS, 99T(ms), AvgT(ms)."""
+    return [
+        measurement.system,
+        round(measurement.tps, 1),
+        round(measurement.p99_ms, 2),
+        round(measurement.avg_ms, 2),
+    ]
+
+
+def tpcc_row(measurement: Measurement) -> list[Any]:
+    """One Fig. 9 row: System, TPS, 90T(ms)."""
+    return [
+        measurement.system,
+        round(measurement.tps, 1),
+        round(measurement.p90_ms, 2),
+    ]
 
 
 def run_benchmark(

@@ -7,7 +7,7 @@ with the standard per-transaction query mix (10 point selects, 4 range
 query flavours, index/non-index updates, delete+insert).
 
 The paper's Java requester drives these through ShardingSphere-JDBC or
-JDBC; ours drives them through any :class:`repro.baselines.SystemUnderTest`.
+JDBC; ours drives them through any :class:`paper.base.SystemUnderTest`.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 import string
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..baselines.base import Session, SystemUnderTest
+from .base import Session, SystemUnderTest
 
 
 @dataclass

@@ -26,11 +26,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Sequence
 
-from .. import clock
-from ..adaptors import ShardingDataSource, ShardingProxyServer, ShardingRuntime
-from ..protocol import ProxyClient
-from ..storage import DataSource, LatencyModel, ReplicaGroup
-from ..transaction import TransactionType
+from repro import clock
+from repro.adaptors import ShardingDataSource, ShardingProxyServer, ShardingRuntime
+from repro.protocol import ProxyClient
+from repro.storage import DataSource, LatencyModel, ReplicaGroup
+from repro.transaction import TransactionType
+
 from .base import SystemUnderTest
 from .topology import make_grid_sharding, make_sources
 

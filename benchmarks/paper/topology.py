@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..sharding import (
+from repro.sharding import (
     ClassBasedShardingAlgorithm,
     DataNode,
     ModShardingAlgorithm,
@@ -20,7 +20,7 @@ from ..sharding import (
     StandardShardingStrategy,
     TableRule,
 )
-from ..storage import DataSource, LatencyModel
+from repro.storage import DataSource, LatencyModel
 
 
 def make_sources(

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..baselines.base import Session, SystemUnderTest
+from .base import Session, SystemUnderTest
 
 #: the paper's sharding layout for TPC-C: (logic table, sharding column[, tables/source])
 TPCC_SHARDED_TABLES = [

@@ -7,7 +7,8 @@ relational data sources like one database. Public entry points:
 - :class:`repro.adaptors.ShardingProxyServer` — Proxy-mode adaptor (TCP).
 - :mod:`repro.sharding` — sharding rules, algorithms, AutoTable.
 - :mod:`repro.distsql` — DistSQL (RDL / RQL / RAL).
-- :mod:`repro.bench` — Sysbench / TPC-C workloads and the measurement runner.
+
+The paper's evaluation (Sysbench / TPC-C, systems under test) is ``benchmarks/paper``.
 """
 
 __version__ = "0.1.0"

@@ -19,14 +19,34 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Sequence
 
 from . import clock
 from .adaptors import ShardingDataSource
-from .bench.report import format_table
 from .exceptions import ShardingSphereError
 
 PROMPT = "repro-sql> "
 CONTINUATION = "       ... "
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """Render an aligned text table."""
+    def cell(value: Any) -> str:
+        if isinstance(value, float):
+            return f"{value:.2f}"
+        return str(value)
+
+    rendered = [[cell(v) for v in row] for row in rows]
+    widths = [
+        max(len(headers[i]), *(len(r[i]) for r in rendered)) if rendered else len(headers[i])
+        for i in range(len(headers))
+    ]
+    lines = []
+    lines.append(" | ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
+    lines.append("-+-".join("-" * w for w in widths))
+    for row in rendered:
+        lines.append(" | ".join(row[i].ljust(widths[i]) for i in range(len(headers))))
+    return "\n".join(lines)
 
 
 def _print_result(result, elapsed: float) -> None:

@@ -14,7 +14,7 @@ compiled again.
 
 import random
 
-from repro.baselines import make_grid_sharding, make_sources
+from paper.topology import make_grid_sharding, make_sources
 from repro.engine import PlanCache, SQLEngine
 
 ROWS = 1600

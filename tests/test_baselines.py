@@ -2,18 +2,22 @@
 
 import pytest
 
-from repro.baselines import (
+from paper.systems import (
+    DEFAULT_LATENCY,
     AuroraLikeSystem,
     MiddlewareSystem,
     NewSQLSystem,
     ShardingJDBCSystem,
     ShardingProxySystem,
     SingleNodeSystem,
+)
+from paper.topology import (
+    RangeLevelAlgorithm,
     make_grid_rule,
     make_grid_sharding,
+    make_range_grid_rule,
     make_sources,
 )
-from repro.baselines.topology import RangeLevelAlgorithm, make_range_grid_rule
 from repro.sharding import ShardingValue
 
 
@@ -116,8 +120,6 @@ class TestSystemContracts:
     def test_newsql_consensus_amplifies_writes(self):
         system = NewSQLSystem([("t", "id")], num_sources=1, replication_factor=3)
         base = system.runtime.data_sources["kv0"].latency
-        from repro.baselines.systems import DEFAULT_LATENCY
-
         assert base.commit_io > DEFAULT_LATENCY.commit_io
         system.close()
 

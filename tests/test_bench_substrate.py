@@ -4,26 +4,11 @@ import random
 
 import pytest
 
-from repro.baselines import (
-    ShardingJDBCSystem,
-    SingleNodeSystem,
-    make_grid_sharding,
-)
-from repro.bench import (
-    SCENARIOS,
-    Measurement,
-    SysbenchConfig,
-    SysbenchWorkload,
-    TPCC_BROADCAST_TABLES,
-    TPCC_SHARDED_TABLES,
-    TPCCConfig,
-    TPCCWorkload,
-    format_table,
-    print_series,
-    run_benchmark,
-    sysbench_row,
-    tpcc_row,
-)
+from paper.runner import Measurement, run_benchmark, sysbench_row, tpcc_row
+from paper.sysbench import SCENARIOS, SysbenchConfig, SysbenchWorkload
+from paper.systems import ShardingJDBCSystem, SingleNodeSystem
+from paper.tpcc import TPCC_BROADCAST_TABLES, TPCC_SHARDED_TABLES, TPCCConfig, TPCCWorkload
+from repro.__main__ import format_table
 
 
 @pytest.fixture
@@ -232,8 +217,3 @@ class TestReport:
         m.elapsed = 1.0
         assert sysbench_row(m) == ["X", 1.0, 2.0, 2.0]
         assert tpcc_row(m) == ["X", 1.0, 2.0]
-
-    def test_print_series(self):
-        text = print_series("T", "x", [1, 2], {"sys": [10.0, 20.0]})
-        assert "== T ==" in text
-        assert "20.0" in text

@@ -510,8 +510,8 @@ class TestSysbenchChaos:
     def test_point_select_traffic_sees_zero_errors(self):
         import random
 
-        from repro.baselines import ShardingJDBCSystem
-        from repro.bench.sysbench import SysbenchConfig, SysbenchWorkload
+        from paper.sysbench import SysbenchConfig, SysbenchWorkload
+        from paper.systems import ShardingJDBCSystem
 
         workload = SysbenchWorkload(SysbenchConfig(table_size=400))
         system = ShardingJDBCSystem([("sbtest", "id")], num_sources=2,

@@ -1,8 +1,24 @@
 """Tests for the command-line surfaces: the SQL console and the bench CLI."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+#: ``python -m paper`` runs from the benchmarks directory, beside the product
+BENCH_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "benchmarks"),
+                      os.environ.get("PYTHONPATH")])),
+}
+
+
+def run_bench(*args: str, timeout: int) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "paper", *args],
+        capture_output=True, text=True, timeout=timeout, env=BENCH_ENV,
+    )
 
 
 def run_console(stdin: str, *args: str) -> subprocess.CompletedProcess:
@@ -56,35 +72,25 @@ class TestConsole:
 
 class TestBenchCLI:
     def test_sysbench_run(self):
-        completed = subprocess.run(
-            [
-                sys.executable, "-m", "repro.bench",
-                "--system", "ssj", "--scenario", "point_select",
-                "--table-size", "2000", "--threads", "2", "--duration", "0.5",
-                "--warmup", "0.1",
-            ],
-            capture_output=True, text=True, timeout=180,
+        completed = run_bench(
+            "--system", "ssj", "--scenario", "point_select",
+            "--table-size", "2000", "--threads", "2", "--duration", "0.5",
+            "--warmup", "0.1", timeout=180,
         )
         assert completed.returncode == 0, completed.stderr[-2000:]
         assert "TPS" in completed.stdout
         assert "0 errors" in completed.stdout
 
     def test_tpcc_run(self):
-        completed = subprocess.run(
-            [
-                sys.executable, "-m", "repro.bench",
-                "--workload", "tpcc", "--system", "ssj",
-                "--sources", "2", "--tables-per-source", "1",
-                "--threads", "2", "--duration", "0.5", "--warmup", "0.1",
-            ],
-            capture_output=True, text=True, timeout=180,
+        completed = run_bench(
+            "--workload", "tpcc", "--system", "ssj",
+            "--sources", "2", "--tables-per-source", "1",
+            "--threads", "2", "--duration", "0.5", "--warmup", "0.1", timeout=180,
         )
         assert completed.returncode == 0, completed.stderr[-2000:]
         assert "90T" in completed.stdout
 
     def test_bad_system_rejected(self):
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro.bench", "--system", "oracle9i"],
-            capture_output=True, text=True, timeout=60,
-        )
+        completed = run_bench("--system", "oracle9i", timeout=60)
         assert completed.returncode != 0
+        assert "invalid choice: 'oracle9i'" in completed.stderr

@@ -3,6 +3,7 @@ throttle and scaling — each combined with the sharding pipeline."""
 
 import pytest
 
+from repro.adaptors import ShardingDataSource, ShardingRuntime
 from repro.engine import SQLEngine
 from repro.exceptions import CircuitBreakerOpenError, ShardingSphereError, ThrottledError
 from repro.features import (
@@ -101,6 +102,29 @@ class TestReadWriteSplitting:
         assert feature.writes_routed == 1
         engine.close()
 
+    def test_primary_scope_reads_the_primary(self):
+        # the two copies disagree, so each read tells where it was served
+        sources = {name: DataSource(name) for name in ("primary", "replica0")}
+        for v, ds in enumerate(sources.values(), 1):
+            ds.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            ds.execute(f"INSERT INTO t (id, v) VALUES (1, {v})")
+        runtime = ShardingRuntime(sources)
+        runtime.apply_rwsplit_rule("primary", "primary", ["replica0"])
+        with ShardingDataSource(runtime) as data_source:
+            conn = data_source.get_connection()
+
+            def read():
+                return conn.execute("SELECT v FROM t WHERE id = 1").fetchall()
+
+            assert read() == [(2,)]
+            with conn.primary():
+                assert read() == [(1,)]
+                assert read() == [(1,)]
+            assert read() == [(2,)]
+            conn.close()
+        feature = runtime.rwsplit_feature
+        assert (feature.reads_routed, feature.writes_routed) == (2, 2)
+
 
 @pytest.fixture
 def encrypted_engine(fleet, paper_rule):
@@ -148,6 +172,27 @@ class TestEncrypt:
         engine.execute("INSERT INTO t_user (uid, name, age) VALUES (?, ?, ?)", (2, "eve", 20))
         rows = engine.execute("SELECT uid FROM t_user WHERE name = ?", ("eve",)).fetchall()
         assert rows == [(2,)]
+
+    def test_in_list_on_encrypted_column(self, encrypted_engine):
+        fleet, engine = encrypted_engine
+        engine.execute(
+            "INSERT INTO t_user (uid, name, age) VALUES (2, 'bob', 25), (3, 'cy', 28), "
+            "(4, 'dave', 30)"
+        )
+
+        def uids(sql, params=()):
+            return engine.execute(sql + " ORDER BY uid", params).fetchall()
+
+        assert uids("SELECT uid FROM t_user WHERE name IN ('bob', 'cy')") == [(2,), (3,)]
+        assert uids("SELECT uid FROM t_user WHERE name IN (?, ?)", ("bob", "dave")) == [
+            (2,), (4,)]
+        assert uids("SELECT uid FROM t_user WHERE name IN (?, ?) AND age > ?",
+                    ("bob", "dave", 26)) == [(4,)]
+        assert uids("SELECT uid, name FROM t_user WHERE name NOT IN ('bob')") == [
+            (3, "cy"), (4, "dave")]
+        result = engine.execute("DELETE FROM t_user WHERE name IN (?)", ("cy",))
+        assert result.update_count == 1
+        assert uids("SELECT uid, name FROM t_user") == [(2, "bob"), (4, "dave")]
 
     def test_md5_is_one_way(self):
         encryptor = MD5Encryptor()

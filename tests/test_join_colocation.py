@@ -11,7 +11,7 @@ with one ``DataSource`` holding the same rows.
 
 import pytest
 
-from repro.baselines import make_grid_sharding
+from paper.topology import make_grid_sharding
 from repro.engine import SQLEngine, build_context, route
 from repro.exceptions import CoLocationError
 from repro.sharding import (

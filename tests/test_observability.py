@@ -591,7 +591,7 @@ class TestDistSQLSurfaces:
 
 class TestBenchProfile:
     def test_profile_writes_report(self, tmp_path, capsys):
-        from repro.bench.__main__ import main
+        from paper.__main__ import main
 
         out = tmp_path / "profile.json"
         rc = main([

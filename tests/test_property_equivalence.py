@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import make_grid_sharding, make_sources
+from paper.topology import make_grid_sharding, make_sources
 from repro.engine import SQLEngine
 from repro.storage import DataSource
 

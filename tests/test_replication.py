@@ -28,7 +28,7 @@ from repro.governor import ConfigCenter, HealthDetector
 from repro.governor import ReplicaGroup as GovReplicaGroup
 from repro.sharding import ShardingRule
 from repro.storage import DataSource, FaultInjector, ReplicaGroup
-from repro.storage.replication import pin_primary, reset_session, session_token
+from repro.storage.replication import _apply_op, pin_primary, reset_session, session_token
 
 
 @pytest.fixture(autouse=True)
@@ -124,6 +124,24 @@ class TestReplicationLog:
         sources, _ = make_storage_group(replica_lags=(0.0,))
         with pytest.raises(DataSourceUnavailableError):
             sources["rep0"].execute("INSERT INTO t (id, v) VALUES (9, 9)")
+
+    def test_put_evicts_a_stale_unique_key_occupant(self):
+        # The primary deleted key 2 and re-inserted it under a new row id;
+        # the replica sees the put first (publish order inverted), so the
+        # old row id still holds the primary key the new image claims.
+        sources, _ = make_storage_group(replica_lags=(0.0,))
+        replica = sources["rep0"].database
+        table = replica.table("t")
+        stale_id = next(row_id for row_id, image in table.scan() if image["id"] == 2)
+        new_id = max(row_id for row_id, _ in table.scan()) + 1
+        assert table.conflicting_row_ids({"id": 2, "v": 99}) == {stale_id}
+        version = replica.data_version("t")
+        _apply_op(replica, ("put", "t", new_id, {"id": 2, "v": 99}))
+        assert table.image(stale_id) is None
+        assert table.image(new_id) == {"id": 2, "v": 99}
+        assert replica.data_version("t") == version + 1
+        assert sorted(sources["rep0"].execute("SELECT id, v FROM t")) == [
+            (0, 0), (1, 10), (2, 99), (3, 30)]
 
 
 class TestPromotion:
@@ -612,8 +630,8 @@ class TestDistSQLSurfaces:
 
 class TestBenchReplicaWiring:
     def test_ssj_system_builds_replica_groups(self):
-        from repro.baselines import ShardingJDBCSystem
-        from repro.bench.sysbench import SysbenchConfig, SysbenchWorkload
+        from paper.sysbench import SysbenchConfig, SysbenchWorkload
+        from paper.systems import ShardingJDBCSystem
 
         system = ShardingJDBCSystem(
             [("sbtest", "id")], num_sources=2, tables_per_source=2,

@@ -25,9 +25,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paper.topology import make_grid_sharding, make_sources
 from repro import storage
 from repro.adaptors import ShardingDataSource, ShardingRuntime
-from repro.baselines import make_grid_sharding, make_sources
 from repro.engine.merger import AggregateSpec, MaterializedResult, MergeSpec, merge
 from repro.sql import parse
 from repro.storage import DataSource, LatencyModel

@@ -299,7 +299,7 @@ class TestRangePointConsistency:
     @settings(max_examples=40, deadline=None)
     @given(low=st.integers(0, 9999), span=st.integers(0, 2000))
     def test_range_grid_level(self, low, span):
-        from repro.baselines.topology import RangeLevelAlgorithm
+        from paper.topology import RangeLevelAlgorithm
 
         targets = [f"t_{i}" for i in range(10)]
         algo = RangeLevelAlgorithm(block=250, count=10, modulo=2500)

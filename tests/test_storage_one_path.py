@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from paper.topology import make_grid_sharding, make_sources
 from repro.adaptors import ShardingDataSource, ShardingRuntime
-from repro.baselines import make_grid_sharding, make_sources
 from repro.engine import SQLEngine
 from repro.exceptions import (
     ColumnNotFoundError,
