@@ -70,8 +70,9 @@ def build_proxy_runtime(shards: int, replicas: int, lag: float,
             f"INSERT INTO {BENCH_TABLE} (uid, v) VALUES ({uid}, 0)")
     if replicas:
         for i in range(shards):
-            runtime.apply_rwsplit_rule(
-                f"ds{i}", f"ds{i}", [f"ds{i}_r{r}" for r in range(replicas)])
+            runtime.apply_rule("readwrite_splitting", f"ds{i}", {
+                "source": f"ds{i}", "primary": f"ds{i}",
+                "replicas": [f"ds{i}_r{r}" for r in range(replicas)]})
         for group in groups:
             group.sync()
     return runtime

@@ -224,7 +224,8 @@ class ShardingJDBCSystem(SystemUnderTest):
             transaction_type=transaction_type,
         )
         for group in self.replica_groups:
-            self.runtime.apply_rwsplit_rule(group.name, group.name, group.replica_names)
+            self.runtime.apply_rule("readwrite_splitting", group.name, {
+                "source": group.name, "primary": group.name, "replicas": group.replica_names})
         if result_cache:
             self.runtime.engine.result_cache.enabled = True
         self.data_source = ShardingDataSource(self.runtime)

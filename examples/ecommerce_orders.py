@@ -15,16 +15,7 @@ import random
 import threading
 
 from repro.adaptors import ShardingDataSource, ShardingRuntime
-from repro.features import ScalingJob
-from repro.sharding import (
-    DataNode,
-    ShardingRule,
-    StandardShardingStrategy,
-    TableRule,
-    build_auto_table_rule,
-    create_algorithm,
-    create_physical_tables,
-)
+from repro.sharding import ShardingRule, build_auto_table_rule, create_physical_tables
 from repro.storage import Column, DataSource, TableSchema, make_type
 
 USERS = 200
@@ -112,23 +103,14 @@ def main() -> None:
         print("  ", row)
 
     # ---- scale out: 8 -> 16 shards over all 8 machines -------------------
-    target = TableRule(
-        "t_baitiao_order",
-        [DataNode(f"ds{i % 8}", f"t_baitiao_order_v2_{i}") for i in range(16)],
-        table_strategy=StandardShardingStrategy(
-            "user_id", create_algorithm("HASH_MOD", {"sharding-count": 16})
-        ),
-        key_generate=runtime.rule.table_rule("t_baitiao_order").key_generate,
-        auto=True,
-    )
-    job = ScalingJob(
-        runtime.rule, target, runtime.data_sources,
-        drop_source_tables=True, apply_rule=runtime.apply_table_rule,
-    )
-    report = job.run()
+    resources = ", ".join(f"ds{i}" for i in range(8))
+    ((_, migrated, source_nodes, target_nodes, consistent),) = conn.execute(
+        f"MIGRATE TABLE t_baitiao_order (RESOURCES({resources}), SHARDING_COLUMN=user_id, "
+        "TYPE=hash_mod, PROPERTIES('sharding-count'=16))"
+    ).fetchall()
     print(
-        f"\nscaled out: {report.source_nodes} -> {report.target_nodes} shards, "
-        f"{report.rows_migrated} rows migrated, consistent={report.consistent}"
+        f"\nscaled out: {source_nodes} -> {target_nodes} shards, "
+        f"{migrated} rows migrated, consistent={consistent}"
     )
 
     total_after = conn.execute("SELECT COUNT(*) FROM t_baitiao_order").fetchall()[0][0]

@@ -14,6 +14,7 @@ fails over automatically. This example:
 
 from repro.adaptors import ShardingProxyServer, ShardingRuntime
 from repro.governor import ConfigCenter, HealthDetector, ReplicaGroup
+from repro.governor.config import INSTANCES_PATH
 from repro.protocol import ProxyClient
 from repro.sharding import ShardingRule, build_auto_table_rule, create_physical_tables
 from repro.storage import Column, DataSource, TableSchema, make_type
@@ -46,7 +47,8 @@ def main() -> None:
         print("online proxy instances:", config.online_instances())
 
         events = []
-        config.watch_instances(lambda event, path, value: events.append(value))
+        config.registry.watch_children(
+            INSTANCES_PATH, lambda event, path, value: events.append(value))
         session_b.close()  # proxy-2 "crashes": its ephemeral node vanishes
         print("after crash:", config.online_instances(), "| watch saw:", events)
 

@@ -33,7 +33,7 @@ from ..governor import ConfigCenter
 from ..metadata import ContextManager
 from ..observability import Observability
 from ..session import SessionRegistry, current_session
-from ..sharding import ShardingRule, TableRule
+from ..sharding import DataNode, ShardingRule, TableRule, build_auto_table_rule
 from ..sql import parse
 from ..sql.dialects import get_dialect
 from ..storage import DataSource, LatencyModel
@@ -129,6 +129,102 @@ def _unknown_variable(name: str) -> DistSQLError:
         f"unknown variable {name!r}; known variables: {', '.join(sorted(VARIABLES))}")
 
 
+# ---------------------------------------------------------------------------
+# Rules (DistSQL RDL, MIGRATE TABLE, failover), declared once
+# ---------------------------------------------------------------------------
+#
+# A rule is its Governor config: ``apply_rule`` builds the runtime state
+# from the config and persists that same config, so restart replay and a
+# cluster peer build what the writer built.
+
+
+def sharding_table_rule(name: str, config: Mapping[str, Any]) -> TableRule:
+    """The AutoTable rule of a sharding config. ``tables``, when set, names
+    the actual tables in shard order (MIGRATE TABLE's ``t_g2_0``, ...);
+    otherwise shard i is ``{name}_i``."""
+    rule = build_auto_table_rule(
+        name, config["resources"], sharding_column=config["sharding_column"],
+        algorithm_type=config["type"], properties=config["props"],
+        key_generate_column=config["key_generate_column"],
+        key_generator_type=config["key_generator"])
+    if config["tables"] is None:
+        return rule
+    nodes = [DataNode(node.data_source, table)
+             for node, table in zip(rule.data_nodes, config["tables"], strict=True)]
+    return TableRule(name, nodes, table_strategy=rule.table_strategy,
+                     key_generate=rule.key_generate, auto=True)
+
+
+def _register_missing(runtime: ShardingRuntime, names: Sequence[str]) -> None:
+    """Register a resource a replayed rule names as the Governor has it."""
+    for name in names:
+        if name not in runtime.data_sources:
+            runtime.register_resource(name, runtime.config_center.data_source_metadata(name))
+
+
+def _apply_sharding(runtime: ShardingRuntime, name: str, config: dict[str, Any]) -> None:
+    table_rule = sharding_table_rule(name, config)
+    _register_missing(runtime, config["resources"])
+    runtime.metadata.apply_table_rule(table_rule)
+
+
+def _apply_readwrite_splitting(runtime: ShardingRuntime, name: str,
+                               config: dict[str, Any]) -> None:
+    """Key the group by its routed source: the name the router emits,
+    which a failover keeps while it changes the primary."""
+    source, primary, replicas = config["source"], config["primary"], list(config["replicas"])
+    _register_missing(runtime, [primary, *replicas])
+    group = ReadWriteGroup(source, primary, replicas,
+                           replication=runtime.data_sources[primary].replica_group)
+    feature = runtime.rwsplit_feature
+    if feature is None:
+        runtime.rwsplit_feature = ReadWriteSplittingFeature(
+            [group], is_up=runtime.engine.executor.source_up)
+        runtime.engine.add_feature(runtime.rwsplit_feature)
+        return
+    old = feature.groups.get(source)
+    if old is not None:
+        if (old.primary, old.replicas) == (primary, replicas):
+            return  # replayed config; no version churn
+        group.load_balancer = old.load_balancer
+        if old.primary != primary:
+            # results cached before a promotion guard the fenced primary's
+            # frozen data versions and would keep validating forever
+            runtime.engine.result_cache.clear(f"failover of {old.primary}")
+    feature.replace_group(group)
+    # the feature is reconfigured in place: bump the version so watchers
+    # (and SHOW METADATA) still observe the change
+    runtime.metadata.touch(f"readwrite_splitting group {source}")
+
+
+class RuleKind(NamedTuple):
+    #: config key -> default; ``...`` marks a key the config must give
+    keys: dict[str, Any]
+    #: build the runtime state from a complete config and apply it
+    apply: Callable[[ShardingRuntime, str, dict[str, Any]], None]
+    #: undo an applied rule by name; None when nothing drops the kind
+    drop: Callable[[ShardingRuntime, str], None] | None
+
+
+#: every rule kind; ``apply_rule``/``drop_rule``, Governor replay and peer
+#: rule events all read this table
+RULES: dict[str, RuleKind] = {
+    "sharding": RuleKind(
+        {"resources": ..., "sharding_column": ..., "type": "HASH_MOD", "props": {},
+         "key_generate_column": None, "key_generator": "SNOWFLAKE", "tables": None},
+        _apply_sharding,
+        lambda rt, name: rt.metadata.drop_table_rule(name)),
+    "binding": RuleKind(
+        {"tables": ...}, lambda rt, name, config: rt.metadata.add_binding_group(config["tables"]),
+        None),
+    "broadcast": RuleKind(
+        {"table": ...}, lambda rt, name, config: rt.metadata.add_broadcast_table(config["table"]),
+        None),
+    "readwrite_splitting": RuleKind(
+        {"source": ..., "primary": ..., "replicas": ...}, _apply_readwrite_splitting, None),
+}
+
+
 class ShardingRuntime:
     """Live configuration + engine of one ShardingSphere deployment."""
 
@@ -176,7 +272,7 @@ class ShardingRuntime:
         self.engine.attach_observability(self.observability)
         self.transaction_manager = TransactionManager(
             self.metadata.live_sources, transaction_type)
-        self.rwsplit_feature: ReadWriteSplittingFeature | None = None  # apply_rwsplit_rule
+        self.rwsplit_feature: ReadWriteSplittingFeature | None = None  # RULES readwrite_splitting
         # cluster mode state (enable_cluster_mode)
         self._cluster_session = None
         self._cluster_unwatch: list[Callable[[], None]] = []
@@ -231,43 +327,15 @@ class ShardingRuntime:
         The executor then skips DOWN sources for degradable broadcast reads
         and fails writes to DOWN sources fast; read-write splitting (when
         configured) also steers replica reads through the executor's
-        :meth:`~repro.engine.executor.ExecutionEngine.source_up`.
+        :meth:`~repro.engine.executor.ExecutionEngine.source_up`. A
+        promotion applies the group config the detector wrote to its
+        Governor, as a restart or a peer would.
         """
         self.health_detector = detector
         self.engine.executor.set_health_check(detector.is_up)
-        detector.add_failover_listener(self._on_failover)
-
-    def _on_failover(self, group_name: str, old_primary: str,
-                     new_primary: str) -> None:
-        """Re-point the read-write group after a Governor-driven promotion.
-
-        Groups are keyed by the *original* primary's name — the name the
-        router emits — so the promoted group must replace the entry under
-        its existing key, not appear under a new one. The result cache is
-        cleared wholesale: entries created before the promotion guard
-        against the fenced primary's now-frozen data versions and would
-        otherwise keep validating forever.
-        """
-        feature = self.rwsplit_feature
-        if feature is None:
-            return
-        group = feature.groups.get(group_name) or next(
-            (g for g in feature.groups.values() if g.primary == old_primary),
-            None)
-        if group is None:
-            return
-        replicas = [r for r in group.replicas if r != new_primary]
-        source = self.data_sources.get(new_primary)
-        feature.replace_group(ReadWriteGroup(
-            name=group.name,
-            primary=new_primary,
-            replicas=replicas,
-            load_balancer=group.load_balancer,
-            replication=getattr(source, "replica_group", None)
-            or group.replication,
-        ))
-        self.engine.result_cache.clear(f"failover of {old_primary}")
-        self.metadata.touch(f"failover: {old_primary} -> {new_primary}")
+        detector.add_failover_listener(lambda group, old, new: self.apply_rule(
+            "readwrite_splitting", group,
+            detector.config.load_rule("readwrite_splitting", group), persist=False))
 
     # ------------------------------------------------------------------
     # Resource management (DistSQL RDL)
@@ -332,41 +400,44 @@ class ShardingRuntime:
                 self.config_center.set_prop(name, stored)
 
     # ------------------------------------------------------------------
-    # Rule mutation + persistence + preview (DistSQL)
+    # Rules (DistSQL RDL, MIGRATE TABLE, failover) + preview
     # ------------------------------------------------------------------
 
-    def apply_table_rule(self, table_rule: TableRule) -> None:
-        """Install/replace one sharding table rule (next snapshot)."""
-        self.metadata.apply_table_rule(table_rule)
+    def apply_rule(self, kind: str, name: str, config: Mapping[str, Any],
+                   persist: bool = True) -> None:
+        """Build one rule from its config, apply it (the next snapshot) and,
+        unless replaying, persist exactly that config to the Governor."""
+        spec = RULES[kind]
+        required = {key for key, default in spec.keys.items() if default is ...}
+        if required - set(config) or set(config) - set(spec.keys):
+            raise ShardingConfigError(f"a {kind} rule takes the keys {list(spec.keys)}, "
+                                      f"{sorted(required)} required; not {sorted(config)}")
+        config = {key: config.get(key, default) for key, default in spec.keys.items()}
+        spec.apply(self, name, config)
+        if persist:
+            with self._publishing():
+                self.config_center.store_rule(kind, name, config)
+            if self._cluster_session is not None:
+                # Our own watcher skipped this write (self-event); record the
+                # fingerprint anyway so a later peer-triggered reconcile doesn't
+                # mistake our rule for a fresh one and re-apply it.
+                self._seen_rules.setdefault(kind, {})[name] = self._fingerprint(config)
 
-    def drop_table_rule(self, logic_table: str) -> None:
-        self.metadata.drop_table_rule(logic_table)
-
-    def add_binding_group(self, tables: Sequence[str]) -> None:
-        self.metadata.add_binding_group(tables)
-
-    def add_broadcast_table(self, table: str) -> None:
-        self.metadata.add_broadcast_table(table)
-
-    def persist_rule(self, kind: str, name: str, config: dict[str, Any]) -> None:
-        with self._publishing():
-            self.config_center.store_rule(kind, name, config)
-        if self._cluster_session is not None:
-            # Our own watcher skipped this write (self-event); record the
-            # fingerprint anyway so a later peer-triggered reconcile doesn't
-            # mistake our rule for a fresh one and re-apply it.
-            self._seen_rules.setdefault(kind, {})[name] = self._fingerprint(
-                self.config_center.load_rule(kind, name)
-            )
-
-    def unpersist_rule(self, kind: str, name: str) -> None:
-        if self._cluster_session is not None:
-            self._seen_rules.get(kind, {}).pop(name, None)
-        with self._publishing():
-            try:
-                self.config_center.drop_rule(kind, name)
-            except GovernanceError:
-                pass  # rule was never persisted
+    def drop_rule(self, kind: str, name: str, persist: bool = True) -> None:
+        """Undo an applied rule and, unless replaying, retract its config,
+        so it neither resurrects on restart nor lingers on peers."""
+        drop = RULES[kind].drop
+        if drop is None:
+            raise ShardingConfigError(f"{kind} rules cannot be dropped")
+        drop(self, name)
+        if persist:
+            if self._cluster_session is not None:
+                self._seen_rules.get(kind, {}).pop(name, None)
+            with self._publishing():
+                try:
+                    self.config_center.drop_rule(kind, name)
+                except GovernanceError:
+                    pass  # rule was never persisted
 
     def preview(self, sql: str) -> list[tuple[str, str]]:
         """Route+rewrite without executing (DistSQL PREVIEW)."""
@@ -382,75 +453,23 @@ class ShardingRuntime:
 
         A runtime created against an existing Governor — e.g. a proxy
         instance rejoining the cluster, or a restart after a crash —
-        replays the persisted sharding, binding, broadcast and
-        read-write-splitting rules plus *all* persisted props. Returns how
-        many rules were applied.
+        replays every persisted rule through :meth:`apply_rule` plus
+        *all* persisted props. Returns how many rules were applied.
         """
         applied = 0
-        for kind in ("sharding", "binding", "broadcast", "readwrite_splitting"):
+        for kind in RULES:
             for name in self.config_center.rule_names(kind):
-                if self._apply_governor_rule(kind, name, self.config_center.load_rule(kind, name)):
-                    applied += 1
+                try:
+                    self.apply_rule(kind, name, self.config_center.load_rule(kind, name),
+                                    persist=False)
+                except ShardingConfigError:
+                    continue  # e.g. a binding whose tables were dropped since
+                applied += 1
         for name in VARIABLES:
             value = self.config_center.get_prop(name)
             if value is not None:
                 self.set_variable(name, value, persist=False)
         return applied
-
-    def _apply_governor_rule(self, kind: str, name: str, config: dict[str, Any]) -> bool:
-        """Apply one persisted rule config locally; True when it changed state."""
-        from ..sharding import build_auto_table_rule
-
-        if kind == "sharding":
-            missing = [r for r in config["resources"] if r not in self.data_sources]
-            for resource in missing:
-                self.register_resource(resource)
-            table_rule = build_auto_table_rule(
-                name,
-                config["resources"],
-                sharding_column=config["sharding_column"],
-                algorithm_type=config.get("type", "HASH_MOD"),
-                properties=config.get("props", {}),
-                key_generate_column=config.get("key_generate_column"),
-                key_generator_type=config.get("key_generator", "SNOWFLAKE"),
-            )
-            self.apply_table_rule(table_rule)
-            return True
-        if kind == "binding":
-            try:
-                self.add_binding_group(config["tables"])
-                return True
-            except ShardingConfigError:
-                return False  # already bound or member rules missing
-        if kind == "broadcast":
-            self.add_broadcast_table(config["table"])
-            return True
-        if kind == "readwrite_splitting":
-            return self.apply_rwsplit_rule(name, config["primary"], config["replicas"])
-        return False
-
-    def apply_rwsplit_rule(self, name: str, primary: str, replicas: list[str]) -> bool:
-        group = ReadWriteGroup(
-            name=primary, primary=primary, replicas=list(replicas),
-            replication=getattr(
-                self.data_sources.get(primary), "replica_group", None),
-        )
-        feature = self.rwsplit_feature
-        if feature is None:
-            self.rwsplit_feature = ReadWriteSplittingFeature(
-                [group], is_up=self.engine.executor.source_up)
-            self.engine.add_feature(self.rwsplit_feature)
-            return True
-        existing = feature.groups.get(group.name)
-        if existing is not None and (existing.primary, list(existing.replicas)) == (
-            group.primary, group.replicas
-        ):
-            return False  # replayed config; no version churn
-        feature.replace_group(group)
-        # in-place feature reconfiguration: bump the version so watchers
-        # (and SHOW METADATA) still observe the change
-        self.metadata.touch(f"readwrite_splitting group {group.name}")
-        return True
 
     # ------------------------------------------------------------------
     # Cluster mode: converge on peers' Governor writes (Section V-A)
@@ -471,7 +490,7 @@ class ShardingRuntime:
         self._cluster_session = self.config_center.register_instance(
             instance_id, {"kind": "runtime"}
         )
-        for kind in ("sharding", "binding", "broadcast", "readwrite_splitting"):
+        for kind in RULES:
             self._seen_rules[kind] = {
                 name: self._fingerprint(self.config_center.load_rule(kind, name))
                 for name in self.config_center.rule_names(kind)
@@ -526,24 +545,24 @@ class ShardingRuntime:
         if self._is_self_event():
             return
         seen = self._seen_rules.setdefault(kind, {})
-        fresh: dict[str, str] = {}
+        fresh: dict[str, dict[str, Any]] = {}
         for name in self.config_center.rule_names(kind):
             try:
-                fresh[name] = self._fingerprint(self.config_center.load_rule(kind, name))
+                fresh[name] = self.config_center.load_rule(kind, name)
             except GovernanceError:
                 continue  # deleted between listing and load
         for name in [n for n in seen if n not in fresh]:
             del seen[name]
-            if kind == "sharding":
-                try:
-                    self.drop_table_rule(name)
-                except ShardingConfigError:
-                    pass  # never applied locally
-        for name, fingerprint in fresh.items():
+            try:
+                self.drop_rule(kind, name, persist=False)
+            except ShardingConfigError:
+                pass  # never applied locally, or a kind nothing drops
+        for name, config in fresh.items():
+            fingerprint = self._fingerprint(config)
             if seen.get(name) == fingerprint:
                 continue
             try:
-                self._apply_governor_rule(kind, name, self.config_center.load_rule(kind, name))
+                self.apply_rule(kind, name, config, persist=False)
                 seen[name] = fingerprint
             except (GovernanceError, ShardingConfigError):
                 pass  # partial peer write; the next event retries

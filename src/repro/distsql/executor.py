@@ -1,25 +1,25 @@
 """DistSQL executor: applies RDL/RQL/RAL statements to a runtime.
 
 The :class:`~repro.adaptors.ShardingRuntime` provides the data sources, the
-live sharding rule, the variables and the config center; the executor
-mutates them and persists changes through the Governor. Rule and resource
-mutations go through runtime methods (never ``runtime.rule.add_...``
-directly): each one produces the next immutable metadata snapshot, which is
-what invalidates the engine's plan caches — there is no explicit
-cache-clearing in this module.
+live sharding rule, the variables and the config center. A rule statement
+turns into the rule's Governor config and hands it to
+``ShardingRuntime.apply_rule`` (``drop_rule``), which builds, applies and
+persists it; resources go through runtime methods too. Each mutation
+produces the next immutable metadata snapshot, which is what invalidates
+the engine's plan caches — there is no explicit cache-clearing in this
+module.
 
-AutoTable lives here: a ``CREATE SHARDING TABLE RULE`` computes the data
-distribution up front, so a later logical ``CREATE TABLE`` materializes the
-physical shards automatically via DDL broadcast routing.
+AutoTable: a ``CREATE SHARDING TABLE RULE`` computes the data distribution
+up front, so a later logical ``CREATE TABLE`` materializes the physical
+shards automatically via DDL broadcast routing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..exceptions import DistSQLError, ShardingConfigError
-from ..sharding import build_auto_table_rule
 from . import parser as p
 from .show import SHOW_FORMS
 
@@ -84,6 +84,15 @@ def _unregister_resource(stmt: p.UnregisterResource, runtime: ShardingRuntime) -
     return DistSQLResult(message=message)
 
 
+def _rule_change(change: Callable[..., None], *args: Any) -> None:
+    """``ShardingRuntime.apply_rule`` or ``drop_rule``; a rule that cannot
+    be built or dropped is a DistSQLError."""
+    try:
+        change(*args)
+    except ShardingConfigError as exc:
+        raise DistSQLError(str(exc)) from exc
+
+
 def _create_sharding_rule(
     stmt: p.CreateShardingTableRule, runtime: ShardingRuntime
 ) -> DistSQLResult:
@@ -96,61 +105,32 @@ def _create_sharding_rule(
         )
     if not runtime.rule.is_sharded(stmt.table) and stmt.alter:
         raise DistSQLError(f"no sharding rule for {stmt.table!r} to alter")
-    props = dict(stmt.properties)
-    try:
-        table_rule = build_auto_table_rule(
-            stmt.table,
-            stmt.resources,
-            sharding_column=stmt.sharding_column,
-            algorithm_type=stmt.algorithm_type,
-            properties=props,
-            key_generate_column=stmt.key_generate_column,
-            key_generator_type=stmt.key_generator,
-        )
-    except ShardingConfigError as exc:
-        raise DistSQLError(str(exc)) from exc
-    runtime.apply_table_rule(table_rule)
-    runtime.persist_rule(
-        "sharding",
-        stmt.table,
-        {
-            "resources": stmt.resources,
-            "sharding_column": stmt.sharding_column,
-            "type": stmt.algorithm_type,
-            "props": {k: v for k, v in props.items() if not callable(v)},
-            "key_generate_column": stmt.key_generate_column,
-            "key_generator": stmt.key_generator,
-        },
-    )
+    _rule_change(runtime.apply_rule, "sharding", stmt.table, {
+        "resources": stmt.resources,
+        "sharding_column": stmt.sharding_column,
+        "type": stmt.algorithm_type,
+        "props": stmt.properties,
+        "key_generate_column": stmt.key_generate_column,
+        "key_generator": stmt.key_generator,
+    })
     verb = "altered" if stmt.alter else "created"
-    return DistSQLResult(
-        message=f"{verb} sharding rule for {stmt.table} over {len(table_rule.data_nodes)} data nodes"
-    )
+    nodes = len(runtime.rule.table_rule(stmt.table).data_nodes)
+    return DistSQLResult(message=f"{verb} sharding rule for {stmt.table} over {nodes} data nodes")
 
 
 def _drop_sharding_rule(stmt: p.DropShardingTableRule, runtime: ShardingRuntime) -> DistSQLResult:
-    try:
-        runtime.drop_table_rule(stmt.table)
-    except ShardingConfigError as exc:
-        raise DistSQLError(str(exc)) from exc
-    # Also retract the persisted config: a dropped rule must not resurrect
-    # on restart recovery or propagate to cluster peers.
-    runtime.unpersist_rule("sharding", stmt.table)
+    _rule_change(runtime.drop_rule, "sharding", stmt.table)
     return DistSQLResult(message=f"dropped sharding rule for {stmt.table}")
 
 
 def _create_binding(stmt: p.CreateBindingRule, runtime: ShardingRuntime) -> DistSQLResult:
-    try:
-        runtime.add_binding_group(stmt.tables)
-    except ShardingConfigError as exc:
-        raise DistSQLError(str(exc)) from exc
-    runtime.persist_rule("binding", "+".join(sorted(stmt.tables)), {"tables": stmt.tables})
+    name = "+".join(sorted(stmt.tables))
+    _rule_change(runtime.apply_rule, "binding", name, {"tables": stmt.tables})
     return DistSQLResult(message=f"bound tables {', '.join(stmt.tables)}")
 
 
 def _create_broadcast(stmt: p.CreateBroadcastRule, runtime: ShardingRuntime) -> DistSQLResult:
-    runtime.add_broadcast_table(stmt.table)
-    runtime.persist_rule("broadcast", stmt.table, {"table": stmt.table})
+    _rule_change(runtime.apply_rule, "broadcast", stmt.table, {"table": stmt.table})
     return DistSQLResult(message=f"broadcast table {stmt.table}")
 
 
@@ -164,12 +144,8 @@ def _create_rwsplit(
     ]
     if unknown:
         raise DistSQLError(f"unknown resources {unknown}")
-    runtime.persist_rule(
-        "readwrite_splitting",
-        stmt.name,
-        {"primary": stmt.primary, "replicas": stmt.replicas},
-    )
-    runtime.apply_rwsplit_rule(stmt.name, stmt.primary, stmt.replicas)
+    _rule_change(runtime.apply_rule, "readwrite_splitting", stmt.name,
+                 {"source": stmt.primary, "primary": stmt.primary, "replicas": stmt.replicas})
     return DistSQLResult(message=f"readwrite-splitting rule {stmt.name} created")
 
 
@@ -242,7 +218,10 @@ def _reset_workload(stmt: p.ResetWorkload, runtime: ShardingRuntime) -> DistSQLR
 def _migrate_table(stmt: p.MigrateTable, runtime: ShardingRuntime) -> DistSQLResult:
     """RAL scaling: build the target AutoTable layout and run the scaling
     job (prepare -> inventory -> check -> switchover), as Section V-A's
-    "added-on administrator features, such as ... scaling"."""
+    "added-on administrator features, such as ... scaling". The switchover
+    applies and persists the target's config, actual table names and the
+    table's key generator included."""
+    from ..adaptors.runtime import sharding_table_rule
     from ..features.scaling import ScalingJob
 
     if not runtime.rule.is_sharded(stmt.table):
@@ -251,49 +230,33 @@ def _migrate_table(stmt: p.MigrateTable, runtime: ShardingRuntime) -> DistSQLRes
     if missing:
         raise DistSQLError(f"unknown resources {missing}; REGISTER RESOURCE first")
     source_rule = runtime.rule.table_rule(stmt.table)
+    key_generate = source_rule.key_generate
+    config = {
+        "resources": stmt.resources,
+        "sharding_column": stmt.sharding_column,
+        "type": stmt.algorithm_type,
+        "props": stmt.properties,
+        "key_generate_column": key_generate.column if key_generate else None,
+        "key_generator": key_generate.generator.type_name if key_generate else "SNOWFLAKE",
+        "tables": None,
+    }
+    # Disambiguate target table names from the source generation.
+    existing = {node.table.lower() for node in source_rule.data_nodes}
+    generation = 1
     try:
-        target = build_auto_table_rule(
-            stmt.table,
-            stmt.resources,
-            sharding_column=stmt.sharding_column,
-            algorithm_type=stmt.algorithm_type,
-            properties=dict(stmt.properties),
-            key_generate_column=(
-                source_rule.key_generate.column if source_rule.key_generate else None
-            ),
-        )
+        target = sharding_table_rule(stmt.table, config)
+        while any(node.table.lower() in existing for node in target.data_nodes):
+            generation += 1
+            config["tables"] = [
+                f"{stmt.table}_g{generation}_{i}" for i in range(len(target.data_nodes))]
+            target = sharding_table_rule(stmt.table, config)
     except ShardingConfigError as exc:
         raise DistSQLError(str(exc)) from exc
-    # Disambiguate target table names from the source generation.
-    generation = 2
-    existing = {node.table.lower() for node in source_rule.data_nodes}
-    while any(node.table.lower() in existing for node in target.data_nodes):
-        from ..sharding import DataNode, TableRule
-
-        target = TableRule(
-            target.logic_table,
-            [DataNode(n.data_source, f"{stmt.table}_g{generation}_{i}")
-             for i, n in enumerate(target.data_nodes)],
-            table_strategy=target.table_strategy,
-            key_generate=target.key_generate,
-            auto=True,
-        )
-        generation += 1
     job = ScalingJob(
-        runtime.rule, target, runtime.data_sources,
-        drop_source_tables=True, apply_rule=runtime.apply_table_rule,
+        runtime.rule, target, runtime.data_sources, drop_source_tables=True,
+        apply_rule=lambda _: runtime.apply_rule("sharding", stmt.table, config),
     )
     report = job.run()
-    runtime.persist_rule(
-        "sharding",
-        stmt.table,
-        {
-            "resources": stmt.resources,
-            "sharding_column": stmt.sharding_column,
-            "type": stmt.algorithm_type,
-            "props": {k: v for k, v in stmt.properties.items() if not callable(v)},
-        },
-    )
     return DistSQLResult(
         columns=["table", "rows_migrated", "source_nodes", "target_nodes", "consistent"],
         rows=[(stmt.table, report.rows_migrated, report.source_nodes,

@@ -56,6 +56,7 @@ from ..exceptions import (
     DataSourceUnavailableError,
     DeadlineExceededError,
     ExecutionError,
+    TransientError,
 )
 from ..storage import Connection, DataSource, latency
 from .merger import MaterializedResult, ShardResult
@@ -251,7 +252,6 @@ class ExecutionEngine:
 
         allow_partial = (
             self.resilience is not None
-            and self.resilience.allow_partial_broadcast
             and is_query
             and held_connections is None
             and route_type in ("standard", "broadcast", "cartesian")
@@ -395,7 +395,7 @@ class ExecutionEngine:
                 # diagnostics invariant: modes only lists sources that
                 # actually contributed results — drop the skipped one
                 result.modes.pop(ds_name, None)
-                self.metrics.skipped_units += 1
+                self.metrics.skipped_units += len(groups[ds_name])
                 self.metrics.bump(ds_name, "skipped")
             self.metrics.degraded_statements += 1
         self.metrics.statements += len(units)
@@ -534,7 +534,7 @@ class ExecutionEngine:
                     value = attempt()
                 except Exception as exc:
                     self._record_outcome(source_name, ok=False)
-                    retryable = policy is not None and policy.is_retryable(exc)
+                    retryable = policy is not None and isinstance(exc, TransientError)
                     allowed = (
                         retryable
                         and policy is not None

@@ -3,8 +3,10 @@
 The paper's Governor (Section V-B) keeps the middleware serving traffic
 when proxies or databases fail; this module is the execution-side half of
 that story. :class:`ResiliencePolicy` says *how* the execution engine
-absorbs faults (how many retries, what backoff, what deadline budget, when
-broadcast reads may degrade); :class:`CircuitBreaker` /
+absorbs faults (how many retries, what backoff, what deadline budget, how
+many re-routes); with a policy attached, a multi-source read skips DOWN or
+tripped sources and returns partial results flagged as such instead of
+failing the whole statement. :class:`CircuitBreaker` /
 :class:`BreakerRegistry` keep per-data-source failure state so one sick
 shard stops receiving traffic without taking the fleet down.
 
@@ -54,19 +56,11 @@ class ResiliencePolicy:
     #: write applies, as this substrate's injector does; real deployments
     #: need idempotency keys to turn this on)
     retry_writes: bool = False
-    #: broadcast reads skip DOWN/tripped sources and return partial
-    #: results flagged as such, instead of failing the whole statement
-    allow_partial_broadcast: bool = True
     #: per-source circuit breaker knobs
     breaker_failure_threshold: int = 5
     breaker_reset_timeout: float = 30.0
-    #: exception classes considered transient/retryable
-    retryable: tuple[type[BaseException], ...] = (TransientError,)
     #: seed for the backoff jitter RNG (determinism in tests)
     seed: int | None = None
-
-    def is_retryable(self, error: BaseException) -> bool:
-        return isinstance(error, self.retryable)
 
     def backoff(self, attempt: int, rng: random.Random) -> float:
         """Exponential backoff with full jitter (AWS-style)."""

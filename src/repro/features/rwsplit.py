@@ -236,8 +236,6 @@ class ReadWriteSplittingFeature(Feature):
             unit.unit.data_source = target
 
     # Note: no post-hoc causal stamping is needed for fan-out writes.
-    # Executor workers resume the statement's SessionContext before they
-    # commit, so ``publish()`` stamps the *right* session's token exactly
-    # (the old thread-local design needed an over-approximating
-    # last-LSN stamp here, which could needlessly pin readers to the
-    # primary after unrelated sessions' commits).
+    # Every unit, and every participant's commit, is issued on the thread
+    # that executes the statement, inside its SessionContext, so
+    # ``publish()`` stamps the *right* session's token exactly.

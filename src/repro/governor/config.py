@@ -87,9 +87,6 @@ class ConfigCenter:
         """
         return self.registry.watch_subtree(f"{RULES_PATH}/{kind}", callback)
 
-    def watch_data_sources(self, callback: Callable[[str, str, Any], None]) -> Callable[[], None]:
-        return self.registry.watch_subtree(DATASOURCES_PATH, callback)
-
     # -- properties --------------------------------------------------------------
 
     def set_prop(self, name: str, value: Any) -> None:
@@ -152,9 +149,6 @@ class ConfigCenter:
             return self.registry.children(INSTANCES_PATH)
         except NodeNotFoundError:
             return []
-
-    def watch_instances(self, callback: Callable[[str, str, Any], None]) -> Callable[[], None]:
-        return self.registry.watch_children(INSTANCES_PATH, callback)
 
     # -- running status ----------------------------------------------------------------
 

@@ -8,7 +8,9 @@ would change the configurations automatically."
 :class:`HealthDetector` pings every data source (``SELECT 1``), records
 UP/DOWN in the config center, and — for primary/replica groups used by
 read-write splitting — promotes the first healthy replica when a primary
-goes down, rewriting the group config so the system keeps working.
+goes down, rewriting the group config so the system keeps working (in
+``ShardingRuntime.apply_rule``'s shape, keeping ``source``, the group's
+name for the router).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .. import clock
+from ..exceptions import DataSourceUnavailableError
 from ..storage import DataSource
 from .config import ConfigCenter
 
@@ -144,11 +147,11 @@ class HealthDetector:
                 old_primary, new_primary = promotion
                 group.replicas = [r for r in group.replicas if r != new_primary]
                 group.primary = new_primary
-            self.config.store_rule(
-                "readwrite_splitting",
-                group.name,
-                {"primary": group.primary, "replicas": group.replicas},
-            )
+            source = (self.config.load_rule("readwrite_splitting", group.name)["source"]
+                      if group.name in self.config.rule_names("readwrite_splitting")
+                      else old_primary)
+            self.config.store_rule("readwrite_splitting", group.name, {
+                "source": source, "primary": group.primary, "replicas": list(group.replicas)})
             with self._lock:
                 detected_at = self._down_since.get(name, clock.now())
             self.failover_events.append(
@@ -177,8 +180,6 @@ class HealthDetector:
         takes the legacy path), ``False`` when it is but no replica is
         promotable, or ``(old_primary, new_primary)`` on success.
         """
-        from ..exceptions import DataSourceUnavailableError
-
         source = self.data_sources.get(group.primary)
         storage_group = getattr(source, "replica_group", None)
         if storage_group is None or getattr(storage_group, "primary", None) is not source:

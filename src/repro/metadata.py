@@ -344,6 +344,8 @@ class ContextManager:
         self.mutate(apply, f"drop sharding rule {logic_table}")
 
     def add_binding_group(self, tables: Sequence[str]) -> None:
+        if {t.lower() for t in tables} in self._current.rule.binding_groups:
+            return  # idempotent: no version churn on replayed configs
         self.mutate(
             lambda draft: draft.rule.add_binding_group(tables),
             f"binding group {'+'.join(sorted(t.lower() for t in tables))}",

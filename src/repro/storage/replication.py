@@ -18,8 +18,9 @@ the primary's state even when two transactions' publish order inverts
 their execution order. Read-your-writes is layered on top with *causal
 session tokens*: every publish stamps the committing **session's** token
 (the :class:`~repro.session.SessionContext` active on the committing
-thread — propagated across executor workers, so fan-out commits stamp
-the right session) with the new LSN, and the rwsplit router only
+thread — the thread that executes the statement, which issues every unit
+and every participant's commit itself, so fan-out commits stamp the right
+session) with the new LSN, and the rwsplit router only
 considers replicas whose applied (or applicable-by-now) LSN covers the
 token.
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 import contextlib
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .. import clock
@@ -168,11 +169,6 @@ class ReplicaState:
     @property
     def applied_lsn(self) -> int:
         return self._applied
-
-    @property
-    def current_lag(self) -> float:
-        """The lag currently in force (redrawn per applied batch)."""
-        return self._lag
 
     def lag_records(self) -> int:
         return self.log.last_lsn - self._applied

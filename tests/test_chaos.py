@@ -371,6 +371,26 @@ class TestHealthDegradation:
         assert metrics["skipped_units"] >= 1
         engine.close()
 
+    def test_a_soft_failed_source_counts_each_of_its_units_skipped(self):
+        # no health check: the crash surfaces at execution, where the
+        # skipped source's units are counted as the health filter counts them
+        runtime = ShardingRuntime(
+            {name: DataSource(name) for name in ("ds0", "ds1")}, max_connections_per_query=4,
+            resilience=ResiliencePolicy(max_retries=0, max_reroutes=0))
+        execute_distsql("CREATE SHARDING TABLE RULE t (RESOURCES(ds0, ds1), SHARDING_COLUMN=id, "
+                        "TYPE=mod, PROPERTIES('sharding-count'=4))", runtime)
+        runtime.engine.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        injector = FaultInjector(seed=1)
+        for source in runtime.data_sources.values():
+            source.set_fault_injector(injector)
+        injector.crash("ds1")
+        result = runtime.engine.execute("SELECT * FROM t")
+        assert result.partial_results and result.skipped_sources == ["ds1"]
+        metrics = runtime.engine.executor.metrics.snapshot()
+        assert metrics["failed_units"] == 2
+        assert metrics["skipped_units"] == 2
+        runtime.close()
+
     def test_full_results_when_all_up(self, fleet, paper_rule):
         engine, _ = self.make_engine(fleet, paper_rule)
         result = engine.execute("SELECT name FROM t_user")
@@ -426,7 +446,8 @@ def make_replicated_runtime(policy=None):
         ),
     )
     runtime.rule.default_data_source = "prim"
-    runtime.apply_rwsplit_rule("g0", "prim", ["rep0", "rep1"])
+    runtime.apply_rule("readwrite_splitting", "g0", {
+        "source": "prim", "primary": "prim", "replicas": ["rep0", "rep1"]})
     detector = HealthDetector(sources, ConfigCenter(),
                               groups=[ReplicaGroup("g0", "prim", ["rep0", "rep1"])],
                               interval=0.01)

@@ -109,7 +109,8 @@ class TestReadWriteSplitting:
             ds.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
             ds.execute(f"INSERT INTO t (id, v) VALUES (1, {v})")
         runtime = ShardingRuntime(sources)
-        runtime.apply_rwsplit_rule("primary", "primary", ["replica0"])
+        runtime.apply_rule("readwrite_splitting", "primary", {
+            "source": "primary", "primary": "primary", "replicas": ["replica0"]})
         with ShardingDataSource(runtime) as data_source:
             conn = data_source.get_connection()
 

@@ -102,7 +102,7 @@ class TestCopyOnWrite:
     def test_failed_mutation_leaves_snapshot_untouched(self, runtime):
         before = runtime.metadata.current()
         with pytest.raises(ShardingConfigError):
-            runtime.drop_table_rule("t_ghost")
+            runtime.drop_rule("sharding", "t_ghost")
         assert runtime.metadata.current() is before
 
 
@@ -116,7 +116,7 @@ class TestVersioning:
         v0 = runtime.metadata.version
         runtime.set_variable("tracing", "on")
         runtime.register_resource("ds2")
-        runtime.add_broadcast_table("t_dict")
+        runtime.apply_rule("broadcast", "t_dict", {"table": "t_dict"})
         assert runtime.metadata.version == v0 + 3
 
     def test_variables_never_bump_plan_epoch(self, runtime):

@@ -448,7 +448,7 @@ class TestDiagnostics:
 
     def test_degraded_read_drops_skipped_modes(self, seeded_engine):
         engine = seeded_engine
-        engine.executor.enable_resilience(ResiliencePolicy(allow_partial_broadcast=True))
+        engine.executor.enable_resilience(ResiliencePolicy())
         engine.executor.set_health_check(lambda name: name == "ds0")
         result = engine.execute("SELECT * FROM t_user")
         assert result.partial_results

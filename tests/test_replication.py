@@ -317,7 +317,8 @@ class TestFailoverChaos:
         sources, group = make_storage_group(replica_lags=(0.0, 0.0), seed_rows=0)
         runtime = ShardingRuntime(sources)
         runtime.rule.default_data_source = "prim"
-        runtime.apply_rwsplit_rule("prim", "prim", ["rep0", "rep1"])
+        runtime.apply_rule("readwrite_splitting", "prim", {
+            "source": "prim", "primary": "prim", "replicas": ["rep0", "rep1"]})
         detector = HealthDetector(
             sources, ConfigCenter(),
             groups=[GovReplicaGroup("prim", "prim", ["rep0", "rep1"])],
@@ -586,7 +587,8 @@ class TestDistSQLSurfaces:
         sources, group = make_storage_group(replica_lags=(0.0, 30.0))
         runtime = ShardingRuntime(sources)
         runtime.rule.default_data_source = "prim"
-        runtime.apply_rwsplit_rule("prim", "prim", ["rep0", "rep1"])
+        runtime.apply_rule("readwrite_splitting", "prim", {
+            "source": "prim", "primary": "prim", "replicas": ["rep0", "rep1"]})
         yield sources, group, runtime
         runtime.close()
 

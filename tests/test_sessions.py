@@ -158,7 +158,8 @@ def make_replicated_sharded_runtime(shards=4, lag=30.0):
     )
     runtime.engine.execute("CREATE TABLE t_user (uid INT PRIMARY KEY, v INT)")
     for i in range(shards):
-        runtime.apply_rwsplit_rule(f"ds{i}", f"ds{i}", [f"ds{i}_r0"])
+        runtime.apply_rule("readwrite_splitting", f"ds{i}", {
+            "source": f"ds{i}", "primary": f"ds{i}", "replicas": [f"ds{i}_r0"]})
     for group in groups.values():
         group.sync()
     return runtime, groups
