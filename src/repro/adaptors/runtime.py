@@ -155,6 +155,18 @@ def sharding_table_rule(name: str, config: Mapping[str, Any]) -> TableRule:
                      key_generate=rule.key_generate, auto=True)
 
 
+def binding_name(tables: Sequence[str]) -> str:
+    """The name the Governor keeps a binding group's config under."""
+    return "+".join(sorted(tables))
+
+
+def resource_config(source: DataSource) -> dict[str, Any]:
+    """What the Governor keeps of a resource: every property
+    ``REGISTER RESOURCE`` takes, read back from the built source, so
+    :meth:`ShardingRuntime.register_resource` rebuilds it alike."""
+    return {"dialect": source.dialect.name, "pool_size": source.pool.max_size}
+
+
 def _register_missing(runtime: ShardingRuntime, names: Sequence[str]) -> None:
     """Register a resource a replayed rule names as the Governor has it."""
     for name in names:
@@ -281,7 +293,7 @@ class ShardingRuntime:
         #: SHOW SESSIONS and the proxy's session metrics
         self.sessions = SessionRegistry()
         for name, source in self.metadata.live_sources.items():
-            self.config_center.register_data_source(name, {"dialect": source.dialect.name})
+            self.config_center.register_data_source(name, resource_config(source))
 
     # -- snapshot views -----------------------------------------------------
 
@@ -342,6 +354,8 @@ class ShardingRuntime:
     # ------------------------------------------------------------------
 
     def register_resource(self, name: str, props: dict[str, Any] | None = None) -> DataSource:
+        """Build a resource from its properties (``REGISTER RESOURCE``, or
+        the config the Governor keeps for it: :func:`resource_config`)."""
         props = dict(props or {})
         dialect = get_dialect(str(props.get("dialect", "MySQL")))
         source = DataSource(
@@ -357,9 +371,7 @@ class ShardingRuntime:
         """Register an already-built DataSource object."""
         self.metadata.add_data_source(name, source)
         with self._publishing():
-            self.config_center.register_data_source(
-                name, {"dialect": source.dialect.name}
-            )
+            self.config_center.register_data_source(name, resource_config(source))
         self.observability.watch_pool(name, source.pool)
         self.observability.register_storage_plan_cache(name, source.database.plan_cache)
 
@@ -431,13 +443,32 @@ class ShardingRuntime:
             raise ShardingConfigError(f"{kind} rules cannot be dropped")
         drop(self, name)
         if persist:
-            if self._cluster_session is not None:
-                self._seen_rules.get(kind, {}).pop(name, None)
-            with self._publishing():
-                try:
-                    self.config_center.drop_rule(kind, name)
-                except GovernanceError:
-                    pass  # rule was never persisted
+            self._retract_config(kind, name)
+            if kind == "sharding":
+                self._retract_bindings(name)
+
+    def _retract_config(self, kind: str, name: str) -> None:
+        if self._cluster_session is not None:
+            self._seen_rules.get(kind, {}).pop(name, None)
+        with self._publishing():
+            try:
+                self.config_center.drop_rule(kind, name)
+            except GovernanceError:
+                pass  # rule was never persisted
+
+    def _retract_bindings(self, table: str) -> None:
+        """Rewrite every persisted binding config naming a dropped table as
+        the live rule now has it: without the table, and gone below two
+        tables (``ShardingRule.drop_table_rule``)."""
+        dropped = table.lower()
+        for name in self.config_center.rule_names("binding"):
+            tables = self.config_center.load_rule("binding", name)["tables"]
+            kept = [t for t in tables if t.lower() != dropped]
+            if len(kept) == len(tables):
+                continue
+            self._retract_config("binding", name)
+            if len(kept) > 1:
+                self.apply_rule("binding", binding_name(kept), {"tables": kept})
 
     def preview(self, sql: str) -> list[tuple[str, str]]:
         """Route+rewrite without executing (DistSQL PREVIEW)."""

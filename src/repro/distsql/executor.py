@@ -124,8 +124,9 @@ def _drop_sharding_rule(stmt: p.DropShardingTableRule, runtime: ShardingRuntime)
 
 
 def _create_binding(stmt: p.CreateBindingRule, runtime: ShardingRuntime) -> DistSQLResult:
-    name = "+".join(sorted(stmt.tables))
-    _rule_change(runtime.apply_rule, "binding", name, {"tables": stmt.tables})
+    from ..adaptors.runtime import binding_name
+
+    _rule_change(runtime.apply_rule, "binding", binding_name(stmt.tables), {"tables": stmt.tables})
     return DistSQLResult(message=f"bound tables {', '.join(stmt.tables)}")
 
 

@@ -18,7 +18,7 @@ into the condition template, map shard keys to data nodes, and look up
 the per-node rewrite template — parser, context build, router and
 rewriter (and the per-hit AST clone) are all skipped. An INSERT binds
 each values row's sharding values from their recorded parameter indexes,
-routes each row through the table rule's strategies (no point-lookup
+routes each row through the table rule's strategies (not its point-route
 memo: a bulk load would fill it), and runs one unit per node: the node's
 one-row template with its rows as :class:`~repro.storage.Bindings`.
 
@@ -29,6 +29,8 @@ Cacheability rules (see DESIGN.md "Plan cache"):
   is missing: the generated keys are new on every execution, and they
   change the AST before routing) or when its values rows are not all bare
   placeholders of one width;
+- an UPDATE that assigns a sharding column bypasses: the router decides
+  whether the row stays put (:func:`repro.engine.router.route`);
 - SELECTs whose LIMIT/OFFSET contain placeholders bypass (pagination
   revision bakes the bound values into the per-shard SQL);
 - statements where two predicates on the same sharding column had to be
@@ -56,6 +58,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..cache import CacheStats, LruCache
 from ..sharding import ShardingRule, ShardingValue
+from ..sharding.rule import POINT_ROUTES
 from ..sql import ast, normalize
 from ..sql.formatter import format_statement
 from ..sql.normalize import COMPARISONS
@@ -64,7 +67,7 @@ from ..storage.plans import params_getter
 from .context import StatementContext, build_context
 from .merger import MergeSpec
 from .rewriter import ExecutionUnit, _iter_expressions, bound_rows, shape, unit_statement
-from .router import RouteResult, RouteUnit, route
+from .router import RouteResult, RouteUnit, assigned_sharding_columns, route
 
 if TYPE_CHECKING:
     from ..sql.dialects import Dialect
@@ -93,10 +96,6 @@ class UnitTemplate:
         self.bind_params = params_getter(param_order)
 
 
-#: unit-memo key of a route to every data node of the table
-_ALL_NODES = object()
-
-
 class CompiledPlan:
     """Everything needed to execute one SQL text without re-planning."""
 
@@ -105,7 +104,7 @@ class CompiledPlan:
         "logic_tables", "alias_map", "condition_template", "key_joins", "param_count",
         "single_table", "hits", "literal_safe", "insert_keys", "_insert_rows",
         "_templates", "_lock", "_shapes",
-        "_route_memo", "_memo_table_rule", "_all_nodes", "_unit_memo",
+        "_unit_memo",
     )
 
     def __init__(self, sql: str, statement: ast.Statement | None,
@@ -139,17 +138,9 @@ class CompiledPlan:
         #: multi-node? -> the statement the units are cut from, and their
         #: merge spec (:func:`repro.engine.rewriter.shape`)
         self._shapes: dict[bool, tuple[ast.Statement, MergeSpec]] = {}
-        #: point-lookup memo: (column, value) -> data nodes, valid for one
-        #: TableRule object (identity-checked; rule changes drop the plan
-        #: anyway via cache invalidation)
-        self._route_memo: dict[tuple[str, Any], list[Any]] = {}
-        self._memo_table_rule: Any = None
-        #: the table's every node, routed once per TableRule (a statement
-        #: with no sharding condition)
-        self._all_nodes: list[Any] | None = None
         #: routed node set -> the units' templates, in route order; keyed
-        #: by one DataNode or ``_ALL_NODES``, so bounded by the shards,
-        #: not the keys (DESIGN.md "Plan cache")
+        #: by one DataNode, or by the table rule for its every node, so
+        #: bounded by the shards, not the keys (DESIGN.md "Plan cache")
         self._unit_memo: dict[Any, list[UnitTemplate]] = {}
 
     def takes_literals(self, count: int) -> bool:
@@ -222,35 +213,28 @@ class CompiledPlan:
         logic = self.single_table
         if logic is not None and rule.is_sharded(logic):
             table_rule = rule.table_rule(logic)
-            if self._memo_table_rule is not table_rule:
-                self._memo_table_rule = table_rule
-                self._route_memo, self._unit_memo, self._all_nodes = {}, {}, None
             table_conditions = conditions.get(logic, {})
             nodes = None
             memo_key: Any = None
             if not table_conditions:
-                nodes = self._all_nodes
+                nodes = table_rule.all_nodes
                 if nodes is None:
-                    nodes = self._all_nodes = table_rule.route(table_conditions)
-                memo_key = _ALL_NODES
+                    nodes = table_rule.all_nodes = table_rule.route(table_conditions)
+                memo_key = table_rule
             elif len(table_conditions) == 1:
-                # Point lookups dominate OLTP; memoize value -> data nodes
-                # so repeated keys skip the strategy walk entirely.
+                # Point lookups dominate OLTP: the rule memoizes value ->
+                # data nodes, so a key seen by any plan skips the strategies.
                 column, value = next(iter(table_conditions.items()))
                 values = value.values
-                if values is not None and len(values) == 1:
-                    memo = self._route_memo
+                memo = table_rule.point_routes.get(column)
+                if memo is not None and values is not None and len(values) == 1:
                     try:
-                        nodes = memo.get((column, values[0]))
+                        nodes = memo.get(values[0])
                         if nodes is None:
                             nodes = table_rule.route(table_conditions)
-                            # Sized to cover a full OLTP key space (e.g.
-                            # sysbench's 20k ids): entries are a tiny
-                            # tuple -> node-list pair, and saturating the
-                            # memo at ~40% of the key space forfeits most
-                            # of the hot-path win.
-                            if len(memo) < 65536:
-                                memo[(column, values[0])] = nodes
+                            if len(memo) < POINT_ROUTES:
+                                memo[values[0]] = table_rule.node_lists.setdefault(
+                                    tuple(nodes), nodes)
                     except TypeError:  # unhashable parameter value
                         nodes = None
             if nodes is None:
@@ -376,6 +360,8 @@ def compile_plan(sql: str, statement: ast.Statement, rule: ShardingRule) -> Comp
         reason = _insert_bypass(statement, rule)
         if reason:
             return CompiledPlan(sql, None, False, reason)
+    elif isinstance(statement, ast.UpdateStatement) and assigned_sharding_columns(statement, rule):
+        return CompiledPlan(sql, None, False, "UPDATE assigns a sharding column")
 
     param_count = 0
     for expr in _iter_expressions(statement):

@@ -11,7 +11,11 @@
   and the engine federates the SELECT.
 
 INSERT batches are routed per values-row, so one multi-row INSERT becomes
-one unit per shard holding only that shard's rows.
+one unit per shard holding only that shard's rows; a row with a NULL
+sharding value has no data node and is refused. An UPDATE that assigns a
+sharding column is refused unless the new value provably routes to the
+node the row is on (:func:`_check_key_assignment`); compiled plans bypass
+such an UPDATE, so this is the one place that decides it.
 
 ``route(context, rule)`` is a pure function of its arguments. The pipeline
 passes the frozen rule of the statement's pinned metadata snapshot, so
@@ -24,9 +28,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..exceptions import CoLocationError, RouteError
-from ..sharding import DataNode, ShardingRule
+from ..sharding import DataNode, ShardingRule, ShardingValue
 from ..sql import ast
-from .context import StatementContext
+from .context import StatementContext, _const_value
 
 
 @dataclass
@@ -103,8 +107,46 @@ def route(context: StatementContext, rule: ShardingRule) -> RouteResult:
             return _route_all_sources(rule)
         return _unicast(rule)
     if len(refs) == 1:
-        return _standard_route(context, rule, refs[0])
+        result = _standard_route(context, rule, refs[0])
+        if isinstance(statement, ast.UpdateStatement):
+            _check_key_assignment(context, rule, refs[0], result)
+        return result
     return _join_route(context, rule, refs)
+
+
+def assigned_sharding_columns(statement: ast.UpdateStatement,
+                              rule: ShardingRule) -> dict[str, ast.Expression]:
+    """The sharding columns (lower-cased) an UPDATE's SET assigns, each
+    with its new value's expression."""
+    columns = rule.sharding_columns_of(statement.table.name)
+    return {name.lower(): value for name, value in statement.assignments
+            if name.lower() in columns}
+
+
+def _check_key_assignment(context: StatementContext, rule: ShardingRule, logic: str,
+                          result: RouteResult) -> None:
+    """Refuse an UPDATE that could move a row off the node its key routes
+    to. It passes only when the WHERE routes to one node and the same
+    conditions, with each assigned sharding column taking its new value,
+    route to that node again (``SET id = 0 WHERE id = 0``)."""
+    assigned = assigned_sharding_columns(context.statement, rule)  # type: ignore[arg-type]
+    if not assigned:
+        return
+    table_rule = rule.table_rule(logic)
+    conditions = context.conditions_for(logic)
+    for column, expr in assigned.items():
+        known, value = _const_value(expr, context.params)
+        if not known or value is None:
+            break
+        conditions[column] = ShardingValue(column, values=[value])
+    else:
+        units = result.units
+        if len(units) == 1 and table_rule.route(conditions) == [
+                DataNode(units[0].data_source, units[0].table_map[logic])]:
+            return
+    raise RouteError(
+        f"UPDATE of {context.statement.table.name} assigns sharding column(s) "  # type: ignore[attr-defined]
+        f"{sorted(assigned)}: the new value must route to the row's current data node")
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +267,11 @@ def _route_insert(context: StatementContext, rule: ShardingRule) -> RouteResult:
         return RouteResult([unit], "standard")
     by_node: dict[DataNode, list[int]] = {}
     for row_index, conditions in enumerate(context.insert_row_conditions):
+        for condition in conditions.values():
+            if None in condition.values:  # type: ignore[operator]
+                raise RouteError(
+                    f"INSERT row #{row_index} into {logic!r} has NULL in sharding column "
+                    f"{condition.column!r}: a row has a data node only by its value")
         nodes = table_rule.route(conditions)
         if len(nodes) != 1:
             raise RouteError(

@@ -23,6 +23,11 @@ from .keygen import KeyGenerator, create_key_generator
 HINT_COLUMN = "__hint__"
 """Pseudo sharding column carrying hint values for HintShardingStrategy."""
 
+POINT_ROUTES = 65536
+"""Values a table rule's point-route memo keeps per sharding column: all of
+an OLTP key space the size of sysbench's (20k ids); past it, a new value is
+routed and not kept."""
+
 
 @dataclass(frozen=True)
 class DataNode:
@@ -78,7 +83,12 @@ class ShardingValue:
 
 
 class ShardingStrategy:
-    """Maps sharding conditions to a subset of target names."""
+    """Maps sharding conditions to a subset of target names.
+
+    A NULL precise value never reaches an algorithm: ``col = NULL`` matches
+    no row, so it selects no target (and ``TableRule.route`` answers an
+    empty route with one node). An INSERT of a NULL sharding value is
+    refused before routing (``repro.engine.router``)."""
 
     #: sharding columns this strategy consumes (lower-cased)
     columns: tuple[str, ...] = ()
@@ -109,10 +119,12 @@ class StandardShardingStrategy(ShardingStrategy):
         if condition.is_precise:
             values = condition.values
             if len(values) == 1:  # type: ignore[arg-type]  # point lookup
-                return [self.algorithm.do_sharding(targets, values[0])]  # type: ignore[index]
+                value = values[0]  # type: ignore[index]
+                return [] if value is None else [self.algorithm.do_sharding(targets, value)]
             seen: dict[str, None] = {}
             for value in values:  # type: ignore[union-attr]
-                seen.setdefault(self.algorithm.do_sharding(targets, value))
+                if value is not None:
+                    seen.setdefault(self.algorithm.do_sharding(targets, value))
             return list(seen)
         low, high = condition.range_  # type: ignore[misc]
         return self.algorithm.do_range_sharding(targets, low, high)
@@ -140,8 +152,9 @@ class ComplexShardingStrategy(ShardingStrategy):
             value_lists.append(condition.values)
         seen: dict[str, None] = {}
         for combo in itertools.product(*value_lists):
-            bindings = dict(zip(self.original_columns, combo))
-            seen.setdefault(self.algorithm.do_sharding(targets, bindings))
+            if None not in combo:
+                bindings = dict(zip(self.original_columns, combo))
+                seen.setdefault(self.algorithm.do_sharding(targets, bindings))
         return list(seen)
 
 
@@ -158,7 +171,8 @@ class HintShardingStrategy(ShardingStrategy):
             return list(targets)
         seen: dict[str, None] = {}
         for value in condition.values:  # type: ignore[union-attr]
-            seen.setdefault(self.algorithm.do_sharding(targets, value))
+            if value is not None:
+                seen.setdefault(self.algorithm.do_sharding(targets, value))
         return list(seen)
 
 
@@ -212,6 +226,17 @@ class TableRule:
             raise ShardingConfigError(
                 f"AutoTable rule {logic_table!r} requires unique actual table names"
             )
+        # Route memos, filled by compiled plans (``CompiledPlan.route_bound``)
+        # and shared by every plan and session. A rule is replaced, never
+        # changed, so they go with the rule object.
+        #: sharding column -> point value -> the nodes it routes to, at
+        #: most ``POINT_ROUTES`` values a column; a value's entry is the
+        #: one shared list of its node set (``node_lists``)
+        self.point_routes: dict[str, dict[Any, list[DataNode]]] = {
+            column: {} for column in self.sharding_columns}
+        self.node_lists: dict[tuple[DataNode, ...], list[DataNode]] = {}
+        #: the route of a statement with no sharding condition, once routed
+        self.all_nodes: list[DataNode] | None = None
 
     # -- views ------------------------------------------------------------
 
@@ -343,8 +368,8 @@ class ShardingRule:
 
     def copy(self) -> "ShardingRule":
         """A mutable shallow copy (TableRule objects are immutable in
-        practice and stay shared, keeping route-memo identity for
-        untouched tables)."""
+        practice and stay shared: an untouched table keeps its route
+        memos)."""
         clone = ShardingRule.__new__(ShardingRule)
         clone._frozen = False
         clone._table_rules = dict(self._table_rules)

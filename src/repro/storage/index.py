@@ -17,7 +17,17 @@ from .expression import hashable, sort_key
 
 
 class HashIndex:
-    """Equality index: key -> set of row ids."""
+    """Equality index: key -> the id of the one row holding it, or the
+    ``set`` of row ids while two or more rows share the key (never in a
+    unique index). A row id is an ``int``, so ``type(held) is int`` tells
+    the two apart.
+
+    Readers take no lock. A key that drops back to one row gets a new map
+    entry and its old set is left as it was, so a reader that fetched the
+    set just before still finds the surviving row in it (and the deleted
+    one, which the heap read skips). A set of three or more shrinks in
+    place, as it always did.
+    """
 
     def __init__(self, name: str, columns: list[str], offsets: Sequence[int],
                  unique: bool = False):
@@ -25,7 +35,7 @@ class HashIndex:
         self.columns = columns
         self.offsets = tuple(offsets)
         self.unique = unique
-        self._map: dict[Hashable, set[int]] = {}
+        self._map: dict[Hashable, int | set[int]] = {}
 
     def key_of(self, row: Sequence[Any]) -> Hashable:
         if len(self.offsets) == 1:
@@ -34,31 +44,48 @@ class HashIndex:
 
     def insert(self, row_id: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
-        bucket = self._map.setdefault(key, set())
-        if self.unique and bucket:
+        held = self._map.get(key)
+        if held is None:
+            self._map[key] = row_id
+        elif self.unique:
             raise DuplicateKeyError(
                 f"duplicate key {key!r} for unique index {self.name!r}"
             )
-        bucket.add(row_id)
+        elif type(held) is int:
+            if held != row_id:  # a set always holds two ids or more
+                self._map[key] = {held, row_id}
+        else:
+            held.add(row_id)
 
     def remove(self, row_id: int, row: Sequence[Any]) -> None:
         key = self.key_of(row)
-        bucket = self._map.get(key)
-        if bucket is not None:
-            bucket.discard(row_id)
-            if not bucket:
+        held = self._map.get(key)
+        if held is None:
+            return
+        if type(held) is int:
+            if held == row_id:
                 del self._map[key]
+        elif len(held) > 2:
+            held.discard(row_id)
+        elif row_id in held:
+            first, second = held
+            self._map[key] = second if first == row_id else first
 
-    def lookup(self, key: Any) -> set[int]:
-        return self._map.get(hashable(key), set())
+    def lookup(self, key: Any) -> Sequence[int]:
+        """The ids of the rows holding ``key``, ascending; a miss returns
+        the empty tuple, so it allocates nothing."""
+        held = self._map.get(hashable(key))
+        if held is None:
+            return ()
+        if type(held) is int:
+            return [held]
+        return sorted(held)
 
-    def lookup_values(self, values_by_column: dict[str, Any]) -> set[int]:
-        """Lookup from a lower-cased column->value mapping (composite keys)."""
+    def lookup_values(self, values_by_column: dict[str, Any]) -> Sequence[int]:
+        """:meth:`lookup` from a lower-cased column->value mapping (composite keys)."""
         if len(self.columns) == 1:
-            key: Any = hashable(values_by_column[self.columns[0].lower()])
-        else:
-            key = tuple(hashable(values_by_column[c.lower()]) for c in self.columns)
-        return self._map.get(key, set())
+            return self.lookup(values_by_column[self.columns[0].lower()])
+        return self.lookup(tuple(hashable(values_by_column[c.lower()]) for c in self.columns))
 
     def __len__(self) -> int:
         return len(self._map)

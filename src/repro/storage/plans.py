@@ -325,7 +325,7 @@ def _compile_access(table: Table, exposed: str,
                     for col, types in fits:
                         if type(values[col]) not in types:
                             return table.row_ids(), False
-                    return sorted(index.lookup_values(values)), True
+                    return index.lookup_values(values), True
 
                 return _AccessPath(run_composite, None, False)
         for predicate in predicates:
@@ -363,7 +363,7 @@ def _compile_try_index(table: Table, exposed: str,
                     return [], True
                 if type(value) not in fits:
                     return table.row_ids(), False
-                return sorted(hash_index.lookup(value)), True
+                return hash_index.lookup(value), True
 
             return _AccessPath(run_point, None, False)
         sorted_index = table.sorted_index(column)

@@ -243,24 +243,40 @@ class Table:
 
     def update(self, row_id: int, changes: dict[str, Any]) -> tuple[Any, ...]:
         """Apply ``column -> value`` changes; returns the previous row (for
-        undo). A NULL into a NOT NULL column raises and changes nothing."""
+        undo). A NULL into a NOT NULL column raises and changes nothing.
+        Only the indexes over a column whose value changed are touched."""
         old_row = self._rows[row_id]
         values = list(old_row)
         schema = self.schema
+        changed: set[int] = set()
         for column, value in changes.items():
             i = schema.column_offset(column)
             col = schema.columns[i]
             value = col.type.coerce(value)
             if value is None and col.not_null:
                 raise TypeCheckError(f"column {col.name!r} of table {self.name} is NOT NULL")
+            if value != values[i]:
+                changed.add(i)
             values[i] = value
         new_row = tuple(values)
-        self._index_remove(row_id, old_row)
-        try:
-            self._index_insert(row_id, new_row)
-        except DuplicateKeyError:
-            self._index_insert(row_id, old_row)  # restore
-            raise
+        if changed:
+            moved: list[HashIndex] = []
+            try:
+                for index in self._hash_indexes.values():
+                    if not changed.isdisjoint(index.offsets):
+                        index.remove(row_id, old_row)
+                        moved.append(index)
+                        index.insert(row_id, new_row)
+            except DuplicateKeyError:  # restore: the failed index holds neither key
+                moved.pop().insert(row_id, old_row)
+                for index in moved:
+                    index.remove(row_id, new_row)
+                    index.insert(row_id, old_row)
+                raise
+            for sorted_index in self._sorted_indexes.values():
+                if sorted_index.offset in changed:
+                    sorted_index.remove(row_id, old_row)
+                    sorted_index.insert(row_id, new_row)
         self._rows[row_id] = new_row
         return old_row
 
@@ -331,8 +347,10 @@ class Table:
         row = self._from_image(image)
         ids: set[int] = set()
         for index in self._hash_indexes.values():
-            if index.unique:
-                ids.update(index._map.get(index.key_of(row), ()))
+            if index.unique:  # a unique index holds one row id per key
+                held = index._map.get(index.key_of(row))
+                if held is not None:
+                    ids.add(held)  # type: ignore[arg-type]
         return ids
 
     def _from_image(self, image: dict[str, Any]) -> tuple[Any, ...]:

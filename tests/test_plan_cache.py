@@ -561,6 +561,41 @@ class TestDistSQL:
         )
         assert runtime.engine.plan_cache.peek(sql) is None
 
+    def test_plans_share_the_rules_point_route_memo_until_alter(self, runtime):
+        """The value -> nodes memo lives on the table rule: a key one plan
+        routed is known to every plan, and ALTER drops it with the rule."""
+        import gc
+        import weakref
+
+        conn = ShardingDataSource(runtime).get_connection()
+        select = "SELECT name FROM t_user WHERE uid = ?"
+        update = "UPDATE t_user SET name = ? WHERE uid = ?"
+        for sql, params in ((select, (5,)), (select, (2,)), (update, ("x", 5))):
+            conn.execute(sql, params)  # compile both, route uid 2 from a hit
+        table_rule = runtime.rule.table_rule("t_user")
+        routed = []
+        table_rule.route = lambda conditions: routed.append(conditions)  # type: ignore[method-assign]
+        conn.execute(update, ("bob2", 2))  # a hit: uid 2 is in the memo
+        assert routed == []
+        assert conn.execute(select, (2,)).fetchall() == [("bob2",)]
+        del table_rule.route
+        memo = table_rule.point_routes["uid"]
+        assert list(memo) == [2]
+        (node,) = memo[2]
+        assert memo[2] is table_rule.node_lists[(node,)]
+        assert not hasattr(runtime.engine.plan_cache.peek(select), "_route_memo")
+
+        old = weakref.ref(table_rule)
+        del table_rule, memo
+        conn.execute(
+            "ALTER SHARDING TABLE RULE t_user (RESOURCES(ds0, ds1), "
+            "SHARDING_COLUMN=uid, TYPE=mod, PROPERTIES('sharding-count'=2))")
+        assert runtime.rule.table_rule("t_user").point_routes == {"uid": {}}
+        gc.collect()
+        assert old() is None
+        assert conn.execute(select, (2,)).fetchall() == [("bob2",)]
+        conn.close()
+
     def test_register_resource_invalidates(self, runtime):
         conn = ShardingDataSource(runtime).get_connection()
         sql = "SELECT name FROM t_user WHERE uid = ?"

@@ -140,7 +140,7 @@ def test_a_restart_skips_a_binding_whose_table_was_dropped():
         execute_distsql(sql, writer)
     execute_distsql("DROP SHARDING TABLE RULE t_order", writer)
     restarted = ShardingRuntime(config_center=writer.config_center)
-    assert restarted.load_rules_from_governor() == 1  # t_user; the binding no longer builds
+    assert restarted.load_rules_from_governor() == 1  # t_user; the drop retracted the binding
     assert described(restarted) == described(writer)
     writer.close()
     restarted.close()
@@ -254,5 +254,62 @@ def test_a_replayed_rule_registers_a_resource_with_its_dialect():
     restarted.load_rules_from_governor()
     assert {name: source.dialect.name for name, source in restarted.data_sources.items()} == {
         "ds0": "PostgreSQL", "ds1": "MySQL"}
+    owner.close()
+    restarted.close()
+
+
+def test_a_dropped_table_takes_its_binding_with_it():
+    """Re-creating a dropped table does not revive its binding: the drop
+    retracted the binding config, as it shrank the live binding group."""
+    center = ConfigCenter()
+    writer = ShardingRuntime(config_center=center)
+    peer = ShardingRuntime(config_center=center)
+    peer.enable_cluster_mode()
+    execute_distsql("REGISTER RESOURCE ds0, ds1", writer)
+    for sql in STATEMENTS["binding"][0]:
+        execute_distsql(sql, writer)
+    execute_distsql("DROP SHARDING TABLE RULE t_order", writer)
+    execute_distsql(SHARD_T_ORDER, writer)
+    assert center.rule_names("binding") == []
+    restarted = ShardingRuntime(config_center=center)
+    restarted.load_rules_from_governor()
+    assert described(writer)["binding"] == []
+    for side in (restarted, peer):
+        assert described(side) == described(writer)
+    for runtime in (writer, peer, restarted):
+        runtime.close()
+
+
+def test_a_dropped_table_leaves_the_rest_of_its_binding_bound():
+    center = ConfigCenter()
+    writer = ShardingRuntime(config_center=center)
+    peer = ShardingRuntime(config_center=center)
+    peer.enable_cluster_mode()
+    execute_distsql("REGISTER RESOURCE ds0, ds1", writer)
+    for sql in (SHARD_T_USER, SHARD_T_ORDER, SHARD_T_USER.replace("t_user", "t_item"),
+                "CREATE SHARDING BINDING TABLE RULES (t_user, t_order, t_item)"):
+        execute_distsql(sql, writer)
+    execute_distsql("DROP SHARDING TABLE RULE t_order", writer)
+    assert center.rule_names("binding") == ["t_item+t_user"]
+    restarted = ShardingRuntime(config_center=center)
+    restarted.load_rules_from_governor()
+    assert described(writer)["binding"] == [["t_item", "t_user"]]
+    for side in (restarted, peer):
+        assert described(side) == described(writer)
+    for runtime in (writer, peer, restarted):
+        runtime.close()
+
+
+def test_a_resource_keeps_every_property_across_a_restart():
+    owner = ShardingRuntime()
+    execute_distsql("REGISTER RESOURCE ds0 (PROPERTIES('pool_size'=8, 'dialect'='PostgreSQL')), "
+                    "ds1", owner)
+    execute_distsql(SHARD_T_USER, owner)
+    restarted = ShardingRuntime(config_center=owner.config_center)
+    restarted.load_rules_from_governor()
+    for runtime in (owner, restarted):
+        assert {name: (source.dialect.name, source.pool.max_size)
+                for name, source in runtime.data_sources.items()} == {
+            "ds0": ("PostgreSQL", 8), "ds1": ("MySQL", 64)}
     owner.close()
     restarted.close()
